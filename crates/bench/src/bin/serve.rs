@@ -1,5 +1,6 @@
 //! The serving soak binary: runs the repeat-heavy zoo mix through the
-//! `htvm-serve` compile service with and without the artifact cache,
+//! `htvm-serve` compile service and through a no-reuse baseline (every
+//! job compiled and serialized from scratch, outside any service),
 //! runs the skewed FIFO-vs-cost-aware scheduling comparison, and writes
 //! `SERVE_BENCH.json`.
 //!

@@ -6,17 +6,25 @@
 //! like `KERNELS_BENCH.json` — and compared warn-only by
 //! `bench-diff --serve` (service throughput is host wall time; it never
 //! gates). The headline number is `speedup`: cached throughput over the
-//! no-cache baseline on the same mix, which the `serve` bin can enforce
+//! no-reuse baseline on the same mix, which the `serve` bin can enforce
 //! a floor on (`--min-speedup`).
+//!
+//! The `uncached` leg is built here, not by a service mode: every job
+//! compiled from scratch and serialized, on the same number of threads,
+//! off one shared base compiler (tiling solves stay memoized across
+//! jobs, as in the service). Documents from before PR 12 measured a
+//! zero-budget `CompileService` instead (plus key, queue, clone and
+//! probe per job) and are not comparable on `uncached`/`speedup`.
 
-use htvm::DeployConfig;
+use htvm::{Compiler, DeployConfig};
 use htvm_models::all_models;
 use htvm_serve::http::wire::{WireJob, WireResult};
 use htvm_serve::http::{HttpConfig, HttpServer};
 use htvm_serve::{CompileService, Fleet, JobRequest, SchedPolicy, ServeConfig, ServiceStats};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Schema version of `SERVE_BENCH.json`. v2 added the `skewed`
@@ -107,7 +115,8 @@ pub struct ServeReport {
     pub distinct_keys: u64,
     /// The mix through a service with the artifact cache enabled.
     pub cached: ServeRunStats,
-    /// The same mix through a zero-budget (never-admitting) cache.
+    /// The same mix with no reuse at all: every job compiled from
+    /// scratch and serialized, outside any service.
     pub uncached: ServeRunStats,
     /// Cached throughput over uncached throughput.
     pub speedup: f64,
@@ -293,42 +302,84 @@ fn percentile(sorted: &[u64], pct: f64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// Folds one batch's results into wall-clock run stats.
-fn run_stats(
-    results: Vec<Result<htvm_serve::JobResult, htvm_serve::JobError>>,
-    wall_s: f64,
-) -> ServeRunStats {
-    let mut latencies: Vec<u64> = Vec::with_capacity(results.len());
-    let mut queues: Vec<u64> = Vec::with_capacity(results.len());
-    let jobs = results.len();
-    for result in results {
-        let result = result.expect("bench mixes compile");
-        latencies.push(result.queue_us + result.service_us);
-        queues.push(result.queue_us);
-    }
+/// Folds per-job `(latency_us, queue_us)` samples into wall-clock run
+/// stats.
+fn run_stats(samples: &[(u64, u64)], wall_s: f64) -> ServeRunStats {
+    let mut latencies: Vec<u64> = samples.iter().map(|&(latency, _)| latency).collect();
+    let mut queues: Vec<u64> = samples.iter().map(|&(_, queue)| queue).collect();
     latencies.sort_unstable();
     queues.sort_unstable();
     ServeRunStats {
         wall_ms: wall_s * 1e3,
-        throughput_jobs_per_s: jobs as f64 / wall_s.max(1e-9),
+        throughput_jobs_per_s: samples.len() as f64 / wall_s.max(1e-9),
         p50_us: percentile(&latencies, 50.0),
         p99_us: percentile(&latencies, 99.0),
         queue_p99_us: percentile(&queues, 99.0),
     }
 }
 
-fn run_mix(config: ServeBenchConfig, cache_budget_bytes: usize) -> (ServeRunStats, ServiceStats) {
-    let service = CompileService::new(ServeConfig {
-        workers: config.workers,
-        cache_budget_bytes,
-        tracer: htvm::Tracer::disabled(),
-        ..ServeConfig::default()
-    });
-    let jobs = request_mix(config.jobs);
+/// Submits one batch and folds its results into run stats.
+fn run_batch(service: &CompileService, jobs: Vec<JobRequest>) -> ServeRunStats {
     let t0 = Instant::now();
     let results = service.submit_batch(jobs);
     let wall_s = t0.elapsed().as_secs_f64();
-    (run_stats(results, wall_s), service.stats())
+    let samples: Vec<(u64, u64)> = results
+        .into_iter()
+        .map(|result| {
+            let result = result.expect("bench mixes compile");
+            (result.queue_us + result.service_us, result.queue_us)
+        })
+        .collect();
+    run_stats(&samples, wall_s)
+}
+
+/// The mix through a caching service, as one batch.
+fn run_cached(config: ServeBenchConfig) -> (ServeRunStats, ServiceStats) {
+    let service = CompileService::new(ServeConfig {
+        workers: config.workers,
+        cache_budget_bytes: 256 << 20,
+        tracer: htvm::Tracer::disabled(),
+        ..ServeConfig::default()
+    });
+    let stats = run_batch(&service, request_mix(config.jobs));
+    (stats, service.stats())
+}
+
+/// The no-reuse baseline: every job of the mix compiled from scratch and
+/// serialized (what a client is owed per job), by `config.workers`
+/// threads draining one queue in request order.
+fn run_uncached(config: ServeBenchConfig) -> ServeRunStats {
+    let base = Compiler::new();
+    let queue: Mutex<VecDeque<JobRequest>> = Mutex::new(request_mix(config.jobs).into());
+    let t0 = Instant::now();
+    let samples: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..config.workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut samples = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("job queue poisoned").pop_front();
+                        let Some(job) = next else { break samples };
+                        let queue_us = t0.elapsed().as_micros() as u64;
+                        let artifact = base
+                            .clone()
+                            .with_deploy(job.deploy)
+                            .compile(&job.graph)
+                            .expect("bench mixes compile");
+                        std::hint::black_box(
+                            serde_json::to_string(&artifact).expect("artifacts serialize"),
+                        );
+                        samples.push((t0.elapsed().as_micros() as u64, queue_us));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("bench worker panicked"))
+            .collect()
+    });
+    run_stats(&samples, t0.elapsed().as_secs_f64())
 }
 
 /// Workers (and cold compiles) in the skewed scheduling comparison.
@@ -383,10 +434,7 @@ fn run_skewed(policy: SchedPolicy, hot_jobs: usize) -> ServeRunStats {
         )
     }));
 
-    let t0 = Instant::now();
-    let results = service.submit_batch(jobs);
-    let wall_s = t0.elapsed().as_secs_f64();
-    run_stats(results, wall_s)
+    run_batch(&service, jobs)
 }
 
 /// Runs the scheduling comparison: the identical skewed batch under
@@ -441,7 +489,7 @@ pub fn run_front_door(
     let clients = clients.clamp(1, bodies.len().max(1));
 
     let t0 = Instant::now();
-    let mut samples: Vec<(u64, u64)> = std::thread::scope(|scope| {
+    let samples: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let bodies = &bodies;
@@ -469,21 +517,7 @@ pub fn run_front_door(
             .flat_map(|h| h.join().expect("bench client panicked"))
             .collect()
     });
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    let mut latencies: Vec<u64> = samples.iter().map(|(l, _)| *l).collect();
-    let queues: Vec<u64> = {
-        samples.sort_unstable_by_key(|(_, q)| *q);
-        samples.iter().map(|(_, q)| *q).collect()
-    };
-    latencies.sort_unstable();
-    let stats = ServeRunStats {
-        wall_ms: wall_s * 1e3,
-        throughput_jobs_per_s: config.jobs as f64 / wall_s.max(1e-9),
-        p50_us: percentile(&latencies, 50.0),
-        p99_us: percentile(&latencies, 99.0),
-        queue_p99_us: percentile(&queues, 99.0),
-    };
+    let stats = run_stats(&samples, t0.elapsed().as_secs_f64());
     let service_stats = service.stats();
     server.shutdown();
     Ok((stats, service_stats))
@@ -525,12 +559,12 @@ fn http_post(stream: &mut std::net::TcpStream, path: &str, body: &str) -> String
 }
 
 /// Runs the soak: the same repeat-heavy mix through a cached service and
-/// through a zero-budget (no-cache) service, on the same worker count,
-/// plus the skewed FIFO-vs-cost-aware scheduling comparison.
+/// through the no-reuse baseline, on the same worker count, plus the
+/// skewed FIFO-vs-cost-aware scheduling comparison.
 #[must_use]
 pub fn collect(config: ServeBenchConfig) -> ServeReport {
-    let (uncached, _) = run_mix(config, 0);
-    let (cached, stats) = run_mix(config, 256 << 20);
+    let uncached = run_uncached(config);
+    let (cached, stats) = run_cached(config);
     ServeReport {
         schema_version: SERVE_SCHEMA_VERSION,
         jobs: config.jobs as u64,

@@ -8,9 +8,10 @@
 //!     [--max-body-mb MB] [--max-connections N] [--persist-dir PATH]
 //! ```
 //!
-//! Defaults: `127.0.0.1:7440`, cost-aware scheduling, 64 MiB artifact
-//! cache per platform, unlimited admission budget and tenant quota, no
-//! persistence. With `--persist-dir`, every freshly compiled artifact
+//! Routes: `POST /v1/compile`, `POST /v1/batch`, `POST /v1/import`,
+//! `GET /v1/stats`, `GET /v1/healthz`. Defaults: `127.0.0.1:7440`,
+//! cost-aware scheduling, 64 MiB artifact cache per platform, unlimited
+//! admission budget and tenant quota, no persistence. With `--persist-dir`, every freshly compiled artifact
 //! spills to `PATH/v1/<platform>/<key_id>.json` and is re-admitted at
 //! the next boot, so restarts are warm. Exit codes: 0 — clean shutdown
 //! (never reached; the daemon runs until killed); 2 — usage or bind
@@ -30,6 +31,14 @@ fn parse<T: std::str::FromStr>(
         .map_err(|_| format!("{flag} needs a number, got {v:?}"))
 }
 
+/// A `MB` flag value as bytes; a count that overflows `usize` is a
+/// usage error, not a wrapped (release) or panicking (debug) shift.
+fn parse_mib(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    parse::<usize>(args, flag)?
+        .checked_mul(1 << 20)
+        .ok_or_else(|| format!("{flag} is too large to express in bytes"))
+}
+
 fn run() -> Result<(), String> {
     let mut addr = String::from("127.0.0.1:7440");
     let mut serve = ServeConfig::default();
@@ -39,9 +48,7 @@ fn run() -> Result<(), String> {
         match arg.as_str() {
             "--addr" => addr = args.next().ok_or("--addr needs HOST:PORT")?,
             "--workers" => serve.workers = parse(&mut args, "--workers")?,
-            "--cache-mb" => {
-                serve.cache_budget_bytes = parse::<usize>(&mut args, "--cache-mb")? << 20;
-            }
+            "--cache-mb" => serve.cache_budget_bytes = parse_mib(&mut args, "--cache-mb")?,
             "--queue-budget" => serve.queue_cost_budget = parse(&mut args, "--queue-budget")?,
             "--tenant-quota" => serve.tenant_quota = parse(&mut args, "--tenant-quota")?,
             "--policy" => {
@@ -51,9 +58,7 @@ fn run() -> Result<(), String> {
                     other => return Err(format!("--policy needs fifo|cost, got {other:?}")),
                 }
             }
-            "--max-body-mb" => {
-                http.max_body_bytes = parse::<usize>(&mut args, "--max-body-mb")? << 20;
-            }
+            "--max-body-mb" => http.max_body_bytes = parse_mib(&mut args, "--max-body-mb")?,
             "--max-connections" => http.max_connections = parse(&mut args, "--max-connections")?,
             "--persist-dir" => {
                 serve.persist_root = Some(args.next().ok_or("--persist-dir needs a path")?.into());
@@ -86,7 +91,8 @@ fn run() -> Result<(), String> {
         HttpServer::spawn(service, &addr, http).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("htvm-serve httpd listening on http://{}", server.addr());
     println!(
-        "  policy {policy:?}; POST /v1/compile, POST /v1/batch, GET /v1/stats, GET /v1/healthz"
+        "  policy {policy:?}; POST /v1/compile, POST /v1/batch, POST /v1/import, \
+         GET /v1/stats, GET /v1/healthz"
     );
     println!("  platforms: {platforms}");
     if let Some(dir) = persist {

@@ -1,10 +1,10 @@
 //! The content-addressed artifact cache.
 //!
-//! Maps [`ArtifactKey`] → [`Artifact`] under a byte budget with
-//! least-recently-used eviction. Sizes are measured as the serialized
-//! length of the artifact — the same serde encoding the byte-identity
-//! tests compare — so the budget bounds what a client would actually
-//! receive over the wire, not Rust in-memory overhead.
+//! Maps [`ArtifactKey`] → [`StoredArtifact`] under a byte budget with
+//! least-recently-used eviction. An entry's size is the length of its
+//! stored bytes ([`StoredArtifact::json`]) — the same serde encoding the
+//! byte-identity tests compare — so the budget bounds what a client
+//! would actually receive over the wire, not Rust in-memory overhead.
 //!
 //! The cache is internally synchronized: one instance is shared by every
 //! worker thread of a [`CompileService`](crate::CompileService). All
@@ -13,7 +13,7 @@
 //! byte-budgeted artifact cache reaches.
 
 use crate::key::ArtifactKey;
-use htvm::Artifact;
+use crate::stored::StoredArtifact;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -41,46 +41,42 @@ pub struct ArtifactCacheStats {
 }
 
 struct Entry {
-    artifact: Artifact,
-    bytes: usize,
+    stored: StoredArtifact,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Inner {
     entries: HashMap<ArtifactKey, Entry>,
-    bytes: usize,
     /// Monotonic access clock; strictly increasing, so LRU victims are
     /// unique and eviction order is deterministic.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-    oversized: u64,
+    /// The budget and the live counters, as reported; only `entries` is
+    /// filled in at snapshot time.
+    stats: ArtifactCacheStats,
 }
 
 /// A thread-safe LRU artifact cache bounded by serialized size.
 pub struct ArtifactCache {
-    budget_bytes: usize,
     inner: Mutex<Inner>,
 }
 
 impl ArtifactCache {
     /// An empty cache that will hold at most `budget_bytes` of
-    /// serialized artifacts. A zero budget admits nothing — useful as
-    /// the "cold every time" baseline in benchmarks.
+    /// serialized artifacts. A zero budget admits nothing: every
+    /// insert is refused as oversized and every lookup misses.
     #[must_use]
     pub fn new(budget_bytes: usize) -> Self {
+        let mut inner = Inner::default();
+        inner.stats.budget_bytes = budget_bytes as u64;
         ArtifactCache {
-            budget_bytes,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(inner),
         }
     }
 
     /// Probes for residency without touching the hit/miss counters or
     /// the entry's recency. This is the admission-control cost probe: a
-    /// resident key means the job is near-free (an artifact clone), so
+    /// resident key means the job is near-free (a shared handle), so
     /// the scheduler can rank it ahead of cold compiles without
     /// perturbing the counters the determinism tests assert on.
     #[must_use]
@@ -92,29 +88,23 @@ impl ArtifactCache {
             .contains_key(key)
     }
 
-    /// The configured byte budget. Zero means the cache admits nothing.
+    /// Looks up a key, refreshing its recency on hit. Returns a handle
+    /// sharing the cached entry's artifact and bytes — the very bytes a
+    /// cold compile of the same key serialized to.
     #[must_use]
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
-    /// Looks up a key, refreshing its recency on hit. Returns a clone of
-    /// the cached artifact — by construction byte-identical (under serde)
-    /// to what a cold compile of the same key produces.
-    #[must_use]
-    pub fn get(&self, key: &ArtifactKey) -> Option<Artifact> {
+    pub fn get(&self, key: &ArtifactKey) -> Option<StoredArtifact> {
         let mut inner = self.inner.lock().expect("artifact cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                let artifact = entry.artifact.clone();
-                inner.hits += 1;
-                Some(artifact)
+                let stored = entry.stored.clone();
+                inner.stats.hits += 1;
+                Some(stored)
             }
             None => {
-                inner.misses += 1;
+                inner.stats.misses += 1;
                 None
             }
         }
@@ -123,22 +113,23 @@ impl ArtifactCache {
     /// Admits an artifact, evicting least-recently-used entries until it
     /// fits. Returns `false` when the artifact alone exceeds the budget
     /// (it is not admitted, and nothing is evicted for it). Re-inserting
-    /// an existing key refreshes the entry in place.
-    pub fn insert(&self, key: ArtifactKey, artifact: &Artifact) -> bool {
-        let bytes = serde_json::to_string(artifact)
-            .expect("artifacts serialize infallibly")
-            .len();
+    /// an existing key refreshes the entry in place. A plain
+    /// `&Artifact` is converted (cloned and serialized) on the way in;
+    /// the service passes the [`StoredArtifact`] it already holds.
+    pub fn insert(&self, key: ArtifactKey, artifact: impl Into<StoredArtifact>) -> bool {
+        let stored = artifact.into();
+        let bytes = stored.json().len() as u64;
         let mut inner = self.inner.lock().expect("artifact cache poisoned");
-        if bytes > self.budget_bytes {
-            inner.oversized += 1;
+        if bytes > inner.stats.budget_bytes {
+            inner.stats.oversized += 1;
             return false;
         }
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.entries.remove(&key) {
-            inner.bytes -= old.bytes;
+            inner.stats.bytes -= old.stored.json().len() as u64;
         }
-        while inner.bytes + bytes > self.budget_bytes {
+        while inner.stats.bytes + bytes > inner.stats.budget_bytes {
             // The recency tick is strictly monotonic, so `last_used` is
             // unique today — but the victim scan iterates a `HashMap`,
             // whose order varies across runs. Break any tie on
@@ -152,16 +143,15 @@ impl ArtifactCache {
                 .map(|(k, _)| k.clone())
                 .expect("over budget implies a resident entry");
             let evicted = inner.entries.remove(&victim).expect("victim is resident");
-            inner.bytes -= evicted.bytes;
-            inner.evictions += 1;
+            inner.stats.bytes -= evicted.stored.json().len() as u64;
+            inner.stats.evictions += 1;
         }
-        inner.bytes += bytes;
-        inner.insertions += 1;
+        inner.stats.bytes += bytes;
+        inner.stats.insertions += 1;
         inner.entries.insert(
             key,
             Entry {
-                artifact: artifact.clone(),
-                bytes,
+                stored,
                 last_used: tick,
             },
         );
@@ -174,13 +164,7 @@ impl ArtifactCache {
         let inner = self.inner.lock().expect("artifact cache poisoned");
         ArtifactCacheStats {
             entries: inner.entries.len() as u64,
-            bytes: inner.bytes as u64,
-            budget_bytes: self.budget_bytes as u64,
-            hits: inner.hits,
-            misses: inner.misses,
-            insertions: inner.insertions,
-            evictions: inner.evictions,
-            oversized: inner.oversized,
+            ..inner.stats
         }
     }
 }
@@ -196,7 +180,7 @@ impl std::fmt::Debug for ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htvm::{DeployConfig, DianaConfig, LowerOptions};
+    use htvm::{Artifact, DeployConfig, DianaConfig, LowerOptions};
     use htvm_ir::{DType, Graph, GraphBuilder};
     use htvm_soc::Program;
 

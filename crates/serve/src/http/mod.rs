@@ -29,7 +29,7 @@
 pub mod framing;
 pub mod wire;
 
-use crate::service::{CompileService, JobRequest};
+use crate::service::{CompileService, JobError, JobRequest, JobResult};
 use framing::{read_request, write_response, FrameError, Request};
 use htvm::DeployConfig;
 use std::io::{BufReader, BufWriter};
@@ -245,7 +245,6 @@ fn serve_connection(
         if status >= 400 {
             counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let extra: Vec<(&str, String)> = extra.iter().map(|(n, v)| (*n, v.clone())).collect();
         if write_response(&mut writer, status, &body, &extra, keep_alive).is_err() || !keep_alive {
             break;
         }
@@ -267,14 +266,7 @@ fn dispatch(
                 let include_artifact = job.include_artifact;
                 match job.into_request(service) {
                     Err(wire) => wire_failure(wire),
-                    Ok(request) => match service.submit(request) {
-                        Ok(result) => (
-                            200,
-                            json(&WireResult::from_result(result, include_artifact)),
-                            Vec::new(),
-                        ),
-                        Err(error) => job_error(&error),
-                    },
+                    Ok(request) => job_response(service.submit(request), include_artifact),
                 }
             }
         },
@@ -283,16 +275,10 @@ fn dispatch(
                 let error = WireError::new(400, "bad_request", detail);
                 (400, json(&error), Vec::new())
             }
-            Ok((name, tenant, deploy, include_artifact)) => {
-                match service.submit_model(&name, tenant.as_deref(), deploy, &request.body) {
-                    Ok(result) => (
-                        200,
-                        json(&WireResult::from_result(result, include_artifact)),
-                        Vec::new(),
-                    ),
-                    Err(error) => job_error(&error),
-                }
-            }
+            Ok((name, tenant, deploy, include_artifact)) => job_response(
+                service.submit_model(&name, tenant.as_deref(), deploy, &request.body),
+                include_artifact,
+            ),
         },
         ("POST", "/v1/batch") => match parse_body::<WireBatch>(&request.body) {
             Err(detail) => bad_body(detail),
@@ -300,25 +286,28 @@ fn dispatch(
                 let include: Vec<bool> = batch.jobs.iter().map(|j| j.include_artifact).collect();
                 // Convert jobs up front; conversion failures (bad
                 // envelope, failed import) become their entry's error
-                // without ever reaching admission, while the rest are
-                // scheduled together as one batch.
-                let converted: Vec<Result<JobRequest, WireError>> = batch
+                // without ever reaching admission, while the rest move
+                // into one batch and are scheduled together.
+                let mut admitted: Vec<JobRequest> = Vec::new();
+                let failed: Vec<Option<WireError>> = batch
                     .jobs
                     .into_iter()
-                    .map(|job| job.into_request(service))
-                    .collect();
-                let admitted: Vec<JobRequest> = converted
-                    .iter()
-                    .filter_map(|c| c.as_ref().ok().cloned())
+                    .map(|job| match job.into_request(service) {
+                        Ok(request) => {
+                            admitted.push(request);
+                            None
+                        }
+                        Err(wire) => Some(wire),
+                    })
                     .collect();
                 let mut outcomes = service.submit_batch(admitted).into_iter();
-                let results = converted
+                let results = failed
                     .into_iter()
                     .zip(include)
-                    .map(|(converted, include_artifact)| {
-                        WireBatchEntry::from_outcome(match converted {
-                            Err(wire) => Err(wire),
-                            Ok(_) => match outcomes.next().expect("one outcome per admitted job") {
+                    .map(|(failed, include_artifact)| {
+                        WireBatchEntry::from_outcome(match failed {
+                            Some(wire) => Err(wire),
+                            None => match outcomes.next().expect("one outcome per admitted job") {
                                 Ok(r) => Ok(WireResult::from_result(r, include_artifact)),
                                 Err(e) => Err(WireError::from_job_error(&e)),
                             },
@@ -395,8 +384,20 @@ fn import_params(
     Ok((name, tenant, deploy, include_artifact))
 }
 
-fn job_error(error: &crate::service::JobError) -> (u16, Vec<u8>, Vec<(&'static str, String)>) {
-    let wire = WireError::from_job_error(error);
+/// Renders one job's outcome: the [`WireResult`], or the typed error
+/// (with `Retry-After` when it is a shed).
+fn job_response(
+    outcome: Result<JobResult, JobError>,
+    include_artifact: bool,
+) -> (u16, Vec<u8>, Vec<(&'static str, String)>) {
+    let error = match outcome {
+        Ok(result) => {
+            let body = json(&WireResult::from_result(result, include_artifact));
+            return (200, body, Vec::new());
+        }
+        Err(error) => error,
+    };
+    let wire = WireError::from_job_error(&error);
     let mut extra = Vec::new();
     if let Some(rejection) = &wire.rejection {
         let secs = rejection.retry_after_ms.div_ceil(1000).max(1);

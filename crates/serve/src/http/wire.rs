@@ -8,7 +8,8 @@
 //! switch on either.
 
 use crate::service::{CompileService, JobError, JobRequest, JobResult, Rejection};
-use htvm::{Artifact, DeployConfig};
+use crate::stored::StoredArtifact;
+use htvm::DeployConfig;
 use htvm_ir::Graph;
 use serde::{Deserialize, Serialize};
 
@@ -73,7 +74,7 @@ impl WireJob {
             }
             (Some(graph), None) => graph,
             (None, Some(hex)) => {
-                let bytes = decode_hex(&hex).map_err(|detail| {
+                let bytes = crate::hexfmt::decode(hex.trim()).map_err(|detail| {
                     WireError::new(
                         400,
                         "bad_request",
@@ -94,11 +95,6 @@ impl WireJob {
         }
         Ok(request)
     }
-}
-
-/// Decodes lowercase/uppercase hex into bytes.
-fn decode_hex(hex: &str) -> Result<Vec<u8>, String> {
-    crate::hexfmt::decode(hex.trim())
 }
 
 /// Hex-encodes model bytes for [`WireJob::model_hex`].
@@ -130,9 +126,11 @@ pub struct WireResult {
     pub queue_us: u64,
     /// Microseconds of service time.
     pub service_us: u64,
-    /// The artifact, when the request asked for it.
+    /// The artifact, when the request asked for it: the service's
+    /// stored bytes, emitted verbatim. Must stay the last field —
+    /// clients hash it in place.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub artifact: Option<Artifact>,
+    pub artifact: Option<StoredArtifact>,
 }
 
 impl WireResult {
@@ -246,4 +244,50 @@ impl WireError {
 pub struct WireHealth {
     /// Always `true` when the service answers.
     pub ok: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use htvm::Compiler;
+    use htvm_ir::{DType, GraphBuilder};
+
+    #[test]
+    fn the_artifact_rides_last_and_verbatim() {
+        // A name that needs JSON escaping: embedding the stored bytes
+        // as a string (or re-rendering them) would double the escapes.
+        let mut b = GraphBuilder::new();
+        let x = b.input("in \"quoted\" \\ name", &[4, 4, 4], DType::I8);
+        let y = b.relu(x).unwrap();
+        let artifact = Compiler::new().compile(&b.finish(&[y]).unwrap()).unwrap();
+        let direct = serde_json::to_string(&artifact).unwrap();
+        assert!(direct.contains(r#"in \"quoted\" \\ name"#));
+
+        let mut wire = WireResult {
+            job: String::from("j"),
+            key_id: String::from("k"),
+            cache_hit: true,
+            coalesced: false,
+            queue_us: 1,
+            service_us: 2,
+            artifact: Some(StoredArtifact::new(artifact)),
+        };
+        let head = r#"{"job":"j","key_id":"k","cache_hit":true,"coalesced":false,"queue_us":1,"service_us":2"#;
+        assert_eq!(
+            serde_json::to_string(&wire).unwrap(),
+            format!(r#"{head},"artifact":{direct}}}"#)
+        );
+        let back: WireResult =
+            serde_json::from_str(&serde_json::to_string(&wire).unwrap()).unwrap();
+        assert_eq!(back.artifact, wire.artifact);
+        assert_eq!(back.artifact.unwrap().json(), direct);
+
+        // Metadata-only responses keep the field (the vendored derive
+        // ignores `skip_serializing_if`), still last.
+        wire.artifact = None;
+        assert_eq!(
+            serde_json::to_string(&wire).unwrap(),
+            format!(r#"{head},"artifact":null}}"#)
+        );
+    }
 }

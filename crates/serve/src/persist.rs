@@ -6,7 +6,7 @@
 //! whole directory into the cache at startup, making restarts *warm*:
 //! previously served keys hit without recompiling, and the returned
 //! bytes are identical to the pre-restart artifacts because the entry
-//! records the exact serialized artifact.
+//! embeds the [`StoredArtifact`]'s bytes verbatim.
 //!
 //! # Layout
 //!
@@ -35,7 +35,7 @@
 use crate::cache::ArtifactCache;
 use crate::hexfmt;
 use crate::key::ArtifactKey;
-use htvm::Artifact;
+use crate::stored::StoredArtifact;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,11 +72,12 @@ pub struct PersistStats {
     pub load_skipped: u64,
 }
 
-/// The JSON envelope of one on-disk entry. The artifact rides as a raw
-/// JSON value so loading can validate the header (format, stamp,
-/// digest) *before* committing to the artifact schema — a stale entry
-/// from an older build is skipped on its stamp even when the artifact
-/// shape changed underneath it.
+/// The JSON envelope of one on-disk entry. The artifact rides as an
+/// untyped JSON value: on write it is the stored bytes passed through
+/// verbatim, and on load the header (format, stamp, digest) validates
+/// *before* committing to the artifact schema — a stale entry from an
+/// older build is skipped on its stamp even when the artifact shape
+/// changed underneath it.
 #[derive(Serialize, Deserialize)]
 struct PersistEntry {
     format: u32,
@@ -118,25 +119,21 @@ impl PersistStore {
         })
     }
 
-    /// The platform directory entries live in.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Durably records one artifact: serialize the envelope, write it
-    /// to a `.tmp` sibling, `rename` into place. Returns whether the
-    /// entry landed; failures only cost durability (and a counter),
-    /// never the request.
-    pub fn write(&self, key: &ArtifactKey, artifact: &Artifact) -> bool {
+    /// Durably records one artifact: wrap its stored bytes in the
+    /// envelope, write that to a `.tmp` sibling, `rename` into place.
+    /// Returns whether the entry landed; failures only cost durability
+    /// (and a counter), never the request. A plain `&Artifact` is
+    /// converted (cloned and serialized) on the way in.
+    pub fn write(&self, key: &ArtifactKey, artifact: impl Into<StoredArtifact>) -> bool {
+        let stored: StoredArtifact = artifact.into();
         let entry = PersistEntry {
             format: CACHE_FORMAT_VERSION,
             compiler: compiler_stamp(),
             key_id: key.id(),
             key_hex: hexfmt::encode(key.as_bytes()),
-            artifact: serde_json::to_value(artifact),
+            artifact: serde_json::to_value(&stored),
         };
-        let json = serde_json::to_string(&entry).expect("artifacts serialize infallibly");
+        let json = serde_json::to_string(&entry).expect("envelopes serialize infallibly");
         let tmp = self.dir.join(format!("{}.tmp", entry.key_id));
         let path = self.dir.join(format!("{}.json", entry.key_id));
         let landed = std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_ok();
@@ -167,7 +164,7 @@ impl PersistStore {
         files.sort();
         for path in files {
             let admitted = match self.load_one(&path) {
-                Some((key, artifact)) => cache.insert(key, &artifact),
+                Some((key, stored)) => cache.insert(key, stored),
                 None => false,
             };
             if admitted {
@@ -180,7 +177,7 @@ impl PersistStore {
     }
 
     /// Validates one entry file end to end; `None` means skip.
-    fn load_one(&self, path: &Path) -> Option<(ArtifactKey, Artifact)> {
+    fn load_one(&self, path: &Path) -> Option<(ArtifactKey, StoredArtifact)> {
         let json = std::fs::read_to_string(path).ok()?;
         let entry: PersistEntry = serde_json::from_str(&json).ok()?;
         if entry.format != CACHE_FORMAT_VERSION || entry.compiler != compiler_stamp() {
@@ -195,11 +192,7 @@ impl PersistStore {
         if path.file_name()?.to_str()? != format!("{}.json", entry.key_id) {
             return None;
         }
-        // The vendored serde_json has no `from_value`; round-tripping
-        // the payload through a string is the supported conversion.
-        let payload = serde_json::to_string(&entry.artifact).ok()?;
-        let artifact: Artifact = serde_json::from_str(&payload).ok()?;
-        Some((key, artifact))
+        Some((key, serde_json::from_value(entry.artifact).ok()?))
     }
 
     /// A snapshot of the store's counters.

@@ -38,13 +38,20 @@
 //! byte-identical (under serde) to a cold compile of the same request,
 //! because compilation is deterministic and the cache key
 //! ([`ArtifactKey`]) covers everything the output depends on.
+//!
+//! An artifact is serialized once, when its leader wraps the fresh
+//! compile in a [`StoredArtifact`]; the cache entry, hits, coalesced
+//! followers, the disk envelope and the HTTP body share that allocation.
+//! A zero [`ServeConfig::cache_budget_bytes`] is not a mode: the cache
+//! admits nothing, and coalescing behaves as everywhere else.
 
 use crate::cache::{ArtifactCache, ArtifactCacheStats};
 use crate::key::ArtifactKey;
 use crate::persist::{PersistStats, PersistStore};
+use crate::stored::StoredArtifact;
 use htvm::{
-    tracks, Artifact, CompileError, Compiler, DeployConfig, FaultPlan, Machine, RunError,
-    RunReport, Span, Tensor, TileCacheStats, TimeDomain, Trace, Tracer,
+    tracks, CompileError, Compiler, DeployConfig, FaultPlan, Machine, RunError, RunReport, Span,
+    Tensor, TileCacheStats, TimeDomain, Trace, Tracer,
 };
 use htvm_frontend::ImportError;
 use htvm_ir::Graph;
@@ -53,7 +60,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// How admitted jobs are ordered onto the worker pool.
@@ -76,9 +83,8 @@ pub struct ServeConfig {
     /// fans out to (at least 1; batches smaller than this use fewer).
     pub workers: usize,
     /// Byte budget of *each platform's* artifact cache (serialized
-    /// size). Zero disables caching entirely — and with it in-batch
-    /// coalescing, since a zero-budget service models "no artifact
-    /// reuse at all".
+    /// size). Zero admits nothing, so every non-coalesced job compiles;
+    /// single-flight and in-batch coalescing are unaffected.
     pub cache_budget_bytes: usize,
     /// Span collector for per-job service spans and compiler phase
     /// spans. Disabled by default; drain with
@@ -129,7 +135,7 @@ impl Default for ServeConfig {
 
 /// Estimated cost of serving one job, in abstract scheduler units.
 ///
-/// A resident cache key makes the job an artifact clone — near-free,
+/// A resident cache key makes the job a shared handle — near-free,
 /// cost [`HIT_COST`]. A cold compile scales with the graph: tiling
 /// solves are per-layer and MAC volume tracks how much constant data
 /// the emit phase must move, so `nodes + MACs/10k` is a serviceable
@@ -358,8 +364,9 @@ pub struct JobResult {
     /// Whether the job was coalesced onto another job's compile (it
     /// never touched the cache counters itself).
     pub coalesced: bool,
-    /// The compiled deployment.
-    pub artifact: Artifact,
+    /// The compiled deployment and its serialized bytes, shared with
+    /// the cache entry and every other job served from the same compile.
+    pub artifact: StoredArtifact,
     /// Simulation report, when the job asked to run.
     pub report: Option<RunReport>,
     /// Wall microseconds the job waited in the batch queue before a
@@ -443,46 +450,56 @@ pub struct ServiceStats {
     pub platforms: Vec<PlatformStats>,
 }
 
-impl ServiceStats {
-    /// The per-platform slice for one manifest id.
-    #[must_use]
-    pub fn platform(&self, id: &str) -> Option<&PlatformStats> {
-        self.platforms.iter().find(|p| p.platform == id)
-    }
-}
-
 /// A single-flight rendezvous: the first thread to miss a key becomes
 /// the *leader* and compiles; concurrent requesters for the same key
 /// wait here instead of duplicating the compile (thundering-herd
 /// protection), then take the leader's artifact directly — a
 /// *coalesced* serve that never touches the cache counters. A `None`
-/// outcome means the leader failed; followers re-enter and compile for
-/// themselves.
+/// outcome means the leader failed (or unwound); followers re-enter and
+/// compile for themselves.
+#[derive(Default)]
 struct Flight {
-    slot: Mutex<Option<Option<Artifact>>>,
+    slot: Mutex<Option<Option<StoredArtifact>>>,
     cv: Condvar,
 }
 
 impl Flight {
-    fn new() -> Self {
-        Flight {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn land(&self, artifact: Option<Artifact>) {
-        *self.slot.lock().expect("flight poisoned") = Some(artifact);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Option<Artifact> {
+    fn wait(&self) -> Option<StoredArtifact> {
         let guard = self.slot.lock().expect("flight poisoned");
         self.cv
             .wait_while(guard, |slot| slot.is_none())
             .expect("flight poisoned")
             .clone()
             .expect("wait_while guarantees a landed flight")
+    }
+}
+
+/// A leader's obligation to its followers, discharged on drop — on
+/// every exit from the leader's compile, including a compile error and
+/// an unwind out of a panicking dispatch hook: the key leaves the
+/// in-flight table (so later requests probe the cache or lead afresh)
+/// and then the flight lands with whatever `outcome` holds.
+struct Lead<'a> {
+    inflight: &'a Mutex<HashMap<ArtifactKey, Arc<Flight>>>,
+    key: &'a ArtifactKey,
+    flight: Arc<Flight>,
+    outcome: Option<StoredArtifact>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        // Runs during unwinds, so it must not panic on a poisoned lock;
+        // both updates are single assignments that leave the data valid.
+        self.inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        *self
+            .flight
+            .slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(self.outcome.take());
+        self.flight.cv.notify_all();
     }
 }
 
@@ -496,23 +513,20 @@ struct Admission {
     tenant_inflight: HashMap<String, u64>,
 }
 
-/// How a worker obtains a job's artifact.
-enum ArtifactSource {
-    /// Probe the cache, coalesce on the in-flight table, compile on miss.
-    Resolve,
-    /// The artifact is already in hand (a batch-coalesced follower).
-    Ready(Box<Artifact>),
-}
-
-/// One admitted batch entry: a leader plus the follower jobs coalesced
-/// onto its key.
-struct Scheduled {
+/// A routed, keyed job holding `cost` admission units, which
+/// [`CompileService::serve`] returns when the job finishes.
+struct Admitted {
     index: usize,
     slot: usize,
     job: JobRequest,
     key: ArtifactKey,
     cost: u64,
-    followers: Vec<(usize, JobRequest)>,
+}
+
+/// One batch queue entry: a leader plus the jobs coalesced onto its key.
+struct Scheduled {
+    leader: Admitted,
+    followers: Vec<Admitted>,
 }
 
 /// One platform of the fleet: its compiler (with its own shared tile
@@ -530,15 +544,9 @@ struct PlatformSlot {
 }
 
 impl PlatformSlot {
-    fn build(
-        id: String,
-        capabilities: Capabilities,
-        base: Compiler,
-        cache_budget_bytes: usize,
-        persist_root: Option<&PathBuf>,
-    ) -> Self {
-        let cache = ArtifactCache::new(cache_budget_bytes);
-        let persist = persist_root.map(|root| {
+    fn build(id: String, capabilities: Capabilities, base: Compiler, config: &ServeConfig) -> Self {
+        let cache = ArtifactCache::new(config.cache_budget_bytes);
+        let persist = config.persist_root.as_ref().map(|root| {
             let store = PersistStore::open(root, &id)
                 .expect("the persistence root must be creatable at service construction");
             store.load_into(&cache);
@@ -555,13 +563,6 @@ impl PlatformSlot {
             coalesced: AtomicU64::new(0),
         }
     }
-
-    fn persist_stats(&self) -> PersistStats {
-        self.persist
-            .as_ref()
-            .map(PersistStore::stats)
-            .unwrap_or_default()
-    }
 }
 
 /// A multi-tenant, multi-platform compile-and-simulate service with
@@ -572,14 +573,12 @@ pub struct CompileService {
     slots: Vec<PlatformSlot>,
     index: HashMap<String, usize>,
     default_slot: usize,
-    cache_budget_bytes: usize,
     admission: Mutex<Admission>,
     tracer: Tracer,
     workers: usize,
     policy: SchedPolicy,
     queue_cost_budget: u64,
     tenant_quota: u64,
-    shed: AtomicU64,
     shed_budget: AtomicU64,
     shed_quota: AtomicU64,
     rejected_import: AtomicU64,
@@ -616,8 +615,7 @@ impl CompileService {
                     Compiler::new()
                         .with_platform(spec.soc)
                         .with_tracer(config.tracer.clone()),
-                    config.cache_budget_bytes,
-                    config.persist_root.as_ref(),
+                    &config,
                 )
             })
             .collect();
@@ -636,8 +634,7 @@ impl CompileService {
             DEFAULT_PLATFORM.to_owned(),
             Capabilities::full(),
             base.with_tracer(config.tracer.clone()),
-            config.cache_budget_bytes,
-            config.persist_root.as_ref(),
+            &config,
         );
         CompileService::assemble(config, vec![slot])
     }
@@ -653,26 +650,18 @@ impl CompileService {
             slots,
             index,
             default_slot,
-            cache_budget_bytes: config.cache_budget_bytes,
             admission: Mutex::new(Admission::default()),
             tracer: config.tracer,
             workers: config.workers.max(1),
             policy: config.policy,
             queue_cost_budget: config.queue_cost_budget,
             tenant_quota: u64::try_from(config.tenant_quota).unwrap_or(u64::MAX),
-            shed: AtomicU64::new(0),
             shed_budget: AtomicU64::new(0),
             shed_quota: AtomicU64::new(0),
             rejected_import: AtomicU64::new(0),
             routed_by_platform: AtomicU64::new(0),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// The scheduling policy this service orders batches with.
-    #[must_use]
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
     }
 
     /// The platform ids this service routes, in manifest order.
@@ -740,34 +729,13 @@ impl CompileService {
         Ok(self.key_in(slot, job))
     }
 
-    /// This job's estimated admission cost right now (probes its
-    /// platform's cache).
-    ///
-    /// # Errors
-    ///
-    /// [`JobError::Platform`] when the job cannot be routed.
-    pub fn cost_of(&self, job: &JobRequest) -> Result<u64, JobError> {
-        let slot = &self.slots[self.resolve(job)?];
-        let key = self.key_in(slot, job);
-        Ok(estimate_cost(&job.graph, slot.cache.contains(&key)))
-    }
-
     /// Processes one job on the calling thread, through routing and
     /// admission control: the result is [`JobError::Platform`] when the
     /// job cannot be routed and [`JobError::Rejected`] when the service
     /// is saturated or the tenant is over quota.
     pub fn submit(&self, job: JobRequest) -> Result<JobResult, JobError> {
-        let slot_idx = self.resolve(&job)?;
-        let slot = &self.slots[slot_idx];
-        let key = self.key_in(slot, &job);
-        let cost = estimate_cost(&job.graph, slot.cache.contains(&key));
-        if let Err(rejection) = self.admit(&job.tenant, cost) {
-            return Err(self.shed_job(job.name, &job.tenant, cost, rejection));
-        }
-        let tenant = job.tenant.clone();
-        let result = self.process(slot, job, key, 0, ArtifactSource::Resolve);
-        self.release(&tenant, cost);
-        result
+        let admitted = self.admit_job(0, job, &HashMap::new())?;
+        self.serve(admitted, 0, None)
     }
 
     /// Imports raw model-file bytes into a validated graph, counting
@@ -831,47 +799,25 @@ impl CompileService {
     /// run before cold compiles, so an expensive miss cannot
     /// head-of-line-block a batch of hits.
     pub fn submit_batch(&self, jobs: Vec<JobRequest>) -> Vec<Result<JobResult, JobError>> {
-        let n = jobs.len();
         let epoch = Instant::now();
-        let slots: Vec<Mutex<Option<Result<JobResult, JobError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<Result<JobResult, JobError>>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let finish = |index: usize, result| {
+            *results[index].lock().expect("result slot poisoned") = Some(result);
+        };
 
-        // Routing + admission + coalescing pass, in request order. A
-        // zero-budget cache models "no artifact reuse", so it disables
-        // coalescing too (the no-cache bench baseline must really
-        // compile each job).
-        let coalesce = self.cache_budget_bytes > 0;
+        // Routing + admission + coalescing pass, in request order.
         let mut leaders: Vec<Scheduled> = Vec::new();
         let mut lead_of: HashMap<ArtifactKey, usize> = HashMap::new();
         for (index, job) in jobs.into_iter().enumerate() {
-            let slot_idx = match self.resolve(&job) {
-                Ok(slot_idx) => slot_idx,
-                Err(error) => {
-                    *slots[index].lock().expect("result slot poisoned") = Some(Err(error));
-                    continue;
-                }
-            };
-            let key = self.key_in(&self.slots[slot_idx], &job);
-            let cost = if coalesce && lead_of.contains_key(&key) {
-                0 // a follower rides its leader's admission cost
-            } else {
-                estimate_cost(&job.graph, self.slots[slot_idx].cache.contains(&key))
-            };
-            match self.admit(&job.tenant, cost) {
-                Err(rejection) => {
-                    let error = self.shed_job(job.name, &job.tenant, cost, rejection);
-                    *slots[index].lock().expect("result slot poisoned") = Some(Err(error));
-                }
-                Ok(()) => match lead_of.get(&key) {
-                    Some(&leader) if coalesce => leaders[leader].followers.push((index, job)),
-                    _ => {
-                        lead_of.insert(key.clone(), leaders.len());
+            match self.admit_job(index, job, &lead_of) {
+                Err(error) => finish(index, Err(error)),
+                Ok(admitted) => match lead_of.get(&admitted.key) {
+                    Some(&leader) => leaders[leader].followers.push(admitted),
+                    None => {
+                        lead_of.insert(admitted.key.clone(), leaders.len());
                         leaders.push(Scheduled {
-                            index,
-                            slot: slot_idx,
-                            job,
-                            key,
-                            cost,
+                            leader: admitted,
                             followers: Vec::new(),
                         });
                     }
@@ -881,7 +827,7 @@ impl CompileService {
 
         match self.policy {
             SchedPolicy::Fifo => {} // already in request order
-            SchedPolicy::CostAware => leaders.sort_by_key(|s| (s.cost, s.index)),
+            SchedPolicy::CostAware => leaders.sort_by_key(|s| (s.leader.cost, s.leader.index)),
         }
 
         let workers = self.workers.min(leaders.len()).max(1);
@@ -890,55 +836,31 @@ impl CompileService {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let next = queue.lock().expect("job queue poisoned").pop_front();
-                    let Some(item) = next else { break };
-                    let queue_us = epoch.elapsed().as_micros() as u64;
-                    let tenant = item.job.tenant.clone();
-                    let platform = &self.slots[item.slot];
-                    let result = self.process(
-                        platform,
-                        item.job,
-                        item.key.clone(),
-                        queue_us,
-                        ArtifactSource::Resolve,
-                    );
-                    self.release(&tenant, item.cost);
+                    let Some(Scheduled { leader, followers }) = next else {
+                        break;
+                    };
+                    let index = leader.index;
+                    let result = self.serve(leader, epoch.elapsed().as_micros() as u64, None);
                     // Service this leader's followers right here, right
-                    // now: they are near-free (an artifact clone plus
-                    // any simulation), and running them on the leader's
+                    // now: they are near-free (a shared handle plus any
+                    // simulation), and running them on the leader's
                     // worker means a follower never occupies a pool
                     // slot waiting for a compile that hasn't started.
-                    let lead_artifact = result.as_ref().ok().map(|r| r.artifact.clone());
-                    *slots[item.index].lock().expect("result slot poisoned") = Some(result);
-                    for (index, job) in item.followers {
+                    // When the leader failed, each follower finds out
+                    // for itself (deterministic error per job, and a
+                    // fresh attempt might succeed).
+                    let ready = result.as_ref().ok().map(|r| r.artifact.clone());
+                    finish(index, result);
+                    for follower in followers {
+                        let index = follower.index;
                         let queue_us = epoch.elapsed().as_micros() as u64;
-                        let tenant = job.tenant.clone();
-                        let result = match &lead_artifact {
-                            Some(artifact) => self.process(
-                                platform,
-                                job,
-                                item.key.clone(),
-                                queue_us,
-                                ArtifactSource::Ready(Box::new(artifact.clone())),
-                            ),
-                            // The leader failed; let the follower find
-                            // out for itself (deterministic error per
-                            // job, and a fresh attempt might succeed).
-                            None => self.process(
-                                platform,
-                                job,
-                                item.key.clone(),
-                                queue_us,
-                                ArtifactSource::Resolve,
-                            ),
-                        };
-                        self.release(&tenant, 0);
-                        *slots[index].lock().expect("result slot poisoned") = Some(result);
+                        finish(index, self.serve(follower, queue_us, ready.as_ref()));
                     }
                 });
             }
         });
 
-        slots
+        results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -946,6 +868,35 @@ impl CompileService {
                     .expect("every scheduled job writes its slot")
             })
             .collect()
+    }
+
+    /// The one way into the service: routes the job, derives its key,
+    /// estimates its cost against the cache state and takes that many
+    /// admission units — or sheds it. A job whose key already has a
+    /// leader in `lead_of` (its batch) rides that leader's units.
+    fn admit_job(
+        &self,
+        index: usize,
+        job: JobRequest,
+        lead_of: &HashMap<ArtifactKey, usize>,
+    ) -> Result<Admitted, JobError> {
+        let slot = self.resolve(&job)?;
+        let key = self.key_in(&self.slots[slot], &job);
+        let cost = if lead_of.contains_key(&key) {
+            0
+        } else {
+            estimate_cost(&job.graph, self.slots[slot].cache.contains(&key))
+        };
+        match self.admit(&job.tenant, cost) {
+            Err(rejection) => Err(self.shed_job(job.name, &job.tenant, cost, rejection)),
+            Ok(()) => Ok(Admitted {
+                index,
+                slot,
+                job,
+                key,
+                cost,
+            }),
+        }
     }
 
     /// Admits `cost` units for `tenant`, or returns the typed rejection.
@@ -993,16 +944,12 @@ impl CompileService {
 
     /// Counts and traces a shed, returning the typed error.
     fn shed_job(&self, job: String, tenant: &str, cost: u64, rejection: Rejection) -> JobError {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        match rejection.reason {
-            RejectReason::QueueBudget { .. } => self.shed_budget.fetch_add(1, Ordering::Relaxed),
-            RejectReason::TenantQuota { .. } => self.shed_quota.fetch_add(1, Ordering::Relaxed),
+        let (counter, reason) = match rejection.reason {
+            RejectReason::QueueBudget { .. } => (&self.shed_budget, "queue_budget"),
+            RejectReason::TenantQuota { .. } => (&self.shed_quota, "tenant_quota"),
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         if self.tracer.is_enabled() {
-            let reason = match rejection.reason {
-                RejectReason::QueueBudget { .. } => "queue_budget",
-                RejectReason::TenantQuota { .. } => "tenant_quota",
-            };
             self.tracer.record(
                 Span::new(
                     &format!("shed:{job}"),
@@ -1018,17 +965,25 @@ impl CompileService {
         JobError::Rejected { job, rejection }
     }
 
-    fn process(
+    /// The one way out: obtains the admitted job's artifact (`ready` is
+    /// its in-batch leader's, when it has one), simulates if asked,
+    /// counts and traces the job, and returns its admission units.
+    fn serve(
         &self,
-        slot: &PlatformSlot,
-        job: JobRequest,
-        key: ArtifactKey,
+        admitted: Admitted,
         queue_us: u64,
-        source: ArtifactSource,
+        ready: Option<&StoredArtifact>,
     ) -> Result<JobResult, JobError> {
+        let Admitted {
+            slot,
+            job,
+            key,
+            cost,
+            ..
+        } = admitted;
+        let slot = &self.slots[slot];
         let started = Instant::now();
         let sched_seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let compiler = slot.base.clone().with_deploy(job.deploy);
         if self.tracer.is_enabled() && queue_us > 0 {
             // The wait is over by the time we learn its length, so
             // record it retroactively: a span ending "now", starting
@@ -1051,66 +1006,49 @@ impl CompileService {
         span.arg("queue_us", queue_us);
         span.arg("tenant", job.tenant.as_str());
         span.arg("platform", slot.id.as_str());
-        let result = self.compile_and_run(slot, &job, &compiler, &key, source, &mut span);
+        let result = self.artifact_for(slot, &job, &key, ready).and_then(
+            |(artifact, cache_hit, coalesced)| {
+                span.arg("cache_hit", cache_hit);
+                span.arg("coalesced", coalesced);
+                let report = match &job.run {
+                    Some(spec) => {
+                        let report = Machine::new(*slot.base.platform())
+                            .run_bounded(
+                                &artifact.program,
+                                &spec.inputs,
+                                &spec.faults,
+                                spec.deadline_cycles,
+                            )
+                            .map_err(|error| JobError::Run {
+                                job: job.name.clone(),
+                                error,
+                            })?;
+                        span.arg("cycles", report.total_cycles());
+                        Some(report)
+                    }
+                    None => None,
+                };
+                Ok(JobResult {
+                    job: job.name,
+                    platform: slot.id.clone(),
+                    key_id: key.id(),
+                    cache_hit,
+                    coalesced,
+                    artifact,
+                    report,
+                    queue_us,
+                    service_us: started.elapsed().as_micros() as u64,
+                    sched_seq,
+                })
+            },
+        );
         slot.jobs.fetch_add(1, Ordering::Relaxed);
         if job.platform.is_some() {
             self.routed_by_platform.fetch_add(1, Ordering::Relaxed);
         }
         span.arg("ok", result.is_ok());
-        let (artifact, cache_hit, coalesced, report) = result?;
-        Ok(JobResult {
-            job: job.name,
-            platform: slot.id.clone(),
-            key_id: key.id(),
-            cache_hit,
-            coalesced,
-            artifact,
-            report,
-            queue_us,
-            service_us: started.elapsed().as_micros() as u64,
-            sched_seq,
-        })
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn compile_and_run(
-        &self,
-        slot: &PlatformSlot,
-        job: &JobRequest,
-        compiler: &Compiler,
-        key: &ArtifactKey,
-        source: ArtifactSource,
-        span: &mut htvm_trace::ScopedSpan<'_>,
-    ) -> Result<(Artifact, bool, bool, Option<RunReport>), JobError> {
-        let (artifact, cache_hit, coalesced) = match source {
-            ArtifactSource::Ready(artifact) => {
-                slot.coalesced.fetch_add(1, Ordering::Relaxed);
-                (*artifact, false, true)
-            }
-            ArtifactSource::Resolve => self.artifact_for(slot, job, compiler, key)?,
-        };
-        span.arg("cache_hit", cache_hit);
-        span.arg("coalesced", coalesced);
-        let report = match &job.run {
-            Some(spec) => {
-                let machine = Machine::new(*compiler.platform());
-                let report = machine
-                    .run_bounded(
-                        &artifact.program,
-                        &spec.inputs,
-                        &spec.faults,
-                        spec.deadline_cycles,
-                    )
-                    .map_err(|error| JobError::Run {
-                        job: job.name.clone(),
-                        error,
-                    })?;
-                span.arg("cycles", report.total_cycles());
-                Some(report)
-            }
-            None => None,
-        };
-        Ok((artifact, cache_hit, coalesced, report))
+        self.release(&job.tenant, cost);
+        result
     }
 
     /// Fetches the job's artifact from its platform's cache or compiles
@@ -1123,83 +1061,70 @@ impl CompileService {
     /// `hits + misses + coalesced == jobs` deterministically even under
     /// races, per platform, with `misses` exactly the number of
     /// distinct compiles. A leader's artifact is also spilled to the
-    /// platform's [`PersistStore`] when persistence is on.
+    /// platform's [`PersistStore`] when persistence is on. Returns the
+    /// artifact with its `(cache_hit, coalesced)` flags.
     fn artifact_for(
         &self,
         slot: &PlatformSlot,
         job: &JobRequest,
-        compiler: &Compiler,
         key: &ArtifactKey,
-    ) -> Result<(Artifact, bool, bool), JobError> {
-        // A zero-budget cache models "no artifact reuse at all" — the
-        // bench baseline. Single-flight coalescing is reuse, so it is
-        // disabled too: every job probes (and misses) the cache, then
-        // compiles for itself. Nothing is persisted either: a no-reuse
-        // service has nothing to warm-start from.
-        if self.cache_budget_bytes == 0 {
-            let cached = slot.cache.get(key);
-            debug_assert!(cached.is_none(), "a zero-budget cache admits nothing");
-            drop(cached);
-            let artifact = compiler
-                .compile(&job.graph)
-                .map_err(|error| JobError::Compile {
-                    job: job.name.clone(),
-                    error,
-                })?;
-            // Attempt the insert anyway (it is rejected as oversized):
-            // a no-reuse service still pays the serialize-to-measure
-            // cost a caching one would, so cache-on/off comparisons
-            // isolate *reuse*, and the oversized counter keeps exact.
-            slot.cache.insert(key.clone(), &artifact);
-            return Ok((artifact, false, false));
+        ready: Option<&StoredArtifact>,
+    ) -> Result<(StoredArtifact, bool, bool), JobError> {
+        if let Some(artifact) = ready {
+            slot.coalesced.fetch_add(1, Ordering::Relaxed);
+            return Ok((artifact.clone(), false, true));
         }
         loop {
             // One critical section decides this thread's role: follower
             // of an in-flight compile (no cache touch), cache hit, or
             // newly appointed leader.
-            let flight = {
-                let mut inflight = slot.inflight.lock().expect("inflight map poisoned");
-                if let Some(flight) = inflight.get(key) {
-                    Arc::clone(flight)
-                } else if let Some(artifact) = slot.cache.get(key) {
-                    return Ok((artifact, true, false));
-                } else {
-                    let flight = Arc::new(Flight::new());
-                    inflight.insert(key.clone(), Arc::clone(&flight));
-                    drop(inflight);
-                    let compiled = compiler.compile(&job.graph);
-                    // Publish before landing the flight, so repeats
-                    // that arrive after the landing find the artifact
-                    // resident; followers already waiting take it from
-                    // the flight itself. The disk spill rides the same
-                    // publish: one durable write per distinct compile.
-                    if let Ok(artifact) = &compiled {
-                        slot.cache.insert(key.clone(), artifact);
-                        if let Some(persist) = &slot.persist {
-                            persist.write(key, artifact);
-                        }
+            let mut inflight = slot.inflight.lock().expect("inflight map poisoned");
+            if let Some(flight) = inflight.get(key).map(Arc::clone) {
+                drop(inflight);
+                match flight.wait() {
+                    Some(artifact) => {
+                        slot.coalesced.fetch_add(1, Ordering::Relaxed);
+                        return Ok((artifact, false, true));
                     }
-                    slot.inflight
-                        .lock()
-                        .expect("inflight map poisoned")
-                        .remove(key);
-                    flight.land(compiled.as_ref().ok().cloned());
-                    let artifact = compiled.map_err(|error| JobError::Compile {
-                        job: job.name.clone(),
-                        error,
-                    })?;
-                    return Ok((artifact, false, false));
+                    // The leader failed; re-enter and compile for
+                    // ourselves (our own attempt reports its own typed
+                    // error).
+                    None => continue,
                 }
-            };
-            match flight.wait() {
-                Some(artifact) => {
-                    slot.coalesced.fetch_add(1, Ordering::Relaxed);
-                    return Ok((artifact, false, true));
-                }
-                // The leader failed; re-enter and compile for ourselves
-                // (our own attempt reports its own typed error).
-                None => continue,
             }
+            if let Some(artifact) = slot.cache.get(key) {
+                return Ok((artifact, true, false));
+            }
+            let flight = Arc::new(Flight::default());
+            inflight.insert(key.clone(), Arc::clone(&flight));
+            drop(inflight);
+            let mut lead = Lead {
+                inflight: &slot.inflight,
+                key,
+                flight,
+                outcome: None,
+            };
+            let artifact = slot
+                .base
+                .clone()
+                .with_deploy(job.deploy)
+                .compile(&job.graph)
+                .map(StoredArtifact::new)
+                .map_err(|error| JobError::Compile {
+                    job: job.name.clone(),
+                    error,
+                })?;
+            // Publish before `lead` drops and lands the flight, so
+            // repeats that arrive after the landing find the artifact
+            // resident; followers already waiting take it from the
+            // flight itself. The disk spill rides the same publish: one
+            // durable write per distinct compile.
+            slot.cache.insert(key.clone(), artifact.clone());
+            if let Some(persist) = &slot.persist {
+                persist.write(key, artifact.clone());
+            }
+            lead.outcome = Some(artifact.clone());
+            return Ok((artifact, false, false));
         }
     }
 
@@ -1217,11 +1142,14 @@ impl CompileService {
                 coalesced: slot.coalesced.load(Ordering::Relaxed),
                 artifact_cache: slot.cache.stats(),
                 tile_cache: slot.base.tile_cache().stats(),
-                persist: slot.persist_stats(),
+                persist: slot
+                    .persist
+                    .as_ref()
+                    .map(PersistStore::stats)
+                    .unwrap_or_default(),
             })
             .collect();
         let mut agg = ServiceStats {
-            shed: self.shed.load(Ordering::Relaxed),
             shed_budget: self.shed_budget.load(Ordering::Relaxed),
             shed_quota: self.shed_quota.load(Ordering::Relaxed),
             rejected_import: self.rejected_import.load(Ordering::Relaxed),
@@ -1250,6 +1178,7 @@ impl CompileService {
             t.negatives += p.tile_cache.negatives;
             t.negative_hits += p.tile_cache.negative_hits;
         }
+        agg.shed = agg.shed_budget + agg.shed_quota;
         agg.platforms = platforms;
         agg
     }
@@ -1271,5 +1200,147 @@ impl std::fmt::Debug for CompileService {
             .field("policy", &self.policy)
             .field("stats", &self.stats())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use htvm::{Artifact, DispatchHook};
+    use htvm_ir::{DType, GraphBuilder, Tensor};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    fn job(name: &str, channels: usize) -> JobRequest {
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", &[channels, 8, 8], DType::I8);
+        let w = b.constant("w", Tensor::zeros(DType::I8, &[channels, channels, 3, 3]));
+        let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
+        let y = b.requantize(c, 7, true).unwrap();
+        JobRequest::compile_only(name, b.finish(&[y]).unwrap(), DeployConfig::Both)
+    }
+
+    /// A service whose first compile parks inside the dispatch hook:
+    /// it announces itself on the receiver, then waits for a verdict —
+    /// `true` resumes the compile, `false` panics out of it.
+    fn gated_service() -> (Arc<CompileService>, mpsc::Receiver<()>, mpsc::Sender<bool>) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (verdict_tx, verdict_rx) = mpsc::channel::<bool>();
+        let verdict_rx = Mutex::new(verdict_rx);
+        let first = AtomicBool::new(true);
+        let hook: DispatchHook = Arc::new(move |_, base| {
+            if first.swap(false, Ordering::SeqCst) {
+                entered_tx.send(()).expect("the test is listening");
+                if !verdict_rx.lock().unwrap().recv().expect("a verdict") {
+                    panic!("the dispatch hook panics under the leader");
+                }
+            }
+            base
+        });
+        let service = CompileService::with_compiler(
+            ServeConfig::default(),
+            Compiler::new().with_dispatch_hook(hook),
+        );
+        (Arc::new(service), entered_rx, verdict_tx)
+    }
+
+    /// Submits on a detached thread, so a wedged service fails the
+    /// test on a timeout instead of hanging it.
+    fn submit_detached(
+        service: &Arc<CompileService>,
+        job: JobRequest,
+    ) -> mpsc::Receiver<Result<JobResult, JobError>> {
+        let (tx, rx) = mpsc::channel();
+        let service = Arc::clone(service);
+        std::thread::spawn(move || drop(tx.send(service.submit(job))));
+        rx
+    }
+
+    /// Spins until a follower is committed to the parked leader's
+    /// flight: it cloned the flight under the in-flight lock, on top of
+    /// the table's and the leader guard's references.
+    fn await_follower(service: &CompileService) {
+        while service.slots[0]
+            .inflight
+            .lock()
+            .unwrap()
+            .values()
+            .all(|flight| Arc::strong_count(flight) < 3)
+        {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Whether two handles share one allocation for both the artifact
+    /// and its bytes.
+    fn same_allocation(a: &StoredArtifact, b: &StoredArtifact) -> bool {
+        std::ptr::eq::<Artifact>(&**a, &**b) && std::ptr::eq(a.json(), b.json())
+    }
+
+    #[test]
+    fn every_consumer_of_one_compile_shares_one_allocation() {
+        let (service, entered, verdict) = gated_service();
+        let cold = submit_detached(&service, job("cold", 8));
+        entered.recv_timeout(TIMEOUT).expect("the leader compiles");
+        let follower = submit_detached(&service, job("follower", 8));
+        await_follower(&service);
+        verdict.send(true).unwrap();
+        let cold = cold.recv_timeout(TIMEOUT).unwrap().unwrap();
+        let follower = follower.recv_timeout(TIMEOUT).unwrap().unwrap();
+        let hit = service.submit(job("hit", 8)).unwrap();
+        let mut batch = service.submit_batch(vec![job("b0", 8), job("b1", 8)]);
+        let in_batch = batch.pop().unwrap().unwrap();
+
+        assert!(!cold.cache_hit && !cold.coalesced);
+        assert!(follower.coalesced, "the single-flight follower waited");
+        assert!(hit.cache_hit);
+        assert!(in_batch.coalesced, "the in-batch follower rode b0");
+        for shared in [&follower, &hit, &in_batch] {
+            assert!(
+                same_allocation(&shared.artifact, &cold.artifact),
+                "'{}' must share the cold compile's artifact and bytes",
+                shared.job
+            );
+        }
+
+        // The budget counts exactly the shared bytes, once per entry.
+        let other = service.submit(job("other", 12)).unwrap();
+        assert_eq!(
+            service.stats().artifact_cache.bytes as usize,
+            cold.artifact.json().len() + other.artifact.json().len()
+        );
+    }
+
+    #[test]
+    fn a_leader_that_unwinds_still_lands_its_flight() {
+        let (service, entered, verdict) = gated_service();
+        let leader = submit_detached(&service, job("leader", 8));
+        entered.recv_timeout(TIMEOUT).expect("the leader compiles");
+        let follower = submit_detached(&service, job("follower", 8));
+        await_follower(&service);
+        verdict.send(false).unwrap();
+        assert!(
+            matches!(
+                leader.recv_timeout(TIMEOUT),
+                Err(mpsc::RecvTimeoutError::Disconnected)
+            ),
+            "the leader's thread unwound without a result"
+        );
+        // The waiting follower wakes to a failed flight and compiles
+        // for itself; the key is free again for everyone after it.
+        let follower = follower
+            .recv_timeout(TIMEOUT)
+            .expect("the follower must not wedge on the dead leader")
+            .unwrap();
+        assert!(!follower.cache_hit && !follower.coalesced);
+        let later = submit_detached(&service, job("later", 8))
+            .recv_timeout(TIMEOUT)
+            .expect("later requests must not wedge either")
+            .unwrap();
+        assert!(later.cache_hit);
+        assert!(same_allocation(&later.artifact, &follower.artifact));
     }
 }

@@ -89,4 +89,7 @@ for ex in quickstart keyword_spotting image_classification anomaly_detection til
     cargo run --release -p htvm --example "$ex" | tee "$out/example_$ex.txt"
 done
 
+echo "== non-test source lines per crate (informational) =="
+scripts/loc.sh | tee "$out/loc.txt"
+
 echo "all outputs in $out/"
