@@ -12,16 +12,25 @@
 //! users, outputs in declaration order), so any two graphs that are
 //! isomorphic under a node-id permutation encode to identical bytes, and
 //! any structural difference — operator, attribute, shape, dtype, wiring,
-//! constant payload, node or input *names* (names flow into emitted
-//! program steps, so they are part of the product) — changes the bytes.
-//! Constant payloads enter the encoding as a 128-bit FNV-1a digest rather
-//! than verbatim, keeping the form cheap to build for weight-heavy
-//! graphs (one pass over the data, a few hundred bytes per node).
+//! node or input *names* (names flow into emitted program steps, so they
+//! are part of the product) — changes the bytes, because all of those
+//! are written out verbatim.
 //!
-//! [`canonical_hash`] is the FNV-1a 128 digest of the form — the
-//! content-address used by `htvm-serve`'s artifact cache.
+//! Constant payloads are the one exception: a zoo model carries
+//! 0.1–1 MB of weights, so each payload enters the form as its 128-bit
+//! MurmurHash3 digest (`MurmurHash3_x64_128`, seed 0, over the elements
+//! as little-endian `i32`s) instead of verbatim. The digest is streamed
+//! straight from [`Tensor::data`](crate::Tensor::data) — one 16-byte
+//! block is four elements — so keying a graph costs one read of its
+//! weights at memory speed and a few dozen bytes of text per node.
+//! MurmurHash3 is not cryptographic: two *different* payloads of the
+//! same shape and dtype alias only on a 128-bit collision, which does
+//! not happen by accident but could be constructed on purpose.
+//!
+//! [`fnv128`] also lives here: the short-input digest `htvm-serve` takes
+//! over a finished key and over routing ids.
 
-use crate::{Graph, NodeId, NodeKind};
+use crate::{Graph, NodeId, NodeKind, Op, Padding2d};
 use std::fmt::Write as _;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -29,7 +38,9 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 
 /// FNV-1a 128-bit digest of a byte string. Deterministic across runs,
 /// platforms and Rust versions (unlike `DefaultHasher`), which is what a
-/// persistent or cross-process content address requires.
+/// persistent or cross-process content address requires. One `u128`
+/// multiply per byte: meant for short inputs (an encoded key, a routing
+/// id) whose digests are pinned, not for bulk data.
 #[must_use]
 pub fn fnv128(bytes: &[u8]) -> u128 {
     let mut h = FNV128_OFFSET;
@@ -38,6 +49,136 @@ pub fn fnv128(bytes: &[u8]) -> u128 {
         h = h.wrapping_mul(FNV128_PRIME);
     }
     h
+}
+
+const MURMUR_C1: u64 = 0x87c3_7b91_1142_53d5;
+const MURMUR_C2: u64 = 0x4cf5_ad43_2745_937f;
+
+fn murmur_k1(k: u64) -> u64 {
+    k.wrapping_mul(MURMUR_C1)
+        .rotate_left(31)
+        .wrapping_mul(MURMUR_C2)
+}
+
+fn murmur_k2(k: u64) -> u64 {
+    k.wrapping_mul(MURMUR_C2)
+        .rotate_left(33)
+        .wrapping_mul(MURMUR_C1)
+}
+
+fn murmur_fmix(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// `MurmurHash3_x64_128` (Austin Appleby, public domain; seed 0) of the
+/// elements laid out as little-endian `i32`s, as `h1 << 64 | h2`. Two
+/// elements make one 64-bit lane and four make one block, so the data is
+/// hashed where it lies; the tail is zero to three whole elements.
+fn payload_digest(data: &[i32]) -> u128 {
+    // Lane of two elements, first element in the low half (little-endian).
+    let lane = |lo: i32, hi: i32| u64::from(lo as u32) | u64::from(hi as u32) << 32;
+    let (mut h1, mut h2) = (0u64, 0u64);
+    let mut blocks = data.chunks_exact(4);
+    for b in &mut blocks {
+        h1 ^= murmur_k1(lane(b[0], b[1]));
+        h1 = h1
+            .rotate_left(27)
+            .wrapping_add(h2)
+            .wrapping_mul(5)
+            .wrapping_add(0x52dc_e729);
+        h2 ^= murmur_k2(lane(b[2], b[3]));
+        h2 = h2
+            .rotate_left(31)
+            .wrapping_add(h1)
+            .wrapping_mul(5)
+            .wrapping_add(0x3849_5ab5);
+    }
+    // Absent tail elements read as zero, and a zero lane mixes to zero.
+    let tail = blocks.remainder();
+    let at = |i: usize| tail.get(i).copied().unwrap_or(0);
+    h2 ^= murmur_k2(lane(at(2), 0));
+    h1 ^= murmur_k1(lane(at(0), at(1)));
+
+    let len = data.len() as u64 * 4;
+    h1 ^= len;
+    h2 ^= len;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = murmur_fmix(h1);
+    h2 = murmur_fmix(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    u128::from(h1) << 64 | u128::from(h2)
+}
+
+/// Writes an operator and every one of its attributes. The patterns
+/// name each field and there is no catch-all, so a new operator or
+/// attribute does not compile until it is encoded here.
+fn write_op(s: &mut String, op: &Op) {
+    fn sides(padding: &Padding2d) -> [usize; 4] {
+        let Padding2d {
+            top,
+            bottom,
+            left,
+            right,
+        } = *padding;
+        [top, bottom, left, right]
+    }
+    s.push_str(op.name());
+    let _ = match op {
+        Op::Conv2d {
+            strides: (sy, sx),
+            padding,
+        }
+        | Op::DepthwiseConv2d {
+            strides: (sy, sx),
+            padding,
+        } => {
+            let [t, b, l, r] = sides(padding);
+            write!(s, "[{sy}x{sx};{t}.{b}.{l}.{r}]")
+        }
+        Op::RightShift { amount } => write!(s, "[{amount}]"),
+        Op::Clip { min, max } => write!(s, "[{min},{max}]"),
+        Op::Cast { to } => write!(s, "[{to}]"),
+        Op::Pool2d {
+            kind,
+            kernel: (ky, kx),
+            strides: (sy, sx),
+            padding,
+        } => {
+            let [t, b, l, r] = sides(padding);
+            write!(s, "[{kind};{ky}x{kx};{sy}x{sx};{t}.{b}.{l}.{r}]")
+        }
+        Op::MatMul { transpose_b } => write!(s, "[{transpose_b}]"),
+        Op::Reshape { new_shape } => {
+            s.push('[');
+            for d in new_shape {
+                let _ = write!(s, "{d}x");
+            }
+            s.push(']');
+            Ok(())
+        }
+        Op::Dense
+        | Op::BiasAdd
+        | Op::Relu
+        | Op::Add
+        | Op::LayerNorm
+        | Op::Softmax
+        | Op::Flatten => Ok(()),
+    };
+}
+
+/// Writes `%a,%b,…` for the given nodes' canonical indices.
+fn write_refs(s: &mut String, canon: &[Option<usize>], ids: &[NodeId]) {
+    for (i, id) in ids.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let idx = canon[id.index()].expect("every node is numbered before it is referenced");
+        let _ = write!(s, "{sep}%{idx}");
+    }
 }
 
 /// Canonical byte encoding of a graph (see the module docs).
@@ -91,51 +232,149 @@ pub fn canonical_form(graph: &Graph) -> Vec<u8> {
         visit(id, &mut canon, &mut order);
     }
 
-    let mut s = String::with_capacity(graph.len() * 48);
+    let mut s = String::with_capacity(graph.len() * 64);
     for (idx, &id) in order.iter().enumerate() {
         let n = graph.node(id);
         let _ = write!(s, "%{idx}={}:{}{};", n.name, n.dtype, n.shape);
         match &n.kind {
             NodeKind::Input => s.push_str("input\n"),
             NodeKind::Constant(t) => {
-                let mut bytes = Vec::with_capacity(t.data().len() * 4);
-                for v in t.data() {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-                let _ = writeln!(s, "const#{:032x}", fnv128(&bytes));
+                let _ = writeln!(s, "const#{:032x}", payload_digest(t.data()));
             }
             NodeKind::Op { op, inputs } => {
-                let attrs = serde_json::to_string(op).expect("ops are serializable");
-                let args: Vec<String> = inputs
-                    .iter()
-                    .map(|i| format!("%{}", canon[i.index()].expect("operand visited first")))
-                    .collect();
-                let _ = writeln!(s, "{}({})", attrs, args.join(","));
+                write_op(&mut s, op);
+                s.push('(');
+                write_refs(&mut s, &canon, inputs);
+                s.push_str(")\n");
             }
         }
     }
-    let sig = |ids: &[NodeId]| -> Vec<String> {
-        ids.iter()
-            .map(|i| format!("%{}", canon[i.index()].expect("all nodes numbered")))
-            .collect()
-    };
-    let _ = writeln!(s, "inputs({})", sig(graph.inputs()).join(","));
-    let _ = writeln!(s, "outputs({})", sig(graph.outputs()).join(","));
+    s.push_str("inputs(");
+    write_refs(&mut s, &canon, graph.inputs());
+    s.push_str(")\noutputs(");
+    write_refs(&mut s, &canon, graph.outputs());
+    s.push_str(")\n");
     s.into_bytes()
-}
-
-/// The 128-bit content address of a graph: [`fnv128`] over
-/// [`canonical_form`]. Equal for node-id-permuted builds of the same
-/// network, different for any structural change.
-#[must_use]
-pub fn canonical_hash(graph: &Graph) -> u128 {
-    fnv128(&canonical_form(graph))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{DType, GraphBuilder, Tensor};
+
+    /// One number per graph, so the structural tests read as `assert_ne!`.
+    fn canonical_hash(graph: &Graph) -> u128 {
+        fnv128(&canonical_form(graph))
+    }
+
+    /// `MurmurHash3_x64_128` as published (smhasher's `MurmurHash3.cpp`),
+    /// byte by byte: the reference [`payload_digest`] is checked against.
+    fn murmur3_x64_128(bytes: &[u8], seed: u64) -> u128 {
+        let word = |b: &[u8]| {
+            b.iter()
+                .rev()
+                .fold(0u64, |acc, &byte| acc << 8 | u64::from(byte))
+        };
+        let (mut h1, mut h2) = (seed, seed);
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            h1 ^= murmur_k1(word(&block[..8]));
+            h1 = h1.rotate_left(27).wrapping_add(h2);
+            h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
+            h2 ^= murmur_k2(word(&block[8..]));
+            h2 = h2.rotate_left(31).wrapping_add(h1);
+            h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
+        }
+        let tail = blocks.remainder();
+        if tail.len() > 8 {
+            h2 ^= murmur_k2(word(&tail[8..]));
+        }
+        if !tail.is_empty() {
+            h1 ^= murmur_k1(word(&tail[..tail.len().min(8)]));
+        }
+        h1 ^= bytes.len() as u64;
+        h2 ^= bytes.len() as u64;
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = murmur_fmix(h1);
+        h2 = murmur_fmix(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        u128::from(h1) << 64 | u128::from(h2)
+    }
+
+    fn le_bytes(data: &[i32]) -> Vec<u8> {
+        data.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    /// Seeded full-range elements (splitmix64, truncated).
+    fn random_elements(seed: u64, len: usize) -> Vec<i32> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as i32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reference_murmur3_matches_the_published_vectors() {
+        assert_eq!(murmur3_x64_128(b"", 0), 0);
+        assert_eq!(
+            murmur3_x64_128(b"hello", 0),
+            0xcbd8_a7b3_41bd_9b02_5b1e_906a_48ae_1d19
+        );
+        assert_eq!(
+            murmur3_x64_128(b"The quick brown fox jumps over the lazy dog", 0),
+            0xe34b_bc7b_bc07_1b6c_7a43_3ca9_c49a_9347
+        );
+    }
+
+    #[test]
+    fn streaming_digest_equals_the_reference_at_every_tail_length() {
+        for len in 0..=67 {
+            for seed in 0..4 {
+                let data = random_elements(seed * 1000 + len as u64, len);
+                assert_eq!(
+                    payload_digest(&data),
+                    murmur3_x64_128(&le_bytes(&data), 0),
+                    "len {len}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn any_payload_edit_changes_the_digest() {
+        for len in [1, 2, 3, 4, 5, 16, 27, 64, 67] {
+            let base = random_elements(len as u64, len);
+            let digest = payload_digest(&base);
+            for i in 0..len {
+                let mut one = base.clone();
+                one[i] = one[i].wrapping_add(1);
+                assert_ne!(payload_digest(&one), digest, "element {i} of {len}");
+                for j in i + 1..len {
+                    let mut swapped = base.clone();
+                    swapped.swap(i, j);
+                    assert_ne!(base[i], base[j], "seeded elements are distinct");
+                    assert_ne!(payload_digest(&swapped), digest, "swap {i},{j} of {len}");
+                    // Two sign flips cancel in any sum- or xor-style mix.
+                    let mut flipped = base.clone();
+                    flipped[i] ^= i32::MIN;
+                    flipped[j] ^= i32::MIN;
+                    assert_ne!(payload_digest(&flipped), digest, "flip {i},{j} of {len}");
+                }
+            }
+            let mut longer = base.clone();
+            longer.push(0);
+            assert_ne!(payload_digest(&longer), digest, "zero appended to {len}");
+        }
+        assert_ne!(payload_digest(&[0]), payload_digest(&[]));
+    }
 
     /// conv(+bias) built with operands declared in the given order.
     fn conv_graph(weights_first: bool) -> Graph {

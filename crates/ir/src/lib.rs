@@ -54,7 +54,7 @@ mod shape;
 mod tensor;
 
 pub use builder::GraphBuilder;
-pub use canonical::{canonical_form, canonical_hash, fnv128};
+pub use canonical::{canonical_form, fnv128};
 pub use dtype::DType;
 pub use error::IrError;
 pub use graph::{Graph, Node, NodeId, NodeKind};

@@ -135,11 +135,13 @@ impl ArtifactCache {
             // whose order varies across runs. Break any tie on
             // `last_used` by the key's digest so the choice never
             // depends on iteration order, even if recency semantics
-            // ever coarsen (e.g. batched ticks).
+            // ever coarsen (e.g. batched ticks). The digest is stored in
+            // the key, so the scan under this lock reads two integers
+            // per resident entry.
             let victim = inner
                 .entries
                 .iter()
-                .min_by_key(|(k, e)| (e.last_used, k.id()))
+                .min_by_key(|(k, e)| (e.last_used, k.digest()))
                 .map(|(k, _)| k.clone())
                 .expect("over budget implies a resident entry");
             let evicted = inner.entries.remove(&victim).expect("victim is resident");

@@ -1,22 +1,37 @@
 //! Content-addressed cache keys for compiled artifacts.
 //!
-//! An [`ArtifactKey`] is the full canonical encoding of everything the
+//! An [`ArtifactKey`] is the canonical encoding of everything the
 //! compiler output depends on: the graph in [`canonical_form`] (stable
-//! under node-id permutation), the [`DeployConfig`], the [`DianaConfig`]
-//! platform model, and the compile-relevant subset of [`LowerOptions`]
-//! (the *fingerprint* — runtime plumbing like the tile cache handle, the
-//! parallelism switch and the tracer are deliberately excluded because
-//! they never change the produced artifact; `tests/determinism.rs` in
-//! `htvm` asserts exactly that).
+//! under node-id permutation), the [`DeployConfig`], the routing
+//! platform id, the [`DianaConfig`] platform model, and the
+//! compile-relevant subset of [`LowerOptions`] (the *fingerprint* —
+//! runtime plumbing like the tile cache handle, the parallelism switch
+//! and the tracer are deliberately excluded because they never change
+//! the produced artifact; `tests/determinism.rs` in `htvm` asserts
+//! exactly that).
 //!
-//! The key stores the complete encoded bytes, not just a digest, so two
-//! distinct requests can never alias to one cache slot: equality is
-//! byte-for-byte. The 128-bit FNV digest ([`ArtifactKey::id`]) is only a
-//! display handle for logs and spans.
+//! # What equality compares
+//!
+//! The key stores the complete encoded bytes and equality is
+//! byte-for-byte, so graph structure, operator attributes, shapes,
+//! dtypes, names, the deploy target and both configs are compared
+//! **verbatim**: two requests that differ in any of them can never share
+//! a cache slot. Constant payloads are the exception. The canonical form
+//! carries each payload as its 128-bit `MurmurHash3_x64_128` digest
+//! (seed 0, see [`htvm_ir::canonical`]), so two graphs that differ *only*
+//! in weight values alias if — and only if — those payloads collide
+//! under a 128-bit non-cryptographic hash. That does not happen by
+//! accident; it is not a defence against weights crafted to collide.
+//!
+//! The 128-bit FNV-1a digest of the whole key ([`ArtifactKey::id`]) is a
+//! display and routing handle — log lines, spans, entry filenames, the
+//! shard ring. It is computed once, when the key is built; cache lookup
+//! buckets by it and then compares the full bytes.
 
 use htvm::{DeployConfig, DianaConfig, LowerOptions};
 use htvm_ir::{canonical_form, fnv128, Graph};
 use serde::Serialize;
+use std::hash::{Hash, Hasher};
 
 /// The serializable subset of [`LowerOptions`] that determines the
 /// artifact. Everything excluded (`tile_cache`, `parallel`, `extracted`,
@@ -32,16 +47,57 @@ struct LowerFingerprint {
     emit_fallbacks: bool,
 }
 
+/// The part of a key no request changes: routing id, SoC model and
+/// lowering fingerprint, encoded once per platform slot and appended to
+/// every key built there.
+pub(crate) struct KeyContext {
+    suffix: Vec<u8>,
+}
+
+impl KeyContext {
+    pub(crate) fn new(platform_id: &str, platform: &DianaConfig, opts: &LowerOptions) -> Self {
+        let fingerprint = LowerFingerprint {
+            digital_objective: opts.digital_objective.clone(),
+            analog_objective: opts.analog_objective.clone(),
+            naive_l2: opts.naive_l2,
+            l1_act_override: opts.l1_act_override,
+            size_model: opts.size_model,
+            emit_fallbacks: opts.emit_fallbacks,
+        };
+        let mut suffix = Vec::new();
+        suffix.extend_from_slice(b"\0platform_id:");
+        suffix.extend_from_slice(platform_id.as_bytes());
+        suffix.extend_from_slice(b"\0platform:");
+        suffix.extend_from_slice(json(platform).as_bytes());
+        suffix.extend_from_slice(b"\0lower:");
+        suffix.extend_from_slice(json(&fingerprint).as_bytes());
+        KeyContext { suffix }
+    }
+
+    /// The key for compiling `graph` for `deploy` in this context.
+    pub(crate) fn key(&self, graph: &Graph, deploy: DeployConfig) -> ArtifactKey {
+        let mut bytes = canonical_form(graph);
+        bytes.extend_from_slice(b"\0deploy:");
+        bytes.extend_from_slice(json(&deploy).as_bytes());
+        bytes.extend_from_slice(&self.suffix);
+        ArtifactKey::from_bytes(bytes)
+    }
+}
+
 /// A content-addressed identity for one compile request.
 ///
-/// Two keys are equal exactly when a cold compile of both requests is
-/// guaranteed to produce byte-identical artifacts. The `platform_id` is
-/// the routing id from the fleet manifest; it enters the key so two
-/// manifest entries that happen to share an SoC config still account
-/// (and persist) their artifacts separately.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// Two requests with equal keys compile to byte-identical artifacts, up
+/// to a collision of the constant-payload digest (what equality does
+/// and does not compare is spelled out in `key.rs`'s module docs, and
+/// in docs/SERVING.md under "The cache key"). The `platform_id` is the routing id from the
+/// fleet manifest; it enters the key so two manifest entries that happen
+/// to share an SoC config still account (and persist) their artifacts
+/// separately.
+#[derive(Clone)]
 pub struct ArtifactKey {
     bytes: Vec<u8>,
+    /// [`fnv128`] of `bytes`, taken once at construction.
+    digest: u128,
 }
 
 impl ArtifactKey {
@@ -56,32 +112,20 @@ impl ArtifactKey {
         platform: &DianaConfig,
         opts: &LowerOptions,
     ) -> Self {
-        let fingerprint = LowerFingerprint {
-            digital_objective: opts.digital_objective.clone(),
-            analog_objective: opts.analog_objective.clone(),
-            naive_l2: opts.naive_l2,
-            l1_act_override: opts.l1_act_override,
-            size_model: opts.size_model,
-            emit_fallbacks: opts.emit_fallbacks,
-        };
-        let mut bytes = canonical_form(graph);
-        bytes.extend_from_slice(b"\0platform_id:");
-        bytes.extend_from_slice(platform_id.as_bytes());
-        bytes.extend_from_slice(b"\0deploy:");
-        bytes.extend_from_slice(json(&deploy).as_bytes());
-        bytes.extend_from_slice(b"\0platform:");
-        bytes.extend_from_slice(json(platform).as_bytes());
-        bytes.extend_from_slice(b"\0lower:");
-        bytes.extend_from_slice(json(&fingerprint).as_bytes());
-        ArtifactKey { bytes }
+        KeyContext::new(platform_id, platform, opts).key(graph, deploy)
     }
 
     /// The 128-bit FNV-1a digest of the encoded key, as 32 hex digits.
-    /// A display handle for logs, spans and bench reports — cache lookup
-    /// compares the full bytes, never this digest.
+    /// A display handle for logs, spans, entry filenames and the shard
+    /// ring — cache lookup always compares the full bytes as well.
     #[must_use]
     pub fn id(&self) -> String {
-        format!("{:032x}", fnv128(&self.bytes))
+        format!("{:032x}", self.digest)
+    }
+
+    /// The digest [`ArtifactKey::id`] renders.
+    pub(crate) fn digest(&self) -> u128 {
+        self.digest
     }
 
     /// Size of the encoded key in bytes.
@@ -92,7 +136,7 @@ impl ArtifactKey {
 
     /// The full encoded key bytes — what the persistent store writes so
     /// a restarted service can re-admit entries under the *exact* key
-    /// (cache lookup compares these bytes, never the digest).
+    /// (cache lookup compares these bytes, never only the digest).
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
@@ -104,7 +148,29 @@ impl ArtifactKey {
     /// recorded digest against [`ArtifactKey::id`] before using one.
     #[must_use]
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        ArtifactKey { bytes }
+        let digest = fnv128(&bytes);
+        ArtifactKey { bytes, digest }
+    }
+}
+
+impl PartialEq for ArtifactKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for ArtifactKey {}
+
+impl Hash for ArtifactKey {
+    /// Feeds the stored digest — a function of `bytes`, so equal keys
+    /// hash equally — instead of re-hashing kilobytes on every probe.
+    /// Keys built to share an FNV digest would share a bucket; every
+    /// map keyed by this type is small and bounded (the cache by its
+    /// byte budget, the in-flight table by the requests in flight, a
+    /// batch's leader table by the batch), and equality still reads the
+    /// bytes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.digest);
     }
 }
 
@@ -289,6 +355,37 @@ mod tests {
             base, same,
             "tile cache, parallelism and tracing never change the artifact"
         );
+    }
+
+    #[test]
+    fn the_ten_serve_mix_keys_are_pairwise_distinct() {
+        // The soak mix: every zoo model under `Both` (mixed recipe) and
+        // `Digital` (8-bit). Within one deploy target the keys share
+        // their whole suffix, so only the graph forms tell them apart.
+        use htvm_models::{all_models, QuantScheme};
+        let (platform, opts) = (DianaConfig::default(), LowerOptions::default());
+        let mut keys = Vec::new();
+        for (deploy, scheme) in [
+            (DeployConfig::Both, QuantScheme::Mixed),
+            (DeployConfig::Digital, QuantScheme::Int8),
+        ] {
+            for model in all_models(scheme) {
+                keys.push(ArtifactKey::new(
+                    "diana",
+                    &model.graph,
+                    deploy,
+                    &platform,
+                    &opts,
+                ));
+            }
+        }
+        assert_eq!(keys.len(), 10);
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "keys {i} and {j}");
+                assert_ne!(a.id(), b.id(), "key ids {i} and {j}");
+            }
+        }
     }
 
     #[test]

@@ -40,9 +40,18 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Version of the entry-envelope schema. Entries recorded under any
-/// other version are skipped (counted) at load.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// Version of the entry-envelope schema *and of the key encoding inside
+/// it*. Entries recorded under any other version are skipped (counted)
+/// at load.
+///
+/// - `1`: constant payloads keyed by FNV-1a 128, operator attributes as
+///   serde JSON.
+/// - `2`: constant payloads keyed by `MurmurHash3_x64_128`, operator
+///   attributes written directly (see [`htvm_ir::canonical`]). The
+///   envelope itself did not change, but a format-1 entry sits under key
+///   bytes no format-2 request ever produces, so re-admitting it would
+///   only spend cache budget on an unreachable artifact.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version
@@ -186,10 +195,7 @@ impl PersistStore {
         let key = ArtifactKey::from_bytes(hexfmt::decode(&entry.key_hex).ok()?);
         // The digest must match the key bytes, and the filename must
         // match the digest — a renamed or hand-edited entry fails here.
-        if key.id() != entry.key_id {
-            return None;
-        }
-        if path.file_name()?.to_str()? != format!("{}.json", entry.key_id) {
+        if key.id() != entry.key_id || path.file_stem()?.to_str()? != entry.key_id {
             return None;
         }
         Some((key, serde_json::from_value(entry.artifact).ok()?))

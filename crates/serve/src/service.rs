@@ -46,7 +46,7 @@
 //! admits nothing, and coalescing behaves as everywhere else.
 
 use crate::cache::{ArtifactCache, ArtifactCacheStats};
-use crate::key::ArtifactKey;
+use crate::key::{ArtifactKey, KeyContext};
 use crate::persist::{PersistStats, PersistStore};
 use crate::stored::StoredArtifact;
 use htvm::{
@@ -530,12 +530,14 @@ struct Scheduled {
 }
 
 /// One platform of the fleet: its compiler (with its own shared tile
-/// cache), its artifact cache, its single-flight table, its optional
-/// persistent store, and its slice of the job counters.
+/// cache), the request-independent part of its keys, its artifact
+/// cache, its single-flight table, its optional persistent store, and
+/// its slice of the job counters.
 struct PlatformSlot {
     id: String,
     capabilities: Capabilities,
     base: Compiler,
+    keys: KeyContext,
     cache: ArtifactCache,
     inflight: Mutex<HashMap<ArtifactKey, Arc<Flight>>>,
     persist: Option<PersistStore>,
@@ -553,6 +555,7 @@ impl PlatformSlot {
             store
         });
         PlatformSlot {
+            keys: KeyContext::new(&id, base.platform(), base.lower_options()),
             id,
             capabilities,
             base,
@@ -707,16 +710,6 @@ impl CompileService {
         Ok(slot_idx)
     }
 
-    fn key_in(&self, slot: &PlatformSlot, job: &JobRequest) -> ArtifactKey {
-        ArtifactKey::new(
-            &slot.id,
-            &job.graph,
-            job.deploy,
-            slot.base.platform(),
-            slot.base.lower_options(),
-        )
-    }
-
     /// The content-addressed key a job resolves to.
     ///
     /// # Errors
@@ -726,7 +719,7 @@ impl CompileService {
     /// capabilities) — a job with no key has no cache slot.
     pub fn key_of(&self, job: &JobRequest) -> Result<ArtifactKey, JobError> {
         let slot = &self.slots[self.resolve(job)?];
-        Ok(self.key_in(slot, job))
+        Ok(slot.keys.key(&job.graph, job.deploy))
     }
 
     /// Processes one job on the calling thread, through routing and
@@ -881,7 +874,7 @@ impl CompileService {
         lead_of: &HashMap<ArtifactKey, usize>,
     ) -> Result<Admitted, JobError> {
         let slot = self.resolve(&job)?;
-        let key = self.key_in(&self.slots[slot], &job);
+        let key = self.slots[slot].keys.key(&job.graph, job.deploy);
         let cost = if lead_of.contains_key(&key) {
             0
         } else {
@@ -1002,7 +995,8 @@ impl CompileService {
         let mut span = self
             .tracer
             .scope(tracks::SERVICE, &format!("job:{}", job.name));
-        span.arg("key", key.id());
+        let key_id = key.id();
+        span.arg("key", key_id.as_str());
         span.arg("queue_us", queue_us);
         span.arg("tenant", job.tenant.as_str());
         span.arg("platform", slot.id.as_str());
@@ -1031,7 +1025,7 @@ impl CompileService {
                 Ok(JobResult {
                     job: job.name,
                     platform: slot.id.clone(),
-                    key_id: key.id(),
+                    key_id,
                     cache_hit,
                     coalesced,
                     artifact,
@@ -1278,6 +1272,43 @@ mod tests {
     /// and its bytes.
     fn same_allocation(a: &StoredArtifact, b: &StoredArtifact) -> bool {
         std::ptr::eq::<Artifact>(&**a, &**b) && std::ptr::eq(a.json(), b.json())
+    }
+
+    #[test]
+    fn a_slots_keys_are_byte_identical_to_keys_built_from_scratch() {
+        // The config suffix is encoded once per slot; it must still say
+        // what `ArtifactKey::new` says from the same compiler, for every
+        // deploy target, on a manifest platform and over a custom
+        // compiler alike.
+        let lean = Compiler::new().with_fallbacks(false);
+        let custom = CompileService::with_compiler(ServeConfig::default(), lean.clone());
+        let fleet = CompileService::new(ServeConfig::default());
+        for deploy in [
+            DeployConfig::CpuTvm,
+            DeployConfig::Digital,
+            DeployConfig::Analog,
+            DeployConfig::Both,
+        ] {
+            let mut request = job("k", 8);
+            request.deploy = deploy;
+            for (service, base) in [(&custom, &lean), (&fleet, &Compiler::new())] {
+                let scratch = ArtifactKey::new(
+                    DEFAULT_PLATFORM,
+                    &request.graph,
+                    deploy,
+                    base.platform(),
+                    base.lower_options(),
+                );
+                let slot = service.key_of(&request).unwrap();
+                assert_eq!(slot.as_bytes(), scratch.as_bytes(), "{deploy:?}");
+                assert_eq!(slot.id(), scratch.id(), "{deploy:?}");
+            }
+        }
+        assert_ne!(
+            custom.key_of(&job("k", 8)).unwrap(),
+            fleet.key_of(&job("k", 8)).unwrap(),
+            "the two services really do differ in their lowering options"
+        );
     }
 
     #[test]

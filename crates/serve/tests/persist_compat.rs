@@ -7,6 +7,15 @@
 //! that today fail one specific check simply fail the stamp check
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
+//!
+//! One fixture is not damaged at all: `996b1781….json` is a format-1
+//! entry exactly as the last format-1 build wrote it (a one-`relu`
+//! graph; digest, filename and compiler stamp all match, and that build
+//! re-admits it). Format 2 changed how keys are encoded, so no request
+//! can ask for that key any more and the entry must be skipped on its
+//! format alone. The digest-mismatch, bad-artifact and stale-stamp
+//! fixtures were moved to format 2 with the constant, so each still
+//! fails the one check it was written for.
 
 use htvm::DeployConfig;
 use htvm_ir::{DType, GraphBuilder, Tensor};
@@ -19,17 +28,47 @@ fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/persist_v1")
 }
 
-/// Number of committed fixture entries (all of them invalid on
-/// purpose).
-const FIXTURE_ENTRIES: u64 = 5;
+/// Number of committed fixture entries (none of them admissible).
+const FIXTURE_ENTRIES: u64 = 6;
+
+/// The well-formed format-1 entry.
+const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b.json";
 
 #[test]
 fn layout_constants_are_pinned() {
     // The committed fixtures encode layout v1; if either constant
     // moves, the fixtures (and every deployed cache directory) need a
-    // deliberate migration, not a silent drift.
-    assert_eq!(CACHE_FORMAT_VERSION, 1);
+    // deliberate migration, not a silent drift. Format 1 -> 2 was one:
+    // constant payloads are keyed by MurmurHash3 instead of FNV-1a, so
+    // every format-1 key is unreachable and its entry is skipped.
+    assert_eq!(CACHE_FORMAT_VERSION, 2);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
+}
+
+#[test]
+fn a_well_formed_format_1_entry_is_skipped_on_its_format_alone() {
+    // Alone in a directory, so the count is about this entry; and with
+    // only the format field moved to 2 the very same file is admitted,
+    // so nothing but the format kept it out. (The second half holds
+    // while the compiler stamp and artifact schema are the ones the
+    // entry was written under; drop it when either moves.)
+    let scratch = std::env::temp_dir().join(format!("htvm-compat-f1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let store = PersistStore::open(&scratch, "diana").expect("scratch dir opens");
+    let entry = scratch.join("v1/diana").join(FORMAT_1_ENTRY);
+    let text = std::fs::read_to_string(fixture_root().join("v1/diana").join(FORMAT_1_ENTRY))
+        .expect("fixture reads");
+    assert!(text.starts_with(r#"{"format":1,"compiler":"htvm-serve "#));
+
+    std::fs::write(&entry, &text).expect("fixture copies");
+    let cache = ArtifactCache::new(64 << 20);
+    let stats = store.load_into(&cache);
+    assert_eq!((stats.load_ok, stats.load_skipped), (0, 1));
+
+    std::fs::write(&entry, text.replacen(r#""format":1"#, r#""format":2"#, 1)).unwrap();
+    let stats = store.load_into(&cache);
+    assert_eq!((stats.load_ok, stats.load_skipped), (1, 1));
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 #[test]
@@ -83,6 +122,9 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
         .expect("a cold service still compiles");
     assert!(!result.cache_hit);
     assert_eq!(service.stats().persist_writes, 1);
+    let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
+        .expect("the fresh entry sits next to the old ones");
+    assert!(spilled.starts_with(r#"{"format":2,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -73,6 +73,10 @@ cargo run --release -p htvm-bench --bin serve -- \
     --fleet-dir "$out/fleet-cache" --out "$out/SERVE_BENCH.json" \
     | tee "$out/serve_soak.txt"
 
+echo "== repo benchmark smoke (matches the CI benchmark job) =="
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke \
+    | tee "$out/benchmark_smoke.txt"
+
 echo "== paper artifacts =="
 for bin in table1 table2 fig2 fig4 fig5 ablation; do
     echo "-- $bin --"
