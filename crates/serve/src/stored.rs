@@ -10,7 +10,7 @@
 //! and restart byte-identity hold by construction.
 
 use htvm::Artifact;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 use std::sync::Arc;
 
 /// A compiled artifact and its canonical serialized bytes, shared by
@@ -68,8 +68,8 @@ impl PartialEq<Artifact> for StoredArtifact {
 }
 
 impl Serialize for StoredArtifact {
-    fn to_content(&self) -> Value {
-        Value::Raw(Arc::clone(&self.json))
+    fn emit<S: Sink>(&self, sink: &mut S) {
+        sink.raw(&self.json);
     }
 }
 

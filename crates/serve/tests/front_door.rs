@@ -562,3 +562,33 @@ fn connection_cap_refuses_with_503_and_retry_after() {
     assert_eq!(response.header("retry-after"), Some("1"));
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_lives_on() {
+    let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
+    let addr = server.addr();
+    // 20 KB of `[` used to recurse the connection thread off its stack,
+    // which aborts the whole process, not just the connection.
+    let bomb = "[".repeat(20_000);
+    for path in ["/v1/compile", "/v1/batch"] {
+        let refused = once(addr, "POST", path, Some(&bomb));
+        assert_eq!(refused.status, 400, "{path}");
+        let error = refused.error();
+        assert_eq!(error.kind, "bad_request");
+        assert!(
+            error
+                .detail
+                .contains("recursion limit exceeded at byte 128"),
+            "{}",
+            error.detail
+        );
+    }
+    // A new connection is served, and a real job still compiles.
+    assert_eq!(once(addr, "GET", "/v1/healthz", None).status, 200);
+    let job = serde_json::to_string(&wire_job("after", conv_graph(4), false)).unwrap();
+    let compiled = once(addr, "POST", "/v1/compile", Some(&job));
+    assert_eq!(compiled.status, 200, "{}", compiled.body);
+    let stats = service_stats(addr);
+    assert_eq!(stats.jobs, 1, "the bombs never reached the service");
+    server.shutdown();
+}
