@@ -14,10 +14,12 @@ use htvm::{Compiler, DeployConfig, DmaTable, Machine};
 use htvm_ir::{DType, Padding2d, Tensor};
 use htvm_kernels::{
     conv2d_accumulate_with, dense_accumulate, dense_accumulate_ref, depthwise_conv2d_region,
-    depthwise_conv2d_region_ref, KernelPolicy, KernelScratch, KernelTier,
+    depthwise_conv2d_region_ref, layer_norm, matmul_accumulate_region,
+    matmul_accumulate_region_ref, softmax, KernelPolicy, KernelScratch, KernelTier,
 };
 use htvm_models::all_models;
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Schema version of `KERNELS_BENCH.json`.
@@ -117,10 +119,11 @@ fn tier_label(tier: KernelTier) -> &'static str {
     }
 }
 
-/// Runs the microbenchmark: conv, depthwise conv and dense kernels over
-/// shapes representative of the paper's MLPerf-Tiny workloads (ResNet
-/// blocks, MobileNet pointwise/depthwise pairs, DS-CNN, classifier
-/// heads), each timed at every applicable tier.
+/// Runs the microbenchmark: conv, depthwise conv, dense and attention
+/// kernels over shapes representative of the paper's MLPerf-Tiny
+/// workloads (ResNet blocks, MobileNet pointwise/depthwise pairs, DS-CNN,
+/// classifier heads) and of the tiny-transformer's attention block, each
+/// timed at every applicable tier.
 #[must_use]
 pub fn collect() -> KernelsReport {
     let mut kernels = Vec::new();
@@ -234,6 +237,59 @@ pub fn collect() -> KernelsReport {
                 wall_us,
             });
         }
+    }
+
+    // The tiny-transformer's attention block on i8 activations, scores =
+    // x·xᵀ then context = probs·x: (label, transpose_b, a dims, b dims).
+    let (qkt, pv) = ("matmul_qkt_h2_m256_d32", "matmul_pv_h2_m256_d256_n32");
+    let matmuls = [
+        (qkt, true, [2, 256, 32], [2, 256, 32]),
+        (pv, false, [2, 256, 256], [2, 256, 32]),
+    ];
+    for (name, transpose_b, a_dims, b_dims) in matmuls {
+        let a = tensor(&a_dims, 11).saturating_cast(DType::I8);
+        let b = tensor(&b_dims, 13).saturating_cast(DType::I8);
+        let [h, m, d] = a_dims;
+        let n = if transpose_b { b_dims[1] } else { b_dims[2] };
+        for (label, reference) in [("reference", true), ("auto", false)] {
+            let mut out = Tensor::zeros(DType::I32, &[h, m, n]);
+            let wall_us = time_us(|| {
+                if reference {
+                    matmul_accumulate_region_ref(
+                        &a,
+                        &b,
+                        transpose_b,
+                        &mut out,
+                        0..h,
+                        0..m,
+                        0..n,
+                        0..d,
+                    );
+                } else {
+                    matmul_accumulate_region(&a, &b, transpose_b, &mut out, 0..h, 0..m, 0..n, 0..d);
+                }
+            });
+            kernels.push(KernelEntry {
+                name: name.to_string(),
+                tier: label.to_string(),
+                wall_us,
+            });
+        }
+    }
+    // ... and the two CPU-side ops around them (one tier each).
+    let scores = tensor(&[2, 256, 256], 19).saturating_cast(DType::I8);
+    let context = tensor(&[2, 256, 32], 31).saturating_cast(DType::I8);
+    let softmax_us = time_us(|| drop(black_box(softmax(&scores))));
+    let layer_norm_us = time_us(|| drop(black_box(layer_norm(&context))));
+    for (name, wall_us) in [
+        ("softmax_2x256x256", softmax_us),
+        ("layer_norm_2x256x32", layer_norm_us),
+    ] {
+        kernels.push(KernelEntry {
+            name: name.to_string(),
+            tier: "auto".to_string(),
+            wall_us,
+        });
     }
 
     KernelsReport {
@@ -395,6 +451,14 @@ mod tests {
         }
         assert!(r.kernels.iter().any(|k| k.name.starts_with("dwconv")));
         assert!(r.kernels.iter().any(|k| k.name.starts_with("dense")));
+        for attention in ["matmul_qkt", "matmul_pv", "softmax", "layer_norm"] {
+            assert!(
+                r.kernels
+                    .iter()
+                    .any(|k| k.name.starts_with(attention) && k.tier == "auto"),
+                "missing attention kernel {attention}"
+            );
+        }
         // The GEMM sweep covers several reduction-length classes, each at
         // several block sizes, and the replay section times every
         // accelerator-bearing zoo deployment.

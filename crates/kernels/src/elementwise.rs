@@ -13,6 +13,11 @@ use htvm_ir::{DType, Tensor};
 /// Panics if the leading dimension of `x` differs from the bias length.
 #[must_use]
 pub fn bias_add(x: &Tensor, bias: &Tensor) -> Tensor {
+    bias_add_owned(x.clone(), bias)
+}
+
+/// [`bias_add`] rewriting `x` itself.
+pub(crate) fn bias_add_owned(mut x: Tensor, bias: &Tensor) -> Tensor {
     assert_eq!(bias.shape().rank(), 1, "bias must be rank-1");
     let k = bias.shape().dims()[0];
     assert!(
@@ -20,14 +25,12 @@ pub fn bias_add(x: &Tensor, bias: &Tensor) -> Tensor {
         "leading dim of input must equal bias length"
     );
     let inner: usize = x.shape().dims()[1..].iter().product::<usize>().max(1);
-    let mut out = x.clone();
-    let bd = bias.data();
-    for (chunk, &bv) in out.data_mut().chunks_exact_mut(inner).zip(bd) {
+    for (chunk, &bv) in x.data_mut().chunks_exact_mut(inner).zip(bias.data()) {
         for v in chunk {
             *v = v.wrapping_add(bv);
         }
     }
-    out
+    x
 }
 
 /// The fused accelerator output pipeline: per-channel bias, arithmetic
@@ -80,21 +83,29 @@ pub fn accel_epilogue(acc: Tensor, bias: Option<&Tensor>, shift: u32, apply_relu
 /// Arithmetic right shift of every element (the requantization scale step).
 #[must_use]
 pub fn right_shift(x: &Tensor, amount: u32) -> Tensor {
-    let mut out = x.clone();
-    for v in out.data_mut() {
+    right_shift_owned(x.clone(), amount)
+}
+
+/// [`right_shift`] rewriting `x` itself.
+pub(crate) fn right_shift_owned(mut x: Tensor, amount: u32) -> Tensor {
+    for v in x.data_mut() {
         *v >>= amount;
     }
-    out
+    x
 }
 
 /// Clamps every element into `[min, max]`.
 #[must_use]
 pub fn clip(x: &Tensor, min: i32, max: i32) -> Tensor {
-    let mut out = x.clone();
-    for v in out.data_mut() {
+    clip_owned(x.clone(), min, max)
+}
+
+/// [`clip`] rewriting `x` itself.
+pub(crate) fn clip_owned(mut x: Tensor, min: i32, max: i32) -> Tensor {
+    for v in x.data_mut() {
         *v = (*v).clamp(min, max);
     }
-    out
+    x
 }
 
 /// Reinterprets the tensor with a new dtype.
@@ -106,18 +117,28 @@ pub fn clip(x: &Tensor, min: i32, max: i32) -> Tensor {
 /// chain does.
 #[must_use]
 pub fn cast(x: &Tensor, to: DType) -> Tensor {
-    Tensor::new(to, x.shape().dims(), x.data().to_vec())
+    cast_owned(x.clone(), to)
+}
+
+/// [`cast`] reusing `x`'s storage.
+pub(crate) fn cast_owned(x: Tensor, to: DType) -> Tensor {
+    let dims = x.shape().dims().to_vec();
+    Tensor::new(to, &dims, x.into_data())
         .expect("cast requires values narrowed into the target range")
 }
 
 /// Rectified linear unit.
 #[must_use]
 pub fn relu(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    for v in out.data_mut() {
+    relu_owned(x.clone())
+}
+
+/// [`relu`] rewriting `x` itself.
+pub(crate) fn relu_owned(mut x: Tensor) -> Tensor {
+    for v in x.data_mut() {
         *v = (*v).max(0);
     }
-    out
+    x
 }
 
 /// Element-wise addition, widening to `i32` (residual connections).

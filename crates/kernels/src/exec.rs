@@ -2,6 +2,7 @@
 
 use crate::{conv, dense, elementwise, layer_norm, matmul, pool, softmax, EvalError};
 use htvm_ir::{Graph, NodeKind, Op, Tensor};
+use std::borrow::Cow;
 
 /// Evaluates a graph on concrete inputs using the reference kernels,
 /// returning one tensor per graph output.
@@ -18,6 +19,16 @@ use htvm_ir::{Graph, NodeKind, Op, Tensor};
 ///
 /// See the [crate-level example](crate).
 pub fn evaluate(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<Tensor>, EvalError> {
+    evaluate_refs(graph, &inputs.iter().collect::<Vec<_>>())
+}
+
+/// [`evaluate`] over inputs that live in separate places (the simulator's
+/// buffer table), so none is copied to line them up in one slice.
+///
+/// # Errors
+///
+/// As [`evaluate`].
+pub fn evaluate_refs(graph: &Graph, inputs: &[&Tensor]) -> Result<Vec<Tensor>, EvalError> {
     if inputs.len() != graph.inputs().len() {
         return Err(EvalError::InputCountMismatch {
             expected: graph.inputs().len(),
@@ -44,23 +55,42 @@ pub fn evaluate(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<Tensor>, EvalErr
         })?;
     }
 
-    let mut values: Vec<Option<Tensor>> = vec![None; graph.len()];
-    let mut next_input = 0usize;
+    // The node that reads each value last; graph outputs are never done.
+    let mut last_use = vec![0usize; graph.len()];
+    for (id, node) in graph.nodes() {
+        for arg in node.inputs() {
+            last_use[arg.index()] = id.index();
+        }
+    }
+    for out in graph.outputs() {
+        last_use[out.index()] = usize::MAX;
+    }
+
+    // Inputs and constants are only ever read, so the table borrows them;
+    // computed values are owned.
+    let mut values: Vec<Option<Cow<'_, Tensor>>> = vec![None; graph.len()];
+    let mut next_input = inputs.iter();
     for (id, node) in graph.nodes() {
         let value = match &node.kind {
-            NodeKind::Input => {
-                let t = inputs[next_input].clone();
-                next_input += 1;
-                t
-            }
-            NodeKind::Constant(t) => t.clone(),
+            NodeKind::Input => Cow::Borrowed(*next_input.next().expect("count checked above")),
+            NodeKind::Constant(t) => Cow::Borrowed(t),
             NodeKind::Op { op, inputs: args } => {
-                let a = |i: usize| {
+                // A computed first operand nobody reads after this node is
+                // moved out, so the element-wise ops below rewrite it in
+                // place; any other is borrowed and copied as before.
+                let first = args[0].index();
+                let spent = last_use[first] == id.index() && !args[1..].contains(&args[0]);
+                let moved = match &mut values[first] {
+                    slot @ Some(Cow::Owned(_)) if spent => slot.take(),
+                    _ => None,
+                };
+                let arg = |i: usize| {
                     values[args[i].index()]
-                        .as_ref()
+                        .as_deref()
                         .expect("topological order guarantees operand availability")
                 };
-                apply_op(op, a)
+                let x = moved.unwrap_or_else(|| Cow::Borrowed(arg(0)));
+                Cow::Owned(apply_op(op, x, arg))
             }
         };
         values[id.index()] = Some(value);
@@ -70,43 +100,42 @@ pub fn evaluate(graph: &Graph, inputs: &[Tensor]) -> Result<Vec<Tensor>, EvalErr
         .iter()
         .map(|&o| {
             values[o.index()]
-                .clone()
+                .as_deref()
                 .expect("outputs validated by graph construction")
+                .clone()
         })
         .collect())
 }
 
-fn apply_op<'a>(op: &Op, arg: impl Fn(usize) -> &'a Tensor) -> Tensor {
+/// Applies `op` to its first operand `x` (owned when the caller could
+/// give it up) and the remaining operands `arg(1..)`.
+fn apply_op<'a>(op: &Op, x: Cow<'_, Tensor>, arg: impl Fn(usize) -> &'a Tensor) -> Tensor {
     match op {
-        Op::Conv2d { strides, padding } => conv::conv2d(arg(0), arg(1), *strides, *padding),
+        Op::Conv2d { strides, padding } => conv::conv2d(&x, arg(1), *strides, *padding),
         Op::DepthwiseConv2d { strides, padding } => {
-            conv::depthwise_conv2d(arg(0), arg(1), *strides, *padding)
+            conv::depthwise_conv2d(&x, arg(1), *strides, *padding)
         }
-        Op::Dense => dense::dense(arg(0), arg(1)),
-        Op::BiasAdd => elementwise::bias_add(arg(0), arg(1)),
-        Op::RightShift { amount } => elementwise::right_shift(arg(0), *amount),
-        Op::Clip { min, max } => elementwise::clip(arg(0), *min, *max),
-        Op::Cast { to } => elementwise::cast(arg(0), *to),
-        Op::Relu => elementwise::relu(arg(0)),
-        Op::Add => elementwise::add(arg(0), arg(1)),
+        Op::Dense => dense::dense(&x, arg(1)),
+        Op::BiasAdd => elementwise::bias_add_owned(x.into_owned(), arg(1)),
+        Op::RightShift { amount } => elementwise::right_shift_owned(x.into_owned(), *amount),
+        Op::Clip { min, max } => elementwise::clip_owned(x.into_owned(), *min, *max),
+        Op::Cast { to } => elementwise::cast_owned(x.into_owned(), *to),
+        Op::Relu => elementwise::relu_owned(x.into_owned()),
+        Op::Add => elementwise::add(&x, arg(1)),
         Op::Pool2d {
             kind,
             kernel,
             strides,
             padding,
-        } => pool::pool2d(arg(0), *kind, *kernel, *strides, *padding),
-        Op::MatMul { transpose_b } => matmul::matmul(arg(0), arg(1), *transpose_b),
-        Op::LayerNorm => layer_norm::layer_norm(arg(0)),
-        Op::Softmax => softmax::softmax(arg(0)),
-        Op::Reshape { new_shape } => {
-            let x = arg(0);
-            Tensor::new(x.dtype(), new_shape, x.data().to_vec())
-                .expect("reshape validated by inference")
-        }
+        } => pool::pool2d(&x, *kind, *kernel, *strides, *padding),
+        Op::MatMul { transpose_b } => matmul::matmul(&x, arg(1), *transpose_b),
+        Op::LayerNorm => layer_norm::layer_norm(&x),
+        Op::Softmax => softmax::softmax(&x),
+        Op::Reshape { new_shape } => Tensor::new(x.dtype(), new_shape, x.into_owned().into_data())
+            .expect("reshape validated by inference"),
         Op::Flatten => {
-            let x = arg(0);
             let n = x.shape().num_elements();
-            Tensor::new(x.dtype(), &[n], x.data().to_vec())
+            Tensor::new(x.dtype(), &[n], x.into_owned().into_data())
                 .expect("flatten preserves element count")
         }
     }
@@ -186,6 +215,28 @@ mod tests {
         let out = evaluate(&g, &[input]).unwrap();
         assert_eq!(out[0].data(), &[0, 5]);
         assert_eq!(out[1].data(), &[-1, 1]);
+    }
+
+    #[test]
+    fn in_place_reuse_never_clobbers_a_value_still_needed() {
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", &[4], DType::I32);
+        // `s` is computed, so its slot is owned: relu reads it first (and
+        // must copy), clip reads it last (and may rewrite it).
+        let s = b.add(x, x).unwrap();
+        let r = b.relu(s).unwrap();
+        let c = b.clip(s, -3, 3).unwrap();
+        // `c` is a graph output *and* has a later reader: never reused.
+        let h = b.right_shift(c, 1).unwrap();
+        // Both operands are the same computed value, read last here.
+        let d = b.bias_add(h, h).unwrap();
+        let g = b.finish(&[r, c, d]).unwrap();
+        let input = Tensor::new(DType::I32, &[4], vec![-5, -1, 1, 5]).unwrap();
+        let out = evaluate(&g, std::slice::from_ref(&input)).unwrap();
+        assert_eq!(out[0].data(), &[0, 0, 2, 10]);
+        assert_eq!(out[1].data(), &[-3, -2, 2, 3]);
+        assert_eq!(out[2].data(), &[-4, -2, 2, 2]);
+        assert_eq!(input.data(), &[-5, -1, 1, 5]);
     }
 
     #[test]

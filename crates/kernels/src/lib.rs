@@ -11,6 +11,16 @@
 //!
 //! All activations use the `[C, H, W]` layout; see [`htvm_ir::Shape`].
 //!
+//! Conv and dense calls pick an implementation tier per shape
+//! ([`KernelPolicy`]: reference loops, direct spans, im2col + blocked
+//! GEMM). The attention kernels have one fast form each and no tier to
+//! pick: [`matmul_accumulate_region`] packs both operands to `i16` rows
+//! and runs a `pmaddwd`-shaped dot product (its `_ref` twin is the oracle
+//! and the home of anything that does not fit `i16`); [`softmax`] reads
+//! `exp` from a table that `f64::exp` filled and selects, rather than
+//! sorts, its largest remainders. Every path is bit-identical to the
+//! plain loops — only wall time differs.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,7 +63,7 @@ pub use conv::{
 pub use dense::{dense, dense_accumulate, dense_accumulate_ref};
 pub use elementwise::{accel_epilogue, add, bias_add, cast, clip, relu, right_shift};
 pub use error::EvalError;
-pub use exec::evaluate;
+pub use exec::{evaluate, evaluate_refs};
 pub use gemm::{gemm_accumulate, gemm_accumulate_blocked, DEFAULT_KC, MR};
 pub use im2col::{conv2d_im2col, im2col};
 pub use layer_norm::layer_norm;

@@ -174,7 +174,7 @@ impl KernelPolicy {
     /// Chooses the tier for a batched matmul block of `m_len × n_len`
     /// outputs reducing `d_len` each. Both operands are runtime
     /// activations, so there is no im2col detour: the fast tier is the
-    /// lockstep/streaming loops in
+    /// packed `i16` dot-product loop in
     /// [`matmul_accumulate_region`](crate::matmul_accumulate_region),
     /// reported as [`KernelTier::Direct`]. Always inline — DORY attention
     /// tiles sit far below the parallelism threshold.

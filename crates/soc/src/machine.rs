@@ -383,7 +383,7 @@ impl Machine {
                     output,
                 } => {
                     let a = take_ref(&values, *input);
-                    let b = input2.map(|id| take_ref(&values, id).clone());
+                    let b = input2.map(|id| take_ref(&values, id));
                     let (tensor, profile) = if faults.engine_offline(*engine, step_idx) {
                         let Some(kernel) = program.fallbacks.get(step_idx) else {
                             return Err(RunError::EngineUnavailable {
@@ -397,7 +397,7 @@ impl Machine {
                             *engine,
                             desc,
                             kernel,
-                            (a, b.as_ref()),
+                            (a, b),
                             replay,
                             &mut faults,
                         )?
@@ -416,7 +416,7 @@ impl Machine {
                             *engine,
                             desc,
                             a,
-                            b.as_ref(),
+                            b,
                             replay,
                             &mut faults,
                             &mut scratch,
@@ -431,15 +431,16 @@ impl Machine {
                     inputs: step_inputs,
                     output,
                 } => {
-                    let args: Vec<Tensor> = step_inputs
+                    let args: Vec<&Tensor> = step_inputs
                         .iter()
-                        .map(|&id| take_ref(&values, id).clone())
+                        .map(|&id| take_ref(&values, id))
                         .collect();
-                    let mut out = kernels::evaluate(graph, &args).map_err(|e| RunError::Eval {
-                        layer_index: step_idx,
-                        layer: name.clone(),
-                        source: e,
-                    })?;
+                    let mut out =
+                        kernels::evaluate_refs(graph, &args).map_err(|e| RunError::Eval {
+                            layer_index: step_idx,
+                            layer: name.clone(),
+                            source: e,
+                        })?;
                     let cycles = cpu::cpu_graph_cycles(&self.cfg.cpu, graph);
                     values[output.0] = Some(out.remove(0));
                     LayerProfile {
@@ -824,11 +825,8 @@ impl Machine {
         } else {
             (input, input2)
         };
-        let mut args = vec![input.clone()];
-        if let Some(second) = input2 {
-            args.push(second.clone());
-        }
-        let mut out = kernels::evaluate(&kernel.graph, &args).map_err(|e| RunError::Eval {
+        let args: Vec<&Tensor> = std::iter::once(input).chain(input2).collect();
+        let mut out = kernels::evaluate_refs(&kernel.graph, &args).map_err(|e| RunError::Eval {
             layer_index: step_idx,
             layer: kernel.name.clone(),
             source: e,
