@@ -170,18 +170,6 @@ pub fn derive(bytes: &[u8]) -> Result<CalibrationReport, String> {
         })
         .collect();
 
-    if !report.replay.is_empty() {
-        let (replay, interpret) = report.replay.iter().fold((0.0, 0.0), |(r, i), e| {
-            (r + e.replay_us, i + e.interpret_us)
-        });
-        fit.push(format!(
-            "dma descriptor replay over {} zoo deployments: {:.0} us vs {:.0} us interpreted",
-            report.replay.len(),
-            replay,
-            interpret
-        ));
-    }
-
     Ok(CalibrationReport {
         schema_version: CALIBRATION_SCHEMA_VERSION,
         source_digest: format!("{:016x}", fnv1a64(bytes)),
@@ -227,7 +215,7 @@ fn engine_models(p: &DianaConfig) -> (CostModel, CostModel) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels_bench::{GemmSweepEntry, KernelEntry, ReplayEntry};
+    use crate::kernels_bench::{GemmSweepEntry, KernelEntry};
 
     fn sample_report() -> KernelsReport {
         KernelsReport {
@@ -263,12 +251,6 @@ mod tests {
                     wall_us: 70.0, // tie: smaller kc must win
                 },
             ],
-            replay: vec![ReplayEntry {
-                model: "resnet8".into(),
-                deploy: "digital".into(),
-                replay_us: 900.0,
-                interpret_us: 1000.0,
-            }],
         }
     }
 

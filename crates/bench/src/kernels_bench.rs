@@ -9,15 +9,12 @@
 //! `bench-diff --kernels` (wall time is hardware-dependent; it never
 //! gates).
 
-use crate::scheme_for;
-use htvm::{Compiler, DeployConfig, DmaTable, Machine};
 use htvm_ir::{DType, Padding2d, Tensor};
 use htvm_kernels::{
     conv2d_accumulate_with, dense_accumulate, dense_accumulate_ref, depthwise_conv2d_region,
     depthwise_conv2d_region_ref, layer_norm, matmul_accumulate_region,
     matmul_accumulate_region_ref, softmax, KernelPolicy, KernelScratch, KernelTier,
 };
-use htvm_models::all_models;
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
@@ -52,24 +49,6 @@ pub struct GemmSweepEntry {
     pub wall_us: f64,
 }
 
-/// One replay-vs-interpret timing pair: a compiled zoo artifact run with
-/// its pre-linearized [`htvm::DmaTable`] descriptors replayed,
-/// and again with the table stripped so the machine re-derives every
-/// tile's transfer geometry. Outputs and simulated cycles are identical
-/// by construction (`tests/dma_replay.rs` asserts it); only host wall
-/// time differs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplayEntry {
-    /// Zoo model name.
-    pub model: String,
-    /// Deployment configuration id.
-    pub deploy: String,
-    /// Median wall time per run with descriptor replay, microseconds.
-    pub replay_us: f64,
-    /// Median wall time per run interpreting the tile loop, microseconds.
-    pub interpret_us: f64,
-}
-
 /// The full microbenchmark report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelsReport {
@@ -81,10 +60,6 @@ pub struct KernelsReport {
     /// pre-sweep reports; `serde(default)` keeps those readable.
     #[serde(default)]
     pub gemm_sweep: Vec<GemmSweepEntry>,
-    /// DMA descriptor replay vs tile-loop interpretation wall times over
-    /// the zoo. Also `serde(default)` for pre-sweep reports.
-    #[serde(default)]
-    pub replay: Vec<ReplayEntry>,
 }
 
 /// Deterministic pseudo-random tensor in the i8 value range.
@@ -296,7 +271,6 @@ pub fn collect() -> KernelsReport {
         schema_version: KERNELS_SCHEMA_VERSION,
         kernels,
         gemm_sweep: collect_gemm_sweep(),
-        replay: collect_replay(),
     }
 }
 
@@ -346,42 +320,6 @@ fn collect_gemm_sweep() -> Vec<GemmSweepEntry> {
         }
     }
     sweep
-}
-
-/// Times each accelerator-bearing zoo deployment twice: once replaying
-/// the artifact's pre-linearized DMA descriptors, once with the table
-/// stripped so the machine re-derives per-tile transfer geometry.
-fn collect_replay() -> Vec<ReplayEntry> {
-    let mut entries = Vec::new();
-    for deploy in [DeployConfig::Digital, DeployConfig::Both] {
-        for model in all_models(scheme_for(deploy)) {
-            let compiler = Compiler::new().with_deploy(deploy);
-            let Ok(artifact) = compiler.compile(&model.graph) else {
-                continue; // expected OOM-style failures are not timed
-            };
-            let machine = Machine::new(*compiler.platform());
-            let input = model.input(7);
-            let mut stripped = artifact.program.clone();
-            stripped.dma = DmaTable::default();
-            let replay_us = time_us(|| {
-                machine
-                    .run(&artifact.program, std::slice::from_ref(&input))
-                    .expect("zoo artifact runs");
-            });
-            let interpret_us = time_us(|| {
-                machine
-                    .run(&stripped, std::slice::from_ref(&input))
-                    .expect("stripped zoo artifact runs");
-            });
-            entries.push(ReplayEntry {
-                model: model.name.to_string(),
-                deploy: crate::report::deploy_id(deploy).to_string(),
-                replay_us,
-                interpret_us,
-            });
-        }
-    }
-    entries
 }
 
 /// Compares two kernel microbenchmark reports. Purely informational:
@@ -460,22 +398,12 @@ mod tests {
             );
         }
         // The GEMM sweep covers several reduction-length classes, each at
-        // several block sizes, and the replay section times every
-        // accelerator-bearing zoo deployment.
+        // several block sizes.
         let kks: std::collections::BTreeSet<usize> = r.gemm_sweep.iter().map(|e| e.kk).collect();
         assert!(kks.len() >= 3, "expected >=3 kk classes, got {kks:?}");
         for e in &r.gemm_sweep {
             assert!(e.wall_us > 0.0);
         }
-        assert!(!r.replay.is_empty());
-        for e in &r.replay {
-            assert!(e.replay_us > 0.0 && e.interpret_us > 0.0, "{}", e.model);
-        }
-        assert!(
-            r.replay.iter().any(|e| e.deploy == "digital")
-                && r.replay.iter().any(|e| e.deploy == "both"),
-            "both accelerator deployments must be timed"
-        );
     }
 
     #[test]
@@ -495,7 +423,6 @@ mod tests {
                 },
             ],
             gemm_sweep: Vec::new(),
-            replay: Vec::new(),
         };
         let mut new = base.clone();
         new.kernels[0].wall_us = 300.0; // regression

@@ -833,7 +833,6 @@ mod tests {
                 kc: 128,
                 wall_us: 10.0,
             }],
-            replay: vec![],
         };
         let bytes = serde_json::to_string(&sweep).unwrap().into_bytes();
         let cal = crate::calibration::derive(&bytes).unwrap();

@@ -116,7 +116,8 @@ pub fn single_layer_program(geom: &LayerGeometry, tile: TileConfig, engine: Engi
         activation_peak,
         fallbacks,
         // Characterization programs carry no platform-pinned descriptor
-        // table: the harness sweeps configs, so the machine interprets.
+        // table: the harness sweeps configs, so the machine linearizes
+        // each step for the config it runs.
         dma: htvm_soc::DmaTable::default(),
     }
 }

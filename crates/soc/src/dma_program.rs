@@ -6,22 +6,24 @@
 //! bytes and 1-D chunks each transaction moves. On real DIANA silicon
 //! HTVM resolves all of this at *compile* time — the generated C contains
 //! literal DMA calls, not geometry math. This module gives the simulator
-//! the same structure: [`linearize_step`] walks the tile loop once at
-//! compile time and flattens every DMA transaction into a [`DmaDescriptor`]
-//! list (plus pre-summed compute/pool/weight-programming cycles), and the
-//! [`Machine`](crate::Machine) *replays* those descriptors at run time
-//! instead of re-deriving per-tile geometry per operand per tile.
+//! the same structure, and it is the *only* definition of what an
+//! accelerator step costs: [`linearize_step`] walks the tile loop once and
+//! flattens every DMA transaction into a [`DmaDescriptor`] list (plus
+//! pre-summed compute/pool/weight-programming cycles), and the
+//! [`Machine`](crate::Machine) times a step by replaying those
+//! descriptors — there is no second, run-time tile walk to keep in step.
 //!
-//! Replay is bit- and cycle-exact with interpretation by construction:
-//! descriptors are recorded in the exact order `accel_timing` issues
-//! transactions (input operands → digital weight staging → output store,
-//! per tile), so fault injection by global DMA transaction index hits the
-//! same transfer either way. The table is keyed by a digest of the
-//! [`DianaConfig`] it was linearized against; running the program on a
-//! different platform silently falls back to interpretation.
+//! Descriptors are recorded in issue order (input operands → digital
+//! weight staging → output store, per tile), which is the global DMA
+//! transaction order fault plans index by. The compiler stores each
+//! step's program in the artifact's [`DmaTable`], keyed by a digest of the
+//! [`DianaConfig`] it was linearized against; a machine handed a table for
+//! a different platform, a stale entry or none at all linearizes the step
+//! for its own configuration on the spot, so a stored table can only ever
+//! save the walk, never change a cycle.
 
 use crate::{analog, digital, dma, AccelLayerDesc, DianaConfig, EngineKind};
-use htvm_dory::{tiles, LayerKind};
+use htvm_dory::{tiles, LayerKind, TileInstance};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -79,9 +81,9 @@ pub struct StepDma {
 /// Stored like [`FallbackTable`](crate::FallbackTable): a sorted vector,
 /// binary-searched, stable under serialization. The `platform_digest`
 /// pins the table to the [`DianaConfig`] it was derived from — a machine
-/// with any other configuration ignores the table and re-interprets the
-/// tile loop, so descriptor replay can never desynchronize cycle counts
-/// from the platform actually simulated.
+/// with any other configuration ignores the table and linearizes each
+/// step for itself, so descriptor replay can never desynchronize cycle
+/// counts from the platform actually simulated.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DmaTable {
     /// FNV-1a digest of the serialized platform configuration the
@@ -166,9 +168,8 @@ pub fn platform_digest(cfg: &DianaConfig) -> u64 {
 
 /// Fused output-pooling cycles for one accelerator layer: runs in the
 /// output SIMD stage, one window element per SIMD beat (paper §III-C).
-/// Shared by the interpreter and the linearizer so the two paths cannot
-/// drift. Pool output dims follow `kernels::pool2d`'s shape rule.
-pub(crate) fn pool_cycles(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDesc) -> u64 {
+/// Pool output dims follow `kernels::pool2d`'s shape rule.
+fn pool_cycles(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDesc) -> u64 {
     let Some(pool) = &desc.pool else { return 0 };
     let geom = &desc.geom;
     let oy = pooled_dim(
@@ -203,22 +204,33 @@ fn pooled_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
 /// into a [`StepDma`]: every DMA transaction as a descriptor in issue
 /// order, compute/pool/row-programming cycles pre-summed.
 ///
-/// Mirrors `Machine::accel_timing` exactly — same input-slice residency
-/// dedup, same weight restaging rule, same transaction order — which the
-/// differential tests in this module and `machine.rs` pin down.
+/// This walk *is* the temporal model of the DORY tile loop — input-slice
+/// residency, the weight restaging rule, the transaction order; the
+/// exact-cycle goldens and the frozen table in `machine.rs` pin it down.
 ///
 /// # Panics
 ///
 /// Panics if `engine` is [`EngineKind::Cpu`]; CPU steps have no tile loop.
 #[must_use]
 pub fn linearize_step(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDesc) -> StepDma {
+    linearize_tiles(cfg, engine, desc, &tiles(&desc.geom, &desc.tile))
+}
+
+/// [`linearize_step`] over an already enumerated tile loop (`instances`
+/// must be `tiles(&desc.geom, &desc.tile)`), for the machine, which holds
+/// that list anyway to execute the step.
+pub(crate) fn linearize_tiles(
+    cfg: &DianaConfig,
+    engine: EngineKind,
+    desc: &AccelLayerDesc,
+    instances: &[TileInstance],
+) -> StepDma {
     assert_ne!(
         engine,
         EngineKind::Cpu,
         "cpu steps carry no DMA program to linearize"
     );
     let geom = &desc.geom;
-    let instances = tiles(geom, &desc.tile);
     let mut program = StepDma {
         n_tiles: instances.len() as u64,
         pool: pool_cycles(cfg, engine, desc),
@@ -227,9 +239,12 @@ pub fn linearize_step(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDe
 
     let mut prev_weights: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
     let mut prev_input: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
-    for inst in &instances {
-        // Activation fetch, skipped while the (c, oy, ox) slice stays
-        // resident in L1 (two operands for element-wise add).
+    for inst in instances {
+        // Activation fetch (two operands for element-wise add). The L1
+        // input buffer is single-buffered per layer, so consecutive
+        // instances over the same (c, oy, ox) slice — e.g. successive
+        // output-channel blocks of an untiled-input layer — reuse the
+        // resident tile without a new transfer.
         let input_slice = (inst.c.clone(), inst.oy.clone(), inst.ox.clone());
         if prev_input.as_ref() != Some(&input_slice) {
             let operand_count = if geom.kind == LayerKind::Add { 2 } else { 1 };
@@ -245,8 +260,7 @@ pub fn linearize_step(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDe
         }
         // Weight staging when the (k, c) slice changes — matmul's staged b
         // slab also varies with the batch (ox) slice, so the residency key
-        // carries it (empty for weightful kinds). Must match
-        // `Machine::accel_timing` exactly.
+        // carries it (empty for weightful kinds).
         if geom.kind != LayerKind::Add {
             let batch = if geom.kind == LayerKind::MatMul {
                 inst.ox.clone()

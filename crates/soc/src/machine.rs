@@ -1,17 +1,16 @@
 //! The program executor: functional semantics + cycle accounting.
 
-use crate::dma_program::{self, DmaDir, StepDma};
+use crate::dma_program::{self, DmaDir, DmaTable, StepDma};
 use crate::faults::{DmaAbort, FaultCtx};
 use crate::{
-    analog, cpu, digital, dma, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind,
-    FallbackKernel, FaultPlan, LayerProfile, Program, RunReport, Step,
+    cpu, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind, FallbackKernel,
+    FaultPlan, LayerProfile, Program, RunReport, Step,
 };
 use htvm_dory::{tiles, LayerKind, TileInstance};
 use htvm_ir::{DType, Tensor};
 use htvm_kernels as kernels;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
 /// Errors produced while running a program.
 ///
@@ -364,16 +363,7 @@ impl Machine {
         }
         let mut layers = Vec::with_capacity(program.steps.len());
         let mut elapsed_cycles: u64 = 0;
-        // Descriptor replay is only sound against the exact platform the
-        // program was linearized for; anything else re-interprets the
-        // tile loop (identical cycles, just slower to price).
-        let replay_ok = program.dma.matches_digest(self.cfg_digest);
         for (step_idx, step) in program.steps.iter().enumerate() {
-            let replay = if replay_ok {
-                program.dma.get(step_idx)
-            } else {
-                None
-            };
             let profile = match step {
                 Step::Accel {
                     engine,
@@ -398,7 +388,7 @@ impl Machine {
                             desc,
                             kernel,
                             (a, b),
-                            replay,
+                            &program.dma,
                             &mut faults,
                         )?
                     } else {
@@ -417,7 +407,7 @@ impl Machine {
                             desc,
                             a,
                             b,
-                            replay,
+                            &program.dma,
                             &mut faults,
                             &mut scratch,
                         )?
@@ -491,180 +481,77 @@ impl Machine {
         engine: EngineKind,
         desc: &AccelLayerDesc,
     ) -> Result<(), RunError> {
-        let mem = htvm_dory::tile_memory(&desc.geom, &desc.tile);
-        let act = mem.input + mem.output;
-        if act > self.cfg.l1_act_bytes {
-            return Err(RunError::L1Overflow {
+        let overflow = |needed: usize, capacity: usize| {
+            Err(RunError::L1Overflow {
                 layer_index: step_idx,
                 layer: desc.name.clone(),
                 engine,
-                needed: act,
-                capacity: self.cfg.l1_act_bytes,
-            });
+                needed,
+                capacity,
+            })
+        };
+        let mem = htvm_dory::tile_memory(&desc.geom, &desc.tile);
+        let act = mem.input + mem.output;
+        if act > self.cfg.l1_act_bytes {
+            return overflow(act, self.cfg.l1_act_bytes);
         }
         match engine {
-            EngineKind::Digital => {
-                if mem.weight > self.cfg.digital.weight_bytes {
-                    return Err(RunError::L1Overflow {
-                        layer_index: step_idx,
-                        layer: desc.name.clone(),
-                        engine,
-                        needed: mem.weight,
-                        capacity: self.cfg.digital.weight_bytes,
-                    });
-                }
+            EngineKind::Digital if mem.weight > self.cfg.digital.weight_bytes => {
+                overflow(mem.weight, self.cfg.digital.weight_bytes)
             }
             EngineKind::Analog => {
+                let analog = &self.cfg.analog;
                 let rows_needed = match desc.geom.kind {
                     LayerKind::DepthwiseConv2d | LayerKind::Add => 0,
                     _ => desc.tile.c_t * desc.geom.fy * desc.geom.fx,
                 };
-                if rows_needed > self.cfg.analog.rows || desc.tile.k_t > self.cfg.analog.cols {
-                    return Err(RunError::L1Overflow {
-                        layer_index: step_idx,
-                        layer: desc.name.clone(),
-                        engine,
-                        needed: rows_needed.max(desc.tile.k_t),
-                        capacity: self.cfg.analog.rows,
-                    });
+                // Report the axis that is violated: rows, else columns.
+                if rows_needed > analog.rows {
+                    overflow(rows_needed, analog.rows)
+                } else if desc.tile.k_t > analog.cols {
+                    overflow(desc.tile.k_t, analog.cols)
+                } else {
+                    Ok(())
                 }
             }
-            EngineKind::Cpu => {}
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// The temporal model of one accelerator layer: the DORY tile loop
-    /// with DMA, weight staging and compute costs. Every DMA transaction
-    /// is routed through the fault context, which accounts injected
-    /// stalls and retries into its per-layer scratch (never into `dma`,
-    /// so the double-buffering adjustment can never hide a fault). Purely
-    /// timing — no tensor data is touched — so the fallback path can
-    /// price the fault-free layer without executing it.
-    fn accel_timing(
+    /// Prices one accelerator step from its DMA descriptor program: the
+    /// artifact's table entry when it was linearized for this exact
+    /// platform and still describes the step's tile loop, otherwise one
+    /// linearized on the spot for this machine's configuration. A foreign
+    /// digest or a stale tile count can therefore never perturb a cycle.
+    fn step_timing(
         &self,
+        table: &DmaTable,
+        step_idx: usize,
         engine: EngineKind,
         desc: &AccelLayerDesc,
         instances: &[TileInstance],
         faults: &mut FaultCtx,
     ) -> Result<CycleBreakdown, DmaAbort> {
-        let geom = &desc.geom;
-        let mut cycles = CycleBreakdown::default();
-        cycles.overhead += match engine {
-            EngineKind::Digital => self.cfg.digital.kernel_call_overhead,
-            EngineKind::Analog => self.cfg.analog.kernel_call_overhead,
-            EngineKind::Cpu => unreachable!("accel steps never target the cpu"),
-        };
-
-        let n_tiles = instances.len();
-        let mut prev_weights: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
-        let mut prev_input: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
-        for inst in instances {
-            cycles.overhead += match engine {
-                EngineKind::Digital => self.cfg.digital.tile_overhead,
-                EngineKind::Analog => self.cfg.analog.tile_overhead,
-                EngineKind::Cpu => unreachable!(),
-            };
-            // Activation DMA in (two operands for element-wise add). The
-            // L1 input buffer is single-buffered per layer, so consecutive
-            // instances over the same (c, oy, ox) slice — e.g. successive
-            // output-channel blocks of an untiled-input layer — reuse the
-            // resident tile without a new transfer.
-            let input_slice = (inst.c.clone(), inst.oy.clone(), inst.ox.clone());
-            if prev_input.as_ref() != Some(&input_slice) {
-                let operand_count = if geom.kind == LayerKind::Add { 2 } else { 1 };
-                let per_operand = dma::dma_cycles(
-                    &self.cfg.dma,
-                    inst.input_bytes(geom),
-                    inst.input_chunks(geom),
-                );
-                for _ in 0..operand_count {
-                    cycles.dma += per_operand;
-                    faults.dma_transfer(per_operand)?;
-                }
-                prev_input = Some(input_slice);
+        let stored = table.get(step_idx).filter(|p| {
+            table.matches_digest(self.cfg_digest) && p.n_tiles == instances.len() as u64
+        });
+        match stored {
+            Some(p) => self.replay_timing(engine, p, faults),
+            None => {
+                let p = dma_program::linearize_tiles(&self.cfg, engine, desc, instances);
+                self.replay_timing(engine, &p, faults)
             }
-            // Weight staging when the (k, c) slice changes — for matmul
-            // the staged b slab also varies with the batch (ox) slice, so
-            // the residency key carries it (empty for weightful kinds).
-            if geom.kind != LayerKind::Add {
-                let batch = if geom.kind == LayerKind::MatMul {
-                    inst.ox.clone()
-                } else {
-                    0..0
-                };
-                let slice = (inst.k.clone(), inst.c.clone(), batch);
-                if prev_weights.as_ref() != Some(&slice) {
-                    cycles.weight_load += match engine {
-                        EngineKind::Digital => {
-                            let elems = match geom.kind {
-                                LayerKind::Conv2d => {
-                                    inst.k.len() * inst.c.len() * geom.fy * geom.fx
-                                }
-                                LayerKind::DepthwiseConv2d => inst.c.len() * geom.fy * geom.fx,
-                                LayerKind::Dense => inst.k.len() * inst.c.len(),
-                                LayerKind::MatMul => inst.k.len() * inst.c.len() * inst.ox.len(),
-                                LayerKind::Add => 0,
-                            };
-                            let load = dma::dma_cycles(
-                                &self.cfg.dma,
-                                geom.w_dtype.storage_bytes(elems),
-                                1,
-                            );
-                            // Digital weight staging rides the DMA, so it
-                            // is a faultable transaction; analog macro row
-                            // programming below is not.
-                            faults.dma_transfer(load)?;
-                            load
-                        }
-                        EngineKind::Analog => {
-                            analog::analog_weight_load_cycles(&self.cfg.analog, geom, inst)
-                        }
-                        EngineKind::Cpu => unreachable!(),
-                    };
-                    prev_weights = Some(slice);
-                }
-            }
-            // Compute.
-            cycles.compute += match engine {
-                EngineKind::Digital => digital::digital_tile_cycles(&self.cfg.digital, geom, inst),
-                EngineKind::Analog => analog::analog_tile_cycles(&self.cfg.analog, geom, inst),
-                EngineKind::Cpu => unreachable!(),
-            };
-            // Output DMA (final reduction slice only).
-            let store = dma::dma_cycles(
-                &self.cfg.dma,
-                inst.output_bytes(geom),
-                inst.output_chunks(geom),
-            );
-            cycles.dma += store;
-            faults.dma_transfer(store)?;
         }
-
-        // DORY double-buffering (optional): activation DMA of tile i+1
-        // overlaps compute of tile i, leaving only the first-tile fill and
-        // whatever DMA exceeds the compute time exposed. Weight staging is
-        // part of the accelerator instruction and never overlaps. Fault
-        // stalls live in their own bucket and are never overlapped.
-        if self.cfg.dma.double_buffer && n_tiles > 1 {
-            let fill = cycles.dma / n_tiles as u64;
-            cycles.dma = cycles.dma.saturating_sub(cycles.compute).max(fill);
-        }
-
-        // Fused output pooling (paper §III-C): costed by the shared
-        // helper so interpretation and descriptor replay cannot drift.
-        cycles.compute += dma_program::pool_cycles(&self.cfg, engine, desc);
-
-        Ok(cycles)
     }
 
-    /// The temporal model of one accelerator layer, replayed from its
-    /// compile-time [`StepDma`] descriptor program instead of re-deriving
-    /// per-tile transfer geometry. Cycle- and transaction-order-exact with
-    /// [`Machine::accel_timing`] by construction: descriptors were
-    /// recorded in the interpreter's issue order against this exact
-    /// platform configuration (digest-checked by the caller), so fault
-    /// plans indexed by global DMA transaction hit the same transfers.
+    /// The temporal model of one accelerator layer: its [`StepDma`]
+    /// descriptor program replayed against this platform's cost constants.
+    /// Every DMA transaction is routed through the fault context in the
+    /// program's issue order — the order fault plans index by — which
+    /// accounts injected stalls and retries into its per-layer scratch
+    /// (never into `dma`, so the double-buffering adjustment can never
+    /// hide a fault). Purely timing — no tensor data is touched — so the
+    /// fallback path can price the fault-free layer without executing it.
     fn replay_timing(
         &self,
         engine: EngineKind,
@@ -694,8 +581,12 @@ impl Machine {
         }
         cycles.weight_load += step_dma.analog_weight;
         cycles.compute = step_dma.compute;
-        // Same double-buffering adjustment as the interpreter: applied
-        // over the pre-pool compute sum, fault stalls untouched.
+        // DORY double-buffering (optional): activation DMA of tile i+1
+        // overlaps compute of tile i, leaving only the first-tile fill and
+        // whatever DMA exceeds the compute time exposed. Weight staging is
+        // part of the accelerator instruction and never overlaps; fault
+        // stalls live in their own bucket and are never overlapped. The
+        // fused pooling (paper §III-C) joins compute only afterwards.
         if self.cfg.dma.double_buffer && step_dma.n_tiles > 1 {
             let fill = cycles.dma / step_dma.n_tiles;
             cycles.dma = cycles.dma.saturating_sub(cycles.compute).max(fill);
@@ -714,7 +605,7 @@ impl Machine {
         desc: &AccelLayerDesc,
         input: &Tensor,
         input2: Option<&Tensor>,
-        replay: Option<&StepDma>,
+        dma: &DmaTable,
         faults: &mut FaultCtx,
         scratch: &mut kernels::KernelScratch,
     ) -> Result<(Tensor, LayerProfile), RunError> {
@@ -739,20 +630,15 @@ impl Machine {
         let mut acc = Tensor::zeros(DType::I32, &out_shape);
 
         let instances = tiles(geom, &desc.tile);
-        let n_tiles = instances.len();
-        let mut cycles = match replay {
-            // A stale tile count means the table does not describe this
-            // program; fall back to interpreting the loop.
-            Some(p) if p.n_tiles as usize == n_tiles => self.replay_timing(engine, p, faults),
-            _ => self.accel_timing(engine, desc, &instances, faults),
-        }
-        .map_err(|abort| RunError::DmaFailed {
-            layer_index: step_idx,
-            layer: desc.name.clone(),
-            engine,
-            transfer: abort.transfer,
-            attempts: abort.attempts,
-        })?;
+        let mut cycles = self
+            .step_timing(dma, step_idx, engine, desc, &instances, faults)
+            .map_err(|abort| RunError::DmaFailed {
+                layer_index: step_idx,
+                layer: desc.name.clone(),
+                engine,
+                transfer: abort.transfer,
+                attempts: abort.attempts,
+            })?;
         // Collect this layer's injected stalls/retries (includes any L1
         // denial backoff charged before dispatch).
         let (stall, retries) = faults.take_layer_faults();
@@ -777,7 +663,7 @@ impl Machine {
             engine,
             cycles,
             macs: geom.macs(),
-            n_tiles,
+            n_tiles: instances.len(),
             retries,
         };
         Ok((out, profile))
@@ -798,20 +684,15 @@ impl Machine {
         desc: &AccelLayerDesc,
         kernel: &FallbackKernel,
         (input, input2): (&Tensor, Option<&Tensor>),
-        replay: Option<&StepDma>,
+        dma: &DmaTable,
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
-        // With a descriptor program the timeout is priced without even
-        // enumerating the tile loop.
-        let timeout = match replay {
-            Some(p) => self.replay_timing(engine, p, &mut FaultCtx::inert()),
-            None => {
-                let instances = tiles(&desc.geom, &desc.tile);
-                self.accel_timing(engine, desc, &instances, &mut FaultCtx::inert())
-            }
-        }
-        .expect("inert fault context cannot abort")
-        .total();
+        let instances = tiles(&desc.geom, &desc.tile);
+        let mut inert = FaultCtx::inert();
+        let timeout = self
+            .step_timing(dma, step_idx, engine, desc, &instances, &mut inert)
+            .expect("inert fault context cannot abort")
+            .total();
 
         // Mirror the analog input DAC clamp so the fallback sees exactly
         // the bits the accelerator would have.
@@ -1153,6 +1034,24 @@ mod tests {
             m.run(&program, &[input]),
             Err(RunError::L1Overflow { .. })
         ));
+    }
+
+    #[test]
+    fn analog_column_overflow_reports_the_column_axis() {
+        // 36 rows fit the macro; 6 output channels do not fit 4 columns.
+        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
+        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
+        let mut narrow = DianaConfig::default();
+        narrow.analog.cols = 4;
+        match Machine::new(narrow).run(&program, &[input]) {
+            Err(RunError::L1Overflow {
+                needed, capacity, ..
+            }) => {
+                assert_eq!((needed, capacity), (6, 4));
+                assert!(needed > capacity);
+            }
+            other => panic!("expected L1Overflow, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1578,6 +1477,10 @@ mod tests {
         program
     }
 
+    // The differential tests below compare a program carrying a stored
+    // table (`replay`) with the same program without one (`interp`), whose
+    // steps the machine linearizes on demand: stored table ≡ on-demand
+    // linearization is what protects a deserialized artifact.
     #[test]
     fn descriptor_replay_is_cycle_and_bit_exact() {
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
@@ -1617,11 +1520,72 @@ mod tests {
     }
 
     #[test]
+    fn table_less_cycle_breakdowns_are_frozen() {
+        // The 12 cells of `descriptor_replay_is_cycle_and_bit_exact`, run
+        // without a table, as recorded from the hand-written tile-loop
+        // interpreter before it was deleted: (compute, dma, weight_load,
+        // overhead), in loop order.
+        const FROZEN: [(u64, u64, u64, u64); 12] = [
+            (1080, 140, 57, 1100),
+            (2160, 968, 296, 3200),
+            (12960, 35256, 9216, 87200),
+            (1024, 140, 5040, 1100),
+            (4096, 968, 20160, 3200),
+            (24576, 35256, 362880, 87200),
+            (1080, 140, 57, 1100),
+            (2160, 121, 296, 3200),
+            (12960, 22296, 9216, 87200),
+            (1024, 140, 5040, 1100),
+            (4096, 121, 20160, 3200),
+            (24576, 10680, 362880, 87200),
+        ];
+        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
+        let mut overlapped = DianaConfig::default();
+        overlapped.dma.double_buffer = true;
+        let mut frozen = FROZEN.iter();
+        for cfg in [DianaConfig::default(), overlapped] {
+            for engine in [EngineKind::Digital, EngineKind::Analog] {
+                for tile in [
+                    TileConfig::full(&geom),
+                    TileConfig {
+                        c_t: 2,
+                        k_t: 3,
+                        oy_t: 4,
+                        ox_t: 8,
+                    },
+                    TileConfig {
+                        c_t: 1,
+                        k_t: 1,
+                        oy_t: 2,
+                        ox_t: 3,
+                    },
+                ] {
+                    let (program, input, _) = conv_program(tile, engine);
+                    let report = Machine::new(cfg).run(&program, &[input]).unwrap();
+                    let &(compute, dma, weight_load, overhead) = frozen.next().unwrap();
+                    assert_eq!(
+                        report.layers[0].cycles,
+                        CycleBreakdown {
+                            compute,
+                            dma,
+                            weight_load,
+                            overhead,
+                            stall: 0,
+                        },
+                        "double_buffer={} {engine} {tile:?}",
+                        cfg.dma.double_buffer
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn replay_preserves_fault_transaction_order() {
-        // Faults are addressed by global DMA transaction index; replay
-        // must issue transactions in the interpreter's exact order —
-        // zero-byte output stores included — or plans would hit
-        // different transfers.
+        // Faults are addressed by global DMA transaction index; a stored
+        // table must issue transactions in the exact order of one
+        // linearized on demand — zero-byte output stores included — or
+        // plans would hit different transfers.
         let tile = TileConfig {
             c_t: 2,
             k_t: 3,
@@ -1680,7 +1644,8 @@ mod tests {
     fn foreign_platform_digest_falls_back_to_interpretation() {
         // A table linearized for the default platform must be ignored on
         // a machine with different cost constants: the run still succeeds
-        // and prices exactly like the table-free program.
+        // and prices exactly like the table-free program, whose steps the
+        // machine linearizes for its own configuration.
         let tile = TileConfig {
             c_t: 2,
             k_t: 3,
@@ -1717,5 +1682,40 @@ mod tests {
         let replay = m.run_with_faults(&replayed, &[input], &plan).unwrap();
         assert_eq!(interp.outputs[0], reference);
         assert_eq!(interp, replay, "degraded-path timeout must price equally");
+    }
+
+    #[test]
+    fn stale_tile_count_is_ignored_on_both_paths() {
+        // An entry whose tile count disagrees with the step's tile loop
+        // does not describe this program: neither the run nor the
+        // engine-off timeout may be priced from it.
+        let tile = TileConfig {
+            c_t: 2,
+            k_t: 3,
+            oy_t: 4,
+            ox_t: 8,
+        };
+        let cfg = DianaConfig::default();
+        let (mut program, input, _) = conv_program(tile, EngineKind::Digital);
+        program.fallbacks.insert(0, conv_fallback(&program));
+        let clean = with_dma_table(program, &cfg);
+        let mut stale = clean.clone();
+        let mut entry = stale.dma.get(0).unwrap().clone();
+        entry.n_tiles += 1;
+        stale.dma.insert(0, entry);
+        let m = Machine::new(cfg);
+        let offline = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
+            engine: EngineKind::Digital,
+            layer: 0,
+        });
+        for plan in [crate::FaultPlan::none(), offline] {
+            let expected = m
+                .run_with_faults(&clean, std::slice::from_ref(&input), &plan)
+                .unwrap();
+            let got = m
+                .run_with_faults(&stale, std::slice::from_ref(&input), &plan)
+                .unwrap();
+            assert_eq!(expected, got, "{plan:?}");
+        }
     }
 }

@@ -254,9 +254,9 @@ pub struct Program {
     #[serde(default)]
     pub fallbacks: FallbackTable,
     /// Pre-linearized DMA descriptor programs for accelerator steps,
-    /// replayed by the machine instead of re-deriving per-tile transfer
-    /// geometry at run time; may be empty (the machine then interprets
-    /// the tile loop as before, with identical cycles and bits).
+    /// replayed by the machine to time each step; may be empty (the
+    /// machine then linearizes each step on demand, with identical
+    /// cycles and bits).
     #[serde(default)]
     pub dma: crate::DmaTable,
 }

@@ -50,6 +50,28 @@ const GOLDEN: &[(&str, DeployConfig, Expectation)] = &[
     ("mobilenet_v1", DeployConfig::Both, Some((918111, 265224))),
     ("resnet8", DeployConfig::Both, Some((384002, 104768))),
     ("toyadmos_dae", DeployConfig::Both, Some((181493, 315792))),
+    // The attention workload: the only exact-cycle pin on the matmul
+    // `(k, c, ox)` weight-residency key of the tile walk.
+    (
+        "tiny_transformer",
+        DeployConfig::CpuTvm,
+        Some((47600919, 180720)),
+    ),
+    (
+        "tiny_transformer",
+        DeployConfig::Digital,
+        Some((9007051, 188664)),
+    ),
+    (
+        "tiny_transformer",
+        DeployConfig::Analog,
+        Some((49165445, 285768)),
+    ),
+    (
+        "tiny_transformer",
+        DeployConfig::Both,
+        Some((9007051, 188664)),
+    ),
 ];
 
 #[test]
