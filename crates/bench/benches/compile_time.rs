@@ -1,36 +1,18 @@
-//! Criterion benches for compiler throughput across the model zoo: the
-//! parallel two-phase lowering against the forced-sequential baseline, and
+//! Criterion benches for compiler throughput across the model zoo, and
 //! the effect of a warm cross-compile [`htvm::TileCache`].
 //!
-//! `sequential_cold` and `parallel_cold` construct a fresh compiler (and
-//! thus an empty cache) per iteration, so they measure a first compile;
-//! `parallel_warm` reuses one compiler so every tiling solve after the
-//! first iteration is a cache hit.
+//! `cold` constructs a fresh compiler (and thus an empty cache) per
+//! iteration, so it measures a first compile; `warm` reuses one compiler
+//! so every tiling solve after the first iteration is a cache hit.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use htvm::{Compiler, DeployConfig, LowerOptions};
+use htvm::{Compiler, DeployConfig};
 use htvm_models::{all_models, QuantScheme};
-
-fn sequential_opts() -> LowerOptions {
-    LowerOptions {
-        parallel: false,
-        ..LowerOptions::default()
-    }
-}
 
 fn compile_benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("compile_time");
     for model in all_models(QuantScheme::Mixed) {
-        g.bench_function(format!("{}/sequential_cold", model.name), |b| {
-            b.iter(|| {
-                Compiler::new()
-                    .with_deploy(DeployConfig::Both)
-                    .with_lower_options(sequential_opts())
-                    .compile(black_box(&model.graph))
-                    .expect("compiles")
-            })
-        });
-        g.bench_function(format!("{}/parallel_cold", model.name), |b| {
+        g.bench_function(format!("{}/cold", model.name), |b| {
             b.iter(|| {
                 Compiler::new()
                     .with_deploy(DeployConfig::Both)
@@ -40,7 +22,7 @@ fn compile_benches(c: &mut Criterion) {
         });
         let warm = Compiler::new().with_deploy(DeployConfig::Both);
         warm.compile(&model.graph).expect("compiles");
-        g.bench_function(format!("{}/parallel_warm", model.name), |b| {
+        g.bench_function(format!("{}/warm", model.name), |b| {
             b.iter(|| warm.compile(black_box(&model.graph)).expect("compiles"))
         });
     }

@@ -1,36 +1,28 @@
 //! Prints per-phase [`htvm::CompileStats`] for every zoo model, cold and
-//! warm: how compile wall time splits between the (parallelizable) tiling
-//! solve phase and the sequential emit phase, and how much of the solver
-//! work the shared `TileCache` absorbs within and across compiles.
+//! warm: how compile wall time splits between the tiling solve phase and
+//! the emit phase, and how much of the solver work the shared `TileCache`
+//! absorbs within and across compiles.
 
-use htvm::{Compiler, DeployConfig, LowerOptions};
+use htvm::{Compiler, DeployConfig};
 use htvm_models::{all_models, QuantScheme};
 
 fn main() {
     for model in all_models(QuantScheme::Mixed) {
-        for (label, parallel) in [("seq", false), ("par", true)] {
-            let c = Compiler::new()
-                .with_deploy(DeployConfig::Both)
-                .with_lower_options(LowerOptions {
-                    parallel,
-                    ..LowerOptions::default()
-                });
-            let cold = c.compile(&model.graph).expect("compiles");
-            let warm = c.compile(&model.graph).expect("compiles");
-            println!(
-                "{:14} {}: cold solve={:?} emit={:?} (regions={} solves={} hits={}) | \
-                 warm solve={:?} emit={:?} (hits={})",
-                model.name,
-                label,
-                cold.stats.solve_time,
-                cold.stats.emit_time,
-                cold.stats.regions,
-                cold.stats.solves_performed,
-                cold.stats.cache_hits,
-                warm.stats.solve_time,
-                warm.stats.emit_time,
-                warm.stats.cache_hits,
-            );
-        }
+        let c = Compiler::new().with_deploy(DeployConfig::Both);
+        let cold = c.compile(&model.graph).expect("compiles");
+        let warm = c.compile(&model.graph).expect("compiles");
+        println!(
+            "{:14}: cold solve={:?} emit={:?} (regions={} solves={} hits={}) | \
+             warm solve={:?} emit={:?} (hits={})",
+            model.name,
+            cold.stats.solve_time,
+            cold.stats.emit_time,
+            cold.stats.regions,
+            cold.stats.solves_performed,
+            cold.stats.cache_hits,
+            warm.stats.solve_time,
+            warm.stats.emit_time,
+            warm.stats.cache_hits,
+        );
     }
 }

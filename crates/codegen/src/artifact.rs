@@ -7,8 +7,8 @@ use std::time::Duration;
 
 /// Observability counters from one [`lower`](crate::lower) run: how much
 /// tiling-solver work the compile did, how much the [`TileCache`] absorbed,
-/// and how the wall time split between the parallel solve phase and the
-/// sequential emit phase.
+/// and how the wall time split between the solve phase and the emit
+/// phase.
 ///
 /// Stats describe *how* the artifact was produced, not *what* was produced:
 /// they are excluded from `Artifact` equality and serialization, so a
@@ -25,7 +25,7 @@ pub struct CompileStats {
     pub solves_performed: u64,
     /// Solves answered from the [`TileCache`](htvm_dory::TileCache).
     pub cache_hits: u64,
-    /// Wall time of the solve phase (extraction + tiling, fanned out).
+    /// Wall time of the solve phase (extraction + tiling).
     pub solve_time: Duration,
     /// Wall time of the emit phase (buffers, steps, L2 planning).
     pub emit_time: Duration,

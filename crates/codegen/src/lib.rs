@@ -39,5 +39,5 @@ pub use error::LowerError;
 pub use extract::{extract, ExtractedLayer};
 pub use fallback::cpu_fallback;
 pub use fuse::fuse_cpu_nodes;
-pub use lower::{lower, LowerOptions};
+pub use lower::{engine_budget, lower, LowerOptions};
 pub use single::single_layer_program;

@@ -1,15 +1,14 @@
 //! The main lowering pass: partitioned graph → device program.
 //!
-//! Lowering runs in two phases. The **solve phase** extracts every
-//! accelerator region and runs the DORY tiling solver for it — each
-//! region's solve is a pure function of `(geometry, budget, objective)`,
-//! so the phase fans out across threads and consults the optional
-//! [`TileCache`]. The **emit phase** then walks the execution units in
-//! their fixed topological order on one thread, declaring buffers,
-//! emitting steps and planning the L2 schedule from the pre-computed
-//! solutions. Only the embarrassingly parallel half is parallel; every
-//! ordering decision stays sequential, so the artifact is byte-identical
-//! with parallelism on or off.
+//! Lowering runs in two phases on the calling thread. The **solve phase**
+//! extracts every accelerator region and runs the DORY tiling solver for
+//! it — each region's solve is a pure function of `(geometry, budget,
+//! objective)`, so it consults the optional [`TileCache`]. The **emit
+//! phase** then walks the execution units in their fixed topological
+//! order, declaring buffers, emitting steps and planning the L2 schedule
+//! from the pre-computed solutions. A model's solves together cost less
+//! than spawning threads to split them, so nothing here fans out;
+//! parallelism lives one level up, in `htvm-serve`'s worker pool.
 
 use crate::binsize::{binary_size, BinarySizeModel};
 use crate::{
@@ -24,7 +23,6 @@ use htvm_soc::{
     EngineKind, FallbackTable, Program, Step,
 };
 use htvm_trace::{tracks, Span, Tracer};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -50,10 +48,6 @@ pub struct LowerOptions {
     ///
     /// [`Compiler`]: ../htvm/struct.Compiler.html
     pub tile_cache: Option<TileCache>,
-    /// Fan the solve phase out across threads. Off, lowering is fully
-    /// sequential — same artifact, byte for byte; the determinism tests
-    /// and the `compile_time` bench baseline rely on that.
-    pub parallel: bool,
     /// Layers already extracted upstream (the dispatch hook extracts to
     /// see geometries), keyed by match root. Regions found here skip
     /// re-extraction in the solve phase.
@@ -82,7 +76,6 @@ impl Default for LowerOptions {
             l1_act_override: None,
             size_model: BinarySizeModel::default(),
             tile_cache: None,
-            parallel: true,
             extracted: HashMap::new(),
             emit_fallbacks: true,
             tracer: Tracer::disabled(),
@@ -100,6 +93,42 @@ struct RegionSolve {
     layer: ExtractedLayer,
     solution: TileSolution,
     cache_hit: bool,
+}
+
+/// The L1 constraints a layer on `engine` is tiled against (`None` for
+/// the CPU, which does not tile). DORY's double-buffering holds two tiles
+/// per operand in flight, so the solver sees half the physical
+/// scratchpad when overlap is on; `l1_act_override` replaces that figure
+/// ([`LowerOptions::l1_act_override`]). Dispatch and lowering both ask
+/// here, so a layer dispatch accepts is a layer lowering can tile.
+#[must_use]
+pub fn engine_budget(
+    cfg: &DianaConfig,
+    engine: EngineKind,
+    l1_act_override: Option<usize>,
+) -> Option<MemoryBudget> {
+    let physical = if cfg.dma.double_buffer {
+        cfg.l1_act_bytes / 2
+    } else {
+        cfg.l1_act_bytes
+    };
+    let act_bytes = l1_act_override.unwrap_or(physical);
+    match engine {
+        EngineKind::Digital => Some(MemoryBudget {
+            act_bytes,
+            weight_bytes: Some(cfg.digital.weight_bytes),
+            array: None,
+        }),
+        EngineKind::Analog => Some(MemoryBudget {
+            act_bytes,
+            weight_bytes: None,
+            array: Some(ArrayDims {
+                rows: cfg.analog.rows,
+                cols: cfg.analog.cols,
+            }),
+        }),
+        EngineKind::Cpu => None,
+    }
 }
 
 /// Lowers a partitioned graph into a runnable [`Artifact`] for the DIANA
@@ -153,15 +182,7 @@ pub fn lower(
         buffer_of.insert(input, id);
     }
 
-    // ---- Solve phase: extract + tile every region, possibly in parallel ----
-    // DORY's double-buffering holds two tiles per operand in flight, so
-    // the solver sees half the physical scratchpad when overlap is on.
-    let l1_effective = if cfg.dma.double_buffer {
-        cfg.l1_act_bytes / 2
-    } else {
-        cfg.l1_act_bytes
-    };
-    let l1_act = opts.l1_act_override.unwrap_or(l1_effective);
+    // ---- Solve phase: extract + tile every region ----
     let tracer = &opts.tracer;
     let solve_t0 = tracer.elapsed_us();
     let solve_start = Instant::now();
@@ -170,31 +191,12 @@ pub fn lower(
             Some(done) => done.clone(),
             None => extract(graph, &region.pattern, &region.m)?,
         };
-        let (budget, objective) = match region.tag {
-            EngineKind::Digital => (
-                MemoryBudget {
-                    act_bytes: l1_act,
-                    weight_bytes: Some(cfg.digital.weight_bytes),
-                    array: None,
-                },
-                &opts.digital_objective,
-            ),
-            EngineKind::Analog => (
-                MemoryBudget {
-                    act_bytes: l1_act,
-                    weight_bytes: None,
-                    array: Some(ArrayDims {
-                        rows: cfg.analog.rows,
-                        cols: cfg.analog.cols,
-                    }),
-                },
-                &opts.analog_objective,
-            ),
-            EngineKind::Cpu => {
-                return Err(LowerError::UnsupportedGraph(
-                    "regions must target an accelerator".into(),
-                ));
-            }
+        let budget = engine_budget(cfg, region.tag, opts.l1_act_override).ok_or_else(|| {
+            LowerError::UnsupportedGraph("regions must target an accelerator".into())
+        })?;
+        let objective = match region.tag {
+            EngineKind::Analog => &opts.analog_objective,
+            _ => &opts.digital_objective,
         };
         let (solution, cache_hit) = match &opts.tile_cache {
             Some(cache) => cache.solve_cached(&e.geom, &budget, objective),
@@ -206,9 +208,8 @@ pub fn lower(
             cache_hit,
         })
     };
-    // Per-region spans land on the `regions` track; they overlap in wall
-    // time when the fan-out is on, which is exactly what the trace viewer
-    // should show. With the tracer disabled this wrapper reads no clock.
+    // Per-region spans land on the `regions` track. With the tracer
+    // disabled this wrapper reads no clock.
     let solve_one = |region: &Region<EngineKind>| -> Result<RegionSolve, LowerError> {
         let started = tracer
             .is_enabled()
@@ -236,14 +237,11 @@ pub fn lower(
         }
         result
     };
-    // Both branches preserve region order, and each solve is a pure
-    // function of its region, so the fan-out cannot change the artifact.
-    let solved: Result<Vec<RegionSolve>, LowerError> = if opts.parallel {
-        part.regions.par_iter().map(solve_one).collect()
-    } else {
-        part.regions.iter().map(solve_one).collect()
-    };
-    let mut solved: Vec<Option<RegionSolve>> = solved?.into_iter().map(Some).collect();
+    let mut solved = part
+        .regions
+        .iter()
+        .map(|region| solve_one(region).map(Some))
+        .collect::<Result<Vec<Option<RegionSolve>>, LowerError>>()?;
     let mut stats = CompileStats {
         regions: part.regions.len(),
         solves_performed: 0,
@@ -268,8 +266,7 @@ pub fn lower(
             )
             .with_arg("regions", stats.regions)
             .with_arg("solves_performed", stats.solves_performed)
-            .with_arg("cache_hits", stats.cache_hits)
-            .with_arg("parallel", opts.parallel),
+            .with_arg("cache_hits", stats.cache_hits),
         );
         if let Some(cache) = &opts.tile_cache {
             tracer.counter(

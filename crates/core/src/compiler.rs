@@ -1,7 +1,7 @@
 //! The compiler driver.
 
-use crate::dispatch::engine_feasible;
-use crate::{diana_patterns, dispatch_rule, DeployConfig};
+use crate::dispatch::{dispatch_rule_within, engine_feasible_within};
+use crate::{diana_patterns, DeployConfig};
 use htvm_codegen::{extract, lower, Artifact, LowerError, LowerOptions};
 use htvm_dory::{LayerGeometry, TileCache};
 use htvm_ir::{passes, Graph, IrError};
@@ -235,12 +235,19 @@ impl Compiler {
             span.arg("nodes", graph.len());
             passes::verify(graph)?;
         }
-        let graph = {
+        // Folding that changes nothing builds nothing: the caller's graph,
+        // verified above, is the one partitioned and lowered.
+        let folded = {
             let _span = self.tracer.scope(tracks::PHASES, "fold_constants");
-            let (graph, _) = passes::fold_constants(graph);
-            passes::verify(&graph)?;
-            graph
+            match passes::simplify(graph) {
+                Some((folded, _)) => {
+                    passes::verify(&folded)?;
+                    Some(folded)
+                }
+                None => None,
+            }
         };
+        let graph = folded.as_ref().unwrap_or(graph);
 
         let patterns = if self.deploy == DeployConfig::CpuTvm {
             Vec::new()
@@ -255,20 +262,18 @@ impl Compiler {
         // full extraction; keep those extractions (keyed by match root) so
         // the lowering solve phase does not redo them.
         let extracted = RefCell::new(HashMap::new());
-        let part = partition(&graph, &patterns, |p, m| {
-            let base = dispatch_rule(&self.platform, self.deploy, &graph, p, m);
+        // Dispatch answers for the L1 budget lowering will tile against.
+        let l1_act = self.lower_opts.l1_act_override;
+        let part = partition(graph, &patterns, |p, m| {
+            let base = dispatch_rule_within(&self.platform, self.deploy, graph, p, m, l1_act);
             match &self.dispatch_hook {
                 None => base,
                 Some(hook) => {
-                    let layer = extract(&graph, &p.name, m).ok()?;
+                    let layer = extract(graph, &p.name, m).ok()?;
                     let geom = layer.geom.clone();
                     extracted.borrow_mut().insert(m.root, layer);
                     let chosen = hook(&geom, base)?;
-                    if engine_feasible(&self.platform, &geom, chosen) {
-                        Some(chosen)
-                    } else {
-                        None
-                    }
+                    engine_feasible_within(&self.platform, &geom, chosen, l1_act).then_some(chosen)
                 }
             }
         });
@@ -292,7 +297,7 @@ impl Compiler {
             opts.tracer = self.tracer.clone();
         }
         opts.extracted = extracted.into_inner();
-        let artifact = lower(&graph, &part, &self.platform, &opts)?;
+        let artifact = lower(graph, &part, &self.platform, &opts)?;
         Ok(artifact)
     }
 }

@@ -1,7 +1,7 @@
 //! Accelerator-aware dispatch rules.
 
-use htvm_codegen::extract;
-use htvm_dory::{solve, ArrayDims, LayerKind, MemoryBudget, TilingObjective};
+use htvm_codegen::{engine_budget, extract};
+use htvm_dory::{feasible, LayerKind};
 use htvm_ir::{DType, Graph};
 use htvm_pattern::{Match, NamedPattern};
 use htvm_soc::{DianaConfig, EngineKind};
@@ -52,6 +52,17 @@ pub fn engine_feasible(
     geom: &htvm_dory::LayerGeometry,
     engine: EngineKind,
 ) -> bool {
+    engine_feasible_within(cfg, geom, engine, None)
+}
+
+/// [`engine_feasible`] against the L1 activation budget lowering will
+/// actually tile with (`LowerOptions::l1_act_override`).
+pub(crate) fn engine_feasible_within(
+    cfg: &DianaConfig,
+    geom: &htvm_dory::LayerGeometry,
+    engine: EngineKind,
+    l1_act_override: Option<usize>,
+) -> bool {
     let capable = match (engine, geom.kind, geom.w_dtype) {
         (EngineKind::Cpu, ..) => return true,
         (_, LayerKind::Add, _) => true,
@@ -64,37 +75,8 @@ pub fn engine_feasible(
         (EngineKind::Analog, LayerKind::Conv2d | LayerKind::Dense, DType::Ternary) => true,
         _ => false,
     };
-    if !capable {
-        return false;
-    }
-    let l1_act = if cfg.dma.double_buffer {
-        cfg.l1_act_bytes / 2
-    } else {
-        cfg.l1_act_bytes
-    };
-    let (budget, objective) = match engine {
-        EngineKind::Digital => (
-            MemoryBudget {
-                act_bytes: l1_act,
-                weight_bytes: Some(cfg.digital.weight_bytes),
-                array: None,
-            },
-            TilingObjective::diana_digital(),
-        ),
-        EngineKind::Analog => (
-            MemoryBudget {
-                act_bytes: l1_act,
-                weight_bytes: None,
-                array: Some(ArrayDims {
-                    rows: cfg.analog.rows,
-                    cols: cfg.analog.cols,
-                }),
-            },
-            TilingObjective::diana_analog(),
-        ),
-        EngineKind::Cpu => unreachable!("handled above"),
-    };
-    solve(geom, &budget, &objective).is_ok()
+    capable
+        && engine_budget(cfg, engine, l1_act_override).is_some_and(|budget| feasible(geom, &budget))
 }
 
 /// The accelerator-aware rule layer behind the pattern matcher (paper
@@ -122,6 +104,19 @@ pub fn dispatch_rule(
     graph: &Graph,
     pattern: &NamedPattern,
     m: &Match,
+) -> Option<EngineKind> {
+    dispatch_rule_within(cfg, deploy, graph, pattern, m, None)
+}
+
+/// [`dispatch_rule`] against the L1 activation budget lowering will
+/// actually tile with (`LowerOptions::l1_act_override`).
+pub(crate) fn dispatch_rule_within(
+    cfg: &DianaConfig,
+    deploy: DeployConfig,
+    graph: &Graph,
+    pattern: &NamedPattern,
+    m: &Match,
+    l1_act_override: Option<usize>,
 ) -> Option<EngineKind> {
     let e = extract(graph, &pattern.name, m).ok()?;
     let g = &e.geom;
@@ -153,33 +148,13 @@ pub fn dispatch_rule(
         _ => return None,
     };
     // The layer must actually be tileable on the chosen engine.
-    if !engine_feasible(cfg, g, engine) {
+    if !engine_feasible_within(cfg, g, engine, l1_act_override) {
         return None;
     }
     // Fused output pooling only works when the whole layer sits in L1:
     // pooling windows may not cross tile borders.
     if e.pool.is_some() {
-        let l1_act = if cfg.dma.double_buffer {
-            cfg.l1_act_bytes / 2
-        } else {
-            cfg.l1_act_bytes
-        };
-        let budget = match engine {
-            EngineKind::Digital => MemoryBudget {
-                act_bytes: l1_act,
-                weight_bytes: Some(cfg.digital.weight_bytes),
-                array: None,
-            },
-            EngineKind::Analog => MemoryBudget {
-                act_bytes: l1_act,
-                weight_bytes: None,
-                array: Some(ArrayDims {
-                    rows: cfg.analog.rows,
-                    cols: cfg.analog.cols,
-                }),
-            },
-            EngineKind::Cpu => unreachable!("rules never pick the cpu"),
-        };
+        let budget = engine_budget(cfg, engine, l1_act_override)?;
         if !htvm_dory::tile_fits(g, &htvm_dory::TileConfig::full(g), &budget) {
             return None;
         }

@@ -7,8 +7,8 @@
 //! all). [`TileCache`] is a concurrent memo table over exactly that triple:
 //! cloning it is cheap (the table is behind an [`Arc`]) and every clone
 //! shares the same entries, so one cache can serve all regions of a
-//! lowering pass, all compiles of a [`Compiler`], and all threads of the
-//! parallel solve phase at once.
+//! lowering pass, all compiles of a [`Compiler`], and all workers of a
+//! compile service at once.
 //!
 //! Keying: geometries and budgets are hashed structurally. Objectives
 //! contain `f64` weights, which have no `Hash`/`Eq`; the key stores their
@@ -121,7 +121,7 @@ impl TileCache {
             return (cached.clone(), true);
         }
         // Solve outside the lock: solves dominate, and holding the mutex
-        // across one would serialize the parallel solve phase.
+        // across one would serialize the service workers sharing the cache.
         let result = solve(geom, budget, objective);
         self.inner.solves.fetch_add(1, Ordering::Relaxed);
         if result.is_err() {

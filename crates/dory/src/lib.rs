@@ -10,7 +10,8 @@
 //! - [`solve`] finds the tile sizes maximizing the paper's Eq. 1 objective
 //!   `α·(L1ʷ + L1ᵒᵘᵗ + L1ⁱⁿ) + Σᵢ βᵢ·Hᵢ` subject to the Eq. 2 capacity
 //!   constraint, with the DIANA heuristics of Eq. 3–5 available as
-//!   [`Heuristic`] terms,
+//!   [`Heuristic`] terms; [`feasible`] answers only whether any tile
+//!   fits, which is all dispatch needs,
 //! - [`TileCache`] memoizes [`solve`] outcomes across layers, threads and
 //!   compiles — the solver is a pure function of its inputs, and real
 //!   networks repeat layer geometries heavily,
@@ -57,5 +58,5 @@ pub use cost::{CostModel, EngineModel};
 pub use error::TilingError;
 pub use geometry::{LayerGeometry, LayerKind};
 pub use objective::{Heuristic, TilingObjective};
-pub use solver::{solve, TileSolution};
+pub use solver::{feasible, solve, TileSolution};
 pub use tile::{tiles, TileConfig, TileInstance};

@@ -58,6 +58,42 @@ pub fn solve(
         return Ok(make_solution(geom, budget, objective, full, true));
     }
 
+    let mut best: Option<(f64, TileConfig)> = None;
+    any_fitting_tile(geom, budget, |tile| {
+        let score = objective.score(geom, &tile, budget);
+        if is_better(score, &tile, &best) {
+            best = Some((score, tile));
+        }
+        false // an optimum needs every candidate seen
+    });
+
+    match best {
+        Some((_, tile)) => Ok(make_solution(geom, budget, objective, tile, false)),
+        None => Err(TilingError::DoesNotFit {
+            geom: Box::new(geom.clone()),
+        }),
+    }
+}
+
+/// Can `geom` be tiled into `budget` at all? Equal to
+/// `solve(geom, budget, _).is_ok()` for every objective — the same
+/// untiled shortcut and the same candidate enumeration — but stops at the
+/// first tile that fits instead of scoring all of them. This is the
+/// question dispatch asks; the optimising solve happens once, in lowering.
+#[must_use]
+pub fn feasible(geom: &LayerGeometry, budget: &MemoryBudget) -> bool {
+    tile_fits(geom, &TileConfig::full(geom), budget) || any_fitting_tile(geom, budget, |_| true)
+}
+
+/// Walks the solver's search space — candidate `(Cᵗ, Kᵗ, o_xᵗ)` triples,
+/// `Kᵗ` in lockstep with `Cᵗ` for depthwise and add, each at its maximal
+/// feasible `o_yᵗ` — handing every tile that fits to `visit` until it
+/// returns `true`. Returns whether it did.
+fn any_fitting_tile(
+    geom: &LayerGeometry,
+    budget: &MemoryBudget,
+    mut visit: impl FnMut(TileConfig) -> bool,
+) -> bool {
     let lockstep = matches!(geom.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
     let c_candidates = candidates(geom.c);
     let k_candidates = if lockstep {
@@ -66,8 +102,6 @@ pub fn solve(
         candidates(geom.k)
     };
     let ox_candidates = candidates(geom.ox());
-
-    let mut best: Option<(f64, TileConfig)> = None;
     for &c_t in &c_candidates {
         for &k_raw in &k_candidates {
             let k_t = if lockstep { c_t } else { k_raw };
@@ -81,20 +115,13 @@ pub fn solve(
                     oy_t,
                     ox_t,
                 };
-                let score = objective.score(geom, &tile, budget);
-                if is_better(score, &tile, &best) {
-                    best = Some((score, tile));
+                if visit(tile) {
+                    return true;
                 }
             }
         }
     }
-
-    match best {
-        Some((_, tile)) => Ok(make_solution(geom, budget, objective, tile, false)),
-        None => Err(TilingError::DoesNotFit {
-            geom: Box::new(geom.clone()),
-        }),
-    }
+    false
 }
 
 fn make_solution(

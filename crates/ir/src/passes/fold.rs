@@ -1,6 +1,6 @@
 //! Constant folding.
 
-use crate::{Graph, Node, NodeKind, Op, Tensor};
+use crate::{Graph, Op, Tensor};
 
 /// Folds element-wise operators whose operands are all constants into new
 /// constant nodes, then removes the now-dead producers.
@@ -31,46 +31,12 @@ use crate::{Graph, Node, NodeKind, Op, Tensor};
 /// ```
 #[must_use]
 pub fn fold_constants(graph: &Graph) -> (Graph, usize) {
-    let mut nodes: Vec<Node> = Vec::with_capacity(graph.len());
-    let mut folded = 0usize;
-    // Node ids are preserved (we rewrite kinds in place); dead producers are
-    // swept afterwards by `eliminate_dead_nodes`.
-    for (_, node) in graph.nodes() {
-        let new_node = match &node.kind {
-            NodeKind::Op { op, inputs } => {
-                let const_operands: Option<Vec<&Tensor>> = inputs
-                    .iter()
-                    .map(|&i| nodes[i.index()].constant())
-                    .collect();
-                match const_operands.and_then(|ops| eval_elementwise(op, &ops)) {
-                    Some(t) => {
-                        folded += 1;
-                        Node {
-                            name: format!("{}_folded", node.name),
-                            shape: t.shape().clone(),
-                            dtype: t.dtype(),
-                            kind: NodeKind::Constant(t),
-                        }
-                    }
-                    None => node.clone(),
-                }
-            }
-            _ => node.clone(),
-        };
-        nodes.push(new_node);
-    }
-    let g = Graph {
-        nodes,
-        inputs: graph.inputs().to_vec(),
-        outputs: graph.outputs().to_vec(),
-    };
-    let (g, _) = super::eliminate_dead_nodes(&g);
-    (g, folded)
+    super::simplify(graph).unwrap_or_else(|| (graph.clone(), 0))
 }
 
 /// Evaluates cheap element-wise/shape ops on constant operands. Returns
 /// `None` for ops we do not fold (convolutions, dense, pooling, softmax).
-fn eval_elementwise(op: &Op, operands: &[&Tensor]) -> Option<Tensor> {
+pub(super) fn eval_elementwise(op: &Op, operands: &[&Tensor]) -> Option<Tensor> {
     let out = match op {
         Op::RightShift { amount } => {
             let x = operands[0];

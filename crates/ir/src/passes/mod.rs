@@ -3,7 +3,9 @@
 //! These are the "initial optimizations" TVM performs on ingested Relay
 //! graphs before pattern matching (the paper mentions constant folding
 //! explicitly): [`verify`], [`fold_constants`], and
-//! [`eliminate_dead_nodes`].
+//! [`eliminate_dead_nodes`]. Folding and dead-node removal are one
+//! rewrite; [`simplify`] is that rewrite for callers that want to know
+//! when it changed nothing instead of receiving a copy.
 
 mod fold;
 mod ternarize;
@@ -13,8 +15,17 @@ pub use fold::fold_constants;
 pub use ternarize::{ternarize_weights, TernarizeOptions};
 pub use verify::verify;
 
-use crate::{Graph, Node, NodeId, NodeKind};
-use std::collections::HashSet;
+use crate::{Graph, Node, NodeId, NodeKind, Op, Tensor};
+use std::collections::HashMap;
+
+/// [`fold_constants`] for a caller that can keep using its own graph when
+/// nothing changes: `None` if no op folds and no node is dead — decided by
+/// one scan and the liveness walk, before any node is cloned — otherwise
+/// the rewritten graph and the number of ops folded.
+#[must_use]
+pub fn simplify(graph: &Graph) -> Option<(Graph, usize)> {
+    rewrite(graph, fold::eval_elementwise).map(|(g, folded, _)| (g, folded))
+}
 
 /// Removes nodes whose value can never reach a graph output.
 ///
@@ -42,34 +53,77 @@ use std::collections::HashSet;
 /// ```
 #[must_use]
 pub fn eliminate_dead_nodes(graph: &Graph) -> (Graph, usize) {
-    let mut live: HashSet<NodeId> = HashSet::new();
+    match rewrite(graph, |_, _| None) {
+        Some((g, _, removed)) => (g, removed),
+        None => (graph.clone(), 0),
+    }
+}
+
+/// The one graph rewrite: every op whose operands are all constants and
+/// that `fold` evaluates becomes a `<name>_folded` constant, then every
+/// node that no longer reaches an output is dropped and ids are
+/// renumbered. Returns the new graph with the folded and removed counts,
+/// or `None` if that graph would equal `graph`.
+fn rewrite(
+    graph: &Graph,
+    fold: impl Fn(&Op, &[&Tensor]) -> Option<Tensor>,
+) -> Option<(Graph, usize, usize)> {
+    let mut folded: HashMap<NodeId, Tensor> = HashMap::new();
+    for (id, node) in graph.nodes() {
+        let NodeKind::Op { op, inputs } = &node.kind else {
+            continue;
+        };
+        let operands: Option<Vec<&Tensor>> = inputs
+            .iter()
+            .map(|i| folded.get(i).or_else(|| graph.node(*i).constant()))
+            .collect();
+        if let Some(t) = operands.and_then(|ops| fold(op, &ops)) {
+            folded.insert(id, t);
+        }
+    }
+    let n_folded = folded.len();
+
+    // A folded op is a constant now: its operands are not reached through it.
+    let mut live = vec![false; graph.len()];
     let mut stack: Vec<NodeId> = graph.outputs().to_vec();
     while let Some(id) = stack.pop() {
-        if live.insert(id) {
+        if !std::mem::replace(&mut live[id.0], true) && !folded.contains_key(&id) {
             stack.extend_from_slice(graph.node(id).inputs());
         }
     }
     for &i in graph.inputs() {
-        live.insert(i);
+        live[i.0] = true;
+    }
+    let n_live = live.iter().filter(|&&l| l).count();
+    if n_folded == 0 && n_live == graph.len() {
+        return None;
     }
 
     let mut remap: Vec<Option<NodeId>> = vec![None; graph.len()];
-    let mut nodes: Vec<Node> = Vec::with_capacity(live.len());
+    let mut nodes: Vec<Node> = Vec::with_capacity(n_live);
     for (id, node) in graph.nodes() {
-        if !live.contains(&id) {
+        if !live[id.0] {
             continue;
         }
-        let new_id = NodeId(nodes.len());
-        remap[id.0] = Some(new_id);
-        let mut node = node.clone();
-        if let NodeKind::Op { inputs, .. } = &mut node.kind {
-            for i in inputs.iter_mut() {
-                *i = remap[i.0].expect("operand precedes user in topological order");
+        remap[id.0] = Some(NodeId(nodes.len()));
+        nodes.push(match folded.remove(&id) {
+            Some(t) => Node {
+                name: format!("{}_folded", node.name),
+                shape: t.shape().clone(),
+                dtype: t.dtype(),
+                kind: NodeKind::Constant(t),
+            },
+            None => {
+                let mut node = node.clone();
+                if let NodeKind::Op { inputs, .. } = &mut node.kind {
+                    for i in inputs.iter_mut() {
+                        *i = remap[i.0].expect("operand precedes user in topological order");
+                    }
+                }
+                node
             }
-        }
-        nodes.push(node);
+        });
     }
-    let removed = graph.len() - nodes.len();
     let inputs = graph
         .inputs()
         .iter()
@@ -80,14 +134,13 @@ pub fn eliminate_dead_nodes(graph: &Graph) -> (Graph, usize) {
         .iter()
         .map(|o| remap[o.0].expect("outputs are live"))
         .collect();
-    (
-        Graph {
-            nodes,
-            inputs,
-            outputs,
-        },
-        removed,
-    )
+    let removed = graph.len() - n_live;
+    let rewritten = Graph {
+        nodes,
+        inputs,
+        outputs,
+    };
+    Some((rewritten, n_folded, removed))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use crate::{DType, IrError, Shape};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A concrete integer tensor value.
 ///
@@ -10,6 +11,12 @@ use serde::{Deserialize, Serialize};
 /// (checked by [`Tensor::new`]). This mirrors how quantized inference is
 /// specified: arithmetic happens in 32-bit accumulators and values are
 /// narrowed explicitly by requantization ops.
+///
+/// The payload is shared and copy-on-write: `clone()` bumps a reference
+/// count, so a weight travels from the imported graph through every pass
+/// into the artifact without being copied, and the first
+/// [`Tensor::data_mut`] / [`Tensor::set`] on a shared handle copies it —
+/// a write through one handle is never visible through another.
 ///
 /// # Examples
 ///
@@ -25,7 +32,7 @@ use serde::{Deserialize, Serialize};
 pub struct Tensor {
     dtype: DType,
     shape: Shape,
-    data: Vec<i32>,
+    data: Arc<Vec<i32>>,
 }
 
 impl Tensor {
@@ -48,7 +55,11 @@ impl Tensor {
         if let Some(&bad) = data.iter().find(|v| !dtype.contains(**v)) {
             return Err(IrError::ValueOutOfRange { value: bad, dtype });
         }
-        Ok(Tensor { dtype, shape, data })
+        Ok(Tensor {
+            dtype,
+            shape,
+            data: Arc::new(data),
+        })
     }
 
     /// Creates an all-zero tensor of the given type and shape.
@@ -59,7 +70,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape,
-            data: vec![0; n],
+            data: Arc::new(vec![0; n]),
         }
     }
 
@@ -74,7 +85,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape: Shape::scalar(),
-            data: vec![v],
+            data: Arc::new(vec![v]),
         }
     }
 
@@ -99,15 +110,17 @@ impl Tensor {
     /// Mutable flat view of the element data (row-major).
     ///
     /// Callers are responsible for keeping values within the dtype's range;
-    /// [`Tensor::validate`] re-checks on demand.
+    /// [`Tensor::validate`] re-checks on demand. A payload shared with
+    /// another handle is copied first.
     pub fn data_mut(&mut self) -> &mut [i32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning the flat element data.
+    /// Consumes the tensor, returning the flat element data (copied only
+    /// if another handle still shares it).
     #[must_use]
     pub fn into_data(self) -> Vec<i32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
     }
 
     /// Row-major flat index for a multi-dimensional index.
@@ -144,7 +157,7 @@ impl Tensor {
     /// Panics if the index is out of bounds (see [`Tensor::flat_index`]).
     pub fn set(&mut self, idx: &[usize], v: i32) {
         let i = self.flat_index(idx);
-        self.data[i] = v;
+        self.data_mut()[i] = v;
     }
 
     /// Storage size in bytes at the tensor's nominal precision (packed for
@@ -177,7 +190,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape: self.shape.clone(),
-            data: self.data.iter().map(|&v| dtype.saturate(v)).collect(),
+            data: Arc::new(self.data.iter().map(|&v| dtype.saturate(v)).collect()),
         }
     }
 }
@@ -233,6 +246,60 @@ mod tests {
         let c = t.saturating_cast(DType::I8);
         assert_eq!(c.data(), &[-128, 5, 127]);
         assert_eq!(c.dtype(), DType::I8);
+    }
+
+    #[test]
+    fn clone_shares_until_either_handle_writes() {
+        let original = Tensor::new(DType::I8, &[2, 2], vec![1, 2, 3, 4]).unwrap();
+        let mut via_slice = original.clone();
+        let mut via_set = original.clone();
+        assert_eq!(original.data().as_ptr(), via_slice.data().as_ptr());
+
+        via_slice.data_mut()[0] = 9;
+        via_set.set(&[1, 1], -9);
+        assert_eq!(original.data(), &[1, 2, 3, 4]);
+        assert_eq!(via_slice.data(), &[9, 2, 3, 4]);
+        assert_eq!(via_set.data(), &[1, 2, 3, -9]);
+
+        // ... and the other way round: writing the original leaves a
+        // clone taken before the write untouched.
+        let mut original = original;
+        let snapshot = original.clone();
+        original.set(&[0, 1], 7);
+        assert_eq!(snapshot.data(), &[1, 2, 3, 4]);
+        assert_eq!(original.data(), &[1, 7, 3, 4]);
+    }
+
+    #[test]
+    fn into_data_of_a_shared_tensor_copies() {
+        let kept = Tensor::new(DType::I32, &[3], vec![5, 6, 7]).unwrap();
+        let taken = kept.clone().into_data();
+        assert_eq!(taken, vec![5, 6, 7]);
+        assert_ne!(taken.as_ptr(), kept.data().as_ptr());
+        assert_eq!(kept.data(), &[5, 6, 7]);
+        // A unique handle gives its buffer away instead.
+        let ptr = kept.data().as_ptr();
+        let unwrapped = kept.into_data();
+        assert_eq!(unwrapped.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn constructors_never_alias() {
+        let data = vec![1, 2, 3];
+        let ptr = data.as_ptr();
+        let t = Tensor::new(DType::I32, &[3], data).unwrap();
+        assert_eq!(
+            t.data().as_ptr(),
+            ptr,
+            "an owned Vec is adopted, not copied"
+        );
+        let mut z1 = Tensor::zeros(DType::I8, &[3]);
+        let z2 = Tensor::zeros(DType::I8, &[3]);
+        let cast = t.saturating_cast(DType::I8);
+        assert_ne!(z1.data().as_ptr(), z2.data().as_ptr());
+        assert_ne!(cast.data().as_ptr(), t.data().as_ptr());
+        z1.data_mut()[0] = 1;
+        assert_eq!(z2.data(), &[0, 0, 0]);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! under node-id permutation), the [`DeployConfig`], the routing
 //! platform id, the [`DianaConfig`] platform model, and the
 //! compile-relevant subset of [`LowerOptions`] (the *fingerprint* —
-//! runtime plumbing like the tile cache handle, the parallelism switch
-//! and the tracer are deliberately excluded because they never change
-//! the produced artifact; `tests/determinism.rs` in `htvm` asserts
-//! exactly that).
+//! runtime plumbing like the tile cache handle and the tracer is
+//! deliberately excluded because it never changes the produced artifact;
+//! `tests/determinism.rs` in `htvm` asserts exactly that).
 //!
 //! # What equality compares
 //!
@@ -34,9 +33,9 @@ use serde::Serialize;
 use std::hash::{Hash, Hasher};
 
 /// The serializable subset of [`LowerOptions`] that determines the
-/// artifact. Everything excluded (`tile_cache`, `parallel`, `extracted`,
-/// `tracer`) is observational or a pure-function memo and cannot change
-/// the output bytes.
+/// artifact. Everything excluded (`tile_cache`, `extracted`, `tracer`)
+/// is observational or a pure-function memo and cannot change the output
+/// bytes.
 #[derive(Serialize)]
 struct LowerFingerprint {
     digital_objective: htvm::TilingObjective,
@@ -340,10 +339,11 @@ mod tests {
             &platform,
             &LowerOptions::default(),
         );
-        let mut runtime = LowerOptions::default();
-        runtime.parallel = !runtime.parallel;
-        runtime.tile_cache = Some(htvm::TileCache::new());
-        runtime.tracer = htvm::Tracer::new();
+        let runtime = LowerOptions {
+            tile_cache: Some(htvm::TileCache::new()),
+            tracer: htvm::Tracer::new(),
+            ..LowerOptions::default()
+        };
         let same = ArtifactKey::new(
             "diana",
             &conv_graph(8),
@@ -353,7 +353,7 @@ mod tests {
         );
         assert_eq!(
             base, same,
-            "tile cache, parallelism and tracing never change the artifact"
+            "tile cache and tracing never change the artifact"
         );
     }
 

@@ -2,7 +2,7 @@
 //! partitioning, memory planning, simulation — must be bit-reproducible,
 //! since every benchmark number in EXPERIMENTS.md depends on it.
 
-use htvm::{Compiler, DeployConfig, LowerOptions, Machine};
+use htvm::{Compiler, DeployConfig, Machine};
 use htvm_models::{ds_cnn, mobilenet_v1, resnet8, toyadmos_dae, QuantScheme};
 
 #[test]
@@ -155,35 +155,6 @@ fn kernel_thread_count_is_invisible_in_outputs_and_cycles() {
                 model.name
             );
         }
-    }
-}
-
-#[test]
-fn parallel_solve_phase_matches_sequential_byte_for_byte() {
-    // The solve phase fans out across threads by default; with
-    // `parallel: false` the same lowering runs on one thread. The two
-    // artifacts must agree not just structurally but in serialized bytes —
-    // thread scheduling must have no observable effect on the output.
-    for model in [mobilenet_v1(QuantScheme::Mixed), resnet8(QuantScheme::Int8)] {
-        let parallel = Compiler::new()
-            .with_deploy(DeployConfig::Both)
-            .compile(&model.graph)
-            .expect("parallel compile");
-        let sequential = Compiler::new()
-            .with_deploy(DeployConfig::Both)
-            .with_lower_options(LowerOptions {
-                parallel: false,
-                ..LowerOptions::default()
-            })
-            .compile(&model.graph)
-            .expect("sequential compile");
-        assert_eq!(parallel, sequential, "{}", model.name);
-        assert_eq!(
-            serde_json::to_string(&parallel).expect("serializes"),
-            serde_json::to_string(&sequential).expect("serializes"),
-            "{} parallel vs sequential bytes",
-            model.name
-        );
     }
 }
 

@@ -173,3 +173,80 @@ fn output_pooling_fuses_into_accelerator_regions() {
         assert!(pooled, "{}: no fused pool found", model.name);
     }
 }
+
+#[test]
+fn dispatch_and_lowering_share_one_l1_budget() {
+    // Dispatch must ask "does it tile?" against the budget lowering tiles
+    // with. Under an 8-byte activation budget most layers do not; they
+    // belong on the CPU, not in a `tiling failed` compile error.
+    use htvm::{LowerOptions, Machine};
+    for model in htvm_models::all_models(QuantScheme::Int8) {
+        let compiler = Compiler::new()
+            .with_lower_options(LowerOptions {
+                l1_act_override: Some(8),
+                ..LowerOptions::default()
+            })
+            .with_deploy(DeployConfig::Digital);
+        let artifact = compiler
+            .compile(&model.graph)
+            .unwrap_or_else(|e| panic!("{}: {e}", model.name));
+        let roomy = assignments(&model, DeployConfig::Digital);
+        let offloaded = |a: &[htvm::LayerAssignment]| {
+            a.iter().filter(|x| x.engine == EngineKind::Digital).count()
+        };
+        // 1x1 convolutions, dense layers, matmuls and adds still tile
+        // (a handful of bytes per tile); every wider filter cannot.
+        let expected = match model.name {
+            "ds_cnn" => (5, 10),
+            "mobilenet_v1" => (14, 28),
+            "resnet8" => (6, 13),
+            "toyadmos_dae" => (10, 10),
+            "tiny_transformer" => (3, 3),
+            other => panic!("unexpected zoo model {other}"),
+        };
+        assert_eq!(
+            (offloaded(&artifact.assignments), offloaded(&roomy)),
+            expected,
+            "{}: regions offloaded with 8 bytes vs the default budget",
+            model.name
+        );
+        if expected.0 < expected.1 {
+            assert!(
+                artifact
+                    .assignments
+                    .iter()
+                    .any(|x| x.engine == EngineKind::Cpu && x.macs > 0),
+                "{}: untileable anchors run on the CPU",
+                model.name
+            );
+        }
+        let input = model.input(5);
+        let report = Machine::new(*compiler.platform())
+            .run(&artifact.program, std::slice::from_ref(&input))
+            .expect("runs");
+        let reference = htvm_kernels::evaluate(&model.graph, &[input]).expect("evaluates");
+        assert_eq!(report.outputs, reference, "{}", model.name);
+    }
+}
+
+#[test]
+fn default_budget_zoo_dispatch_is_unchanged() {
+    // The Table I matrix (plain TVM and digital deploy the 8-bit models,
+    // analog the ternary ones, both the mixed ones): 173 regions.
+    let mut regions = 0;
+    for (deploy, scheme) in [
+        (DeployConfig::CpuTvm, QuantScheme::Int8),
+        (DeployConfig::Digital, QuantScheme::Int8),
+        (DeployConfig::Analog, QuantScheme::Ternary),
+        (DeployConfig::Both, QuantScheme::Mixed),
+    ] {
+        for model in htvm_models::all_models(scheme) {
+            // MobileNet under plain TVM runs out of L2 (Table I's OOM
+            // cell); it has no regions either way.
+            if let Ok(artifact) = Compiler::new().with_deploy(deploy).compile(&model.graph) {
+                regions += artifact.stats.regions;
+            }
+        }
+    }
+    assert_eq!(regions, 173);
+}
