@@ -1,12 +1,11 @@
 //! Derives the committed calibration artifact (`CALIBRATION.json`) from
-//! the committed microbenchmark sweep (`KERNELS_BENCH.json`).
+//! the platform description (`DianaConfig::default()`).
 //!
 //! ```text
-//! cargo run -p htvm-bench --bin calibrate \
-//!     [-- --bench KERNELS_BENCH.json] [--out CALIBRATION.json] [--check] [--quiet]
+//! cargo run -p htvm-bench --bin calibrate [-- --out CALIBRATION.json] [--check] [--quiet]
 //! ```
 //!
-//! The derivation is a pure function of the input bytes
+//! The derivation reads no input
 //! ([`htvm_bench::calibration::derive`]), so `--check` re-derives the
 //! artifact and exits non-zero when the committed file differs — the CI
 //! `calibration` job's staleness gate. Without `--check` the derived
@@ -16,20 +15,12 @@ use htvm_bench::calibration::derive;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut bench = String::from("KERNELS_BENCH.json");
     let mut out = String::from("CALIBRATION.json");
     let mut check = false;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--bench" => match args.next() {
-                Some(path) => bench = path,
-                None => {
-                    eprintln!("error: --bench needs a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--out" => match args.next() {
                 Some(path) => out = path,
                 None => {
@@ -41,33 +32,18 @@ fn main() -> ExitCode {
             "--quiet" => quiet = true,
             other => {
                 eprintln!(
-                    "usage: calibrate [--bench PATH] [--out PATH] [--check] [--quiet] \
-                     (unknown arg {other:?})"
+                    "usage: calibrate [--out PATH] [--check] [--quiet] (unknown arg {other:?})"
                 );
                 return ExitCode::from(2);
             }
         }
     }
 
-    let bytes = match std::fs::read(&bench) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read {bench}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match derive(&bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let report = derive();
     let json = serde_json::to_string_pretty(&report).expect("calibration serializes") + "\n";
 
     if !quiet {
-        println!("calibration v{} from {bench}", report.schema_version);
-        println!("  source digest {}", report.source_digest);
+        println!("calibration v{}", report.schema_version);
         for line in &report.fit {
             println!("  fit: {line}");
         }
@@ -83,14 +59,14 @@ fn main() -> ExitCode {
         };
         if committed != json {
             eprintln!(
-                "error: {out} is stale: re-deriving from {bench} produced a different \
-                 artifact; regenerate with `cargo run -p htvm-bench --bin calibrate` \
-                 and commit the result"
+                "error: {out} is stale: re-deriving from the platform description \
+                 produced a different artifact; regenerate with \
+                 `cargo run -p htvm-bench --bin calibrate` and commit the result"
             );
             return ExitCode::FAILURE;
         }
         if !quiet {
-            println!("{out} matches its derivation from {bench}");
+            println!("{out} matches its derivation");
         }
         return ExitCode::SUCCESS;
     }
@@ -100,11 +76,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     if !quiet {
-        println!(
-            "wrote {out} ({} gemm classes, digest {})",
-            report.gemm_classes.len(),
-            report.source_digest
-        );
+        println!("wrote {out}");
     }
     ExitCode::SUCCESS
 }

@@ -4,9 +4,8 @@
 //! cargo run --release -p htvm-bench --bin kernels [-- --out PATH] [--quiet]
 //! ```
 //!
-//! Times the `htvm-kernels` conv/dwconv/dense kernels at every
-//! implementation tier over paper-representative layer shapes and writes
-//! one JSON document. Compare two runs with
+//! Times each `htvm-kernels` fast body and its `_ref` oracle over
+//! paper-representative layer shapes and writes one JSON document. Compare two runs with
 //! `bench-diff --kernels BASE NEW` (warn-only, like all wall-time
 //! fields).
 

@@ -1,9 +1,9 @@
-//! The kernel microbenchmark: per-kernel, per-tier wall time over
-//! paper-representative layer shapes.
+//! The kernel microbenchmark: wall time of each `htvm-kernels` fast
+//! body and its `_ref` oracle over paper-representative layer shapes.
 //!
 //! Complements `BENCH.json` (whole-network sweeps) with a focused view of
-//! the `htvm-kernels` tiers so a kernel regression is visible as *which
-//! kernel/tier slowed down*, not just "the sweep got slower". Emitted as
+//! the kernels so a regression is visible as *which kernel slowed
+//! down*, not just "the sweep got slower". Emitted as
 //! `KERNELS_BENCH.json` — a separate document with its own schema so the
 //! pinned `BENCH.json` schema stays untouched — and compared warn-only by
 //! `bench-diff --kernels` (wall time is hardware-dependent; it never
@@ -11,41 +11,25 @@
 
 use htvm_ir::{DType, Padding2d, Tensor};
 use htvm_kernels::{
-    conv2d_accumulate_with, dense_accumulate, dense_accumulate_ref, depthwise_conv2d_region,
-    depthwise_conv2d_region_ref, layer_norm, matmul_accumulate_region,
-    matmul_accumulate_region_ref, softmax, KernelPolicy, KernelScratch, KernelTier,
+    conv2d_accumulate_ref, conv2d_accumulate_with, dense_accumulate, dense_accumulate_ref,
+    depthwise_conv2d_region, depthwise_conv2d_region_ref, layer_norm, matmul_accumulate_region,
+    matmul_accumulate_region_ref, softmax, KernelScratch,
 };
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Schema version of `KERNELS_BENCH.json`.
-pub const KERNELS_SCHEMA_VERSION: u32 = 1;
+pub const KERNELS_SCHEMA_VERSION: u32 = 2;
 
-/// One timed kernel/tier combination.
+/// One timed kernel body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelEntry {
     /// Shape label, e.g. `conv3x3_c64_k64_16x16`.
     pub name: String,
-    /// Implementation tier (`reference`, `direct`, `gemm`, `auto`).
+    /// Which body ran: `reference` (the `_ref` oracle) or `fast`.
     pub tier: String,
-    /// Median wall time of one kernel invocation, in microseconds.
-    pub wall_us: f64,
-}
-
-/// One point of the GEMM reduction-block-size sweep: a conv shape run at
-/// the `gemm` tier with an explicit `kc`. The `calibrate` tool groups
-/// these by `kk` and picks the fastest block size per reduction-length
-/// class (the "autotuned `KC` per shape class" of `CALIBRATION.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GemmSweepEntry {
-    /// Shape label of the swept convolution.
-    pub shape: String,
-    /// GEMM reduction length `C·Fy·Fx` of that shape.
-    pub kk: usize,
-    /// Reduction block size under test.
-    pub kc: usize,
-    /// Median wall time of one invocation, in microseconds.
+    /// Best wall time of one kernel invocation, in microseconds.
     pub wall_us: f64,
 }
 
@@ -54,12 +38,8 @@ pub struct GemmSweepEntry {
 pub struct KernelsReport {
     /// Schema version ([`KERNELS_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// All timed kernel/tier combinations.
+    /// All timed kernel bodies.
     pub kernels: Vec<KernelEntry>,
-    /// GEMM block-size sweep (input to the `calibrate` tool). Absent in
-    /// pre-sweep reports; `serde(default)` keeps those readable.
-    #[serde(default)]
-    pub gemm_sweep: Vec<GemmSweepEntry>,
 }
 
 /// Deterministic pseudo-random tensor in the i8 value range.
@@ -71,34 +51,26 @@ fn tensor(dims: &[usize], seed: i32) -> Tensor {
     Tensor::new(DType::I32, dims, data).expect("values fit i32")
 }
 
-/// Median wall time of `f` over a few repetitions, after one warmup.
+/// Best wall time of `f` over a few repetitions, after one warmup (the
+/// minimum is the repeatable part of a microsecond-scale timing; the rest
+/// is the host).
 fn time_us(mut f: impl FnMut()) -> f64 {
-    const REPS: usize = 5;
+    const REPS: usize = 7;
     f(); // warmup: page in buffers, settle the branch predictor
-    let mut samples: Vec<f64> = (0..REPS)
+    (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64() * 1e6
         })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[REPS / 2]
-}
-
-fn tier_label(tier: KernelTier) -> &'static str {
-    match tier {
-        KernelTier::Reference => "reference",
-        KernelTier::Direct => "direct",
-        KernelTier::Im2colGemm => "gemm",
-    }
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Runs the microbenchmark: conv, depthwise conv, dense and attention
 /// kernels over shapes representative of the paper's MLPerf-Tiny
 /// workloads (ResNet blocks, MobileNet pointwise/depthwise pairs, DS-CNN,
 /// classifier heads) and of the tiny-transformer's attention block, each
-/// timed at every applicable tier.
+/// timed on its `_ref` oracle and on its fast body.
 #[must_use]
 pub fn collect() -> KernelsReport {
     let mut kernels = Vec::new();
@@ -114,32 +86,31 @@ pub fn collect() -> KernelsReport {
         let x = tensor(&[c, hw, hw], 3);
         let w = tensor(&[k, c, f, f], 17);
         let oy = (hw + 2 * p - f) / s + 1;
-        for tier in [
-            KernelTier::Reference,
-            KernelTier::Direct,
-            KernelTier::Im2colGemm,
-        ] {
-            let policy = KernelPolicy::sequential(tier);
+        for (label, reference) in [("reference", true), ("fast", false)] {
             let mut scratch = KernelScratch::new();
             let mut out = Tensor::zeros(DType::I32, &[k, oy, oy]);
+            let (strides, pad) = ((s, s), Padding2d::same(p));
             let wall_us = time_us(|| {
-                conv2d_accumulate_with(
-                    &policy,
-                    &mut scratch,
-                    &x,
-                    &w,
-                    &mut out,
-                    (s, s),
-                    Padding2d::same(p),
-                    0..k,
-                    0..oy,
-                    0..oy,
-                    0..c,
-                );
+                if reference {
+                    conv2d_accumulate_ref(&x, &w, &mut out, strides, pad, 0..k, 0..oy, 0..oy, 0..c);
+                } else {
+                    conv2d_accumulate_with(
+                        &mut scratch,
+                        &x,
+                        &w,
+                        &mut out,
+                        strides,
+                        pad,
+                        0..k,
+                        0..oy,
+                        0..oy,
+                        0..c,
+                    );
+                }
             });
             kernels.push(KernelEntry {
                 name: name.to_string(),
-                tier: tier_label(tier).to_string(),
+                tier: label.to_string(),
                 wall_us,
             });
         }
@@ -154,7 +125,7 @@ pub fn collect() -> KernelsReport {
         let x = tensor(&[c, hw, hw], 5);
         let w = tensor(&[c, f, f], 23);
         let oy = (hw + 2 - f) / s + 1;
-        for (label, reference) in [("reference", true), ("direct", false)] {
+        for (label, reference) in [("reference", true), ("fast", false)] {
             let mut out = Tensor::zeros(DType::I32, &[c, oy, oy]);
             let wall_us = time_us(|| {
                 if reference {
@@ -197,7 +168,7 @@ pub fn collect() -> KernelsReport {
     for (name, k, c) in denses {
         let x = tensor(&[c], 7);
         let w = tensor(&[k, c], 29);
-        for (label, reference) in [("reference", true), ("auto", false)] {
+        for (label, reference) in [("reference", true), ("fast", false)] {
             let mut out = Tensor::zeros(DType::I32, &[k]);
             let wall_us = time_us(|| {
                 if reference {
@@ -226,7 +197,7 @@ pub fn collect() -> KernelsReport {
         let b = tensor(&b_dims, 13).saturating_cast(DType::I8);
         let [h, m, d] = a_dims;
         let n = if transpose_b { b_dims[1] } else { b_dims[2] };
-        for (label, reference) in [("reference", true), ("auto", false)] {
+        for (label, reference) in [("reference", true), ("fast", false)] {
             let mut out = Tensor::zeros(DType::I32, &[h, m, n]);
             let wall_us = time_us(|| {
                 if reference {
@@ -251,7 +222,7 @@ pub fn collect() -> KernelsReport {
             });
         }
     }
-    // ... and the two CPU-side ops around them (one tier each).
+    // ... and the two CPU-side ops around them (one body each).
     let scores = tensor(&[2, 256, 256], 19).saturating_cast(DType::I8);
     let context = tensor(&[2, 256, 32], 31).saturating_cast(DType::I8);
     let softmax_us = time_us(|| drop(black_box(softmax(&scores))));
@@ -262,7 +233,7 @@ pub fn collect() -> KernelsReport {
     ] {
         kernels.push(KernelEntry {
             name: name.to_string(),
-            tier: "auto".to_string(),
+            tier: "fast".to_string(),
             wall_us,
         });
     }
@@ -270,56 +241,7 @@ pub fn collect() -> KernelsReport {
     KernelsReport {
         schema_version: KERNELS_SCHEMA_VERSION,
         kernels,
-        gemm_sweep: collect_gemm_sweep(),
     }
-}
-
-/// Sweeps the GEMM reduction block size over conv shapes spanning the
-/// zoo's reduction-length classes. Every point computes the identical
-/// bits (the block size is a cache-residency knob only); the sweep
-/// measures which block the host memory hierarchy likes per `kk`.
-fn collect_gemm_sweep() -> Vec<GemmSweepEntry> {
-    // (label, C, K, H/W, F): kk = C·F·F spans 64..576.
-    let shapes = [
-        ("conv1x1_c64_k128_16x16", 64usize, 128usize, 16usize, 1usize),
-        ("conv3x3_c16_k16_32x32", 16, 16, 32, 3),
-        ("conv3x3_c64_k64_8x8", 64, 64, 8, 3),
-    ];
-    let mut sweep = Vec::new();
-    for (name, c, k, hw, f) in shapes {
-        let pad = usize::from(f > 1);
-        let x = tensor(&[c, hw, hw], 3);
-        let w = tensor(&[k, c, f, f], 17);
-        let oy = hw + 2 * pad - f + 1;
-        let kk = c * f * f;
-        for kc in [32usize, 64, 128, 256, 512] {
-            let policy = KernelPolicy::sequential(KernelTier::Im2colGemm).with_kc(kc);
-            let mut scratch = KernelScratch::new();
-            let mut out = Tensor::zeros(DType::I32, &[k, oy, oy]);
-            let wall_us = time_us(|| {
-                conv2d_accumulate_with(
-                    &policy,
-                    &mut scratch,
-                    &x,
-                    &w,
-                    &mut out,
-                    (1, 1),
-                    Padding2d::same(pad),
-                    0..k,
-                    0..oy,
-                    0..oy,
-                    0..c,
-                );
-            });
-            sweep.push(GemmSweepEntry {
-                shape: name.to_string(),
-                kk,
-                kc,
-                wall_us,
-            });
-        }
-    }
-    sweep
 }
 
 /// Compares two kernel microbenchmark reports. Purely informational:
@@ -378,31 +300,24 @@ mod tests {
         let r = collect();
         assert_eq!(r.schema_version, KERNELS_SCHEMA_VERSION);
         assert!(r.kernels.iter().all(|k| k.wall_us > 0.0));
-        // Every conv shape carries all three tiers.
-        for tier in ["reference", "direct", "gemm"] {
+        // Every kernel with a `_ref` oracle carries both rows.
+        for prefix in ["conv", "dwconv", "dense", "matmul_qkt", "matmul_pv"] {
+            for tier in ["reference", "fast"] {
+                assert!(
+                    r.kernels
+                        .iter()
+                        .any(|k| k.name.starts_with(prefix) && k.tier == tier),
+                    "missing {prefix} {tier}"
+                );
+            }
+        }
+        for cpu_op in ["softmax", "layer_norm"] {
             assert!(
                 r.kernels
                     .iter()
-                    .any(|k| k.name.starts_with("conv") && k.tier == tier),
-                "missing conv tier {tier}"
+                    .any(|k| k.name.starts_with(cpu_op) && k.tier == "fast"),
+                "missing attention kernel {cpu_op}"
             );
-        }
-        assert!(r.kernels.iter().any(|k| k.name.starts_with("dwconv")));
-        assert!(r.kernels.iter().any(|k| k.name.starts_with("dense")));
-        for attention in ["matmul_qkt", "matmul_pv", "softmax", "layer_norm"] {
-            assert!(
-                r.kernels
-                    .iter()
-                    .any(|k| k.name.starts_with(attention) && k.tier == "auto"),
-                "missing attention kernel {attention}"
-            );
-        }
-        // The GEMM sweep covers several reduction-length classes, each at
-        // several block sizes.
-        let kks: std::collections::BTreeSet<usize> = r.gemm_sweep.iter().map(|e| e.kk).collect();
-        assert!(kks.len() >= 3, "expected >=3 kk classes, got {kks:?}");
-        for e in &r.gemm_sweep {
-            assert!(e.wall_us > 0.0);
         }
     }
 
@@ -413,25 +328,24 @@ mod tests {
             kernels: vec![
                 KernelEntry {
                     name: "a".into(),
-                    tier: "direct".into(),
+                    tier: "reference".into(),
                     wall_us: 100.0,
                 },
                 KernelEntry {
                     name: "b".into(),
-                    tier: "gemm".into(),
+                    tier: "fast".into(),
                     wall_us: 100.0,
                 },
             ],
-            gemm_sweep: Vec::new(),
         };
         let mut new = base.clone();
         new.kernels[0].wall_us = 300.0; // regression
         new.kernels[1].wall_us = 10.0; // improvement
         let (warn, good) = diff_kernels(&base, &new, 50.0);
         assert_eq!(warn.len(), 1);
-        assert!(warn[0].contains("a/direct"));
+        assert!(warn[0].contains("a/reference"));
         assert_eq!(good.len(), 1);
-        assert!(good[0].contains("b/gemm"));
+        assert!(good[0].contains("b/fast"));
         // Within tolerance: silent.
         let (warn, good) = diff_kernels(&base, &base, 50.0);
         assert!(warn.is_empty() && good.is_empty());

@@ -16,8 +16,8 @@
 //! versioned machine-readable `BENCH.json` and `--bin bench-diff`
 //! compares two such reports — the CI benchmark-regression gate (see
 //! [`report`] and `docs/OBSERVABILITY.md`). `--bin kernels` times the
-//! `htvm-kernels` implementation tiers over paper-representative shapes
-//! into `KERNELS_BENCH.json` (see [`kernels_bench`] and
+//! `htvm-kernels` fast bodies and `_ref` oracles over paper-representative
+//! shapes into `KERNELS_BENCH.json` (see [`kernels_bench`] and
 //! `docs/KERNELS.md`); `bench-diff --kernels BASE NEW` prints its deltas
 //! warn-only. `--bin serve` soaks the `htvm-serve` compile service over
 //! a repeat-heavy zoo mix into `SERVE_BENCH.json` (see [`serve_bench`]

@@ -345,8 +345,8 @@ pub fn collect_graph(
     collect_graph_inner(name, scheme, graph, input, deploy, deploy_id(deploy), None)
 }
 
-/// Measures one zoo model compiled under the calibrated tiling objective
-/// and run with the calibrated GEMM tuning. The entry is labeled
+/// Measures one zoo model compiled under the calibrated tiling
+/// objective. The entry is labeled
 /// [`calibrated_id`] (e.g. `digital_cal`) so it sits beside the heuristic
 /// row for the same model in `BENCH.json`.
 ///
@@ -387,7 +387,6 @@ fn collect_graph_inner(
         compiler = compiler.with_lower_options(cal.lower_options());
     }
     let compiler = compiler.with_deploy(deploy).with_tracer(tracer.clone());
-    let tuning = cal.map(CalibrationReport::tuning).unwrap_or_default();
     let t0 = Instant::now();
     let compiled = compiler.compile(graph);
     let wall_us = t0.elapsed().as_micros() as u64;
@@ -435,7 +434,7 @@ fn collect_graph_inner(
         Ok(artifact) => {
             compile.binary_bytes = artifact.binary.total() as u64;
             compile.offload_fraction = artifact.offload_fraction();
-            let machine = Machine::new(*compiler.platform()).with_tuning(tuning);
+            let machine = Machine::new(*compiler.platform());
             let report = machine
                 .run(&artifact.program, std::slice::from_ref(input))
                 .map_err(|error| ReportError::Run {
@@ -503,7 +502,7 @@ pub fn collect() -> Result<BenchReport, ReportError> {
 /// Sweeps the zoo × configuration matrix; with a calibration, each
 /// accelerator-bearing configuration is additionally compiled under the
 /// calibrated objective into `*_cal` rows (same models, same inputs — the
-/// rows differ only in the tiling objective and runtime GEMM tuning).
+/// rows differ only in the tiling objective).
 ///
 /// # Errors
 ///
@@ -821,21 +820,7 @@ mod tests {
 
     #[test]
     fn calibrated_entries_get_their_own_labels() {
-        // A calibration derived from a minimal synthetic sweep: the
-        // engine coefficients anchor to the platform defaults either way,
-        // so only the GEMM classes depend on the numbers here.
-        let sweep = crate::kernels_bench::KernelsReport {
-            schema_version: crate::kernels_bench::KERNELS_SCHEMA_VERSION,
-            kernels: vec![],
-            gemm_sweep: vec![crate::kernels_bench::GemmSweepEntry {
-                shape: "t".into(),
-                kk: 576,
-                kc: 128,
-                wall_us: 10.0,
-            }],
-        };
-        let bytes = serde_json::to_string(&sweep).unwrap().into_bytes();
-        let cal = crate::calibration::derive(&bytes).unwrap();
+        let cal = crate::calibration::derive();
 
         let model = htvm_models::toyadmos_dae(QuantScheme::Int8);
         let entry = collect_calibrated_entry(&model, DeployConfig::Digital, &cal)

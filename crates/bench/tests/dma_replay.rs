@@ -82,9 +82,7 @@ fn closed_form_prediction_residual_is_as_published() {
     ];
     const INLIER_PCT: f64 = 6.0;
 
-    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../KERNELS_BENCH.json");
-    let bytes = std::fs::read(bench).expect("committed KERNELS_BENCH.json");
-    let cal = htvm_bench::calibration::derive(&bytes).expect("derives");
+    let cal = htvm_bench::calibration::derive();
 
     // Per engine: |residual| in percent of every layer, and the exact hits.
     let mut digital = (Vec::new(), 0usize);

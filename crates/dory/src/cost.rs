@@ -4,10 +4,10 @@
 //! alignment, transfer coalescing). A [`CostModel`] instead predicts the
 //! cycles a candidate [`TileConfig`] would cost end to end — DMA traffic,
 //! weight (re)loads, per-tile host overhead and engine compute — from
-//! per-engine coefficients fit offline against `KERNELS_BENCH.json`
-//! measurements (see `docs/CALIBRATION.md`). The objective then scores a
-//! tile by `γ · predicted(full) / predicted(tile)`, a number in `(0, 1]`
-//! that is 1 exactly when tiling costs nothing.
+//! per-engine coefficients derived offline from the platform description
+//! (`CALIBRATION.json`, see `docs/CALIBRATION.md`). The objective then
+//! scores a tile by `γ · predicted(full) / predicted(tile)`, a number in
+//! `(0, 1]` that is 1 exactly when tiling costs nothing.
 //!
 //! # Prediction, not simulation
 //!

@@ -1,34 +1,32 @@
 //! Convolution kernels (standard and depthwise), with sub-range variants
 //! used by the tiled executor.
 //!
-//! Each entry point dispatches through [`KernelPolicy`] to one of three
-//! implementation tiers (see `docs/KERNELS.md`):
+//! Each op has one fast body and one `_ref` oracle, chosen by the
+//! caller's function name (see `docs/KERNELS.md`):
 //!
-//! * **reference** — the original scalar loops with per-element padding
-//!   checks ([`conv2d_accumulate_ref`], [`depthwise_conv2d_region_ref`]),
-//!   kept as the oracle the faster tiers are differentially tested
-//!   against;
-//! * **direct** — the same loop nest restructured so each `(ky, kx)` tap
-//!   contributes a precomputed in-bounds output span, turning the inner
-//!   loop into a flat slice zip with no bounds checks;
-//! * **im2col + GEMM** — patch-matrix materialization into a reusable
-//!   scratch arena followed by the blocked [`crate::gemm_accumulate`]
-//!   microkernel (block size from [`KernelPolicy::kc`]).
+//! * [`conv2d_accumulate_with`] is im2col + GEMM: the patch matrix is
+//!   materialized into a reusable scratch arena and multiplied by the
+//!   blocked [`crate::gemm_accumulate`] microkernel;
+//! * [`depthwise_conv2d_region`] has no cross-channel reduction to run a
+//!   GEMM over, so each `(ky, kx)` tap adds a precomputed in-bounds
+//!   output span — a flat slice zip with no bounds checks;
+//! * [`conv2d_accumulate_ref`] / [`depthwise_conv2d_region_ref`] are the
+//!   original scalar loops with per-element padding checks, kept as the
+//!   oracle the fast bodies are differentially tested against.
 //!
-//! All tiers compute the identical multiset of `i32` products and combine
-//! them with `wrapping_add` (associative, commutative), so tier choice
-//! and thread count are invisible in the output bits.
+//! Fast and reference bodies compute the identical multiset of `i32`
+//! products and combine them with `wrapping_add` (associative,
+//! commutative), so which one ran is invisible in the output bits.
 
-use crate::gemm::gemm_accumulate_blocked;
-use crate::policy::{KernelPolicy, KernelTier};
+use crate::gemm::gemm_accumulate;
+use crate::im2col::fill_patches;
 use crate::scratch::{with_thread_scratch, KernelScratch};
 use htvm_ir::{DType, Padding2d, Tensor};
-use rayon::prelude::*;
 use std::ops::Range;
 
-/// Internal convolution geometry shared by the fast tiers and the im2col
-/// patch filler: input dims, filter dims, strides, and the top/left
-/// padding as signed offsets.
+/// Internal convolution geometry shared with the im2col patch filler:
+/// input dims, filter dims, strides, and the top/left padding as signed
+/// offsets.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConvShape {
     pub c: usize,
@@ -40,32 +38,6 @@ pub(crate) struct ConvShape {
     pub sx: usize,
     pub pt: isize,
     pub pl: isize,
-}
-
-/// A mutable window into an output buffer: channel-major rows of
-/// `ox_len` contiguous elements at arbitrary channel/row strides. Covers
-/// both a sub-block of a full `[K, OY, OX]` tensor and a dense
-/// per-thread partial buffer with one addressing scheme.
-struct OutView<'a> {
-    data: &'a mut [i32],
-    base: usize,
-    k_stride: usize,
-    y_stride: usize,
-    ox_len: usize,
-}
-
-impl OutView<'_> {
-    fn row(&mut self, k_rel: usize, oy_rel: usize) -> &mut [i32] {
-        let start = self.base + k_rel * self.k_stride + oy_rel * self.y_stride;
-        &mut self.data[start..start + self.ox_len]
-    }
-
-    /// `true` when the viewed rows tile the buffer densely (row-major
-    /// `[k, oy_len, ox_len]` starting at `base`), so a GEMM can write
-    /// straight into it.
-    fn is_dense(&self, oy_len: usize) -> bool {
-        self.y_stride == self.ox_len && self.k_stride == oy_len * self.ox_len
-    }
 }
 
 /// The in-bounds output-x span for filter tap `kx`, clipped to
@@ -111,132 +83,6 @@ fn axpy_strided(dst: &mut [i32], xs: &[i32], wv: i32, sx: usize) {
     } else {
         for (o, &xv) in dst.iter_mut().zip(xs.iter().step_by(sx)) {
             *o = o.wrapping_add(wv.wrapping_mul(xv));
-        }
-    }
-}
-
-/// Splits `range` into at most `parts` contiguous, near-even sub-ranges.
-fn split_range(range: &Range<usize>, parts: usize) -> Vec<Range<usize>> {
-    let len = range.len();
-    let parts = parts.min(len).max(1);
-    let chunk = len.div_ceil(parts);
-    (0..parts)
-        .map(|i| {
-            let lo = range.start + i * chunk;
-            let hi = (lo + chunk).min(range.end);
-            lo..hi
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// The direct tier for one output-channel block: padding-free interior
-/// spans, flat-slice inner loops.
-#[allow(clippy::too_many_arguments)]
-fn conv_block_direct(
-    s: &ConvShape,
-    xd: &[i32],
-    wd: &[i32],
-    view: &mut OutView<'_>,
-    k_range: &Range<usize>,
-    oy_range: &Range<usize>,
-    ox_range: &Range<usize>,
-    c_range: &Range<usize>,
-) {
-    for (k_rel, ko) in k_range.clone().enumerate() {
-        for (oy_rel, oy) in oy_range.clone().enumerate() {
-            let row_start = view.base + k_rel * view.k_stride + oy_rel * view.y_stride;
-            let row = &mut view.data[row_start..row_start + view.ox_len];
-            for ci in c_range.clone() {
-                for ky in 0..s.fy {
-                    let iy = (oy * s.sy + ky) as isize - s.pt;
-                    if iy < 0 || iy as usize >= s.h {
-                        continue;
-                    }
-                    let xrow = &xd[(ci * s.h + iy as usize) * s.iw..][..s.iw];
-                    let wbase = ((ko * s.c + ci) * s.fy + ky) * s.fx;
-                    for kx in 0..s.fx {
-                        let wv = wd[wbase + kx];
-                        if wv == 0 {
-                            continue;
-                        }
-                        let Some((lo, hi, x0)) = ox_span(s.iw, s.sx, s.pl, kx, ox_range) else {
-                            continue;
-                        };
-                        let dst = &mut row[lo - ox_range.start..hi - ox_range.start];
-                        axpy_strided(dst, &xrow[x0..], wv, s.sx);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The im2col + GEMM tier for one output-channel block.
-#[allow(clippy::too_many_arguments)]
-fn conv_block_gemm(
-    s: &ConvShape,
-    xd: &[i32],
-    wd: &[i32],
-    view: &mut OutView<'_>,
-    k_range: &Range<usize>,
-    oy_range: &Range<usize>,
-    ox_range: &Range<usize>,
-    c_range: &Range<usize>,
-    scratch: &mut KernelScratch,
-    kc: usize,
-) {
-    let (k_len, c_len) = (k_range.len(), c_range.len());
-    let (oy_len, ox_len) = (oy_range.len(), ox_range.len());
-    if k_len == 0 || oy_len == 0 || ox_len == 0 || c_len == 0 {
-        return;
-    }
-    let cols = oy_len * ox_len;
-    let fyfx = s.fy * s.fx;
-    let kk = c_len * fyfx;
-    let a = &wd[(k_range.start * s.c + c_range.start) * fyfx..];
-    let a_stride = s.c * fyfx;
-
-    // A 1×1 stride-1 unpadded convolution over the full spatial range is
-    // a pure GEMM on the activation slab — no patch matrix needed.
-    let borrow_b = s.fy == 1
-        && s.fx == 1
-        && s.sy == 1
-        && s.sx == 1
-        && s.pt == 0
-        && s.pl == 0
-        && *oy_range == (0..s.h)
-        && *ox_range == (0..s.iw);
-
-    if view.is_dense(oy_len) {
-        let dst = &mut view.data[view.base..view.base + k_len * cols];
-        if borrow_b {
-            let b = &xd[c_range.start * s.h * s.iw..c_range.end * s.h * s.iw];
-            gemm_accumulate_blocked(k_len, cols, kk, a, a_stride, b, dst, kc);
-        } else {
-            let buf = scratch.im2col_raw(kk * cols);
-            crate::im2col::fill_patches(s, xd, oy_range, ox_range, c_range, buf);
-            gemm_accumulate_blocked(k_len, cols, kk, a, a_stride, buf, dst, kc);
-        }
-    } else {
-        // Strided destination: GEMM into a dense accumulator, then
-        // scatter-add rows into place (exact: i32 addition).
-        let (buf, acc) = scratch.pair(if borrow_b { 0 } else { kk * cols }, k_len * cols);
-        if borrow_b {
-            let b = &xd[c_range.start * s.h * s.iw..c_range.end * s.h * s.iw];
-            gemm_accumulate_blocked(k_len, cols, kk, a, a_stride, b, acc, kc);
-        } else {
-            crate::im2col::fill_patches(s, xd, oy_range, ox_range, c_range, buf);
-            gemm_accumulate_blocked(k_len, cols, kk, a, a_stride, buf, acc, kc);
-        }
-        for k_rel in 0..k_len {
-            for oy_rel in 0..oy_len {
-                let src = &acc[(k_rel * oy_len + oy_rel) * ox_len..][..ox_len];
-                let dst = view.row(k_rel, oy_rel);
-                for (o, &v) in dst.iter_mut().zip(src) {
-                    *o = o.wrapping_add(v);
-                }
-            }
         }
     }
 }
@@ -291,8 +137,8 @@ fn validate_conv(
 }
 
 /// Accumulates a 2-D convolution over sub-ranges of the output and input
-/// channels into an `i32` output tensor, dispatching to the fastest
-/// applicable tier (see the [crate docs](crate)).
+/// channels into an `i32` output tensor (im2col + GEMM; see the
+/// [crate docs](crate)).
 ///
 /// This is the building block for tiled execution: the SoC simulator calls
 /// it once per tile with the tile's `k`/`oy`/`ox`/`c` ranges, and summing
@@ -321,32 +167,22 @@ pub fn conv2d_accumulate(
     ox_range: Range<usize>,
     c_range: Range<usize>,
 ) {
-    let (fy, fx) = (w.shape().dims()[2], w.shape().dims()[3]);
-    let policy = KernelPolicy::for_conv(
-        k_range.len(),
-        c_range.len(),
-        fy,
-        fx,
-        oy_range.len() * ox_range.len(),
-    );
     with_thread_scratch(|scratch| {
         conv2d_accumulate_with(
-            &policy, scratch, x, w, out, strides, padding, k_range, oy_range, ox_range, c_range,
+            scratch, x, w, out, strides, padding, k_range, oy_range, ox_range, c_range,
         );
     });
 }
 
-/// [`conv2d_accumulate`] with an explicit [`KernelPolicy`] and scratch
-/// arena — the entry point for callers that pin a tier (differential
-/// tests, the microbenchmark) or reuse one arena across many tiles (the
-/// SoC simulator).
+/// [`conv2d_accumulate`] with an explicit scratch arena — the entry point
+/// for callers that reuse one arena across many tiles (the SoC
+/// simulator).
 ///
 /// # Panics
 ///
 /// As [`conv2d_accumulate`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_accumulate_with(
-    policy: &KernelPolicy,
     scratch: &mut KernelScratch,
     x: &Tensor,
     w: &Tensor,
@@ -358,98 +194,68 @@ pub fn conv2d_accumulate_with(
     ox_range: Range<usize>,
     c_range: Range<usize>,
 ) {
-    if policy.tier == KernelTier::Reference {
-        conv2d_accumulate_ref(
-            x, w, out, strides, padding, k_range, oy_range, ox_range, c_range,
-        );
-        return;
-    }
     let (mut s, ooy, oox) = validate_conv(x, w, out, &k_range, &oy_range, &ox_range, &c_range);
     s.sy = strides.0;
     s.sx = strides.1;
     s.pt = padding.top as isize;
     s.pl = padding.left as isize;
+    let (k_len, c_len) = (k_range.len(), c_range.len());
     let (oy_len, ox_len) = (oy_range.len(), ox_range.len());
-    if k_range.is_empty() || oy_len == 0 || ox_len == 0 {
+    if k_len == 0 || oy_len == 0 || ox_len == 0 || c_len == 0 {
         return;
     }
     let xd = x.data();
-    let wd = w.data();
+    let od = out.data_mut();
+    let cols = oy_len * ox_len;
+    let fyfx = s.fy * s.fx;
+    let kk = c_len * fyfx;
+    let a = &w.data()[(k_range.start * s.c + c_range.start) * fyfx..];
+    let a_stride = s.c * fyfx;
 
-    if policy.threads > 1 && k_range.len() >= 2 {
-        // Fan output-channel blocks across threads. Each worker fills a
-        // private dense buffer; the ordered scatter-add below makes the
-        // result independent of scheduling (and i32 addition makes it
-        // bit-identical to the sequential path).
-        let blocks = split_range(&k_range, policy.threads);
-        let tier = policy.tier;
-        let kc = policy.kc;
-        let partials: Vec<Vec<i32>> = blocks
-            .par_iter()
-            .map(|blk| {
-                let mut buf = vec![0i32; blk.len() * oy_len * ox_len];
-                let mut view = OutView {
-                    data: &mut buf,
-                    base: 0,
-                    k_stride: oy_len * ox_len,
-                    y_stride: ox_len,
-                    ox_len,
-                };
-                match tier {
-                    KernelTier::Direct => {
-                        conv_block_direct(
-                            &s, xd, wd, &mut view, blk, &oy_range, &ox_range, &c_range,
-                        );
-                    }
-                    _ => {
-                        let mut local = KernelScratch::new();
-                        conv_block_gemm(
-                            &s, xd, wd, &mut view, blk, &oy_range, &ox_range, &c_range, &mut local,
-                            kc,
-                        );
-                    }
-                }
-                buf
-            })
-            .collect();
-        let od = out.data_mut();
-        for (blk, part) in blocks.iter().zip(&partials) {
-            for (k_rel, ko) in blk.clone().enumerate() {
-                for (oy_rel, oy) in oy_range.clone().enumerate() {
-                    let dst = &mut od[(ko * ooy + oy) * oox + ox_range.start..][..ox_len];
-                    let src = &part[(k_rel * oy_len + oy_rel) * ox_len..][..ox_len];
-                    for (o, &v) in dst.iter_mut().zip(src) {
-                        *o = o.wrapping_add(v);
-                    }
-                }
-            }
-        }
+    // A 1×1 stride-1 unpadded convolution over the full spatial range is
+    // a pure GEMM on the activation slab — no patch matrix needed.
+    let borrow_b = fyfx == 1
+        && strides == (1, 1)
+        && s.pt == 0
+        && s.pl == 0
+        && oy_range == (0..s.h)
+        && ox_range == (0..s.iw);
+    // A sub-block spanning whole `[OY, OX]` planes is contiguous in the
+    // output, so the GEMM accumulates straight into it.
+    let dense = oy_len == ooy && ox_len == oox;
+
+    let (buf, acc) = scratch.pair(
+        if borrow_b { 0 } else { kk * cols },
+        if dense { 0 } else { k_len * cols },
+    );
+    let b = if borrow_b {
+        &xd[c_range.start * s.h * s.iw..c_range.end * s.h * s.iw]
+    } else {
+        fill_patches(&s, xd, &oy_range, &ox_range, &c_range, buf);
+        &*buf
+    };
+    if dense {
+        let dst = &mut od[k_range.start * cols..k_range.end * cols];
+        gemm_accumulate(k_len, cols, kk, a, a_stride, b, dst);
         return;
     }
-
-    let base = (k_range.start * ooy + oy_range.start) * oox + ox_range.start;
-    let mut view = OutView {
-        data: out.data_mut(),
-        base,
-        k_stride: ooy * oox,
-        y_stride: oox,
-        ox_len,
-    };
-    match policy.tier {
-        KernelTier::Direct => {
-            conv_block_direct(
-                &s, xd, wd, &mut view, &k_range, &oy_range, &ox_range, &c_range,
-            );
+    // Strided destination: GEMM into a dense accumulator, then
+    // scatter-add rows into place (exact: i32 addition).
+    gemm_accumulate(k_len, cols, kk, a, a_stride, b, acc);
+    for (k_rel, ko) in k_range.enumerate() {
+        for (oy_rel, oy) in oy_range.clone().enumerate() {
+            let src = &acc[(k_rel * oy_len + oy_rel) * ox_len..][..ox_len];
+            let dst = &mut od[(ko * ooy + oy) * oox..][ox_range.clone()];
+            for (o, &v) in dst.iter_mut().zip(src) {
+                *o = o.wrapping_add(v);
+            }
         }
-        _ => conv_block_gemm(
-            &s, xd, wd, &mut view, &k_range, &oy_range, &ox_range, &c_range, scratch, policy.kc,
-        ),
     }
 }
 
 /// The reference scalar implementation of [`conv2d_accumulate`]: plain
 /// nested loops with per-element padding checks. Slow, obviously correct,
-/// and the oracle every faster tier is differentially tested against.
+/// and the oracle the fast body is differentially tested against.
 ///
 /// # Panics
 ///
@@ -524,52 +330,12 @@ pub fn conv2d(x: &Tensor, w: &Tensor, strides: (usize, usize), padding: Padding2
     out
 }
 
-/// The direct tier for one depthwise channel block. Reproduces the
-/// reference's *assignment* semantics by zeroing each output row before
-/// accumulating the taps into it.
-#[allow(clippy::too_many_arguments)]
-fn dw_block_direct(
-    s: &ConvShape,
-    xd: &[i32],
-    wd: &[i32],
-    view: &mut OutView<'_>,
-    c_range: &Range<usize>,
-    oy_range: &Range<usize>,
-    ox_range: &Range<usize>,
-) {
-    for (c_rel, ci) in c_range.clone().enumerate() {
-        for (oy_rel, oy) in oy_range.clone().enumerate() {
-            let row_start = view.base + c_rel * view.k_stride + oy_rel * view.y_stride;
-            let row = &mut view.data[row_start..row_start + view.ox_len];
-            row.fill(0);
-            for ky in 0..s.fy {
-                let iy = (oy * s.sy + ky) as isize - s.pt;
-                if iy < 0 || iy as usize >= s.h {
-                    continue;
-                }
-                let xrow = &xd[(ci * s.h + iy as usize) * s.iw..][..s.iw];
-                let wbase = (ci * s.fy + ky) * s.fx;
-                for kx in 0..s.fx {
-                    let wv = wd[wbase + kx];
-                    if wv == 0 {
-                        continue;
-                    }
-                    let Some((lo, hi, x0)) = ox_span(s.iw, s.sx, s.pl, kx, ox_range) else {
-                        continue;
-                    };
-                    let dst = &mut row[lo - ox_range.start..hi - ox_range.start];
-                    axpy_strided(dst, &xrow[x0..], wv, s.sx);
-                }
-            }
-        }
-    }
-}
-
 /// Computes a depthwise convolution over an output sub-block (channels and
-/// spatial ranges), dispatching to the direct tier and fanning large
-/// blocks across threads. Depthwise has no cross-channel reduction, so
-/// there is no partial-sum range; each call fully computes its output
-/// elements.
+/// spatial ranges). Depthwise has no cross-channel reduction, so there is
+/// no partial-sum range and no GEMM to lower to: each call fully computes
+/// its output elements, zeroing each output row (the reference's
+/// *assignment* semantics) and then adding every filter tap's in-bounds
+/// span into it.
 ///
 /// * `x`: input `[C, H, W]`,
 /// * `w`: weights `[C, Fy, Fx]`,
@@ -589,14 +355,6 @@ pub fn depthwise_conv2d_region(
     oy_range: Range<usize>,
     ox_range: Range<usize>,
 ) {
-    let (fy, fx) = (w.shape().dims()[1], w.shape().dims()[2]);
-    let policy =
-        KernelPolicy::for_depthwise(c_range.len(), fy, fx, oy_range.len() * ox_range.len());
-    if policy.tier == KernelTier::Reference {
-        depthwise_conv2d_region_ref(x, w, out, strides, padding, c_range, oy_range, ox_range);
-        return;
-    }
-
     assert_eq!(x.shape().rank(), 3, "dwconv input must be [C,H,W]");
     assert_eq!(w.shape().rank(), 3, "dwconv weights must be [C,Fy,Fx]");
     assert_eq!(out.dtype(), DType::I32, "dwconv accumulator must be i32");
@@ -606,69 +364,43 @@ pub fn depthwise_conv2d_region(
         x.shape().dims()[2],
     ];
     assert_eq!(w.shape().dims()[0], c);
+    let (fy, fx) = (w.shape().dims()[1], w.shape().dims()[2]);
     let (ooy, oox) = (out.shape().dims()[1], out.shape().dims()[2]);
     assert!(c_range.end <= c && oy_range.end <= ooy && ox_range.end <= oox);
-    let s = ConvShape {
-        c,
-        h,
-        iw,
-        fy,
-        fx,
-        sy: strides.0,
-        sx: strides.1,
-        pt: padding.top as isize,
-        pl: padding.left as isize,
-    };
-    let (oy_len, ox_len) = (oy_range.len(), ox_range.len());
-    if c_range.is_empty() || oy_len == 0 || ox_len == 0 {
-        return;
-    }
+
+    let (sy, sx) = strides;
+    let (pt, pl) = (padding.top as isize, padding.left as isize);
     let xd = x.data();
     let wd = w.data();
-
-    if policy.threads > 1 && c_range.len() >= 2 {
-        let blocks = split_range(&c_range, policy.threads);
-        let partials: Vec<Vec<i32>> = blocks
-            .par_iter()
-            .map(|blk| {
-                let mut buf = vec![0i32; blk.len() * oy_len * ox_len];
-                let mut view = OutView {
-                    data: &mut buf,
-                    base: 0,
-                    k_stride: oy_len * ox_len,
-                    y_stride: ox_len,
-                    ox_len,
-                };
-                dw_block_direct(&s, xd, wd, &mut view, blk, &oy_range, &ox_range);
-                buf
-            })
-            .collect();
-        let od = out.data_mut();
-        for (blk, part) in blocks.iter().zip(&partials) {
-            for (c_rel, ci) in blk.clone().enumerate() {
-                for (oy_rel, oy) in oy_range.clone().enumerate() {
-                    let dst = &mut od[(ci * ooy + oy) * oox + ox_range.start..][..ox_len];
-                    let src = &part[(c_rel * oy_len + oy_rel) * ox_len..][..ox_len];
-                    dst.copy_from_slice(src);
+    let od = out.data_mut();
+    for ci in c_range {
+        for oy in oy_range.clone() {
+            let row = &mut od[(ci * ooy + oy) * oox..][ox_range.clone()];
+            row.fill(0);
+            for ky in 0..fy {
+                let iy = (oy * sy + ky) as isize - pt;
+                if iy < 0 || iy as usize >= h {
+                    continue;
+                }
+                let xrow = &xd[(ci * h + iy as usize) * iw..][..iw];
+                for kx in 0..fx {
+                    let wv = wd[(ci * fy + ky) * fx + kx];
+                    if wv == 0 {
+                        continue;
+                    }
+                    let Some((lo, hi, x0)) = ox_span(iw, sx, pl, kx, &ox_range) else {
+                        continue;
+                    };
+                    let dst = &mut row[lo - ox_range.start..hi - ox_range.start];
+                    axpy_strided(dst, &xrow[x0..], wv, sx);
                 }
             }
         }
-        return;
     }
-
-    let base = (c_range.start * ooy + oy_range.start) * oox + ox_range.start;
-    let mut view = OutView {
-        data: out.data_mut(),
-        base,
-        k_stride: ooy * oox,
-        y_stride: oox,
-        ox_len,
-    };
-    dw_block_direct(&s, xd, wd, &mut view, &c_range, &oy_range, &ox_range);
 }
 
 /// The reference scalar implementation of [`depthwise_conv2d_region`]:
-/// the oracle for the direct tier.
+/// the oracle for the span-based body.
 ///
 /// # Panics
 ///
@@ -833,19 +565,24 @@ mod tests {
         assert_eq!(partial, full);
     }
 
-    #[test]
-    fn every_tier_matches_the_reference() {
-        let x = t(&[3, 9, 7], (0..189).map(|v| v % 17 - 8).collect());
-        let w = t(&[5, 3, 3, 3], (0..135).map(|v| v % 7 - 3).collect());
-        for (strides, pad) in [((1, 1), 1), ((2, 2), 1), ((1, 2), 0), ((2, 1), 2)] {
-            let pad = Padding2d::same(pad);
-            let mut want = Tensor::zeros(DType::I32, &[5, 9, 9]);
-            // Reference over a sub-block (partial ranges exercise the
-            // strided-destination paths).
-            let (kr, oyr, oxr, cr) = (1..4usize, 1..6usize, 0..5usize, 0..3usize);
+    /// The fast body and the reference, each accumulating the same list
+    /// of `(k, oy, ox, c)` sub-blocks, must agree bit for bit.
+    fn assert_blocks_match_ref(
+        label: &str,
+        x: &Tensor,
+        w: &Tensor,
+        out_dims: &[usize],
+        strides: (usize, usize),
+        pad: Padding2d,
+        blocks: &[[Range<usize>; 4]],
+    ) {
+        let mut want = Tensor::zeros(DType::I32, out_dims);
+        let mut got = Tensor::zeros(DType::I32, out_dims);
+        let mut scratch = KernelScratch::new();
+        for [kr, oyr, oxr, cr] in blocks.iter().cloned() {
             conv2d_accumulate_ref(
-                &x,
-                &w,
+                x,
+                w,
                 &mut want,
                 strides,
                 pad,
@@ -854,44 +591,62 @@ mod tests {
                 oxr.clone(),
                 cr.clone(),
             );
-            for tier in [KernelTier::Direct, KernelTier::Im2colGemm] {
-                let mut got = Tensor::zeros(DType::I32, &[5, 9, 9]);
-                let mut scratch = KernelScratch::new();
-                conv2d_accumulate_with(
-                    &KernelPolicy::sequential(tier),
-                    &mut scratch,
-                    &x,
-                    &w,
-                    &mut got,
-                    strides,
-                    pad,
-                    kr.clone(),
-                    oyr.clone(),
-                    oxr.clone(),
-                    cr.clone(),
-                );
-                assert_eq!(got, want, "tier {tier:?} strides {strides:?}");
-                // And across threads.
-                let mut par = Tensor::zeros(DType::I32, &[5, 9, 9]);
-                conv2d_accumulate_with(
-                    &KernelPolicy {
-                        tier,
-                        threads: 3,
-                        kc: 96, // off-default block size: still bit-exact
-                    },
-                    &mut scratch,
-                    &x,
-                    &w,
-                    &mut par,
-                    strides,
-                    pad,
-                    kr.clone(),
-                    oyr.clone(),
-                    oxr.clone(),
-                    cr.clone(),
-                );
-                assert_eq!(par, want, "tier {tier:?} threads=3");
+            conv2d_accumulate_with(&mut scratch, x, w, &mut got, strides, pad, kr, oyr, oxr, cr);
+        }
+        assert_eq!(got, want, "{label} strides {strides:?}");
+    }
+
+    #[test]
+    fn every_tier_matches_the_reference() {
+        let ramp = |n: usize| (0..n as i32).map(|v| v % 17 - 8).collect::<Vec<_>>();
+
+        // A sub-block of a larger output: partial ranges exercise the
+        // strided-destination scatter.
+        let x = t(&[3, 9, 7], ramp(189));
+        let w = t(&[5, 3, 3, 3], (0..135).map(|v| v % 7 - 3).collect());
+        for (strides, pad) in [((1, 1), 1), ((2, 2), 1), ((1, 2), 0), ((2, 1), 2)] {
+            let block = [1..4usize, 1..6usize, 0..5usize, 0..3usize];
+            let pad = Padding2d::same(pad);
+            assert_blocks_match_ref("sub-block", &x, &w, &[5, 9, 9], strides, pad, &[block]);
+        }
+
+        // (name, c, h = w, k, f, stride, pad)
+        let cases = [
+            // MobileNet's last two pointwise convs: a 3x3 map, so the GEMM
+            // has only 9 columns.
+            ("mobilenet_pw_c128_k256_3x3", 128, 3, 256, 1, 1, 0),
+            ("mobilenet_pw_c256_k256_3x3", 256, 3, 256, 1, 1, 0),
+            // ResNet-8's three 3x3 bodies, the largest conv calls in the
+            // zoo (2 359 296 MACs each).
+            ("resnet8_c16_k16_32x32", 16, 32, 16, 3, 1, 1),
+            ("resnet8_c32_k32_16x16", 32, 16, 32, 3, 1, 1),
+            ("resnet8_c64_k64_8x8", 64, 8, 64, 3, 1, 1),
+            // Degenerate GEMM operands: fewer rows than the register
+            // tile, a single column, a reduction shorter than 8.
+            ("k1_cols1_kk1", 1, 1, 1, 1, 1, 0),
+            ("k2_cols1_kk4", 1, 2, 2, 2, 1, 0),
+            ("k3_kk7_strided", 7, 5, 3, 1, 2, 0),
+            ("k3_kk4_padded", 1, 4, 3, 2, 1, 1),
+        ];
+        for (name, c, hw, k, f, stride, pad) in cases {
+            let x = t(&[c, hw, hw], ramp(c * hw * hw));
+            let w = t(&[k, c, f, f], ramp(k * c * f * f));
+            let o = (hw + 2 * pad - f) / stride + 1;
+            let (strides, pad) = ((stride, stride), Padding2d::same(pad));
+            let whole = [0..k, 0..o, 0..o, 0..c];
+            assert_blocks_match_ref(name, &x, &w, &[k, o, o], strides, pad, &[whole]);
+            // Uneven k / oy / c splits (possibly empty): every piece
+            // scatter-adds into a strided destination.
+            let split = |n: usize| [0..n / 3, n / 3..n];
+            let mut blocks = Vec::new();
+            for kr in split(k) {
+                for oyr in split(o) {
+                    for cr in split(c) {
+                        blocks.push([kr.clone(), oyr.clone(), 0..o, cr]);
+                    }
+                }
             }
+            assert_blocks_match_ref(name, &x, &w, &[k, o, o], strides, pad, &blocks);
         }
     }
 

@@ -1,15 +1,13 @@
 //! Fully-connected (dense) kernels.
 //!
-//! Dense layers share the blocked GEMM microkernel with the convolution
-//! path: a matvec is a GEMM with one output column, and the `MR`-row
-//! register tile turns it into four dot products advancing in lockstep
-//! over one streamed input read. Small blocks use a plain slice-zip dot
-//! product instead; [`dense_accumulate_ref`] keeps the original indexed
-//! loops as the oracle. All paths accumulate in the same ascending-index
-//! order with wrapping `i32` adds, so they are bit-identical.
+//! A matvec is a GEMM with one output column, so [`dense_accumulate`] is
+//! [`gemm_accumulate`]'s `n == 1` arm — one slice-zip dot product per
+//! output neuron over the strided weight sub-matrix.
+//! [`dense_accumulate_ref`] keeps the original indexed loops as the
+//! oracle. Both accumulate in the same ascending-index order with
+//! wrapping `i32` adds, so they are bit-identical.
 
 use crate::gemm::gemm_accumulate;
-use crate::policy::{KernelPolicy, KernelTier};
 use htvm_ir::{DType, Tensor};
 use std::ops::Range;
 
@@ -51,38 +49,19 @@ pub fn dense_accumulate(
     k_range: Range<usize>,
     c_range: Range<usize>,
 ) {
-    let policy = KernelPolicy::for_dense(k_range.len(), c_range.len());
-    if policy.tier == KernelTier::Reference {
-        dense_accumulate_ref(x, w, out, k_range, c_range);
-        return;
-    }
     let c = validate_dense(x, w, out, &k_range, &c_range);
     if k_range.is_empty() || c_range.is_empty() {
         return;
     }
-    let xd = x.data();
-    let wd = w.data();
-    let xs = &xd[c_range.clone()];
-    if policy.tier == KernelTier::Im2colGemm {
-        // Matvec as a one-column GEMM over the strided weight sub-matrix;
-        // the output sub-range is contiguous, so accumulate in place.
-        let a = &wd[k_range.start * c + c_range.start..];
-        let od = &mut out.data_mut()[k_range];
-        gemm_accumulate(od.len(), 1, xs.len(), a, c, xs, od);
-    } else {
-        let od = out.data_mut();
-        for ko in k_range {
-            let row = &wd[ko * c + c_range.start..ko * c + c_range.end];
-            let acc = row.iter().zip(xs).fold(0i32, |acc, (&wv, &xv)| {
-                acc.wrapping_add(wv.wrapping_mul(xv))
-            });
-            od[ko] = od[ko].wrapping_add(acc);
-        }
-    }
+    // The output sub-range is contiguous, so accumulate in place.
+    let xs = &x.data()[c_range.clone()];
+    let a = &w.data()[k_range.start * c + c_range.start..];
+    let od = &mut out.data_mut()[k_range];
+    gemm_accumulate(od.len(), 1, xs.len(), a, c, xs, od);
 }
 
 /// The reference indexed-loop implementation of [`dense_accumulate`]:
-/// the oracle the fast paths are differentially tested against.
+/// the oracle the fast body is differentially tested against.
 ///
 /// # Panics
 ///
@@ -153,7 +132,6 @@ mod tests {
 
     #[test]
     fn gemm_path_matches_reference() {
-        // Large enough that `for_dense` picks the GEMM tier.
         let x = t(&[64], (0..64).map(|v| v % 17 - 8).collect());
         let w = t(&[12, 64], (0..768).map(|v| v % 13 - 6).collect());
         let mut want = Tensor::zeros(DType::I32, &[12]);

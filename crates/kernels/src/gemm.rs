@@ -19,12 +19,11 @@
 /// microkernel.
 pub const MR: usize = 4;
 
-/// Default reduction-dimension block: `B` rows held hot per pass
-/// (`KC · n · 4` bytes ≈ a few hundred KiB at typical `n`, sized for L2).
-/// [`gemm_accumulate_blocked`] accepts an explicit block size instead —
-/// the measurement-calibrated [`GemmTuning`](crate::GemmTuning) picks one
-/// per reduction-length class; any block size is bit-identical.
-pub const DEFAULT_KC: usize = 256;
+/// Reduction-dimension block: `B` rows held hot per pass (`KC · n · 4`
+/// bytes ≈ a few hundred KiB at typical `n`, sized for L2). Blocks
+/// advance in ascending reduction order and so does the inner loop, so
+/// the block size affects cache residency only, never an output bit.
+const KC: usize = 256;
 
 /// Accumulates `out[r·n + j] += Σ_p a[r·a_stride + p] · b[p·n + j]` for
 /// `r < m`, `j < n`, `p < kk`, with wrapping `i32` arithmetic.
@@ -45,35 +44,9 @@ pub fn gemm_accumulate(
     b: &[i32],
     out: &mut [i32],
 ) {
-    gemm_accumulate_blocked(m, n, kk, a, a_stride, b, out, DEFAULT_KC);
-}
-
-/// [`gemm_accumulate`] with an explicit reduction block size `kc`.
-///
-/// For every output element the products are combined in ascending
-/// reduction order regardless of `kc` (blocks advance in order, and
-/// within a block the inner loop does too), so every block size yields
-/// bit-identical results — `kc` is purely a cache-residency knob, which
-/// is what lets the calibration sweep pick it from measurements.
-///
-/// # Panics
-///
-/// As [`gemm_accumulate`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_accumulate_blocked(
-    m: usize,
-    n: usize,
-    kk: usize,
-    a: &[i32],
-    a_stride: usize,
-    b: &[i32],
-    out: &mut [i32],
-    kc: usize,
-) {
     if m == 0 || n == 0 || kk == 0 {
         return;
     }
-    let kc = kc.max(1);
     assert!(a_stride >= kk, "A row stride shorter than the row");
     assert!(
         a.len() >= (m - 1) * a_stride + kk,
@@ -98,8 +71,8 @@ pub fn gemm_accumulate_blocked(
         return;
     }
 
-    for p0 in (0..kk).step_by(kc) {
-        let pc = kc.min(kk - p0);
+    for p0 in (0..kk).step_by(KC) {
+        let pc = KC.min(kk - p0);
         // MR-row panels of the output; `chunks_mut` leaves a short tail
         // panel that the `1..MR`-row arms below handle.
         for (ri, panel) in out[..m * n].chunks_mut(MR * n).enumerate() {
@@ -225,23 +198,6 @@ mod tests {
         let mut got = vec![0i32; m * n];
         gemm_accumulate(m, n, kk, &a, kk, &b, &mut got);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn every_block_size_is_bit_identical() {
-        let (m, n, kk) = (7usize, 19usize, 300usize);
-        let a = ramp(m * kk, 13);
-        let b = ramp(kk * n, 29);
-        let want = gemm_naive(m, n, kk, &a, kk, &b);
-        for kc in [1, 3, 64, 128, 256, 299, 300, 512, usize::MAX] {
-            let mut got = vec![0i32; m * n];
-            gemm_accumulate_blocked(m, n, kk, &a, kk, &b, &mut got, kc);
-            assert_eq!(got, want, "kc={kc}");
-        }
-        // kc=0 is clamped to 1, not a panic or a hang.
-        let mut got = vec![0i32; m * n];
-        gemm_accumulate_blocked(m, n, kk, &a, kk, &b, &mut got, 0);
-        assert_eq!(got, want, "kc=0");
     }
 
     #[test]

@@ -2,17 +2,12 @@
 //!
 //! The classic CPU-library convolution formulation (CMSIS-NN and TVM's
 //! default conv schedules do exactly this): lower the input into an
-//! explicit patch matrix, then run a matrix multiply. The fast conv tier
-//! fills patches directly into a reusable scratch arena via
-//! [`fill_patches`]; the public [`im2col`]/[`conv2d_im2col`] entry points
-//! keep the standalone formulation alive as algorithmic diversity for the
-//! correctness story — they must agree bit-for-bit with the direct
-//! nested-loop [`conv2d`](crate::conv2d) on every input, which the
-//! differential property tests in `tests/properties.rs` enforce.
+//! explicit patch matrix, then run a matrix multiply.
+//! [`conv2d_accumulate_with`](crate::conv2d_accumulate_with) fills
+//! patches directly into a reusable scratch arena via [`fill_patches`]
+//! and hands them to [`gemm_accumulate`](crate::gemm_accumulate).
 
 use crate::conv::{ox_span, ConvShape};
-use crate::gemm::gemm_accumulate;
-use htvm_ir::{DType, Padding2d, Tensor};
 use std::ops::Range;
 
 /// Fills `buf` with the `[c_len·Fy·Fx, oy_len·ox_len]` patch matrix for
@@ -69,102 +64,44 @@ pub(crate) fn fill_patches(
     }
 }
 
-/// Lowers the input into the im2col patch matrix of shape
-/// `[C·Fy·Fx, OY·OX]`: column `j` holds the receptive field of output
-/// position `j`, with zero padding materialized explicitly.
-///
-/// # Panics
-///
-/// Panics if the input is not rank 3 or the window does not fit.
-#[must_use]
-pub fn im2col(
-    x: &Tensor,
-    kernel: (usize, usize),
-    strides: (usize, usize),
-    padding: Padding2d,
-) -> Tensor {
-    assert_eq!(x.shape().rank(), 3, "im2col input must be [C,H,W]");
-    let (c, h, w) = (
-        x.shape().dims()[0],
-        x.shape().dims()[1],
-        x.shape().dims()[2],
-    );
-    let (fy, fx) = kernel;
-    let (sy, sx) = strides;
-    let padded_h = h + padding.top + padding.bottom;
-    let padded_w = w + padding.left + padding.right;
-    assert!(
-        fy > 0 && fx > 0 && sy > 0 && sx > 0 && padded_h >= fy && padded_w >= fx,
-        "convolution window does not fit input"
-    );
-    let oy = (padded_h - fy) / sy + 1;
-    let ox = (padded_w - fx) / sx + 1;
-    let rows = c * fy * fx;
-    let cols = oy * ox;
-    let mut out = Tensor::zeros(DType::I32, &[rows, cols]);
-    let s = ConvShape {
-        c,
-        h,
-        iw: w,
-        fy,
-        fx,
-        sy,
-        sx,
-        pt: padding.top as isize,
-        pl: padding.left as isize,
-    };
-    fill_patches(&s, x.data(), &(0..oy), &(0..ox), &(0..c), out.data_mut());
-    out
-}
-
-/// Convolution via im2col + GEMM: reshapes the weights to
-/// `[K, C·Fy·Fx]`, multiplies by the patch matrix with the blocked
-/// [`gemm_accumulate`] microkernel, and reshapes the product to
-/// `[K, OY, OX]`. Bit-identical to [`conv2d`](crate::conv2d).
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent or the window does not fit.
-#[must_use]
-pub fn conv2d_im2col(
-    x: &Tensor,
-    w: &Tensor,
-    strides: (usize, usize),
-    padding: Padding2d,
-) -> Tensor {
-    assert_eq!(w.shape().rank(), 4, "weights must be [K,C,Fy,Fx]");
-    let (k, wc, fy, fx) = (
-        w.shape().dims()[0],
-        w.shape().dims()[1],
-        w.shape().dims()[2],
-        w.shape().dims()[3],
-    );
-    assert_eq!(
-        wc,
-        x.shape().dims()[0],
-        "weight input channels must match input"
-    );
-    let patches = im2col(x, (fy, fx), strides, padding);
-    let rows = patches.shape().dims()[0];
-    let cols = patches.shape().dims()[1];
-    // GEMM: [K, rows] x [rows, cols] -> [K, cols].
-    let mut out_flat = vec![0i32; k * cols];
-    gemm_accumulate(k, cols, rows, w.data(), rows, patches.data(), &mut out_flat);
-    // Recover output spatial dims from the patch-column count.
-    let (h, ww) = (x.shape().dims()[1], x.shape().dims()[2]);
-    let oy = (h + padding.top + padding.bottom - fy) / strides.0 + 1;
-    let ox = (ww + padding.left + padding.right - fx) / strides.1 + 1;
-    debug_assert_eq!(oy * ox, cols);
-    Tensor::new(DType::I32, &[k, oy, ox], out_flat).expect("gemm output is well formed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv2d;
+    use crate::{conv2d, conv2d_accumulate_ref};
+    use htvm_ir::{DType, Padding2d, Tensor};
 
     fn t(dims: &[usize], data: Vec<i32>) -> Tensor {
         Tensor::new(DType::I32, dims, data).unwrap()
+    }
+
+    /// The whole-input `[C·Fy·Fx, OY·OX]` patch matrix.
+    fn im2col(
+        x: &Tensor,
+        (fy, fx): (usize, usize),
+        (sy, sx): (usize, usize),
+        padding: Padding2d,
+    ) -> Tensor {
+        let [c, h, iw] = [
+            x.shape().dims()[0],
+            x.shape().dims()[1],
+            x.shape().dims()[2],
+        ];
+        let oy = (h + padding.top + padding.bottom - fy) / sy + 1;
+        let ox = (iw + padding.left + padding.right - fx) / sx + 1;
+        let mut out = Tensor::zeros(DType::I32, &[c * fy * fx, oy * ox]);
+        let s = ConvShape {
+            c,
+            h,
+            iw,
+            fy,
+            fx,
+            sy,
+            sx,
+            pt: padding.top as isize,
+            pl: padding.left as isize,
+        };
+        fill_patches(&s, x.data(), &(0..oy), &(0..ox), &(0..c), out.data_mut());
+        out
     }
 
     #[test]
@@ -225,9 +162,12 @@ mod tests {
         let x = t(&[3, 6, 5], (0..90).map(|v| v % 11 - 5).collect());
         let w = t(&[4, 3, 3, 3], (0..108).map(|v| v % 7 - 3).collect());
         for (strides, pad) in [((1, 1), 1), ((2, 2), 1), ((1, 1), 0), ((2, 1), 2)] {
-            let direct = conv2d(&x, &w, strides, Padding2d::same(pad));
-            let gemm = conv2d_im2col(&x, &w, strides, Padding2d::same(pad));
-            assert_eq!(direct, gemm, "strides {strides:?} pad {pad}");
+            let pad = Padding2d::same(pad);
+            let gemm = conv2d(&x, &w, strides, pad);
+            let [k, oy, ox] = [0, 1, 2].map(|i| gemm.shape().dims()[i]);
+            let mut direct = Tensor::zeros(DType::I32, &[k, oy, ox]);
+            conv2d_accumulate_ref(&x, &w, &mut direct, strides, pad, 0..k, 0..oy, 0..ox, 0..3);
+            assert_eq!(direct, gemm, "strides {strides:?} pad {pad:?}");
         }
     }
 }

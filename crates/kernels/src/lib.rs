@@ -11,15 +11,17 @@
 //!
 //! All activations use the `[C, H, W]` layout; see [`htvm_ir::Shape`].
 //!
-//! Conv and dense calls pick an implementation tier per shape
-//! ([`KernelPolicy`]: reference loops, direct spans, im2col + blocked
-//! GEMM). The attention kernels have one fast form each and no tier to
-//! pick: [`matmul_accumulate_region`] packs both operands to `i16` rows
-//! and runs a `pmaddwd`-shaped dot product (its `_ref` twin is the oracle
-//! and the home of anything that does not fit `i16`); [`softmax`] reads
-//! `exp` from a table that `f64::exp` filled and selects, rather than
-//! sorts, its largest remainders. Every path is bit-identical to the
-//! plain loops — only wall time differs.
+//! Each op has one fast body and, where that body is not the plain loop
+//! nest, one `_ref` oracle beside it; the caller picks by function name
+//! and nothing else selects. [`conv2d_accumulate`] is im2col + the
+//! blocked [`gemm_accumulate`]; [`dense_accumulate`] is that GEMM's
+//! one-column arm; [`depthwise_conv2d_region`] adds in-bounds tap spans;
+//! [`matmul_accumulate_region`] packs both operands to `i16` rows and
+//! runs a `pmaddwd`-shaped dot product (its `_ref` twin is also the home
+//! of anything that does not fit `i16`); [`softmax`] reads `exp` from a
+//! table that `f64::exp` filled and selects, rather than sorts, its
+//! largest remainders. Every fast body is bit-identical to the plain
+//! loops — only wall time differs.
 //!
 //! # Examples
 //!
@@ -51,7 +53,6 @@ mod gemm;
 mod im2col;
 mod layer_norm;
 mod matmul;
-mod policy;
 mod pool;
 mod scratch;
 mod softmax;
@@ -64,13 +65,9 @@ pub use dense::{dense, dense_accumulate, dense_accumulate_ref};
 pub use elementwise::{accel_epilogue, add, bias_add, cast, clip, relu, right_shift};
 pub use error::EvalError;
 pub use exec::{evaluate, evaluate_refs};
-pub use gemm::{gemm_accumulate, gemm_accumulate_blocked, DEFAULT_KC, MR};
-pub use im2col::{conv2d_im2col, im2col};
+pub use gemm::{gemm_accumulate, MR};
 pub use layer_norm::layer_norm;
 pub use matmul::{matmul, matmul_accumulate_region, matmul_accumulate_region_ref};
-pub use policy::{
-    num_threads, parse_num_threads, parse_tier, GemmTuning, KernelPolicy, KernelTier,
-};
 pub use pool::pool2d;
 pub use scratch::KernelScratch;
 pub use softmax::softmax;

@@ -21,7 +21,6 @@
 //! oracle. `i16 × i16` is exact in `i32`, so both paths `wrapping_add` the
 //! same multiset of products and are bit-identical.
 
-use crate::policy::{KernelPolicy, KernelTier};
 use htvm_ir::{DType, Tensor};
 use std::ops::Range;
 
@@ -96,11 +95,6 @@ pub fn matmul_accumulate_region(
     n_range: Range<usize>,
     d_range: Range<usize>,
 ) {
-    let policy = KernelPolicy::for_matmul(m_range.len(), n_range.len(), d_range.len());
-    if policy.tier == KernelTier::Reference {
-        matmul_accumulate_region_ref(a, b, transpose_b, out, h_range, m_range, n_range, d_range);
-        return;
-    }
     let dims = validate(
         a,
         b,

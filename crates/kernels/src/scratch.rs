@@ -1,7 +1,7 @@
 //! Reusable kernel scratch memory.
 //!
 //! The im2col patch matrix and the dense partial accumulator the fast
-//! conv tiers need are working memory, not results — allocating them per
+//! conv body needs are working memory, not results — allocating them per
 //! call puts a `malloc`/`free` pair inside every DORY tile. Callers that
 //! execute many tiles (the SoC simulator's tile loop) create one
 //! [`KernelScratch`], size it once from the program's largest tile, and
@@ -42,17 +42,9 @@ impl KernelScratch {
         }
     }
 
-    /// An uninitialized-content im2col view of `len` elements (callers
-    /// overwrite every element they hand to the GEMM).
-    pub(crate) fn im2col_raw(&mut self, len: usize) -> &mut [i32] {
-        if self.im2col.len() < len {
-            self.im2col.resize(len, 0);
-        }
-        &mut self.im2col[..len]
-    }
-
-    /// Both buffers at once (the strided-destination GEMM path needs the
-    /// patch matrix and a zeroed accumulator simultaneously).
+    /// The patch matrix (uninitialized content: callers overwrite every
+    /// element they hand to the GEMM) and a zeroed accumulator, at once —
+    /// the strided-destination scatter needs both simultaneously.
     pub(crate) fn pair(&mut self, im2col_len: usize, acc_len: usize) -> (&mut [i32], &mut [i32]) {
         if self.im2col.len() < im2col_len {
             self.im2col.resize(im2col_len, 0);

@@ -180,13 +180,18 @@ proptest! {
         stride in 1usize..=2,
         pad in 0usize..=2,
     ) {
-        let direct = k::conv2d(&x, &w, (stride, stride), Padding2d::same(pad));
-        let gemm = k::conv2d_im2col(&x, &w, (stride, stride), Padding2d::same(pad));
+        let gemm = k::conv2d(&x, &w, (stride, stride), Padding2d::same(pad));
+        let (oy, ox) = (gemm.shape().dims()[1], gemm.shape().dims()[2]);
+        let mut direct = Tensor::zeros(DType::I32, &[4, oy, ox]);
+        k::conv2d_accumulate_ref(
+            &x, &w, &mut direct, (stride, stride), Padding2d::same(pad),
+            0..4, 0..oy, 0..ox, 0..3,
+        );
         prop_assert_eq!(direct, gemm);
     }
 }
 
-/// Deterministic value stream for the tier-differential tests (the shapes
+/// Deterministic value stream for the fast-vs-`_ref` tests (the shapes
 /// are the random search space; the data just needs to be varied).
 fn fill(seed: u64, n: usize) -> Vec<i32> {
     let mut s = seed | 1;
@@ -209,10 +214,10 @@ fn halves(n: usize, at: usize) -> [std::ops::Range<usize>; 2] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Bit-exactness of the fast conv tiers: direct, im2col+GEMM, the
-    /// auto dispatcher, multi-threaded execution, and tiled partial sums
-    /// must all reproduce the reference scalar loops exactly, across
-    /// random shapes, strides, asymmetric paddings and dtypes.
+    /// Bit-exactness of the fast conv body: whole calls through an
+    /// explicit scratch arena and tiled partial sums must both reproduce
+    /// the reference scalar loops exactly, across random shapes, strides,
+    /// asymmetric paddings and dtypes.
     #[test]
     fn conv_tiers_threads_and_tilings_are_bit_exact(
         (c, h, iw) in (1usize..=4, 3usize..=8, 3usize..=8),
@@ -236,22 +241,16 @@ proptest! {
         );
 
         let mut scratch = k::KernelScratch::new();
-        for tier in [k::KernelTier::Direct, k::KernelTier::Im2colGemm] {
-            for threads in [1usize, 3] {
-                let mut got = Tensor::zeros(DType::I32, &[kc, oy, ox]);
-                k::conv2d_accumulate_with(
-                    // Off-default GEMM block size: bit-exact regardless.
-                    &k::KernelPolicy { tier, threads, kc: 7 },
-                    &mut scratch,
-                    &x, &w, &mut got, (sy, sx), padding, 0..kc, 0..oy, 0..ox, 0..c,
-                );
-                prop_assert_eq!(&got, &want, "tier {:?} threads {}", tier, threads);
-            }
-        }
+        let mut got = Tensor::zeros(DType::I32, &[kc, oy, ox]);
+        k::conv2d_accumulate_with(
+            &mut scratch,
+            &x, &w, &mut got, (sy, sx), padding, 0..kc, 0..oy, 0..ox, 0..c,
+        );
+        prop_assert_eq!(&got, &want);
 
-        // The auto dispatcher over a 2x2x2x2 tiling of the output and
-        // channel ranges: partial sums over disjoint sub-blocks must
-        // reassemble the full result exactly.
+        // A 2x2x2x2 tiling of the output and channel ranges: partial
+        // sums over disjoint sub-blocks must reassemble the full result
+        // exactly.
         let mut tiled = Tensor::zeros(DType::I32, &[kc, oy, ox]);
         for kr in halves(kc, splits.0) {
             for oyr in halves(oy, splits.1) {
@@ -268,8 +267,8 @@ proptest! {
         prop_assert_eq!(&tiled, &want);
     }
 
-    /// Bit-exactness of the fast depthwise tier (sequential and threaded,
-    /// full and tiled) against the reference region kernel.
+    /// Bit-exactness of the fast depthwise body (full and tiled) against
+    /// the reference region kernel.
     #[test]
     fn depthwise_tiers_and_tilings_are_bit_exact(
         (c, h, iw) in (1usize..=5, 3usize..=8, 3usize..=8),
@@ -310,8 +309,8 @@ proptest! {
         prop_assert_eq!(&tiled, &want);
     }
 
-    /// Bit-exactness of the fast dense paths (slice-zip and one-column
-    /// GEMM) against the reference indexed loops, full and tiled.
+    /// Bit-exactness of the fast dense body (the one-column GEMM) against
+    /// the reference indexed loops, full and tiled.
     #[test]
     fn dense_tiers_and_tilings_are_bit_exact(
         (kc, c) in (1usize..=24, 1usize..=48),

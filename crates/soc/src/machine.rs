@@ -224,7 +224,6 @@ pub struct Machine {
     /// [`dma_program::platform_digest`] of `cfg`, memoized at construction
     /// so per-run DMA-table matching never re-serializes the config.
     cfg_digest: u64,
-    tuning: kernels::GemmTuning,
 }
 
 impl Machine {
@@ -234,18 +233,7 @@ impl Machine {
         Machine {
             cfg_digest: dma_program::platform_digest(&cfg),
             cfg,
-            tuning: kernels::GemmTuning::default(),
         }
-    }
-
-    /// This machine with a measurement-calibrated GEMM block-size table
-    /// applied to the host kernels backing the tile executor. Purely a
-    /// wall-time knob: outputs and simulated cycle counts are unaffected
-    /// (the kernels are bit-exact at any block size).
-    #[must_use]
-    pub fn with_tuning(mut self, tuning: kernels::GemmTuning) -> Self {
-        self.tuning = tuning;
-        self
     }
 
     /// The platform configuration.
@@ -646,7 +634,7 @@ impl Machine {
 
         // Functional execution of exactly each tile's work.
         for inst in &instances {
-            self.exec_tile(desc, input, input2, &mut acc, inst, scratch);
+            Self::exec_tile(desc, input, input2, &mut acc, inst, scratch);
         }
 
         // Fused output path: bias, requantization, activation. On DIANA
@@ -730,10 +718,9 @@ impl Machine {
         Ok((out.remove(0), profile))
     }
 
-    /// Runs the tile's arithmetic through the fast kernel tiers (bit-exact
+    /// Runs the tile's arithmetic through the fast kernels (bit-exact
     /// with the reference kernels by construction).
     fn exec_tile(
-        &self,
         desc: &AccelLayerDesc,
         input: &Tensor,
         input2: Option<&Tensor>,
@@ -745,19 +732,7 @@ impl Machine {
         match geom.kind {
             LayerKind::Conv2d => {
                 let w = desc.weights.as_ref().expect("conv layers carry weights");
-                let mut policy = kernels::KernelPolicy::for_conv(
-                    inst.k.len(),
-                    inst.c.len(),
-                    geom.fy,
-                    geom.fx,
-                    inst.oy.len() * inst.ox.len(),
-                );
-                if !self.tuning.is_empty() {
-                    let kk = inst.c.len() * geom.fy * geom.fx;
-                    policy = policy.with_kc(self.tuning.kc_for(kk));
-                }
                 kernels::conv2d_accumulate_with(
-                    &policy,
                     scratch,
                     input,
                     w,
@@ -1110,25 +1085,6 @@ mod tests {
         let a = ideal.run(&program, std::slice::from_ref(&small)).unwrap();
         let b = dac.run(&program, std::slice::from_ref(&small)).unwrap();
         assert_eq!(a.outputs, b.outputs);
-    }
-
-    #[test]
-    fn gemm_tuning_is_invisible_in_bits_and_cycles() {
-        // A calibrated block-size table is purely a wall-time knob: the
-        // full report (outputs, per-layer cycles, counters) must be
-        // identical with and without it, at any block size.
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let plain = Machine::new(DianaConfig::default())
-            .run(&program, std::slice::from_ref(&input))
-            .unwrap();
-        for kc in [1usize, 5, 64, 1024] {
-            let tuned = Machine::new(DianaConfig::default())
-                .with_tuning(kernels::GemmTuning::new(vec![(usize::MAX, kc)]))
-                .run(&program, std::slice::from_ref(&input))
-                .unwrap();
-            assert_eq!(plain, tuned, "kc={kc}");
-        }
     }
 
     #[test]

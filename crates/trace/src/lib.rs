@@ -304,9 +304,10 @@ struct TracerInner {
 /// A cheap, cloneable span collector for wall-clock instrumentation.
 ///
 /// Clones share storage, so one handle can be given to a `Compiler` while
-/// the caller keeps another to [`Tracer::take`] the trace afterwards. The
-/// solve phase records spans from several rayon threads at once; `take`
-/// sorts them into a deterministic order (by start, track, then name).
+/// the caller keeps another to [`Tracer::take`] the trace afterwards.
+/// Several threads may record through clones of one handle at once (the
+/// serve worker pool does); `take` sorts the spans into a deterministic
+/// order (by start, track, then name).
 ///
 /// [`Tracer::disabled`] (also [`Tracer::default`]) is the zero-cost
 /// no-op: scoped spans read no clock and record nothing.

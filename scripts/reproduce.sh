@@ -41,18 +41,13 @@ cargo run --release -p htvm-bench --bin report -- \
     --from-file "$out/ds_cnn.htf" --deploy both --out "$out/IMPORT_BENCH.json" \
     | tee "$out/import_bench.txt"
 
-echo "== calibration: sweep -> derive -> check (matches the CI calibration job) =="
+echo "== kernel microbenchmark + calibration check (matches the CI calibration job) =="
 # Fresh kernel microbenchmark (wall times are host-specific; committed
-# artifacts are NOT overwritten), then a derivation from it, plus the
-# staleness check of the committed CALIBRATION.json against the committed
-# KERNELS_BENCH.json.
+# artifacts are NOT overwritten), then the staleness check of the
+# committed CALIBRATION.json against the platform description.
 cargo run --release -p htvm-bench --bin kernels -- --out "$out/KERNELS_BENCH.json" \
     | tee "$out/kernels_bench.txt"
-cargo run --release -p htvm-bench --bin calibrate -- \
-    --bench "$out/KERNELS_BENCH.json" --out "$out/CALIBRATION.json" \
-    | tee "$out/calibrate.txt"
-cargo run --release -p htvm-bench --bin calibrate -- \
-    --bench KERNELS_BENCH.json --out CALIBRATION.json --check \
+cargo run --release -p htvm-bench --bin calibrate -- --out CALIBRATION.json --check \
     | tee "$out/calibrate_check.txt"
 
 echo "== benchmark report + regression gate (matches the CI bench-report job) =="
@@ -83,9 +78,6 @@ for bin in table1 table2 fig2 fig4 fig5 ablation; do
     cargo run --release -p htvm-bench --bin "$bin" | tee "$out/$bin.txt"
     cargo run --release -p htvm-bench --bin "$bin" -- --json > "$out/$bin.json" 2>/dev/null || true
 done
-
-echo "== criterion micro-benches =="
-cargo bench -p htvm-bench 2>&1 | tee "$out/bench_output.txt"
 
 echo "== examples =="
 for ex in quickstart keyword_spotting image_classification anomaly_detection tiling_explorer custom_platform; do

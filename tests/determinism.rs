@@ -88,77 +88,6 @@ fn different_inputs_same_cycles() {
 }
 
 #[test]
-fn kernel_thread_count_is_invisible_in_outputs_and_cycles() {
-    // The fast-kernel backend fans large layers across worker threads
-    // (`HTVM_NUM_THREADS`); every tier accumulates with exact i32
-    // arithmetic, so the thread count must be invisible in every output
-    // bit and every simulated cycle — the BENCH.json gate relies on it.
-    // MobileNet's convolutions cross the parallelism threshold; the
-    // transformer run pins the attention tiers (matmul, integer softmax,
-    // layer norm) and its 16384-wide classifier dense under the same
-    // sweep.
-    for model in [
-        mobilenet_v1(QuantScheme::Int8),
-        htvm_models::tiny_transformer(QuantScheme::Int8),
-    ] {
-        let compiler = Compiler::new().with_deploy(DeployConfig::Both);
-        let artifact = compiler.compile(&model.graph).expect("compiles");
-        let machine = Machine::new(*compiler.platform());
-        let input = model.input(9);
-
-        let mut sim_reports = Vec::new();
-        let mut eval_outputs = Vec::new();
-        for setting in [Some("1"), Some("4"), None] {
-            match setting {
-                Some(v) => std::env::set_var("HTVM_NUM_THREADS", v),
-                None => std::env::remove_var("HTVM_NUM_THREADS"),
-            }
-            // Tiled, accelerated simulation (feeds BENCH.json cycles)...
-            sim_reports.push(
-                machine
-                    .run(&artifact.program, std::slice::from_ref(&input))
-                    .expect("runs"),
-            );
-            // ...and the full-layer reference interpreter, whose big
-            // layers actually cross the parallelism threshold.
-            eval_outputs.push(
-                htvm_kernels::evaluate(&model.graph, std::slice::from_ref(&input))
-                    .expect("evaluates"),
-            );
-        }
-        std::env::remove_var("HTVM_NUM_THREADS");
-
-        let (first, rest) = sim_reports.split_first().expect("three runs");
-        for r in rest {
-            assert_eq!(
-                first.outputs, r.outputs,
-                "{}: sim outputs differ",
-                model.name
-            );
-            assert_eq!(
-                first.total_cycles(),
-                r.total_cycles(),
-                "{}: cycles differ",
-                model.name
-            );
-            assert_eq!(
-                first.layers, r.layers,
-                "{}: layer profiles differ",
-                model.name
-            );
-        }
-        let (first, rest) = eval_outputs.split_first().expect("three runs");
-        for o in rest {
-            assert_eq!(
-                first, o,
-                "{}: reference interpreter outputs differ",
-                model.name
-            );
-        }
-    }
-}
-
-#[test]
 fn warm_tile_cache_changes_stats_but_not_the_artifact() {
     let model = mobilenet_v1(QuantScheme::Int8);
     let compiler = Compiler::new().with_deploy(DeployConfig::Both);
