@@ -115,7 +115,6 @@ mod tests {
                 inputs: vec![],
                 outputs: vec![],
                 activation_peak: 0,
-                fallbacks: Default::default(),
                 dma: Default::default(),
             },
             binary: BinarySize::default(),
@@ -151,7 +150,6 @@ mod tests {
                 inputs: vec![],
                 outputs: vec![],
                 activation_peak: 0,
-                fallbacks: Default::default(),
                 dma: Default::default(),
             },
             binary: BinarySize::default(),

@@ -20,7 +20,7 @@ use htvm_ir::{Graph, GraphBuilder, NodeId, NodeKind};
 use htvm_pattern::{PartitionedGraph, Region};
 use htvm_soc::{
     linearize_step, AccelLayerDesc, BufferDecl, BufferId, BufferKind, DianaConfig, DmaTable,
-    EngineKind, FallbackTable, Program, Step,
+    EngineKind, Program, Step,
 };
 use htvm_trace::{tracks, Span, Tracer};
 use std::collections::HashMap;
@@ -52,12 +52,6 @@ pub struct LowerOptions {
     /// see geometries), keyed by match root. Regions found here skip
     /// re-extraction in the solve phase.
     pub extracted: HashMap<NodeId, ExtractedLayer>,
-    /// Compile a CPU fallback kernel for every accelerator step, so the
-    /// simulator can degrade gracefully when a fault plan takes an engine
-    /// offline mid-run (see `docs/FAULTS.md`). On by default; turn off to
-    /// measure the binary-size cost of carrying the fallbacks or to force
-    /// `RunError::EngineUnavailable` in fault experiments.
-    pub emit_fallbacks: bool,
     /// Span collector for compile-phase observability (see
     /// `docs/OBSERVABILITY.md`). Disabled by default; when enabled,
     /// lowering records a phase span for the solve, emit and L2-planning
@@ -77,7 +71,6 @@ impl Default for LowerOptions {
             size_model: BinarySizeModel::default(),
             tile_cache: None,
             extracted: HashMap::new(),
-            emit_fallbacks: true,
             tracer: Tracer::disabled(),
         }
     }
@@ -287,7 +280,6 @@ pub fn lower(
     let emit_t0 = tracer.elapsed_us();
     let emit_start = Instant::now();
     let mut steps: Vec<Step> = Vec::new();
-    let mut fallbacks = FallbackTable::new();
     let mut dma_table = DmaTable::new(cfg);
     let mut assignments: Vec<LayerAssignment> = Vec::new();
     let mut producer_step: HashMap<BufferId, usize> = HashMap::new();
@@ -346,11 +338,6 @@ pub fn lower(
                     relu: e.relu,
                     pool: e.pool,
                 };
-                if opts.emit_fallbacks {
-                    if let Some(kernel) = crate::fallback::cpu_fallback(&desc) {
-                        fallbacks.insert(step_idx, kernel);
-                    }
-                }
                 // Pre-linearize the layer's tile loop into its DMA
                 // descriptor program: the machine replays these instead
                 // of re-deriving per-tile transfer geometry at run time.
@@ -402,7 +389,6 @@ pub fn lower(
             )
             .with_arg("steps", steps.len())
             .with_arg("buffers", buffers.len())
-            .with_arg("fallbacks", fallbacks.len())
             .with_arg("dma_programs", dma_table.len()),
         );
     }
@@ -488,7 +474,6 @@ pub fn lower(
             inputs,
             outputs,
             activation_peak,
-            fallbacks,
             dma: dma_table,
         },
         binary,
@@ -596,17 +581,8 @@ mod tests {
         assert_eq!(artifact.program.inputs.len(), 1);
         assert_eq!(artifact.program.outputs.len(), 1);
         assert!(artifact.binary.total() > 0);
-        // Every accelerator step carries a pre-compiled CPU fallback.
-        assert_eq!(artifact.program.fallbacks.len(), 2);
-        for (step_idx, kernel) in artifact.program.fallbacks.iter() {
-            assert!(matches!(
-                artifact.program.steps[step_idx],
-                Step::Accel { .. }
-            ));
-            assert!(kernel.name.ends_with("_cpu_fallback"));
-        }
-        // ... and a pre-linearized DMA descriptor program, pinned to the
-        // platform it was compiled for.
+        // Every accelerator step carries a pre-linearized DMA descriptor
+        // program, pinned to the platform it was compiled for.
         assert_eq!(artifact.program.dma.len(), 2);
         assert!(artifact.program.dma.matches(&DianaConfig::default()));
         for (step_idx, step_dma) in artifact.program.dma.iter() {
@@ -617,18 +593,6 @@ mod tests {
             assert!(step_dma.n_tiles >= 1);
             assert!(!step_dma.descriptors.is_empty());
         }
-    }
-
-    #[test]
-    fn fallback_emission_can_be_disabled() {
-        let g = sample_graph();
-        let part = partition(&g, &[conv_pattern()], |_, _| Some(EngineKind::Digital));
-        let opts = LowerOptions {
-            emit_fallbacks: false,
-            ..LowerOptions::default()
-        };
-        let artifact = lower(&g, &part, &DianaConfig::default(), &opts).unwrap();
-        assert!(artifact.program.fallbacks.is_empty());
     }
 
     #[test]

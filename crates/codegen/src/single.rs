@@ -1,11 +1,8 @@
 //! One-layer programs for the characterization benchmarks.
 
-use crate::fallback::cpu_fallback;
 use htvm_dory::{LayerGeometry, LayerKind, TileConfig};
 use htvm_ir::{DType, Shape, Tensor};
-use htvm_soc::{
-    AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FallbackTable, Program, Step,
-};
+use htvm_soc::{AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, Program, Step};
 
 /// Builds a program that runs exactly one accelerator layer with an
 /// explicit tile configuration — the harness behind the paper's Fig. 4
@@ -98,10 +95,6 @@ pub fn single_layer_program(geom: &LayerGeometry, tile: TileConfig, engine: Engi
         relu: true,
         pool: None,
     };
-    let mut fallbacks = FallbackTable::new();
-    if let Some(kernel) = cpu_fallback(&desc) {
-        fallbacks.insert(0, kernel);
-    }
     Program {
         steps: vec![Step::Accel {
             engine,
@@ -114,7 +107,6 @@ pub fn single_layer_program(geom: &LayerGeometry, tile: TileConfig, engine: Engi
         inputs,
         outputs: vec![out_id],
         activation_peak,
-        fallbacks,
         // Characterization programs carry no platform-pinned descriptor
         // table: the harness sweeps configs, so the machine linearizes
         // each step for the config it runs.

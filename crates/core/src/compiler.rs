@@ -188,15 +188,6 @@ impl Compiler {
         self
     }
 
-    /// Controls whether every accelerator step gets a pre-compiled CPU
-    /// fallback kernel for graceful degradation under engine faults (see
-    /// `docs/FAULTS.md`). On by default.
-    #[must_use]
-    pub fn with_fallbacks(mut self, emit: bool) -> Self {
-        self.lower_opts.emit_fallbacks = emit;
-        self
-    }
-
     /// The platform this compiler targets.
     #[must_use]
     pub fn platform(&self) -> &DianaConfig {
@@ -254,6 +245,8 @@ impl Compiler {
         } else {
             diana_patterns()
         };
+        // The `partition` span times dispatch too: the callback below
+        // extracts (under a hook) and checks engine feasibility per match.
         let partition_span = self
             .tracer
             .is_enabled()

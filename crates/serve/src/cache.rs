@@ -211,7 +211,6 @@ mod tests {
                 inputs: vec![],
                 outputs: vec![],
                 activation_peak: 0,
-                fallbacks: Default::default(),
                 dma: Default::default(),
             },
             binary: Default::default(),

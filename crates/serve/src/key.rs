@@ -43,7 +43,6 @@ struct LowerFingerprint {
     naive_l2: bool,
     l1_act_override: Option<usize>,
     size_model: htvm::binsize::BinarySizeModel,
-    emit_fallbacks: bool,
 }
 
 /// The part of a key no request changes: routing id, SoC model and
@@ -61,7 +60,6 @@ impl KeyContext {
             naive_l2: opts.naive_l2,
             l1_act_override: opts.l1_act_override,
             size_model: opts.size_model,
-            emit_fallbacks: opts.emit_fallbacks,
         };
         let mut suffix = Vec::new();
         suffix.extend_from_slice(b"\0platform_id:");
@@ -262,8 +260,8 @@ mod tests {
             ArtifactKey::new("diana", &conv_graph(8), DeployConfig::Both, &small, &opts);
         assert_ne!(base, other_platform, "platform model must feed the key");
 
-        let no_fallbacks = LowerOptions {
-            emit_fallbacks: false,
+        let small_l1 = LowerOptions {
+            l1_act_override: Some(64 * 1024),
             ..LowerOptions::default()
         };
         let other_opts = ArtifactKey::new(
@@ -271,7 +269,7 @@ mod tests {
             &conv_graph(8),
             DeployConfig::Both,
             &platform,
-            &no_fallbacks,
+            &small_l1,
         );
         assert_ne!(base, other_opts, "lowering options must feed the key");
     }

@@ -51,7 +51,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   envelope itself did not change, but a format-1 entry sits under key
 ///   bytes no format-2 request ever produces, so re-admitting it would
 ///   only spend cache budget on an unreachable artifact.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+/// - `3`: an accelerator step is stored once. The artifact lost its
+///   `fallbacks` table (the machine derives a step's host form from its
+///   descriptor) and the key's lowering fingerprint lost the option that
+///   selected it, so no format-3 request produces a format-2 key.
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version

@@ -1200,7 +1200,7 @@ impl std::fmt::Debug for CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htvm::{Artifact, DispatchHook};
+    use htvm::{Artifact, DispatchHook, LowerOptions};
     use htvm_ir::{DType, GraphBuilder, Tensor};
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
@@ -1280,7 +1280,10 @@ mod tests {
         // what `ArtifactKey::new` says from the same compiler, for every
         // deploy target, on a manifest platform and over a custom
         // compiler alike.
-        let lean = Compiler::new().with_fallbacks(false);
+        let lean = Compiler::new().with_lower_options(LowerOptions {
+            l1_act_override: Some(64 * 1024),
+            ..LowerOptions::default()
+        });
         let custom = CompileService::with_compiler(ServeConfig::default(), lean.clone());
         let fleet = CompileService::new(ServeConfig::default());
         for deploy in [

@@ -8,19 +8,26 @@
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
 //!
-//! One fixture is not damaged at all: `996b1781….json` is a format-1
-//! entry exactly as the last format-1 build wrote it (a one-`relu`
-//! graph; digest, filename and compiler stamp all match, and that build
-//! re-admits it). Format 2 changed how keys are encoded, so no request
-//! can ask for that key any more and the entry must be skipped on its
-//! format alone. The digest-mismatch, bad-artifact and stale-stamp
-//! fixtures were moved to format 2 with the constant, so each still
-//! fails the one check it was written for.
+//! Two fixtures are not damaged at all; each is an entry exactly as the
+//! last build of its format wrote it (digest, filename and compiler
+//! stamp all match, and that build re-admits it), and each must be
+//! skipped on its format alone:
+//!
+//! - `996b1781….json`, format 1, a one-`relu` graph. Format 2 changed
+//!   how keys are encoded, so no request can ask for that key any more.
+//! - `5589697d….json`, format 2, a one-conv graph under `Both`, so it
+//!   carries a `fallbacks` table. Format 3 dropped the table from the
+//!   artifact and the option that selected it from the key.
+//!
+//! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
+//! the current format with the constant, so each still fails the one
+//! check it was written for.
 
 use htvm::DeployConfig;
 use htvm_ir::{DType, GraphBuilder, Tensor};
 use htvm_serve::{
-    ArtifactCache, CompileService, JobRequest, PersistStore, ServeConfig, CACHE_FORMAT_VERSION,
+    compiler_stamp, ArtifactCache, CompileService, JobRequest, PersistStore, ServeConfig,
+    CACHE_FORMAT_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -29,10 +36,11 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 6;
+const FIXTURE_ENTRIES: u64 = 7;
 
-/// The well-formed format-1 entry.
-const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b.json";
+/// The well-formed format-1 and format-2 entries, by key id.
+const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
+const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -41,34 +49,48 @@ fn layout_constants_are_pinned() {
     // deliberate migration, not a silent drift. Format 1 -> 2 was one:
     // constant payloads are keyed by MurmurHash3 instead of FNV-1a, so
     // every format-1 key is unreachable and its entry is skipped.
-    assert_eq!(CACHE_FORMAT_VERSION, 2);
+    // Format 2 -> 3 was another: the artifact lost its `fallbacks` table
+    // and the key the flag that selected it.
+    assert_eq!(CACHE_FORMAT_VERSION, 3);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
+}
+
+/// Loads the committed `key_id` entry alone in a scratch directory (so
+/// the count is about this entry) and returns its text after checking
+/// that it was skipped, and that neither the compiler stamp (this
+/// build's) nor the filename (the entry's key id) is what kept it out.
+fn skipped_on_its_format_alone(format: u32, key_id: &str) -> String {
+    let file = format!("{key_id}.json");
+    let text = std::fs::read_to_string(fixture_root().join("v1/diana").join(&file))
+        .expect("fixture reads");
+    let header = format!(
+        r#"{{"format":{format},"compiler":"{}","key_id":"{key_id}","#,
+        compiler_stamp()
+    );
+    assert!(text.starts_with(&header));
+
+    let scratch =
+        std::env::temp_dir().join(format!("htvm-compat-f{format}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let store = PersistStore::open(&scratch, "diana").expect("scratch dir opens");
+    std::fs::write(scratch.join("v1/diana").join(&file), &text).expect("fixture copies");
+    let stats = store.load_into(&ArtifactCache::new(64 << 20));
+    assert_eq!((stats.load_ok, stats.load_skipped), (0, 1));
+    let _ = std::fs::remove_dir_all(&scratch);
+    text
 }
 
 #[test]
 fn a_well_formed_format_1_entry_is_skipped_on_its_format_alone() {
-    // Alone in a directory, so the count is about this entry; and with
-    // only the format field moved to 2 the very same file is admitted,
-    // so nothing but the format kept it out. (The second half holds
-    // while the compiler stamp and artifact schema are the ones the
-    // entry was written under; drop it when either moves.)
-    let scratch = std::env::temp_dir().join(format!("htvm-compat-f1-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let store = PersistStore::open(&scratch, "diana").expect("scratch dir opens");
-    let entry = scratch.join("v1/diana").join(FORMAT_1_ENTRY);
-    let text = std::fs::read_to_string(fixture_root().join("v1/diana").join(FORMAT_1_ENTRY))
-        .expect("fixture reads");
-    assert!(text.starts_with(r#"{"format":1,"compiler":"htvm-serve "#));
+    skipped_on_its_format_alone(1, FORMAT_1_ENTRY);
+}
 
-    std::fs::write(&entry, &text).expect("fixture copies");
-    let cache = ArtifactCache::new(64 << 20);
-    let stats = store.load_into(&cache);
-    assert_eq!((stats.load_ok, stats.load_skipped), (0, 1));
-
-    std::fs::write(&entry, text.replacen(r#""format":1"#, r#""format":2"#, 1)).unwrap();
-    let stats = store.load_into(&cache);
-    assert_eq!((stats.load_ok, stats.load_skipped), (1, 1));
-    let _ = std::fs::remove_dir_all(&scratch);
+#[test]
+fn a_well_formed_format_2_entry_is_skipped_on_its_format_alone() {
+    // Written for a one-conv graph, so it really carries the table
+    // format 3 dropped.
+    let text = skipped_on_its_format_alone(2, FORMAT_2_ENTRY);
+    assert!(text.contains(r#""fallbacks":{"entries":[[0,{"#));
 }
 
 #[test]
@@ -124,7 +146,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":2,"#));
+    assert!(spilled.starts_with(r#"{"format":3,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -4,8 +4,9 @@
 //! the pre-restart ones. This is the warm-start contract the `fleet`
 //! CI job gates on.
 
-use htvm::DeployConfig;
+use htvm::{DeployConfig, DianaConfig, EngineKind, FaultEvent, FaultPlan, Machine};
 use htvm_ir::{DType, Graph, GraphBuilder, Tensor};
+use htvm_models::{resnet8, QuantScheme};
 use htvm_serve::{CompileService, Fleet, JobRequest, ServeConfig};
 use std::path::{Path, PathBuf};
 
@@ -105,6 +106,49 @@ fn restart_serves_every_cached_key_without_recompiling() {
         "exact accounting survives the persistence paths"
     );
     assert_eq!(stats.persist_writes, 0, "hits re-spill nothing");
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_readmitted_artifact_degrades_exactly_like_the_compiled_one() {
+    // Nothing about degradation is stored, so an artifact that went
+    // persist -> restart -> re-admit must fall back under an engine-off
+    // plan with the same bits, cycles and counters as the fresh compile.
+    let root = scratch("faults");
+    let model = resnet8(QuantScheme::Mixed);
+    let job = || JobRequest::compile_only("resnet8", model.graph.clone(), DeployConfig::Both);
+    let compiled = CompileService::new(config(&root))
+        .submit(job())
+        .expect("cold job compiles")
+        .artifact;
+    let readmitted = CompileService::new(config(&root))
+        .submit(job())
+        .expect("warm job hits");
+    assert!(readmitted.cache_hit);
+
+    let machine = Machine::new(DianaConfig::default());
+    let input = [model.input(7)];
+    let clean = machine.run(&compiled.program, &input).unwrap();
+    let mid = compiled.program.steps.len() / 2;
+    let plan = FaultPlan::none()
+        .with_event(FaultEvent::EngineOffline {
+            engine: EngineKind::Analog,
+            layer: 0,
+        })
+        .with_event(FaultEvent::EngineOffline {
+            engine: EngineKind::Digital,
+            layer: mid,
+        });
+    let fresh = machine
+        .run_with_faults(&compiled.program, &input, &plan)
+        .unwrap();
+    let replayed = machine
+        .run_with_faults(&readmitted.artifact.program, &input, &plan)
+        .unwrap();
+    assert!(fresh.counters.engine_fallbacks > 1, "both engines degrade");
+    assert_eq!(fresh.outputs, clean.outputs, "fallbacks changed the bits");
+    assert_eq!(fresh, replayed, "outputs, cycles, layers and counters");
 
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -78,8 +78,9 @@ pub struct StepDma {
 /// Pre-linearized DMA programs for a [`Program`](crate::Program)'s
 /// accelerator steps, keyed by step index.
 ///
-/// Stored like [`FallbackTable`](crate::FallbackTable): a sorted vector,
-/// binary-searched, stable under serialization. The `platform_digest`
+/// Stored as a sorted vector rather than a map: programs have at most a
+/// few dozen steps, lookups are binary searches, and a vector keeps the
+/// serialized form stable and human-readable. The `platform_digest`
 /// pins the table to the [`DianaConfig`] it was derived from — a machine
 /// with any other configuration ignores the table and linearizes each
 /// step for itself, so descriptor replay can never desynchronize cycle

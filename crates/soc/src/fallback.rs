@@ -1,11 +1,12 @@
-//! CPU fallback lowering for accelerator regions (graceful degradation).
+//! The CPU form of an accelerator step (graceful degradation).
 //!
-//! Every accelerator step the emitter produces can carry a pre-compiled
-//! CPU alternative: the same fused computation — operator, bias,
-//! requantization, activation, pooling — rebuilt as a host-executable
-//! graph from the step's [`AccelLayerDesc`]. The simulated SoC swaps to it
-//! mid-run when a fault plan takes the step's engine offline, instead of
-//! aborting the inference.
+//! Every accelerator step the emitter produces has a host alternative:
+//! the same fused computation — operator, bias, requantization,
+//! activation, pooling — rebuilt as a host-executable graph from the
+//! step's [`AccelLayerDesc`]. The machine derives and runs it when a
+//! fault plan takes the step's engine offline, instead of aborting the
+//! inference; nothing is stored for it, and its constants are the
+//! descriptor's own payloads, not copies.
 //!
 //! Bit-exactness falls out of construction: the fallback graph applies
 //! exactly the epilogue the accelerator's output pipeline applies
@@ -14,15 +15,16 @@
 //! (The analog input DAC clamp is the machine's job — it clamps the
 //! fallback's inputs the same way it clamps the accelerator's.)
 
+use crate::AccelLayerDesc;
 use htvm_dory::LayerKind;
-use htvm_ir::GraphBuilder;
-use htvm_soc::{AccelLayerDesc, FallbackKernel};
+use htvm_ir::{Graph, GraphBuilder};
 
-/// Builds the CPU fallback kernel for one lowered accelerator layer, or
-/// `None` when the descriptor cannot be expressed as a host graph (a
-/// malformed descriptor — never the case for emitter-produced ones).
+/// Builds the CPU fallback graph for one lowered accelerator layer, or
+/// `None` when the descriptor has no host form (a weighted layer without
+/// weights — never the case for emitter-produced descriptors). The
+/// graph's inputs map to the step's `input` (and `input2`) in order.
 #[must_use]
-pub fn cpu_fallback(desc: &AccelLayerDesc) -> Option<FallbackKernel> {
+pub fn cpu_fallback(desc: &AccelLayerDesc) -> Option<Graph> {
     let geom = &desc.geom;
     let mut b = GraphBuilder::new();
     let in_dims: Vec<usize> = match geom.kind {
@@ -70,20 +72,16 @@ pub fn cpu_fallback(desc: &AccelLayerDesc) -> Option<FallbackKernel> {
             .pool2d(cur, pool.kind, pool.kernel, pool.strides, pool.padding)
             .ok()?;
     }
-    let graph = b.finish(&[cur]).ok()?;
-    Some(FallbackKernel {
-        name: format!("{}_cpu_fallback", desc.name),
-        graph,
-    })
+    b.finish(&[cur]).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FusedPool;
     use htvm_dory::{LayerGeometry, TileConfig};
     use htvm_ir::{DType, Padding2d, PoolKind, Tensor};
     use htvm_kernels as kernels;
-    use htvm_soc::FusedPool;
 
     fn desc_for(geom: LayerGeometry, pool: Option<FusedPool>) -> AccelLayerDesc {
         let weights = match geom.kind {
@@ -142,10 +140,9 @@ mod tests {
     fn conv_fallback_matches_reference_epilogue() {
         let geom = LayerGeometry::conv2d(3, 5, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
         let desc = desc_for(geom, None);
-        let kernel = cpu_fallback(&desc).expect("conv descriptors are expressible");
-        assert_eq!(kernel.name, "layer_cpu_fallback");
+        let graph = cpu_fallback(&desc).expect("conv descriptors are expressible");
         let input = ramp_input(&[3, 8, 8]);
-        let got = kernels::evaluate(&kernel.graph, std::slice::from_ref(&input))
+        let got = kernels::evaluate(&graph, std::slice::from_ref(&input))
             .unwrap()
             .remove(0);
         let r = kernels::conv2d(
@@ -172,11 +169,9 @@ mod tests {
             padding: Padding2d::same(0),
         };
         let desc = desc_for(geom, Some(pool));
-        let kernel = cpu_fallback(&desc).unwrap();
+        let graph = cpu_fallback(&desc).unwrap();
         let input = ramp_input(&[3, 8, 8]);
-        let got = kernels::evaluate(&kernel.graph, &[input])
-            .unwrap()
-            .remove(0);
+        let got = kernels::evaluate(&graph, &[input]).unwrap().remove(0);
         assert_eq!(
             got.shape().dims(),
             &[4, 4, 4],
@@ -187,17 +182,17 @@ mod tests {
     #[test]
     fn dense_and_add_fallbacks_build() {
         let dense = desc_for(LayerGeometry::dense(16, 10), None);
-        let k = cpu_fallback(&dense).expect("dense is expressible");
-        let got = kernels::evaluate(&k.graph, &[ramp_input(&[16])])
+        let g = cpu_fallback(&dense).expect("dense is expressible");
+        let got = kernels::evaluate(&g, &[ramp_input(&[16])])
             .unwrap()
             .remove(0);
         assert_eq!(got.shape().dims(), &[10]);
 
         let add = desc_for(LayerGeometry::add(6, 5, 5), None);
-        let k = cpu_fallback(&add).expect("add is expressible");
+        let g = cpu_fallback(&add).expect("add is expressible");
         let a = ramp_input(&[6, 5, 5]);
         let b = ramp_input(&[6, 5, 5]);
-        let got = kernels::evaluate(&k.graph, &[a, b]).unwrap().remove(0);
+        let got = kernels::evaluate(&g, &[a, b]).unwrap().remove(0);
         assert_eq!(got.shape().dims(), &[6, 5, 5]);
     }
 

@@ -12,11 +12,11 @@
 //! change cycle counts, never numerics**. Transient faults (DMA
 //! stalls/failures, L1 denials) are retried with a bounded, cycle-accounted
 //! backoff; permanent faults (an engine offline) trigger a graceful
-//! degradation to the pre-compiled CPU fallback carried in the program's
-//! [`FallbackTable`](crate::FallbackTable). Only when recovery is
-//! impossible — retries exhausted, or no fallback compiled — does the run
-//! abort, with a [`RunError`](crate::RunError) naming the failing layer
-//! and engine.
+//! degradation to the step's host form, derived from its descriptor
+//! ([`cpu_fallback`](crate::cpu_fallback)). Only when recovery is
+//! impossible — retries exhausted, or a descriptor with no host form —
+//! does the run abort, with a [`RunError`](crate::RunError) naming the
+//! failing layer and engine.
 //!
 //! Everything is deterministic: the same plan against the same program
 //! yields the same outputs, the same cycle counts and the same
@@ -57,9 +57,10 @@ pub enum FaultEvent {
         attempts: u32,
     },
     /// `engine` is permanently offline from step `layer` onwards. Steps
-    /// dispatched to it degrade to their pre-compiled CPU fallback (or
-    /// abort with [`RunError::EngineUnavailable`](crate::RunError) if the
-    /// program carries none).
+    /// dispatched to it degrade to the CPU fallback derived from their
+    /// descriptor (or abort with
+    /// [`RunError::EngineUnavailable`](crate::RunError) if the descriptor
+    /// has no host form).
     EngineOffline {
         /// The engine taken offline.
         engine: EngineKind,
@@ -157,10 +158,10 @@ impl FaultPlan {
     /// A deterministic random plan for a program with `layers` steps.
     ///
     /// The generated plan is always *recoverable*: transient-fault attempt
-    /// counts stay within the retry budget, and engine-off events rely on
-    /// the program's fallback table. Against a program compiled with
-    /// fallbacks (the default), any seeded plan must therefore leave the
-    /// outputs bit-exact — the property the differential harness sweeps.
+    /// counts stay within the retry budget, and engine-off events degrade
+    /// to the host form every emitter-produced descriptor has. Any seeded
+    /// plan must therefore leave a compiled program's outputs bit-exact —
+    /// the property the differential harness sweeps.
     #[must_use]
     pub fn seeded(seed: u64, layers: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA01_7B1A_57ED_C0DE);

@@ -46,6 +46,7 @@ mod digital;
 mod dma;
 mod dma_program;
 mod energy;
+mod fallback;
 mod faults;
 mod listing;
 mod machine;
@@ -64,12 +65,12 @@ pub use dma_program::{
     descriptor_cycles, linearize_step, platform_digest, DmaDescriptor, DmaDir, DmaTable, StepDma,
 };
 pub use energy::EnergyConfig;
+pub use fallback::cpu_fallback;
 pub use faults::{FaultEvent, FaultPlan, RetryPolicy};
 pub use listing::render_listing;
 pub use machine::{Machine, RunError};
 pub use manifest::{Capabilities, ManifestError, PlatformManifest, PlatformSpec, DEFAULT_PLATFORM};
 pub use program::{
-    AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FallbackKernel, FallbackTable,
-    FusedPool, Program, Step,
+    AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FusedPool, Program, Step,
 };
 pub use timeline::{render_timeline, TimelineOptions};

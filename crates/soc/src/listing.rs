@@ -41,13 +41,6 @@ pub fn render_listing(program: &Program) -> String {
         "// l2 activation arena: {} bytes peak",
         program.activation_peak
     );
-    if !program.fallbacks.is_empty() {
-        let _ = writeln!(
-            s,
-            "// cpu fallbacks compiled for {} accel step(s)",
-            program.fallbacks.len()
-        );
-    }
     for b in &program.buffers {
         let _ = writeln!(
             s,
@@ -200,7 +193,6 @@ mod tests {
             inputs: vec![BufferId(0)],
             outputs: vec![BufferId(1)],
             activation_peak: 512,
-            fallbacks: crate::FallbackTable::default(),
             dma: crate::DmaTable::default(),
         }
     }

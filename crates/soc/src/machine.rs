@@ -3,7 +3,7 @@
 use crate::dma_program::{self, DmaDir, DmaTable, StepDma};
 use crate::faults::{DmaAbort, FaultCtx};
 use crate::{
-    cpu, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind, FallbackKernel,
+    cpu, cpu_fallback, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind,
     FaultPlan, LayerProfile, Program, RunReport, Step,
 };
 use htvm_dory::{tiles, LayerKind, TileInstance};
@@ -70,8 +70,9 @@ pub enum RunError {
         /// Failures observed (exceeds the retry budget).
         attempts: u32,
     },
-    /// An engine was offline at this step and the program carries no CPU
-    /// fallback for it (compiled with fallbacks disabled).
+    /// An engine was offline at this step and the step's descriptor has no
+    /// host form to degrade to (a weighted layer without weights, in a
+    /// hand-built or deserialized [`Program`]; never an emitted one).
     EngineUnavailable {
         /// Failing step index into [`Program::steps`].
         layer_index: usize,
@@ -149,7 +150,7 @@ impl fmt::Display for RunError {
                 engine,
             } => write!(
                 f,
-                "step {layer_index} ('{layer}'): engine {engine} is offline and no CPU fallback was compiled"
+                "step {layer_index} ('{layer}'): engine {engine} is offline and the layer's descriptor has no CPU form"
             ),
             RunError::L1Denied {
                 layer_index,
@@ -261,18 +262,18 @@ impl Machine {
     /// retried with the plan's bounded backoff; the recovery cost lands in
     /// each layer's `stall` cycles, its `retries` count and the report's
     /// [`PerfCounters`](crate::PerfCounters). Permanent engine-off faults
-    /// degrade the affected steps to the program's pre-compiled CPU
-    /// fallbacks. Faults never change the computed bits: a recoverable
-    /// plan yields outputs bit-exact with the fault-free run, at equal or
-    /// higher cycle cost. An empty plan reproduces [`Machine::run`]
-    /// exactly, cycle for cycle.
+    /// degrade the affected steps to the CPU fallback derived from each
+    /// step's descriptor. Faults never change the computed bits: a
+    /// recoverable plan yields outputs bit-exact with the fault-free run,
+    /// at equal or higher cycle cost. An empty plan reproduces
+    /// [`Machine::run`] exactly, cycle for cycle.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] on signature mismatch, on transient faults
     /// that exhaust the retry budget ([`RunError::DmaFailed`],
-    /// [`RunError::L1Denied`]), and on an offline engine with no compiled
-    /// fallback ([`RunError::EngineUnavailable`]).
+    /// [`RunError::L1Denied`]), and on an offline engine whose step has no
+    /// host form ([`RunError::EngineUnavailable`]).
     pub fn run_with_faults(
         &self,
         program: &Program,
@@ -363,18 +364,10 @@ impl Machine {
                     let a = take_ref(&values, *input);
                     let b = input2.map(|id| take_ref(&values, id));
                     let (tensor, profile) = if faults.engine_offline(*engine, step_idx) {
-                        let Some(kernel) = program.fallbacks.get(step_idx) else {
-                            return Err(RunError::EngineUnavailable {
-                                layer_index: step_idx,
-                                layer: desc.name.clone(),
-                                engine: *engine,
-                            });
-                        };
                         self.exec_fallback(
                             step_idx,
                             *engine,
                             desc,
-                            kernel,
                             (a, b),
                             &program.dma,
                             &mut faults,
@@ -657,24 +650,29 @@ impl Machine {
         Ok((out, profile))
     }
 
-    /// Graceful degradation: executes an accelerator step's pre-compiled
-    /// CPU fallback because its engine is offline. The host only learns
-    /// the engine is gone by timing out the kernel call, so the degraded
-    /// layer is charged the full fault-free accelerator cost as stall
-    /// before the CPU cost — a faulted run is never cheaper than the
-    /// fault-free one. The fallback graph reproduces the accelerator's
-    /// fused output path (including the analog DAC clamp) bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    /// Graceful degradation: executes an accelerator step on the host,
+    /// through the graph derived from its descriptor, because its engine
+    /// is offline. The host only learns the engine is gone by timing out
+    /// the kernel call, so the degraded layer is charged the full
+    /// fault-free accelerator cost as stall before the CPU cost — a
+    /// faulted run is never cheaper than the fault-free one. The fallback
+    /// graph reproduces the accelerator's fused output path (including
+    /// the analog DAC clamp) bit for bit.
     fn exec_fallback(
         &self,
         step_idx: usize,
         engine: EngineKind,
         desc: &AccelLayerDesc,
-        kernel: &FallbackKernel,
         (input, input2): (&Tensor, Option<&Tensor>),
         dma: &DmaTable,
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
+        let graph = cpu_fallback(desc).ok_or_else(|| RunError::EngineUnavailable {
+            layer_index: step_idx,
+            layer: desc.name.clone(),
+            engine,
+        })?;
+        let name = format!("{}_cpu_fallback", desc.name);
         let instances = tiles(&desc.geom, &desc.tile);
         let mut inert = FaultCtx::inert();
         let timeout = self
@@ -695,16 +693,16 @@ impl Machine {
             (input, input2)
         };
         let args: Vec<&Tensor> = std::iter::once(input).chain(input2).collect();
-        let mut out = kernels::evaluate_refs(&kernel.graph, &args).map_err(|e| RunError::Eval {
+        let mut out = kernels::evaluate_refs(&graph, &args).map_err(|e| RunError::Eval {
             layer_index: step_idx,
-            layer: kernel.name.clone(),
+            layer: name.clone(),
             source: e,
         })?;
-        let compute = cpu::cpu_graph_cycles(&self.cfg.cpu, &kernel.graph);
+        let compute = cpu::cpu_graph_cycles(&self.cfg.cpu, &graph);
         faults.counters.engine_fallbacks += 1;
         let (extra_stall, retries) = faults.take_layer_faults();
         let profile = LayerProfile {
-            name: kernel.name.clone(),
+            name,
             engine: EngineKind::Cpu,
             cycles: CycleBreakdown {
                 compute,
@@ -872,29 +870,9 @@ mod tests {
             inputs: vec![BufferId(0)],
             outputs: vec![BufferId(1)],
             activation_peak: 4 * 64 + 6 * 64,
-            fallbacks: crate::FallbackTable::default(),
             dma: crate::DmaTable::default(),
         };
         (program, input, reference)
-    }
-
-    /// Hand-build the CPU fallback graph matching `conv_program`'s fused
-    /// accelerator layer: conv + bias + shift + clip + cast + relu.
-    fn conv_fallback(program: &Program) -> crate::FallbackKernel {
-        let Step::Accel { desc, .. } = &program.steps[0] else {
-            panic!("conv_program starts with an accel step");
-        };
-        let mut b = htvm_ir::GraphBuilder::new();
-        let x = b.input("x", &[4, 8, 8], DType::I8);
-        let w = b.constant("w", desc.weights.clone().unwrap());
-        let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
-        let bias = b.constant("bias", desc.bias.clone().unwrap());
-        let c = b.bias_add(c, bias).unwrap();
-        let c = b.requantize(c, desc.shift, desc.relu).unwrap();
-        crate::FallbackKernel {
-            name: format!("{}_cpu_fallback", desc.name),
-            graph: b.finish(&[c]).unwrap(),
-        }
     }
 
     #[test]
@@ -1296,14 +1274,21 @@ mod tests {
 
     #[test]
     fn engine_off_without_fallback_is_a_structured_error() {
+        // A conv descriptor without weights has no host form to degrade to.
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
+        let (mut program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
+        let Step::Accel { desc, .. } = &mut program.steps[0] else {
+            panic!("conv_program starts with an accel step");
+        };
+        desc.weights = None;
         let m = Machine::new(DianaConfig::default());
         let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
             engine: EngineKind::Digital,
             layer: 0,
         });
         let err = m.run_with_faults(&program, &[input], &plan).unwrap_err();
+        assert_eq!(err.layer_index(), Some(0));
+        assert_eq!(err.engine(), Some(EngineKind::Digital));
         match err {
             RunError::EngineUnavailable {
                 layer_index,
@@ -1321,9 +1306,8 @@ mod tests {
     #[test]
     fn engine_off_with_fallback_degrades_bit_exactly() {
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (mut program, input, reference) =
+        let (program, input, reference) =
             conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        program.fallbacks.insert(0, conv_fallback(&program));
         let m = Machine::new(DianaConfig::default());
         let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
         let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
@@ -1359,8 +1343,7 @@ mod tests {
     #[test]
     fn analog_fallback_replicates_dac_clamp() {
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (mut program, _, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
-        program.fallbacks.insert(0, conv_fallback(&program));
+        let (program, _, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
         let mut cfg = DianaConfig::default();
         cfg.analog.clamp_inputs_7bit = true;
         let m = Machine::new(cfg);
@@ -1623,9 +1606,8 @@ mod tests {
     fn fallback_timeout_priced_from_descriptors_matches_interpreter() {
         let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
         let cfg = DianaConfig::default();
-        let (mut program, input, reference) =
+        let (program, input, reference) =
             conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        program.fallbacks.insert(0, conv_fallback(&program));
         let replayed = with_dma_table(program.clone(), &cfg);
         let m = Machine::new(cfg);
         let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
@@ -1652,8 +1634,7 @@ mod tests {
             ox_t: 8,
         };
         let cfg = DianaConfig::default();
-        let (mut program, input, _) = conv_program(tile, EngineKind::Digital);
-        program.fallbacks.insert(0, conv_fallback(&program));
+        let (program, input, _) = conv_program(tile, EngineKind::Digital);
         let clean = with_dma_table(program, &cfg);
         let mut stale = clean.clone();
         let mut entry = stale.dma.get(0).unwrap().clone();

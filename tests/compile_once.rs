@@ -1,9 +1,11 @@
 //! A compile touches each constant once: the weights an artifact carries
-//! are the allocations of the graph it was compiled from, and a graph that
-//! really does fold still goes through the full fold → re-verify path.
+//! are the allocations of the graph it was compiled from (and of the host
+//! graph a fault derives from a step), and a graph that really does fold
+//! still goes through the full fold → re-verify path.
 
 use htvm::{Compiler, DType, DeployConfig, Graph, GraphBuilder, Step, Tensor};
 use htvm_models::{resnet8, QuantScheme};
+use htvm_soc::cpu_fallback;
 use std::collections::HashMap;
 
 /// Payload address → name, for every constant of `graph`.
@@ -34,11 +36,13 @@ fn aliased_constants(graph: &Graph, deploy: DeployConfig) -> (usize, usize) {
         aliased.push(ptr);
     };
     let mut accel_steps = 0;
-    for (idx, step) in artifact.program.steps.iter().enumerate() {
+    for step in &artifact.program.steps {
         match step {
             Step::Accel { desc, .. } => {
                 accel_steps += 1;
-                let fallback = &artifact.program.fallbacks.get(idx).expect("fallback").graph;
+                // The host graph an engine-off fault derives from the step
+                // shares the descriptor's payloads: degrading copies no weight.
+                let fallback = cpu_fallback(desc).expect("emitted steps have a host form");
                 let fallback_constant = |name: &str| {
                     fallback
                         .nodes()

@@ -4,8 +4,8 @@
 //! any seeded [`FaultPlan`], the run's outputs are **bit-exact** with the
 //! fault-free run — faults only change cycle counts. Transient faults
 //! (DMA stalls/failures, L1 denials) are retried with cycle-accounted
-//! backoff; permanent engine-offline faults swap the affected step to its
-//! pre-compiled CPU fallback mid-run.
+//! backoff; permanent engine-offline faults swap the affected step to the
+//! CPU fallback derived from its descriptor mid-run.
 //!
 //! The seed sweep honours `HTVM_FAULT_SEED_BASE` so CI can shift the
 //! whole 32-seed window per job without touching the code.
@@ -243,39 +243,6 @@ fn engine_offline_at_the_attention_matmul_falls_back_bit_exactly() {
             "step {step}: no CPU fallback layer recorded"
         );
     }
-}
-
-/// Without compiled fallbacks, the same engine fault is a structured
-/// error carrying the failing layer index and engine — no string
-/// matching needed.
-#[test]
-fn engine_offline_without_fallbacks_is_a_structured_error() {
-    let model = resnet8(QuantScheme::Int8);
-    let compiler = Compiler::new()
-        .with_deploy(DeployConfig::Digital)
-        .with_fallbacks(false);
-    let artifact = compiler.compile(&model.graph).unwrap();
-    assert!(artifact.program.fallbacks.is_empty());
-    let machine = Machine::new(*compiler.platform());
-    let input = model.input(11);
-    let plan = FaultPlan::none().with_event(FaultEvent::EngineOffline {
-        engine: EngineKind::Digital,
-        layer: 0,
-    });
-    let err = machine
-        .run_with_faults(&artifact.program, &[input], &plan)
-        .expect_err("no fallback to degrade to");
-    let RunError::EngineUnavailable {
-        layer_index,
-        engine,
-        ..
-    } = &err
-    else {
-        panic!("expected EngineUnavailable, got {err:?}");
-    };
-    assert_eq!(*engine, EngineKind::Digital);
-    assert_eq!(err.layer_index(), Some(*layer_index));
-    assert_eq!(err.engine(), Some(EngineKind::Digital));
 }
 
 /// A DMA transfer that keeps failing past the retry budget aborts the run
