@@ -11,9 +11,9 @@
 
 use htvm_ir::{DType, Padding2d, Tensor};
 use htvm_kernels::{
-    conv2d_accumulate_ref, conv2d_accumulate_with, dense_accumulate, dense_accumulate_ref,
+    conv2d_accumulate, conv2d_accumulate_ref, dense_accumulate, dense_accumulate_ref,
     depthwise_conv2d_region, depthwise_conv2d_region_ref, layer_norm, matmul_accumulate_region,
-    matmul_accumulate_region_ref, softmax, KernelScratch,
+    matmul_accumulate_region_ref, softmax,
 };
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -87,25 +87,13 @@ pub fn collect() -> KernelsReport {
         let w = tensor(&[k, c, f, f], 17);
         let oy = (hw + 2 * p - f) / s + 1;
         for (label, reference) in [("reference", true), ("fast", false)] {
-            let mut scratch = KernelScratch::new();
             let mut out = Tensor::zeros(DType::I32, &[k, oy, oy]);
             let (strides, pad) = ((s, s), Padding2d::same(p));
             let wall_us = time_us(|| {
                 if reference {
                     conv2d_accumulate_ref(&x, &w, &mut out, strides, pad, 0..k, 0..oy, 0..oy, 0..c);
                 } else {
-                    conv2d_accumulate_with(
-                        &mut scratch,
-                        &x,
-                        &w,
-                        &mut out,
-                        strides,
-                        pad,
-                        0..k,
-                        0..oy,
-                        0..oy,
-                        0..c,
-                    );
+                    conv2d_accumulate(&x, &w, &mut out, strides, pad, 0..k, 0..oy, 0..oy, 0..c);
                 }
             });
             kernels.push(KernelEntry {

@@ -4,12 +4,16 @@
 //! Each op has one fast body and one `_ref` oracle, chosen by the
 //! caller's function name (see `docs/KERNELS.md`):
 //!
-//! * [`conv2d_accumulate_with`] is im2col + GEMM: the patch matrix is
-//!   materialized into a reusable scratch arena and multiplied by the
-//!   blocked [`crate::gemm_accumulate`] microkernel;
+//! * [`conv2d_accumulate`] is im2col on the packed dot microkernel
+//!   matmul also runs: the call's `(k, c)` weight rows and a patch-major
+//!   patch matrix (one `c·Fy·Fx` row per output position) are narrowed
+//!   to `i16` in the thread's arena, then for each output row `oy` every
+//!   weight row is dotted against that row's `ox` patches, straight into
+//!   the strided destination. A call with an operand value outside `i16`
+//!   runs [`conv2d_accumulate_ref`] instead — selection by value only;
 //! * [`depthwise_conv2d_region`] has no cross-channel reduction to run a
-//!   GEMM over, so each `(ky, kx)` tap adds a precomputed in-bounds
-//!   output span — a flat slice zip with no bounds checks;
+//!   dot product over, so each `(ky, kx)` tap adds a precomputed
+//!   in-bounds output span — a flat slice zip with no bounds checks;
 //! * [`conv2d_accumulate_ref`] / [`depthwise_conv2d_region_ref`] are the
 //!   original scalar loops with per-element padding checks, kept as the
 //!   oracle the fast bodies are differentially tested against.
@@ -18,9 +22,9 @@
 //! products and combine them with `wrapping_add` (associative,
 //! commutative), so which one ran is invisible in the output bits.
 
-use crate::gemm::gemm_accumulate;
 use crate::im2col::fill_patches;
-use crate::scratch::{with_thread_scratch, KernelScratch};
+use crate::packed::{dot_rows, push_i16};
+use crate::scratch::with_packed;
 use htvm_ir::{DType, Padding2d, Tensor};
 use std::ops::Range;
 
@@ -45,7 +49,7 @@ pub(crate) struct ConvShape {
 /// `ox ∈ [ox_lo, ox_hi)` reads input column `x_start + (ox - ox_lo)·sx`,
 /// all in `[0, iw)`. `None` when no output position of the range sees an
 /// in-bounds input for this tap (it contributes only zero padding).
-pub(crate) fn ox_span(
+fn ox_span(
     iw: usize,
     sx: usize,
     pl: isize,
@@ -137,8 +141,8 @@ fn validate_conv(
 }
 
 /// Accumulates a 2-D convolution over sub-ranges of the output and input
-/// channels into an `i32` output tensor (im2col + GEMM; see the
-/// [crate docs](crate)).
+/// channels into an `i32` output tensor (patch-major im2col + the packed
+/// dot microkernel; see the [crate docs](crate)).
 ///
 /// This is the building block for tiled execution: the SoC simulator calls
 /// it once per tile with the tile's `k`/`oy`/`ox`/`c` ranges, and summing
@@ -167,89 +171,42 @@ pub fn conv2d_accumulate(
     ox_range: Range<usize>,
     c_range: Range<usize>,
 ) {
-    with_thread_scratch(|scratch| {
-        conv2d_accumulate_with(
-            scratch, x, w, out, strides, padding, k_range, oy_range, ox_range, c_range,
-        );
-    });
-}
-
-/// [`conv2d_accumulate`] with an explicit scratch arena — the entry point
-/// for callers that reuse one arena across many tiles (the SoC
-/// simulator).
-///
-/// # Panics
-///
-/// As [`conv2d_accumulate`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_accumulate_with(
-    scratch: &mut KernelScratch,
-    x: &Tensor,
-    w: &Tensor,
-    out: &mut Tensor,
-    strides: (usize, usize),
-    padding: Padding2d,
-    k_range: Range<usize>,
-    oy_range: Range<usize>,
-    ox_range: Range<usize>,
-    c_range: Range<usize>,
-) {
     let (mut s, ooy, oox) = validate_conv(x, w, out, &k_range, &oy_range, &ox_range, &c_range);
     s.sy = strides.0;
     s.sx = strides.1;
     s.pt = padding.top as isize;
     s.pl = padding.left as isize;
-    let (k_len, c_len) = (k_range.len(), c_range.len());
-    let (oy_len, ox_len) = (oy_range.len(), ox_range.len());
-    if k_len == 0 || oy_len == 0 || ox_len == 0 || c_len == 0 {
-        return;
-    }
-    let xd = x.data();
-    let od = out.data_mut();
-    let cols = oy_len * ox_len;
     let fyfx = s.fy * s.fx;
-    let kk = c_len * fyfx;
-    let a = &w.data()[(k_range.start * s.c + c_range.start) * fyfx..];
-    let a_stride = s.c * fyfx;
-
-    // A 1×1 stride-1 unpadded convolution over the full spatial range is
-    // a pure GEMM on the activation slab — no patch matrix needed.
-    let borrow_b = fyfx == 1
-        && strides == (1, 1)
-        && s.pt == 0
-        && s.pl == 0
-        && oy_range == (0..s.h)
-        && ox_range == (0..s.iw);
-    // A sub-block spanning whole `[OY, OX]` planes is contiguous in the
-    // output, so the GEMM accumulates straight into it.
-    let dense = oy_len == ooy && ox_len == oox;
-
-    let (buf, acc) = scratch.pair(
-        if borrow_b { 0 } else { kk * cols },
-        if dense { 0 } else { k_len * cols },
-    );
-    let b = if borrow_b {
-        &xd[c_range.start * s.h * s.iw..c_range.end * s.h * s.iw]
-    } else {
-        fill_patches(&s, xd, &oy_range, &ox_range, &c_range, buf);
-        &*buf
-    };
-    if dense {
-        let dst = &mut od[k_range.start * cols..k_range.end * cols];
-        gemm_accumulate(k_len, cols, kk, a, a_stride, b, dst);
+    let kk = c_range.len() * fyfx;
+    if k_range.is_empty() || oy_range.is_empty() || ox_range.is_empty() || kk == 0 {
         return;
     }
-    // Strided destination: GEMM into a dense accumulator, then
-    // scatter-add rows into place (exact: i32 addition).
-    gemm_accumulate(k_len, cols, kk, a, a_stride, b, acc);
-    for (k_rel, ko) in k_range.enumerate() {
-        for (oy_rel, oy) in oy_range.clone().enumerate() {
-            let src = &acc[(k_rel * oy_len + oy_rel) * ox_len..][..ox_len];
-            let dst = &mut od[(ko * ooy + oy) * oox..][ox_range.clone()];
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o = o.wrapping_add(v);
+    let packed = with_packed(|pw, pp| {
+        if !fill_patches(&s, x.data(), &oy_range, &ox_range, &c_range, pw, pp) {
+            return false;
+        }
+        // `pw` held the filler's window image; the weight rows, in the
+        // patches' `(ky, kx, ci)` column order, overwrite it.
+        pw.clear();
+        let wd = w.data();
+        let tap = |k: usize, t: usize| c_range.clone().map(move |ci| wd[(k * s.c + ci) * fyfx + t]);
+        let row = |k: usize| (0..fyfx).all(|t| push_i16(pw, tap(k, t)));
+        if !k_range.clone().all(row) {
+            return false;
+        }
+        let od = out.data_mut();
+        for (oy, patches) in oy_range.clone().zip(pp.chunks_exact(ox_range.len() * kk)) {
+            for (ko, wrow) in k_range.clone().zip(pw.chunks_exact(kk)) {
+                let dst = &mut od[(ko * ooy + oy) * oox..][ox_range.clone()];
+                dot_rows(wrow, patches, dst);
             }
         }
+        true
+    });
+    if !packed {
+        conv2d_accumulate_ref(
+            x, w, out, strides, padding, k_range, oy_range, ox_range, c_range,
+        );
     }
 }
 
@@ -332,10 +289,10 @@ pub fn conv2d(x: &Tensor, w: &Tensor, strides: (usize, usize), padding: Padding2
 
 /// Computes a depthwise convolution over an output sub-block (channels and
 /// spatial ranges). Depthwise has no cross-channel reduction, so there is
-/// no partial-sum range and no GEMM to lower to: each call fully computes
-/// its output elements, zeroing each output row (the reference's
-/// *assignment* semantics) and then adding every filter tap's in-bounds
-/// span into it.
+/// no partial-sum range and no dot product to lower to: each call fully
+/// computes its output elements, zeroing each output row (the
+/// reference's *assignment* semantics) and then adding every filter
+/// tap's in-bounds span into it.
 ///
 /// * `x`: input `[C, H, W]`,
 /// * `w`: weights `[C, Fy, Fx]`,
@@ -578,7 +535,6 @@ mod tests {
     ) {
         let mut want = Tensor::zeros(DType::I32, out_dims);
         let mut got = Tensor::zeros(DType::I32, out_dims);
-        let mut scratch = KernelScratch::new();
         for [kr, oyr, oxr, cr] in blocks.iter().cloned() {
             conv2d_accumulate_ref(
                 x,
@@ -591,7 +547,7 @@ mod tests {
                 oxr.clone(),
                 cr.clone(),
             );
-            conv2d_accumulate_with(&mut scratch, x, w, &mut got, strides, pad, kr, oyr, oxr, cr);
+            conv2d_accumulate(x, w, &mut got, strides, pad, kr, oyr, oxr, cr);
         }
         assert_eq!(got, want, "{label} strides {strides:?}");
     }
@@ -601,7 +557,7 @@ mod tests {
         let ramp = |n: usize| (0..n as i32).map(|v| v % 17 - 8).collect::<Vec<_>>();
 
         // A sub-block of a larger output: partial ranges exercise the
-        // strided-destination scatter.
+        // strided destination.
         let x = t(&[3, 9, 7], ramp(189));
         let w = t(&[5, 3, 3, 3], (0..135).map(|v| v % 7 - 3).collect());
         for (strides, pad) in [((1, 1), 1), ((2, 2), 1), ((1, 2), 0), ((2, 1), 2)] {
@@ -612,8 +568,8 @@ mod tests {
 
         // (name, c, h = w, k, f, stride, pad)
         let cases = [
-            // MobileNet's last two pointwise convs: a 3x3 map, so the GEMM
-            // has only 9 columns.
+            // MobileNet's last two pointwise convs: a 3x3 map, so each
+            // weight row meets only 9 patches.
             ("mobilenet_pw_c128_k256_3x3", 128, 3, 256, 1, 1, 0),
             ("mobilenet_pw_c256_k256_3x3", 256, 3, 256, 1, 1, 0),
             // ResNet-8's three 3x3 bodies, the largest conv calls in the
@@ -621,8 +577,9 @@ mod tests {
             ("resnet8_c16_k16_32x32", 16, 32, 16, 3, 1, 1),
             ("resnet8_c32_k32_16x16", 32, 16, 32, 3, 1, 1),
             ("resnet8_c64_k64_8x8", 64, 8, 64, 3, 1, 1),
-            // Degenerate GEMM operands: fewer rows than the register
-            // tile, a single column, a reduction shorter than 8.
+            // Degenerate operands: fewer patches per row than the
+            // microkernel's pass, a single patch, a reduction shorter
+            // than 8.
             ("k1_cols1_kk1", 1, 1, 1, 1, 1, 0),
             ("k2_cols1_kk4", 1, 2, 2, 2, 1, 0),
             ("k3_kk7_strided", 7, 5, 3, 1, 2, 0),
@@ -636,7 +593,7 @@ mod tests {
             let whole = [0..k, 0..o, 0..o, 0..c];
             assert_blocks_match_ref(name, &x, &w, &[k, o, o], strides, pad, &[whole]);
             // Uneven k / oy / c splits (possibly empty): every piece
-            // scatter-adds into a strided destination.
+            // accumulates into a strided destination.
             let split = |n: usize| [0..n / 3, n / 3..n];
             let mut blocks = Vec::new();
             for kr in split(k) {
@@ -648,6 +605,15 @@ mod tests {
             }
             assert_blocks_match_ref(name, &x, &w, &[k, o, o], strides, pad, &blocks);
         }
+
+        // An `I8` operand forced past `i16` through `data_mut`: the call
+        // leaves the packed path, the bits must not change.
+        let mut x = Tensor::new(DType::I8, &[3, 9, 7], ramp(189)).unwrap();
+        let w = Tensor::new(DType::I8, &[5, 3, 3, 3], ramp(135)).unwrap();
+        x.data_mut()[100] = 40_000;
+        let blocks = [[0..5, 0..9, 0..7, 0..3], [1..4, 2..7, 3..6, 1..2]];
+        let pad = Padding2d::same(1);
+        assert_blocks_match_ref("past_i16", &x, &w, &[5, 9, 7], (1, 1), pad, &blocks);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Fully-connected (dense) kernels.
 //!
-//! A matvec is a GEMM with one output column, so [`dense_accumulate`] is
-//! [`gemm_accumulate`]'s `n == 1` arm — one slice-zip dot product per
-//! output neuron over the strided weight sub-matrix.
-//! [`dense_accumulate_ref`] keeps the original indexed loops as the
-//! oracle. Both accumulate in the same ascending-index order with
-//! wrapping `i32` adds, so they are bit-identical.
+//! [`dense_accumulate`] is one `i32` slice-zip dot product per output
+//! neuron over the strided weight sub-matrix. A matvec reads each weight
+//! once, so narrowing the weights to `i16` for the packed microkernel
+//! would cost a copy of the whole operand per call (≈ 4.5× slower on
+//! `dense_k256_c640`). [`dense_accumulate_ref`] keeps the original
+//! indexed loops as the oracle. Both accumulate in the same
+//! ascending-index order with wrapping `i32` adds, so they are
+//! bit-identical.
 
-use crate::gemm::gemm_accumulate;
 use htvm_ir::{DType, Tensor};
 use std::ops::Range;
 
@@ -53,11 +54,15 @@ pub fn dense_accumulate(
     if k_range.is_empty() || c_range.is_empty() {
         return;
     }
-    // The output sub-range is contiguous, so accumulate in place.
     let xs = &x.data()[c_range.clone()];
-    let a = &w.data()[k_range.start * c + c_range.start..];
-    let od = &mut out.data_mut()[k_range];
-    gemm_accumulate(od.len(), 1, xs.len(), a, c, xs, od);
+    let wd = w.data();
+    for (ko, o) in k_range.clone().zip(&mut out.data_mut()[k_range]) {
+        let wrow = &wd[ko * c + c_range.start..][..xs.len()];
+        let acc = wrow.iter().zip(xs).fold(0i32, |acc, (&wv, &xv)| {
+            acc.wrapping_add(wv.wrapping_mul(xv))
+        });
+        *o = o.wrapping_add(acc);
+    }
 }
 
 /// The reference indexed-loop implementation of [`dense_accumulate`]:

@@ -1,67 +1,75 @@
-//! im2col patch-matrix lowering.
+//! Patch-major im2col lowering.
 //!
 //! The classic CPU-library convolution formulation (CMSIS-NN and TVM's
 //! default conv schedules do exactly this): lower the input into an
 //! explicit patch matrix, then run a matrix multiply.
-//! [`conv2d_accumulate_with`](crate::conv2d_accumulate_with) fills
-//! patches directly into a reusable scratch arena via [`fill_patches`]
-//! and hands them to [`gemm_accumulate`](crate::gemm_accumulate).
+//! [`conv2d_accumulate`](crate::conv2d_accumulate) narrows the patches
+//! into the thread's `i16` arena via [`fill_patches`], one row per output
+//! position, so each patch is a contiguous row for the packed dot
+//! microkernel.
 
-use crate::conv::{ox_span, ConvShape};
+use crate::conv::ConvShape;
 use std::ops::Range;
 
-/// Fills `buf` with the `[c_len·Fy·Fx, oy_len·ox_len]` patch matrix for
-/// the given output sub-block: row `(ci_rel·Fy + ky)·Fx + kx`, column
-/// `oy_rel·ox_len + ox_rel` holds the input value that filter tap
-/// `(ky, kx)` of channel `ci` sees at output position `(oy, ox)`, with
-/// zero padding materialized explicitly.
+/// Fills `buf` with the `[oy_len·ox_len, Fy·Fx·c_len]` patch matrix for
+/// the given (non-empty) output sub-block: row `oy_rel·ox_len + ox_rel`,
+/// column `(ky·Fx + kx)·c_len + ci_rel` holds the input value that filter
+/// tap `(ky, kx)` of channel `ci` sees at output position `(oy, ox)`, with
+/// zero padding materialized explicitly. Returns `false` as soon as an
+/// input value does not fit `i16`.
 ///
-/// Padded positions are written by span (`fill(0)` head/tail around one
-/// contiguous copy per row) rather than tested per element.
+/// The input window the sub-block reads is narrowed once into `img`,
+/// channel-last and zero-padded. Tap row `ky` of a patch is then one
+/// contiguous `Fx·c_len` run of `img`, so a patch row is `Fy` copies.
 pub(crate) fn fill_patches(
     s: &ConvShape,
     xd: &[i32],
     oy_range: &Range<usize>,
     ox_range: &Range<usize>,
     c_range: &Range<usize>,
-    buf: &mut [i32],
-) {
-    let (oy_len, ox_len) = (oy_range.len(), ox_range.len());
-    let cols = oy_len * ox_len;
-    for (c_rel, ci) in c_range.clone().enumerate() {
-        for ky in 0..s.fy {
-            for kx in 0..s.fx {
-                let row = ((c_rel * s.fy + ky) * s.fx + kx) * cols;
-                let span = ox_span(s.iw, s.sx, s.pl, kx, ox_range);
-                for (oy_rel, oy) in oy_range.clone().enumerate() {
-                    let dst = &mut buf[row + oy_rel * ox_len..][..ox_len];
-                    let iy = (oy * s.sy + ky) as isize - s.pt;
-                    if iy < 0 || iy as usize >= s.h {
-                        dst.fill(0);
-                        continue;
-                    }
-                    let Some((lo, hi, x0)) = span else {
-                        dst.fill(0);
-                        continue;
-                    };
-                    let (lo_rel, hi_rel) = (lo - ox_range.start, hi - ox_range.start);
-                    dst[..lo_rel].fill(0);
-                    dst[hi_rel..].fill(0);
-                    let xrow = &xd[(ci * s.h + iy as usize) * s.iw..][..s.iw];
-                    if s.sx == 1 {
-                        dst[lo_rel..hi_rel].copy_from_slice(&xrow[x0..x0 + (hi - lo)]);
-                    } else {
-                        for (o, &xv) in dst[lo_rel..hi_rel]
-                            .iter_mut()
-                            .zip(xrow[x0..].iter().step_by(s.sx))
-                        {
-                            *o = xv;
-                        }
-                    }
-                }
+    img: &mut Vec<i16>,
+    buf: &mut Vec<i16>,
+) -> bool {
+    let (oy_len, ox_len, c_len) = (oy_range.len(), ox_range.len(), c_range.len());
+    // The window: `rows × cols` padded positions from `(y0, x0)`.
+    let (y0, x0) = (oy_range.start * s.sy, ox_range.start * s.sx);
+    let rows = (oy_len - 1) * s.sy + s.fy;
+    let cols = (ox_len - 1) * s.sx + s.fx;
+    img.clear();
+    img.resize(rows * cols * c_len, 0);
+    // Window columns `q_lo..q_hi` read input columns `x0 + q - pl`.
+    let q_lo = (s.pl - x0 as isize).clamp(0, cols as isize);
+    let q_hi = (s.iw as isize + s.pl - x0 as isize).clamp(q_lo, cols as isize);
+    let ix_lo = (x0 as isize + q_lo - s.pl) as usize;
+    let (q_lo, q_hi) = (q_lo as usize, q_hi as usize);
+    for r in 0..rows {
+        let iy = (y0 + r) as isize - s.pt;
+        if iy < 0 || iy as usize >= s.h || q_lo == q_hi {
+            continue;
+        }
+        let dst = &mut img[(r * cols + q_lo) * c_len..(r * cols + q_hi) * c_len];
+        for (ci_rel, ci) in c_range.clone().enumerate() {
+            let src = &xd[(ci * s.h + iy as usize) * s.iw + ix_lo..];
+            for (d, &v) in dst.chunks_exact_mut(c_len).zip(src) {
+                let Ok(v) = i16::try_from(v) else {
+                    return false;
+                };
+                d[ci_rel] = v;
             }
         }
     }
+    let run = s.fx * c_len;
+    buf.clear();
+    buf.reserve(oy_len * ox_len * s.fy * run);
+    for oy_rel in 0..oy_len {
+        for ox_rel in 0..ox_len {
+            for ky in 0..s.fy {
+                let at = ((oy_rel * s.sy + ky) * cols + ox_rel * s.sx) * c_len;
+                buf.extend_from_slice(&img[at..at + run]);
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -74,7 +82,8 @@ mod tests {
         Tensor::new(DType::I32, dims, data).unwrap()
     }
 
-    /// The whole-input `[C·Fy·Fx, OY·OX]` patch matrix.
+    /// The whole-input `[OY·OX, Fy·Fx·C]` patch matrix, widened back to
+    /// `i32`.
     fn im2col(
         x: &Tensor,
         (fy, fx): (usize, usize),
@@ -88,7 +97,6 @@ mod tests {
         ];
         let oy = (h + padding.top + padding.bottom - fy) / sy + 1;
         let ox = (iw + padding.left + padding.right - fx) / sx + 1;
-        let mut out = Tensor::zeros(DType::I32, &[c * fy * fx, oy * ox]);
         let s = ConvShape {
             c,
             h,
@@ -100,24 +108,36 @@ mod tests {
             pt: padding.top as isize,
             pl: padding.left as isize,
         };
-        fill_patches(&s, x.data(), &(0..oy), &(0..ox), &(0..c), out.data_mut());
-        out
+        let (mut img, mut buf) = (Vec::new(), Vec::new());
+        let ranges = (0..oy, 0..ox, 0..c);
+        assert!(fill_patches(
+            &s,
+            x.data(),
+            &ranges.0,
+            &ranges.1,
+            &ranges.2,
+            &mut img,
+            &mut buf
+        ));
+        let data = buf.into_iter().map(i32::from).collect();
+        t(&[oy * ox, c * fy * fx], data)
     }
 
     #[test]
     fn im2col_identity_window() {
-        // 1x1 window, no padding: patch matrix is just a reshape.
+        // 1x1 window, no padding: the patch matrix is the channel-last
+        // transpose of the input.
         let x = t(&[2, 2, 2], vec![1, 2, 3, 4, 5, 6, 7, 8]);
         let p = im2col(&x, (1, 1), (1, 1), Padding2d::same(0));
-        assert_eq!(p.shape().dims(), &[2, 4]);
-        assert_eq!(p.data(), x.data());
+        assert_eq!(p.shape().dims(), &[4, 2]);
+        assert_eq!(p.data(), &[1, 5, 2, 6, 3, 7, 4, 8]);
     }
 
     #[test]
     fn im2col_materializes_zero_padding() {
         let x = t(&[1, 1, 1], vec![9]);
         let p = im2col(&x, (3, 3), (1, 1), Padding2d::same(1));
-        assert_eq!(p.shape().dims(), &[9, 1]);
+        assert_eq!(p.shape().dims(), &[1, 9]);
         // The single real value sits at the window center.
         let expected: Vec<i32> = (0..9).map(|i| if i == 4 { 9 } else { 0 }).collect();
         assert_eq!(p.data(), &expected[..]);
@@ -135,7 +155,7 @@ mod tests {
         let p = im2col(&x, (3, 3), (2, 2), pad);
         // Cross-check every patch element against the definition.
         let (oy, ox) = (1usize + 1, 2usize + 1);
-        assert_eq!(p.shape().dims(), &[2 * 9, oy * ox]);
+        assert_eq!(p.shape().dims(), &[oy * ox, 2 * 9]);
         for ci in 0..2usize {
             for ky in 0..3usize {
                 for kx in 0..3usize {
@@ -148,8 +168,8 @@ mod tests {
                             } else {
                                 x.data()[(ci * 4 + iy as usize) * 5 + ix as usize]
                             };
-                            let row = (ci * 3 + ky) * 3 + kx;
-                            assert_eq!(p.data()[row * (oy * ox) + yo * ox + xo], want);
+                            let col = (ky * 3 + kx) * 2 + ci;
+                            assert_eq!(p.data()[(yo * ox + xo) * 18 + col], want);
                         }
                     }
                 }
@@ -163,11 +183,11 @@ mod tests {
         let w = t(&[4, 3, 3, 3], (0..108).map(|v| v % 7 - 3).collect());
         for (strides, pad) in [((1, 1), 1), ((2, 2), 1), ((1, 1), 0), ((2, 1), 2)] {
             let pad = Padding2d::same(pad);
-            let gemm = conv2d(&x, &w, strides, pad);
-            let [k, oy, ox] = [0, 1, 2].map(|i| gemm.shape().dims()[i]);
+            let fast = conv2d(&x, &w, strides, pad);
+            let [k, oy, ox] = [0, 1, 2].map(|i| fast.shape().dims()[i]);
             let mut direct = Tensor::zeros(DType::I32, &[k, oy, ox]);
             conv2d_accumulate_ref(&x, &w, &mut direct, strides, pad, 0..k, 0..oy, 0..ox, 0..3);
-            assert_eq!(direct, gemm, "strides {strides:?} pad {pad:?}");
+            assert_eq!(direct, fast, "strides {strides:?} pad {pad:?}");
         }
     }
 }

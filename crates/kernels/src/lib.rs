@@ -13,15 +13,18 @@
 //!
 //! Each op has one fast body and, where that body is not the plain loop
 //! nest, one `_ref` oracle beside it; the caller picks by function name
-//! and nothing else selects. [`conv2d_accumulate`] is im2col + the
-//! blocked [`gemm_accumulate`]; [`dense_accumulate`] is that GEMM's
-//! one-column arm; [`depthwise_conv2d_region`] adds in-bounds tap spans;
-//! [`matmul_accumulate_region`] packs both operands to `i16` rows and
-//! runs a `pmaddwd`-shaped dot product (its `_ref` twin is also the home
-//! of anything that does not fit `i16`); [`softmax`] reads `exp` from a
-//! table that `f64::exp` filled and selects, rather than sorts, its
-//! largest remainders. Every fast body is bit-identical to the plain
-//! loops — only wall time differs.
+//! and nothing else selects. One integer microkernel serves the
+//! reductions that reuse an operand: operands are narrowed to `i16` rows
+//! in a thread-local arena and every output is a `pmaddwd`-shaped dot
+//! product of two rows. [`matmul_accumulate_region`] packs both operands
+//! per head; [`conv2d_accumulate`] packs its weight rows and a
+//! patch-major im2col matrix per call. A value that does not fit `i16`
+//! sends the call (or head) to its `_ref` twin. [`dense_accumulate`]
+//! reads each weight once, so it stays one `i32` dot product per neuron;
+//! [`depthwise_conv2d_region`] adds in-bounds tap spans; [`softmax`]
+//! reads `exp` from a table that `f64::exp` filled and selects, rather
+//! than sorts, its largest remainders. Every fast body is bit-identical
+//! to the plain loops — only wall time differs.
 //!
 //! # Examples
 //!
@@ -49,27 +52,25 @@ mod dense;
 mod elementwise;
 mod error;
 mod exec;
-mod gemm;
 mod im2col;
 mod layer_norm;
 mod matmul;
+mod packed;
 mod pool;
 mod scratch;
 mod softmax;
 
 pub use conv::{
-    conv2d, conv2d_accumulate, conv2d_accumulate_ref, conv2d_accumulate_with, depthwise_conv2d,
-    depthwise_conv2d_region, depthwise_conv2d_region_ref,
+    conv2d, conv2d_accumulate, conv2d_accumulate_ref, depthwise_conv2d, depthwise_conv2d_region,
+    depthwise_conv2d_region_ref,
 };
 pub use dense::{dense, dense_accumulate, dense_accumulate_ref};
 pub use elementwise::{accel_epilogue, add, bias_add, cast, clip, relu, right_shift};
 pub use error::EvalError;
 pub use exec::{evaluate, evaluate_refs};
-pub use gemm::{gemm_accumulate, MR};
 pub use layer_norm::layer_norm;
 pub use matmul::{matmul, matmul_accumulate_region, matmul_accumulate_region_ref};
 pub use pool::pool2d;
-pub use scratch::KernelScratch;
 pub use softmax::softmax;
 
 /// Integer division rounding half away from zero; used by average pooling.

@@ -7,13 +7,9 @@
 //! The fast path is one loop for both layouts: per head, narrow the `a`
 //! block to `[m][d]` and the `b` block to `[n][d]` in `i16` (an
 //! untransposed `b` is transposed here, once, O(n·d)), then every output
-//! is a dot product of two contiguous `i16` rows, [`NR`] `b` rows per pass
-//! over the `a` row. `s += i32::from(x) * i32::from(y)` over zipped `i16`
-//! slices is the one shape LLVM lowers to `pmaddwd` on baseline x86-64
-//! from safe code (0.28 → 0.15 ns/MAC on the zoo's QK^T, packing
-//! included; `KERNELS_BENCH.json` has the rows). *Axpy* forms —
-//! add a scaled `b` row into the output row — gain nothing from `i16`:
-//! each product widens before its add, so there is no pair-add to fuse.
+//! row is the packed dot microkernel conv also runs, one `a` row against
+//! the `b` rows (0.28 → 0.15 ns/MAC on the zoo's QK^T, packing included;
+//! `KERNELS_BENCH.json` has the rows).
 //!
 //! Narrowing is checked: a head holding a value outside `i16` (an `I32`
 //! operand, or one written past its dtype through `Tensor::data_mut`)
@@ -21,11 +17,10 @@
 //! oracle. `i16 × i16` is exact in `i32`, so both paths `wrapping_add` the
 //! same multiset of products and are bit-identical.
 
+use crate::packed::{dot_rows, pack};
+use crate::scratch::with_packed;
 use htvm_ir::{DType, Tensor};
 use std::ops::Range;
-
-/// `b` rows sharing one pass over the `a` row in the packed microkernel.
-const NR: usize = 4;
 
 struct Dims {
     m: usize,
@@ -109,68 +104,24 @@ pub fn matmul_accumulate_region(
         return;
     }
     let (m, n, d) = (dims.m, dims.n, dims.d);
-    let dl = d_range.len();
     let b_strides = if transpose_b { (d, 1) } else { (1, n) };
-    let (mut pa, mut pb) = (Vec::new(), Vec::new());
-    for hh in h_range {
-        let (a_head, b_head) = (&a.data()[hh * m * d..], &b.data()[hh * n * d..]);
-        if !(pack(&mut pa, a_head, (d, 1), &m_range, &d_range)
-            && pack(&mut pb, b_head, b_strides, &n_range, &d_range))
-        {
-            let (mr, nr, dr) = (m_range.clone(), n_range.clone(), d_range.clone());
-            matmul_accumulate_region_ref(a, b, transpose_b, out, hh..hh + 1, mr, nr, dr);
-            continue;
-        }
-        let od = out.data_mut();
-        for (mm, x) in m_range.clone().zip(pa.chunks_exact(dl)) {
-            let o_base = (hh * m + mm) * n;
-            let dst = &mut od[o_base + n_range.start..o_base + n_range.end];
-            for (o, y) in dst.chunks_mut(NR).zip(pb.chunks(NR * dl)) {
-                let mut s = [0i32; NR];
-                if o.len() == NR {
-                    let (y0, y) = y.split_at(dl);
-                    let (y1, y) = y.split_at(dl);
-                    let (y2, y3) = y.split_at(dl);
-                    for ((((&x, &y0), &y1), &y2), &y3) in x.iter().zip(y0).zip(y1).zip(y2).zip(y3) {
-                        let x = i32::from(x);
-                        s[0] = s[0].wrapping_add(x * i32::from(y0));
-                        s[1] = s[1].wrapping_add(x * i32::from(y1));
-                        s[2] = s[2].wrapping_add(x * i32::from(y2));
-                        s[3] = s[3].wrapping_add(x * i32::from(y3));
-                    }
-                } else {
-                    for (s, y) in s.iter_mut().zip(y.chunks_exact(dl)) {
-                        for (&x, &y) in x.iter().zip(y) {
-                            *s = s.wrapping_add(i32::from(x) * i32::from(y));
-                        }
-                    }
-                }
-                for (o, s) in o.iter_mut().zip(s) {
-                    *o = o.wrapping_add(s);
-                }
+    with_packed(|pa, pb| {
+        for hh in h_range {
+            let (a_head, b_head) = (&a.data()[hh * m * d..], &b.data()[hh * n * d..]);
+            if !(pack(pa, a_head, (d, 1), &m_range, &d_range)
+                && pack(pb, b_head, b_strides, &n_range, &d_range))
+            {
+                let (mr, nr, dr) = (m_range.clone(), n_range.clone(), d_range.clone());
+                matmul_accumulate_region_ref(a, b, transpose_b, out, hh..hh + 1, mr, nr, dr);
+                continue;
+            }
+            let od = out.data_mut();
+            for (mm, x) in m_range.clone().zip(pa.chunks_exact(d_range.len())) {
+                let o = (hh * m + mm) * n;
+                dot_rows(x, pb, &mut od[o + n_range.start..o + n_range.end]);
             }
         }
-    }
-}
-
-/// Narrows `src[r·rs + c·cs]` for `r ∈ rows`, `c ∈ cols` into `dst`,
-/// row-major; `false` as soon as a value does not fit `i16`.
-fn pack(
-    dst: &mut Vec<i16>,
-    src: &[i32],
-    (rs, cs): (usize, usize),
-    rows: &Range<usize>,
-    cols: &Range<usize>,
-) -> bool {
-    dst.clear();
-    dst.reserve(rows.len() * cols.len());
-    rows.clone().all(|r| {
-        cols.clone().all(|c| {
-            i16::try_from(src[r * rs + c * cs])
-                .map(|v| dst.push(v))
-                .is_ok()
-        })
-    })
+    });
 }
 
 /// The reference indexed-loop implementation of

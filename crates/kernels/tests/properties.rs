@@ -171,7 +171,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Differential test: the im2col+GEMM convolution agrees bit-for-bit
+    /// Differential test: the packed im2col convolution agrees bit-for-bit
     /// with the direct nested-loop implementation on arbitrary geometries.
     #[test]
     fn im2col_conv_matches_direct(
@@ -194,15 +194,43 @@ proptest! {
 /// Deterministic value stream for the fast-vs-`_ref` tests (the shapes
 /// are the random search space; the data just needs to be varied).
 fn fill(seed: u64, n: usize) -> Vec<i32> {
-    let mut s = seed | 1;
-    (0..n)
-        .map(|_| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as i32).rem_euclid(17) - 8
-        })
+    lcg(seed, n)
+        .map(|s| ((s >> 33) as i32).rem_euclid(17) - 8)
         .collect()
+}
+
+/// Full-range `i32` values from the same generator as [`fill`].
+fn fill_wide(seed: u64, n: usize) -> Vec<i32> {
+    lcg(seed, n).map(|s| (s >> 32) as u32 as i32).collect()
+}
+
+fn lcg(seed: u64, n: usize) -> impl Iterator<Item = u64> {
+    let mut s = seed | 1;
+    (0..n).map(move |_| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s
+    })
+}
+
+/// One operand of the fast-vs-`_ref` tests, by leg: `I8` and `I32` over
+/// −8..8, `I32` over its whole range (products wrap the `i32` sum), and
+/// `I8` again — which [`force_past_i16`] then breaks on one side.
+fn operand(leg: u8, seed: u64, dims: &[usize]) -> Tensor {
+    let n = dims.iter().product();
+    match leg {
+        0 | 3 => Tensor::new(DType::I8, dims, fill(seed, n)).unwrap(),
+        1 => Tensor::new(DType::I32, dims, fill(seed, n)).unwrap(),
+        _ => Tensor::new(DType::I32, dims, fill_wide(seed, n)).unwrap(),
+    }
+}
+
+/// Writes one value outside `i16` into `t` through `data_mut`, past its
+/// dtype: a packed kernel must leave for its `_ref` loops, bits unchanged.
+fn force_past_i16(t: &mut Tensor, seed: u64) {
+    let at = (seed >> 8) as usize % t.data().len();
+    t.data_mut()[at] = [40_000, -40_000, i32::MAX, i32::MIN][seed as usize % 4];
 }
 
 /// Splits `0..n` at `at % (n + 1)` into two (possibly empty) halves.
@@ -214,10 +242,9 @@ fn halves(n: usize, at: usize) -> [std::ops::Range<usize>; 2] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Bit-exactness of the fast conv body: whole calls through an
-    /// explicit scratch arena and tiled partial sums must both reproduce
-    /// the reference scalar loops exactly, across random shapes, strides,
-    /// asymmetric paddings and dtypes.
+    /// Bit-exactness of the fast conv body: whole calls and tiled partial
+    /// sums must both reproduce the reference scalar loops exactly, across
+    /// random shapes, strides, asymmetric paddings and operand legs.
     #[test]
     fn conv_tiers_threads_and_tilings_are_bit_exact(
         (c, h, iw) in (1usize..=4, 3usize..=8, 3usize..=8),
@@ -225,25 +252,25 @@ proptest! {
         (sy, sx) in (1usize..=2, 1usize..=2),
         (pt, pb, pl, pr) in (0usize..=2, 0usize..=2, 0usize..=2, 0usize..=2),
         seed in any::<u64>(),
-        as_i8 in any::<bool>(),
+        leg in 0u8..4,
         splits in (0usize..=64, 0usize..=64, 0usize..=64, 0usize..=64),
     ) {
         let padding = Padding2d { top: pt, bottom: pb, left: pl, right: pr };
         let oy = (h + pt + pb - fy) / sy + 1;
         let ox = (iw + pl + pr - fx) / sx + 1;
-        let dtype = if as_i8 { DType::I8 } else { DType::I32 };
-        let x = Tensor::new(dtype, &[c, h, iw], fill(seed, c * h * iw)).unwrap();
-        let w = Tensor::new(dtype, &[kc, c, fy, fx], fill(seed ^ 0xABCD, kc * c * fy * fx)).unwrap();
+        let mut x = operand(leg, seed, &[c, h, iw]);
+        let mut w = operand(leg, seed ^ 0xABCD, &[kc, c, fy, fx]);
+        if leg == 3 {
+            force_past_i16(if seed % 8 < 4 { &mut x } else { &mut w }, seed);
+        }
 
         let mut want = Tensor::zeros(DType::I32, &[kc, oy, ox]);
         k::conv2d_accumulate_ref(
             &x, &w, &mut want, (sy, sx), padding, 0..kc, 0..oy, 0..ox, 0..c,
         );
 
-        let mut scratch = k::KernelScratch::new();
         let mut got = Tensor::zeros(DType::I32, &[kc, oy, ox]);
-        k::conv2d_accumulate_with(
-            &mut scratch,
+        k::conv2d_accumulate(
             &x, &w, &mut got, (sy, sx), padding, 0..kc, 0..oy, 0..ox, 0..c,
         );
         prop_assert_eq!(&got, &want);
@@ -309,16 +336,20 @@ proptest! {
         prop_assert_eq!(&tiled, &want);
     }
 
-    /// Bit-exactness of the fast dense body (the one-column GEMM) against
-    /// the reference indexed loops, full and tiled.
+    /// Bit-exactness of the fast dense body (one `i32` dot product per
+    /// neuron) against the reference indexed loops, full and tiled.
     #[test]
     fn dense_tiers_and_tilings_are_bit_exact(
         (kc, c) in (1usize..=24, 1usize..=48),
         seed in any::<u64>(),
+        leg in 0u8..4,
         splits in (0usize..=64, 0usize..=64),
     ) {
-        let x = Tensor::new(DType::I32, &[c], fill(seed, c)).unwrap();
-        let w = Tensor::new(DType::I32, &[kc, c], fill(seed ^ 0x77, kc * c)).unwrap();
+        let mut x = operand(leg, seed, &[c]);
+        let mut w = operand(leg, seed ^ 0x77, &[kc, c]);
+        if leg == 3 {
+            force_past_i16(if seed % 8 < 4 { &mut x } else { &mut w }, seed);
+        }
         let mut want = Tensor::zeros(DType::I32, &[kc]);
         k::dense_accumulate_ref(&x, &w, &mut want, 0..kc, 0..c);
 

@@ -513,20 +513,47 @@ struct Admission {
     tenant_inflight: HashMap<String, u64>,
 }
 
-/// A routed, keyed job holding `cost` admission units, which
-/// [`CompileService::serve`] returns when the job finishes.
-struct Admitted {
+/// Admission units taken by one job, returned on drop — on every exit,
+/// including an unwind out of a panicking dispatch hook and a batch
+/// queue dropped, leaders and followers still in it, by a panicking
+/// worker.
+struct Units<'a> {
+    admission: &'a Mutex<Admission>,
+    tenant: String,
+    cost: u64,
+}
+
+impl Drop for Units<'_> {
+    fn drop(&mut self) {
+        // Runs during unwinds, so, as in `Lead`, it must not panic on a
+        // poisoned lock; every update leaves the counts valid.
+        let mut adm = self
+            .admission
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        adm.queued_cost = adm.queued_cost.saturating_sub(self.cost);
+        if let Some(count) = adm.tenant_inflight.get_mut(&self.tenant) {
+            *count -= 1;
+            if *count == 0 {
+                adm.tenant_inflight.remove(&self.tenant);
+            }
+        }
+    }
+}
+
+/// A routed, keyed job holding its admission units until it is dropped.
+struct Admitted<'a> {
     index: usize,
     slot: usize,
     job: JobRequest,
     key: ArtifactKey,
-    cost: u64,
+    units: Units<'a>,
 }
 
 /// One batch queue entry: a leader plus the jobs coalesced onto its key.
-struct Scheduled {
-    leader: Admitted,
-    followers: Vec<Admitted>,
+struct Scheduled<'a> {
+    leader: Admitted<'a>,
+    followers: Vec<Admitted<'a>>,
 }
 
 /// One platform of the fleet: its compiler (with its own shared tile
@@ -820,7 +847,9 @@ impl CompileService {
 
         match self.policy {
             SchedPolicy::Fifo => {} // already in request order
-            SchedPolicy::CostAware => leaders.sort_by_key(|s| (s.leader.cost, s.leader.index)),
+            SchedPolicy::CostAware => {
+                leaders.sort_by_key(|s| (s.leader.units.cost, s.leader.index));
+            }
         }
 
         let workers = self.workers.min(leaders.len()).max(1);
@@ -872,7 +901,7 @@ impl CompileService {
         index: usize,
         job: JobRequest,
         lead_of: &HashMap<ArtifactKey, usize>,
-    ) -> Result<Admitted, JobError> {
+    ) -> Result<Admitted<'_>, JobError> {
         let slot = self.resolve(&job)?;
         let key = self.slots[slot].keys.key(&job.graph, job.deploy);
         let cost = if lead_of.contains_key(&key) {
@@ -882,12 +911,12 @@ impl CompileService {
         };
         match self.admit(&job.tenant, cost) {
             Err(rejection) => Err(self.shed_job(job.name, &job.tenant, cost, rejection)),
-            Ok(()) => Ok(Admitted {
+            Ok(units) => Ok(Admitted {
                 index,
                 slot,
                 job,
                 key,
-                cost,
+                units,
             }),
         }
     }
@@ -895,7 +924,7 @@ impl CompileService {
     /// Admits `cost` units for `tenant`, or returns the typed rejection.
     /// An idle service (nothing queued) always admits, so one
     /// over-budget job can still make progress.
-    fn admit(&self, tenant: &str, cost: u64) -> Result<(), Rejection> {
+    fn admit(&self, tenant: &str, cost: u64) -> Result<Units<'_>, Rejection> {
         let mut adm = self.admission.lock().expect("admission poisoned");
         let inflight = adm.tenant_inflight.get(tenant).copied().unwrap_or(0);
         if inflight >= self.tenant_quota {
@@ -920,19 +949,11 @@ impl CompileService {
         }
         adm.queued_cost = adm.queued_cost.saturating_add(cost);
         *adm.tenant_inflight.entry(tenant.to_owned()).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// Returns a finished (or shed-after-admit) job's admission units.
-    fn release(&self, tenant: &str, cost: u64) {
-        let mut adm = self.admission.lock().expect("admission poisoned");
-        adm.queued_cost = adm.queued_cost.saturating_sub(cost);
-        if let Some(count) = adm.tenant_inflight.get_mut(tenant) {
-            *count -= 1;
-            if *count == 0 {
-                adm.tenant_inflight.remove(tenant);
-            }
-        }
+        Ok(Units {
+            admission: &self.admission,
+            tenant: tenant.to_owned(),
+            cost,
+        })
     }
 
     /// Counts and traces a shed, returning the typed error.
@@ -963,15 +984,16 @@ impl CompileService {
     /// counts and traces the job, and returns its admission units.
     fn serve(
         &self,
-        admitted: Admitted,
+        admitted: Admitted<'_>,
         queue_us: u64,
         ready: Option<&StoredArtifact>,
     ) -> Result<JobResult, JobError> {
+        // `_units` is held to the end, however this returns or unwinds.
         let Admitted {
             slot,
             job,
             key,
-            cost,
+            units: _units,
             ..
         } = admitted;
         let slot = &self.slots[slot];
@@ -1041,7 +1063,6 @@ impl CompileService {
             self.routed_by_platform.fetch_add(1, Ordering::Relaxed);
         }
         span.arg("ok", result.is_ok());
-        self.release(&job.tenant, cost);
         result
     }
 
@@ -1376,5 +1397,52 @@ mod tests {
             .unwrap();
         assert!(later.cache_hit);
         assert!(same_allocation(&later.artifact, &follower.artifact));
+    }
+
+    #[test]
+    fn admission_units_come_back_when_a_job_unwinds() {
+        // A service whose first dispatch-hook call panics, once.
+        let panicking = |config: ServeConfig| {
+            let first = AtomicBool::new(true);
+            let hook: DispatchHook = Arc::new(move |_, base| {
+                assert!(!first.swap(false, Ordering::SeqCst), "the hook panics");
+                base
+            });
+            let compiler = Compiler::new().with_dispatch_hook(hook);
+            Arc::new(CompileService::with_compiler(config, compiler))
+        };
+        let idle = |service: &CompileService| {
+            let adm = service.admission.lock().unwrap();
+            adm.queued_cost == 0 && adm.tenant_inflight.is_empty()
+        };
+
+        // A lone job unwinds out of the hook; at quota 1 the tenant's
+        // next job must still be admitted.
+        let service = panicking(ServeConfig {
+            tenant_quota: 1,
+            ..ServeConfig::default()
+        });
+        let s = Arc::clone(&service);
+        assert!(std::thread::spawn(move || s.submit(job("boom", 8)))
+            .join()
+            .is_err());
+        assert!(idle(&service), "the unwound job returned its units");
+        service
+            .submit(job("next", 8))
+            .expect("the tenant is not stuck at its quota");
+
+        // One worker panics on whichever leader it takes first: the
+        // leader, its follower and the leader still queued behind it all
+        // return their units.
+        let service = panicking(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let s = Arc::clone(&service);
+        let batch = vec![job("a", 8), job("b", 12), job("a-again", 8)];
+        assert!(std::thread::spawn(move || s.submit_batch(batch))
+            .join()
+            .is_err());
+        assert!(idle(&service), "a panicked batch returned every unit");
     }
 }

@@ -331,25 +331,6 @@ impl Machine {
         }
 
         let mut faults = FaultCtx::from_plan(plan);
-        // One kernel scratch arena for the whole run, sized once for the
-        // largest tile any accelerator step executes, so the tile loop
-        // never allocates im2col or accumulator buffers per call.
-        let mut scratch = kernels::KernelScratch::new();
-        {
-            let (mut im2col_max, mut acc_max) = (0usize, 0usize);
-            for step in &program.steps {
-                if let Step::Accel { desc, .. } = step {
-                    let g = &desc.geom;
-                    let t = &desc.tile;
-                    let cols = t.oy_t * t.ox_t;
-                    if g.kind == LayerKind::Conv2d {
-                        im2col_max = im2col_max.max(t.c_t * g.fy * g.fx * cols);
-                    }
-                    acc_max = acc_max.max(t.k_t * cols);
-                }
-            }
-            scratch.reserve(im2col_max, acc_max);
-        }
         let mut layers = Vec::with_capacity(program.steps.len());
         let mut elapsed_cycles: u64 = 0;
         for (step_idx, step) in program.steps.iter().enumerate() {
@@ -382,16 +363,7 @@ impl Machine {
                                 engine: *engine,
                                 attempts,
                             })?;
-                        self.exec_accel(
-                            step_idx,
-                            *engine,
-                            desc,
-                            a,
-                            b,
-                            &program.dma,
-                            &mut faults,
-                            &mut scratch,
-                        )?
+                        self.exec_accel(step_idx, *engine, desc, a, b, &program.dma, &mut faults)?
                     };
                     values[output.0] = Some(tensor);
                     profile
@@ -588,7 +560,6 @@ impl Machine {
         input2: Option<&Tensor>,
         dma: &DmaTable,
         faults: &mut FaultCtx,
-        scratch: &mut kernels::KernelScratch,
     ) -> Result<(Tensor, LayerProfile), RunError> {
         let geom = &desc.geom;
         // Optional 7-bit DAC clamp on the analog input path.
@@ -627,7 +598,7 @@ impl Machine {
 
         // Functional execution of exactly each tile's work.
         for inst in &instances {
-            Self::exec_tile(desc, input, input2, &mut acc, inst, scratch);
+            Self::exec_tile(desc, input, input2, &mut acc, inst);
         }
 
         // Fused output path: bias, requantization, activation. On DIANA
@@ -724,14 +695,12 @@ impl Machine {
         input2: Option<&Tensor>,
         acc: &mut Tensor,
         inst: &TileInstance,
-        scratch: &mut kernels::KernelScratch,
     ) {
         let geom = &desc.geom;
         match geom.kind {
             LayerKind::Conv2d => {
                 let w = desc.weights.as_ref().expect("conv layers carry weights");
-                kernels::conv2d_accumulate_with(
-                    scratch,
+                kernels::conv2d_accumulate(
                     input,
                     w,
                     acc,
