@@ -2,41 +2,37 @@
 //!
 //! ```text
 //! cargo run --release -p htvm-bench --bin report [-- --out PATH] [--quiet]
-//!     [--from-file MODEL.htf] [--deploy cpu_tvm|digital|analog|both]
-//!     [--calibration CALIBRATION.json]
+//!     [--from-file MODEL.htf [--deploy cpu_tvm|digital|analog|both]]
 //! ```
 //!
 //! Sweeps every zoo model under every deployment configuration, collecting
 //! per-phase compile times, tile-cache behaviour and per-layer simulated
 //! cycle/energy breakdowns into one versioned JSON document (schema in
-//! `docs/OBSERVABILITY.md`). CI runs this on every PR and diffs the result
-//! against `BENCH_BASELINE.json` with `--bin bench-diff`.
-//!
-//! With `--calibration`, the sweep additionally compiles every
-//! accelerator-bearing configuration under the measurement-calibrated
-//! tiling objective from the given `CALIBRATION.json` into `*_cal` rows
-//! (see `docs/CALIBRATION.md`).
+//! `docs/OBSERVABILITY.md`). Every accelerator-bearing configuration is
+//! also compiled under the calibrated tiling objective into `*_cal` rows,
+//! its cost models derived from the platform (see `docs/CALIBRATION.md`).
+//! CI runs this on every PR and diffs the result against
+//! `BENCH_BASELINE.json` with `--bin bench-diff`.
 //!
 //! With `--from-file`, the sweep is replaced by a single entry: the file
 //! is read as an HTF container (`docs/FRONTEND.md`), imported through the
 //! vendored front-end, and measured under one deployment configuration
-//! (`--deploy`, default `both`). A rejected file exits 2 with the typed
+//! (`--deploy`, default `both`; it is a usage error without
+//! `--from-file`). A rejected file exits 2 with the typed
 //! [`ReportError`](htvm_bench::report::ReportError) printed — never a
 //! panic.
 
 use htvm::DeployConfig;
-use htvm_bench::calibration::CalibrationReport;
-use htvm_bench::report::{
-    collect_file, collect_with_calibration, BenchReport, BENCH_SCHEMA_VERSION,
-};
+use htvm_bench::report::{collect, collect_file, BenchReport, BENCH_SCHEMA_VERSION};
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: report [--out PATH] [--quiet] [--from-file MODEL.htf [--deploy ID]]";
 
 fn main() -> ExitCode {
     let mut out = String::from("BENCH.json");
     let mut quiet = false;
     let mut from_file: Option<String> = None;
-    let mut calibration: Option<String> = None;
-    let mut deploy = DeployConfig::Both;
+    let mut deploy: Option<DeployConfig> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -48,13 +44,6 @@ fn main() -> ExitCode {
                 }
             },
             "--quiet" => quiet = true,
-            "--calibration" => match args.next() {
-                Some(path) => calibration = Some(path),
-                None => {
-                    eprintln!("error: --calibration needs a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--from-file" => match args.next() {
                 Some(path) => from_file = Some(path),
                 None => {
@@ -63,10 +52,10 @@ fn main() -> ExitCode {
                 }
             },
             "--deploy" => match args.next().as_deref() {
-                Some("cpu_tvm") => deploy = DeployConfig::CpuTvm,
-                Some("digital") => deploy = DeployConfig::Digital,
-                Some("analog") => deploy = DeployConfig::Analog,
-                Some("both") => deploy = DeployConfig::Both,
+                Some("cpu_tvm") => deploy = Some(DeployConfig::CpuTvm),
+                Some("digital") => deploy = Some(DeployConfig::Digital),
+                Some("analog") => deploy = Some(DeployConfig::Analog),
+                Some("both") => deploy = Some(DeployConfig::Both),
                 Some(other) => {
                     eprintln!("error: unknown deploy {other:?} (want cpu_tvm|digital|analog|both)");
                     return ExitCode::from(2);
@@ -77,41 +66,24 @@ fn main() -> ExitCode {
                 }
             },
             other => {
-                eprintln!(
-                    "usage: report [--out PATH] [--quiet] [--from-file MODEL.htf] \
-                     [--deploy ID] [--calibration PATH] (unknown arg {other:?})"
-                );
+                eprintln!("{USAGE} (unknown arg {other:?})");
                 return ExitCode::from(2);
             }
         }
     }
 
-    let cal: Option<CalibrationReport> = match &calibration {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match serde_json::from_str(&text) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("error: {path} is not a calibration artifact: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let collected = match (&from_file, deploy) {
+        (Some(path), deploy) => {
+            collect_file(path, deploy.unwrap_or(DeployConfig::Both)).map(|entry| BenchReport {
+                schema_version: BENCH_SCHEMA_VERSION,
+                entries: vec![entry],
+            })
         }
-        None => None,
-    };
-
-    let collected = match &from_file {
-        Some(path) => collect_file(path, deploy).map(|entry| BenchReport {
-            schema_version: BENCH_SCHEMA_VERSION,
-            entries: vec![entry],
-        }),
-        None => collect_with_calibration(cal.as_ref()),
+        (None, Some(_)) => {
+            eprintln!("{USAGE} (--deploy selects the configuration of a --from-file model)");
+            return ExitCode::from(2);
+        }
+        (None, None) => collect(),
     };
     let report = match collected {
         Ok(report) => report,

@@ -1,5 +1,4 @@
-//! Shared harness for the paper-reproduction binaries and Criterion
-//! benches.
+//! Shared harness for the paper-reproduction binaries.
 //!
 //! Each binary regenerates one table or figure of the HTVM paper:
 //!
@@ -26,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod calibration;
 pub mod kernels_bench;
 pub mod report;
 pub mod serve_bench;

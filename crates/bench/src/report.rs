@@ -11,11 +11,17 @@
 //! `docs/OBSERVABILITY.md`; CI regenerates the report on every PR and
 //! diffs it against the committed `BENCH_BASELINE.json`.
 //!
+//! Every accelerator-bearing configuration is measured twice: under the
+//! heuristic tiling objective (Eq. 3–5) and, into `*_cal` rows, under the
+//! calibrated one, whose per-engine cost models the compiler's own
+//! platform derives ([`DianaConfig::cost_model`]).
+//!
 //! [`TileCache`]: htvm::TileCache
+//! [`DianaConfig::cost_model`]: htvm::DianaConfig::cost_model
 
 use htvm::{
-    tracks, CompileError, Compiler, DeployConfig, EnergyConfig, LowerError, Machine, RunError,
-    TimeDomain,
+    tracks, CompileError, Compiler, DeployConfig, EnergyConfig, EngineKind, LowerError,
+    LowerOptions, Machine, RunError, TilingObjective, TimeDomain,
 };
 use htvm_frontend::ImportError;
 use htvm_ir::{Graph, Tensor};
@@ -24,7 +30,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
-use crate::calibration::CalibrationReport;
 use crate::scheme_for;
 
 /// An entry could not be measured. The expected plain-TVM MobileNet
@@ -252,7 +257,7 @@ pub fn all_deploys() -> [DeployConfig; 4] {
 }
 
 /// Stable id for a deployment configuration compiled under the
-/// measurement-calibrated tiling objective (`CALIBRATION.json`).
+/// calibrated tiling objective.
 #[must_use]
 pub fn calibrated_id(deploy: DeployConfig) -> &'static str {
     match deploy {
@@ -285,6 +290,30 @@ pub fn calibrated_deploys() -> [DeployConfig; 3] {
 /// out-of-memory case (which becomes a normal `oom` entry), or when the
 /// compiled program rejects the model's own input.
 pub fn collect_entry(model: &Model, deploy: DeployConfig) -> Result<BenchEntry, ReportError> {
+    collect_model(model, deploy, false)
+}
+
+/// Measures one zoo model compiled under the calibrated tiling objective:
+/// each accelerator's tiles are scored by the cost model the compiler's
+/// platform derives for it. The entry is labeled [`calibrated_id`] (e.g.
+/// `digital_cal`) so it sits beside the heuristic row for the same model
+/// in `BENCH.json`.
+///
+/// # Errors
+///
+/// As [`collect_entry`].
+pub fn collect_calibrated_entry(
+    model: &Model,
+    deploy: DeployConfig,
+) -> Result<BenchEntry, ReportError> {
+    collect_model(model, deploy, true)
+}
+
+fn collect_model(
+    model: &Model,
+    deploy: DeployConfig,
+    calibrated: bool,
+) -> Result<BenchEntry, ReportError> {
     model.verify()?;
     collect_graph(
         model.name,
@@ -292,6 +321,7 @@ pub fn collect_entry(model: &Model, deploy: DeployConfig) -> Result<BenchEntry, 
         &model.graph,
         &model.input(7),
         deploy,
+        calibrated,
     )
 }
 
@@ -322,13 +352,15 @@ pub fn collect_file(path: &str, deploy: DeployConfig) -> Result<BenchEntry, Repo
         .map(|&id| graph.node(id).shape.dims().to_vec())
         .unwrap_or_default();
     let input = random_input(7, &input_dims);
-    collect_graph(path, "imported", &graph, &input, deploy)
+    collect_graph(path, "imported", &graph, &input, deploy, false)
 }
 
 /// Measures one (graph, deploy) pair: traced compile, then a simulated
 /// run under the default energy model. The shared back half of
-/// [`collect_entry`] (zoo models) and [`collect_file`] (imported HTF
-/// files); `name` and `scheme` label the resulting entry verbatim.
+/// [`collect_entry`], [`collect_calibrated_entry`] (zoo models) and
+/// [`collect_file`] (imported HTF files); `name` and `scheme` label the
+/// resulting entry verbatim, and `calibrated` compiles under the
+/// calibrated tiling objective into a [`calibrated_id`] row.
 ///
 /// # Errors
 ///
@@ -341,51 +373,24 @@ pub fn collect_graph(
     graph: &Graph,
     input: &Tensor,
     deploy: DeployConfig,
-) -> Result<BenchEntry, ReportError> {
-    collect_graph_inner(name, scheme, graph, input, deploy, deploy_id(deploy), None)
-}
-
-/// Measures one zoo model compiled under the calibrated tiling
-/// objective. The entry is labeled
-/// [`calibrated_id`] (e.g. `digital_cal`) so it sits beside the heuristic
-/// row for the same model in `BENCH.json`.
-///
-/// # Errors
-///
-/// As [`collect_entry`].
-pub fn collect_calibrated_entry(
-    model: &Model,
-    deploy: DeployConfig,
-    cal: &CalibrationReport,
-) -> Result<BenchEntry, ReportError> {
-    model.verify()?;
-    collect_graph_inner(
-        model.name,
-        &format!("{:?}", model.scheme),
-        &model.graph,
-        &model.input(7),
-        deploy,
-        calibrated_id(deploy),
-        Some(cal),
-    )
-}
-
-fn collect_graph_inner(
-    name: &str,
-    scheme: &str,
-    graph: &Graph,
-    input: &Tensor,
-    deploy: DeployConfig,
-    label: &'static str,
-    cal: Option<&CalibrationReport>,
+    calibrated: bool,
 ) -> Result<BenchEntry, ReportError> {
     let tracer = htvm::Tracer::new();
     let mut compiler = Compiler::new();
-    if let Some(cal) = cal {
+    let label = if calibrated {
+        let platform = *compiler.platform();
+        let objective = |engine| TilingObjective::calibrated(platform.cost_model(engine));
         // Before `with_deploy`: replacing the options wholesale would
         // otherwise clobber the deploy's `naive_l2` choice.
-        compiler = compiler.with_lower_options(cal.lower_options());
-    }
+        compiler = compiler.with_lower_options(LowerOptions {
+            digital_objective: objective(EngineKind::Digital),
+            analog_objective: objective(EngineKind::Analog),
+            ..LowerOptions::default()
+        });
+        calibrated_id(deploy)
+    } else {
+        deploy_id(deploy)
+    };
     let compiler = compiler.with_deploy(deploy).with_tracer(tracer.clone());
     let t0 = Instant::now();
     let compiled = compiler.compile(graph);
@@ -490,37 +495,24 @@ fn collect_graph_inner(
     })
 }
 
-/// Sweeps the full zoo × configuration matrix into a report.
-///
-/// # Errors
-///
-/// Propagates the first [`ReportError`] from [`collect_entry`].
-pub fn collect() -> Result<BenchReport, ReportError> {
-    collect_with_calibration(None)
-}
-
-/// Sweeps the zoo × configuration matrix; with a calibration, each
-/// accelerator-bearing configuration is additionally compiled under the
+/// Sweeps the zoo × configuration matrix into a report; each
+/// accelerator-bearing configuration is compiled a second time under the
 /// calibrated objective into `*_cal` rows (same models, same inputs — the
 /// rows differ only in the tiling objective).
 ///
 /// # Errors
 ///
 /// Propagates the first [`ReportError`] from either sweep.
-pub fn collect_with_calibration(
-    cal: Option<&CalibrationReport>,
-) -> Result<BenchReport, ReportError> {
+pub fn collect() -> Result<BenchReport, ReportError> {
     let mut entries = Vec::new();
     for deploy in all_deploys() {
         for model in all_models(scheme_for(deploy)) {
             entries.push(collect_entry(&model, deploy)?);
         }
     }
-    if let Some(cal) = cal {
-        for deploy in calibrated_deploys() {
-            for model in all_models(scheme_for(deploy)) {
-                entries.push(collect_calibrated_entry(&model, deploy, cal)?);
-            }
+    for deploy in calibrated_deploys() {
+        for model in all_models(scheme_for(deploy)) {
+            entries.push(collect_calibrated_entry(&model, deploy)?);
         }
     }
     Ok(BenchReport {
@@ -820,10 +812,8 @@ mod tests {
 
     #[test]
     fn calibrated_entries_get_their_own_labels() {
-        let cal = crate::calibration::derive();
-
         let model = htvm_models::toyadmos_dae(QuantScheme::Int8);
-        let entry = collect_calibrated_entry(&model, DeployConfig::Digital, &cal)
+        let entry = collect_calibrated_entry(&model, DeployConfig::Digital)
             .expect("calibrated entry measures");
         assert_eq!(entry.deploy, "digital_cal");
         assert_eq!(entry.status, "ok");
@@ -834,7 +824,7 @@ mod tests {
         // model: same MACs as the heuristic row, deterministic cycles.
         let heuristic = collect_entry(&model, DeployConfig::Digital).unwrap();
         assert_eq!(run.macs, heuristic.run.as_ref().unwrap().macs);
-        let again = collect_calibrated_entry(&model, DeployConfig::Digital, &cal).unwrap();
+        let again = collect_calibrated_entry(&model, DeployConfig::Digital).unwrap();
         assert_eq!(again.run.as_ref().unwrap().total_cycles, run.total_cycles);
     }
 

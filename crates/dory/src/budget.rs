@@ -1,6 +1,6 @@
 //! L1 memory budgets and per-tile memory accounting (the paper's Eq. 2).
 
-use crate::{LayerGeometry, LayerKind, TileConfig};
+use crate::{staged_weight_elems, LayerGeometry, LayerKind, TileConfig};
 use htvm_ir::DType;
 use serde::{Deserialize, Serialize};
 
@@ -94,15 +94,9 @@ pub fn tile_memory(geom: &LayerGeometry, tile: &TileConfig) -> TileMemory {
     } else {
         act.storage_bytes(out_elems)
     };
-    let weight_elems = match geom.kind {
-        LayerKind::Conv2d => tile.k_t * tile.c_t * geom.fy * geom.fx,
-        LayerKind::DepthwiseConv2d => tile.c_t * geom.fy * geom.fx,
-        LayerKind::Dense => tile.k_t * tile.c_t,
-        LayerKind::Add => 0,
-        // The staged b-operand slab: an N×D rectangle per resident batch
-        // column — the rectangular L1 partition conv tiles never exercise.
-        LayerKind::MatMul => tile.k_t * tile.c_t * tile.ox_t,
-    };
+    // For matmul: the staged b-operand slab, an N×D rectangle per resident
+    // batch column — the rectangular L1 partition conv tiles never exercise.
+    let weight_elems = staged_weight_elems(geom, tile.k_t, tile.c_t, tile.ox_t);
     let weight = geom.w_dtype.storage_bytes(weight_elems);
     TileMemory {
         input,

@@ -40,8 +40,8 @@ struct CacheKey {
     alpha_bits: u64,
     terms: Vec<(Heuristic, u64)>,
     /// Calibrated cost-model identity ([`CostModel::identity_bits`],
-    /// which includes the calibration version): two objectives differing
-    /// only in their calibration must never alias to one solution.
+    /// which includes the model's version): two objectives differing only
+    /// in their cost model must never alias to one solution.
     cost_model: Option<Vec<u64>>,
 }
 

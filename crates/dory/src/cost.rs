@@ -1,25 +1,27 @@
-//! Measurement-calibrated cycle prediction for candidate tiles.
+//! Predicted cycles for candidate tiles.
 //!
 //! The paper's Eq. 3–5 heuristics reward *proxies* for speed (PE
 //! alignment, transfer coalescing). A [`CostModel`] instead predicts the
 //! cycles a candidate [`TileConfig`] would cost end to end — DMA traffic,
 //! weight (re)loads, per-tile host overhead and engine compute — from
-//! per-engine coefficients derived offline from the platform description
-//! (`CALIBRATION.json`, see `docs/CALIBRATION.md`). The objective then
-//! scores a tile by `γ · predicted(full) / predicted(tile)`, a number in
-//! `(0, 1]` that is 1 exactly when tiling costs nothing.
+//! per-engine coefficients read off the platform description
+//! (`htvm_soc::DianaConfig::cost_model`, see `docs/CALIBRATION.md`). The
+//! objective then scores a tile by `γ · predicted(full) / predicted(tile)`,
+//! a number in `(0, 1]` that is 1 exactly when tiling costs nothing.
 //!
 //! # Prediction, not simulation
 //!
-//! [`CostModel::predicted_cycles`] is a *closed-form estimate* over the
-//! tile partition, evaluated in `O(1)` per candidate — it never enumerates
-//! tile instances. It mirrors the simulator's accounting (transfer counts
-//! from the C–y–x layout, weight reloads on reduction splits, alignment
-//! quantization of the PE array) but rounds per-transfer and per-pass
-//! ceilings at the aggregate level and ignores border-halo clamping, so it
-//! tracks rather than reproduces simulated totals. That is the right
-//! trade: the solver compares thousands of candidates per layer and only
-//! the *ordering* matters.
+//! [`CostModel::predicted_cycles`] is a *closed form* over the tile
+//! partition — it never enumerates tile instances — but it counts DMA
+//! transfers with the tile walk's own rules: [`input_chunks`] and
+//! [`output_chunks`] on each axis's actual window extents, and one weight
+//! load per change of the tile's
+//! [`weight_slice`](crate::TileInstance::weight_slice), each staging
+//! [`staged_weight_elems`]. It rounds byte and compute ceilings at the
+//! aggregate level and prices input rows over a stride-clamped total
+//! (below), so it tracks rather than reproduces simulated totals. That is
+//! the right trade: the solver compares thousands of candidates per layer
+//! and only the *ordering* matters.
 //!
 //! # Solver contract: monotone in `o_yᵗ`
 //!
@@ -35,16 +37,18 @@
 //!
 //! — clamping the halo below at the stride keeps the sum non-increasing in
 //! the tile height even for stride > filter layers (where real halos would
-//! shrink under splitting). `tests::score_is_monotone_in_oy` sweeps the
-//! invariant.
+//! shrink under splitting). It is exact for unpadded layers with
+//! `F_y ≥ s_y`. `tests::score_is_monotone_in_oy` sweeps the invariant.
 
-use crate::{LayerGeometry, LayerKind, TileConfig};
+use crate::tile::{col_window, input_chunks, output_chunks, row_window, weights_follow_batch};
+use crate::{mapped_weight_rows, staged_weight_elems, LayerGeometry, LayerKind, TileConfig};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Per-engine compute coefficients of a [`CostModel`].
 ///
 /// The variants mirror the two DIANA accelerators' architectural shapes;
-/// the *values* come from calibration, not from the platform defaults.
+/// the values come from the platform description.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EngineModel {
     /// A digital PE array: compute quantized to `⌈Cᵗ/rows⌉·⌈i_xᵗ/cols⌉`
@@ -77,19 +81,17 @@ pub enum EngineModel {
     },
 }
 
-/// A calibrated per-engine cycle model for scoring candidate tiles.
+/// A per-engine cycle model for scoring candidate tiles.
 ///
-/// Attach one to a [`TilingObjective`](crate::TilingObjective) (via
-/// [`TilingObjective::calibrated`](crate::TilingObjective::calibrated) or
-/// the `cost_model` field) and the objective gains a
-/// `γ · predicted(full) / predicted(tile)` term. The `version` is part of
-/// the model's cache identity: bumping it (as the `calibrate` tool does
-/// when the fit procedure changes) keeps artifacts produced under
-/// different calibrations from ever aliasing in the tile cache or the
-/// artifact store.
+/// Attach one to a [`TilingObjective`](crate::TilingObjective) with
+/// [`TilingObjective::calibrated`](crate::TilingObjective::calibrated) and
+/// the objective gains a `γ · predicted(full) / predicted(tile)` term. The
+/// `version` is part of the model's cache identity: it is bumped whenever
+/// predictions change, so artifacts produced under different models never
+/// alias in the tile cache or the artifact store.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
-    /// Calibration schema/fit version (mixed into cache keys).
+    /// Prediction version (mixed into cache keys).
     pub version: u32,
     /// Weight of the predicted-cycle term in the Eq. 1 sum.
     pub gamma: f64,
@@ -170,127 +172,57 @@ impl CostModel {
     /// closed form over the tile partition (no instance enumeration).
     #[must_use]
     pub fn predicted_cycles(&self, geom: &LayerGeometry, tile: &TileConfig) -> u64 {
-        let lockstep = matches!(geom.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
-        let (oy, ox) = (geom.oy(), geom.ox());
-        let n_k = geom.k.div_ceil(tile.k_t);
-        let n_y = oy.div_ceil(tile.oy_t);
-        let n_x = ox.div_ceil(tile.ox_t);
-        let n_c = if lockstep {
-            1
-        } else {
-            geom.c.div_ceil(tile.c_t)
-        };
-        let n_tiles = (n_k * n_y * n_x * n_c) as u64;
-
+        let p = Partition::new(geom, tile);
+        let n_tiles = (p.n_k * p.n_y * p.n_x * p.n_c) as u64;
         let overhead = self.kernel_call_overhead + self.tile_overhead * n_tiles;
 
-        // Exact partition sums of input rows/cols over the y/x tile grids,
-        // with the halo clamped below at the stride (module docs).
-        let (sy, sx) = geom.strides;
-        let total_rows = sy * oy + n_y * (geom.fy.max(sy) - sy);
-        let total_cols = sx * ox + n_x * (geom.fx.max(sx) - sx);
-
-        // Input traffic. Every (y, x, c) position fetches its slice; the
-        // simulator re-fetches per output-channel block unless a single
-        // slice stays resident across the whole layer. Lockstep layers
-        // fetch each channel block exactly once.
-        let k_fetch = if lockstep || n_y * n_x * n_c == 1 {
-            1
-        } else {
-            n_k
-        };
+        // Input traffic, two operands for element-wise add.
         let operands = if geom.kind == LayerKind::Add { 2 } else { 1 };
-        let in_elems = geom.c * total_rows * total_cols * k_fetch;
+        let (total_rows, total_cols) = p.input_extents();
+        let in_elems = geom.c * total_rows * total_cols * p.input_passes();
         let in_bytes = (geom.act_dtype.storage_bytes(in_elems) * operands) as u64;
-        // Transfer counts from the C–y–x layout (one per contiguous run).
-        let in_chunks = (operands
-            * if n_x > 1 {
-                k_fetch * geom.c * total_rows * n_x
-            } else if n_y > 1 {
-                k_fetch * geom.c * n_y
-            } else if lockstep {
-                n_k
-            } else if n_c == 1 {
-                1
-            } else {
-                n_k * n_c
-            }) as u64;
+        let in_chunks = (operands * p.input_chunks()) as u64;
         let input_dma = self.dma_setup * in_chunks + in_bytes.div_ceil(self.dma_bytes_per_cycle);
 
-        // Weight traffic. Weights reload whenever the (k, c) slice
-        // changes: once per k block when the reduction is unsplit, once
-        // per tile otherwise.
-        let weight = if geom.kind == LayerKind::Add {
-            0
-        } else {
-            // Matmul stages its b operand per (k, c, batch) slice: it stays
-            // resident across output rows only when reduction *and* batch
-            // are unsplit. Conv/dense weights key on (k, c) alone.
-            let resident = if geom.kind == LayerKind::MatMul {
-                n_c == 1 && n_x == 1
-            } else {
-                n_c == 1
-            };
-            let loads = if resident { n_k as u64 } else { n_tiles };
-            match self.engine {
-                EngineModel::Digital { .. } => {
-                    let sweeps = if resident {
-                        1
-                    } else if geom.kind == LayerKind::MatMul {
-                        n_y
-                    } else {
-                        n_y * n_x
-                    };
-                    let bytes = (geom.weight_bytes() * sweeps) as u64;
-                    self.dma_setup * loads + bytes.div_ceil(self.dma_bytes_per_cycle)
-                }
-                EngineModel::Analog {
-                    rows,
-                    row_load_cycles,
-                    ..
-                } => {
-                    let per_load = match geom.kind {
-                        LayerKind::Conv2d => tile.c_t * geom.fy * geom.fx,
-                        LayerKind::Dense | LayerKind::MatMul => tile.c_t,
-                        LayerKind::DepthwiseConv2d | LayerKind::Add => 0,
-                    };
-                    loads * per_load.min(rows) as u64 * row_load_cycles
-                }
+        // Weight traffic: a digital load is one DMA transfer of the staged
+        // slice; an analog load programs the mapped rows into the array.
+        let weight = match self.engine {
+            EngineModel::Digital { .. } => {
+                let loads = p.over_weight_loads(|_, _, _| 1) as u64;
+                let elems = p.over_weight_loads(|k, c, ox| staged_weight_elems(geom, k, c, ox));
+                let bytes = geom.w_dtype.storage_bytes(elems) as u64;
+                self.dma_setup * loads + bytes.div_ceil(self.dma_bytes_per_cycle)
+            }
+            EngineModel::Analog {
+                rows,
+                row_load_cycles,
+                ..
+            } => {
+                let mapped = p.over_weight_loads(|_, c, _| mapped_weight_rows(geom, c).min(rows));
+                mapped as u64 * row_load_cycles
             }
         };
 
         // Output traffic: every output element exactly once.
-        let out_bytes = geom.act_dtype.storage_bytes(geom.k * oy * ox) as u64;
-        let out_chunks = (if n_x > 1 {
-            geom.k * oy * n_x
-        } else if n_k * n_y > 1 {
-            geom.k * n_y
-        } else {
-            1
-        }) as u64;
+        let out_bytes = geom.act_dtype.storage_bytes(geom.k * geom.oy() * geom.ox()) as u64;
+        let out_chunks = p.output_chunks() as u64;
         let output_dma = self.dma_setup * out_chunks + out_bytes.div_ceil(self.dma_bytes_per_cycle);
 
-        overhead + input_dma + weight + output_dma + self.compute_cycles(geom, tile)
+        overhead + input_dma + weight + output_dma + self.compute_cycles(&p)
     }
 
     /// Engine compute over the whole partition (constant in `o_yᵗ`: the
     /// output-height tiles always sum to `o_y` and the alignment ceilings
     /// quantize only channel and width dimensions).
-    fn compute_cycles(&self, geom: &LayerGeometry, tile: &TileConfig) -> u64 {
-        let lockstep = matches!(geom.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
+    fn compute_cycles(&self, p: &Partition) -> u64 {
+        let (geom, tile) = (p.geom, p.tile);
         let (oy, ox) = (geom.oy(), geom.ox());
-        let n_c = if lockstep {
-            1
-        } else {
-            geom.c.div_ceil(tile.c_t)
-        };
-        let n_k = geom.k.div_ceil(tile.k_t);
-        let n_x = ox.div_ceil(tile.ox_t);
-        // Σ over a partition of `dim` into `n` tiles of `t` (plus a tail)
-        // of `⌈len/q⌉`.
-        let blocks = |dim: usize, t: usize, n: usize, q: usize| -> u64 {
-            let tail = dim - (n - 1) * t;
-            ((n - 1) * t.div_ceil(q) + tail.div_ceil(q)) as u64
+        // Σ of `⌈f(len)/q⌉` over the tiles of `dim` cut into `t`.
+        let blocks = |dim: usize, t: usize, q: usize, f: &dyn Fn(usize) -> usize| -> u64 {
+            let runs = runs(dim, t);
+            runs.iter()
+                .map(|&(len, n)| (n * f(len).div_ceil(q)) as u64)
+                .sum()
         };
         match self.engine {
             EngineModel::Digital {
@@ -302,27 +234,23 @@ impl CostModel {
             } => {
                 let ideal = match geom.kind {
                     LayerKind::Conv2d => {
-                        let c_blk = blocks(geom.c, tile.c_t, n_c, pe_rows);
-                        // Interior input-width per x tile, clamped to the
+                        // Interior input width per x tile, clamped to the
                         // real input; the x tail uses its own halo.
-                        let ix_of =
-                            |ox_len: usize| ((ox_len - 1) * geom.strides.1 + geom.fx).min(geom.ix);
-                        let ox_tail = ox - (n_x - 1) * tile.ox_t;
-                        let x_blk = ((n_x - 1) * ix_of(tile.ox_t).div_ceil(pe_cols)
-                            + ix_of(ox_tail).div_ceil(pe_cols))
-                            as u64;
-                        (geom.k * oy * geom.fy * geom.fx) as u64 * c_blk * x_blk
+                        let ix_of = |ox: usize| ((ox - 1) * geom.strides.1 + geom.fx).min(geom.ix);
+                        (geom.k * oy * geom.fy * geom.fx) as u64
+                            * blocks(geom.c, tile.c_t, pe_rows, &|c| c)
+                            * blocks(ox, tile.ox_t, pe_cols, &ix_of)
                     }
                     LayerKind::Dense => {
-                        blocks(geom.c, tile.c_t, n_c, pe_rows)
-                            * blocks(geom.k, tile.k_t, n_k, pe_cols)
+                        blocks(geom.c, tile.c_t, pe_rows, &|c| c)
+                            * blocks(geom.k, tile.k_t, pe_cols, &|k| k)
                     }
                     // One PE-array pass per (sequence row, c block, k
                     // block); constant in `o_yᵗ` like dense.
                     LayerKind::MatMul => {
                         (oy * ox) as u64
-                            * blocks(geom.c, tile.c_t, n_c, pe_rows)
-                            * blocks(geom.k, tile.k_t, n_k, pe_cols)
+                            * blocks(geom.c, tile.c_t, pe_rows, &|c| c)
+                            * blocks(geom.k, tile.k_t, pe_cols, &|k| k)
                     }
                     LayerKind::DepthwiseConv2d => geom.macs() * 100 / dw_macs_per_cycle_x100.max(1),
                     LayerKind::Add => {
@@ -339,7 +267,8 @@ impl CostModel {
             } => {
                 let ideal = match geom.kind {
                     LayerKind::Conv2d | LayerKind::Dense => {
-                        (n_c * oy * ox) as u64 * blocks(geom.k, tile.k_t, n_k, cols) * pass_cycles
+                        let k_blk = blocks(geom.k, tile.k_t, cols, &|k| k);
+                        (p.n_c * oy * ox) as u64 * k_blk * pass_cycles
                     }
                     LayerKind::Add => ((geom.k * oy * ox) as u64).div_ceil(16),
                     // Never dispatched to analog; priced as raw MACs so
@@ -350,6 +279,152 @@ impl CostModel {
             }
         }
     }
+}
+
+/// A tile partition summarised per axis, from which the tile walk's
+/// transfers are summed without enumerating its instances.
+struct Partition<'a> {
+    geom: &'a LayerGeometry,
+    tile: &'a TileConfig,
+    /// Depthwise and add: the channel slice *is* the k block.
+    lockstep: bool,
+    n_k: usize,
+    n_y: usize,
+    n_x: usize,
+    /// Reduction slices per output block (1 when lockstep).
+    n_c: usize,
+}
+
+impl<'a> Partition<'a> {
+    fn new(geom: &'a LayerGeometry, tile: &'a TileConfig) -> Self {
+        let lockstep = matches!(geom.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
+        Partition {
+            geom,
+            tile,
+            lockstep,
+            n_k: geom.k.div_ceil(tile.k_t),
+            n_y: geom.oy().div_ceil(tile.oy_t),
+            n_x: geom.ox().div_ceil(tile.ox_t),
+            n_c: if lockstep {
+                1
+            } else {
+                geom.c.div_ceil(tile.c_t)
+            },
+        }
+    }
+
+    /// How often the walk fetches each `(c, y, x)` input slice: once per k
+    /// block, unless a single slice covers the layer (it stays resident)
+    /// or channels lockstep with k.
+    fn input_passes(&self) -> usize {
+        if self.lockstep || self.n_y * self.n_x * self.n_c == 1 {
+            1
+        } else {
+            self.n_k
+        }
+    }
+
+    /// Input rows and columns summed over the y and x tile grids, with the
+    /// halo clamped below at the stride (module docs).
+    fn input_extents(&self) -> (usize, usize) {
+        let geom = self.geom;
+        let (sy, sx) = geom.strides;
+        (
+            sy * geom.oy() + self.n_y * (geom.fy.max(sy) - sy),
+            sx * geom.ox() + self.n_x * (geom.fx.max(sx) - sx),
+        )
+    }
+
+    /// Input transfers per operand: every fetched slice costs what
+    /// [`input_chunks`] says for its window extents. Rows enter that rule
+    /// only as the per-row count of a partial-width slice, so such a
+    /// column's y tiles are priced together over the clamped row total.
+    fn input_chunks(&self) -> usize {
+        let (geom, tile) = (self.geom, self.tile);
+        let total_rows = self.input_extents().0;
+        let all_rows = || extents(geom.oy(), tile.oy_t, |r| row_window(geom, r));
+        let column = |cols: usize| -> usize {
+            runs(geom.c, tile.c_t)
+                .iter()
+                .map(|&(c, n)| {
+                    n * if cols == geom.ix {
+                        all_rows()
+                            .map(|rows| input_chunks(geom, c, rows, cols))
+                            .sum()
+                    } else {
+                        input_chunks(geom, c, total_rows, cols)
+                    }
+                })
+                .sum()
+        };
+        let all_cols = extents(geom.ox(), tile.ox_t, |r| col_window(geom, r));
+        self.input_passes() * all_cols.map(column).sum::<usize>()
+    }
+
+    /// Output transfers: [`output_chunks`] of every output block, stored
+    /// once after its last reduction slice.
+    fn output_chunks(&self) -> usize {
+        let (geom, tile) = (self.geom, self.tile);
+        let mut chunks = 0;
+        for (k, n_k) in runs(geom.k, tile.k_t) {
+            for (oy, n_y) in runs(geom.oy(), tile.oy_t) {
+                for (ox, n_x) in runs(geom.ox(), tile.ox_t) {
+                    chunks += n_k * n_y * n_x * output_chunks(geom, k, oy, ox);
+                }
+            }
+        }
+        chunks
+    }
+
+    /// `Σ f(k, c, ox)` over the walk's weight loads, `(k, c, ox)` being
+    /// each load's slice extents: one load per k block while the weight
+    /// slice stays the same across the block, one per tile otherwise. Add
+    /// carries no weights.
+    fn over_weight_loads(&self, f: impl Fn(usize, usize, usize) -> usize) -> usize {
+        let (geom, tile) = (self.geom, self.tile);
+        if geom.kind == LayerKind::Add {
+            return 0;
+        }
+        let resident = self.n_c == 1 && !(weights_follow_batch(geom.kind) && self.n_x > 1);
+        let slice = |k: usize, c: usize| -> usize {
+            if resident {
+                f(k, c, geom.ox())
+            } else {
+                let xs = runs(geom.ox(), tile.ox_t);
+                self.n_y * xs.iter().map(|&(ox, n)| n * f(k, c, ox)).sum::<usize>()
+            }
+        };
+        runs(geom.k, tile.k_t)
+            .iter()
+            .map(|&(k, n_k)| {
+                n_k * if self.lockstep {
+                    slice(k, k)
+                } else {
+                    let cs = runs(geom.c, tile.c_t);
+                    cs.iter().map(|&(c, n_c)| n_c * slice(k, c)).sum()
+                }
+            })
+            .sum()
+    }
+}
+
+/// The `(extent, count)` runs of `dim` cut into tiles of `t`: the full
+/// tiles, then the tail.
+fn runs(dim: usize, t: usize) -> [(usize, usize); 2] {
+    let n = dim.div_ceil(t);
+    [(t, n - 1), (dim - (n - 1) * t, 1)]
+}
+
+/// The input-window extent of every tile of an output axis of `out`
+/// positions cut into tiles of `t`.
+fn extents(
+    out: usize,
+    t: usize,
+    window: impl Fn(Range<usize>) -> Range<usize>,
+) -> impl Iterator<Item = usize> {
+    (0..out)
+        .step_by(t)
+        .map(move |a| window(a..(a + t).min(out)).len())
 }
 
 #[cfg(test)]
@@ -573,5 +648,81 @@ mod tests {
         c.gamma = 3.0;
         assert_ne!(a.identity_bits(), c.identity_bits());
         assert_ne!(a.identity_bits(), analog_model().identity_bits());
+    }
+
+    /// The tile walk's transfers summed over `tiles()`: input chunks of
+    /// every fetched slice (a tile re-fetches only when its `(c, oy, ox)`
+    /// slice changes), output chunks of every tile, and one weight load
+    /// per change of the weight slice, with the elements it stages.
+    fn walked(g: &LayerGeometry, t: &TileConfig) -> [usize; 4] {
+        let [mut input, mut output, mut loads, mut staged] = [0; 4];
+        let (mut prev_input, mut prev_weights) = (None, None);
+        for inst in crate::tiles(g, t) {
+            let slice = (inst.c.clone(), inst.oy.clone(), inst.ox.clone());
+            if prev_input.as_ref() != Some(&slice) {
+                input += inst.input_chunks(g);
+                prev_input = Some(slice);
+            }
+            output += inst.output_chunks(g);
+            let weights = Some(inst.weight_slice(g));
+            if g.kind != LayerKind::Add && prev_weights != weights {
+                loads += 1;
+                staged += staged_weight_elems(g, inst.k.len(), inst.c.len(), inst.ox.len());
+                prev_weights = weights;
+            }
+        }
+        [input, output, loads, staged]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn closed_form_counts_transfers_like_the_tile_walk(
+            kind in 0usize..5,
+            c in 1usize..=6,
+            k in 1usize..=6,
+            iy in 1usize..=8,
+            ix in 1usize..=8,
+            f in 1usize..=3,
+            s in 1usize..=3,
+        ) {
+            // Unpadded, filter ≥ stride: the clamped row total is exact.
+            let s = s.min(f);
+            let (iy, ix) = (iy.max(f), ix.max(f));
+            let g = match kind {
+                0 => LayerGeometry::conv2d(c, k, iy, ix, f, f, (s, s), (0, 0, 0, 0)),
+                1 => LayerGeometry::depthwise(c, iy, ix, f, f, (s, s), (0, 0, 0, 0)),
+                2 => LayerGeometry::dense(c, k),
+                3 => LayerGeometry::matmul(c, k, iy, ix.min(3), s == 2),
+                _ => LayerGeometry::add(c, iy, ix),
+            };
+            let lockstep = matches!(g.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
+            for c_t in 1..=g.c {
+                for k_t in 1..=g.k {
+                    if lockstep && k_t != c_t {
+                        continue;
+                    }
+                    for oy_t in 1..=g.oy() {
+                        for ox_t in 1..=g.ox() {
+                            let tile = TileConfig { c_t, k_t, oy_t, ox_t };
+                            let p = Partition::new(&g, &tile);
+                            let closed = [
+                                p.input_chunks(),
+                                p.output_chunks(),
+                                p.over_weight_loads(|_, _, _| 1),
+                                p.over_weight_loads(|k, c, ox| staged_weight_elems(&g, k, c, ox)),
+                            ];
+                            let walk = walked(&g, &tile);
+                            proptest::prop_assert_eq!(
+                                closed,
+                                walk,
+                                "closed form {closed:?} vs walk {walk:?} for {g:?} {tile:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

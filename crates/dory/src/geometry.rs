@@ -236,15 +236,9 @@ impl LayerGeometry {
     /// Number of weight elements (for matmul: the staged second operand).
     #[must_use]
     pub fn weight_elems(&self) -> usize {
-        match self.kind {
-            LayerKind::Conv2d => self.k * self.c * self.fy * self.fx,
-            LayerKind::DepthwiseConv2d => self.c * self.fy * self.fx,
-            LayerKind::Dense => self.k * self.c,
-            LayerKind::Add => 0,
-            // The b operand is [H, D, N] (either layout): one N×D slab
-            // per batch, staged through the weight memory.
-            LayerKind::MatMul => self.k * self.c * self.ix,
-        }
+        // The matmul b operand is [H, D, N] (either layout): one N×D slab
+        // per batch, staged through the weight memory.
+        crate::staged_weight_elems(self, self.k, self.c, self.ix)
     }
 
     /// Packed storage bytes of the full weight tensor.

@@ -59,4 +59,4 @@ pub use error::TilingError;
 pub use geometry::{LayerGeometry, LayerKind};
 pub use objective::{Heuristic, TilingObjective};
 pub use solver::{feasible, solve, TileSolution};
-pub use tile::{tiles, TileConfig, TileInstance};
+pub use tile::{mapped_weight_rows, staged_weight_elems, tiles, TileConfig, TileInstance};

@@ -1,5 +1,6 @@
 //! The tiling objective: Eq. 1 of the paper, with the DIANA heuristics of
-//! Eq. 3–5 as pluggable terms.
+//! Eq. 3–5 as pluggable terms, or — calibrated — one predicted-cycle term
+//! from the platform's [`CostModel`].
 
 use crate::{tile_memory, CostModel, LayerGeometry, MemoryBudget, TileConfig, TilingError};
 use serde::{Deserialize, Serialize};
@@ -124,15 +125,15 @@ impl Heuristic {
 }
 
 /// The full Eq. 1 objective: a memory-utilization weight `α` plus weighted
-/// heuristic terms `βᵢ·Hᵢ`, optionally augmented with a calibrated
-/// predicted-cycle term (see [`CostModel`]).
+/// heuristic terms `βᵢ·Hᵢ`, optionally augmented with a predicted-cycle
+/// term (see [`CostModel`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TilingObjective {
     /// Weight of the memory-utilization term.
     pub alpha: f64,
     /// Heuristic terms and their weights.
     pub terms: Vec<(Heuristic, f64)>,
-    /// Calibrated cycle model scoring tiles by predicted cycles
+    /// Cycle model scoring tiles by predicted cycles
     /// (`γ · predicted(full) / predicted(tile)`). `None` — the default,
     /// and what every pre-calibration serialized objective deserializes
     /// to — falls back to the Eq. 3–5 heuristics alone. Skipped when
@@ -200,11 +201,11 @@ impl TilingObjective {
         }
     }
 
-    /// A measurement-calibrated objective: memory utilization plus the
-    /// model's predicted-cycle term, with no Eq. 3–5 heuristics — the
-    /// alignment and transfer-count effects they proxy are captured
-    /// directly by the predictor. This is what the bench harness builds
-    /// from a loaded `CALIBRATION.json`.
+    /// The calibrated objective: memory utilization plus the model's
+    /// predicted-cycle term, with no Eq. 3–5 heuristics — the alignment
+    /// and transfer-count effects they proxy are captured directly by the
+    /// predictor. The platform derives each engine's model
+    /// (`htvm_soc::DianaConfig::cost_model`).
     #[must_use]
     pub fn calibrated(cost_model: CostModel) -> Self {
         TilingObjective {
@@ -212,13 +213,6 @@ impl TilingObjective {
             terms: Vec::new(),
             cost_model: Some(cost_model),
         }
-    }
-
-    /// Attaches (or replaces) a calibrated cost model, builder style.
-    #[must_use]
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = Some(cost_model);
-        self
     }
 
     /// Evaluates Eq. 1 for a candidate tile. Higher is better.

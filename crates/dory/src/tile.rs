@@ -123,25 +123,13 @@ impl TileInstance {
     /// DMA.
     #[must_use]
     pub fn input_rows(&self, geom: &LayerGeometry) -> Range<usize> {
-        window(
-            self.oy.clone(),
-            geom.strides.0,
-            geom.fy,
-            geom.padding.top,
-            geom.iy,
-        )
+        row_window(geom, self.oy.clone())
     }
 
     /// The input columns this tile must load, clamped into the real input.
     #[must_use]
     pub fn input_cols(&self, geom: &LayerGeometry) -> Range<usize> {
-        window(
-            self.ox.clone(),
-            geom.strides.1,
-            geom.fx,
-            geom.padding.left,
-            geom.ix,
-        )
+        col_window(geom, self.ox.clone())
     }
 
     /// Bytes of input activation DMA'd in for this tile (per operand; the
@@ -153,26 +141,14 @@ impl TileInstance {
         geom.act_dtype.storage_bytes(self.c.len() * rows * cols)
     }
 
-    /// Number of contiguous 1-D DMA transfers needed to fetch the input
-    /// tile from a C–y–x laid-out L2 tensor: full-width tiles coalesce one
-    /// transfer per (channel, full-plane) — this is what the paper's
-    /// `H_DMA = i_yᵗ` heuristic optimizes (fewer, longer transfers).
+    /// Contiguous 1-D DMA transfers that fetch this tile's input from a
+    /// C–y–x laid-out L2 tensor, by the rule the closed-form cost model
+    /// shares (`tile::input_chunks` over its window extents).
     #[must_use]
     pub fn input_chunks(&self, geom: &LayerGeometry) -> usize {
         let rows = self.input_rows(geom).len();
         let cols = self.input_cols(geom).len();
-        if cols == geom.ix {
-            if rows == geom.iy {
-                // Full spatial planes: channel slices are adjacent in the
-                // C–y–x layout, so any contiguous channel range is one
-                // transfer.
-                1
-            } else {
-                self.c.len()
-            }
-        } else {
-            self.c.len() * rows
-        }
+        input_chunks(geom, self.c.len(), rows, cols)
     }
 
     /// Bytes of output DMA'd back to L2 after this tile (zero for
@@ -186,21 +162,29 @@ impl TileInstance {
             .storage_bytes(self.k.len() * self.oy.len() * self.ox.len())
     }
 
-    /// Contiguous 1-D DMA transfers for the output tile (K–y–x layout).
+    /// Contiguous 1-D DMA transfers for the output tile (`tile::output_chunks`
+    /// over its extents; zero for non-final reduction slices, which store
+    /// nothing).
     #[must_use]
     pub fn output_chunks(&self, geom: &LayerGeometry) -> usize {
         if !self.last_c {
             return 0;
         }
-        if self.ox.len() == geom.ox() {
-            if self.oy.len() == geom.oy() && self.k.len() == geom.k {
-                1
-            } else {
-                self.k.len()
-            }
+        output_chunks(geom, self.k.len(), self.oy.len(), self.ox.len())
+    }
+
+    /// The weight slice this tile computes with. The tile walk stages
+    /// weights whenever a tile's slice differs from the previous tile's:
+    /// conv, depthwise and dense key on `(k, c)`, and matmul's staged `b`
+    /// slab also varies with the batch (`ox`) slice.
+    #[must_use]
+    pub fn weight_slice(&self, geom: &LayerGeometry) -> [Range<usize>; 3] {
+        let batch = if weights_follow_batch(geom.kind) {
+            self.ox.clone()
         } else {
-            self.k.len() * self.oy.len()
-        }
+            0..0
+        };
+        [self.k.clone(), self.c.clone(), batch]
     }
 
     /// Multiply-accumulate operations performed by this invocation.
@@ -215,6 +199,78 @@ impl TileInstance {
             LayerKind::MatMul => (self.k.len() * self.c.len()) as u64 * spatial,
         }
     }
+}
+
+/// Contiguous 1-D DMA transfers that fetch a `c × rows × cols` input slice
+/// from a C–y–x laid-out L2 tensor: one per (channel, row), one per
+/// channel once the slice spans full rows, and one in all once it spans
+/// full planes, since channel slices are then adjacent. This is what the
+/// paper's `H_DMA = i_yᵗ` heuristic optimizes (fewer, longer transfers).
+#[must_use]
+pub(crate) fn input_chunks(geom: &LayerGeometry, c: usize, rows: usize, cols: usize) -> usize {
+    if cols != geom.ix {
+        c * rows
+    } else if rows != geom.iy {
+        c
+    } else {
+        1
+    }
+}
+
+/// Contiguous 1-D DMA transfers that store a `k × oy × ox` output block to
+/// a K–y–x laid-out L2 tensor: one per (channel, row), one per channel
+/// once the block spans full rows, and one in all for the whole output.
+#[must_use]
+pub(crate) fn output_chunks(geom: &LayerGeometry, k: usize, oy: usize, ox: usize) -> usize {
+    if ox != geom.ox() {
+        k * oy
+    } else if oy != geom.oy() || k != geom.k {
+        k
+    } else {
+        1
+    }
+}
+
+/// Weight elements one `k × c` weight slice stages (for matmul: the `b`
+/// slab of `ox` batch columns).
+#[must_use]
+pub fn staged_weight_elems(geom: &LayerGeometry, k: usize, c: usize, ox: usize) -> usize {
+    match geom.kind {
+        LayerKind::Conv2d => k * c * geom.fy * geom.fx,
+        LayerKind::DepthwiseConv2d => c * geom.fy * geom.fx,
+        LayerKind::Dense => k * c,
+        LayerKind::Add => 0,
+        LayerKind::MatMul => k * c * ox,
+    }
+}
+
+/// Weight rows a `c`-channel slice programs into an in-memory-compute
+/// array: `c·Fy·Fx` for conv, `c` for dense. Depthwise and matmul never
+/// map onto one, and add has no weights.
+#[must_use]
+pub fn mapped_weight_rows(geom: &LayerGeometry, c: usize) -> usize {
+    match geom.kind {
+        LayerKind::Conv2d => c * geom.fy * geom.fx,
+        LayerKind::Dense => c,
+        LayerKind::DepthwiseConv2d | LayerKind::Add | LayerKind::MatMul => 0,
+    }
+}
+
+/// Whether a layer's weight slice varies with the output-column (batch)
+/// axis ([`TileInstance::weight_slice`]).
+pub(crate) fn weights_follow_batch(kind: LayerKind) -> bool {
+    kind == LayerKind::MatMul
+}
+
+/// The input rows that output rows `oy` read, clamped into the real input.
+pub(crate) fn row_window(geom: &LayerGeometry, oy: Range<usize>) -> Range<usize> {
+    window(oy, geom.strides.0, geom.fy, geom.padding.top, geom.iy)
+}
+
+/// The input columns that output columns `ox` read, clamped into the real
+/// input.
+pub(crate) fn col_window(geom: &LayerGeometry, ox: Range<usize>) -> Range<usize> {
+    window(ox, geom.strides.1, geom.fx, geom.padding.left, geom.ix)
 }
 
 fn window(

@@ -1,7 +1,7 @@
 //! Analog in-memory-compute accelerator cost model.
 
 use crate::AnalogConfig;
-use htvm_dory::{LayerGeometry, LayerKind, TileInstance};
+use htvm_dory::{mapped_weight_rows, LayerGeometry, LayerKind, TileInstance};
 
 /// Cycles to write a tile's weights into the IMC macro.
 ///
@@ -17,15 +17,7 @@ pub fn analog_weight_load_cycles(
     geom: &LayerGeometry,
     tile: &TileInstance,
 ) -> u64 {
-    let rows = match geom.kind {
-        LayerKind::Conv2d => tile.c.len() * geom.fy * geom.fx,
-        LayerKind::Dense => tile.c.len(),
-        // Depthwise is not supported on DIANA's analog array; add carries
-        // no weights. Dispatch never routes depthwise (or i8-activation
-        // matmul) here.
-        LayerKind::DepthwiseConv2d | LayerKind::Add | LayerKind::MatMul => 0,
-    };
-    rows.min(cfg.rows) as u64 * cfg.row_load_cycles
+    mapped_weight_rows(geom, tile.c.len()).min(cfg.rows) as u64 * cfg.row_load_cycles
 }
 
 /// Compute cycles for one tile invocation on the analog array.

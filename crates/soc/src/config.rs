@@ -1,5 +1,7 @@
 //! Architectural parameters and calibrated cost constants.
 
+use crate::EngineKind;
+use htvm_dory::{CostModel, EngineModel};
 use serde::{Deserialize, Serialize};
 
 /// DMA engine model: each 1-D transfer pays a setup cost, then streams at
@@ -169,6 +171,54 @@ impl DianaConfig {
     pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz as f64 * 1e3)
     }
+
+    /// The tiling solver's cycle model of `engine` on this platform, for
+    /// [`TilingObjective::calibrated`](htvm_dory::TilingObjective::calibrated):
+    /// the DMA, host-overhead and compute coefficients the simulator itself
+    /// charges, read off this configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` is [`EngineKind::Cpu`]; CPU steps have no tiles
+    /// to score.
+    #[must_use]
+    pub fn cost_model(&self, engine: EngineKind) -> CostModel {
+        let (d, a) = (&self.digital, &self.analog);
+        let digital = CostModel {
+            // Bumped whenever predictions change; part of every cache key.
+            version: 2,
+            // The heuristic objective spreads ~4 units over Eq. 3–5; the
+            // single predicted-cycle term gets the same total weight.
+            gamma: 4.0,
+            dma_setup: self.dma.setup_cycles,
+            dma_bytes_per_cycle: self.dma.bytes_per_cycle,
+            kernel_call_overhead: d.kernel_call_overhead,
+            tile_overhead: d.tile_overhead,
+            engine: EngineModel::Digital {
+                pe_rows: d.pe_rows,
+                pe_cols: d.pe_cols,
+                dw_macs_per_cycle_x100: d.dw_macs_per_cycle_x100,
+                add_elems_per_cycle: d.add_elems_per_cycle,
+                efficiency_pct: d.efficiency_pct,
+            },
+        };
+        match engine {
+            EngineKind::Digital => digital,
+            EngineKind::Analog => CostModel {
+                kernel_call_overhead: a.kernel_call_overhead,
+                tile_overhead: a.tile_overhead,
+                engine: EngineModel::Analog {
+                    rows: a.rows,
+                    cols: a.cols,
+                    row_load_cycles: a.row_load_cycles,
+                    pass_cycles: a.pass_cycles,
+                    efficiency_pct: a.efficiency_pct,
+                },
+                ..digital
+            },
+            EngineKind::Cpu => panic!("cpu steps have no tiles to score"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -190,5 +240,87 @@ mod tests {
         let c = DianaConfig::default();
         assert!((c.cycles_to_ms(260_000) - 1.0).abs() < 1e-12);
         assert!((c.cycles_to_ms(130_000) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn engine_models_anchor_to_platform_defaults() {
+        let p = DianaConfig::default();
+        let (digital, analog) = (
+            p.cost_model(EngineKind::Digital),
+            p.cost_model(EngineKind::Analog),
+        );
+        assert_eq!(digital.dma_setup, p.dma.setup_cycles);
+        assert_eq!(digital.kernel_call_overhead, p.digital.kernel_call_overhead);
+        assert!(matches!(
+            digital.engine,
+            EngineModel::Digital { pe_rows, pe_cols, .. }
+                if pe_rows == p.digital.pe_rows && pe_cols == p.digital.pe_cols
+        ));
+        assert!(matches!(
+            analog.engine,
+            EngineModel::Analog { rows, cols, .. }
+                if rows == p.analog.rows && cols == p.analog.cols
+        ));
+        for model in [digital, analog] {
+            assert_eq!((model.version, model.gamma), (2, 4.0));
+        }
+    }
+
+    #[test]
+    fn every_field_the_closed_form_reads_reaches_its_model() {
+        use EngineKind::{Analog, Digital};
+        let base = DianaConfig::default();
+        type Edit = (&'static str, EngineKind, fn(&mut DianaConfig));
+        let edits: [Edit; 18] = [
+            ("dma.setup_cycles", Digital, |c| c.dma.setup_cycles += 1),
+            ("dma.setup_cycles", Analog, |c| c.dma.setup_cycles += 1),
+            ("dma.bytes_per_cycle", Digital, |c| {
+                c.dma.bytes_per_cycle += 1
+            }),
+            ("dma.bytes_per_cycle", Analog, |c| {
+                c.dma.bytes_per_cycle += 1
+            }),
+            ("digital.kernel_call_overhead", Digital, |c| {
+                c.digital.kernel_call_overhead += 1;
+            }),
+            ("digital.tile_overhead", Digital, |c| {
+                c.digital.tile_overhead += 1
+            }),
+            ("digital.pe_rows", Digital, |c| c.digital.pe_rows += 1),
+            ("digital.pe_cols", Digital, |c| c.digital.pe_cols += 1),
+            ("digital.dw_macs_per_cycle_x100", Digital, |c| {
+                c.digital.dw_macs_per_cycle_x100 += 1;
+            }),
+            ("digital.add_elems_per_cycle", Digital, |c| {
+                c.digital.add_elems_per_cycle += 1;
+            }),
+            ("digital.efficiency_pct", Digital, |c| {
+                c.digital.efficiency_pct += 1
+            }),
+            ("analog.kernel_call_overhead", Analog, |c| {
+                c.analog.kernel_call_overhead += 1;
+            }),
+            ("analog.tile_overhead", Analog, |c| {
+                c.analog.tile_overhead += 1
+            }),
+            ("analog.efficiency_pct", Analog, |c| {
+                c.analog.efficiency_pct += 1
+            }),
+            ("analog.rows", Analog, |c| c.analog.rows += 1),
+            ("analog.cols", Analog, |c| c.analog.cols += 1),
+            ("analog.row_load_cycles", Analog, |c| {
+                c.analog.row_load_cycles += 1
+            }),
+            ("analog.pass_cycles", Analog, |c| c.analog.pass_cycles += 1),
+        ];
+        for (field, engine, edit) in edits {
+            let mut cfg = base;
+            edit(&mut cfg);
+            assert_ne!(
+                cfg.cost_model(engine).identity_bits(),
+                base.cost_model(engine).identity_bits(),
+                "{field} must reach the {engine} cost model"
+            );
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! save the walk, never change a cycle.
 
 use crate::{analog, digital, dma, AccelLayerDesc, DianaConfig, EngineKind};
-use htvm_dory::{tiles, LayerKind, TileInstance};
+use htvm_dory::{staged_weight_elems, tiles, LayerKind, TileInstance};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -238,7 +238,7 @@ pub(crate) fn linearize_tiles(
         ..StepDma::default()
     };
 
-    let mut prev_weights: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
+    let mut prev_weights: Option<[Range<usize>; 3]> = None;
     let mut prev_input: Option<(Range<usize>, Range<usize>, Range<usize>)> = None;
     for inst in instances {
         // Activation fetch (two operands for element-wise add). The L1
@@ -259,26 +259,14 @@ pub(crate) fn linearize_tiles(
             }
             prev_input = Some(input_slice);
         }
-        // Weight staging when the (k, c) slice changes — matmul's staged b
-        // slab also varies with the batch (ox) slice, so the residency key
-        // carries it (empty for weightful kinds).
+        // Weight staging whenever the tile's weight slice changes.
         if geom.kind != LayerKind::Add {
-            let batch = if geom.kind == LayerKind::MatMul {
-                inst.ox.clone()
-            } else {
-                0..0
-            };
-            let slice = (inst.k.clone(), inst.c.clone(), batch);
+            let slice = inst.weight_slice(geom);
             if prev_weights.as_ref() != Some(&slice) {
                 match engine {
                     EngineKind::Digital => {
-                        let elems = match geom.kind {
-                            LayerKind::Conv2d => inst.k.len() * inst.c.len() * geom.fy * geom.fx,
-                            LayerKind::DepthwiseConv2d => inst.c.len() * geom.fy * geom.fx,
-                            LayerKind::Dense => inst.k.len() * inst.c.len(),
-                            LayerKind::MatMul => inst.k.len() * inst.c.len() * inst.ox.len(),
-                            LayerKind::Add => 0,
-                        };
+                        let elems =
+                            staged_weight_elems(geom, inst.k.len(), inst.c.len(), inst.ox.len());
                         program.descriptors.push(DmaDescriptor {
                             dir: DmaDir::Weight,
                             bytes: geom.w_dtype.storage_bytes(elems) as u64,

@@ -41,20 +41,16 @@ cargo run --release -p htvm-bench --bin report -- \
     --from-file "$out/ds_cnn.htf" --deploy both --out "$out/IMPORT_BENCH.json" \
     | tee "$out/import_bench.txt"
 
-echo "== kernel microbenchmark + calibration check (matches the CI calibration job) =="
+echo "== kernel microbenchmark =="
 # Fresh kernel microbenchmark (wall times are host-specific; committed
-# artifacts are NOT overwritten), then the staleness check of the
-# committed CALIBRATION.json against the platform description.
+# artifacts are NOT overwritten).
 cargo run --release -p htvm-bench --bin kernels -- --out "$out/KERNELS_BENCH.json" \
     | tee "$out/kernels_bench.txt"
-cargo run --release -p htvm-bench --bin calibrate -- --out CALIBRATION.json --check \
-    | tee "$out/calibrate_check.txt"
 
 echo "== benchmark report + regression gate (matches the CI bench-report job) =="
-# The committed calibration adds the *_cal rows; their simulated cycles
-# gate at the same 2% tolerance as the heuristic rows.
+# The *_cal rows (calibrated tiling objective) gate at the same 2%
+# tolerance as the heuristic rows.
 cargo run --release -p htvm-bench --bin report -- --out "$out/BENCH.json" \
-    --calibration CALIBRATION.json \
     | tee "$out/bench_report.txt"
 cargo run --release -p htvm-bench --bin bench-diff -- \
     BENCH_BASELINE.json "$out/BENCH.json" --cycle-tol 2 \
