@@ -30,7 +30,7 @@ use crate::{
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The full solve input, with objective weights keyed by bit pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -107,13 +107,7 @@ impl TileCache {
         objective: &TilingObjective,
     ) -> (Result<TileSolution, TilingError>, bool) {
         let key = CacheKey::new(geom, budget, objective);
-        if let Some(cached) = self
-            .inner
-            .map
-            .lock()
-            .expect("tile cache poisoned")
-            .get(&key)
-        {
+        if let Some(cached) = self.map().get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             if cached.is_err() {
                 self.inner.negative_hits.fetch_add(1, Ordering::Relaxed);
@@ -127,12 +121,15 @@ impl TileCache {
         if result.is_err() {
             self.inner.negatives.fetch_add(1, Ordering::Relaxed);
         }
-        self.inner
-            .map
-            .lock()
-            .expect("tile cache poisoned")
-            .insert(key, result.clone());
+        self.map().insert(key, result.clone());
         (result, false)
+    }
+
+    /// The table, poisoned or not: it only holds finished solves and
+    /// [`solve`] runs outside the lock, so a panic leaves nothing half-written.
+    fn map(&self) -> MutexGuard<'_, HashMap<CacheKey, Result<TileSolution, TilingError>>> {
+        let map = &self.inner.map;
+        map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Solves performed through this cache (misses), over its lifetime.
@@ -165,7 +162,7 @@ impl TileCache {
     /// Number of distinct solve inputs currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.map.lock().expect("tile cache poisoned").len()
+        self.map().len()
     }
 
     /// `true` if nothing has been cached yet.
@@ -177,7 +174,7 @@ impl TileCache {
     /// Drops all entries (counters are kept: they describe history, not
     /// contents).
     pub fn clear(&self) {
-        self.inner.map.lock().expect("tile cache poisoned").clear();
+        self.map().clear();
     }
 
     /// A point-in-time snapshot of the cache's counters, in a plain
@@ -346,6 +343,34 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let (_, hit) = cache.solve_cached(&geom, &budget(), &obj);
         assert!(hit);
+    }
+
+    #[test]
+    fn a_poisoned_table_keeps_serving() {
+        let cache = TileCache::new();
+        let geom = LayerGeometry::dense(640, 128);
+        let obj = TilingObjective::memory_only();
+        let (before, _) = cache.solve_cached(&geom, &budget(), &obj);
+        let holder = cache.clone();
+        let panicked = std::thread::spawn(move || {
+            let _table = holder.inner.map.lock().unwrap();
+            panic!("poisoning the tile cache on purpose");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(cache.inner.map.is_poisoned());
+        // A get (hit), an insert (miss), the length and a clear all work.
+        let (again, hit) = cache.solve_cached(&geom, &budget(), &obj);
+        assert!(hit);
+        assert_eq!(again, before);
+        let other = LayerGeometry::dense(128, 640);
+        let (fresh, hit) = cache.solve_cached(&other, &budget(), &obj);
+        assert!(!hit);
+        assert_eq!(fresh, solve(&other, &budget(), &obj));
+        assert_eq!(cache.len(), 2);
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!((cache.solves(), cache.hits()), (2, 1));
     }
 
     #[test]

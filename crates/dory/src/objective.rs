@@ -2,7 +2,10 @@
 //! Eq. 3–5 as pluggable terms, or — calibrated — one predicted-cycle term
 //! from the platform's [`CostModel`].
 
-use crate::{tile_memory, CostModel, LayerGeometry, MemoryBudget, TileConfig, TilingError};
+use crate::{
+    tile_fits, tile_memory, CostModel, LayerGeometry, LayerKind, MemoryBudget, TileConfig,
+    TilingError,
+};
 use serde::{Deserialize, Serialize};
 
 /// An accelerator-aware tiling heuristic `Hᵢ` (paper §III-B/C).
@@ -221,12 +224,7 @@ impl TilingObjective {
     /// activation (and, if present, weight) capacities.
     #[must_use]
     pub fn score(&self, geom: &LayerGeometry, tile: &TileConfig, budget: &MemoryBudget) -> f64 {
-        let mem = tile_memory(geom, tile);
-        // Eq. 1's memory term is a single sum L1ʷ + L1ᵒᵘᵗ + L1ⁱⁿ; with
-        // DIANA's split memories we normalize by the combined capacity, so
-        // leaving the weight store idle costs utilization.
-        let capacity = budget.act_bytes + budget.weight_bytes.unwrap_or(0);
-        let mem_term = (mem.total() as f64 / capacity as f64).min(1.0);
+        let mem_term = mem_fraction(tile_memory(geom, tile).total(), budget);
         let h: f64 = self
             .terms
             .iter()
@@ -234,10 +232,65 @@ impl TilingObjective {
             .sum();
         let cost = self
             .cost_model
-            .as_ref()
             .map_or(0.0, |cm| cm.gamma * cm.score_term(geom, tile));
         self.alpha * mem_term + h + cost
     }
+
+    /// An upper bound on [`score`](Self::score) over the tiles with input
+    /// slice `c_t` that fit `b`, or `None` if none does: `score`'s own
+    /// operations on inputs at least as large, so never below a score.
+    pub(crate) fn bound(&self, geom: &LayerGeometry, c_t: usize, b: &MemoryBudget) -> Option<f64> {
+        // At fixed Cᵗ, Eq. 2 and memory use are monotone in the other three
+        // sizes: the smallest tile decides fit, the largest bounds bytes.
+        let lockstep = matches!(geom.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
+        let (full, k_t) = (TileConfig::full(geom), if lockstep { c_t } else { geom.k });
+        let largest = TileConfig { c_t, k_t, ..full };
+        let smallest = TileConfig {
+            k_t: if lockstep { c_t } else { 1 },
+            oy_t: 1,
+            ox_t: 1,
+            ..largest
+        };
+        if !tile_fits(geom, &smallest, b) {
+            return None;
+        }
+        let mem = tile_memory(geom, &largest);
+        let act = (mem.input + mem.output).min(b.act_bytes);
+        let bytes = match (b.array, b.weight_bytes) {
+            (Some(_), _) => act + mem.weight,
+            (None, Some(wb)) => act + mem.weight.min(wb),
+            (None, None) => mem.total().min(b.act_bytes),
+        };
+        // A term scoring in [0, max] adds at most w·max, or 0 if w < 0.
+        let capped = |w: f64, max: f64| if w < 0.0 { 0.0 } else { w * max };
+        let h: f64 = self
+            .terms
+            .iter()
+            .map(|&(heur, beta)| {
+                let top = heur.score(geom, &largest);
+                match heur {
+                    // Functions of Cᵗ alone: exact.
+                    Heuristic::PeAlignC { .. } | Heuristic::ImcFillRows { .. } => beta * top,
+                    // Eq. 4 is periodic in i_xᵗ; Eq. 5 and the column fill
+                    // peak on the largest tile.
+                    Heuristic::PeAlignIx { .. } => capped(beta, 1.0),
+                    Heuristic::DmaMaxIy | Heuristic::ImcFillCols { .. } => capped(beta, top),
+                }
+            })
+            .sum();
+        // Calibrated solves stay exhaustive: the cycle ratio is unbounded.
+        let cost = self.cost_model.map_or(0.0, |_| f64::INFINITY);
+        let bound = capped(self.alpha, mem_fraction(bytes, b)) + h + cost;
+        // A NaN weight orders nothing, so it prunes nothing either.
+        Some(if bound.is_nan() { f64::INFINITY } else { bound })
+    }
+}
+
+/// Eq. 1's memory term: the single sum L1ʷ + L1ᵒᵘᵗ + L1ⁱⁿ over DIANA's
+/// combined capacity, so leaving the weight store idle costs utilization.
+fn mem_fraction(bytes: usize, budget: &MemoryBudget) -> f64 {
+    let capacity = budget.act_bytes + budget.weight_bytes.unwrap_or(0);
+    (bytes as f64 / capacity as f64).min(1.0)
 }
 
 #[cfg(test)]

@@ -23,13 +23,20 @@ pub struct TileSolution {
 
 /// Finds the tile maximizing `objective` subject to `budget` (Eq. 1–2).
 ///
-/// The search enumerates candidate sizes for the channel dimensions and the
-/// output width, and closes over the output height analytically: for fixed
+/// The search space is candidate sizes for the channel dimensions and the
+/// output width, with the output height closed over analytically: for fixed
 /// `(Cᵗ, Kᵗ, o_xᵗ)` every objective term is non-decreasing in `o_yᵗ`
-/// (memory use, `H_DMA`, and the PE-alignment terms are unaffected, and the
-/// calibrated predicted-cycle term is non-increasing in tile height by
+/// (memory use and `H_DMA` grow, the PE-alignment terms are unaffected, and
+/// the calibrated predicted-cycle term is non-decreasing in tile height by
 /// construction — see [`crate::CostModel`]), so the maximal feasible
 /// `o_yᵗ` is optimal and found by bisection.
+///
+/// The search is exact and bound-pruned. Each `Cᵗ` whose smallest tile
+/// fits gets an upper bound on its tiles' scores: Eq. 1 on its largest tile
+/// with the bytes clamped to Eq. 2, the `Cᵗ`-only terms exact, the other
+/// heuristics at their maximum and a calibrated cost term at `+∞`. Slices
+/// are visited by descending bound until one falls strictly below the best
+/// score found.
 ///
 /// Ties are broken deterministically but *arbitrarily* (by a hash of the
 /// tile sizes), modeling the unspecified solution order of DORY's
@@ -37,7 +44,9 @@ pub struct TileSolution {
 /// observation that heuristic-free tiling yields "either good tiles or
 /// very bad tiles": a memory-maximal tile that splits the input width ties
 /// with one that splits the height, and without the Eq. 5 term nothing
-/// steers the choice toward the DMA-friendly one.
+/// steers the choice toward the DMA-friendly one. Distinct tiles equal in
+/// score and hash go to the smallest `(Cᵗ, Kᵗ, o_xᵗ)`, as in an exhaustive
+/// walk, so the visiting order never shows.
 ///
 /// # Errors
 ///
@@ -58,14 +67,24 @@ pub fn solve(
         return Ok(make_solution(geom, budget, objective, full, true));
     }
 
+    let mut by_bound: Vec<(f64, usize)> = candidates(geom.c)
+        .into_iter()
+        .filter_map(|c_t| Some((objective.bound(geom, c_t, budget)?, c_t)))
+        .collect();
+    by_bound.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut best: Option<(f64, TileConfig)> = None;
-    any_fitting_tile(geom, budget, |tile| {
-        let score = objective.score(geom, &tile, budget);
-        if is_better(score, &tile, &best) {
-            best = Some((score, tile));
+    for (bound, c_t) in by_bound {
+        if best.is_some_and(|(score, _)| bound < score) {
+            break;
         }
-        false // an optimum needs every candidate seen
-    });
+        any_fitting_tile(geom, budget, [c_t], |tile| {
+            let score = objective.score(geom, &tile, budget);
+            if is_better(score, &tile, &best) {
+                best = Some((score, tile));
+            }
+            false // an optimum needs every tile of the slice seen
+        });
+    }
 
     match best {
         Some((_, tile)) => Ok(make_solution(geom, budget, objective, tile, false)),
@@ -82,40 +101,38 @@ pub fn solve(
 /// question dispatch asks; the optimising solve happens once, in lowering.
 #[must_use]
 pub fn feasible(geom: &LayerGeometry, budget: &MemoryBudget) -> bool {
-    tile_fits(geom, &TileConfig::full(geom), budget) || any_fitting_tile(geom, budget, |_| true)
+    tile_fits(geom, &TileConfig::full(geom), budget)
+        || any_fitting_tile(geom, budget, candidates(geom.c), |_| true)
 }
 
-/// Walks the solver's search space — candidate `(Cᵗ, Kᵗ, o_xᵗ)` triples,
-/// `Kᵗ` in lockstep with `Cᵗ` for depthwise and add, each at its maximal
-/// feasible `o_yᵗ` — handing every tile that fits to `visit` until it
-/// returns `true`. Returns whether it did.
+/// Walks the solver's search space over the given `Cᵗ` slices — candidate
+/// `(Kᵗ, o_xᵗ)` pairs, `Kᵗ` in lockstep with `Cᵗ` for depthwise and add,
+/// each at its maximal feasible `o_yᵗ` — handing every tile that fits to
+/// `visit` until it returns `true`. Returns whether it did.
 fn any_fitting_tile(
     geom: &LayerGeometry,
     budget: &MemoryBudget,
+    c_ts: impl IntoIterator<Item = usize>,
     mut visit: impl FnMut(TileConfig) -> bool,
 ) -> bool {
     let lockstep = matches!(geom.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
-    let c_candidates = candidates(geom.c);
     let k_candidates = if lockstep {
         vec![0]
     } else {
         candidates(geom.k)
     };
     let ox_candidates = candidates(geom.ox());
-    for &c_t in &c_candidates {
+    for c_t in c_ts {
         for &k_raw in &k_candidates {
             let k_t = if lockstep { c_t } else { k_raw };
             for &ox_t in &ox_candidates {
-                let Some(oy_t) = max_feasible_oy(geom, budget, c_t, k_t, ox_t) else {
-                    continue;
-                };
-                let tile = TileConfig {
+                let row = TileConfig {
                     c_t,
                     k_t,
-                    oy_t,
+                    oy_t: 1,
                     ox_t,
                 };
-                if visit(tile) {
+                if max_feasible_oy(geom, budget, row).is_some_and(&mut visit) {
                     return true;
                 }
             }
@@ -140,9 +157,11 @@ fn make_solution(
     }
 }
 
+/// A full tie goes to the smaller `(Cᵗ, Kᵗ, o_xᵗ)`, met first when walked.
 fn is_better(score: f64, tile: &TileConfig, best: &Option<(f64, TileConfig)>) -> bool {
     let Some((bs, bt)) = best else { return true };
-    (score, tile_hash(tile)) > (*bs, tile_hash(bt))
+    let key = |t: &TileConfig| (tile_hash(t), std::cmp::Reverse((t.c_t, t.k_t, t.ox_t)));
+    (score, key(tile)) > (*bs, key(bt))
 }
 
 /// Deterministic pseudo-arbitrary order among equal-score tiles (a stand-in
@@ -157,35 +176,18 @@ fn tile_hash(t: &TileConfig) -> u64 {
     h
 }
 
-/// Largest feasible `o_yᵗ` for fixed other dimensions, via bisection over
-/// the monotone feasibility predicate; `None` if even `o_yᵗ = 1` fails.
-fn max_feasible_oy(
-    geom: &LayerGeometry,
-    budget: &MemoryBudget,
-    c_t: usize,
-    k_t: usize,
-    ox_t: usize,
-) -> Option<usize> {
-    let fits = |oy_t: usize| {
-        tile_fits(
-            geom,
-            &TileConfig {
-                c_t,
-                k_t,
-                oy_t,
-                ox_t,
-            },
-            budget,
-        )
-    };
+/// `tile` at its largest feasible `o_yᵗ`, via bisection over the monotone
+/// feasibility predicate; `None` if even `o_yᵗ = 1` fails.
+fn max_feasible_oy(geom: &LayerGeometry, b: &MemoryBudget, tile: TileConfig) -> Option<TileConfig> {
+    let fits = |oy_t| tile_fits(geom, &TileConfig { oy_t, ..tile }, b);
     if !fits(1) {
         return None;
     }
-    let (mut lo, mut hi) = (1usize, geom.oy());
+    let (mut lo, mut hi) = (1, geom.oy());
     if fits(hi) {
-        return Some(hi);
+        lo = hi;
     }
-    // Invariant: fits(lo), !fits(hi).
+    // Invariant: fits(lo), and !fits(hi) unless lo == hi.
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if fits(mid) {
@@ -194,12 +196,12 @@ fn max_feasible_oy(
             hi = mid;
         }
     }
-    Some(lo)
+    Some(TileConfig { oy_t: lo, ..tile })
 }
 
 /// Candidate tile sizes for a dimension: exhaustive for small dimensions,
 /// pruned to small sizes, 8-aligned sizes, divisors and the full extent for
-/// large ones (keeps the search ~10⁶ points for MobileNet-scale layers).
+/// large ones.
 fn candidates(dim: usize) -> Vec<usize> {
     if dim <= 96 {
         return (1..=dim).collect();
@@ -399,5 +401,214 @@ mod tests {
         let a = solve(&g, &b, &obj).unwrap();
         let c = solve(&g, &b, &obj).unwrap();
         assert_eq!(a, c);
+    }
+
+    /// The walk `solve` prunes: every candidate slice in ascending order,
+    /// the first tile seen kept on a full tie, and the tile count taken
+    /// from the walk itself.
+    fn unpruned(
+        geom: &LayerGeometry,
+        budget: &MemoryBudget,
+        objective: &TilingObjective,
+    ) -> Result<TileSolution, TilingError> {
+        let full = TileConfig::full(geom);
+        let mut best: Option<(f64, TileConfig)> = None;
+        let fits_untiled = tile_fits(geom, &full, budget);
+        if fits_untiled {
+            best = Some((0.0, full));
+        } else {
+            any_fitting_tile(geom, budget, candidates(geom.c), |tile| {
+                let score = objective.score(geom, &tile, budget);
+                if best.is_none_or(|(bs, bt)| (score, tile_hash(&tile)) > (bs, tile_hash(&bt))) {
+                    best = Some((score, tile));
+                }
+                false
+            });
+        }
+        let (_, tile) = best.ok_or_else(|| TilingError::DoesNotFit {
+            geom: Box::new(geom.clone()),
+        })?;
+        Ok(TileSolution {
+            tile,
+            mem: tile_memory(geom, &tile),
+            n_tiles: crate::tiles(geom, &tile).len(),
+            fits_untiled,
+            score: objective.score(geom, &tile, budget),
+        })
+    }
+
+    fn objectives() -> Vec<TilingObjective> {
+        use crate::{CostModel, EngineModel, Heuristic};
+        let calibrated = TilingObjective::calibrated(CostModel {
+            version: 1,
+            gamma: 4.0,
+            dma_setup: 30,
+            dma_bytes_per_cycle: 8,
+            kernel_call_overhead: 800,
+            tile_overhead: 300,
+            engine: EngineModel::Digital {
+                pe_rows: 16,
+                pe_cols: 16,
+                dw_macs_per_cycle_x100: 375,
+                add_elems_per_cycle: 16,
+                efficiency_pct: 40,
+            },
+        });
+        // No memory term, and weights of both signs on every heuristic.
+        let signed = TilingObjective {
+            alpha: 0.0,
+            terms: vec![
+                (Heuristic::PeAlignC { modulo: 4 }, -1.0),
+                (Heuristic::PeAlignIx { modulo: 3 }, 1.5),
+                (Heuristic::DmaMaxIy, -0.5),
+                (Heuristic::ImcFillRows { rows: 64 }, 0.7),
+                (Heuristic::ImcFillCols { cols: 16 }, -2.0),
+            ],
+            cost_model: None,
+        };
+        vec![
+            TilingObjective::memory_only(),
+            TilingObjective::diana_digital_pe_only(),
+            TilingObjective::diana_digital(),
+            TilingObjective::diana_analog(),
+            calibrated,
+            signed,
+        ]
+    }
+
+    /// Split, array and unified budgets over `act_bytes` of activations.
+    fn shapes(
+        act_bytes: usize,
+        weight_bytes: usize,
+        rows: usize,
+        cols: usize,
+    ) -> [MemoryBudget; 3] {
+        [
+            MemoryBudget {
+                act_bytes,
+                weight_bytes: Some(weight_bytes),
+                array: None,
+            },
+            MemoryBudget {
+                act_bytes,
+                weight_bytes: None,
+                array: Some(crate::ArrayDims { rows, cols }),
+            },
+            MemoryBudget::unified(act_bytes),
+        ]
+    }
+
+    fn assert_same_as_unpruned(g: &LayerGeometry, b: &MemoryBudget, obj: &TilingObjective) {
+        let pruned = solve(g, b, obj);
+        let oracle = unpruned(g, b, obj);
+        assert_eq!(pruned, oracle, "{g:?} in {b:?} under {obj:?}");
+        if let (Ok(p), Ok(o)) = (&pruned, &oracle) {
+            assert_eq!(p.score.to_bits(), o.score.to_bits(), "{g:?} in {b:?}");
+        }
+    }
+
+    #[test]
+    fn pruned_search_returns_the_unpruned_tile() {
+        use htvm_ir::DType;
+        // The zoo's dense layers that tile, and its attention matmuls, at
+        // the zoo's budget sizes: double-buffered 128 kB activations, the
+        // 64 kB digital weight store, the 1152×512 analog array.
+        let zoo = [
+            LayerGeometry::dense(16384, 10),
+            LayerGeometry::dense(640, 128),
+            LayerGeometry::dense(128, 640),
+            LayerGeometry::matmul(32, 256, 256, 2, true),
+            LayerGeometry::matmul(256, 32, 256, 2, false),
+        ];
+        for g in zoo {
+            let ternary = g.clone().with_weight_dtype(DType::Ternary);
+            for b in shapes(128 * 1024, 64 * 1024, 1152, 512) {
+                for obj in &objectives() {
+                    assert_same_as_unpruned(&g, &b, obj);
+                    assert_same_as_unpruned(&ternary, &b, obj);
+                }
+            }
+        }
+        // Seeded small layers of every kind against log-spread budgets.
+        let mut rng = proptest::test_runner::TestRng::new(0x7113_5EED);
+        let mut draw = |lo: usize, hi: usize| lo + rng.below((hi - lo + 1) as u64) as usize;
+        for _ in 0..120 {
+            let (c, k, f, s, p) = (draw(1, 20), draw(1, 20), draw(1, 3), draw(1, 2), draw(0, 1));
+            let (iy, ix) = (draw(f, 12), draw(f, 12));
+            let g = match draw(0, 4) {
+                0 => LayerGeometry::conv2d(c, k, iy, ix, f, f, (s, s), (p, p, p, p)),
+                1 => LayerGeometry::depthwise(c, iy, ix, f, f, (s, s), (p, p, p, p)),
+                2 => LayerGeometry::dense(c * 17, k * 5),
+                3 => LayerGeometry::matmul(c, k, iy, ix.min(4), p == 1),
+                _ => LayerGeometry::add(c, iy, ix),
+            };
+            let g = if draw(0, 1) == 1 {
+                g.with_weight_dtype(DType::Ternary)
+            } else {
+                g
+            };
+            let act = (1 << draw(4, 13)) + draw(0, 1 << 12);
+            let (w, rows, cols) = (draw(16, 4096), draw(4, 160), draw(2, 24));
+            let b = shapes(act, w, rows, cols)[draw(0, 2)];
+            for obj in &objectives() {
+                assert_same_as_unpruned(&g, &b, obj);
+            }
+        }
+    }
+
+    #[test]
+    fn bound_covers_every_fitting_tile_and_is_none_exactly_when_none_fits() {
+        use htvm_ir::DType;
+        let geoms = [
+            LayerGeometry::conv2d(6, 5, 7, 7, 3, 3, (1, 1), (1, 1, 1, 1)),
+            LayerGeometry::conv2d(5, 4, 9, 8, 3, 3, (2, 2), (0, 0, 0, 0))
+                .with_weight_dtype(DType::Ternary),
+            // The whole output row reads 11 of 12 input columns, so Eq. 4
+            // scores a narrower tile higher under an odd modulus.
+            LayerGeometry::conv2d(4, 3, 6, 12, 1, 1, (2, 2), (0, 0, 0, 0)),
+            LayerGeometry::depthwise(6, 8, 7, 3, 3, (1, 1), (1, 1, 1, 1)),
+            LayerGeometry::dense(40, 12),
+            LayerGeometry::matmul(6, 8, 6, 2, true),
+            LayerGeometry::add(6, 5, 4),
+        ];
+        let lockstep =
+            |g: &LayerGeometry| matches!(g.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
+        for g in &geoms {
+            for act in [48, 160, 600, 4096] {
+                for b in shapes(act, 96, 20, 4) {
+                    for obj in &objectives() {
+                        for c_t in 1..=g.c {
+                            let bound = obj.bound(g, c_t, &b);
+                            let mut fits = false;
+                            for k_t in 1..=g.k {
+                                if lockstep(g) && k_t != c_t {
+                                    continue;
+                                }
+                                for oy_t in 1..=g.oy() {
+                                    for ox_t in 1..=g.ox() {
+                                        let t = TileConfig {
+                                            c_t,
+                                            k_t,
+                                            oy_t,
+                                            ox_t,
+                                        };
+                                        if !tile_fits(g, &t, &b) {
+                                            continue;
+                                        }
+                                        fits = true;
+                                        let s = obj.score(g, &t, &b);
+                                        assert!(
+                                            bound.is_some_and(|bound| s <= bound),
+                                            "{t:?} scores {s} over {bound:?} for {g:?} in {b:?}"
+                                        );
+                                    }
+                                }
+                            }
+                            assert_eq!(bound.is_some(), fits, "c_t {c_t} of {g:?} in {b:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -84,10 +84,18 @@ impl TileConfig {
         }
     }
 
-    /// Total number of accelerator invocations (tiles) for the layer.
+    /// Total number of accelerator invocations (tiles) for the layer: the
+    /// length of [`tiles`], counted per axis.
     #[must_use]
     pub fn num_tiles(&self, geom: &LayerGeometry) -> usize {
-        tiles(geom, self).len()
+        self.validate(geom);
+        // Depthwise and add walk their channels in the k loop.
+        let c_slices = match geom.kind {
+            LayerKind::DepthwiseConv2d | LayerKind::Add => 1,
+            _ => geom.c.div_ceil(self.c_t),
+        };
+        let (oy, ox) = (geom.oy(), geom.ox());
+        geom.k.div_ceil(self.k_t) * oy.div_ceil(self.oy_t) * ox.div_ceil(self.ox_t) * c_slices
     }
 
     /// Returns `true` if this tile covers the whole layer in one shot.
@@ -490,6 +498,45 @@ mod tests {
         };
         let total: u64 = tiles(&g, &t).iter().map(|i| i.macs(&g)).sum();
         assert_eq!(total, g.macs());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn num_tiles_is_the_walk_length(
+            kind in 0usize..5,
+            c in 1usize..=9,
+            k in 1usize..=9,
+            iy in 1usize..=9,
+            ix in 1usize..=9,
+            f in 1usize..=3,
+            s in 1usize..=2,
+            p in 0usize..=1,
+        ) {
+            let (iy, ix) = (iy.max(f), ix.max(f));
+            let g = match kind {
+                0 => LayerGeometry::conv2d(c, k, iy, ix, f, f, (s, s), (p, p, p, p)),
+                1 => LayerGeometry::depthwise(c, iy, ix, f, f, (s, s), (p, p, p, p)),
+                2 => LayerGeometry::dense(c, k),
+                3 => LayerGeometry::matmul(c, k, iy, ix.min(3), p == 1),
+                _ => LayerGeometry::add(c, iy, ix),
+            };
+            let lockstep = matches!(g.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
+            for c_t in 1..=g.c {
+                for k_t in 1..=g.k {
+                    if lockstep && k_t != c_t {
+                        continue;
+                    }
+                    for oy_t in 1..=g.oy() {
+                        for ox_t in 1..=g.ox() {
+                            let t = TileConfig { c_t, k_t, oy_t, ox_t };
+                            proptest::prop_assert_eq!(t.num_tiles(&g), tiles(&g, &t).len(), "{:?} {:?}", g, t);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
