@@ -130,6 +130,6 @@ fn closed_form_prediction_residual_is_as_published() {
             format!("{:.2}", percentile(&residuals, 90.0)),
         )
     };
-    assert_eq!(summary(digital), (95, 43, "0.02".into(), "1.49".into()));
+    assert_eq!(summary(digital), (95, 45, "0.02".into(), "1.49".into()));
     assert_eq!(summary(analog), (78, 59, "0.00".into(), "0.63".into()));
 }

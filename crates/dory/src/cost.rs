@@ -1,27 +1,28 @@
-//! Predicted cycles for candidate tiles.
+//! The accelerators' price list, and predicted cycles for candidate tiles.
 //!
-//! The paper's Eq. 3–5 heuristics reward *proxies* for speed (PE
-//! alignment, transfer coalescing). A [`CostModel`] instead predicts the
-//! cycles a candidate [`TileConfig`] would cost end to end — DMA traffic,
-//! weight (re)loads, per-tile host overhead and engine compute — from
-//! per-engine coefficients read off the platform description
-//! (`htvm_soc::DianaConfig::cost_model`, see `docs/CALIBRATION.md`). The
-//! objective then scores a tile by `γ · predicted(full) / predicted(tile)`,
-//! a number in `(0, 1]` that is 1 exactly when tiling costs nothing.
+//! A [`CostModel`] holds one engine's coefficients, read off the platform
+//! description (`htvm_soc::DianaConfig::cost_model`, see
+//! `docs/CALIBRATION.md`), and prices every unit an accelerator layer is
+//! charged in: a tile's compute ([`EngineModel::tile_cycles`]), a weight
+//! slice's analog row programming ([`EngineModel::program_cycles`]), a DMA
+//! transaction ([`CostModel::transfer_cycles`]) and a layer call's host
+//! overhead ([`CostModel::overhead_cycles`]).
 //!
-//! # Prediction, not simulation
+//! # One price list, two summations
 //!
-//! [`CostModel::predicted_cycles`] is a *closed form* over the tile
-//! partition — it never enumerates tile instances — but it counts DMA
-//! transfers with the tile walk's own rules: [`input_chunks`] and
-//! [`output_chunks`] on each axis's actual window extents, and one weight
-//! load per change of the tile's
-//! [`weight_slice`](crate::TileInstance::weight_slice), each staging
-//! [`staged_weight_elems`]. It rounds byte and compute ceilings at the
-//! aggregate level and prices input rows over a stride-clamped total
-//! (below), so it tracks rather than reproduces simulated totals. That is
-//! the right trade: the solver compares thousands of candidates per layer
-//! and only the *ordering* matters.
+//! The simulator sums these prices over the tile walk.
+//! [`CostModel::predicted_cycles`] sums them over a candidate [`TileConfig`]
+//! in *closed form*, never enumerating tile instances, and the objective
+//! scores the tile by `γ · predicted(full) / predicted(tile)` in `(0, 1]`
+//! instead of the paper's Eq. 3–5 proxies. It counts transfers with the
+//! walk's own rules — [`input_chunks`] and [`output_chunks`] on each axis's
+//! actual window extents, one load of [`staged_weight_elems`] per change of
+//! the tile's [`weight_slice`](crate::TileInstance::weight_slice) — but
+//! prices compute once per (k run, c run, x tile) at the layer's full
+//! output height and transfers once per aggregate, so it tracks rather than
+//! reproduces simulated totals. That is the right trade: the solver
+//! compares thousands of candidates per layer and only the *ordering*
+//! matters.
 //!
 //! # Solver contract: monotone in `o_yᵗ`
 //!
@@ -38,12 +39,18 @@
 //! — clamping the halo below at the stride keeps the sum non-increasing in
 //! the tile height even for stride > filter layers (where real halos would
 //! shrink under splitting). It is exact for unpadded layers with
-//! `F_y ≥ s_y`. `tests::score_is_monotone_in_oy` sweeps the invariant.
+//! `F_y ≥ s_y`. Compute, priced at full height, is constant in `o_yᵗ`.
+//! `tests::score_is_monotone_in_oy` sweeps the invariant.
 
 use crate::tile::{col_window, input_chunks, output_chunks, row_window, weights_follow_batch};
-use crate::{mapped_weight_rows, staged_weight_elems, LayerGeometry, LayerKind, TileConfig};
+use crate::{
+    mapped_weight_rows, staged_weight_elems, LayerGeometry, LayerKind, TileConfig, TileInstance,
+};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+
+/// Elements per cycle through the analog engine's digital output stage.
+const ANALOG_OUTPUT_ELEMS_PER_CYCLE: u64 = 16;
 
 /// Per-engine compute coefficients of a [`CostModel`].
 ///
@@ -81,14 +88,139 @@ pub enum EngineModel {
     },
 }
 
-/// A per-engine cycle model for scoring candidate tiles.
+impl EngineModel {
+    /// Compute cycles for one tile invocation, rounded up per tile by the
+    /// engine's pipeline efficiency.
+    ///
+    /// The digital PE array unrolls input channels across its rows and input
+    /// columns across its columns (paper §III-C):
+    ///
+    /// ```text
+    /// conv = Kᵗ · o_yᵗ · Fy · Fx · ⌈Cᵗ/rows⌉ · ⌈i_xᵗ/cols⌉ / efficiency
+    /// ```
+    ///
+    /// so `Cᵗ = 17` takes two row passes where `Cᵗ = 16` takes one — the
+    /// utilization cliff the Eq. 3–4 heuristics avoid and Fig. 4 measures.
+    /// Dense unrolls `C` and `K` (`⌈Cᵗ/rows⌉·⌈Kᵗ/cols⌉`), matmul does so once
+    /// per sequence row, and depthwise runs on one PE row at the paper's
+    /// measured 3.75 MAC/cycle.
+    ///
+    /// The analog array makes one DAC → MAC → ADC pass per output position,
+    /// reading out up to `cols` output channels at once. The solver caps
+    /// `Cᵗ·Fy·Fx` at its rows, so rows never take a second pass:
+    ///
+    /// ```text
+    /// conv, dense = o_yᵗ · o_xᵗ · ⌈Kᵗ/cols⌉ · pass_cycles / efficiency
+    /// ```
+    ///
+    /// Depthwise and matmul are never dispatched to analog; they are priced
+    /// at one cycle per MAC, so a hand-built step cannot panic here. On both
+    /// engines element-wise add streams through the
+    /// [output stage](EngineModel::output_stage_cycles).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use htvm_dory::{EngineModel, LayerGeometry, TileConfig, tiles};
+    ///
+    /// let diana = EngineModel::Digital {
+    ///     pe_rows: 16, pe_cols: 16, dw_macs_per_cycle_x100: 375,
+    ///     add_elems_per_cycle: 16, efficiency_pct: 40,
+    /// };
+    /// let g = LayerGeometry::conv2d(16, 16, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1));
+    /// let all = tiles(&g, &TileConfig::full(&g));
+    /// let aligned = diana.tile_cycles(&g, &all[0]);
+    ///
+    /// let g17 = LayerGeometry::conv2d(17, 16, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1));
+    /// let all17 = tiles(&g17, &TileConfig::full(&g17));
+    /// // One extra input channel doubles the row passes (± rounding).
+    /// assert!(diana.tile_cycles(&g17, &all17[0]) > aligned * 19 / 10);
+    /// ```
+    #[must_use]
+    pub fn tile_cycles(&self, geom: &LayerGeometry, tile: &TileInstance) -> u64 {
+        use EngineModel::{Analog, Digital};
+        use LayerKind::{Add, Conv2d, Dense, DepthwiseConv2d, MatMul};
+        let (k, positions) = (tile.k.len(), (tile.oy.len() * tile.ox.len()) as u64);
+        let ideal = match (*self, geom.kind) {
+            (_, Add) => self.output_stage_cycles(k as u64 * positions),
+            (
+                Digital {
+                    pe_rows, pe_cols, ..
+                },
+                Conv2d,
+            ) => {
+                let c_blocks = tile.c.len().div_ceil(pe_rows) as u64;
+                let x_blocks = tile.input_cols(geom).len().max(1).div_ceil(pe_cols) as u64;
+                (k * tile.oy.len() * geom.fy * geom.fx) as u64 * c_blocks * x_blocks
+            }
+            // One pass per sequence row per batch (dense has one).
+            (
+                Digital {
+                    pe_rows, pe_cols, ..
+                },
+                Dense | MatMul,
+            ) => positions * (tile.c.len().div_ceil(pe_rows) * k.div_ceil(pe_cols)) as u64,
+            (
+                Digital {
+                    dw_macs_per_cycle_x100: rate,
+                    ..
+                },
+                DepthwiseConv2d,
+            ) => tile.macs(geom) * 100 / rate,
+            (
+                Analog {
+                    cols, pass_cycles, ..
+                },
+                Conv2d | Dense,
+            ) => positions * k.div_ceil(cols) as u64 * pass_cycles,
+            (Analog { .. }, DepthwiseConv2d | MatMul) => tile.macs(geom),
+        };
+        let (Digital { efficiency_pct, .. } | Analog { efficiency_pct, .. }) = *self;
+        (ideal * 100).div_ceil(efficiency_pct.max(1))
+    }
+
+    /// Cycles to program the weights of a `c`-channel slice into the engine.
+    ///
+    /// The analog array is weight-stationary: the slice's
+    /// [`mapped_weight_rows`], capped at the array's rows, are written at
+    /// `row_load_cycles` each — the per-layer "filling the analog accelerator
+    /// weight memory" overhead the paper cites, and why small-channel
+    /// networks run slower on analog despite its peak. Digital weights are a
+    /// DMA transfer ([`CostModel::transfer_cycles`]) instead, so 0.
+    #[must_use]
+    pub fn program_cycles(&self, geom: &LayerGeometry, c: usize) -> u64 {
+        match *self {
+            EngineModel::Digital { .. } => 0,
+            EngineModel::Analog {
+                rows,
+                row_load_cycles: cycles,
+                ..
+            } => mapped_weight_rows(geom, c).min(rows) as u64 * cycles,
+        }
+    }
+
+    /// Cycles to stream `elems` elements through the engine's output SIMD
+    /// stage, which runs element-wise add and fused output pooling.
+    #[must_use]
+    pub fn output_stage_cycles(&self, elems: u64) -> u64 {
+        let rate = match *self {
+            EngineModel::Digital {
+                add_elems_per_cycle: rate,
+                ..
+            } => rate,
+            EngineModel::Analog { .. } => ANALOG_OUTPUT_ELEMS_PER_CYCLE,
+        };
+        elems.div_ceil(rate)
+    }
+}
+
+/// One accelerator's price list on one platform (module docs).
 ///
-/// Attach one to a [`TilingObjective`](crate::TilingObjective) with
-/// [`TilingObjective::calibrated`](crate::TilingObjective::calibrated) and
-/// the objective gains a `γ · predicted(full) / predicted(tile)` term. The
-/// `version` is part of the model's cache identity: it is bumped whenever
-/// predictions change, so artifacts produced under different models never
-/// alias in the tile cache or the artifact store.
+/// [`TilingObjective::calibrated`](crate::TilingObjective::calibrated)
+/// scores tiles with it. The `version` is part of the model's cache
+/// identity: it is bumped whenever predictions change, so artifacts
+/// produced under different models never alias in the tile cache or the
+/// artifact store.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Prediction version (mixed into cache keys).
@@ -113,7 +245,23 @@ impl CostModel {
     /// objective weights.
     #[must_use]
     pub fn identity_bits(&self) -> Vec<u64> {
-        let mut v = vec![
+        let engine = match self.engine {
+            EngineModel::Digital {
+                pe_rows: rows,
+                pe_cols: cols,
+                dw_macs_per_cycle_x100: a,
+                add_elems_per_cycle: b,
+                efficiency_pct,
+            } => [0, rows as u64, cols as u64, a, b, efficiency_pct],
+            EngineModel::Analog {
+                rows,
+                cols,
+                row_load_cycles: a,
+                pass_cycles: b,
+                efficiency_pct,
+            } => [1, rows as u64, cols as u64, a, b, efficiency_pct],
+        };
+        let head = [
             u64::from(self.version),
             self.gamma.to_bits(),
             self.dma_setup,
@@ -121,41 +269,7 @@ impl CostModel {
             self.kernel_call_overhead,
             self.tile_overhead,
         ];
-        match self.engine {
-            EngineModel::Digital {
-                pe_rows,
-                pe_cols,
-                dw_macs_per_cycle_x100,
-                add_elems_per_cycle,
-                efficiency_pct,
-            } => {
-                v.push(0);
-                v.extend([
-                    pe_rows as u64,
-                    pe_cols as u64,
-                    dw_macs_per_cycle_x100,
-                    add_elems_per_cycle,
-                    efficiency_pct,
-                ]);
-            }
-            EngineModel::Analog {
-                rows,
-                cols,
-                row_load_cycles,
-                pass_cycles,
-                efficiency_pct,
-            } => {
-                v.push(1);
-                v.extend([
-                    rows as u64,
-                    cols as u64,
-                    row_load_cycles,
-                    pass_cycles,
-                    efficiency_pct,
-                ]);
-            }
-        }
-        v
+        head.into_iter().chain(engine).collect()
     }
 
     /// The objective term: `predicted(full tile) / predicted(tile)`, in
@@ -167,122 +281,84 @@ impl CostModel {
         full as f64 / this as f64
     }
 
+    /// Cycles for a DMA transaction of `bytes` split over `chunks`
+    /// contiguous 1-D transfers.
+    ///
+    /// Each chunk pays the setup cost; the payload then streams at the bus
+    /// width. This makes transfer *count* matter as much as volume, which is
+    /// exactly what the paper's `H_DMA = i_yᵗ` heuristic (Eq. 5) exploits:
+    /// taller full-width tiles need fewer, longer transfers from a C–y–x
+    /// laid-out tensor. A zero-byte transaction (the store slot of a
+    /// non-final reduction slice) is free.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use htvm_dory::{CostModel, EngineModel};
+    /// let dma = CostModel {
+    ///     version: 3, gamma: 4.0, dma_setup: 30, dma_bytes_per_cycle: 8,
+    ///     kernel_call_overhead: 800, tile_overhead: 300,
+    ///     engine: EngineModel::Analog {
+    ///         rows: 1152, cols: 512, row_load_cycles: 140, pass_cycles: 8, efficiency_pct: 50,
+    ///     },
+    /// };
+    /// // Same bytes, 10x the chunks: strictly slower.
+    /// assert!(dma.transfer_cycles(4096, 40) > dma.transfer_cycles(4096, 4));
+    /// ```
+    #[must_use]
+    pub fn transfer_cycles(&self, bytes: u64, chunks: u64) -> u64 {
+        if bytes == 0 {
+            return 0;
+        }
+        self.dma_setup * chunks.max(1) + bytes.div_ceil(self.dma_bytes_per_cycle)
+    }
+
+    /// Host cycles of one layer call dispatching `n_tiles` tiles.
+    #[must_use]
+    pub fn overhead_cycles(&self, n_tiles: u64) -> u64 {
+        self.kernel_call_overhead + self.tile_overhead * n_tiles
+    }
+
     /// Predicted end-to-end cycles for executing the layer under `tile`:
     /// host overhead + input/weight/output DMA + engine compute, as a
     /// closed form over the tile partition (no instance enumeration).
     #[must_use]
     pub fn predicted_cycles(&self, geom: &LayerGeometry, tile: &TileConfig) -> u64 {
         let p = Partition::new(geom, tile);
-        let n_tiles = (p.n_k * p.n_y * p.n_x * p.n_c) as u64;
-        let overhead = self.kernel_call_overhead + self.tile_overhead * n_tiles;
+        let overhead = self.overhead_cycles((p.n_k * p.n_y * p.n_x * p.n_c) as u64);
 
         // Input traffic, two operands for element-wise add.
         let operands = if geom.kind == LayerKind::Add { 2 } else { 1 };
         let (total_rows, total_cols) = p.input_extents();
         let in_elems = geom.c * total_rows * total_cols * p.input_passes();
         let in_bytes = (geom.act_dtype.storage_bytes(in_elems) * operands) as u64;
-        let in_chunks = (operands * p.input_chunks()) as u64;
-        let input_dma = self.dma_setup * in_chunks + in_bytes.div_ceil(self.dma_bytes_per_cycle);
+        let input_dma = self.transfer_cycles(in_bytes, (operands * p.input_chunks()) as u64);
 
         // Weight traffic: a digital load is one DMA transfer of the staged
         // slice; an analog load programs the mapped rows into the array.
         let weight = match self.engine {
             EngineModel::Digital { .. } => {
-                let loads = p.over_weight_loads(|_, _, _| 1) as u64;
-                let elems = p.over_weight_loads(|k, c, ox| staged_weight_elems(geom, k, c, ox));
-                let bytes = geom.w_dtype.storage_bytes(elems) as u64;
-                self.dma_setup * loads + bytes.div_ceil(self.dma_bytes_per_cycle)
+                let loads = p.over_weight_loads(|_, _, _| 1);
+                let elems =
+                    p.over_weight_loads(|k, c, ox| staged_weight_elems(geom, k, c, ox) as u64);
+                self.transfer_cycles(geom.w_dtype.storage_bytes(elems as usize) as u64, loads)
             }
-            EngineModel::Analog {
-                rows,
-                row_load_cycles,
-                ..
-            } => {
-                let mapped = p.over_weight_loads(|_, c, _| mapped_weight_rows(geom, c).min(rows));
-                mapped as u64 * row_load_cycles
+            EngineModel::Analog { .. } => {
+                p.over_weight_loads(|_, c, _| self.engine.program_cycles(geom, c))
             }
         };
 
         // Output traffic: every output element exactly once.
         let out_bytes = geom.act_dtype.storage_bytes(geom.k * geom.oy() * geom.ox()) as u64;
-        let out_chunks = p.output_chunks() as u64;
-        let output_dma = self.dma_setup * out_chunks + out_bytes.div_ceil(self.dma_bytes_per_cycle);
+        let output_dma = self.transfer_cycles(out_bytes, p.output_chunks() as u64);
 
-        overhead + input_dma + weight + output_dma + self.compute_cycles(&p)
-    }
-
-    /// Engine compute over the whole partition (constant in `o_yᵗ`: the
-    /// output-height tiles always sum to `o_y` and the alignment ceilings
-    /// quantize only channel and width dimensions).
-    fn compute_cycles(&self, p: &Partition) -> u64 {
-        let (geom, tile) = (p.geom, p.tile);
-        let (oy, ox) = (geom.oy(), geom.ox());
-        // Σ of `⌈f(len)/q⌉` over the tiles of `dim` cut into `t`.
-        let blocks = |dim: usize, t: usize, q: usize, f: &dyn Fn(usize) -> usize| -> u64 {
-            let runs = runs(dim, t);
-            runs.iter()
-                .map(|&(len, n)| (n * f(len).div_ceil(q)) as u64)
-                .sum()
-        };
-        match self.engine {
-            EngineModel::Digital {
-                pe_rows,
-                pe_cols,
-                dw_macs_per_cycle_x100,
-                add_elems_per_cycle,
-                efficiency_pct,
-            } => {
-                let ideal = match geom.kind {
-                    LayerKind::Conv2d => {
-                        // Interior input width per x tile, clamped to the
-                        // real input; the x tail uses its own halo.
-                        let ix_of = |ox: usize| ((ox - 1) * geom.strides.1 + geom.fx).min(geom.ix);
-                        (geom.k * oy * geom.fy * geom.fx) as u64
-                            * blocks(geom.c, tile.c_t, pe_rows, &|c| c)
-                            * blocks(ox, tile.ox_t, pe_cols, &ix_of)
-                    }
-                    LayerKind::Dense => {
-                        blocks(geom.c, tile.c_t, pe_rows, &|c| c)
-                            * blocks(geom.k, tile.k_t, pe_cols, &|k| k)
-                    }
-                    // One PE-array pass per (sequence row, c block, k
-                    // block); constant in `o_yᵗ` like dense.
-                    LayerKind::MatMul => {
-                        (oy * ox) as u64
-                            * blocks(geom.c, tile.c_t, pe_rows, &|c| c)
-                            * blocks(geom.k, tile.k_t, pe_cols, &|k| k)
-                    }
-                    LayerKind::DepthwiseConv2d => geom.macs() * 100 / dw_macs_per_cycle_x100.max(1),
-                    LayerKind::Add => {
-                        ((geom.k * oy * ox) as u64).div_ceil(add_elems_per_cycle.max(1))
-                    }
-                };
-                (ideal * 100).div_ceil(efficiency_pct.max(1))
-            }
-            EngineModel::Analog {
-                cols,
-                pass_cycles,
-                efficiency_pct,
-                ..
-            } => {
-                let ideal = match geom.kind {
-                    LayerKind::Conv2d | LayerKind::Dense => {
-                        let k_blk = blocks(geom.k, tile.k_t, cols, &|k| k);
-                        (p.n_c * oy * ox) as u64 * k_blk * pass_cycles
-                    }
-                    LayerKind::Add => ((geom.k * oy * ox) as u64).div_ceil(16),
-                    // Never dispatched to analog; priced as raw MACs so
-                    // the term stays defined.
-                    LayerKind::DepthwiseConv2d | LayerKind::MatMul => geom.macs(),
-                };
-                (ideal * 100).div_ceil(efficiency_pct.max(1))
-            }
-        }
+        let compute = p.over_compute(|inst| self.engine.tile_cycles(geom, inst));
+        overhead + input_dma + weight + output_dma + compute
     }
 }
 
 /// A tile partition summarised per axis, from which the tile walk's
-/// transfers are summed without enumerating its instances.
+/// transfers and compute are summed without enumerating its instances.
 struct Partition<'a> {
     geom: &'a LayerGeometry,
     tile: &'a TileConfig,
@@ -380,31 +456,61 @@ impl<'a> Partition<'a> {
     /// each load's slice extents: one load per k block while the weight
     /// slice stays the same across the block, one per tile otherwise. Add
     /// carries no weights.
-    fn over_weight_loads(&self, f: impl Fn(usize, usize, usize) -> usize) -> usize {
+    fn over_weight_loads(&self, f: impl Fn(usize, usize, usize) -> u64) -> u64 {
         let (geom, tile) = (self.geom, self.tile);
         if geom.kind == LayerKind::Add {
             return 0;
         }
         let resident = self.n_c == 1 && !(weights_follow_batch(geom.kind) && self.n_x > 1);
-        let slice = |k: usize, c: usize| -> usize {
+        let slice = |k: usize, c: usize| -> u64 {
             if resident {
                 f(k, c, geom.ox())
             } else {
-                let xs = runs(geom.ox(), tile.ox_t);
-                self.n_y * xs.iter().map(|&(ox, n)| n * f(k, c, ox)).sum::<usize>()
+                let xs = runs(geom.ox(), tile.ox_t).map(|(ox, n)| n as u64 * f(k, c, ox));
+                self.n_y as u64 * xs.iter().sum::<u64>()
             }
         };
-        runs(geom.k, tile.k_t)
-            .iter()
-            .map(|&(k, n_k)| {
-                n_k * if self.lockstep {
-                    slice(k, k)
-                } else {
-                    let cs = runs(geom.c, tile.c_t);
-                    cs.iter().map(|&(c, n_c)| n_c * slice(k, c)).sum()
-                }
-            })
-            .sum()
+        self.over_kc(slice)
+    }
+
+    /// `Σ price(tile)` over the partition, each tile priced at the layer's
+    /// full output height: one call per (k run, c run, x tile), which
+    /// equals the walk's sum when `o_yᵗ = o_y` and is constant in `o_yᵗ`.
+    fn over_compute(&self, price: impl Fn(&TileInstance) -> u64) -> u64 {
+        let (geom, tile) = (self.geom, self.tile);
+        let ox = geom.ox();
+        self.over_kc(|k, c| {
+            (0..ox)
+                .step_by(tile.ox_t)
+                .map(|x0| {
+                    price(&TileInstance {
+                        k: 0..k,
+                        oy: 0..geom.oy(),
+                        ox: x0..(x0 + tile.ox_t).min(ox),
+                        c: 0..c,
+                        first_c: true,
+                        last_c: true,
+                    })
+                })
+                .sum()
+        })
+    }
+
+    /// `Σ n · f(k, c)` over the partition's `(k, c)` block extents, `n`
+    /// being how many blocks share them (c is k when lockstep).
+    fn over_kc(&self, f: impl Fn(usize, usize) -> u64) -> u64 {
+        let (geom, tile) = (self.geom, self.tile);
+        let mut total = 0;
+        for (k, n_k) in runs(geom.k, tile.k_t) {
+            if self.lockstep {
+                total += n_k as u64 * f(k, k);
+                continue;
+            }
+            for (c, n_c) in runs(geom.c, tile.c_t) {
+                total += (n_k * n_c) as u64 * f(k, c);
+            }
+        }
+        total
     }
 }
 
@@ -431,6 +537,7 @@ fn extents(
 mod tests {
     use super::*;
     use crate::{MemoryBudget, TilingObjective};
+    use htvm_ir::DType;
 
     fn digital_model() -> CostModel {
         CostModel {
@@ -461,11 +568,175 @@ mod tests {
             engine: EngineModel::Analog {
                 rows: 1152,
                 cols: 512,
-                row_load_cycles: 140,
-                pass_cycles: 8,
+                row_load_cycles: ROW_LOAD_CYCLES,
+                pass_cycles: PASS_CYCLES,
                 efficiency_pct: 50,
             },
         }
+    }
+
+    const ROW_LOAD_CYCLES: u64 = 140;
+    const PASS_CYCLES: u64 = 8;
+
+    fn with_efficiency(mut engine: EngineModel, pct: u64) -> EngineModel {
+        let (EngineModel::Digital { efficiency_pct, .. }
+        | EngineModel::Analog { efficiency_pct, .. }) = &mut engine;
+        *efficiency_pct = pct;
+        engine
+    }
+
+    /// DIANA's digital engine at 100 % efficiency: exact arithmetic.
+    fn digital() -> EngineModel {
+        with_efficiency(digital_model().engine, 100)
+    }
+
+    /// DIANA's analog engine at 100 % efficiency.
+    fn analog() -> EngineModel {
+        with_efficiency(analog_model().engine, 100)
+    }
+
+    fn one_tile(g: &LayerGeometry) -> TileInstance {
+        crate::tiles(g, &TileConfig::full(g)).remove(0)
+    }
+
+    #[test]
+    fn aligned_conv_hits_peak_blocks() {
+        // c=16, ix=16, fx=3 pad 1 -> ox=16, oy=16, k=16.
+        let g = LayerGeometry::conv2d(16, 16, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1));
+        let t = one_tile(&g);
+        // k*oy*fy*fx * 1 * 1 = 16*16*9 = 2304 cycles.
+        assert_eq!(digital().tile_cycles(&g, &t), 2304);
+        // 256 MACs/cycle when perfectly aligned: macs = 16*16*9*256 = 589824.
+        assert_eq!(t.macs(&g) / 2304, 256);
+    }
+
+    #[test]
+    fn misaligned_channels_double_cost() {
+        let a = LayerGeometry::conv2d(16, 8, 8, 16, 3, 3, (1, 1), (1, 1, 1, 1));
+        let b = LayerGeometry::conv2d(17, 8, 8, 16, 3, 3, (1, 1), (1, 1, 1, 1));
+        let ca = digital().tile_cycles(&a, &one_tile(&a));
+        let cb = digital().tile_cycles(&b, &one_tile(&b));
+        assert_eq!(cb, 2 * ca);
+    }
+
+    #[test]
+    fn fc_unrolls_c_and_k() {
+        let g = LayerGeometry::dense(64, 32);
+        let t = one_tile(&g);
+        // ceil(64/16) * ceil(32/16) = 4 * 2.
+        assert_eq!(digital().tile_cycles(&g, &t), 8);
+    }
+
+    #[test]
+    fn depthwise_is_slow() {
+        let g = LayerGeometry::depthwise(64, 25, 5, 3, 3, (1, 1), (1, 1, 1, 1));
+        let t = one_tile(&g);
+        let macs = t.macs(&g);
+        let cycles = digital().tile_cycles(&g, &t);
+        let rate = macs as f64 / cycles as f64;
+        assert!(
+            rate <= 3.76,
+            "depthwise must not beat 3.75 MAC/cycle, got {rate}"
+        );
+        assert!(rate > 3.5);
+    }
+
+    #[test]
+    fn add_streams_elements() {
+        let g = LayerGeometry::add(16, 8, 8);
+        let t = one_tile(&g);
+        assert_eq!(digital().tile_cycles(&g, &t), (16 * 64) / 16);
+    }
+
+    #[test]
+    fn efficiency_scales_cycles() {
+        let g = LayerGeometry::dense(64, 32);
+        let t = one_tile(&g);
+        let full = digital().tile_cycles(&g, &t);
+        let half = with_efficiency(digital(), 50);
+        assert_eq!(half.tile_cycles(&g, &t), 2 * full);
+    }
+
+    #[test]
+    fn weight_load_scales_with_mapped_rows() {
+        let g = LayerGeometry::conv2d(64, 64, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1))
+            .with_weight_dtype(DType::Ternary);
+        let t = one_tile(&g);
+        // 64 * 9 = 576 rows.
+        assert_eq!(
+            analog().program_cycles(&g, t.c.len()),
+            576 * ROW_LOAD_CYCLES
+        );
+    }
+
+    #[test]
+    fn compute_is_per_spatial_position() {
+        let g = LayerGeometry::conv2d(64, 64, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1))
+            .with_weight_dtype(DType::Ternary);
+        let t = one_tile(&g);
+        // 16x16 output positions, K=64 <= 512 cols -> one pass each.
+        assert_eq!(analog().tile_cycles(&g, &t), 256 * PASS_CYCLES);
+    }
+
+    #[test]
+    fn wide_k_needs_multiple_column_passes() {
+        // K > cols: not representable in one tile on the real array, but
+        // the cost model still charges the extra passes defensively.
+        let g = LayerGeometry::conv2d(8, 1024, 4, 4, 1, 1, (1, 1), (0, 0, 0, 0))
+            .with_weight_dtype(DType::Ternary);
+        let t = one_tile(&g);
+        assert_eq!(analog().tile_cycles(&g, &t), 16 * 2 * PASS_CYCLES);
+    }
+
+    #[test]
+    fn small_layer_is_load_dominated() {
+        // The DS-CNN pointwise shape: tiny compute, non-trivial load.
+        let g = LayerGeometry::conv2d(64, 64, 25, 5, 1, 1, (1, 1), (0, 0, 0, 0))
+            .with_weight_dtype(DType::Ternary);
+        let t = one_tile(&g);
+        let load = analog().program_cycles(&g, t.c.len());
+        let compute = analog().tile_cycles(&g, &t);
+        assert!(
+            load > compute * 5,
+            "load {load} should dominate compute {compute}"
+        );
+    }
+
+    #[test]
+    fn dense_maps_c_rows() {
+        let g = LayerGeometry::dense(640, 128).with_weight_dtype(DType::Ternary);
+        let t = one_tile(&g);
+        assert_eq!(
+            analog().program_cycles(&g, t.c.len()),
+            640 * ROW_LOAD_CYCLES
+        );
+        assert_eq!(analog().tile_cycles(&g, &t), PASS_CYCLES);
+    }
+
+    #[test]
+    fn zero_bytes_is_free() {
+        assert_eq!(digital_model().transfer_cycles(0, 5), 0);
+    }
+
+    #[test]
+    fn streaming_rate() {
+        // 800 bytes over one chunk: 30 setup + 100 stream.
+        assert_eq!(digital_model().transfer_cycles(800, 1), 130);
+    }
+
+    #[test]
+    fn chunk_count_scales_setup() {
+        assert_eq!(digital_model().transfer_cycles(800, 10), 300 + 100);
+    }
+
+    #[test]
+    fn chunks_clamped_to_one() {
+        assert_eq!(digital_model().transfer_cycles(8, 0), 30 + 1);
+    }
+
+    #[test]
+    fn partial_beat_rounds_up() {
+        assert_eq!(digital_model().transfer_cycles(9, 1), 30 + 2);
     }
 
     #[test]
@@ -552,7 +823,6 @@ mod tests {
 
     #[test]
     fn analog_charges_row_programming() {
-        use htvm_ir::DType;
         let g = LayerGeometry::conv2d(64, 64, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1))
             .with_weight_dtype(DType::Ternary);
         let cm = analog_model();
@@ -650,28 +920,30 @@ mod tests {
         assert_ne!(a.identity_bits(), analog_model().identity_bits());
     }
 
-    /// The tile walk's transfers summed over `tiles()`: input chunks of
-    /// every fetched slice (a tile re-fetches only when its `(c, oy, ox)`
-    /// slice changes), output chunks of every tile, and one weight load
-    /// per change of the weight slice, with the elements it stages.
-    fn walked(g: &LayerGeometry, t: &TileConfig) -> [usize; 4] {
-        let [mut input, mut output, mut loads, mut staged] = [0; 4];
+    /// The tile walk summed over `tiles()`: input chunks of every fetched
+    /// slice (a tile re-fetches only when its `(c, oy, ox)` slice changes),
+    /// output chunks of every tile, one weight load per change of the
+    /// weight slice with the elements it stages, and each engine's compute.
+    fn walked(g: &LayerGeometry, t: &TileConfig, engines: [EngineModel; 2]) -> [u64; 6] {
+        let [mut input, mut output, mut loads, mut staged, mut digital, mut analog] = [0; 6];
         let (mut prev_input, mut prev_weights) = (None, None);
         for inst in crate::tiles(g, t) {
             let slice = (inst.c.clone(), inst.oy.clone(), inst.ox.clone());
             if prev_input.as_ref() != Some(&slice) {
-                input += inst.input_chunks(g);
+                input += inst.input_chunks(g) as u64;
                 prev_input = Some(slice);
             }
-            output += inst.output_chunks(g);
+            output += inst.output_chunks(g) as u64;
             let weights = Some(inst.weight_slice(g));
             if g.kind != LayerKind::Add && prev_weights != weights {
                 loads += 1;
-                staged += staged_weight_elems(g, inst.k.len(), inst.c.len(), inst.ox.len());
+                staged += staged_weight_elems(g, inst.k.len(), inst.c.len(), inst.ox.len()) as u64;
                 prev_weights = weights;
             }
+            digital += engines[0].tile_cycles(g, &inst);
+            analog += engines[1].tile_cycles(g, &inst);
         }
-        [input, output, loads, staged]
+        [input, output, loads, staged, digital, analog]
     }
 
     proptest::proptest! {
@@ -697,6 +969,7 @@ mod tests {
                 3 => LayerGeometry::matmul(c, k, iy, ix.min(3), s == 2),
                 _ => LayerGeometry::add(c, iy, ix),
             };
+            let engines = [digital_model().engine, analog_model().engine];
             let lockstep = matches!(g.kind, LayerKind::DepthwiseConv2d | LayerKind::Add);
             for c_t in 1..=g.c {
                 for k_t in 1..=g.k {
@@ -707,18 +980,30 @@ mod tests {
                         for ox_t in 1..=g.ox() {
                             let tile = TileConfig { c_t, k_t, oy_t, ox_t };
                             let p = Partition::new(&g, &tile);
+                            let compute = |e: EngineModel| p.over_compute(|i| e.tile_cycles(&g, i));
                             let closed = [
-                                p.input_chunks(),
-                                p.output_chunks(),
+                                p.input_chunks() as u64,
+                                p.output_chunks() as u64,
                                 p.over_weight_loads(|_, _, _| 1),
-                                p.over_weight_loads(|k, c, ox| staged_weight_elems(&g, k, c, ox)),
+                                p.over_weight_loads(|k, c, ox| staged_weight_elems(&g, k, c, ox) as u64),
+                                compute(engines[0]),
+                                compute(engines[1]),
                             ];
-                            let walk = walked(&g, &tile);
+                            let walk = walked(&g, &tile, engines);
                             proptest::prop_assert_eq!(
-                                closed,
-                                walk,
+                                closed[..4],
+                                walk[..4],
                                 "closed form {closed:?} vs walk {walk:?} for {g:?} {tile:?}"
                             );
+                            // Compute is priced at full height: exact when
+                            // the tile is, else one rounding per tile apart.
+                            let slack = if oy_t == g.oy() { 0 } else { 3 * tile.num_tiles(&g) as u64 };
+                            for (closed, walk) in closed[4..].iter().zip(&walk[4..]) {
+                                proptest::prop_assert!(
+                                    closed.abs_diff(*walk) <= slack,
+                                    "compute {closed} vs walk {walk} for {g:?} {tile:?}"
+                                );
+                            }
                         }
                     }
                 }

@@ -172,10 +172,10 @@ impl DianaConfig {
         cycles as f64 / (self.clock_mhz as f64 * 1e3)
     }
 
-    /// The tiling solver's cycle model of `engine` on this platform, for
-    /// [`TilingObjective::calibrated`](htvm_dory::TilingObjective::calibrated):
-    /// the DMA, host-overhead and compute coefficients the simulator itself
-    /// charges, read off this configuration.
+    /// The price list of `engine` on this platform: what the simulator
+    /// charges each tile, DMA transfer and layer call, and what
+    /// [`TilingObjective::calibrated`](htvm_dory::TilingObjective::calibrated)
+    /// predicts with.
     ///
     /// # Panics
     ///
@@ -186,7 +186,7 @@ impl DianaConfig {
         let (d, a) = (&self.digital, &self.analog);
         let digital = CostModel {
             // Bumped whenever predictions change; part of every cache key.
-            version: 2,
+            version: 3,
             // The heuristic objective spreads ~4 units over Eq. 3–5; the
             // single predicted-cycle term gets the same total weight.
             gamma: 4.0,
@@ -262,7 +262,7 @@ mod tests {
                 if rows == p.analog.rows && cols == p.analog.cols
         ));
         for model in [digital, analog] {
-            assert_eq!((model.version, model.gamma), (2, 4.0));
+            assert_eq!((model.version, model.gamma), (3, 4.0));
         }
     }
 

@@ -7,11 +7,12 @@
 //! HTVM resolves all of this at *compile* time — the generated C contains
 //! literal DMA calls, not geometry math. This module gives the simulator
 //! the same structure, and it is the *only* definition of what an
-//! accelerator step costs: [`linearize_step`] walks the tile loop once and
-//! flattens every DMA transaction into a [`DmaDescriptor`] list (plus
-//! pre-summed compute/pool/weight-programming cycles), and the
+//! accelerator step is charged for: [`linearize_step`] walks the tile loop
+//! once and flattens every DMA transaction into a [`DmaDescriptor`] list
+//! (plus compute/pool/weight-programming cycles pre-summed), and the
 //! [`Machine`](crate::Machine) times a step by replaying those
-//! descriptors — there is no second, run-time tile walk to keep in step.
+//! descriptors. Every unit is priced by the platform's
+//! [`CostModel`](htvm_dory::CostModel), the tiler's own price list.
 //!
 //! Descriptors are recorded in issue order (input operands → digital
 //! weight staging → output store, per tile), which is the global DMA
@@ -22,8 +23,8 @@
 //! for its own configuration on the spot, so a stored table can only ever
 //! save the walk, never change a cycle.
 
-use crate::{analog, digital, dma, AccelLayerDesc, DianaConfig, EngineKind};
-use htvm_dory::{staged_weight_elems, tiles, LayerKind, TileInstance};
+use crate::{AccelLayerDesc, DianaConfig, EngineKind};
+use htvm_dory::{staged_weight_elems, tiles, EngineModel, LayerKind, TileInstance};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -169,36 +170,15 @@ pub fn platform_digest(cfg: &DianaConfig) -> u64 {
 
 /// Fused output-pooling cycles for one accelerator layer: runs in the
 /// output SIMD stage, one window element per SIMD beat (paper §III-C).
-/// Pool output dims follow `kernels::pool2d`'s shape rule.
-fn pool_cycles(cfg: &DianaConfig, engine: EngineKind, desc: &AccelLayerDesc) -> u64 {
+/// Pool output dims follow `kernels::pool2d`'s shape rule,
+/// `(padded − kernel) / stride + 1`, so they equal the tensor-derived count.
+fn pool_cycles(engine: &EngineModel, desc: &AccelLayerDesc) -> u64 {
     let Some(pool) = &desc.pool else { return 0 };
-    let geom = &desc.geom;
-    let oy = pooled_dim(
-        geom.oy(),
-        pool.kernel.0,
-        pool.strides.0,
-        pool.padding.top + pool.padding.bottom,
-    );
-    let ox = pooled_dim(
-        geom.ox(),
-        pool.kernel.1,
-        pool.strides.1,
-        pool.padding.left + pool.padding.right,
-    );
+    let (geom, pad) = (&desc.geom, &pool.padding);
+    let oy = (geom.oy() + pad.top + pad.bottom - pool.kernel.0) / pool.strides.0 + 1;
+    let ox = (geom.ox() + pad.left + pad.right - pool.kernel.1) / pool.strides.1 + 1;
     let window = (pool.kernel.0 * pool.kernel.1) as u64;
-    let elems = (geom.k * oy * ox) as u64 * window;
-    let rate = match engine {
-        EngineKind::Digital => cfg.digital.add_elems_per_cycle,
-        _ => 16,
-    };
-    elems.div_ceil(rate)
-}
-
-/// Pooling output dimension — must match `kernels::pool2d`'s shape rule
-/// (`(padded - kernel) / stride + 1`) so geometry-priced pool cycles equal
-/// the tensor-derived count.
-fn pooled_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
-    (input + pad - kernel) / stride + 1
+    engine.output_stage_cycles((geom.k * oy * ox) as u64 * window)
 }
 
 /// Walks one accelerator step's tile loop and flattens its temporal model
@@ -226,15 +206,11 @@ pub(crate) fn linearize_tiles(
     desc: &AccelLayerDesc,
     instances: &[TileInstance],
 ) -> StepDma {
-    assert_ne!(
-        engine,
-        EngineKind::Cpu,
-        "cpu steps carry no DMA program to linearize"
-    );
+    let model = cfg.cost_model(engine).engine;
     let geom = &desc.geom;
     let mut program = StepDma {
         n_tiles: instances.len() as u64,
-        pool: pool_cycles(cfg, engine, desc),
+        pool: pool_cycles(&model, desc),
         ..StepDma::default()
     };
 
@@ -263,8 +239,8 @@ pub(crate) fn linearize_tiles(
         if geom.kind != LayerKind::Add {
             let slice = inst.weight_slice(geom);
             if prev_weights.as_ref() != Some(&slice) {
-                match engine {
-                    EngineKind::Digital => {
+                match model {
+                    EngineModel::Digital { .. } => {
                         let elems =
                             staged_weight_elems(geom, inst.k.len(), inst.c.len(), inst.ox.len());
                         program.descriptors.push(DmaDescriptor {
@@ -273,21 +249,14 @@ pub(crate) fn linearize_tiles(
                             chunks: 1,
                         });
                     }
-                    EngineKind::Analog => {
-                        program.analog_weight +=
-                            analog::analog_weight_load_cycles(&cfg.analog, geom, inst);
+                    EngineModel::Analog { .. } => {
+                        program.analog_weight += model.program_cycles(geom, inst.c.len());
                     }
-                    EngineKind::Cpu => unreachable!(),
                 }
                 prev_weights = Some(slice);
             }
         }
-        // Compute.
-        program.compute += match engine {
-            EngineKind::Digital => digital::digital_tile_cycles(&cfg.digital, geom, inst),
-            EngineKind::Analog => analog::analog_tile_cycles(&cfg.analog, geom, inst),
-            EngineKind::Cpu => unreachable!(),
-        };
+        program.compute += model.tile_cycles(geom, inst);
         // Output store (final reduction slice only, but the transaction
         // slot exists for every tile — zero-byte stores included).
         program.descriptors.push(DmaDescriptor {
@@ -297,12 +266,6 @@ pub(crate) fn linearize_tiles(
         });
     }
     program
-}
-
-/// Cycles one descriptor costs on this platform's DMA.
-#[must_use]
-pub fn descriptor_cycles(cfg: &DianaConfig, d: &DmaDescriptor) -> u64 {
-    dma::dma_cycles(&cfg.dma, d.bytes as usize, d.chunks as usize)
 }
 
 #[cfg(test)]
@@ -336,7 +299,8 @@ mod tests {
             bytes: 0,
             chunks: 5,
         };
-        assert_eq!(descriptor_cycles(&cfg, &d), 0);
+        let dma = cfg.cost_model(EngineKind::Digital);
+        assert_eq!(dma.transfer_cycles(d.bytes, d.chunks), 0);
 
         // c-split conv: every non-final c slice emits a zero-byte store.
         let desc = conv_desc(TileConfig {
@@ -369,7 +333,8 @@ mod tests {
             chunks: 1,
         };
         assert_eq!(
-            descriptor_cycles(&cfg, &d),
+            cfg.cost_model(EngineKind::Digital)
+                .transfer_cycles(d.bytes, d.chunks),
             cfg.dma.setup_cycles + 1,
             "a 1-byte tail still costs one full setup and one bus beat"
         );

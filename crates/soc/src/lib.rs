@@ -7,7 +7,9 @@
 //! silicon is available here, so this crate provides the substitute: a
 //! simulator that executes compiled [`Program`]s both *functionally*
 //! (bit-exact quantized arithmetic via [`htvm_kernels`]) and *temporally*
-//! (cycle cost models for each engine, the DMA, and the host).
+//! (the host's cycle model here; every accelerator tile, DMA transfer and
+//! layer call priced by the tiler's own [`htvm_dory::CostModel`], from
+//! [`DianaConfig::cost_model`]).
 //!
 //! Architectural mechanisms — not magic constants — produce the paper's
 //! effects:
@@ -38,12 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analog;
 mod config;
 mod counters;
 mod cpu;
-mod digital;
-mod dma;
 mod dma_program;
 mod energy;
 mod fallback;
@@ -55,15 +54,10 @@ pub mod platforms;
 mod program;
 mod timeline;
 
-pub use analog::analog_tile_cycles;
 pub use config::{AnalogConfig, CpuConfig, DianaConfig, DigitalConfig, DmaConfig};
 pub use counters::{CycleBreakdown, LayerProfile, PerfCounters, RunReport};
 pub use cpu::cpu_graph_cycles;
-pub use digital::digital_tile_cycles;
-pub use dma::dma_cycles;
-pub use dma_program::{
-    descriptor_cycles, linearize_step, platform_digest, DmaDescriptor, DmaDir, DmaTable, StepDma,
-};
+pub use dma_program::{linearize_step, platform_digest, DmaDescriptor, DmaDir, DmaTable, StepDma};
 pub use energy::EnergyConfig;
 pub use fallback::cpu_fallback;
 pub use faults::{FaultEvent, FaultPlan, RetryPolicy};

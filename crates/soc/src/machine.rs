@@ -9,6 +9,7 @@ use crate::{
 use htvm_dory::{tiles, LayerKind, TileInstance};
 use htvm_ir::{DType, Tensor};
 use htvm_kernels as kernels;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -511,21 +512,13 @@ impl Machine {
         step_dma: &StepDma,
         faults: &mut FaultCtx,
     ) -> Result<CycleBreakdown, DmaAbort> {
-        let mut cycles = CycleBreakdown::default();
-        let (kernel_call, tile_overhead) = match engine {
-            EngineKind::Digital => (
-                self.cfg.digital.kernel_call_overhead,
-                self.cfg.digital.tile_overhead,
-            ),
-            EngineKind::Analog => (
-                self.cfg.analog.kernel_call_overhead,
-                self.cfg.analog.tile_overhead,
-            ),
-            EngineKind::Cpu => unreachable!("accel steps never target the cpu"),
+        let model = self.cfg.cost_model(engine);
+        let mut cycles = CycleBreakdown {
+            overhead: model.overhead_cycles(step_dma.n_tiles),
+            ..CycleBreakdown::default()
         };
-        cycles.overhead = kernel_call + tile_overhead * step_dma.n_tiles;
         for d in &step_dma.descriptors {
-            let cost = dma_program::descriptor_cycles(&self.cfg, d);
+            let cost = model.transfer_cycles(d.bytes, d.chunks);
             match d.dir {
                 DmaDir::In | DmaDir::Out => cycles.dma += cost,
                 DmaDir::Weight => cycles.weight_load += cost,
@@ -562,17 +555,9 @@ impl Machine {
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
         let geom = &desc.geom;
-        // Optional 7-bit DAC clamp on the analog input path.
-        let clamped;
-        let (input, input2) = if engine == EngineKind::Analog && self.cfg.analog.clamp_inputs_7bit {
-            clamped = (
-                kernels::clip(input, -63, 63),
-                input2.map(|t| kernels::clip(t, -63, 63)),
-            );
-            (&clamped.0, clamped.1.as_ref())
-        } else {
-            (input, input2)
-        };
+        let input = self.dac_clamp(engine, input);
+        let input2 = input2.map(|t| self.dac_clamp(engine, t));
+        let (input, input2) = (&*input, input2.as_deref());
         let out_shape: Vec<usize> = match geom.kind {
             LayerKind::Dense => vec![geom.k],
             // Matmul keeps the batched [H, M, N] layout of its operands.
@@ -653,17 +638,9 @@ impl Machine {
 
         // Mirror the analog input DAC clamp so the fallback sees exactly
         // the bits the accelerator would have.
-        let clamped;
-        let (input, input2) = if engine == EngineKind::Analog && self.cfg.analog.clamp_inputs_7bit {
-            clamped = (
-                kernels::clip(input, -63, 63),
-                input2.map(|t| kernels::clip(t, -63, 63)),
-            );
-            (&clamped.0, clamped.1.as_ref())
-        } else {
-            (input, input2)
-        };
-        let args: Vec<&Tensor> = std::iter::once(input).chain(input2).collect();
+        let input = self.dac_clamp(engine, input);
+        let input2 = input2.map(|t| self.dac_clamp(engine, t));
+        let args: Vec<&Tensor> = std::iter::once(&*input).chain(input2.as_deref()).collect();
         let mut out = kernels::evaluate_refs(&graph, &args).map_err(|e| RunError::Eval {
             layer_index: step_idx,
             layer: name.clone(),
@@ -685,6 +662,16 @@ impl Machine {
             retries,
         };
         Ok((out.remove(0), profile))
+    }
+
+    /// An operand as the analog MAC array sees it through its optional
+    /// 7-bit DAC, which clamps activations to ±63; other engines see it as is.
+    fn dac_clamp<'a>(&self, engine: EngineKind, t: &'a Tensor) -> Cow<'a, Tensor> {
+        if engine == EngineKind::Analog && self.cfg.analog.clamp_inputs_7bit {
+            Cow::Owned(kernels::clip(t, -63, 63))
+        } else {
+            Cow::Borrowed(t)
+        }
     }
 
     /// Runs the tile's arithmetic through the fast kernels (bit-exact

@@ -95,6 +95,9 @@ pub enum ManifestError {
     /// A platform declares no CPU — nothing could execute fallback or
     /// host kernels there.
     NoCpu(String),
+    /// A platform's SoC sets a field the cost model divides by, e.g.
+    /// `dma.bytes_per_cycle`, to zero: `(platform id, field)`.
+    ZeroDivisor(String, &'static str),
 }
 
 impl std::fmt::Display for ManifestError {
@@ -107,6 +110,9 @@ impl std::fmt::Display for ManifestError {
             ),
             ManifestError::DuplicateId(id) => write!(f, "duplicate platform id {id:?}"),
             ManifestError::NoCpu(id) => write!(f, "platform {id:?} declares no host CPU"),
+            ManifestError::ZeroDivisor(id, field) => {
+                write!(f, "platform {id:?} sets soc.{field} to zero")
+            }
         }
     }
 }
@@ -171,8 +177,9 @@ impl PlatformManifest {
         manifest
     }
 
-    /// Checks ids (non-empty, `[a-z0-9_-]`, unique) and capabilities
-    /// (every platform has a CPU).
+    /// Checks ids (non-empty, `[a-z0-9_-]`, unique), capabilities (every
+    /// platform has a CPU) and that no rate the cost model divides by is
+    /// zero.
     ///
     /// # Errors
     ///
@@ -195,6 +202,9 @@ impl PlatformManifest {
             }
             if !spec.capabilities.cpu {
                 return Err(ManifestError::NoCpu(spec.id.clone()));
+            }
+            if let Some(field) = zero_divisor(&spec.soc) {
+                return Err(ManifestError::ZeroDivisor(spec.id.clone(), field));
             }
         }
         Ok(())
@@ -239,6 +249,22 @@ impl Default for PlatformManifest {
     }
 }
 
+/// The first field of `soc` that [`DianaConfig::cost_model`]'s prices
+/// divide by and that is zero.
+fn zero_divisor(soc: &DianaConfig) -> Option<&'static str> {
+    let (d, a) = (&soc.digital, &soc.analog);
+    [
+        ("digital.pe_rows", d.pe_rows as u64),
+        ("digital.pe_cols", d.pe_cols as u64),
+        ("digital.dw_macs_per_cycle_x100", d.dw_macs_per_cycle_x100),
+        ("digital.add_elems_per_cycle", d.add_elems_per_cycle),
+        ("analog.cols", a.cols as u64),
+        ("dma.bytes_per_cycle", soc.dma.bytes_per_cycle),
+    ]
+    .into_iter()
+    .find_map(|(field, value)| (value == 0).then_some(field))
+}
+
 /// Derives a CPU-only SoC config from a Table II cost model: the CPU
 /// cycle rates come from the model's cycles-per-MAC columns (×100 fixed
 /// point, rounded up so no rate truncates to free), memories from the
@@ -269,6 +295,7 @@ mod tests {
     #[test]
     fn builtin_manifest_is_valid_and_keyed() {
         let manifest = PlatformManifest::builtin();
+        assert_eq!(manifest.validate(), Ok(()));
         assert_eq!(
             manifest.ids(),
             vec![DEFAULT_PLATFORM, "stm32l4r5-tvm", "stm32l4r5-cmsis", "gap9"]
@@ -331,6 +358,52 @@ mod tests {
             manifest.validate(),
             Err(ManifestError::NoCpu(DEFAULT_PLATFORM.to_owned()))
         );
+    }
+
+    /// DIANA's spec with one divisor zeroed must fail to parse, naming the
+    /// platform and the field, instead of dividing by zero in its first
+    /// accelerator job.
+    fn rejects_zero(field: &'static str, zero: fn(&mut DianaConfig)) {
+        let mut manifest = PlatformManifest::builtin();
+        zero(&mut manifest.platforms[0].soc);
+        let expected = ManifestError::ZeroDivisor(DEFAULT_PLATFORM.to_owned(), field);
+        assert_eq!(manifest.validate(), Err(expected.clone()));
+        let err = PlatformManifest::from_json(&manifest.to_json()).unwrap_err();
+        assert!(err.contains(&expected.to_string()), "{err}");
+    }
+
+    #[test]
+    fn zero_pe_rows_is_rejected() {
+        rejects_zero("digital.pe_rows", |soc| soc.digital.pe_rows = 0);
+    }
+
+    #[test]
+    fn zero_pe_cols_is_rejected() {
+        rejects_zero("digital.pe_cols", |soc| soc.digital.pe_cols = 0);
+    }
+
+    #[test]
+    fn zero_depthwise_rate_is_rejected() {
+        rejects_zero("digital.dw_macs_per_cycle_x100", |soc| {
+            soc.digital.dw_macs_per_cycle_x100 = 0;
+        });
+    }
+
+    #[test]
+    fn zero_add_rate_is_rejected() {
+        rejects_zero("digital.add_elems_per_cycle", |soc| {
+            soc.digital.add_elems_per_cycle = 0;
+        });
+    }
+
+    #[test]
+    fn zero_analog_cols_is_rejected() {
+        rejects_zero("analog.cols", |soc| soc.analog.cols = 0);
+    }
+
+    #[test]
+    fn zero_dma_rate_is_rejected() {
+        rejects_zero("dma.bytes_per_cycle", |soc| soc.dma.bytes_per_cycle = 0);
     }
 
     #[test]
