@@ -5,25 +5,27 @@
 //! ```text
 //! htvmc --model resnet8 --deploy digital [--scheme int8] [--profile] [--json]
 //!
-//!   --model    ds_cnn | mobilenet_v1 | resnet8 | toyadmos_dae
-//!   --graph    path to a graph .json (htvm_ir::Graph::to_json format);
-//!              overrides --model; input defaults to seeded random data
-//!   --deploy   cpu | digital | analog | both        (default: both)
-//!   --scheme   int8 | ternary | mixed               (default: paper's
-//!              recipe for the chosen deployment)
-//!   --profile  print the per-layer cycle breakdown
-//!   --listing  print the generated pseudo-C program (tile loops, DMA)
-//!   --json     machine-readable output
+//!   --model      ds_cnn | mobilenet_v1 | resnet8 | toyadmos_dae
+//!   --from-file  path to an HTF model file (docs/FRONTEND.md); overrides
+//!                --model; input defaults to seeded random data
+//!   --deploy     cpu_tvm | digital | analog | both  (default: both)
+//!   --scheme     int8 | ternary | mixed             (default: paper's
+//!                recipe for the chosen deployment)
+//!   --profile    print the per-layer cycle breakdown
+//!   --listing    print the generated pseudo-C program (tile loops, DMA)
+//!   --json       machine-readable output
 //! ```
 
 use htvm::{Compiler, DeployConfig, Machine};
+use htvm_bench::report::import_file;
+use htvm_bench::scheme_for;
 use htvm_models::{all_models, Model, QuantScheme};
 use htvm_soc::EnergyConfig;
 use std::process::ExitCode;
 
 struct Args {
     model: String,
-    graph_path: Option<String>,
+    model_path: Option<String>,
     deploy: DeployConfig,
     scheme: Option<QuantScheme>,
     profile: bool,
@@ -34,7 +36,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         model: String::new(),
-        graph_path: None,
+        model_path: None,
         deploy: DeployConfig::Both,
         scheme: None,
         profile: false,
@@ -47,17 +49,11 @@ fn parse_args() -> Result<Args, String> {
             "--model" => {
                 args.model = it.next().ok_or("--model needs a value")?;
             }
-            "--graph" => {
-                args.graph_path = Some(it.next().ok_or("--graph needs a value")?);
+            "--from-file" => {
+                args.model_path = Some(it.next().ok_or("--from-file needs a value")?);
             }
             "--deploy" => {
-                args.deploy = match it.next().ok_or("--deploy needs a value")?.as_str() {
-                    "cpu" | "tvm" => DeployConfig::CpuTvm,
-                    "digital" | "dig" => DeployConfig::Digital,
-                    "analog" | "ana" => DeployConfig::Analog,
-                    "both" | "mixed" => DeployConfig::Both,
-                    other => return Err(format!("unknown deploy config '{other}'")),
-                };
+                args.deploy = it.next().ok_or("--deploy needs a value")?.parse()?;
             }
             "--scheme" => {
                 args.scheme = Some(match it.next().ok_or("--scheme needs a value")?.as_str() {
@@ -74,29 +70,20 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if args.model.is_empty() && args.graph_path.is_none() {
-        return Err("missing --model or --graph".into());
+    if args.model.is_empty() && args.model_path.is_none() {
+        return Err("missing --model or --from-file".into());
     }
     Ok(args)
-}
-
-fn default_scheme(deploy: DeployConfig) -> QuantScheme {
-    match deploy {
-        DeployConfig::CpuTvm | DeployConfig::Digital => QuantScheme::Int8,
-        DeployConfig::Analog => QuantScheme::Ternary,
-        DeployConfig::Both => QuantScheme::Mixed,
-    }
 }
 
 fn find_model(name: &str, scheme: QuantScheme) -> Option<Model> {
     all_models(scheme).into_iter().find(|m| m.name == name)
 }
 
-/// Loads an external graph (exported via `Graph::to_json`) as a model; the
-/// input shape comes from the graph's first declared input.
-fn load_graph_model(path: &str) -> Result<Model, String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let graph = htvm::Graph::from_json(&json).map_err(|e| e.to_string())?;
+/// Imports an HTF model file as a model; the input shape comes from the
+/// graph's first declared input.
+fn load_model_file(path: &str) -> Result<Model, String> {
+    let graph = import_file(path).map_err(|e| e.to_string())?;
     let &first = graph
         .inputs()
         .first()
@@ -121,16 +108,17 @@ fn main() -> ExitCode {
                 eprintln!("error: {e}\n");
             }
             eprintln!(
-                "usage: htvmc --model <ds_cnn|mobilenet_v1|resnet8|toyadmos_dae> \
-                 [--deploy cpu|digital|analog|both] [--scheme int8|ternary|mixed] \
+                "usage: htvmc --model <ds_cnn|mobilenet_v1|resnet8|toyadmos_dae> | \
+                 --from-file <model.htf> \
+                 [--deploy cpu_tvm|digital|analog|both] [--scheme int8|ternary|mixed] \
                  [--profile] [--listing] [--json]"
             );
             return ExitCode::from(2);
         }
     };
-    let scheme = args.scheme.unwrap_or_else(|| default_scheme(args.deploy));
-    let model = if let Some(path) = &args.graph_path {
-        match load_graph_model(path) {
+    let scheme = args.scheme.unwrap_or_else(|| scheme_for(args.deploy));
+    let model = if let Some(path) = &args.model_path {
+        match load_model_file(path) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("error: {e}");

@@ -51,13 +51,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--deploy" => match args.next().as_deref() {
-                Some("cpu_tvm") => deploy = Some(DeployConfig::CpuTvm),
-                Some("digital") => deploy = Some(DeployConfig::Digital),
-                Some("analog") => deploy = Some(DeployConfig::Analog),
-                Some("both") => deploy = Some(DeployConfig::Both),
-                Some(other) => {
-                    eprintln!("error: unknown deploy {other:?} (want cpu_tvm|digital|analog|both)");
+            "--deploy" => match args.next().map(|id| id.parse()) {
+                Some(Ok(parsed)) => deploy = Some(parsed),
+                Some(Err(e)) => {
+                    eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
                 None => {

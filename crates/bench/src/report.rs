@@ -234,17 +234,6 @@ pub struct LayerReport {
     pub energy_fj: u64,
 }
 
-/// Stable id for a deployment configuration.
-#[must_use]
-pub fn deploy_id(deploy: DeployConfig) -> &'static str {
-    match deploy {
-        DeployConfig::CpuTvm => "cpu_tvm",
-        DeployConfig::Digital => "digital",
-        DeployConfig::Analog => "analog",
-        DeployConfig::Both => "both",
-    }
-}
-
 /// The four deployment configurations, in report order.
 #[must_use]
 pub fn all_deploys() -> [DeployConfig; 4] {
@@ -325,12 +314,31 @@ fn collect_model(
     )
 }
 
-/// Reads an HTF model file, imports it through the vendored front-end,
-/// and measures it under one deployment configuration. The entry is
-/// named after the file and tagged with scheme `imported` — a file model
-/// carries its quantization explicitly in the graph, so no zoo scheme
-/// label applies. The deterministic input uses the same seed as the zoo
-/// sweep (7) over the graph's first declared input shape.
+/// Reads an HTF model file and imports it through the vendored
+/// front-end — the one way a model file enters `report --from-file` and
+/// `htvmc --from-file`.
+///
+/// # Errors
+///
+/// Returns [`ReportError::Read`] when the file cannot be read and
+/// [`ReportError::Import`] when the importer rejects the bytes.
+pub fn import_file(path: &str) -> Result<Graph, ReportError> {
+    let bytes = std::fs::read(path).map_err(|error| ReportError::Read {
+        path: path.to_owned(),
+        error,
+    })?;
+    htvm_frontend::import(&bytes).map_err(|error| ReportError::Import {
+        path: path.to_owned(),
+        error,
+    })
+}
+
+/// Reads an HTF model file ([`import_file`]) and measures it under one
+/// deployment configuration. The entry is named after the file and
+/// tagged with scheme `imported` — a file model carries its quantization
+/// explicitly in the graph, so no zoo scheme label applies. The
+/// deterministic input uses the same seed as the zoo sweep (7) over the
+/// graph's first declared input shape.
 ///
 /// # Errors
 ///
@@ -338,14 +346,7 @@ fn collect_model(
 /// [`ReportError::Import`] when the importer rejects the bytes, and the
 /// usual compile/run errors from the shared measurement path afterwards.
 pub fn collect_file(path: &str, deploy: DeployConfig) -> Result<BenchEntry, ReportError> {
-    let bytes = std::fs::read(path).map_err(|error| ReportError::Read {
-        path: path.to_owned(),
-        error,
-    })?;
-    let graph = htvm_frontend::import(&bytes).map_err(|error| ReportError::Import {
-        path: path.to_owned(),
-        error,
-    })?;
+    let graph = import_file(path)?;
     let input_dims: Vec<usize> = graph
         .inputs()
         .first()
@@ -389,7 +390,7 @@ pub fn collect_graph(
         });
         calibrated_id(deploy)
     } else {
-        deploy_id(deploy)
+        deploy.id()
     };
     let compiler = compiler.with_deploy(deploy).with_tracer(tracer.clone());
     let t0 = Instant::now();
@@ -844,8 +845,7 @@ mod tests {
     #[test]
     fn broken_models_surface_as_typed_errors_not_panics() {
         // Corrupt the graph through the serde round trip — the builder
-        // cannot produce an invalid graph, but a deserialized request
-        // (exactly what the serving path accepts) can carry one.
+        // cannot produce an invalid graph, but a deserialized one can.
         let mut model = htvm_models::toyadmos_dae(QuantScheme::Int8);
         let mut text = serde_json::to_string(&model.graph).unwrap();
         let needle = "\"inputs\":[";

@@ -18,7 +18,7 @@
 
 use htvm::{Compiler, DeployConfig};
 use htvm_models::all_models;
-use htvm_serve::http::wire::{WireJob, WireResult};
+use htvm_serve::http::wire::{encode_hex, WireJob, WireResult};
 use htvm_serve::http::{HttpConfig, HttpServer};
 use htvm_serve::{CompileService, Fleet, JobRequest, SchedPolicy, ServeConfig, ServiceStats};
 use serde::{Deserialize, Serialize};
@@ -469,17 +469,26 @@ pub fn run_front_door(
         .map_err(|e| format!("front door failed to bind: {e}"))?;
     let addr = server.addr();
 
+    // The mix cycles over its distinct models: emit and hex-encode each
+    // one once, here, outside the timed loop.
+    let mix = request_mix(config.jobs);
+    let models: Vec<String> = mix
+        .iter()
+        .take(distinct_keys())
+        .map(|job| htvm_frontend::emit(&job.graph).map(|bytes| encode_hex(&bytes)))
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("mix model failed to emit: {e}"))?;
     // Shard the mix round-robin across the client connections, so every
     // client sees a repeat-heavy stream.
-    let bodies: Vec<String> = request_mix(config.jobs)
+    let bodies: Vec<String> = mix
         .into_iter()
-        .map(|job| {
+        .zip(models.iter().cycle())
+        .map(|(job, model_hex)| {
             let wire = WireJob {
                 name: job.name,
                 tenant: None,
                 platform: None,
-                graph: Some(job.graph),
-                model_hex: None,
+                model_hex: model_hex.clone(),
                 deploy: job.deploy,
                 include_artifact: false,
             };

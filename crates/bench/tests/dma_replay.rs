@@ -12,7 +12,7 @@
 //!   "Prediction residual").
 
 use htvm::{Compiler, DmaTable, EngineKind, Machine, Step};
-use htvm_bench::report::{all_deploys, deploy_id};
+use htvm_bench::report::all_deploys;
 use htvm_bench::scheme_for;
 use htvm_models::all_models;
 use htvm_soc::linearize_step;
@@ -27,7 +27,7 @@ fn descriptor_replay_is_bit_and_cycle_identical_across_the_zoo() {
                 // The paper's expected plain-TVM MobileNet OOM.
                 continue;
             };
-            let label = format!("{}/{}", model.name, deploy_id(deploy));
+            let label = format!("{}/{}", model.name, deploy.id());
 
             let has_accel_steps =
                 artifact.steps_on(EngineKind::Digital) + artifact.steps_on(EngineKind::Analog) > 0;

@@ -40,6 +40,36 @@ impl DeployConfig {
     pub fn naive_l2(self) -> bool {
         self == DeployConfig::CpuTvm
     }
+
+    /// The stable id every command line, query string and report spells
+    /// this configuration with: `cpu_tvm`, `digital`, `analog` or `both`.
+    #[must_use]
+    pub fn id(self) -> &'static str {
+        match self {
+            DeployConfig::CpuTvm => "cpu_tvm",
+            DeployConfig::Digital => "digital",
+            DeployConfig::Analog => "analog",
+            DeployConfig::Both => "both",
+        }
+    }
+}
+
+impl std::str::FromStr for DeployConfig {
+    type Err = String;
+
+    /// Parses a [`DeployConfig::id`]; any other string is an error
+    /// naming the accepted ids.
+    fn from_str(id: &str) -> Result<Self, String> {
+        [
+            DeployConfig::CpuTvm,
+            DeployConfig::Digital,
+            DeployConfig::Analog,
+            DeployConfig::Both,
+        ]
+        .into_iter()
+        .find(|deploy| deploy.id() == id)
+        .ok_or_else(|| format!("unknown deploy '{id}' (expected cpu_tvm|digital|analog|both)"))
+    }
 }
 
 /// Checks whether `engine` can execute `geom` at all: capability (kind and
@@ -188,6 +218,22 @@ mod tests {
             }
         }
         None
+    }
+
+    #[test]
+    fn deploy_ids_parse_back_and_nothing_else_does() {
+        for deploy in [
+            DeployConfig::CpuTvm,
+            DeployConfig::Digital,
+            DeployConfig::Analog,
+            DeployConfig::Both,
+        ] {
+            assert_eq!(deploy.id().parse::<DeployConfig>(), Ok(deploy));
+        }
+        for alias in ["cpu", "tvm", "dig", "ana", "mixed", "Both", ""] {
+            let err = alias.parse::<DeployConfig>().unwrap_err();
+            assert!(err.contains("cpu_tvm|digital|analog|both"), "{err}");
+        }
     }
 
     #[test]

@@ -47,7 +47,6 @@ mod dtype;
 mod error;
 mod graph;
 mod infer;
-mod io;
 mod op;
 pub mod passes;
 mod shape;
@@ -58,7 +57,6 @@ pub use canonical::{canonical_form, fnv128};
 pub use dtype::DType;
 pub use error::IrError;
 pub use graph::{Graph, Node, NodeId, NodeKind};
-pub use io::LoadError;
 pub use op::{AttrValue, Op, Padding2d, PoolKind};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -11,8 +11,10 @@
 //! | POST   | `/v1/batch`   | [`wire::WireBatch`] | [`wire::WireBatchResult`]  |
 //! | POST   | `/v1/import`  | raw HTF model bytes | [`wire::WireResult`]       |
 //!
-//! `/v1/import` takes the model file itself as the body — no JSON
-//! envelope — and job parameters as query parameters:
+//! Every route that compiles takes the model as HTF bytes:
+//! `/v1/compile` and `/v1/batch` hex-encoded in a JSON envelope
+//! (`model_hex`), `/v1/import` as the raw body with job parameters as
+//! query parameters:
 //! `?name=<label>&tenant=<tenant>&deploy=cpu_tvm|digital|analog|both&artifact=true`
 //! (all optional; deploy defaults to `both`). Malformed model bytes are
 //! a `422` [`wire::WireError`] of kind `import_error` whose `detail`
@@ -125,15 +127,15 @@ impl HttpServer {
                         continue;
                     }
                     active.fetch_add(1, Ordering::SeqCst);
+                    let slot = Slot(Arc::clone(&active));
                     std::thread::spawn({
                         let service = Arc::clone(&service);
                         let counters = Arc::clone(&counters);
-                        let active = Arc::clone(&active);
                         let stop = Arc::clone(&stop);
                         let config = config.clone();
                         move || {
+                            let _slot = slot;
                             serve_connection(&service, stream, &config, &counters, &stop);
-                            active.fetch_sub(1, Ordering::SeqCst);
                         }
                     });
                 }
@@ -173,6 +175,17 @@ impl HttpServer {
         // Unblock accept() with a throwaway connection.
         drop(TcpStream::connect(self.addr));
         drop(self.accept_thread.join());
+    }
+}
+
+/// One taken connection slot, given back on drop — on every exit from
+/// the connection thread, including an unwind out of a panicking
+/// handler, so a panic costs its connection and never the capacity.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -364,19 +377,7 @@ fn import_params(
         match key {
             "name" => name = value.to_owned(),
             "tenant" => tenant = Some(value.to_owned()),
-            "deploy" => {
-                deploy = match value {
-                    "cpu_tvm" => DeployConfig::CpuTvm,
-                    "digital" => DeployConfig::Digital,
-                    "analog" => DeployConfig::Analog,
-                    "both" => DeployConfig::Both,
-                    other => {
-                        return Err(format!(
-                            "unknown deploy '{other}' (expected cpu_tvm|digital|analog|both)"
-                        ))
-                    }
-                }
-            }
+            "deploy" => deploy = value.parse()?,
             "artifact" => include_artifact = matches!(value, "true" | "1"),
             other => return Err(format!("unknown import parameter '{other}'")),
         }

@@ -1,24 +1,23 @@
 //! The JSON wire schema of the front door.
 //!
 //! Requests and responses reuse the crate's existing serde types
-//! (`Graph`, `DeployConfig`, `Artifact`, `ServiceStats`, `Rejection`)
-//! so a compile driven over HTTP is byte-identical to one driven
-//! in-process. Errors are a single typed envelope ([`WireError`])
-//! whose `status` always matches the HTTP status line, so clients can
-//! switch on either.
+//! (`DeployConfig`, `Artifact`, `ServiceStats`, `Rejection`) so a
+//! compile driven over HTTP is byte-identical to one driven in-process.
+//! A model enters only as HTF bytes, through the same importer as
+//! `POST /v1/import`. Errors are a single typed envelope
+//! ([`WireError`]) whose `status` always matches the HTTP status line,
+//! so clients can switch on either.
 
 use crate::service::{CompileService, JobError, JobRequest, JobResult, Rejection};
 use crate::stored::StoredArtifact;
 use htvm::DeployConfig;
-use htvm_ir::Graph;
 use serde::{Deserialize, Serialize};
 
 /// `POST /v1/compile` body: one compile job.
 ///
-/// The graph arrives either as JSON (`graph`, the `htvm_ir::Graph`
-/// schema) or as a hex-encoded HTF model file (`model_hex`, the
-/// `htvm-frontend` format) — exactly one of the two. Raw (non-hex)
-/// model bytes go to `POST /v1/import` instead.
+/// The model arrives as a hex-encoded HTF model file (`model_hex`, the
+/// `htvm-frontend` format). Raw (non-hex) model bytes go to
+/// `POST /v1/import` instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WireJob {
     /// Client-chosen label, echoed in the response and trace spans.
@@ -31,12 +30,8 @@ pub struct WireJob {
     /// fails typed with `422 platform_error`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub platform: Option<String>,
-    /// The quantized graph to compile, as JSON.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub graph: Option<Graph>,
     /// Hex-encoded HTF model-file bytes, imported server-side.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub model_hex: Option<String>,
+    pub model_hex: String,
     /// Deploy target.
     pub deploy: DeployConfig,
     /// Include the full serialized artifact in the response (they can
@@ -47,45 +42,24 @@ pub struct WireJob {
 
 impl WireJob {
     /// Converts the wire job into a service request, importing
-    /// `model_hex` through `service` when the graph arrives as a model
-    /// file.
+    /// `model_hex` through `service`.
     ///
     /// # Errors
     ///
-    /// `400` when neither or both of `graph`/`model_hex` are set or the
-    /// hex is malformed; `422 import_error` when the decoded model
-    /// bytes fail to import (counted in the service's
+    /// `400` when the hex is malformed; `422 import_error` when the
+    /// decoded model bytes fail to import (counted in the service's
     /// `rejected_import`).
     pub fn into_request(self, service: &CompileService) -> Result<JobRequest, WireError> {
-        let graph = match (self.graph, self.model_hex) {
-            (Some(_), Some(_)) => {
-                return Err(WireError::new(
-                    400,
-                    "bad_request",
-                    format!("job '{}' sets both graph and model_hex", self.name),
-                ))
-            }
-            (None, None) => {
-                return Err(WireError::new(
-                    400,
-                    "bad_request",
-                    format!("job '{}' sets neither graph nor model_hex", self.name),
-                ))
-            }
-            (Some(graph), None) => graph,
-            (None, Some(hex)) => {
-                let bytes = crate::hexfmt::decode(hex.trim()).map_err(|detail| {
-                    WireError::new(
-                        400,
-                        "bad_request",
-                        format!("job '{}': malformed model_hex: {detail}", self.name),
-                    )
-                })?;
-                service
-                    .import_model(&self.name, &bytes)
-                    .map_err(|e| WireError::from_job_error(&e))?
-            }
-        };
+        let bytes = crate::hexfmt::decode(self.model_hex.trim()).map_err(|detail| {
+            WireError::new(
+                400,
+                "bad_request",
+                format!("job '{}': malformed model_hex: {detail}", self.name),
+            )
+        })?;
+        let graph = service
+            .import_model(&self.name, &bytes)
+            .map_err(|e| WireError::from_job_error(&e))?;
         let mut request = JobRequest::compile_only(&self.name, graph, self.deploy);
         if let Some(tenant) = self.tenant {
             request = request.with_tenant(&tenant);
@@ -192,9 +166,9 @@ pub struct WireError {
     /// HTTP status (also on the status line for top-level errors).
     pub status: u16,
     /// Machine-readable kind: `bad_request`, `not_found`,
-    /// `method_not_allowed`, `payload_too_large`, `rejected`,
-    /// `compile_error`, `run_error`, `import_error`, `platform_error`,
-    /// `internal`.
+    /// `method_not_allowed`, `payload_too_large`, `not_implemented`,
+    /// `http_version`, `overloaded`, `rejected`, `compile_error`,
+    /// `run_error`, `import_error`, `platform_error`.
     /// For `import_error`, `detail` leads with the
     /// `htvm_frontend::ImportError` variant name (`Truncated`,
     /// `OutOfBounds`, `BadMagic`, …).

@@ -3,15 +3,16 @@
 //! concurrent skewed traffic must keep the service counters exact, and
 //! overload must shed with typed, parseable rejections.
 
-use htvm::{Compiler, DeployConfig};
+use htvm::{Compiler, DeployConfig, DispatchHook};
 use htvm_ir::{DType, Graph, GraphBuilder, Tensor};
 use htvm_serve::http::wire::{WireBatch, WireBatchResult, WireError, WireJob, WireResult};
 use htvm_serve::http::{HttpConfig, HttpServer};
 use htvm_serve::{estimate_cost, CompileService, SchedPolicy, ServeConfig, ServiceStats};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn conv_graph(channels: usize) -> Graph {
     let mut b = GraphBuilder::new();
@@ -38,13 +39,19 @@ fn spawn_server(serve: ServeConfig, http: HttpConfig) -> (Arc<CompileService>, H
     (service, server)
 }
 
-fn wire_job(name: &str, graph: Graph, include_artifact: bool) -> WireJob {
+/// The HTF model-file bytes of `graph`.
+fn htf(graph: &Graph) -> Vec<u8> {
+    htvm_frontend::emit(graph).expect("graph emits")
+}
+
+/// A `/v1/compile` job carrying `model` (HTF bytes, well-formed or not)
+/// as `model_hex`.
+fn wire_job(name: &str, model: &[u8], include_artifact: bool) -> WireJob {
     WireJob {
         name: name.to_owned(),
         tenant: None,
         platform: None,
-        graph: Some(graph),
-        model_hex: None,
+        model_hex: htvm_serve::http::wire::encode_hex(model),
         deploy: DeployConfig::Both,
         include_artifact,
     }
@@ -173,7 +180,8 @@ fn http_compile_round_trip_is_byte_identical_to_in_process() {
 
     // Compile over the wire, artifact included.
     let graph = conv_graph(8);
-    let body = serde_json::to_string(&wire_job("wire", graph.clone(), true)).unwrap();
+    let model = htf(&graph);
+    let body = serde_json::to_string(&wire_job("wire", &model, true)).unwrap();
     let response = client.request("POST", "/v1/compile", Some(&body));
     assert_eq!(response.status, 200);
     let result: WireResult = serde_json::from_str(&response.body).expect("WireResult parses");
@@ -193,7 +201,7 @@ fn http_compile_round_trip_is_byte_identical_to_in_process() {
     );
 
     // A repeat omitting the artifact is a cache hit with no payload.
-    let body = serde_json::to_string(&wire_job("wire-again", graph, false)).unwrap();
+    let body = serde_json::to_string(&wire_job("wire-again", &model, false)).unwrap();
     let response = client.request("POST", "/v1/compile", Some(&body));
     assert_eq!(response.status, 200);
     let result: WireResult = serde_json::from_str(&response.body).unwrap();
@@ -214,28 +222,28 @@ fn concurrent_clients_with_skewed_mix_keep_counters_exact() {
 
     // 6 clients × 4 requests, skewed: three quarters of the traffic
     // wants the same hot graph; two colder graphs make up the rest.
-    let graphs = [conv_graph(4), conv_graph(6), conv_graph(10)];
+    let models = [
+        htf(&conv_graph(4)),
+        htf(&conv_graph(6)),
+        htf(&conv_graph(10)),
+    ];
     let n_clients = 6;
     let per_client = 4;
     std::thread::scope(|scope| {
         for t in 0..n_clients {
-            let graphs = &graphs;
+            let models = &models;
             scope.spawn(move || {
                 let mut client = Client::connect(addr);
                 for i in 0..per_client {
                     // Requests 0..2 hit the hot graph; request 3 takes
                     // a cold one, a different one per client parity.
-                    let graph = if i < 3 {
-                        &graphs[0]
+                    let model = if i < 3 {
+                        &models[0]
                     } else {
-                        &graphs[1 + t % 2]
+                        &models[1 + t % 2]
                     };
-                    let body = serde_json::to_string(&wire_job(
-                        &format!("c{t}#{i}"),
-                        graph.clone(),
-                        false,
-                    ))
-                    .unwrap();
+                    let body = serde_json::to_string(&wire_job(&format!("c{t}#{i}"), model, false))
+                        .unwrap();
                     let response = client.request("POST", "/v1/compile", Some(&body));
                     assert_eq!(response.status, 200, "body: {}", response.body);
                     let result: WireResult = serde_json::from_str(&response.body).unwrap();
@@ -283,7 +291,7 @@ fn batch_coalesces_and_saturation_sheds_typed_429s() {
     let batch = WireBatch {
         jobs: [12usize, 16, 20, 24]
             .iter()
-            .map(|&c| wire_job(&format!("cold{c}"), conv_graph(c), false))
+            .map(|&c| wire_job(&format!("cold{c}"), &htf(&conv_graph(c)), false))
             .collect(),
     };
     let body = serde_json::to_string(&batch).unwrap();
@@ -323,9 +331,10 @@ fn batch_coalesces_and_saturation_sheds_typed_429s() {
 
     // Once the queue drains, a resubmitted batch coalesces repeats and
     // counts them exactly.
+    let hot = htf(&conv_graph(12));
     let batch = WireBatch {
         jobs: (0..4)
-            .map(|i| wire_job(&format!("hot{i}"), conv_graph(12), false))
+            .map(|i| wire_job(&format!("hot{i}"), &hot, false))
             .collect(),
     };
     let body = serde_json::to_string(&batch).unwrap();
@@ -398,7 +407,7 @@ fn import_round_trip_is_byte_identical_and_shares_cache_keys() {
     // byte-identical (under serde) to an in-process compile of the same
     // graph, because the importer reproduces the graph exactly.
     let graph = conv_graph(8);
-    let model = htvm_frontend::emit(&graph).expect("graph emits");
+    let model = htf(&graph);
     let mut client = Client::connect(addr);
     let response = client.request_bytes(
         "POST",
@@ -420,38 +429,23 @@ fn import_round_trip_is_byte_identical_and_shares_cache_keys() {
         "imported model must compile to the identical artifact"
     );
 
-    // The same graph posted as JSON hits the cache entry the file
-    // upload created: both paths resolve to the same ArtifactKey.
-    let body = serde_json::to_string(&wire_job("json-twin", graph.clone(), false)).unwrap();
-    let response = client.request("POST", "/v1/compile", Some(&body));
-    assert_eq!(response.status, 200);
-    let result: WireResult = serde_json::from_str(&response.body).unwrap();
-    assert!(
-        result.cache_hit,
-        "file-imported and JSON jobs share cache keys"
-    );
-
-    // model_hex in the JSON envelope is the third equivalent spelling.
-    let hex_job = WireJob {
-        name: "hexed".to_owned(),
-        tenant: None,
-        platform: None,
-        graph: None,
-        model_hex: Some(htvm_serve::http::wire::encode_hex(&model)),
-        deploy: DeployConfig::Both,
-        include_artifact: false,
-    };
-    let body = serde_json::to_string(&hex_job).unwrap();
+    // The same bytes as model_hex in a JSON envelope, the other
+    // spelling, hit the cache entry the file upload created: both paths
+    // resolve to the same ArtifactKey.
+    let body = serde_json::to_string(&wire_job("hexed", &model, false)).unwrap();
     let response = client.request("POST", "/v1/compile", Some(&body));
     assert_eq!(response.status, 200, "body: {}", response.body);
     let result: WireResult = serde_json::from_str(&response.body).unwrap();
-    assert!(result.cache_hit);
+    assert!(
+        result.cache_hit,
+        "raw uploads and model_hex jobs share cache keys"
+    );
 
     let stats = service_stats(addr);
-    assert_eq!(stats.jobs, 3);
+    assert_eq!(stats.jobs, 2);
     assert_eq!(stats.rejected_import, 0);
     assert_eq!(stats.artifact_cache.misses, 1);
-    assert_eq!(stats.artifact_cache.hits, 2);
+    assert_eq!(stats.artifact_cache.hits, 1);
     server.shutdown();
 }
 
@@ -460,7 +454,7 @@ fn malformed_imports_get_422_with_the_variant_name() {
     let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
     let addr = server.addr();
     let mut client = Client::connect(addr);
-    let model = htvm_frontend::emit(&conv_graph(4)).expect("graph emits");
+    let model = htf(&conv_graph(4));
 
     // Corrupt magic: exact variant in the detail.
     let mut bad_magic = model.clone();
@@ -487,18 +481,11 @@ fn malformed_imports_get_422_with_the_variant_name() {
 
     // A batch with one poisoned model_hex entry: the poisoned entry
     // carries the import error, the healthy entries still compile.
-    let healthy = wire_job("ok", conv_graph(4), false);
-    let poisoned = WireJob {
-        name: "poisoned".to_owned(),
-        tenant: None,
-        platform: None,
-        graph: None,
-        model_hex: Some(htvm_serve::http::wire::encode_hex(&bad_magic)),
-        deploy: DeployConfig::Both,
-        include_artifact: false,
-    };
     let batch = WireBatch {
-        jobs: vec![healthy, poisoned],
+        jobs: vec![
+            wire_job("ok", &model, false),
+            wire_job("poisoned", &bad_magic, false),
+        ],
     };
     let body = serde_json::to_string(&batch).unwrap();
     let response = client.request("POST", "/v1/batch", Some(&body));
@@ -585,10 +572,135 @@ fn deeply_nested_bodies_get_400_and_the_server_lives_on() {
     }
     // A new connection is served, and a real job still compiles.
     assert_eq!(once(addr, "GET", "/v1/healthz", None).status, 200);
-    let job = serde_json::to_string(&wire_job("after", conv_graph(4), false)).unwrap();
+    let job = serde_json::to_string(&wire_job("after", &htf(&conv_graph(4)), false)).unwrap();
     let compiled = once(addr, "POST", "/v1/compile", Some(&job));
     assert_eq!(compiled.status, 200, "{}", compiled.body);
     let stats = service_stats(addr);
     assert_eq!(stats.jobs, 1, "the bombs never reached the service");
+    server.shutdown();
+}
+
+/// An 8-node dense layer: input, weights, dense, bias, bias add and the
+/// right-shift / clip / cast requantization tail, in that id order.
+fn dense_graph() -> Graph {
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", &[16], DType::I8);
+    let w = b.constant("w", Tensor::zeros(DType::I8, &[8, 16]));
+    let d = b.dense(x, w).unwrap();
+    let bias = b.constant("b", Tensor::zeros(DType::I32, &[8]));
+    let d = b.bias_add(d, bias).unwrap();
+    let y = b.requantize(d, 7, false).unwrap();
+    let graph = b.finish(&[y]).unwrap();
+    assert_eq!(graph.len(), 8);
+    graph
+}
+
+#[test]
+fn json_graph_bodies_get_400_and_the_server_lives_on() {
+    let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
+    let addr = server.addr();
+    let graph = dense_graph();
+    let json = serde_json::to_string(&graph).unwrap();
+    let edit = |from: &str, to: &str| {
+        assert!(json.contains(from), "{from} not in {json}");
+        json.replacen(from, to, 1)
+    };
+    // A model in the old `graph` field, one field edited. Each of these
+    // once killed its connection thread (the first two by panicking in
+    // the cache key and the cost estimate) or the whole process (the
+    // cycle, by an unbounded walk). A job is HTF bytes only now, so none
+    // is ever read as a graph.
+    let probes = [
+        (
+            "dangling output",
+            edit(r#""outputs":[7]"#, r#""outputs":[99]"#),
+        ),
+        (
+            "one-operand dense",
+            edit(r#""inputs":[0,1]"#, r#""inputs":[0]"#),
+        ),
+        ("two-node cycle", edit(r#""inputs":[4]"#, r#""inputs":[6]"#)),
+    ];
+    let healthy = serde_json::to_string(&wire_job("healthy", &htf(&graph), false)).unwrap();
+    for (probe, graph_json) in &probes {
+        let job = format!(r#"{{"name":"probe","graph":{graph_json},"deploy":"Both"}}"#);
+        for (path, body) in [
+            ("/v1/compile", job.clone()),
+            ("/v1/batch", format!(r#"{{"jobs":[{job}]}}"#)),
+        ] {
+            let refused = once(addr, "POST", path, Some(&body));
+            assert_eq!(refused.status, 400, "{probe} on {path}: {}", refused.body);
+            assert_eq!(refused.error().kind, "bad_request", "{probe} on {path}");
+            let compiled = once(addr, "POST", "/v1/compile", Some(&healthy));
+            assert_eq!(
+                compiled.status, 200,
+                "after {probe} on {path}: {}",
+                compiled.body
+            );
+        }
+    }
+    let stats = service_stats(addr);
+    assert_eq!(stats.jobs, 6, "only the healthy jobs reached the service");
+    server.shutdown();
+}
+
+/// The status code of one `GET /v1/healthz` on a fresh connection, or
+/// `None` when the exchange fails (a refused connection may be reset
+/// before its `503` is read).
+fn healthz_status(addr: SocketAddr) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .ok()?;
+    let mut status_line = String::new();
+    BufReader::new(stream).read_line(&mut status_line).ok()?;
+    status_line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn a_panicking_request_gives_its_connection_slot_back() {
+    // The dispatch hook panics on its first call, unwinding the
+    // connection thread that runs the compile.
+    let first = AtomicBool::new(true);
+    let hook: DispatchHook = Arc::new(move |_, base| {
+        assert!(!first.swap(false, Ordering::SeqCst), "the hook panics");
+        base
+    });
+    let service = Arc::new(CompileService::with_compiler(
+        serve_config(),
+        Compiler::new().with_dispatch_hook(hook),
+    ));
+    let server = HttpServer::spawn(
+        service,
+        "127.0.0.1:0",
+        HttpConfig {
+            max_connections: 1,
+            ..HttpConfig::default()
+        },
+    )
+    .expect("ephemeral port binds");
+    let addr = server.addr();
+
+    let job = serde_json::to_string(&wire_job("boom", &htf(&conv_graph(4)), false)).unwrap();
+    let mut doomed = Client::connect(addr);
+    let request = format!(
+        "POST /v1/compile HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{job}",
+        job.len()
+    );
+    doomed.stream.write_all(request.as_bytes()).unwrap();
+    let mut reply = Vec::new();
+    drop(doomed.stream.read_to_end(&mut reply));
+    assert!(reply.is_empty(), "the unwound thread answers nothing");
+
+    // With a cap of one, the panicked connection's slot is the only
+    // one: fresh connections are served again once it comes back.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while healthz_status(addr) != Some(200) {
+        assert!(
+            Instant::now() < deadline,
+            "the panicked connection never gave its slot back"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }
