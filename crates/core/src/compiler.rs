@@ -31,7 +31,9 @@ pub type DispatchHook =
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum CompileError {
-    /// The input graph failed verification.
+    /// An IR error. [`Compiler::compile`] itself never returns it — every
+    /// [`Graph`] is well-formed by construction — but callers that run the
+    /// IR passes themselves convert their errors into this variant.
     Ir(IrError),
     /// Lowering failed (tiling, memory planning, unsupported constructs).
     Lower(LowerError),
@@ -67,7 +69,7 @@ impl From<LowerError> for CompileError {
     }
 }
 
-/// The HTVM compiler: verifies and optimizes a graph, partitions it with
+/// The HTVM compiler: optimizes a graph, partitions it with
 /// the DIANA pattern table and dispatch rules, and lowers it to a runnable
 /// [`Artifact`].
 ///
@@ -126,8 +128,8 @@ impl Compiler {
     }
 
     /// Installs a span collector: every subsequent [`Compiler::compile`]
-    /// records a wall-time span per phase (verify, constant folding,
-    /// pattern matching/partitioning, tiling solve, emit, L2 planning),
+    /// records a wall-time span per phase (`fold_constants`, `partition`,
+    /// `solve`, `emit`, `l2_plan`),
     /// one span per region solve, and a [`TileCache`] counter snapshot
     /// (hits, misses, negative entries). Collect the result with
     /// [`Tracer::take`]; see `docs/OBSERVABILITY.md`.
@@ -211,32 +213,28 @@ impl Compiler {
 
     /// Compiles a graph to a deployment artifact.
     ///
-    /// Pipeline (paper Fig. 1): verify → constant-fold / DCE → pattern
-    /// match + accelerator-aware dispatch → per-region DORY lowering +
-    /// CPU fusion → L2 memory schedule → artifact.
+    /// Pipeline (paper Fig. 1): constant-fold / DCE → pattern match +
+    /// accelerator-aware dispatch → per-region DORY lowering + CPU fusion
+    /// → L2 memory schedule → artifact. The graph is not re-verified: every
+    /// [`Graph`] is well-formed where it is built (builder, import,
+    /// deserialization), and each constant was range-checked there, once.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::Ir`] for malformed graphs and
-    /// [`CompileError::Lower`] when tiling or L2 planning fails (including
-    /// the out-of-memory case for oversized CPU-only deployments).
+    /// Returns [`CompileError::Lower`] when tiling or L2 planning fails
+    /// (including the out-of-memory case for oversized CPU-only
+    /// deployments).
     pub fn compile(&self, graph: &Graph) -> Result<Artifact, CompileError> {
-        {
-            let mut span = self.tracer.scope(tracks::PHASES, "verify");
-            span.arg("nodes", graph.len());
-            passes::verify(graph)?;
-        }
-        // Folding that changes nothing builds nothing: the caller's graph,
-        // verified above, is the one partitioned and lowered.
+        // A `Graph` is well-formed by construction, and folding builds only
+        // in-range constants: nothing is verified here. Folding that
+        // changes nothing builds nothing, and the caller's graph is the one
+        // partitioned and lowered.
         let folded = {
             let _span = self.tracer.scope(tracks::PHASES, "fold_constants");
-            match passes::simplify(graph) {
-                Some((folded, _)) => {
-                    passes::verify(&folded)?;
-                    Some(folded)
-                }
-                None => None,
-            }
+            passes::simplify(graph).map(|(folded, _)| {
+                debug_assert!(passes::verify(&folded).is_ok());
+                folded
+            })
         };
         let graph = folded.as_ref().unwrap_or(graph);
 

@@ -10,7 +10,7 @@
 //! The pipeline mirrors Fig. 1 of the paper:
 //!
 //! ```text
-//! Graph ──verify/fold──► pattern match ──rules──► BYOC DORY lowering ──► Artifact
+//! Graph ─────fold──────► pattern match ──rules──► BYOC DORY lowering ──► Artifact
 //!                        (htvm_pattern)  (dispatch) (htvm_codegen + htvm_dory)
 //! Artifact ──► Machine::run ──► outputs + per-layer cycle profile (htvm_soc)
 //! ```

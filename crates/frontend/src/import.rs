@@ -142,15 +142,7 @@ pub fn import_with_max_opcode(bytes: &[u8], max_opcode: u32) -> Result<Graph, Im
             }
             builder.input(&decl.name, &decl.dims, decl.dtype)
         } else if decl.buffer != 0 {
-            let data = decode_buffer(&buf, t, decl, buffers[decl.buffer])?;
-            let tensor = Tensor::new(decl.dtype, &decl.dims, data).map_err(|e| match e {
-                IrError::ValueOutOfRange { value, dtype } => ImportError::ValueOutOfRange {
-                    tensor: t,
-                    value,
-                    dtype,
-                },
-                other => ImportError::Graph(other),
-            })?;
+            let tensor = decode_buffer(&buf, t, decl, buffers[decl.buffer])?;
             builder.constant(&decl.name, tensor)
         } else {
             let Some(od) = ops.get(j) else {
@@ -426,13 +418,16 @@ fn build_op(
     })
 }
 
-/// Decodes constant data for tensor `t` from its buffer table.
+/// Decodes constant tensor `t` from its buffer table: the length check
+/// here, then one pass that widens every element and range-checks the
+/// only dtype a byte can leave (`Ternary`). The tensor enters the graph
+/// without being scanned again.
 fn decode_buffer(
     buf: &Buf<'_>,
     t: usize,
     decl: &Decl,
     buffer_pos: usize,
-) -> Result<Vec<i32>, ImportError> {
+) -> Result<Tensor, ImportError> {
     let table = Table::at(buf, buffer_pos)?;
     let bytes = match table.offset(buf, buffer_slot::DATA)? {
         Some(pos) => fb::byte_vec(buf, pos)?,
@@ -448,25 +443,12 @@ fn decode_buffer(
             got_bytes: bytes.len(),
         });
     }
-    let mut data = Vec::with_capacity(elements);
-    match decl.dtype {
-        DType::I8 | DType::Ternary => {
-            data.extend(bytes.iter().map(|&b| i32::from(b as i8)));
-        }
-        DType::I16 => {
-            data.extend(
-                bytes
-                    .chunks_exact(2)
-                    .map(|c| i32::from(i16::from_le_bytes([c[0], c[1]]))),
-            );
-        }
-        DType::I32 => {
-            data.extend(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            );
-        }
-    }
-    Ok(data)
+    Tensor::from_le_bytes(decl.dtype, &decl.dims, bytes).map_err(|e| match e {
+        IrError::ValueOutOfRange { value, dtype } => ImportError::ValueOutOfRange {
+            tensor: t,
+            value,
+            dtype,
+        },
+        other => ImportError::Graph(other),
+    })
 }

@@ -4,7 +4,7 @@
 //! serve layer's content-addressed cache relies on.
 
 use htvm_frontend::{emit, emit_with_quant, import, ImportError, QuantParams};
-use htvm_ir::canonical_form;
+use htvm_ir::{canonical_form, DType, GraphBuilder, Tensor};
 use htvm_models::{all_models, stress_test, QuantScheme};
 
 const SCHEMES: [QuantScheme; 3] = [QuantScheme::Int8, QuantScheme::Ternary, QuantScheme::Mixed];
@@ -109,4 +109,67 @@ fn inconsistent_quant_params_are_rejected() {
         Err(ImportError::InconsistentQuant { tensor: 0, .. }) => {}
         other => panic!("expected InconsistentQuant for tensor 0, got {other:?}"),
     }
+}
+
+#[test]
+fn payloads_at_the_dtype_extremes_come_back_bit_exact() {
+    let payloads = [
+        (DType::I8, vec![-128, 127, 0, -1]),
+        (
+            DType::I16,
+            vec![i32::from(i16::MIN), i32::from(i16::MAX), 0, -1],
+        ),
+        (DType::I32, vec![i32::MIN, i32::MAX, 0, -1]),
+        (DType::Ternary, vec![-1, 1, 0, -1]),
+    ];
+    let mut b = GraphBuilder::new();
+    b.input("x", &[1], DType::I8);
+    let ids: Vec<_> = payloads
+        .iter()
+        .map(|(dtype, data)| {
+            let tensor = Tensor::new(*dtype, &[4], data.clone()).unwrap();
+            b.constant(&format!("{dtype}"), tensor)
+        })
+        .collect();
+    let graph = b.finish(&ids).unwrap();
+    let back = import(&emit(&graph).expect("emit")).expect("import");
+    assert_eq!(back, graph);
+    for (id, (dtype, data)) in ids.iter().zip(&payloads) {
+        let tensor = back.node(*id).constant().expect("still a constant");
+        assert_eq!((tensor.dtype(), tensor.data()), (*dtype, data.as_slice()));
+    }
+}
+
+#[test]
+fn a_ternary_byte_out_of_range_is_refused_naming_its_tensor() {
+    // An i8 constant first, so the ternary one is tensor 2, not 1.
+    let pattern: [i32; 16] = [1, -1, -1, 1, 0, 1, 1, -1, 0, 0, 1, -1, 1, 1, 1, -1];
+    let mut b = GraphBuilder::new();
+    b.input("x", &[1], DType::I8);
+    let w8 = b.constant("w8", Tensor::new(DType::I8, &[16], vec![1; 16]).unwrap());
+    let wt = b.constant(
+        "wt",
+        Tensor::new(DType::Ternary, &[16], pattern.to_vec()).unwrap(),
+    );
+    let graph = b.finish(&[w8, wt]).unwrap();
+    let bytes = emit(&graph).expect("emit");
+    let needle: Vec<u8> = pattern.iter().map(|&v| v as u8).collect();
+    let at = bytes
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("the ternary payload is stored byte per element");
+    for bad in [2u8, 0x80] {
+        let mut corrupt = bytes.clone();
+        corrupt[at + 4] = bad;
+        assert_eq!(
+            import(&corrupt),
+            Err(ImportError::ValueOutOfRange {
+                tensor: wt.index(),
+                value: i32::from(bad as i8),
+                dtype: DType::Ternary,
+            }),
+            "byte {bad:#04x}"
+        );
+    }
+    assert_eq!(wt.index(), 2);
 }

@@ -8,6 +8,11 @@ use crate::{
 /// Incrementally builds a [`Graph`], running shape/type inference at each
 /// step so errors surface at the offending call.
 ///
+/// Every graph it finishes is well-formed: operands precede their users,
+/// every node's shape and dtype are inferred, and every constant is in its
+/// dtype's range (see [`GraphBuilder::constant`]). Passes and the compiler
+/// rely on this and do not re-verify.
+///
 /// # Examples
 ///
 /// ```
@@ -25,6 +30,8 @@ use crate::{
 pub struct GraphBuilder {
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
+    /// The first out-of-range constant, reported by [`GraphBuilder::finish`].
+    bad_constant: Option<IrError>,
 }
 
 impl GraphBuilder {
@@ -48,7 +55,15 @@ impl GraphBuilder {
     }
 
     /// Embeds a constant tensor (weights, biases).
-    pub fn constant(&mut self, name: &str, tensor: Tensor) -> NodeId {
+    ///
+    /// A tensor written through [`Tensor::data_mut`] or [`Tensor::set`]
+    /// since it was built is range-checked here, once; any other tensor
+    /// is in range by construction and is not scanned. An out-of-range
+    /// element makes [`GraphBuilder::finish`] fail.
+    pub fn constant(&mut self, name: &str, mut tensor: Tensor) -> NodeId {
+        if let Err(e) = tensor.ensure_checked() {
+            self.bad_constant.get_or_insert(e);
+        }
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             name: name.to_owned(),
@@ -350,9 +365,14 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::EmptyGraph`] if there are no nodes or outputs, or
-    /// [`IrError::UnknownNode`] for a foreign output id.
+    /// Returns [`IrError::ValueOutOfRange`] for the first constant holding
+    /// an element outside its dtype, [`IrError::EmptyGraph`] if there are
+    /// no nodes or outputs, or [`IrError::UnknownNode`] for a foreign
+    /// output id.
     pub fn finish(self, outputs: &[NodeId]) -> Result<Graph, IrError> {
+        if let Some(e) = self.bad_constant {
+            return Err(e);
+        }
         if self.nodes.is_empty() || outputs.is_empty() {
             return Err(IrError::EmptyGraph);
         }
@@ -412,6 +432,36 @@ mod tests {
         let x = b.input("x", &[16, 4, 4], DType::I8);
         let p = b.global_avg_pool(x).unwrap();
         assert_eq!(b.shape_of(p).unwrap().dims(), &[16, 1, 1]);
+    }
+
+    #[test]
+    fn a_constant_written_out_of_range_is_refused_once_and_for_all() {
+        let mut bad = Tensor::zeros(DType::I8, &[4]);
+        bad.data_mut()[0] = 300;
+        let values = bad.data().to_vec();
+        let copy = bad.clone();
+        for tensor in [bad, copy] {
+            let mut b = GraphBuilder::new();
+            let c = b.constant("w", tensor);
+            assert_eq!(
+                b.finish(&[c]),
+                Err(IrError::ValueOutOfRange {
+                    value: 300,
+                    dtype: DType::I8
+                })
+            );
+        }
+        // The same values as an `I32` tensor are in range.
+        let mut b = GraphBuilder::new();
+        let c = b.constant("w", Tensor::new(DType::I32, &[4], values).unwrap());
+        assert!(b.finish(&[c]).is_ok());
+        // A write that stays in range is accepted.
+        let mut fine = Tensor::zeros(DType::I8, &[4]);
+        fine.set(&[1], -128);
+        let mut b = GraphBuilder::new();
+        let c = b.constant("w", fine);
+        let g = b.finish(&[c]).unwrap();
+        assert_eq!(g.node(c).constant().unwrap().data(), &[0, -128, 0, 0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The dataflow graph.
 
 use crate::{DType, IrError, Op, Shape, Tensor};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -101,11 +101,33 @@ impl Node {
 /// Nodes are stored in topological order by construction (operands always
 /// precede their users), which every pass relies on. Build graphs with
 /// [`GraphBuilder`](crate::GraphBuilder); see the crate-level example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A `Graph` value is well-formed wherever it came from: the builder, the
+/// passes and deserialization all produce only graphs that
+/// [`passes::verify`](crate::passes::verify) accepts, so consumers do not
+/// re-verify.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<NodeId>,
+}
+
+/// A deserialized graph is structurally verified before it is returned,
+/// and each constant was range-checked as its [`Tensor`] was rebuilt, so
+/// bytes from disk are held to the same standard as the builder.
+impl Deserialize for Graph {
+    fn from_content(v: &Value) -> Result<Self, DeError> {
+        let obj = serde::__as_object(v).ok_or_else(|| DeError::custom("expected Graph object"))?;
+        let graph = Graph {
+            nodes: serde::__field(obj, "nodes", "Graph")?,
+            inputs: serde::__field(obj, "inputs", "Graph")?,
+            outputs: serde::__field(obj, "outputs", "Graph")?,
+        };
+        crate::passes::verify_structure(&graph)
+            .map_err(|e| DeError::custom(format!("Graph: {e}")))?;
+        Ok(graph)
+    }
 }
 
 impl Graph {

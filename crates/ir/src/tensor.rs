@@ -1,16 +1,29 @@
 //! Concrete tensor values.
 
 use crate::{DType, IrError, Shape};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// A concrete integer tensor value.
 ///
 /// Elements are stored widened to `i32` regardless of [`DType`]; the dtype
-/// records the *nominal* precision and constrains the representable range
-/// (checked by [`Tensor::new`]). This mirrors how quantized inference is
-/// specified: arithmetic happens in 32-bit accumulators and values are
-/// narrowed explicitly by requantization ops.
+/// records the *nominal* precision and constrains the representable range.
+/// This mirrors how quantized inference is specified: arithmetic happens
+/// in 32-bit accumulators and values are narrowed explicitly by
+/// requantization ops.
+///
+/// # Invariant
+///
+/// Every constructor — [`Tensor::new`], [`Tensor::from_le_bytes`],
+/// [`Tensor::zeros`], [`Tensor::scalar`], [`Tensor::saturating_cast`] and
+/// deserialization — yields a payload whose length is the shape's element
+/// count and whose every element fits the dtype, and records that it did.
+/// [`Tensor::data_mut`] and [`Tensor::set`] can write any `i32`, so on a
+/// non-`I32` tensor they drop that record; the next
+/// [`GraphBuilder::constant`](crate::GraphBuilder::constant) range-checks
+/// such a tensor (and only such a tensor) before it can enter a graph.
+/// Every constant in a [`Graph`](crate::Graph) is therefore in range, and
+/// nothing downstream re-scans payloads.
 ///
 /// The payload is shared and copy-on-write: `clone()` bumps a reference
 /// count, so a weight travels from the imported graph through every pass
@@ -28,11 +41,42 @@ use std::sync::Arc;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Tensor {
     dtype: DType,
     shape: Shape,
     data: Arc<Vec<i32>>,
+    /// Whether every element is known to fit `dtype`: set by the
+    /// constructors, cleared by a write into a non-`I32` tensor. Not part
+    /// of the value — equality and the serialized form ignore it.
+    #[serde(skip)]
+    checked: bool,
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.dtype == other.dtype && self.shape == other.shape && self.data == other.data
+    }
+}
+
+impl Eq for Tensor {}
+
+/// A deserialized tensor is built through [`Tensor::new`], so a payload
+/// whose length disagrees with its shape, or that holds a value outside
+/// its dtype, is refused here rather than trusted downstream.
+impl Deserialize for Tensor {
+    fn from_content(v: &Value) -> Result<Self, DeError> {
+        let obj = serde::__as_object(v).ok_or_else(|| DeError::custom("expected Tensor object"))?;
+        let dtype: DType = serde::__field(obj, "dtype", "Tensor")?;
+        let shape: Shape = serde::__field(obj, "shape", "Tensor")?;
+        let data: Vec<i32> = serde::__field(obj, "data", "Tensor")?;
+        shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| DeError::custom(format!("Tensor shape {shape} overflows")))?;
+        Tensor::new(dtype, shape.dims(), data).map_err(|e| DeError::custom(format!("Tensor: {e}")))
+    }
 }
 
 impl Tensor {
@@ -52,14 +96,87 @@ impl Tensor {
                 got: data.len(),
             });
         }
-        if let Some(&bad) = data.iter().find(|v| !dtype.contains(**v)) {
-            return Err(IrError::ValueOutOfRange { value: bad, dtype });
-        }
-        Ok(Tensor {
+        let tensor = Tensor {
             dtype,
             shape,
             data: Arc::new(data),
-        })
+            checked: true,
+        };
+        tensor.validate()?;
+        Ok(tensor)
+    }
+
+    /// Creates a tensor from little-endian elements at their native width
+    /// (one byte for `I8` and `Ternary`, two for `I16`, four for `I32`),
+    /// widening and range-checking in the same single pass: only `Ternary`
+    /// has byte values outside its range, and a native-width `I8`, `I16`
+    /// or `I32` element fits its dtype by construction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::ShapeMismatch`] if `bytes` does not hold exactly
+    /// the shape's element count at that width, and
+    /// [`IrError::ValueOutOfRange`] for the first `Ternary` byte outside
+    /// `{-1, 0, +1}`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use htvm_ir::{DType, IrError, Tensor};
+    /// # fn main() -> Result<(), IrError> {
+    /// let t = Tensor::from_le_bytes(DType::I16, &[2], &[0x00, 0x80, 0xff, 0x7f])?;
+    /// assert_eq!(t.data(), &[-32768, 32767]);
+    /// assert_eq!(
+    ///     Tensor::from_le_bytes(DType::Ternary, &[1], &[2]),
+    ///     Err(IrError::ValueOutOfRange { value: 2, dtype: DType::Ternary })
+    /// );
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn from_le_bytes(dtype: DType, dims: &[usize], bytes: &[u8]) -> Result<Self, IrError> {
+        let shape = Shape::new(dims);
+        let n = shape.num_elements();
+        let width = match dtype {
+            DType::I8 | DType::Ternary => 1,
+            DType::I16 => 2,
+            DType::I32 => 4,
+        };
+        if n.checked_mul(width) != Some(bytes.len()) {
+            return Err(IrError::ShapeMismatch {
+                expected: n,
+                got: bytes.len() / width,
+            });
+        }
+        let mut data = Vec::with_capacity(n);
+        let mut fits = true;
+        match dtype {
+            DType::I8 => data.extend(bytes.iter().map(|&b| i32::from(b as i8))),
+            DType::Ternary => data.extend(bytes.iter().map(|&b| {
+                let v = i32::from(b as i8);
+                fits &= (-1..=1).contains(&v);
+                v
+            })),
+            DType::I16 => data.extend(
+                bytes
+                    .chunks_exact(2)
+                    .map(|c| i32::from(i16::from_le_bytes([c[0], c[1]]))),
+            ),
+            DType::I32 => data.extend(
+                bytes
+                    .chunks_exact(4)
+                    .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            ),
+        }
+        let tensor = Tensor {
+            dtype,
+            shape,
+            data: Arc::new(data),
+            checked: true,
+        };
+        if !fits {
+            tensor.validate()?; // names the first offending element
+        }
+        Ok(tensor)
     }
 
     /// Creates an all-zero tensor of the given type and shape.
@@ -71,6 +188,7 @@ impl Tensor {
             dtype,
             shape,
             data: Arc::new(vec![0; n]),
+            checked: true,
         }
     }
 
@@ -86,6 +204,7 @@ impl Tensor {
             dtype,
             shape: Shape::scalar(),
             data: Arc::new(vec![v]),
+            checked: true,
         }
     }
 
@@ -109,11 +228,24 @@ impl Tensor {
 
     /// Mutable flat view of the element data (row-major).
     ///
-    /// Callers are responsible for keeping values within the dtype's range;
-    /// [`Tensor::validate`] re-checks on demand. A payload shared with
-    /// another handle is copied first.
+    /// The slice accepts any `i32`. On a non-`I32` tensor the call drops
+    /// the tensor's in-range record (see the [invariant](Tensor#invariant)),
+    /// so [`GraphBuilder::constant`](crate::GraphBuilder::constant) checks
+    /// it again; [`Tensor::validate`] checks on demand. A payload shared
+    /// with another handle is copied first.
     pub fn data_mut(&mut self) -> &mut [i32] {
+        self.checked &= self.dtype == DType::I32;
         Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
+    /// Range-checks the payload unless a constructor already did since
+    /// the last write, and records a pass.
+    pub(crate) fn ensure_checked(&mut self) -> Result<(), IrError> {
+        if !self.checked {
+            self.validate()?;
+            self.checked = true;
+        }
+        Ok(())
     }
 
     /// Consumes the tensor, returning the flat element data (copied only
@@ -150,7 +282,9 @@ impl Tensor {
         self.data[self.flat_index(idx)]
     }
 
-    /// Sets the element at a multi-dimensional index.
+    /// Sets the element at a multi-dimensional index. Like
+    /// [`Tensor::data_mut`], this accepts any `i32` and, on a non-`I32`
+    /// tensor, drops the in-range record.
     ///
     /// # Panics
     ///
@@ -174,9 +308,17 @@ impl Tensor {
     ///
     /// Returns [`IrError::ValueOutOfRange`] for the first offending element.
     pub fn validate(&self) -> Result<(), IrError> {
-        if let Some(&bad) = self.data.iter().find(|v| !self.dtype.contains(**v)) {
+        // A branch-free min/max pass; the search for the first offender
+        // runs only when there is one.
+        let (lo, hi) = self.dtype.range();
+        let (min, max) = self
+            .data
+            .iter()
+            .fold((hi, lo), |(a, b), &v| (a.min(v), b.max(v)));
+        if min < lo || max > hi {
+            let bad = self.data.iter().copied().find(|&v| !self.dtype.contains(v));
             return Err(IrError::ValueOutOfRange {
-                value: bad,
+                value: bad.unwrap_or(min),
                 dtype: self.dtype,
             });
         }
@@ -191,6 +333,7 @@ impl Tensor {
             dtype,
             shape: self.shape.clone(),
             data: Arc::new(self.data.iter().map(|&v| dtype.saturate(v)).collect()),
+            checked: true,
         }
     }
 }
@@ -214,6 +357,14 @@ mod tests {
             Tensor::new(DType::Ternary, &[1], vec![2]),
             Err(IrError::ValueOutOfRange { .. })
         ));
+        // The first offender is named, not the smallest or the largest.
+        assert_eq!(
+            Tensor::new(DType::I8, &[3], vec![5, 300, -300]),
+            Err(IrError::ValueOutOfRange {
+                value: 300,
+                dtype: DType::I8
+            })
+        );
     }
 
     #[test]

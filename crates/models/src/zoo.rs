@@ -1,7 +1,7 @@
 //! The four MLPerf™ Tiny v1.0 topologies.
 
 use crate::weights::{random_input, random_tensor};
-use htvm_ir::{DType, Graph, GraphBuilder, NodeId, Tensor};
+use htvm_ir::{DType, Graph, GraphBuilder, IrError, NodeId, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,20 +44,38 @@ impl Model {
         random_input(seed, &self.input_dims)
     }
 
-    /// Runs the IR verifier over the model's graph, reporting which model
-    /// failed. Library callers (bench bins, the serving path) get a
-    /// `Result` they can surface instead of a process abort.
+    /// Runs the IR verifier over the model's graph and checks that the
+    /// graph's one input has the shape [`Model::input`] feeds it,
+    /// reporting which model failed. Library callers (bench bins, the
+    /// serving path) get a `Result` they can surface instead of a process
+    /// abort.
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`htvm_ir::IrError`] annotated with the model name
-    /// when the graph fails verification.
+    /// Returns the underlying [`htvm_ir::IrError`] annotated with the model
+    /// name: the verifier's, or [`htvm_ir::IrError::BadOperand`] when the
+    /// graph does not have exactly one input of shape `input_dims`.
     pub fn verify(&self) -> Result<(), ModelError> {
-        htvm_ir::passes::verify(&self.graph).map_err(|error| ModelError {
-            model: self.name,
-            scheme: self.scheme,
-            error,
-        })
+        let inputs: Vec<&Shape> = self
+            .graph
+            .inputs()
+            .iter()
+            .map(|&i| &self.graph.node(i).shape)
+            .collect();
+        htvm_ir::passes::verify(&self.graph)
+            .and_then(|()| match inputs.as_slice() {
+                [shape] if shape.dims() == self.input_dims => Ok(()),
+                _ => Err(IrError::BadOperand {
+                    op: "model input",
+                    expected: format!("one input of shape {:?}", self.input_dims),
+                    got: inputs.first().map_or_else(Shape::scalar, |&s| s.clone()),
+                }),
+            })
+            .map_err(|error| ModelError {
+                model: self.name,
+                scheme: self.scheme,
+                error,
+            })
     }
 }
 
@@ -446,19 +464,22 @@ mod tests {
 
     #[test]
     fn model_verify_reports_the_failing_model() {
-        // Corrupt a model's graph through the serde round trip (the
-        // builder cannot produce an invalid graph directly).
+        // A model whose input signature disagrees with its graph.
         let mut m = ds_cnn(QuantScheme::Int8);
+        m.input_dims = vec![1, 10, 49];
+        let err = m.verify().unwrap_err();
+        assert_eq!(err.model, "ds_cnn");
+        assert!(err.to_string().contains("ds_cnn"), "{err}");
+        assert!(matches!(err.error, IrError::BadOperand { .. }), "{err}");
+        // The graph itself cannot be corrupted through the serde round
+        // trip any more: a dangling operand is refused as it is read.
         let mut text = serde_json::to_string(&m.graph).unwrap();
-        // Point the first conv's second operand at a dangling node id.
         let needle = "\"inputs\":[";
         let at = text.find(needle).unwrap() + needle.len();
         let end = text[at..].find(']').unwrap() + at;
         text.replace_range(at..end, "0,99999");
-        m.graph = serde_json::from_str(&text).unwrap();
-        let err = m.verify().unwrap_err();
-        assert_eq!(err.model, "ds_cnn");
-        assert!(err.to_string().contains("ds_cnn"), "{err}");
+        let refused = serde_json::from_str::<Graph>(&text).unwrap_err();
+        assert!(refused.to_string().contains("not a dag"), "{refused}");
     }
 
     #[test]

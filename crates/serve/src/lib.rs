@@ -502,7 +502,7 @@ mod tests {
         assert_eq!(jobs[1].arg_u64("cache_hit"), Some(1));
         assert!(jobs.iter().all(|s| s.arg_u64("ok") == Some(1)));
         // Compiler phase spans share the trace (the miss compiled).
-        assert!(trace.span("verify").is_some());
+        assert!(trace.span("partition").is_some());
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
 //! the current format with the constant, so each still fails the one
 //! check it was written for.
+//!
+//! Two more entries are hostile rather than stale: written at run time
+//! from a real compiled artifact, each carries one edit that only the
+//! artifact's own types can catch — a CPU-segment graph whose operand
+//! points past its own node, and an accelerator weight payload one
+//! element short. A `Graph` and a `Tensor` are checked as they are
+//! deserialized, so both entries are skipped and counted as well.
 
 use htvm::DeployConfig;
 use htvm_ir::{DType, GraphBuilder, Tensor};
@@ -148,5 +155,104 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
         .expect("the fresh entry sits next to the old ones");
     assert!(spilled.starts_with(r#"{"format":3,"#));
 
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A one-conv graph whose requantized output feeds a softmax: the conv
+/// runs on an accelerator (a weight payload in the artifact), the
+/// softmax on the CPU (a segment graph in the artifact).
+fn conv_softmax_graph() -> htvm_ir::Graph {
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", &[8, 8, 8], DType::I8);
+    let w = b.constant("w", Tensor::zeros(DType::I8, &[8, 8, 3, 3]));
+    let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
+    let y = b.requantize(c, 7, true).unwrap();
+    let f = b.flatten(y).unwrap();
+    let s = b.softmax(f).unwrap();
+    b.finish(&[s]).unwrap()
+}
+
+/// Rewrites the list that opens with the first `field` after the first
+/// `anchor` in `text`: what stands between its brackets becomes
+/// `edit(what)`.
+fn edit_first_list_after(
+    text: &str,
+    anchor: &str,
+    field: &str,
+    edit: impl Fn(&str) -> String,
+) -> String {
+    let from = text.find(anchor).expect("anchor present");
+    let open = from + text[from..].find(field).expect("field present") + field.len();
+    let close = open + text[open..].find(']').expect("list closes");
+    format!(
+        "{}{}{}",
+        &text[..open],
+        edit(&text[open..close]),
+        &text[close..]
+    )
+}
+
+#[test]
+fn hostile_entries_from_real_artifacts_are_skipped_not_fatal() {
+    let scratch = std::env::temp_dir().join(format!("htvm-compat-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let config = || ServeConfig {
+        workers: 1,
+        cache_budget_bytes: 64 << 20,
+        tracer: htvm::Tracer::disabled(),
+        persist_root: Some(scratch.clone()),
+        ..ServeConfig::default()
+    };
+
+    // Two real entries, one per deploy (so two keys), each then edited.
+    let writer = CompileService::new(config());
+    let dir = scratch.join("v1/diana");
+    let mut entries = Vec::new();
+    for deploy in [DeployConfig::Digital, DeployConfig::Both] {
+        let result = writer
+            .submit(JobRequest::compile_only(
+                "real",
+                conv_softmax_graph(),
+                deploy,
+            ))
+            .expect("compiles");
+        let path = dir.join(format!("{}.json", result.key_id));
+        let text = std::fs::read_to_string(&path).expect("entry spilled");
+        entries.push((path, text));
+    }
+    assert_eq!(writer.stats().persist_writes, 2);
+    drop(writer);
+
+    // The segment's first operator reads node 99, after itself.
+    let (path, text) = &entries[0];
+    let past_itself = edit_first_list_after(text, r#""CpuFused""#, r#""inputs":["#, |list| {
+        let rest = list.find(',').map_or("", |at| &list[at..]);
+        format!("99{rest}")
+    });
+    assert_ne!(&past_itself, text);
+    std::fs::write(path, past_itself).unwrap();
+    // The conv's weight payload loses its last element.
+    let (path, text) = &entries[1];
+    let one_short = edit_first_list_after(text, r#""weights":{"#, r#""data":["#, |list| {
+        list[..list.rfind(',').expect("more than one weight")].to_owned()
+    });
+    assert_eq!(one_short.len() + 2, text.len(), "one `,0` removed");
+    std::fs::write(path, one_short).unwrap();
+
+    // Boot continues over both, counts them, and still serves.
+    let service = CompileService::new(config());
+    let booted = service.stats();
+    assert_eq!(
+        (booted.persist_load_ok, booted.persist_load_skipped),
+        (0, 2)
+    );
+    let result = service
+        .submit(JobRequest::compile_only(
+            "again",
+            conv_softmax_graph(),
+            DeployConfig::Both,
+        ))
+        .expect("the booted service compiles");
+    assert!(!result.cache_hit, "the hostile entry was not admitted");
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -138,7 +138,7 @@ impl Track {
 pub mod tracks {
     use super::Track;
 
-    /// Sequential compiler phases (verify, fold, partition, solve, emit…).
+    /// Sequential compiler phases (fold, partition, solve, emit, L2 plan).
     pub const PHASES: u32 = 0;
     /// Per-region tiling solves (overlap in wall time when the solve
     /// phase fans out).

@@ -178,20 +178,15 @@ fn tracing_is_observation_only() {
     // And the trace actually observed the compile: every phase span is
     // present, on the phases track, with a parseable chrome export.
     let trace = tracer.take(htvm::TimeDomain::WallMicros, htvm::tracks::compile());
-    for phase in [
-        "verify",
-        "fold_constants",
-        "partition",
-        "solve",
-        "emit",
-        "l2_plan",
-    ] {
+    for phase in ["fold_constants", "partition", "solve", "emit", "l2_plan"] {
         assert!(
             trace.span(phase).is_some(),
             "missing {phase} span in {:?}",
             trace.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
         );
     }
+    // A graph is well-formed by construction: the compiler verifies nothing.
+    assert!(trace.span("verify").is_none());
     let solve = trace.span("solve").expect("solve span");
     assert_eq!(
         solve.arg_u64("regions"),
