@@ -78,16 +78,10 @@ impl From<LowerError> for CompileError {
 pub struct Compiler {
     platform: DianaConfig,
     deploy: DeployConfig,
+    /// Also holds the compiler's one tile cache (always `Some`) and its
+    /// one tracer, which every compile's phases and lowering share.
     lower_opts: LowerOptions,
     dispatch_hook: Option<DispatchHook>,
-    /// Tiling-solve memo table shared by every [`Compiler::compile`] call
-    /// (clones of the compiler share it too): solves are pure functions of
-    /// `(geometry, budget, objective)`, so recompiles and repeated layer
-    /// geometries skip the solver entirely.
-    tile_cache: TileCache,
-    /// Span collector threaded through every compile (disabled by
-    /// default). See [`Compiler::with_tracer`].
-    tracer: Tracer,
 }
 
 impl fmt::Debug for Compiler {
@@ -100,8 +94,6 @@ impl fmt::Debug for Compiler {
                 "dispatch_hook",
                 &self.dispatch_hook.as_ref().map(|_| "<hook>"),
             )
-            .field("tile_cache", &self.tile_cache)
-            .field("tracer", &self.tracer)
             .finish()
     }
 }
@@ -120,10 +112,11 @@ impl Compiler {
         Compiler {
             platform: DianaConfig::default(),
             deploy: DeployConfig::Both,
-            lower_opts: LowerOptions::default(),
+            lower_opts: LowerOptions {
+                tile_cache: Some(TileCache::new()),
+                ..LowerOptions::default()
+            },
             dispatch_hook: None,
-            tile_cache: TileCache::new(),
-            tracer: Tracer::disabled(),
         }
     }
 
@@ -138,7 +131,7 @@ impl Compiler {
     /// it on or off.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.lower_opts.tracer = tracer;
         self
     }
 
@@ -146,14 +139,20 @@ impl Compiler {
     /// [`Compiler::with_tracer`] was called).
     #[must_use]
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.lower_opts.tracer
     }
 
-    /// The compiler's shared tiling-solve cache (counters and contents
-    /// accumulate across [`Compiler::compile`] calls).
+    /// The tiling-solve memo table every [`Compiler::compile`] call solves
+    /// through (clones of the compiler share it too): solves are pure
+    /// functions of `(geometry, budget, objective)`, so recompiles and
+    /// repeated layer geometries skip the solver entirely. Counters and
+    /// contents accumulate across compiles.
     #[must_use]
     pub fn tile_cache(&self) -> &TileCache {
-        &self.tile_cache
+        self.lower_opts
+            .tile_cache
+            .as_ref()
+            .expect("a compiler always holds a tile cache")
     }
 
     /// Installs a user dispatch override (see [`DispatchHook`]).
@@ -183,10 +182,22 @@ impl Compiler {
 
     /// Overrides lowering options (tiling objectives, L1 budget, size
     /// model). The `naive_l2` flag is still controlled by
-    /// [`Compiler::with_deploy`] if called afterwards.
+    /// [`Compiler::with_deploy`] if called afterwards. A supplied
+    /// `tile_cache` or enabled `tracer` becomes the compiler's own (what
+    /// [`Compiler::tile_cache`] and [`Compiler::tracer`] return); `None`
+    /// or a disabled tracer keeps the compiler's.
     #[must_use]
     pub fn with_lower_options(mut self, opts: LowerOptions) -> Self {
-        self.lower_opts = opts;
+        let tracer = if opts.tracer.is_enabled() {
+            opts.tracer
+        } else {
+            self.lower_opts.tracer
+        };
+        self.lower_opts = LowerOptions {
+            tile_cache: opts.tile_cache.or(self.lower_opts.tile_cache),
+            tracer,
+            ..opts
+        };
         self
     }
 
@@ -230,7 +241,7 @@ impl Compiler {
         // changes nothing builds nothing, and the caller's graph is the one
         // partitioned and lowered.
         let folded = {
-            let _span = self.tracer.scope(tracks::PHASES, "fold_constants");
+            let _span = self.tracer().scope(tracks::PHASES, "fold_constants");
             passes::simplify(graph).map(|(folded, _)| {
                 debug_assert!(passes::verify(&folded).is_ok());
                 folded
@@ -245,10 +256,10 @@ impl Compiler {
         };
         // The `partition` span times dispatch too: the callback below
         // extracts (under a hook) and checks engine feasibility per match.
-        let partition_span = self
-            .tracer
+        let tracer = self.tracer();
+        let partition_span = tracer
             .is_enabled()
-            .then(|| (self.tracer.elapsed_us(), std::time::Instant::now()));
+            .then(|| (tracer.elapsed_us(), std::time::Instant::now()));
         // The dispatch hook needs each candidate's geometry, which means a
         // full extraction; keep those extractions (keyed by match root) so
         // the lowering solve phase does not redo them.
@@ -269,7 +280,7 @@ impl Compiler {
             }
         });
         if let Some((start, opened)) = partition_span {
-            self.tracer.record(
+            tracer.record(
                 htvm_trace::Span::new(
                     "partition",
                     tracks::PHASES,
@@ -280,14 +291,10 @@ impl Compiler {
                 .with_arg("regions", part.regions.len()),
             );
         }
-        let mut opts = self.lower_opts.clone();
-        if opts.tile_cache.is_none() {
-            opts.tile_cache = Some(self.tile_cache.clone());
-        }
-        if !opts.tracer.is_enabled() {
-            opts.tracer = self.tracer.clone();
-        }
-        opts.extracted = extracted.into_inner();
+        let opts = LowerOptions {
+            extracted: extracted.into_inner(),
+            ..self.lower_opts.clone()
+        };
         let artifact = lower(graph, &part, &self.platform, &opts)?;
         Ok(artifact)
     }
@@ -440,6 +447,23 @@ mod tests {
             .unwrap();
         let reference = htvm_kernels::evaluate(&g, &[input]).unwrap();
         assert_eq!(out.outputs[0], reference[0]);
+    }
+
+    #[test]
+    fn a_supplied_cache_and_tracer_are_the_compilers_own() {
+        let cache = TileCache::new();
+        let tracer = Tracer::new();
+        let compiler = Compiler::new().with_lower_options(LowerOptions {
+            tile_cache: Some(cache.clone()),
+            tracer: tracer.clone(),
+            ..LowerOptions::default()
+        });
+        compiler.compile(&mixed_graph()).unwrap();
+        assert!(cache.solves() > 0);
+        assert_eq!(compiler.tile_cache().solves(), cache.solves());
+        let trace = tracer.take(htvm_trace::TimeDomain::WallMicros, tracks::compile());
+        assert!(trace.span("partition").is_some(), "the compiler's phase");
+        assert!(trace.span("solve").is_some(), "lowering's phase");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! byte-budgeted artifact cache reaches.
 
 use crate::key::ArtifactKey;
+use crate::lock;
 use crate::stored::StoredArtifact;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -46,7 +47,7 @@ struct Entry {
 }
 
 #[derive(Default)]
-struct Inner {
+pub(crate) struct Inner {
     entries: HashMap<ArtifactKey, Entry>,
     /// Monotonic access clock; strictly increasing, so LRU victims are
     /// unique and eviction order is deterministic.
@@ -58,7 +59,7 @@ struct Inner {
 
 /// A thread-safe LRU artifact cache bounded by serialized size.
 pub struct ArtifactCache {
-    inner: Mutex<Inner>,
+    pub(crate) inner: Mutex<Inner>,
 }
 
 impl ArtifactCache {
@@ -81,11 +82,7 @@ impl ArtifactCache {
     /// perturbing the counters the determinism tests assert on.
     #[must_use]
     pub fn contains(&self, key: &ArtifactKey) -> bool {
-        self.inner
-            .lock()
-            .expect("artifact cache poisoned")
-            .entries
-            .contains_key(key)
+        lock(&self.inner).entries.contains_key(key)
     }
 
     /// Looks up a key, refreshing its recency on hit. Returns a handle
@@ -93,7 +90,7 @@ impl ArtifactCache {
     /// cold compile of the same key serialized to.
     #[must_use]
     pub fn get(&self, key: &ArtifactKey) -> Option<StoredArtifact> {
-        let mut inner = self.inner.lock().expect("artifact cache poisoned");
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
@@ -119,7 +116,7 @@ impl ArtifactCache {
     pub fn insert(&self, key: ArtifactKey, artifact: impl Into<StoredArtifact>) -> bool {
         let stored = artifact.into();
         let bytes = stored.json().len() as u64;
-        let mut inner = self.inner.lock().expect("artifact cache poisoned");
+        let mut inner = lock(&self.inner);
         if bytes > inner.stats.budget_bytes {
             inner.stats.oversized += 1;
             return false;
@@ -137,7 +134,11 @@ impl ArtifactCache {
             // depends on iteration order, even if recency semantics
             // ever coarsen (e.g. batched ticks). The digest is stored in
             // the key, so the scan under this lock reads two integers
-            // per resident entry.
+            // per resident entry. Both `expect`s fire before this
+            // iteration writes anything, and nothing can panic between
+            // removing the victim and un-counting its bytes, so an
+            // unwind leaves `entries` and `stats.bytes` agreeing
+            // (see `crate::lock`).
             let victim = inner
                 .entries
                 .iter()
@@ -163,7 +164,7 @@ impl ArtifactCache {
     /// A snapshot of the counters and occupancy.
     #[must_use]
     pub fn stats(&self) -> ArtifactCacheStats {
-        let inner = self.inner.lock().expect("artifact cache poisoned");
+        let inner = lock(&self.inner);
         ArtifactCacheStats {
             entries: inner.entries.len() as u64,
             ..inner.stats

@@ -23,8 +23,10 @@
 //! Every non-2xx response is a typed [`wire::WireError`] JSON body with
 //! `status` matching the status line; admission sheds are `429` with
 //! the structured [`Rejection`](crate::Rejection) attached and a
-//! `Retry-After` header. Connections are keep-alive per HTTP/1.1
-//! semantics ([`framing::Request::keep_alive`]); one thread serves each
+//! `Retry-After` header. A request whose handler panics gets a `500` of
+//! kind `internal`, and its connection is closed. Connections are
+//! keep-alive per HTTP/1.1 semantics
+//! ([`framing::Request::keep_alive`]); one thread serves each
 //! connection, capped at [`HttpConfig::max_connections`] (excess
 //! connections get one `503` and are closed).
 
@@ -36,6 +38,7 @@ use framing::{read_request, write_response, FrameError, Request};
 use htvm::DeployConfig;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -253,7 +256,20 @@ fn serve_connection(
             }
         };
         let keep_alive = request.keep_alive();
-        let (status, body, extra) = dispatch(service, request);
+        // The service's locks and drop guards keep its state whole across
+        // an unwind (see `crate::lock`), so a panicking handler costs only
+        // its own request: it is answered with a 500 and its connection
+        // is closed.
+        let handled = catch_unwind(AssertUnwindSafe(|| dispatch(service, request)));
+        let keep_alive = keep_alive && handled.is_ok();
+        let (status, body, extra) = handled.unwrap_or_else(|_| {
+            let error = WireError::new(
+                500,
+                "internal",
+                String::from("the request handler panicked"),
+            );
+            (500, json(&error), Vec::new())
+        });
         counters.requests.fetch_add(1, Ordering::Relaxed);
         if status >= 400 {
             counters.errors.fetch_add(1, Ordering::Relaxed);

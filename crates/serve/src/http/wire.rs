@@ -167,8 +167,9 @@ pub struct WireError {
     pub status: u16,
     /// Machine-readable kind: `bad_request`, `not_found`,
     /// `method_not_allowed`, `payload_too_large`, `not_implemented`,
-    /// `http_version`, `overloaded`, `rejected`, `compile_error`,
-    /// `run_error`, `import_error`, `platform_error`.
+    /// `http_version`, `overloaded`, `internal`, `rejected`,
+    /// `compile_error`, `import_error`, `platform_error`. `internal` is a
+    /// `500` for a request whose handler panicked.
     /// For `import_error`, `detail` leads with the
     /// `htvm_frontend::ImportError` variant name (`Truncated`,
     /// `OutOfBounds`, `BadMagic`, …).
@@ -193,9 +194,9 @@ impl WireError {
     }
 
     /// Maps a service-layer job error onto the wire: shed jobs are
-    /// `429` with the structured rejection attached, compile and run
-    /// failures are `422` (the request was well-formed; the payload
-    /// cannot be processed).
+    /// `429` with the structured rejection attached; compile, import and
+    /// routing failures are `422` (the request was well-formed; the
+    /// payload cannot be processed).
     #[must_use]
     pub fn from_job_error(error: &JobError) -> Self {
         match error {
@@ -206,7 +207,6 @@ impl WireError {
                 rejection: Some(rejection.clone()),
             },
             JobError::Compile { .. } => WireError::new(422, "compile_error", error.to_string()),
-            JobError::Run { .. } => WireError::new(422, "run_error", error.to_string()),
             JobError::Import { .. } => WireError::new(422, "import_error", error.to_string()),
             JobError::Platform { .. } => WireError::new(422, "platform_error", error.to_string()),
         }

@@ -1,4 +1,4 @@
-//! Multi-tenant compile-and-simulate serving for HTVM-RS.
+//! Multi-tenant compile serving for HTVM-RS.
 //!
 //! Deploying to a TinyML fleet rarely means one compile: a serving tier
 //! receives batches of jobs — the same handful of network architectures
@@ -32,9 +32,8 @@
 //! - All tenants share one base [`Compiler`](htvm::Compiler), so tiling
 //!   solves memoized for one tenant's layers accelerate every other
 //!   tenant's cold compiles too ([`ServiceStats::tile_cache`]).
-//! - Jobs can ask for simulation after compiling ([`RunSpec`]), with an
-//!   optional per-job deadline in simulated cycles enforced by
-//!   `Machine::run_bounded`.
+//! - The service compiles; it never simulates. A client runs the returned
+//!   artifact with `htvm::Machine::run` (or `run_with_faults`).
 //! - The service is **platform-plural**: a declarative
 //!   [`PlatformManifest`](htvm_soc::PlatformManifest) gives every fleet
 //!   platform its own compiler, tile cache and artifact cache, and jobs
@@ -96,15 +95,28 @@ pub use key::ArtifactKey;
 pub use persist::{compiler_stamp, PersistStats, PersistStore, CACHE_FORMAT_VERSION};
 pub use service::{
     estimate_cost, CompileService, JobError, JobRequest, JobResult, PlatformStats, RejectReason,
-    Rejection, RunSpec, SchedPolicy, ServeConfig, ServiceStats, HIT_COST,
+    Rejection, SchedPolicy, ServeConfig, ServiceStats, HIT_COST,
 };
 pub use shard::ShardRing;
 pub use stored::StoredArtifact;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering it when a thread panicked while holding it.
+/// Every lock in this crate is taken through here (a condvar wait and a
+/// consumed result slot recover the same way). That is sound because no
+/// critical section has a panic point between two writes that must agree
+/// (the artifact cache's eviction loop, the one section with paired
+/// writes, un-counts each entry's bytes right after removing it), so the
+/// guarded state is whole whenever a holder unwinds.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htvm::{Compiler, DeployConfig, FaultPlan, RunError, Tracer};
+    use htvm::{Compiler, DeployConfig, Tracer};
     use htvm_ir::{DType, Graph, GraphBuilder, Tensor};
 
     fn conv_graph(channels: usize) -> Graph {
@@ -422,54 +434,6 @@ mod tests {
             stats.artifact_cache.oversized, 1,
             "the one compile is refused admission"
         );
-    }
-
-    #[test]
-    fn run_jobs_simulate_and_deadlines_fail_typed() {
-        let service = CompileService::new(config());
-        let input = Tensor::zeros(DType::I8, &[8, 8, 8]);
-        let ok = service
-            .submit(JobRequest {
-                name: "run".into(),
-                tenant: "anon".into(),
-                platform: None,
-                graph: conv_graph(8),
-                deploy: DeployConfig::Both,
-                run: Some(RunSpec {
-                    inputs: vec![input.clone()],
-                    faults: FaultPlan::default(),
-                    deadline_cycles: None,
-                }),
-            })
-            .expect("healthy run succeeds");
-        let report = ok.report.expect("run jobs carry a report");
-        let total = report.total_cycles();
-        assert!(total > 0);
-
-        let err = service
-            .submit(JobRequest {
-                name: "deadline".into(),
-                tenant: "anon".into(),
-                platform: None,
-                graph: conv_graph(8),
-                deploy: DeployConfig::Both,
-                run: Some(RunSpec {
-                    inputs: vec![input],
-                    faults: FaultPlan::default(),
-                    deadline_cycles: Some(total - 1),
-                }),
-            })
-            .expect_err("one cycle short of the budget must fail");
-        match err {
-            JobError::Run {
-                job,
-                error: RunError::DeadlineExceeded { budget_cycles, .. },
-            } => {
-                assert_eq!(job, "deadline");
-                assert_eq!(budget_cycles, total - 1);
-            }
-            other => panic!("expected a deadline error, got {other}"),
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The multi-tenant, multi-platform compile-and-simulate service.
+//! The multi-tenant, multi-platform compile service.
 //!
 //! One [`CompileService`] serves a whole *fleet*: each platform in its
 //! [`PlatformManifest`] gets its own base [`Compiler`] (and with it its
@@ -47,11 +47,11 @@
 
 use crate::cache::{ArtifactCache, ArtifactCacheStats};
 use crate::key::{ArtifactKey, KeyContext};
+use crate::lock;
 use crate::persist::{PersistStats, PersistStore};
 use crate::stored::StoredArtifact;
 use htvm::{
-    tracks, CompileError, Compiler, DeployConfig, FaultPlan, Machine, RunError, RunReport, Span,
-    Tensor, TileCacheStats, TimeDomain, Trace, Tracer,
+    tracks, CompileError, Compiler, DeployConfig, Span, TileCacheStats, TimeDomain, Trace, Tracer,
 };
 use htvm_frontend::ImportError;
 use htvm_ir::Graph;
@@ -153,20 +153,8 @@ pub fn estimate_cost(graph: &Graph, cached: bool) -> u64 {
 /// [`estimate_cost`] of a job whose key is resident in the cache.
 pub const HIT_COST: u64 = 1;
 
-/// What to simulate after compiling, when a job wants execution too.
-#[derive(Debug, Clone)]
-pub struct RunSpec {
-    /// Input tensors, in program input order.
-    pub inputs: Vec<Tensor>,
-    /// Fault plan for the run (empty = healthy run).
-    pub faults: FaultPlan,
-    /// Per-job deadline in simulated cycles; exceeding it fails the job
-    /// with [`RunError::DeadlineExceeded`]. `None` = unbounded.
-    pub deadline_cycles: Option<u64>,
-}
-
 /// One unit of work: compile a graph for a deploy target on one
-/// platform of the fleet, optionally simulate it.
+/// platform of the fleet.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Client-chosen label, echoed in results, errors and trace spans.
@@ -181,8 +169,6 @@ pub struct JobRequest {
     /// Deploy target (which accelerators to dispatch to). Must be
     /// within the routed platform's declared capabilities.
     pub deploy: DeployConfig,
-    /// Simulation spec; `None` compiles only.
-    pub run: Option<RunSpec>,
 }
 
 impl JobRequest {
@@ -196,7 +182,6 @@ impl JobRequest {
             platform: None,
             graph,
             deploy,
-            run: None,
         }
     }
 
@@ -271,8 +256,8 @@ impl std::fmt::Display for Rejection {
     }
 }
 
-/// Why a job failed. Compilation and simulation failures carry the
-/// job's label so batch clients can attribute them.
+/// Why a job failed. Every variant carries the job's label so batch
+/// clients can attribute it.
 #[derive(Debug)]
 pub enum JobError {
     /// The graph failed to compile.
@@ -281,14 +266,6 @@ pub enum JobError {
         job: String,
         /// The underlying compiler error.
         error: CompileError,
-    },
-    /// The compiled program failed to simulate (including deadline
-    /// overruns, reported as [`RunError::DeadlineExceeded`]).
-    Run {
-        /// The failing job's label.
-        job: String,
-        /// The underlying simulator error.
-        error: RunError,
     },
     /// Admission control shed the job before any work was done.
     Rejected {
@@ -324,7 +301,6 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Compile { job, error } => write!(f, "job '{job}' failed to compile: {error}"),
-            JobError::Run { job, error } => write!(f, "job '{job}' failed to run: {error}"),
             JobError::Rejected { job, rejection } => {
                 write!(f, "job '{job}' shed by admission control: {rejection}")
             }
@@ -342,7 +318,6 @@ impl std::error::Error for JobError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JobError::Compile { error, .. } => Some(error),
-            JobError::Run { error, .. } => Some(error),
             JobError::Rejected { .. } => None,
             JobError::Import { error, .. } => Some(error),
             JobError::Platform { .. } => None,
@@ -367,12 +342,10 @@ pub struct JobResult {
     /// The compiled deployment and its serialized bytes, shared with
     /// the cache entry and every other job served from the same compile.
     pub artifact: StoredArtifact,
-    /// Simulation report, when the job asked to run.
-    pub report: Option<RunReport>,
     /// Wall microseconds the job waited in the batch queue before a
     /// worker picked it up.
     pub queue_us: u64,
-    /// Wall microseconds of service time (compile-or-hit + simulate).
+    /// Wall microseconds of service time (compile or cache hit).
     pub service_us: u64,
     /// Order in which the service started this job, across the service's
     /// lifetime (0-based). With one worker this is exactly the schedule,
@@ -465,10 +438,9 @@ struct Flight {
 
 impl Flight {
     fn wait(&self) -> Option<StoredArtifact> {
-        let guard = self.slot.lock().expect("flight poisoned");
         self.cv
-            .wait_while(guard, |slot| slot.is_none())
-            .expect("flight poisoned")
+            .wait_while(lock(&self.slot), |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
             .expect("wait_while guarantees a landed flight")
     }
@@ -488,17 +460,9 @@ struct Lead<'a> {
 
 impl Drop for Lead<'_> {
     fn drop(&mut self) {
-        // Runs during unwinds, so it must not panic on a poisoned lock;
-        // both updates are single assignments that leave the data valid.
-        self.inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(self.key);
-        *self
-            .flight
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(self.outcome.take());
+        // Runs during unwinds; `lock` never panics on a poisoned lock.
+        lock(self.inflight).remove(self.key);
+        *lock(&self.flight.slot) = Some(self.outcome.take());
         self.flight.cv.notify_all();
     }
 }
@@ -525,12 +489,8 @@ struct Units<'a> {
 
 impl Drop for Units<'_> {
     fn drop(&mut self) {
-        // Runs during unwinds, so, as in `Lead`, it must not panic on a
-        // poisoned lock; every update leaves the counts valid.
-        let mut adm = self
-            .admission
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        // Runs during unwinds; as in `Lead`, `lock` never panics.
+        let mut adm = lock(self.admission);
         adm.queued_cost = adm.queued_cost.saturating_sub(self.cost);
         if let Some(count) = adm.tenant_inflight.get_mut(&self.tenant) {
             *count -= 1;
@@ -595,7 +555,7 @@ impl PlatformSlot {
     }
 }
 
-/// A multi-tenant, multi-platform compile-and-simulate service with
+/// A multi-tenant, multi-platform compile service with
 /// per-platform content-addressed artifact caches, optional disk
 /// persistence, cost-aware scheduling and typed load shedding. See the
 /// [crate docs](crate) for the architecture.
@@ -823,7 +783,7 @@ impl CompileService {
         let results: Vec<Mutex<Option<Result<JobResult, JobError>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
         let finish = |index: usize, result| {
-            *results[index].lock().expect("result slot poisoned") = Some(result);
+            *lock(&results[index]) = Some(result);
         };
 
         // Routing + admission + coalescing pass, in request order.
@@ -857,15 +817,15 @@ impl CompileService {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let next = queue.lock().expect("job queue poisoned").pop_front();
+                    let next = lock(&queue).pop_front();
                     let Some(Scheduled { leader, followers }) = next else {
                         break;
                     };
                     let index = leader.index;
                     let result = self.serve(leader, epoch.elapsed().as_micros() as u64, None);
                     // Service this leader's followers right here, right
-                    // now: they are near-free (a shared handle plus any
-                    // simulation), and running them on the leader's
+                    // now: they are near-free (a shared handle), and
+                    // running them on the leader's
                     // worker means a follower never occupies a pool
                     // slot waiting for a compile that hasn't started.
                     // When the leader failed, each follower finds out
@@ -886,7 +846,7 @@ impl CompileService {
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .expect("result slot poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .expect("every scheduled job writes its slot")
             })
             .collect()
@@ -925,7 +885,7 @@ impl CompileService {
     /// An idle service (nothing queued) always admits, so one
     /// over-budget job can still make progress.
     fn admit(&self, tenant: &str, cost: u64) -> Result<Units<'_>, Rejection> {
-        let mut adm = self.admission.lock().expect("admission poisoned");
+        let mut adm = lock(&self.admission);
         let inflight = adm.tenant_inflight.get(tenant).copied().unwrap_or(0);
         if inflight >= self.tenant_quota {
             return Err(Rejection {
@@ -980,8 +940,8 @@ impl CompileService {
     }
 
     /// The one way out: obtains the admitted job's artifact (`ready` is
-    /// its in-batch leader's, when it has one), simulates if asked,
-    /// counts and traces the job, and returns its admission units.
+    /// its in-batch leader's, when it has one), counts and traces the
+    /// job, and returns its admission units.
     fn serve(
         &self,
         admitted: Admitted<'_>,
@@ -1022,42 +982,23 @@ impl CompileService {
         span.arg("queue_us", queue_us);
         span.arg("tenant", job.tenant.as_str());
         span.arg("platform", slot.id.as_str());
-        let result = self.artifact_for(slot, &job, &key, ready).and_then(
-            |(artifact, cache_hit, coalesced)| {
-                span.arg("cache_hit", cache_hit);
-                span.arg("coalesced", coalesced);
-                let report = match &job.run {
-                    Some(spec) => {
-                        let report = Machine::new(*slot.base.platform())
-                            .run_bounded(
-                                &artifact.program,
-                                &spec.inputs,
-                                &spec.faults,
-                                spec.deadline_cycles,
-                            )
-                            .map_err(|error| JobError::Run {
-                                job: job.name.clone(),
-                                error,
-                            })?;
-                        span.arg("cycles", report.total_cycles());
-                        Some(report)
+        let result =
+            self.artifact_for(slot, &job, &key, ready)
+                .map(|(artifact, cache_hit, coalesced)| {
+                    span.arg("cache_hit", cache_hit);
+                    span.arg("coalesced", coalesced);
+                    JobResult {
+                        job: job.name,
+                        platform: slot.id.clone(),
+                        key_id,
+                        cache_hit,
+                        coalesced,
+                        artifact,
+                        queue_us,
+                        service_us: started.elapsed().as_micros() as u64,
+                        sched_seq,
                     }
-                    None => None,
-                };
-                Ok(JobResult {
-                    job: job.name,
-                    platform: slot.id.clone(),
-                    key_id,
-                    cache_hit,
-                    coalesced,
-                    artifact,
-                    report,
-                    queue_us,
-                    service_us: started.elapsed().as_micros() as u64,
-                    sched_seq,
-                })
-            },
-        );
+                });
         slot.jobs.fetch_add(1, Ordering::Relaxed);
         if job.platform.is_some() {
             self.routed_by_platform.fetch_add(1, Ordering::Relaxed);
@@ -1093,7 +1034,7 @@ impl CompileService {
             // One critical section decides this thread's role: follower
             // of an in-flight compile (no cache touch), cache hit, or
             // newly appointed leader.
-            let mut inflight = slot.inflight.lock().expect("inflight map poisoned");
+            let mut inflight = lock(&slot.inflight);
             if let Some(flight) = inflight.get(key).map(Arc::clone) {
                 drop(inflight);
                 match flight.wait() {
@@ -1397,6 +1338,49 @@ mod tests {
             .unwrap();
         assert!(later.cache_hit);
         assert!(same_allocation(&later.artifact, &follower.artifact));
+    }
+
+    /// Poisons `mutex`: a thread panics while holding it.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = mutex.lock();
+                panic!("a holder of the lock panics");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_locks_keep_serving_with_exact_counts() {
+        let service = CompileService::new(ServeConfig::default());
+        let slot = &service.slots[service.default_slot];
+        poison(&service.admission);
+        poison(&slot.inflight);
+        poison(&slot.cache.inner);
+
+        let miss = service.submit(job("miss", 8)).unwrap();
+        let hit = service.submit(job("hit", 8)).unwrap();
+        let batch = service.submit_batch(vec![job("b0", 12), job("b1", 12)]);
+        assert!(!miss.cache_hit && hit.cache_hit);
+        assert!(batch[1].as_ref().unwrap().coalesced);
+        let stats = service.stats();
+        let cache = stats.artifact_cache;
+        assert_eq!((cache.hits, cache.misses, stats.coalesced), (1, 2, 1));
+        assert_eq!(cache.hits + cache.misses + stats.coalesced, stats.jobs);
+        assert_eq!(stats.jobs, 4);
+        assert_eq!(cache.entries, 2);
+        let admission = lock(&service.admission);
+        assert!(admission.queued_cost == 0 && admission.tenant_inflight.is_empty());
+        drop(admission);
+
+        // A landed flight whose lock was poisoned still hands followers
+        // the leader's artifact.
+        let flight = Flight::default();
+        *lock(&flight.slot) = Some(Some(miss.artifact.clone()));
+        poison(&flight.slot);
+        assert!(same_allocation(&flight.wait().unwrap(), &miss.artifact));
     }
 
     #[test]

@@ -659,8 +659,8 @@ fn healthz_status(addr: SocketAddr) -> Option<u16> {
 
 #[test]
 fn a_panicking_request_gives_its_connection_slot_back() {
-    // The dispatch hook panics on its first call, unwinding the
-    // connection thread that runs the compile.
+    // The dispatch hook panics on its first call, inside the compile the
+    // connection thread runs.
     let first = AtomicBool::new(true);
     let hook: DispatchHook = Arc::new(move |_, base| {
         assert!(!first.swap(false, Ordering::SeqCst), "the hook panics");
@@ -687,10 +687,15 @@ fn a_panicking_request_gives_its_connection_slot_back() {
         "POST /v1/compile HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{job}",
         job.len()
     );
-    doomed.stream.write_all(request.as_bytes()).unwrap();
-    let mut reply = Vec::new();
-    drop(doomed.stream.read_to_end(&mut reply));
-    assert!(reply.is_empty(), "the unwound thread answers nothing");
+    let reply = doomed.send_raw(request.as_bytes());
+    assert_eq!(reply.status, 500);
+    let error = reply.error();
+    assert_eq!((error.status, error.kind.as_str()), (500, "internal"));
+    assert_eq!(reply.header("connection"), Some("close"));
+    let mut rest = Vec::new();
+    drop(doomed.stream.read_to_end(&mut rest));
+    assert!(rest.is_empty(), "the connection closes after the 500");
+    assert_eq!(server.stats().errors, 1, "the 500 counts as an error");
 
     // With a cap of one, the panicked connection's slot is the only
     // one: fresh connections are served again once it comes back.

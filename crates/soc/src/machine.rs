@@ -82,21 +82,6 @@ pub enum RunError {
         /// The offline engine.
         engine: EngineKind,
     },
-    /// The run blew through its cycle deadline ([`Machine::run_bounded`]):
-    /// the simulated clock passed the budget before the program finished.
-    /// Deterministic — a deadline is a property of the program and budget,
-    /// not of host scheduling — so a job that exceeds it once exceeds it
-    /// every time.
-    DeadlineExceeded {
-        /// Step index at which the budget was exceeded.
-        layer_index: usize,
-        /// The layer whose completion crossed the deadline.
-        layer: String,
-        /// Simulated cycles elapsed through that layer.
-        elapsed_cycles: u64,
-        /// The budget that was exceeded.
-        budget_cycles: u64,
-    },
     /// An injected L1 allocation denial persisted beyond the retry budget.
     L1Denied {
         /// Failing step index into [`Program::steps`].
@@ -162,15 +147,6 @@ impl fmt::Display for RunError {
                 f,
                 "step {layer_index} ('{layer}', {engine}): L1 allocation denied {attempts} times, retry budget exhausted"
             ),
-            RunError::DeadlineExceeded {
-                layer_index,
-                layer,
-                elapsed_cycles,
-                budget_cycles,
-            } => write!(
-                f,
-                "step {layer_index} ('{layer}'): {elapsed_cycles} simulated cycles exceed the {budget_cycles} cycle deadline"
-            ),
         }
     }
 }
@@ -193,8 +169,7 @@ impl RunError {
             | RunError::L1Overflow { layer_index, .. }
             | RunError::DmaFailed { layer_index, .. }
             | RunError::EngineUnavailable { layer_index, .. }
-            | RunError::L1Denied { layer_index, .. }
-            | RunError::DeadlineExceeded { layer_index, .. } => Some(*layer_index),
+            | RunError::L1Denied { layer_index, .. } => Some(*layer_index),
             _ => None,
         }
     }
@@ -281,32 +256,6 @@ impl Machine {
         inputs: &[Tensor],
         plan: &FaultPlan,
     ) -> Result<RunReport, RunError> {
-        self.run_bounded(program, inputs, plan, None)
-    }
-
-    /// [`Machine::run_with_faults`] under a *simulated-cycle* deadline.
-    ///
-    /// A serving worker cannot afford a runaway job, but a wall-clock
-    /// timeout would make results depend on host load. The budget is
-    /// measured on the simulated clock instead: after each layer
-    /// completes, the cycles elapsed so far (fault stalls included) are
-    /// checked against `cycle_budget`, and the run aborts with
-    /// [`RunError::DeadlineExceeded`] once they pass it. Same program,
-    /// same inputs, same plan, same budget → same outcome, on any host.
-    /// `None` means unbounded and reproduces [`Machine::run_with_faults`]
-    /// exactly.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Machine::run_with_faults`] returns, plus
-    /// [`RunError::DeadlineExceeded`] when the budget is exhausted.
-    pub fn run_bounded(
-        &self,
-        program: &Program,
-        inputs: &[Tensor],
-        plan: &FaultPlan,
-        cycle_budget: Option<u64>,
-    ) -> Result<RunReport, RunError> {
         if inputs.len() != program.inputs.len() {
             return Err(RunError::InputCountMismatch {
                 expected: program.inputs.len(),
@@ -333,7 +282,6 @@ impl Machine {
 
         let mut faults = FaultCtx::from_plan(plan);
         let mut layers = Vec::with_capacity(program.steps.len());
-        let mut elapsed_cycles: u64 = 0;
         for (step_idx, step) in program.steps.iter().enumerate() {
             let profile = match step {
                 Step::Accel {
@@ -400,17 +348,6 @@ impl Machine {
                     }
                 }
             };
-            elapsed_cycles += profile.cycles.total();
-            if let Some(budget) = cycle_budget {
-                if elapsed_cycles > budget {
-                    return Err(RunError::DeadlineExceeded {
-                        layer_index: step_idx,
-                        layer: profile.name.clone(),
-                        elapsed_cycles,
-                        budget_cycles: budget,
-                    });
-                }
-            }
             layers.push(profile);
         }
 
@@ -1043,50 +980,6 @@ mod tests {
                 .unwrap();
             assert_eq!(plain, faulted);
             assert!(!faulted.counters.any_faults());
-        }
-    }
-
-    #[test]
-    fn run_bounded_deadline_is_deterministic_and_unbounded_matches_run() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let m = Machine::new(DianaConfig::default());
-        let plan = crate::FaultPlan::none();
-        let plain = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let total = plain.total_cycles();
-        // Unbounded and exactly-at-the-edge budgets both complete.
-        let unbounded = m
-            .run_bounded(&program, std::slice::from_ref(&input), &plan, None)
-            .unwrap();
-        assert_eq!(plain, unbounded);
-        let exact = m
-            .run_bounded(&program, std::slice::from_ref(&input), &plan, Some(total))
-            .unwrap();
-        assert_eq!(plain, exact);
-        // One cycle short fails — deterministically, with structured fields.
-        for _ in 0..2 {
-            let err = m
-                .run_bounded(
-                    &program,
-                    std::slice::from_ref(&input),
-                    &plan,
-                    Some(total - 1),
-                )
-                .unwrap_err();
-            match &err {
-                RunError::DeadlineExceeded {
-                    layer_index,
-                    elapsed_cycles,
-                    budget_cycles,
-                    ..
-                } => {
-                    assert_eq!(*layer_index, program.steps.len() - 1);
-                    assert_eq!(*elapsed_cycles, total);
-                    assert_eq!(*budget_cycles, total - 1);
-                }
-                other => panic!("expected DeadlineExceeded, got {other}"),
-            }
-            assert_eq!(err.layer_index(), Some(program.steps.len() - 1));
         }
     }
 
