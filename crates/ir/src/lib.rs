@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod base64;
 mod builder;
 pub mod canonical;
 mod dot;

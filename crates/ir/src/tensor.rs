@@ -1,7 +1,8 @@
 //! Concrete tensor values.
 
+use crate::base64;
 use crate::{DType, IrError, Shape};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 use std::sync::Arc;
 
 /// A concrete integer tensor value.
@@ -25,6 +26,14 @@ use std::sync::Arc;
 /// Every constant in a [`Graph`](crate::Graph) is therefore in range, and
 /// nothing downstream re-scans payloads.
 ///
+/// # Serialized form
+///
+/// `{"dtype":…,"shape":…,"data":…}`, where `data` is the standard base64
+/// (RFC 4648, padded) of the elements as little-endian bytes at the
+/// dtype's native width — one byte for `I8` and `Ternary`, two for
+/// `I16`, four for `I32` — so `[-3, 0, 127]` as `I8` is `"/QB/"`. The
+/// decoder is strict, so a tensor has exactly one text.
+///
 /// The payload is shared and copy-on-write: `clone()` bumps a reference
 /// count, so a weight travels from the imported graph through every pass
 /// into the artifact without being copied, and the first
@@ -41,7 +50,7 @@ use std::sync::Arc;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tensor {
     dtype: DType,
     shape: Shape,
@@ -49,7 +58,6 @@ pub struct Tensor {
     /// Whether every element is known to fit `dtype`: set by the
     /// constructors, cleared by a write into a non-`I32` tensor. Not part
     /// of the value — equality and the serialized form ignore it.
-    #[serde(skip)]
     checked: bool,
 }
 
@@ -61,21 +69,68 @@ impl PartialEq for Tensor {
 
 impl Eq for Tensor {}
 
-/// A deserialized tensor is built through [`Tensor::new`], so a payload
-/// whose length disagrees with its shape, or that holds a value outside
-/// its dtype, is refused here rather than trusted downstream.
+/// Narrowing each element to its dtype's width is exact because every
+/// element fits the dtype: a constructor checked that, or, for a tensor
+/// written through [`Tensor::data_mut`] since, this scan does.
+///
+/// # Panics
+///
+/// Panics with the [`IrError::ValueOutOfRange`] text if such a tensor
+/// holds an out-of-range element, rather than write a different, valid
+/// tensor. No input reaches an artifact that way: every graph constant
+/// is checked as it enters the graph.
+impl Serialize for Tensor {
+    fn emit<S: Sink>(&self, sink: &mut S) {
+        if !self.checked {
+            if let Err(e) = self.validate() {
+                panic!("{e}");
+            }
+        }
+        sink.begin_object();
+        sink.key("dtype");
+        self.dtype.emit(sink);
+        sink.key("shape");
+        self.shape.emit(sink);
+        sink.key("data");
+        sink.str(&base64::encode(&self.data, native_width(self.dtype)));
+        sink.end_object();
+    }
+}
+
+/// A deserialized tensor is decoded strictly and built through
+/// [`Tensor::from_le_bytes`], so a payload that is not canonical base64,
+/// whose length disagrees with its shape, or that holds a `Ternary` byte
+/// outside `{-1, 0, +1}` is refused here rather than trusted downstream.
 impl Deserialize for Tensor {
     fn from_content(v: &Value) -> Result<Self, DeError> {
         let obj = serde::__as_object(v).ok_or_else(|| DeError::custom("expected Tensor object"))?;
         let dtype: DType = serde::__field(obj, "dtype", "Tensor")?;
         let shape: Shape = serde::__field(obj, "shape", "Tensor")?;
-        let data: Vec<i32> = serde::__field(obj, "data", "Tensor")?;
+        let text = obj
+            .iter()
+            .find(|(k, _)| k == "data")
+            .ok_or_else(|| DeError::missing_field("Tensor", "data"))?
+            .1
+            .as_str()
+            .ok_or_else(|| DeError::custom("Tensor data: expected a base64 string"))?;
         shape
             .dims()
             .iter()
             .try_fold(1usize, |n, &d| n.checked_mul(d))
             .ok_or_else(|| DeError::custom(format!("Tensor shape {shape} overflows")))?;
-        Tensor::new(dtype, shape.dims(), data).map_err(|e| DeError::custom(format!("Tensor: {e}")))
+        let bytes =
+            base64::decode(text).map_err(|e| DeError::custom(format!("Tensor data: {e}")))?;
+        Tensor::from_le_bytes(dtype, shape.dims(), &bytes)
+            .map_err(|e| DeError::custom(format!("Tensor: {e}")))
+    }
+}
+
+/// Bytes per element at the dtype's native width.
+fn native_width(dtype: DType) -> usize {
+    match dtype {
+        DType::I8 | DType::Ternary => 1,
+        DType::I16 => 2,
+        DType::I32 => 4,
     }
 }
 
@@ -136,11 +191,7 @@ impl Tensor {
     pub fn from_le_bytes(dtype: DType, dims: &[usize], bytes: &[u8]) -> Result<Self, IrError> {
         let shape = Shape::new(dims);
         let n = shape.num_elements();
-        let width = match dtype {
-            DType::I8 | DType::Ternary => 1,
-            DType::I16 => 2,
-            DType::I32 => 4,
-        };
+        let width = native_width(dtype);
         if n.checked_mul(width) != Some(bytes.len()) {
             return Err(IrError::ShapeMismatch {
                 expected: n,
@@ -451,6 +502,121 @@ mod tests {
         assert_ne!(cast.data().as_ptr(), t.data().as_ptr());
         z1.data_mut()[0] = 1;
         assert_eq!(z2.data(), &[0, 0, 0]);
+    }
+
+    #[test]
+    fn payloads_are_native_width_base64_and_come_back_equal() {
+        let cases = [
+            (
+                DType::I8,
+                vec![-3, 0, 127],
+                r#"{"dtype":"I8","shape":[3],"data":"/QB/"}"#,
+            ),
+            (
+                DType::Ternary,
+                vec![-1, 0, 1, 1],
+                r#"{"dtype":"Ternary","shape":[4],"data":"/wABAQ=="}"#,
+            ),
+            (
+                DType::I16,
+                vec![-32768, 32767],
+                r#"{"dtype":"I16","shape":[2],"data":"AID/fw=="}"#,
+            ),
+            (
+                DType::I32,
+                vec![i32::MIN, -1],
+                r#"{"dtype":"I32","shape":[2],"data":"AAAAgP////8="}"#,
+            ),
+            (DType::I8, vec![], r#"{"dtype":"I8","shape":[0],"data":""}"#),
+        ];
+        for (dtype, data, text) in cases {
+            let t = Tensor::new(dtype, &[data.len()], data).unwrap();
+            assert_eq!(serde_json::to_string(&t).unwrap(), text);
+            assert_eq!(serde_json::from_str::<Tensor>(text).unwrap(), t);
+        }
+    }
+
+    #[test]
+    fn a_refused_payload_is_a_typed_error_naming_the_tensor() {
+        for (text, says) in [
+            (
+                r#"{"dtype":"I8","shape":[3],"data":"/QB"}"#,
+                "Tensor data: base64 length 3",
+            ),
+            (
+                r#"{"dtype":"I8","shape":[3],"data":"/Q B/"}"#,
+                "Tensor data: base64 length 5",
+            ),
+            (
+                r#"{"dtype":"I8","shape":[2],"data":"/QB="}"#,
+                "Tensor data: non-zero bits",
+            ),
+            (
+                r#"{"dtype":"I8","shape":[2],"data":"/QB/"}"#,
+                "Tensor: shape expects 2 elements, got 3",
+            ),
+            (
+                r#"{"dtype":"Ternary","shape":[1],"data":"Ag=="}"#,
+                "Tensor: value 2",
+            ),
+            (
+                r#"{"dtype":"I8","shape":[3],"data":[-3,0,127]}"#,
+                "expected a base64 string",
+            ),
+            (
+                r#"{"dtype":"I8","shape":[3]}"#,
+                "missing field 'data' for Tensor",
+            ),
+        ] {
+            let err = serde_json::from_str::<Tensor>(text)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(says), "{text}: {err}");
+        }
+        let huge = format!(
+            r#"{{"dtype":"I8","shape":[{},{}],"data":""}}"#,
+            usize::MAX,
+            2
+        );
+        let err = serde_json::from_str::<Tensor>(&huge)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "value 300 is out of range for dtype i8")]
+    fn a_write_out_of_range_is_never_serialized_as_another_tensor() {
+        // Narrowing 300 to a byte would write 44: a valid, different
+        // tensor. The encoder scans a written tensor and refuses.
+        let mut t = Tensor::zeros(DType::I8, &[2]);
+        t.data_mut()[1] = 300;
+        let _ = serde_json::to_string(&t);
+    }
+
+    #[test]
+    fn a_checked_tensor_is_serialized_without_a_scan() {
+        // A written tensor back in range is scanned and written.
+        let mut t = Tensor::zeros(DType::I8, &[2]);
+        t.data_mut()[1] = -7;
+        assert_eq!(
+            serde_json::to_string(&t).unwrap(),
+            r#"{"dtype":"I8","shape":[2],"data":"APk="}"#
+        );
+        // A tensor whose bit says checked is trusted: forging the bit
+        // over an out-of-range element shows that nothing scans it.
+        let forged = Tensor {
+            checked: true,
+            ..Tensor::zeros(DType::I8, &[1])
+        };
+        let forged = Tensor {
+            data: Arc::new(vec![300]),
+            ..forged
+        };
+        assert_eq!(
+            serde_json::to_string(&forged).unwrap(),
+            r#"{"dtype":"I8","shape":[1],"data":"LA=="}"#
+        );
     }
 
     #[test]

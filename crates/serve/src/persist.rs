@@ -55,7 +55,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   `fallbacks` table (the machine derives a step's host form from its
 ///   descriptor) and the key's lowering fingerprint lost the option that
 ///   selected it, so no format-3 request produces a format-2 key.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+/// - `4`: every tensor payload is base64 of its little-endian bytes at
+///   the dtype's native width instead of a list of decimal numbers.
+///   Keys did not change (they digest the values, not the text), so a
+///   format-3 entry is still under a reachable key, but its artifact no
+///   longer parses.
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version

@@ -18,6 +18,10 @@
 //! - `5589697d….json`, format 2, a one-conv graph under `Both`, so it
 //!   carries a `fallbacks` table. Format 3 dropped the table from the
 //!   artifact and the option that selected it from the key.
+//! - `cafb8575….json`, format 3, the same one-conv graph under `Both`.
+//!   Its key is still the key that graph gets, but its weights are
+//!   decimal text; format 4 writes every tensor payload as base64 of its
+//!   native-width bytes.
 //!
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
 //! the current format with the constant, so each still fails the one
@@ -43,11 +47,12 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 7;
+const FIXTURE_ENTRIES: u64 = 8;
 
-/// The well-formed format-1 and format-2 entries, by key id.
+/// The well-formed format-1, format-2 and format-3 entries, by key id.
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
+const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -57,8 +62,9 @@ fn layout_constants_are_pinned() {
     // constant payloads are keyed by MurmurHash3 instead of FNV-1a, so
     // every format-1 key is unreachable and its entry is skipped.
     // Format 2 -> 3 was another: the artifact lost its `fallbacks` table
-    // and the key the flag that selected it.
-    assert_eq!(CACHE_FORMAT_VERSION, 3);
+    // and the key the flag that selected it. Format 3 -> 4 kept every
+    // key but rewrote every tensor payload from decimal text to base64.
+    assert_eq!(CACHE_FORMAT_VERSION, 4);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
 }
 
@@ -98,6 +104,14 @@ fn a_well_formed_format_2_entry_is_skipped_on_its_format_alone() {
     // format 3 dropped.
     let text = skipped_on_its_format_alone(2, FORMAT_2_ENTRY);
     assert!(text.contains(r#""fallbacks":{"entries":[[0,{"#));
+}
+
+#[test]
+fn a_well_formed_format_3_entry_is_skipped_on_its_format_alone() {
+    // The same graph compiles to the same key today; only the payload
+    // text of its weights is of the old format.
+    let text = skipped_on_its_format_alone(3, FORMAT_3_ENTRY);
+    assert!(text.contains(r#""weights":{"dtype":"I8","shape":[4,4,3,3],"data":[-3,-2,-1,0,"#));
 }
 
 #[test]
@@ -153,7 +167,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":3,"#));
+    assert!(spilled.starts_with(r#"{"format":4,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }
@@ -172,18 +186,19 @@ fn conv_softmax_graph() -> htvm_ir::Graph {
     b.finish(&[s]).unwrap()
 }
 
-/// Rewrites the list that opens with the first `field` after the first
-/// `anchor` in `text`: what stands between its brackets becomes
-/// `edit(what)`.
-fn edit_first_list_after(
+/// Rewrites the value that opens with the first `field` after the first
+/// `anchor` in `text` and runs to the next `close`: what stands between
+/// the two becomes `edit(what)`.
+fn edit_first_after(
     text: &str,
     anchor: &str,
     field: &str,
+    close: char,
     edit: impl Fn(&str) -> String,
 ) -> String {
     let from = text.find(anchor).expect("anchor present");
     let open = from + text[from..].find(field).expect("field present") + field.len();
-    let close = open + text[open..].find(']').expect("list closes");
+    let close = open + text[open..].find(close).expect("value closes");
     format!(
         "{}{}{}",
         &text[..open],
@@ -225,18 +240,25 @@ fn hostile_entries_from_real_artifacts_are_skipped_not_fatal() {
 
     // The segment's first operator reads node 99, after itself.
     let (path, text) = &entries[0];
-    let past_itself = edit_first_list_after(text, r#""CpuFused""#, r#""inputs":["#, |list| {
+    let past_itself = edit_first_after(text, r#""CpuFused""#, r#""inputs":["#, ']', |list| {
         let rest = list.find(',').map_or("", |at| &list[at..]);
         format!("99{rest}")
     });
     assert_ne!(&past_itself, text);
     std::fs::write(path, past_itself).unwrap();
-    // The conv's weight payload loses its last element.
+    // The conv's weight payload, 576 zero bytes, loses its last element.
     let (path, text) = &entries[1];
-    let one_short = edit_first_list_after(text, r#""weights":{"#, r#""data":["#, |list| {
-        list[..list.rfind(',').expect("more than one weight")].to_owned()
+    let zeros = |n| serde_json::to_value(Tensor::zeros(DType::I8, &[n]))["data"].clone();
+    let one_short = edit_first_after(text, r#""weights":{"#, r#""data":""#, '"', |data| {
+        assert_eq!(zeros(576), data, "the payload the graph was built with");
+        zeros(575).as_str().unwrap().to_owned()
     });
-    assert_eq!(one_short.len() + 2, text.len(), "one `,0` removed");
+    assert_eq!(
+        one_short.len(),
+        text.len(),
+        "575 bytes pad to as many characters"
+    );
+    assert_ne!(&one_short, text);
     std::fs::write(path, one_short).unwrap();
 
     // Boot continues over both, counts them, and still serves.

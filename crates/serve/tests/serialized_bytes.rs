@@ -5,8 +5,9 @@
 //!
 //! The manifest constant was computed at commit 71f6be0, when the
 //! vendored serializer still built a `Value` tree and printed that; the
-//! artifact constants at PR 24, whose artifact schema stores each
-//! accelerator step once. A serializer change that alters one byte of
+//! artifact constants at cache format 4, whose artifact stores each
+//! accelerator step once and writes every tensor payload as base64 of
+//! its native-width bytes. A serializer change that alters one byte of
 //! any of them fails here, not in a run log.
 
 use htvm::{Compiler, DeployConfig};
@@ -23,18 +24,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// (`htvm_bench::serve_bench::request_mix`).
 #[rustfmt::skip]
 const ARTIFACTS: [(&str, DeployConfig, usize, u64); 10] = [
-    ("ds_cnn", DeployConfig::Both, 70_051, 0x2327_a22a_d1b3_952c),
-    ("mobilenet_v1", DeployConfig::Both, 539_439, 0x4584_820e_5f32_6f84),
-    ("resnet8", DeployConfig::Both, 195_568, 0x0742_6055_9c37_c061),
-    ("toyadmos_dae", DeployConfig::Both, 847_922, 0x3d43_19ee_79bf_e779),
-    ("tiny_transformer", DeployConfig::Both, 602_290, 0x01ad_914e_8e27_8892),
-    ("ds_cnn", DeployConfig::Digital, 91_884, 0xcd48_5490_69dd_a60a),
-    ("mobilenet_v1", DeployConfig::Digital, 798_120, 0xa526_8b49_e331_aa9c),
-    ("resnet8", DeployConfig::Digital, 296_062, 0x2d26_87f3_bc2c_0e60),
-    ("toyadmos_dae", DeployConfig::Digital, 980_685, 0xa873_a19a_39b5_4439),
+    ("ds_cnn", DeployConfig::Both, 42_096, 0x89eb_b452_9fd8_5d0e),
+    ("mobilenet_v1", DeployConfig::Both, 318_149, 0x977e_6a58_db39_5e9e),
+    ("resnet8", DeployConfig::Both, 117_222, 0x4a28_65b1_3c8b_6551),
+    ("toyadmos_dae", DeployConfig::Both, 370_401, 0x1990_8a03_23dc_d4c1),
+    ("tiny_transformer", DeployConfig::Both, 222_871, 0xc0f5_43fa_88da_4cfe),
+    ("ds_cnn", DeployConfig::Digital, 42_224, 0xa384_3e10_56e4_c4ee),
+    ("mobilenet_v1", DeployConfig::Digital, 318_557, 0x9205_1664_4f4b_b764),
+    ("resnet8", DeployConfig::Digital, 117_463, 0xf743_4c2f_13cc_2c3c),
+    ("toyadmos_dae", DeployConfig::Digital, 370_647, 0xb4f3_3c25_f2a5_730b),
     // The same graph under Mixed and Int8, and no analog layer either
     // way: only the cache key's deploy suffix tells these two apart.
-    ("tiny_transformer", DeployConfig::Digital, 602_290, 0x01ad_914e_8e27_8892),
+    ("tiny_transformer", DeployConfig::Digital, 222_871, 0xc0f5_43fa_88da_4cfe),
 ];
 
 const MANIFEST: (usize, u64) = (3762, 0x3fed_f2bf_6fb0_53c4);
@@ -53,6 +54,7 @@ fn soak_mix_artifacts_serialize_to_the_pinned_bytes() {
                 .expect("zoo models compile under Both and Digital");
             let json = serde_json::to_string(&artifact).unwrap();
             assert!(!json.contains(r#""fallbacks""#), "a step is stored once");
+            assert!(!json.contains(r#""data":["#), "payloads are base64 text");
             seen.push((model.name, deploy, json.len(), fnv1a64(json.as_bytes())));
         }
     }
@@ -61,7 +63,7 @@ fn soak_mix_artifacts_serialize_to_the_pinned_bytes() {
         assert_eq!(*got, *want);
     }
     // The benchmark's `codegen.artifact_bytes` for one serve_cold round.
-    assert_eq!(seen.iter().map(|r| r.2).sum::<usize>(), 5_024_311);
+    assert_eq!(seen.iter().map(|r| r.2).sum::<usize>(), 2_142_501);
 }
 
 #[test]

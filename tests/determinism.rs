@@ -3,7 +3,7 @@
 //! since every benchmark number in EXPERIMENTS.md depends on it.
 
 use htvm::{Compiler, DeployConfig, Machine};
-use htvm_models::{ds_cnn, mobilenet_v1, resnet8, toyadmos_dae, QuantScheme};
+use htvm_models::{all_models, ds_cnn, mobilenet_v1, resnet8, toyadmos_dae, QuantScheme};
 
 #[test]
 fn model_generation_is_deterministic() {
@@ -205,13 +205,26 @@ fn tracing_is_observation_only() {
 #[test]
 fn artifact_serialization_round_trips() {
     // Artifacts are serde-serializable (bench output, caching); a JSON
-    // round trip must preserve the program exactly.
-    let model = toyadmos_dae(QuantScheme::Int8);
-    let artifact = Compiler::new()
-        .with_deploy(DeployConfig::Digital)
-        .compile(&model.graph)
-        .expect("compiles");
-    let json = serde_json::to_string(&artifact).expect("serializes");
-    let back: htvm::Artifact = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(artifact, back);
+    // round trip must preserve the program exactly, and the text read
+    // back must be written back byte for byte. Every compiled cell of
+    // the Table I matrix, each under its deploy target's scheme.
+    let mut cells = 0;
+    for (deploy, scheme) in [
+        (DeployConfig::CpuTvm, QuantScheme::Int8),
+        (DeployConfig::Digital, QuantScheme::Int8),
+        (DeployConfig::Analog, QuantScheme::Ternary),
+        (DeployConfig::Both, QuantScheme::Mixed),
+    ] {
+        for model in all_models(scheme) {
+            let Ok(artifact) = Compiler::new().with_deploy(deploy).compile(&model.graph) else {
+                continue;
+            };
+            let json = serde_json::to_string(&artifact).expect("serializes");
+            let back: htvm::Artifact = serde_json::from_str(&json).expect("deserializes");
+            assert_eq!(artifact, back, "{} {deploy:?}", model.name);
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 19, "Table I has one infeasible cell");
 }
