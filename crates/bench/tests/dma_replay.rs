@@ -1,12 +1,11 @@
 //! The descriptor program against its two neighbours, over every zoo
 //! model × deployment configuration.
 //!
-//! * Stored table ≡ on-demand linearization: running a compiled artifact
-//!   with its pre-linearized DMA descriptor table must be
-//!   indistinguishable — outputs, per-layer cycle breakdowns, counters,
-//!   everything — from running the same artifact with the table
-//!   stripped, which makes the machine linearize every step for itself.
-//!   This is what protects a deserialized artifact.
+//! * The compiler's record: every artifact's `Program::dma` is exactly
+//!   `linearize_step` of each accelerator step for the artifact's own
+//!   platform. The simulator never reads it (`machine.rs`,
+//!   `forged_dma_table_cannot_change_a_run`), so the record is all there
+//!   is to check.
 //! * The closed-form `CostModel::predicted_cycles` against the simulated
 //!   layer: the published prediction residual (`docs/CALIBRATION.md`,
 //!   "Prediction residual").
@@ -18,7 +17,7 @@ use htvm_models::all_models;
 use htvm_soc::linearize_step;
 
 #[test]
-fn descriptor_replay_is_bit_and_cycle_identical_across_the_zoo() {
+fn artifact_dma_table_is_each_step_linearized_across_the_zoo() {
     let mut accel_artifacts = 0;
     for deploy in all_deploys() {
         for model in all_models(scheme_for(deploy)) {
@@ -27,35 +26,27 @@ fn descriptor_replay_is_bit_and_cycle_identical_across_the_zoo() {
                 // The paper's expected plain-TVM MobileNet OOM.
                 continue;
             };
-            let label = format!("{}/{}", model.name, deploy.id());
-
-            let has_accel_steps =
-                artifact.steps_on(EngineKind::Digital) + artifact.steps_on(EngineKind::Analog) > 0;
-            if has_accel_steps {
-                accel_artifacts += 1;
-                assert!(
-                    artifact.program.dma.matches(compiler.platform()),
-                    "{label}: accelerator-bearing artifact must carry a DMA table \
-                     linearized for its own platform"
-                );
+            let platform = compiler.platform();
+            let mut expected = DmaTable::new(platform);
+            for (idx, step) in artifact.program.steps.iter().enumerate() {
+                if let Step::Accel { engine, desc, .. } = step {
+                    expected.insert(idx, linearize_step(platform, *engine, desc));
+                }
             }
-
-            let mut stripped = artifact.program.clone();
-            stripped.dma = DmaTable::default();
-
-            let machine = Machine::new(*compiler.platform());
-            let input = [model.input(7)];
-            let replayed = machine.run(&artifact.program, &input).expect("replay runs");
-            let interpreted = machine.run(&stripped, &input).expect("interpret runs");
+            accel_artifacts += usize::from(!expected.is_empty());
             assert_eq!(
-                replayed, interpreted,
-                "{label}: descriptor replay diverged from the tile-loop interpreter"
+                artifact.program.dma,
+                expected,
+                "{}/{}: the stored table must be every accelerator step \
+                 linearized for the artifact's own platform",
+                model.name,
+                deploy.id()
             );
         }
     }
     assert!(
         accel_artifacts >= 6,
-        "expected the zoo sweep to exercise replay on many artifacts, got {accel_artifacts}"
+        "expected the zoo sweep to cover many accelerator artifacts, got {accel_artifacts}"
     );
 }
 

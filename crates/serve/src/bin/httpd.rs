@@ -73,8 +73,16 @@ fn run() -> Result<(), String> {
             }
         }
     }
-    if serve.workers == 0 {
-        return Err(String::from("--workers must be positive"));
+    // A zero quota sheds every job and zero connections refuse every
+    // peer; `--cache-mb 0` and `--queue-budget 0` stay valid settings.
+    for (flag, value) in [
+        ("--workers", serve.workers),
+        ("--tenant-quota", serve.tenant_quota),
+        ("--max-connections", http.max_connections),
+    ] {
+        if value == 0 {
+            return Err(format!("{flag} must be positive"));
+        }
     }
 
     let policy = serve.policy;

@@ -7,11 +7,12 @@
 //! get wrong maps to a typed [`FrameError`] that the server renders as
 //! a JSON error body with the matching status code.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on the request line plus headers, together (a defense
-/// against header floods; generous for a JSON API).
-const MAX_HEAD_BYTES: usize = 64 << 10;
+/// against header floods; generous for a JSON API). Enforced while
+/// reading: a peer that never sends a newline is cut off at the cap.
+pub const MAX_HEAD_BYTES: usize = 64 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,20 +202,29 @@ pub fn read_request(
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, without the
-/// terminator. `None` on clean EOF at a line boundary.
+/// terminator. `None` on clean EOF at a line boundary. Reads at most what
+/// is left of the head budget, so the head never consumes more than
+/// [`MAX_HEAD_BYTES`] however long the line.
 fn read_line(
     reader: &mut impl BufRead,
     head_bytes: &mut usize,
 ) -> Result<Option<String>, FrameError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(FrameError::Io)?;
+    let budget = MAX_HEAD_BYTES - *head_bytes;
+    let mut bytes = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(budget as u64)
+        .read_until(b'\n', &mut bytes)
+        .map_err(FrameError::Io)?;
+    if n == budget && bytes.last() != Some(&b'\n') {
+        return Err(FrameError::HeadTooLarge);
+    }
     if n == 0 {
         return Ok(None);
     }
     *head_bytes += n;
-    if *head_bytes > MAX_HEAD_BYTES {
-        return Err(FrameError::HeadTooLarge);
-    }
+    let mut line = String::from_utf8(bytes)
+        .map_err(|e| FrameError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -349,6 +359,51 @@ mod tests {
             })
         ));
         assert_eq!(big.unwrap_err().status(), 413);
+    }
+
+    /// Counts the bytes a reader hands out.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn head_cap_is_enforced_while_reading() {
+        for prefix in [&b""[..], b"GET / HTTP/1.1\r\nX-Flood: "] {
+            let flood = prefix
+                .iter()
+                .copied()
+                .chain(std::iter::repeat(b'a'))
+                .take(16 << 20)
+                .collect::<Vec<u8>>();
+            let mut reader = BufReader::new(Counting {
+                inner: &flood[..],
+                consumed: 0,
+            });
+            let err = read_request(&mut reader, 1 << 20).unwrap_err();
+            assert!(matches!(err, FrameError::HeadTooLarge), "{err:?}");
+            let consumed = reader.get_ref().consumed;
+            assert!(
+                consumed <= MAX_HEAD_BYTES + reader.capacity(),
+                "a newline-free head consumed {consumed} bytes"
+            );
+        }
+        // A head of exactly the cap still frames.
+        let line = "GET / HTTP/1.1\r\n";
+        let pad = MAX_HEAD_BYTES - line.len() - "X: \r\n\r\n".len();
+        let raw = format!("{line}X: {}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(raw.len(), MAX_HEAD_BYTES);
+        assert!(parse(&raw).unwrap().is_some());
+        let raw = format!("{line}X: {}\r\n\r\n", "a".repeat(pad + 1));
+        assert!(matches!(parse(&raw), Err(FrameError::HeadTooLarge)));
     }
 
     #[test]

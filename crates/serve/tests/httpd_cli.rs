@@ -19,3 +19,29 @@ fn megabyte_flags_that_overflow_are_usage_errors() {
         );
     }
 }
+
+#[test]
+fn zero_counts_that_disable_the_service_are_usage_errors() {
+    for flag in ["--workers", "--tenant-quota", "--max-connections"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_httpd"))
+            .args([flag, "0", "--addr", "not-an-address"])
+            .output()
+            .expect("httpd runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains("must be positive"),
+            "{stderr}"
+        );
+    }
+    // Zero is a setting, not a disabled service, for these two: they
+    // get past parsing and fail only on the unbindable address.
+    for flag in ["--cache-mb", "--queue-budget"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_httpd"))
+            .args([flag, "0", "--addr", "not-an-address"])
+            .output()
+            .expect("httpd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot bind"), "{flag}: {stderr}");
+    }
+}

@@ -16,12 +16,11 @@
 //!
 //! Descriptors are recorded in issue order (input operands → digital
 //! weight staging → output store, per tile), which is the global DMA
-//! transaction order fault plans index by. The compiler stores each
-//! step's program in the artifact's [`DmaTable`], keyed by a digest of the
-//! [`DianaConfig`] it was linearized against; a machine handed a table for
-//! a different platform, a stale entry or none at all linearizes the step
-//! for its own configuration on the spot, so a stored table can only ever
-//! save the walk, never change a cycle.
+//! transaction order fault plans index by. The machine derives every
+//! step's program from the step's own descriptor each time it runs it, so
+//! nothing an artifact stores can change a cycle. The compiler still
+//! records the programs in the artifact's [`DmaTable`], which the
+//! simulator never reads.
 
 use crate::{AccelLayerDesc, DianaConfig, EngineKind};
 use htvm_dory::{staged_weight_elems, tiles, EngineModel, LayerKind, TileInstance};
@@ -76,16 +75,15 @@ pub struct StepDma {
     pub descriptors: Vec<DmaDescriptor>,
 }
 
-/// Pre-linearized DMA programs for a [`Program`](crate::Program)'s
-/// accelerator steps, keyed by step index.
+/// The compiler's record of the DMA programs of a
+/// [`Program`](crate::Program)'s accelerator steps, keyed by step index
+/// and stamped with a digest of the [`DianaConfig`] they were linearized
+/// against.
 ///
-/// Stored as a sorted vector rather than a map: programs have at most a
-/// few dozen steps, lookups are binary searches, and a vector keeps the
-/// serialized form stable and human-readable. The `platform_digest`
-/// pins the table to the [`DianaConfig`] it was derived from — a machine
-/// with any other configuration ignores the table and linearizes each
-/// step for itself, so descriptor replay can never desynchronize cycle
-/// counts from the platform actually simulated.
+/// A sorted vector rather than a map keeps the serialized form stable
+/// and human-readable. The [`Machine`](crate::Machine) never reads it:
+/// it linearizes every step for its own configuration, so a table can
+/// only describe a run, never alter one.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DmaTable {
     /// FNV-1a digest of the serialized platform configuration the
@@ -112,30 +110,6 @@ impl DmaTable {
         }
     }
 
-    /// The DMA program for step `step`, if one was linearized.
-    #[must_use]
-    pub fn get(&self, step: usize) -> Option<&StepDma> {
-        self.entries
-            .binary_search_by_key(&step, |(s, _)| *s)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
-    }
-
-    /// `true` if the table was linearized against exactly this platform
-    /// configuration (replay is only valid then).
-    #[must_use]
-    pub fn matches(&self, cfg: &DianaConfig) -> bool {
-        self.matches_digest(platform_digest(cfg))
-    }
-
-    /// [`DmaTable::matches`] against a pre-computed
-    /// [`platform_digest`] — the hot-path form: the machine digests its
-    /// config once at construction, not once per run.
-    #[must_use]
-    pub fn matches_digest(&self, digest: u64) -> bool {
-        !self.entries.is_empty() && self.platform_digest == digest
-    }
-
     /// Number of steps carrying a DMA program.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -157,8 +131,7 @@ impl DmaTable {
 /// FNV-1a digest of a platform configuration's canonical serialization.
 /// Serde gives a stable field order, so equal configs digest equally and
 /// any cost-relevant field change re-keys the table.
-#[must_use]
-pub fn platform_digest(cfg: &DianaConfig) -> u64 {
+fn platform_digest(cfg: &DianaConfig) -> u64 {
     let json = serde_json::to_string(cfg).expect("DianaConfig serializes");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in json.as_bytes() {
@@ -410,24 +383,21 @@ mod tests {
             oy_t: 8,
             ox_t: 8,
         });
+        let program = linearize_step(&cfg, EngineKind::Digital, &desc);
         let mut table = DmaTable::new(&cfg);
-        assert!(!table.matches(&cfg), "empty tables never match");
-        table.insert(0, linearize_step(&cfg, EngineKind::Digital, &desc));
-        assert!(table.matches(&cfg));
-        assert_eq!(table.len(), 1);
-        assert!(table.get(0).is_some());
-        assert!(table.get(1).is_none());
+        table.insert(0, StepDma::default());
+        table.insert(0, program.clone());
+        let entries: Vec<(usize, &StepDma)> = table.iter().collect();
+        assert_eq!(entries, vec![(0, &program)], "insert replaces an entry");
 
         let mut other = cfg;
         other.dma.setup_cycles += 1;
-        assert!(
-            !table.matches(&other),
+        assert_ne!(
+            DmaTable::new(&cfg),
+            DmaTable::new(&other),
             "any cost-relevant config change must re-key the table"
         );
-        assert!(
-            !DmaTable::default().matches(&cfg),
-            "the deserialized-from-old-artifact default stays inert"
-        );
+        assert_ne!(DmaTable::new(&cfg), DmaTable::default());
     }
 
     #[test]
@@ -444,6 +414,5 @@ mod tests {
         let json = serde_json::to_string(&table).unwrap();
         let back: DmaTable = serde_json::from_str(&json).unwrap();
         assert_eq!(table, back);
-        assert!(back.matches(&cfg));
     }
 }

@@ -57,7 +57,7 @@ mod timeline;
 pub use config::{AnalogConfig, CpuConfig, DianaConfig, DigitalConfig, DmaConfig};
 pub use counters::{CycleBreakdown, LayerProfile, PerfCounters, RunReport};
 pub use cpu::cpu_graph_cycles;
-pub use dma_program::{linearize_step, platform_digest, DmaDescriptor, DmaDir, DmaTable, StepDma};
+pub use dma_program::{linearize_step, DmaDescriptor, DmaDir, DmaTable, StepDma};
 pub use energy::EnergyConfig;
 pub use fallback::cpu_fallback;
 pub use faults::{FaultEvent, FaultPlan, RetryPolicy};

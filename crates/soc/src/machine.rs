@@ -1,6 +1,6 @@
 //! The program executor: functional semantics + cycle accounting.
 
-use crate::dma_program::{self, DmaDir, DmaTable, StepDma};
+use crate::dma_program::{linearize_step, linearize_tiles, DmaDir, StepDma};
 use crate::faults::{DmaAbort, FaultCtx};
 use crate::{
     cpu, cpu_fallback, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind,
@@ -198,19 +198,13 @@ impl RunError {
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: DianaConfig,
-    /// [`dma_program::platform_digest`] of `cfg`, memoized at construction
-    /// so per-run DMA-table matching never re-serializes the config.
-    cfg_digest: u64,
 }
 
 impl Machine {
     /// Creates a machine with the given platform configuration.
     #[must_use]
     pub fn new(cfg: DianaConfig) -> Self {
-        Machine {
-            cfg_digest: dma_program::platform_digest(&cfg),
-            cfg,
-        }
+        Machine { cfg }
     }
 
     /// The platform configuration.
@@ -294,14 +288,7 @@ impl Machine {
                     let a = take_ref(&values, *input);
                     let b = input2.map(|id| take_ref(&values, id));
                     let (tensor, profile) = if faults.engine_offline(*engine, step_idx) {
-                        self.exec_fallback(
-                            step_idx,
-                            *engine,
-                            desc,
-                            (a, b),
-                            &program.dma,
-                            &mut faults,
-                        )?
+                        self.exec_fallback(step_idx, *engine, desc, (a, b), &mut faults)?
                     } else {
                         self.check_tile_fits(step_idx, *engine, desc)?;
                         faults
@@ -312,7 +299,7 @@ impl Machine {
                                 engine: *engine,
                                 attempts,
                             })?;
-                        self.exec_accel(step_idx, *engine, desc, a, b, &program.dma, &mut faults)?
+                        self.exec_accel(step_idx, *engine, desc, a, b, &mut faults)?
                     };
                     values[output.0] = Some(tensor);
                     profile
@@ -409,34 +396,10 @@ impl Machine {
         }
     }
 
-    /// Prices one accelerator step from its DMA descriptor program: the
-    /// artifact's table entry when it was linearized for this exact
-    /// platform and still describes the step's tile loop, otherwise one
-    /// linearized on the spot for this machine's configuration. A foreign
-    /// digest or a stale tile count can therefore never perturb a cycle.
-    fn step_timing(
-        &self,
-        table: &DmaTable,
-        step_idx: usize,
-        engine: EngineKind,
-        desc: &AccelLayerDesc,
-        instances: &[TileInstance],
-        faults: &mut FaultCtx,
-    ) -> Result<CycleBreakdown, DmaAbort> {
-        let stored = table.get(step_idx).filter(|p| {
-            table.matches_digest(self.cfg_digest) && p.n_tiles == instances.len() as u64
-        });
-        match stored {
-            Some(p) => self.replay_timing(engine, p, faults),
-            None => {
-                let p = dma_program::linearize_tiles(&self.cfg, engine, desc, instances);
-                self.replay_timing(engine, &p, faults)
-            }
-        }
-    }
-
     /// The temporal model of one accelerator layer: its [`StepDma`]
-    /// descriptor program replayed against this platform's cost constants.
+    /// descriptor program, linearized for this machine's configuration
+    /// from the step's own descriptor (never read from the artifact),
+    /// replayed against this platform's cost constants.
     /// Every DMA transaction is routed through the fault context in the
     /// program's issue order — the order fault plans index by — which
     /// accounts injected stalls and retries into its per-layer scratch
@@ -480,7 +443,6 @@ impl Machine {
 
     /// Executes one accelerator layer: the DORY tile loop with DMA, weight
     /// staging and compute costs, accumulating functionally per tile.
-    #[allow(clippy::too_many_arguments)]
     fn exec_accel(
         &self,
         step_idx: usize,
@@ -488,7 +450,6 @@ impl Machine {
         desc: &AccelLayerDesc,
         input: &Tensor,
         input2: Option<&Tensor>,
-        dma: &DmaTable,
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
         let geom = &desc.geom;
@@ -504,8 +465,9 @@ impl Machine {
         let mut acc = Tensor::zeros(DType::I32, &out_shape);
 
         let instances = tiles(geom, &desc.tile);
+        let step_dma = linearize_tiles(&self.cfg, engine, desc, &instances);
         let mut cycles = self
-            .step_timing(dma, step_idx, engine, desc, &instances, faults)
+            .replay_timing(engine, &step_dma, faults)
             .map_err(|abort| RunError::DmaFailed {
                 layer_index: step_idx,
                 layer: desc.name.clone(),
@@ -557,7 +519,6 @@ impl Machine {
         engine: EngineKind,
         desc: &AccelLayerDesc,
         (input, input2): (&Tensor, Option<&Tensor>),
-        dma: &DmaTable,
         faults: &mut FaultCtx,
     ) -> Result<(Tensor, LayerProfile), RunError> {
         let graph = cpu_fallback(desc).ok_or_else(|| RunError::EngineUnavailable {
@@ -566,10 +527,9 @@ impl Machine {
             engine,
         })?;
         let name = format!("{}_cpu_fallback", desc.name);
-        let instances = tiles(&desc.geom, &desc.tile);
-        let mut inert = FaultCtx::inert();
+        let step_dma = linearize_step(&self.cfg, engine, desc);
         let timeout = self
-            .step_timing(dma, step_idx, engine, desc, &instances, &mut inert)
+            .replay_timing(engine, &step_dma, &mut FaultCtx::inert())
             .expect("inert fault context cannot abort")
             .total();
 
@@ -1252,67 +1212,11 @@ mod tests {
         );
     }
 
-    /// Attaches a freshly linearized DMA descriptor table (for `cfg`) to
-    /// every accelerator step of the program.
-    fn with_dma_table(mut program: Program, cfg: &DianaConfig) -> Program {
-        let mut table = crate::DmaTable::new(cfg);
-        for (idx, step) in program.steps.iter().enumerate() {
-            if let Step::Accel { engine, desc, .. } = step {
-                table.insert(idx, crate::linearize_step(cfg, *engine, desc));
-            }
-        }
-        program.dma = table;
-        program
-    }
-
-    // The differential tests below compare a program carrying a stored
-    // table (`replay`) with the same program without one (`interp`), whose
-    // steps the machine linearizes on demand: stored table ≡ on-demand
-    // linearization is what protects a deserialized artifact.
-    #[test]
-    fn descriptor_replay_is_cycle_and_bit_exact() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let mut serial = DianaConfig::default();
-        let mut overlapped = DianaConfig::default();
-        overlapped.dma.double_buffer = true;
-        serial.analog.clamp_inputs_7bit = false;
-        for cfg in [serial, overlapped] {
-            for engine in [EngineKind::Digital, EngineKind::Analog] {
-                for tile in [
-                    TileConfig::full(&geom),
-                    TileConfig {
-                        c_t: 2,
-                        k_t: 3,
-                        oy_t: 4,
-                        ox_t: 8,
-                    },
-                    TileConfig {
-                        c_t: 1,
-                        k_t: 1,
-                        oy_t: 2,
-                        ox_t: 3,
-                    },
-                ] {
-                    let (program, input, _) = conv_program(tile, engine);
-                    let replayed = with_dma_table(program.clone(), &cfg);
-                    let m = Machine::new(cfg);
-                    let interp = m.run(&program, std::slice::from_ref(&input)).unwrap();
-                    let replay = m.run(&replayed, std::slice::from_ref(&input)).unwrap();
-                    assert_eq!(
-                        interp, replay,
-                        "replay must be bit- and cycle-exact ({engine} {tile:?})"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn table_less_cycle_breakdowns_are_frozen() {
-        // The 12 cells of `descriptor_replay_is_cycle_and_bit_exact`, run
-        // without a table, as recorded from the hand-written tile-loop
-        // interpreter before it was deleted: (compute, dma, weight_load,
-        // overhead), in loop order.
+        // Two platforms × two engines × three tilings of one conv, as
+        // recorded from the hand-written tile-loop interpreter before it
+        // was deleted: (compute, dma, weight_load, overhead), in loop order.
         const FROZEN: [(u64, u64, u64, u64); 12] = [
             (1080, 140, 57, 1100),
             (2160, 968, 296, 3200),
@@ -1369,139 +1273,131 @@ mod tests {
     }
 
     #[test]
-    fn replay_preserves_fault_transaction_order() {
-        // Faults are addressed by global DMA transaction index; a stored
-        // table must issue transactions in the exact order of one
-        // linearized on demand — zero-byte output stores included — or
-        // plans would hit different transfers.
-        let tile = TileConfig {
-            c_t: 2,
-            k_t: 3,
-            oy_t: 4,
-            ox_t: 8,
-        };
-        let cfg = DianaConfig::default();
-        let (program, input, _) = conv_program(tile, EngineKind::Digital);
-        let replayed = with_dma_table(program.clone(), &cfg);
-        let m = Machine::new(cfg);
-        let n_transfers = replayed.dma.get(0).unwrap().descriptors.len() as u64;
-        assert!(n_transfers > 3);
-        for transfer in 0..n_transfers {
-            let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaStall {
-                transfer,
-                cycles: 999,
-            });
-            let interp = m
-                .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-                .unwrap();
-            let replay = m
-                .run_with_faults(&replayed, std::slice::from_ref(&input), &plan)
-                .unwrap();
-            assert_eq!(interp, replay, "stall at transfer {transfer}");
-        }
-        // Retry-exhaustion aborts identify the same failing transfer.
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaFail {
-            transfer: 1,
-            attempts: 99,
-        });
-        let ei = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap_err();
-        let er = m.run_with_faults(&replayed, &[input], &plan).unwrap_err();
-        match (ei, er) {
-            (
-                RunError::DmaFailed {
-                    transfer: ti,
-                    attempts: ai,
-                    ..
-                },
-                RunError::DmaFailed {
-                    transfer: tr,
-                    attempts: ar,
-                    ..
-                },
-            ) => {
-                assert_eq!(ti, tr);
-                assert_eq!(ai, ar);
-            }
-            other => panic!("expected DmaFailed on both paths, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn foreign_platform_digest_falls_back_to_interpretation() {
-        // A table linearized for the default platform must be ignored on
-        // a machine with different cost constants: the run still succeeds
-        // and prices exactly like the table-free program, whose steps the
-        // machine linearizes for its own configuration.
-        let tile = TileConfig {
-            c_t: 2,
-            k_t: 3,
-            oy_t: 4,
-            ox_t: 8,
-        };
-        let (program, input, _) = conv_program(tile, EngineKind::Digital);
-        let replayed = with_dma_table(program.clone(), &DianaConfig::default());
-        let mut other = DianaConfig::default();
-        other.dma.setup_cycles = 77;
-        other.digital.tile_overhead = 111;
-        let m = Machine::new(other);
-        let interp = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let replay = m.run(&replayed, std::slice::from_ref(&input)).unwrap();
-        assert_eq!(interp, replay, "stale tables must not perturb a cycle");
-    }
-
-    #[test]
     fn fallback_timeout_priced_from_descriptors_matches_interpreter() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let cfg = DianaConfig::default();
-        let (program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let replayed = with_dma_table(program.clone(), &cfg);
-        let m = Machine::new(cfg);
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        let interp = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap();
-        let replay = m.run_with_faults(&replayed, &[input], &plan).unwrap();
-        assert_eq!(interp.outputs[0], reference);
-        assert_eq!(interp, replay, "degraded-path timeout must price equally");
-    }
-
-    #[test]
-    fn stale_tile_count_is_ignored_on_both_paths() {
-        // An entry whose tile count disagrees with the step's tile loop
-        // does not describe this program: neither the run nor the
-        // engine-off timeout may be priced from it.
+        // The engine-off timeout is the tiled step's fault-free cost, with
+        // and without double-buffering, and the degraded output is
+        // bit-exact with the reference kernels.
         let tile = TileConfig {
             c_t: 2,
             k_t: 3,
             oy_t: 4,
             ox_t: 8,
         };
-        let cfg = DianaConfig::default();
-        let (program, input, _) = conv_program(tile, EngineKind::Digital);
-        let clean = with_dma_table(program, &cfg);
-        let mut stale = clean.clone();
-        let mut entry = stale.dma.get(0).unwrap().clone();
-        entry.n_tiles += 1;
-        stale.dma.insert(0, entry);
-        let m = Machine::new(cfg);
+        let mut overlapped = DianaConfig::default();
+        overlapped.dma.double_buffer = true;
         let offline = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
             engine: EngineKind::Digital,
             layer: 0,
         });
-        for plan in [crate::FaultPlan::none(), offline] {
+        for cfg in [DianaConfig::default(), overlapped] {
+            let (program, input, reference) = conv_program(tile, EngineKind::Digital);
+            let m = Machine::new(cfg);
+            let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
+            let degraded = m.run_with_faults(&program, &[input], &offline).unwrap();
+            assert_eq!(degraded.outputs[0], reference);
+            assert_eq!(degraded.layers[0].cycles.stall, clean.total_cycles());
+        }
+    }
+
+    #[test]
+    fn forged_dma_table_cannot_change_a_run() {
+        // The machine never reads `Program::dma`: a table for another
+        // platform, a stale tile count, arbitrary descriptors under this
+        // platform's own digest, or an entry at a CPU step all run exactly
+        // like the same program with an empty table, faults included.
+        use crate::{DmaDescriptor, DmaTable, StepDma};
+        let tile = TileConfig {
+            c_t: 2,
+            k_t: 3,
+            oy_t: 4,
+            ox_t: 8,
+        };
+        let cfg = DianaConfig::default();
+        let (mut program, input, _) = conv_program(tile, EngineKind::Digital);
+        let mut b = htvm_ir::GraphBuilder::new();
+        let x = b.input("x", &[6, 8, 8], DType::I8);
+        let y = b.relu(x).unwrap();
+        program
+            .buffers
+            .push(buffer(2, "relu", &[6, 8, 8], BufferKind::Output));
+        program.buffers[1].kind = BufferKind::Intermediate;
+        program.steps.push(Step::CpuFused {
+            name: "relu".into(),
+            graph: b.finish(&[y]).unwrap(),
+            inputs: vec![BufferId(1)],
+            output: BufferId(2),
+        });
+        program.outputs = vec![BufferId(2)];
+        let Step::Accel { desc, .. } = &program.steps[0] else {
+            panic!("conv_program starts with an accel step");
+        };
+        let honest = crate::linearize_step(&cfg, EngineKind::Digital, desc);
+        let junk = StepDma {
+            n_tiles: honest.n_tiles,
+            compute: 1,
+            pool: 12_345,
+            analog_weight: 678,
+            descriptors: vec![
+                DmaDescriptor {
+                    dir: DmaDir::Weight,
+                    bytes: 1 << 20,
+                    chunks: 9,
+                };
+                3
+            ],
+        };
+        let mut foreign_cfg = cfg;
+        foreign_cfg.dma.setup_cycles = 77;
+        let table = |cfg: &DianaConfig, step: usize, entry: StepDma| {
+            let mut t = DmaTable::new(cfg);
+            t.insert(step, entry);
+            t
+        };
+        let forgeries = [
+            (
+                "foreign digest",
+                table(
+                    &foreign_cfg,
+                    0,
+                    crate::linearize_step(&foreign_cfg, EngineKind::Digital, desc),
+                ),
+            ),
+            (
+                "stale tile count",
+                table(
+                    &cfg,
+                    0,
+                    StepDma {
+                        n_tiles: honest.n_tiles + 1,
+                        ..honest.clone()
+                    },
+                ),
+            ),
+            ("arbitrary descriptors", table(&cfg, 0, junk.clone())),
+            ("entry at a CPU step", table(&cfg, 1, junk)),
+        ];
+
+        let m = Machine::new(cfg);
+        let stall = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaStall {
+            transfer: 1,
+            cycles: 500,
+        });
+        let offline = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
+            engine: EngineKind::Digital,
+            layer: 0,
+        });
+        for plan in [crate::FaultPlan::none(), stall, offline] {
             let expected = m
-                .run_with_faults(&clean, std::slice::from_ref(&input), &plan)
+                .run_with_faults(&program, std::slice::from_ref(&input), &plan)
                 .unwrap();
-            let got = m
-                .run_with_faults(&stale, std::slice::from_ref(&input), &plan)
-                .unwrap();
-            assert_eq!(expected, got, "{plan:?}");
+            for (what, dma) in &forgeries {
+                let mut forged = program.clone();
+                forged.dma = dma.clone();
+                let got = m
+                    .run_with_faults(&forged, std::slice::from_ref(&input), &plan)
+                    .unwrap();
+                assert_eq!(got, expected, "{what} under {plan:?}");
+            }
         }
     }
 }

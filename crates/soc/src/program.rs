@@ -183,10 +183,11 @@ pub struct Program {
     pub outputs: Vec<BufferId>,
     /// Peak bytes of the planned L2 activation arena.
     pub activation_peak: usize,
-    /// Pre-linearized DMA descriptor programs for accelerator steps,
-    /// replayed by the machine to time each step; may be empty (the
-    /// machine then linearizes each step on demand, with identical
-    /// cycles and bits).
+    /// The compiler's record of each accelerator step's DMA descriptor
+    /// program. The simulator never reads this field: the machine
+    /// linearizes every step from its descriptor, so the table cannot
+    /// change a cycle or a bit. It stays in the artifact format until its
+    /// deletion takes the cache-format bump.
     #[serde(default)]
     pub dma: crate::DmaTable,
 }
