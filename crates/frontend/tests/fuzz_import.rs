@@ -1,54 +1,28 @@
 //! Property/fuzz harness for the importer: no input may panic.
 //!
 //! The emitted zoo corpus is mutated deterministically — truncation at
-//! every table and vector boundary, seeded random bit flips, offset
-//! corruption, and length-field inflation — and every mutant is fed to
-//! [`htvm_frontend::import`] under `catch_unwind`. A mutant either
-//! imports (mutations can cancel out) or is rejected with a typed
-//! [`ImportError`]; a panic fails the harness, which then truncation-
-//! minimizes the reproducer and writes it to `CARGO_TARGET_TMPDIR` for
-//! CI to upload.
-//!
-//! Mirroring the fault-injection convention (`HTVM_FAULT_SEED_BASE`),
-//! the `HTVM_FUZZ_SEED_BASE` environment variable shifts the random
-//! mutation seeds so CI can sweep disjoint seed windows:
-//!
-//! ```sh
-//! HTVM_FUZZ_SEED_BASE=2000 cargo test -p htvm-frontend --test fuzz_import
-//! ```
+//! every table and vector boundary, offset corruption and length-field
+//! inflation — and with seeded edits biased toward the same layout
+//! marks, and every mutant is fed to [`htvm_frontend::import`] through
+//! the shared driver (`tests/support/fuzz.rs`). A mutant either imports
+//! (mutations can cancel out) or is rejected with a typed
+//! [`ImportError`](htvm_frontend::ImportError) whose display leads with
+//! its variant name; a panic fails the harness, which minimises the
+//! reproducer and writes it to `CARGO_TARGET_TMPDIR` for CI to upload.
 
+#[path = "../../../tests/support/fuzz.rs"]
+mod fuzz;
+
+use fuzz::{check, mutate, seed_base, seeded, Alphabet};
 use htvm_frontend::{emit_with_layout, import, Layout};
 use htvm_models::{all_models, stress_test, Model, QuantScheme};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use proptest::test_runner::TestRng;
 
-/// Seed window base, from `HTVM_FUZZ_SEED_BASE` (default 0).
-fn seed_base() -> u64 {
-    std::env::var("HTVM_FUZZ_SEED_BASE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// SplitMix64: tiny, seedable, and good enough to scatter mutations.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x9e37_79b9_7f4a_7c15))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
+/// Bytes an edit plants: zero, one, both sides of the sign bit, all-ones.
+const EDGES: Alphabet = Alphabet {
+    edges: b"\x00\x01\x7f\x80\xff",
+    ascii: false,
+};
 
 /// The mutation-matrix corpus: every mixed-scheme zoo model plus the
 /// stress topology. Other schemes get a bit-flip smoke pass below.
@@ -62,62 +36,31 @@ fn corpus() -> Vec<Model> {
     models
 }
 
-/// Feeds `bytes` to the importer; panics (after minimizing and saving a
-/// reproducer) if the importer itself panicked.
+/// Feeds `bytes` to the importer; a panic, or a rejection whose display
+/// does not lead with its variant name, fails the harness.
 fn must_not_panic(model: &str, mutation: &str, bytes: &[u8]) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match import(bytes) {
-        // A mutant may still be valid; typed rejection is the property.
-        Ok(_) => (),
-        Err(e) => {
-            assert!(!e.variant_name().is_empty());
+    check(&format!("import-{model}"), mutation, bytes, |bytes| {
+        if let Err(e) = import(bytes) {
             let shown = e.to_string();
             assert!(
-                shown.starts_with(e.variant_name()),
+                !e.variant_name().is_empty() && shown.starts_with(e.variant_name()),
                 "display of {shown:?} must lead with its variant name"
             );
         }
-    }));
-    if outcome.is_err() {
-        let repro = minimize(bytes);
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("fuzz-repro-{model}-{mutation}.htf"));
-        std::fs::write(&path, &repro).expect("write reproducer");
-        panic!(
-            "import panicked on {model} under mutation {mutation}; \
-             {}-byte minimized reproducer at {}",
-            repro.len(),
-            path.display()
-        );
-    }
+    });
 }
 
-/// Truncation-search minimization: the shortest prefix that still
-/// panics the importer.
-fn minimize(bytes: &[u8]) -> Vec<u8> {
-    let panics = |b: &[u8]| catch_unwind(AssertUnwindSafe(|| drop(import(b)))).is_err();
-    let (mut lo, mut hi) = (0usize, bytes.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if panics(&bytes[..mid]) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    bytes[..hi].to_vec()
+/// Every layout mark of an emitted model: tables, vector lengths and
+/// offsets.
+fn marks(layout: &Layout) -> Vec<usize> {
+    [&layout.tables[..], &layout.vector_lengths, &layout.offsets].concat()
 }
 
 #[test]
 fn truncation_at_every_boundary_never_panics() {
     for model in corpus() {
         let (bytes, layout) = emit_with_layout(&model.graph).expect("emit");
-        let mut cuts: Vec<usize> = layout
-            .tables
-            .iter()
-            .chain(&layout.vector_lengths)
-            .chain(&layout.offsets)
-            .copied()
-            .collect();
+        let mut cuts = marks(&layout);
         // Also clip mid-field: one byte into each boundary, plus the
         // header region byte-by-byte.
         cuts.extend(layout.tables.iter().map(|&p| p + 1));
@@ -130,37 +73,29 @@ fn truncation_at_every_boundary_never_panics() {
 }
 
 #[test]
-fn random_bit_flips_never_panic() {
-    let base = seed_base();
+fn random_edits_never_panic() {
     for (m, model) in corpus().iter().enumerate() {
-        let (bytes, _) = emit_with_layout(&model.graph).expect("emit");
-        for round in 0..64u64 {
-            let seed = base + m as u64 * 1000 + round;
-            let mut rng = Rng::new(seed);
-            let mut mutant = bytes.clone();
-            // 1–8 flips per round: single-bit faults and small bursts.
-            for _ in 0..1 + rng.below(8) {
-                let at = rng.below(mutant.len());
-                mutant[at] ^= 1 << rng.below(8);
-            }
-            must_not_panic(model.name, &format!("bitflip-seed{seed}"), &mutant);
+        let (bytes, layout) = emit_with_layout(&model.graph).expect("emit");
+        let marks = marks(&layout);
+        // 1–8 edits per mutant: single faults and small bursts.
+        let edit = |rng: &mut _, b: &mut _| mutate(rng, b, &EDGES, &marks);
+        for (name, mutant) in seeded(m as u64 * 1000, 64, &bytes, 8, edit) {
+            must_not_panic(model.name, &name, &mutant);
         }
     }
 }
 
 #[test]
 fn bit_flips_cover_every_quant_scheme() {
-    let base = seed_base();
     for scheme in [QuantScheme::Int8, QuantScheme::Ternary] {
         for (m, model) in all_models(scheme).iter().enumerate() {
             let (bytes, _) = emit_with_layout(&model.graph).expect("emit");
-            for round in 0..16u64 {
-                let seed = base + 0x5000 + m as u64 * 1000 + round;
-                let mut rng = Rng::new(seed);
-                let mut mutant = bytes.clone();
-                let at = rng.below(mutant.len());
-                mutant[at] ^= 1 << rng.below(8);
-                must_not_panic(model.name, &format!("scheme-bitflip-seed{seed}"), &mutant);
+            let flip = |rng: &mut TestRng, b: &mut Vec<u8>| {
+                let at = rng.below(b.len() as u64) as usize;
+                b[at] ^= 1 << rng.below(8);
+            };
+            for (name, mutant) in seeded(0x5000 + m as u64 * 1000, 16, &bytes, 1, flip) {
+                must_not_panic(model.name, &format!("bitflip-{name}"), &mutant);
             }
         }
     }
@@ -171,12 +106,12 @@ fn offset_corruption_never_panics() {
     let base = seed_base();
     for (m, model) in corpus().iter().enumerate() {
         let (bytes, layout) = emit_with_layout(&model.graph).expect("emit");
-        let mut rng = Rng::new(base + 0x0ff5 + m as u64);
+        let mut rng = TestRng::new(base + 0x0ff5 + m as u64);
         for (i, &at) in layout.offsets.iter().enumerate() {
             // Exhaustive poison values on every offset field, plus a
             // seeded random value.
-            let len = bytes.len() as u32;
-            for v in [0u32, u32::MAX, len, len.wrapping_sub(1), rng.next() as u32] {
+            let (len, random) = (bytes.len() as u32, rng.next_u64() as u32);
+            for v in [0, u32::MAX, len, len.wrapping_sub(1), random] {
                 let mut mutant = bytes.clone();
                 mutant[at..at + 4].copy_from_slice(&v.to_le_bytes());
                 must_not_panic(model.name, &format!("offset{i}-{v}"), &mutant);
@@ -212,24 +147,17 @@ fn layout_marks_cover_the_interesting_structure() {
     // The mutation matrix is only as good as the layout marks; a model
     // must expose tables, vectors and offsets to mutate.
     let model = stress_test(QuantScheme::Int8);
-    let (
-        bytes,
-        Layout {
-            tables,
-            vector_lengths,
-            offsets,
-        },
-    ) = emit_with_layout(&model.graph).expect("emit");
+    let (bytes, layout) = emit_with_layout(&model.graph).expect("emit");
     assert!(
-        tables.len() > model.graph.len(),
+        layout.tables.len() > model.graph.len(),
         "one table per tensor plus root/buffers"
     );
     assert!(
-        vector_lengths.len() >= model.graph.len(),
+        layout.vector_lengths.len() >= model.graph.len(),
         "name/shape vectors per tensor"
     );
-    assert!(!offsets.is_empty());
-    for &p in tables.iter().chain(&vector_lengths).chain(&offsets) {
+    assert!(!layout.offsets.is_empty());
+    for p in marks(&layout) {
         assert!(p + 4 <= bytes.len(), "layout mark {p} outside the buffer");
     }
 }

@@ -28,7 +28,10 @@
 //! not happen by accident but could be constructed on purpose.
 //!
 //! [`fnv128`] also lives here: the short-input digest `htvm-serve` takes
-//! over a finished key and over routing ids.
+//! over a finished key and over routing ids. So does [`murmur3_128`],
+//! the same MurmurHash3 over plain bytes, which `htvm-serve` takes over
+//! an artifact's serialized text; it and the payload digest share one
+//! copy of the block mixing and finalization.
 
 use crate::{Graph, NodeId, NodeKind, Op, Padding2d};
 use std::fmt::Write as _;
@@ -74,45 +77,83 @@ fn murmur_fmix(mut k: u64) -> u64 {
     k ^ (k >> 33)
 }
 
-/// `MurmurHash3_x64_128` (Austin Appleby, public domain; seed 0) of the
-/// elements laid out as little-endian `i32`s, as `h1 << 64 | h2`. Two
+/// The two running halves of `MurmurHash3_x64_128` (seed 0). Callers
+/// feed it 16-byte blocks as two little-endian lanes, then the tail as
+/// two zero-padded lanes; [`murmur3_128`] reads the lanes from bytes and
+/// [`payload_digest`] from pairs of `i32` elements.
+#[derive(Default)]
+struct Murmur {
+    h1: u64,
+    h2: u64,
+}
+
+impl Murmur {
+    fn block(&mut self, k1: u64, k2: u64) {
+        self.h1 ^= murmur_k1(k1);
+        self.h1 = self
+            .h1
+            .rotate_left(27)
+            .wrapping_add(self.h2)
+            .wrapping_mul(5)
+            .wrapping_add(0x52dc_e729);
+        self.h2 ^= murmur_k2(k2);
+        self.h2 = self
+            .h2
+            .rotate_left(31)
+            .wrapping_add(self.h1)
+            .wrapping_mul(5)
+            .wrapping_add(0x3849_5ab5);
+    }
+
+    /// Mixes the zero-padded tail lanes (a zero lane mixes to zero, so
+    /// an absent tail needs no branch) and the byte length, as
+    /// `h1 << 64 | h2`.
+    fn finish(self, k1: u64, k2: u64, len: usize) -> u128 {
+        let len = len as u64;
+        let mut h1 = self.h1 ^ murmur_k1(k1) ^ len;
+        let mut h2 = self.h2 ^ murmur_k2(k2) ^ len;
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = murmur_fmix(h1);
+        h2 = murmur_fmix(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        u128::from(h1) << 64 | u128::from(h2)
+    }
+}
+
+/// `MurmurHash3_x64_128` (Austin Appleby, public domain; seed 0) of a
+/// byte string, as `h1 << 64 | h2`. Unlike [`fnv128`] it reads eight
+/// bytes per step, so it is meant for bulk data such as a serialized
+/// artifact.
+#[must_use]
+pub fn murmur3_128(bytes: &[u8]) -> u128 {
+    let lane = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+    let mut m = Murmur::default();
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        m.block(lane(&b[..8]), lane(&b[8..]));
+    }
+    // The tail, zero-padded to a block.
+    let mut tail = [0u8; 16];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    m.finish(lane(&tail[..8]), lane(&tail[8..]), bytes.len())
+}
+
+/// [`murmur3_128`] of the elements laid out as little-endian `i32`s. Two
 /// elements make one 64-bit lane and four make one block, so the data is
 /// hashed where it lies; the tail is zero to three whole elements.
 fn payload_digest(data: &[i32]) -> u128 {
     // Lane of two elements, first element in the low half (little-endian).
     let lane = |lo: i32, hi: i32| u64::from(lo as u32) | u64::from(hi as u32) << 32;
-    let (mut h1, mut h2) = (0u64, 0u64);
+    let mut m = Murmur::default();
     let mut blocks = data.chunks_exact(4);
     for b in &mut blocks {
-        h1 ^= murmur_k1(lane(b[0], b[1]));
-        h1 = h1
-            .rotate_left(27)
-            .wrapping_add(h2)
-            .wrapping_mul(5)
-            .wrapping_add(0x52dc_e729);
-        h2 ^= murmur_k2(lane(b[2], b[3]));
-        h2 = h2
-            .rotate_left(31)
-            .wrapping_add(h1)
-            .wrapping_mul(5)
-            .wrapping_add(0x3849_5ab5);
+        m.block(lane(b[0], b[1]), lane(b[2], b[3]));
     }
-    // Absent tail elements read as zero, and a zero lane mixes to zero.
     let tail = blocks.remainder();
     let at = |i: usize| tail.get(i).copied().unwrap_or(0);
-    h2 ^= murmur_k2(lane(at(2), 0));
-    h1 ^= murmur_k1(lane(at(0), at(1)));
-
-    let len = data.len() as u64 * 4;
-    h1 ^= len;
-    h2 ^= len;
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    h1 = murmur_fmix(h1);
-    h2 = murmur_fmix(h2);
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    u128::from(h1) << 64 | u128::from(h2)
+    m.finish(lane(at(0), at(1)), lane(at(2), 0), data.len() * 4)
 }
 
 /// Writes an operator and every one of its attributes. The patterns
@@ -267,42 +308,6 @@ mod tests {
         fnv128(&canonical_form(graph))
     }
 
-    /// `MurmurHash3_x64_128` as published (smhasher's `MurmurHash3.cpp`),
-    /// byte by byte: the reference [`payload_digest`] is checked against.
-    fn murmur3_x64_128(bytes: &[u8], seed: u64) -> u128 {
-        let word = |b: &[u8]| {
-            b.iter()
-                .rev()
-                .fold(0u64, |acc, &byte| acc << 8 | u64::from(byte))
-        };
-        let (mut h1, mut h2) = (seed, seed);
-        let mut blocks = bytes.chunks_exact(16);
-        for block in &mut blocks {
-            h1 ^= murmur_k1(word(&block[..8]));
-            h1 = h1.rotate_left(27).wrapping_add(h2);
-            h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
-            h2 ^= murmur_k2(word(&block[8..]));
-            h2 = h2.rotate_left(31).wrapping_add(h1);
-            h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
-        }
-        let tail = blocks.remainder();
-        if tail.len() > 8 {
-            h2 ^= murmur_k2(word(&tail[8..]));
-        }
-        if !tail.is_empty() {
-            h1 ^= murmur_k1(word(&tail[..tail.len().min(8)]));
-        }
-        h1 ^= bytes.len() as u64;
-        h2 ^= bytes.len() as u64;
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        h1 = murmur_fmix(h1);
-        h2 = murmur_fmix(h2);
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        u128::from(h1) << 64 | u128::from(h2)
-    }
-
     fn le_bytes(data: &[i32]) -> Vec<u8> {
         data.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
@@ -321,29 +326,97 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn reference_murmur3_matches_the_published_vectors() {
-        assert_eq!(murmur3_x64_128(b"", 0), 0);
-        assert_eq!(
-            murmur3_x64_128(b"hello", 0),
-            0xcbd8_a7b3_41bd_9b02_5b1e_906a_48ae_1d19
-        );
-        assert_eq!(
-            murmur3_x64_128(b"The quick brown fox jumps over the lazy dog", 0),
-            0xe34b_bc7b_bc07_1b6c_7a43_3ca9_c49a_9347
-        );
+    /// `MurmurHash3_x64_128` as published (smhasher's `MurmurHash3.cpp`),
+    /// byte by byte and with its own copy of every mixing step: the
+    /// independent reference [`murmur3_128`] and [`payload_digest`] are
+    /// checked against.
+    fn murmur3_x64_128(bytes: &[u8], seed: u64) -> u128 {
+        const C1: u64 = 0x87c3_7b91_1142_53d5;
+        const C2: u64 = 0x4cf5_ad43_2745_937f;
+        let k1 = |k: u64| k.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
+        let k2 = |k: u64| k.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
+        let fmix = |mut k: u64| {
+            k = (k ^ (k >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+            k = (k ^ (k >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            k ^ (k >> 33)
+        };
+        let word = |b: &[u8]| {
+            b.iter()
+                .rev()
+                .fold(0u64, |acc, &byte| acc << 8 | u64::from(byte))
+        };
+        let (mut h1, mut h2) = (seed, seed);
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            h1 ^= k1(word(&block[..8]));
+            h1 = h1.rotate_left(27).wrapping_add(h2);
+            h1 = h1.wrapping_mul(5).wrapping_add(0x52dc_e729);
+            h2 ^= k2(word(&block[8..]));
+            h2 = h2.rotate_left(31).wrapping_add(h1);
+            h2 = h2.wrapping_mul(5).wrapping_add(0x3849_5ab5);
+        }
+        let tail = blocks.remainder();
+        if tail.len() > 8 {
+            h2 ^= k2(word(&tail[8..]));
+        }
+        if !tail.is_empty() {
+            h1 ^= k1(word(&tail[..tail.len().min(8)]));
+        }
+        h1 ^= bytes.len() as u64;
+        h2 ^= bytes.len() as u64;
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = fmix(h1);
+        h2 = fmix(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        u128::from(h1) << 64 | u128::from(h2)
     }
 
+    #[test]
+    fn reference_murmur3_matches_the_published_vectors() {
+        for (bytes, want) in [
+            (&b""[..], 0),
+            (b"hello", 0xcbd8_a7b3_41bd_9b02_5b1e_906a_48ae_1d19),
+            (
+                b"The quick brown fox jumps over the lazy dog",
+                0xe34b_bc7b_bc07_1b6c_7a43_3ca9_c49a_9347,
+            ),
+        ] {
+            assert_eq!(murmur3_x64_128(bytes, 0), want);
+            assert_eq!(murmur3_128(bytes), want);
+        }
+    }
+
+    /// Every tail length (0 to 15 bytes) with zero to four whole blocks.
+    #[test]
+    fn murmur3_128_equals_the_reference_at_every_length() {
+        for len in 0..=79 {
+            for seed in 0..4 {
+                let bytes = &le_bytes(&random_elements(seed * 1000 + len as u64, 20))[..len];
+                assert_eq!(
+                    murmur3_128(bytes),
+                    murmur3_x64_128(bytes, 0),
+                    "len {len}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    /// The payload digest is [`murmur3_128`] of the little-endian bytes,
+    /// at every tail length (0 to 3 elements) and block count.
     #[test]
     fn streaming_digest_equals_the_reference_at_every_tail_length() {
         for len in 0..=67 {
             for seed in 0..4 {
                 let data = random_elements(seed * 1000 + len as u64, len);
+                let bytes = le_bytes(&data);
                 assert_eq!(
                     payload_digest(&data),
-                    murmur3_x64_128(&le_bytes(&data), 0),
+                    murmur3_x64_128(&bytes, 0),
                     "len {len}, seed {seed}"
                 );
+                assert_eq!(payload_digest(&data), murmur3_128(&bytes));
             }
         }
     }

@@ -28,6 +28,7 @@ impl fmt::Display for NodeId {
 
 /// What a node computes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum NodeKind {
     /// An external graph input.
     Input,
@@ -44,6 +45,7 @@ pub enum NodeKind {
 
 /// One node of the dataflow graph, with its inferred result type.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Node {
     /// Debug name (unique names are not required).
     pub name: String,
@@ -115,10 +117,13 @@ pub struct Graph {
 
 /// A deserialized graph is structurally verified before it is returned,
 /// and each constant was range-checked as its [`Tensor`] was rebuilt, so
-/// bytes from disk are held to the same standard as the builder.
+/// bytes from disk are held to the same standard as the builder. Like
+/// every object in it, it is refused if it holds a member it does not
+/// write, or one member twice.
 impl Deserialize for Graph {
     fn from_content(v: &Value) -> Result<Self, DeError> {
         let obj = serde::__as_object(v).ok_or_else(|| DeError::custom("expected Graph object"))?;
+        serde::__deny_unknown_fields(obj, &["nodes", "inputs", "outputs"], "Graph")?;
         let graph = Graph {
             nodes: serde::__field(obj, "nodes", "Graph")?,
             inputs: serde::__field(obj, "inputs", "Graph")?,
@@ -301,5 +306,25 @@ mod tests {
         let conv_macs = 4 * 3 * 3 * 3 * 8 * 8;
         let dense_macs = 10 * 4 * 8 * 8;
         assert_eq!(g.total_macs(), (conv_macs + dense_macs) as u64);
+    }
+
+    #[test]
+    fn every_object_in_a_graph_refuses_a_member_it_does_not_write() {
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", &[1, 4, 4], DType::I8);
+        let w = b.constant("w", Tensor::zeros(DType::I8, &[2, 1, 3, 3]));
+        let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
+        let g = b.finish(&[c]).unwrap();
+        let text = serde_json::to_string(&g).unwrap();
+        assert_eq!(serde_json::from_str::<crate::Graph>(&text).unwrap(), g);
+        let opens: Vec<usize> = text.match_indices("{\"").map(|(at, _)| at + 1).collect();
+        assert_eq!(opens.len(), 11, "{text}");
+        for at in opens {
+            let mutant = format!("{}\"zz\":0,{}", &text[..at], &text[at..]);
+            assert!(
+                serde_json::from_str::<crate::Graph>(&mutant).is_err(),
+                "{mutant}"
+            );
+        }
     }
 }

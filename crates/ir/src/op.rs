@@ -6,6 +6,7 @@ use std::fmt;
 
 /// Explicit 2-D zero padding `(top, bottom, left, right)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Padding2d {
     /// Rows of zero padding above the input.
     pub top: usize,
@@ -82,6 +83,7 @@ impl fmt::Display for PoolKind {
 /// - `BiasAdd(x, b)` with `b: [K]` broadcast over spatial dims
 /// - `Add(a, b)` element-wise with matching shapes
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum Op {
     /// 2-D convolution over `[C, H, W]` input with `[K, C, Fy, Fx]` weights.
     Conv2d {

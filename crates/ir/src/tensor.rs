@@ -101,9 +101,12 @@ impl Serialize for Tensor {
 /// [`Tensor::from_le_bytes`], so a payload that is not canonical base64,
 /// whose length disagrees with its shape, or that holds a `Ternary` byte
 /// outside `{-1, 0, +1}` is refused here rather than trusted downstream.
+/// So is an object with a member other than `dtype`, `shape` and `data`,
+/// or with one of them twice: a tensor has one text.
 impl Deserialize for Tensor {
     fn from_content(v: &Value) -> Result<Self, DeError> {
         let obj = serde::__as_object(v).ok_or_else(|| DeError::custom("expected Tensor object"))?;
+        serde::__deny_unknown_fields(obj, &["dtype", "shape", "data"], "Tensor")?;
         let dtype: DType = serde::__field(obj, "dtype", "Tensor")?;
         let shape: Shape = serde::__field(obj, "shape", "Tensor")?;
         let text = obj
@@ -566,6 +569,16 @@ mod tests {
             (
                 r#"{"dtype":"I8","shape":[3]}"#,
                 "missing field 'data' for Tensor",
+            ),
+            // A second spelling of `gH8A` the payload harness found: an
+            // unknown member is refused, as is a second `data`.
+            (
+                r#"{"dtype":"I8","":[],"":"","shape":[3],"data":"gH8A"}"#,
+                "unknown field '' for Tensor",
+            ),
+            (
+                r#"{"dtype":"I8","shape":[3],"data":"gH8A","data":"AAAA"}"#,
+                "duplicate field 'data' for Tensor",
             ),
         ] {
             let err = serde_json::from_str::<Tensor>(text)

@@ -18,8 +18,9 @@
 //! 32-hex-digit [`ArtifactKey::id`]. Each entry file is one JSON
 //! envelope: the cache-format version ([`CACHE_FORMAT_VERSION`]), the
 //! compiler stamp ([`compiler_stamp`]), the key digest, the **full**
-//! key bytes as hex (cache lookup compares bytes, never digests), and
-//! the artifact.
+//! key bytes as hex (cache lookup compares bytes, never digests), the
+//! artifact digest (32 hex digits of [`murmur3_128`] over the stored
+//! artifact bytes), and the artifact.
 //!
 //! # Durability and corruption policy
 //!
@@ -27,15 +28,21 @@
 //! `rename`d into place, so a crash mid-write never leaves a partial
 //! `.json` entry. Loading is corruption-tolerant by construction —
 //! unparseable JSON, a format or compiler-stamp mismatch, a digest that
-//! does not match the recorded key bytes, or a filename that does not
-//! match the digest all cause the entry to be **skipped and counted**
-//! ([`PersistStats::load_skipped`]), never a crash. A version bump in
-//! either stamp deliberately invalidates old entries the same way.
+//! does not match the recorded key bytes, a filename that does not
+//! match the digest, or an artifact whose re-serialized bytes do not
+//! match the artifact digest all cause the entry to be **skipped and
+//! counted** ([`PersistStats::load_skipped`]), never a crash. The last
+//! check ties an entry to the bytes its compile produced: an edit that
+//! still parses (a changed `activation_peak`, say) would otherwise be
+//! re-admitted and served as a hit whose bytes differ from a compile.
+//! A version bump in either stamp deliberately invalidates old entries
+//! the same way.
 
 use crate::cache::ArtifactCache;
 use crate::hexfmt;
 use crate::key::ArtifactKey;
 use crate::stored::StoredArtifact;
+use htvm_ir::canonical::murmur3_128;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +67,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   Keys did not change (they digest the values, not the text), so a
 ///   format-3 entry is still under a reachable key, but its artifact no
 ///   longer parses.
-pub const CACHE_FORMAT_VERSION: u32 = 4;
+/// - `5`: the envelope carries `artifact_digest`, and an entry whose
+///   artifact does not re-serialize to those bytes is skipped. Keys and
+///   artifact bytes did not change; a format-4 entry has no digest, so
+///   its envelope no longer parses and it is skipped.
+pub const CACHE_FORMAT_VERSION: u32 = 5;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version
@@ -85,8 +96,9 @@ pub struct PersistStats {
     pub write_errors: u64,
     /// Entries validated and re-admitted into the cache at load.
     pub load_ok: u64,
-    /// Entries skipped at load: unparseable, stamp mismatch, digest
-    /// mismatch, misnamed, or refused admission by the cache budget.
+    /// Entries skipped at load: unparseable, stamp mismatch, key or
+    /// artifact digest mismatch, misnamed, or refused admission by the
+    /// cache budget.
     pub load_skipped: u64,
 }
 
@@ -102,7 +114,13 @@ struct PersistEntry {
     compiler: String,
     key_id: String,
     key_hex: String,
+    artifact_digest: String,
     artifact: serde_json::Value,
+}
+
+/// The envelope's `artifact_digest` of a stored artifact's bytes.
+fn artifact_digest(stored: &StoredArtifact) -> String {
+    format!("{:032x}", murmur3_128(stored.json().as_bytes()))
 }
 
 /// One platform's slice of the on-disk artifact cache. Thread-safe:
@@ -149,6 +167,7 @@ impl PersistStore {
             compiler: compiler_stamp(),
             key_id: key.id(),
             key_hex: hexfmt::encode(key.as_bytes()),
+            artifact_digest: artifact_digest(&stored),
             artifact: serde_json::to_value(&stored),
         };
         let json = serde_json::to_string(&entry).expect("envelopes serialize infallibly");
@@ -207,7 +226,9 @@ impl PersistStore {
         if key.id() != entry.key_id || path.file_stem()?.to_str()? != entry.key_id {
             return None;
         }
-        Some((key, serde_json::from_value(entry.artifact).ok()?))
+        // The artifact must re-serialize to the bytes that were written.
+        let stored: StoredArtifact = serde_json::from_value(entry.artifact).ok()?;
+        (artifact_digest(&stored) == entry.artifact_digest).then_some((key, stored))
     }
 
     /// A snapshot of the store's counters.

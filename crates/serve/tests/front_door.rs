@@ -3,9 +3,13 @@
 //! concurrent skewed traffic must keep the service counters exact, and
 //! overload must shed with typed, parseable rejections.
 
+#[path = "support/client.rs"]
+mod client;
+
+use client::{Client, Response};
 use htvm::{Compiler, DeployConfig, DispatchHook};
 use htvm_ir::{DType, Graph, GraphBuilder, Tensor};
-use htvm_serve::http::wire::{WireBatch, WireBatchResult, WireError, WireJob, WireResult};
+use htvm_serve::http::wire::{WireBatch, WireBatchResult, WireJob, WireResult};
 use htvm_serve::http::{HttpConfig, HttpServer};
 use htvm_serve::{estimate_cost, CompileService, SchedPolicy, ServeConfig, ServiceStats};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -57,97 +61,9 @@ fn wire_job(name: &str, model: &[u8], include_artifact: bool) -> WireJob {
     }
 }
 
-/// A raw HTTP response: status line code, headers (lowercased names)
-/// and body text.
-struct Response {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Response {
-    fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn error(&self) -> WireError {
-        serde_json::from_str(&self.body).expect("error bodies parse as WireError")
-    }
-}
-
-/// A keep-alive HTTP/1.1 client over one raw `TcpStream`, hand-framing
-/// requests so the tests exercise the server's real wire behavior.
-struct Client {
-    stream: TcpStream,
-}
-
 impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("front door accepts");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("timeout sets");
-        Client { stream }
-    }
-
-    fn send_raw(&mut self, raw: &[u8]) -> Response {
-        self.stream.write_all(raw).expect("request writes");
-        self.read_response()
-    }
-
     fn request(&mut self, method: &str, path: &str, body: Option<&str>) -> Response {
         self.request_bytes(method, path, body.unwrap_or("").as_bytes())
-    }
-
-    /// Like [`Client::request`] for binary bodies (raw model uploads).
-    fn request_bytes(&mut self, method: &str, path: &str, body: &[u8]) -> Response {
-        let mut raw = format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        raw.extend_from_slice(body);
-        self.send_raw(&raw)
-    }
-
-    fn read_response(&mut self) -> Response {
-        let mut reader = BufReader::new(&mut self.stream);
-        let mut status_line = String::new();
-        reader
-            .read_line(&mut status_line)
-            .expect("status line reads");
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("malformed status line {status_line:?}"));
-        let mut headers = Vec::new();
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("header line reads");
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            let (name, value) = line.split_once(':').expect("header has a colon");
-            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_owned());
-            if name == "content-length" {
-                content_length = value.parse().expect("Content-Length parses");
-            }
-            headers.push((name, value));
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).expect("body reads in full");
-        Response {
-            status,
-            headers,
-            body: String::from_utf8(body).expect("JSON bodies are UTF-8"),
-        }
     }
 }
 

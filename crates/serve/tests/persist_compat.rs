@@ -8,7 +8,7 @@
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
 //!
-//! Two fixtures are not damaged at all; each is an entry exactly as the
+//! Four fixtures are not damaged at all; each is an entry exactly as the
 //! last build of its format wrote it (digest, filename and compiler
 //! stamp all match, and that build re-admits it), and each must be
 //! skipped on its format alone:
@@ -22,17 +22,23 @@
 //!   Its key is still the key that graph gets, but its weights are
 //!   decimal text; format 4 writes every tensor payload as base64 of its
 //!   native-width bytes.
+//! - `6ca838bf….json`, format 4, a conv → softmax graph under `Both`
+//!   (a base64 weight payload and a CPU segment). Its key and artifact
+//!   bytes are what this build writes, but it has no artifact digest;
+//!   format 5 checks one.
 //!
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
 //! the current format with the constant, so each still fails the one
 //! check it was written for.
 //!
-//! Two more entries are hostile rather than stale: written at run time
-//! from a real compiled artifact, each carries one edit that only the
-//! artifact's own types can catch — a CPU-segment graph whose operand
-//! points past its own node, and an accelerator weight payload one
-//! element short. A `Graph` and a `Tensor` are checked as they are
-//! deserialized, so both entries are skipped and counted as well.
+//! Three more entries are hostile rather than stale: written at run
+//! time from a real compiled artifact, each carries one edit. Two are
+//! caught by the artifact's own types — a CPU-segment graph whose
+//! operand points past its own node, and an accelerator weight payload
+//! one element short; a `Graph` and a `Tensor` are checked as they are
+//! deserialized. The third still parses — `activation_peak` one byte
+//! higher — and only the envelope's artifact digest catches it. All
+//! three are skipped and counted.
 
 use htvm::DeployConfig;
 use htvm_ir::{DType, GraphBuilder, Tensor};
@@ -47,12 +53,13 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 8;
+const FIXTURE_ENTRIES: u64 = 9;
 
-/// The well-formed format-1, format-2 and format-3 entries, by key id.
+/// The well-formed format-1 to format-4 entries, by key id.
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
+const FORMAT_4_ENTRY: &str = "6ca838bf4d67d56101c87af13b7bff76";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -64,7 +71,9 @@ fn layout_constants_are_pinned() {
     // Format 2 -> 3 was another: the artifact lost its `fallbacks` table
     // and the key the flag that selected it. Format 3 -> 4 kept every
     // key but rewrote every tensor payload from decimal text to base64.
-    assert_eq!(CACHE_FORMAT_VERSION, 4);
+    // Format 4 -> 5 kept keys and artifact bytes and added the envelope's
+    // artifact digest.
+    assert_eq!(CACHE_FORMAT_VERSION, 5);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
 }
 
@@ -112,6 +121,16 @@ fn a_well_formed_format_3_entry_is_skipped_on_its_format_alone() {
     // text of its weights is of the old format.
     let text = skipped_on_its_format_alone(3, FORMAT_3_ENTRY);
     assert!(text.contains(r#""weights":{"dtype":"I8","shape":[4,4,3,3],"data":[-3,-2,-1,0,"#));
+}
+
+#[test]
+fn a_well_formed_format_4_entry_is_skipped_on_its_format_alone() {
+    // Today's key and artifact bytes for this graph; only the envelope
+    // lacks the digest format 5 checks.
+    let text = skipped_on_its_format_alone(4, FORMAT_4_ENTRY);
+    assert!(text.contains(r#""key_hex":""#) && !text.contains("artifact_digest"));
+    assert!(text.contains(r#""weights":{"dtype":"I8","shape":[8,8,3,3],"data":"AAAA"#));
+    assert!(text.contains(r#""CpuFused""#));
 }
 
 #[test]
@@ -167,7 +186,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":4,"#));
+    assert!(spilled.starts_with(r#"{"format":5,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }
@@ -219,11 +238,16 @@ fn hostile_entries_from_real_artifacts_are_skipped_not_fatal() {
         ..ServeConfig::default()
     };
 
-    // Two real entries, one per deploy (so two keys), each then edited.
+    // Three real entries, one per deploy (so three keys), each then edited.
     let writer = CompileService::new(config());
     let dir = scratch.join("v1/diana");
     let mut entries = Vec::new();
-    for deploy in [DeployConfig::Digital, DeployConfig::Both] {
+    let deploys = [
+        DeployConfig::Digital,
+        DeployConfig::Both,
+        DeployConfig::CpuTvm,
+    ];
+    for deploy in deploys {
         let result = writer
             .submit(JobRequest::compile_only(
                 "real",
@@ -235,7 +259,7 @@ fn hostile_entries_from_real_artifacts_are_skipped_not_fatal() {
         let text = std::fs::read_to_string(&path).expect("entry spilled");
         entries.push((path, text));
     }
-    assert_eq!(writer.stats().persist_writes, 2);
+    assert_eq!(writer.stats().persist_writes, 3);
     drop(writer);
 
     // The segment's first operator reads node 99, after itself.
@@ -260,21 +284,35 @@ fn hostile_entries_from_real_artifacts_are_skipped_not_fatal() {
     );
     assert_ne!(&one_short, text);
     std::fs::write(path, one_short).unwrap();
+    // The program claims one more byte of activation memory: the
+    // artifact still parses, but not to the bytes that were written.
+    let (path, text) = &entries[2];
+    let one_more = edit_first_after(
+        text,
+        r#""artifact":"#,
+        r#""activation_peak":"#,
+        ',',
+        |peak| (peak.parse::<u64>().expect("a byte count") + 1).to_string(),
+    );
+    assert_ne!(&one_more, text);
+    std::fs::write(path, one_more).unwrap();
 
-    // Boot continues over both, counts them, and still serves.
+    // Boot continues over all three, counts them, and still serves.
     let service = CompileService::new(config());
     let booted = service.stats();
     assert_eq!(
         (booted.persist_load_ok, booted.persist_load_skipped),
-        (0, 2)
+        (0, 3)
     );
-    let result = service
-        .submit(JobRequest::compile_only(
-            "again",
-            conv_softmax_graph(),
-            DeployConfig::Both,
-        ))
-        .expect("the booted service compiles");
-    assert!(!result.cache_hit, "the hostile entry was not admitted");
+    for deploy in deploys {
+        let result = service
+            .submit(JobRequest::compile_only(
+                "again",
+                conv_softmax_graph(),
+                deploy,
+            ))
+            .expect("the booted service compiles");
+        assert!(!result.cache_hit, "a hostile entry was admitted");
+    }
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -2,6 +2,7 @@
 //! one build boots warm on any other build with the same stamps.
 
 use htvm::{Compiler, DeployConfig};
+use htvm_ir::canonical::murmur3_128;
 use htvm_ir::{DType, GraphBuilder, Tensor};
 use htvm_serve::http::wire::encode_hex;
 use htvm_serve::{
@@ -31,15 +32,17 @@ fn an_entry_is_the_header_then_the_artifacts_own_bytes() {
     let store = PersistStore::open(&root, "diana").unwrap();
     assert!(store.write(&key, &artifact));
 
+    let artifact_bytes = serde_json::to_string(&artifact).unwrap();
     let on_disk =
         std::fs::read_to_string(root.join("v1/diana").join(format!("{}.json", key.id()))).unwrap();
     let expected = format!(
-        r#"{{"format":{},"compiler":"{}","key_id":"{}","key_hex":"{}","artifact":{}}}"#,
+        r#"{{"format":{},"compiler":"{}","key_id":"{}","key_hex":"{}","artifact_digest":"{:032x}","artifact":{}}}"#,
         CACHE_FORMAT_VERSION,
         compiler_stamp(),
         key.id(),
         encode_hex(key.as_bytes()),
-        serde_json::to_string(&artifact).unwrap(),
+        murmur3_128(artifact_bytes.as_bytes()),
+        artifact_bytes,
     );
     assert!(on_disk == expected, "the entry envelope changed on disk");
 

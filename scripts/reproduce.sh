@@ -22,20 +22,12 @@ HTVM_FAULT_SEED_BASE=0 cargo test -p htvm --release --test fault_injection \
 echo "== model-file import round trip (matches the CI frontend jobs) =="
 for base in 0 1000 2000; do
     echo "-- fuzz seed base $base (debug) --"
-    HTVM_FUZZ_SEED_BASE="$base" cargo test -p htvm-frontend --test fuzz_import \
-        2>&1 | tee "$out/fuzz_import_seed$base.txt"
-    HTVM_FUZZ_SEED_BASE="$base" cargo test -p htvm-ir --test fuzz_payload \
-        2>&1 | tee "$out/fuzz_payload_seed$base.txt"
-    HTVM_FUZZ_SEED_BASE="$base" cargo test -p htvm-serve --test fuzz_framing \
-        2>&1 | tee "$out/fuzz_framing_seed$base.txt"
+    HTVM_FUZZ_SEED_BASE="$base" cargo test -p htvm-frontend -p htvm-ir -p htvm-serve \
+        --test 'fuzz_*' 2>&1 | tee "$out/fuzz_seed$base.txt"
 done
 echo "-- fuzz seed base 0 (release) --"
-HTVM_FUZZ_SEED_BASE=0 cargo test -p htvm-frontend --release --test fuzz_import \
-    2>&1 | tee "$out/fuzz_import_release.txt"
-HTVM_FUZZ_SEED_BASE=0 cargo test -p htvm-ir --release --test fuzz_payload \
-    2>&1 | tee "$out/fuzz_payload_release.txt"
-HTVM_FUZZ_SEED_BASE=0 cargo test -p htvm-serve --release --test fuzz_framing \
-    2>&1 | tee "$out/fuzz_framing_release.txt"
+HTVM_FUZZ_SEED_BASE=0 cargo test -p htvm-frontend -p htvm-ir -p htvm-serve --release \
+    --test 'fuzz_*' 2>&1 | tee "$out/fuzz_release.txt"
 cargo test -p htvm-serve --release --test import_roundtrip \
     2>&1 | tee "$out/import_roundtrip.txt"
 echo "-- wire-format compatibility gate --"
