@@ -82,23 +82,8 @@ impl GraphBuilder {
     /// Returns an error if an operand id is unknown or inference rejects the
     /// operand types (see [`IrError`]).
     pub fn apply(&mut self, op: Op, inputs: &[NodeId]) -> Result<NodeId, IrError> {
-        let mut operands = Vec::with_capacity(inputs.len());
-        for &i in inputs {
-            let n = self.nodes.get(i.0).ok_or(IrError::UnknownNode(i.0))?;
-            operands.push((&n.shape, n.dtype));
-        }
-        let inferred = infer(&op, &operands)?;
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
-            name: format!("{}_{}", op.name().replace('.', "_"), id.0),
-            kind: NodeKind::Op {
-                op,
-                inputs: inputs.to_vec(),
-            },
-            shape: inferred.shape,
-            dtype: inferred.dtype,
-        });
-        Ok(id)
+        let name = format!("{}_{}", op.name().replace('.', "_"), self.nodes.len());
+        self.push_op(op, inputs, name)
     }
 
     /// [`GraphBuilder::apply`] with an explicit node name instead of the
@@ -116,8 +101,27 @@ impl GraphBuilder {
         inputs: &[NodeId],
         name: &str,
     ) -> Result<NodeId, IrError> {
-        let id = self.apply(op, inputs)?;
-        self.nodes[id.0].name = name.to_owned();
+        self.push_op(op, inputs, name.to_owned())
+    }
+
+    /// Infers `op` over `inputs` and appends it under its final `name`.
+    fn push_op(&mut self, op: Op, inputs: &[NodeId], name: String) -> Result<NodeId, IrError> {
+        let mut operands = Vec::with_capacity(inputs.len());
+        for &i in inputs {
+            let n = self.nodes.get(i.0).ok_or(IrError::UnknownNode(i.0))?;
+            operands.push((&n.shape, n.dtype));
+        }
+        let inferred = infer(&op, &operands)?;
+        let id = NodeId(self.nodes.len());
+        self.nodes.push(Node {
+            name,
+            kind: NodeKind::Op {
+                op,
+                inputs: inputs.to_vec(),
+            },
+            shape: inferred.shape,
+            dtype: inferred.dtype,
+        });
         Ok(id)
     }
 

@@ -18,20 +18,25 @@
 //!
 //! Constant payloads are the one exception: a zoo model carries
 //! 0.1–1 MB of weights, so each payload enters the form as its 128-bit
-//! MurmurHash3 digest (`MurmurHash3_x64_128`, seed 0, over the elements
-//! as little-endian `i32`s) instead of verbatim. The digest is streamed
-//! straight from [`Tensor::data`](crate::Tensor::data) — one 16-byte
-//! block is four elements — so keying a graph costs one read of its
-//! weights at memory speed and a few dozen bytes of text per node.
-//! MurmurHash3 is not cryptographic: two *different* payloads of the
-//! same shape and dtype alias only on a 128-bit collision, which does
-//! not happen by accident but could be constructed on purpose.
+//! MurmurHash3 digest ([`Tensor::digest`](crate::Tensor::digest):
+//! `MurmurHash3_x64_128`, seed 0, over the elements as little-endian
+//! bytes at the dtype's native width — one byte for `I8` and `Ternary`,
+//! two for `I16`, four for `I32`) instead of verbatim. Those are exactly
+//! the bytes an HTF buffer and a serialized payload carry. Narrowing the
+//! stored `i32`s back to that width is exact because every graph
+//! constant is range-checked as it enters the graph. The digest is
+//! remembered with the payload, which clones share: the first
+//! `canonical_form` of a graph reads each weight once, and a second one,
+//! or one of a cloned graph, reads none; a write to a payload drops its
+//! digest. MurmurHash3 is not cryptographic: two *different* payloads of
+//! the same shape and dtype alias only on a 128-bit collision, which
+//! does not happen by accident but could be constructed on purpose.
 //!
-//! [`fnv128`] also lives here: the short-input digest `htvm-serve` takes
-//! over a finished key and over routing ids. So does [`murmur3_128`],
-//! the same MurmurHash3 over plain bytes, which `htvm-serve` takes over
-//! an artifact's serialized text; it and the payload digest share one
-//! copy of the block mixing and finalization.
+//! [`murmur3_128`] is the same MurmurHash3 over plain bytes; `htvm-serve`
+//! takes it over an encoded key and over an artifact's serialized text,
+//! and it and the payload digest share one copy of the block mixing and
+//! finalization. [`fnv128`] also lives here: a byte-at-a-time digest
+//! `htvm-serve` keeps only for the shard ring's short routing ids.
 
 use crate::{Graph, NodeId, NodeKind, Op, Padding2d};
 use std::fmt::Write as _;
@@ -42,8 +47,8 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 /// FNV-1a 128-bit digest of a byte string. Deterministic across runs,
 /// platforms and Rust versions (unlike `DefaultHasher`), which is what a
 /// persistent or cross-process content address requires. One `u128`
-/// multiply per byte: meant for short inputs (an encoded key, a routing
-/// id) whose digests are pinned, not for bulk data.
+/// multiply per byte: meant for short inputs (a routing id) whose
+/// digests are pinned, not for bulk data.
 #[must_use]
 pub fn fnv128(bytes: &[u8]) -> u128 {
     let mut h = FNV128_OFFSET;
@@ -77,41 +82,52 @@ fn murmur_fmix(mut k: u64) -> u64 {
     k ^ (k >> 33)
 }
 
-/// The two running halves of `MurmurHash3_x64_128` (seed 0). Callers
-/// feed it 16-byte blocks as two little-endian lanes, then the tail as
-/// two zero-padded lanes; [`murmur3_128`] reads the lanes from bytes and
-/// [`payload_digest`] from pairs of `i32` elements.
+/// The two running halves of `MurmurHash3_x64_128` (seed 0).
+/// [`murmur3_128`] feeds it one byte string, [`payload_digest`] a run of
+/// byte strings narrowed from elements; only the last may end in a tail.
 #[derive(Default)]
 struct Murmur {
     h1: u64,
     h2: u64,
 }
 
+/// A little-endian 64-bit lane of eight bytes.
+fn lane(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("eight bytes"))
+}
+
 impl Murmur {
-    fn block(&mut self, k1: u64, k2: u64) {
-        self.h1 ^= murmur_k1(k1);
-        self.h1 = self
-            .h1
-            .rotate_left(27)
-            .wrapping_add(self.h2)
-            .wrapping_mul(5)
-            .wrapping_add(0x52dc_e729);
-        self.h2 ^= murmur_k2(k2);
-        self.h2 = self
-            .h2
-            .rotate_left(31)
-            .wrapping_add(self.h1)
-            .wrapping_mul(5)
-            .wrapping_add(0x3849_5ab5);
+    /// Mixes every whole 16-byte block of `bytes` and returns the rest.
+    fn blocks<'a>(&mut self, bytes: &'a [u8]) -> &'a [u8] {
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            self.h1 ^= murmur_k1(lane(&b[..8]));
+            self.h1 = self
+                .h1
+                .rotate_left(27)
+                .wrapping_add(self.h2)
+                .wrapping_mul(5)
+                .wrapping_add(0x52dc_e729);
+            self.h2 ^= murmur_k2(lane(&b[8..]));
+            self.h2 = self
+                .h2
+                .rotate_left(31)
+                .wrapping_add(self.h1)
+                .wrapping_mul(5)
+                .wrapping_add(0x3849_5ab5);
+        }
+        blocks.remainder()
     }
 
-    /// Mixes the zero-padded tail lanes (a zero lane mixes to zero, so
-    /// an absent tail needs no branch) and the byte length, as
-    /// `h1 << 64 | h2`.
-    fn finish(self, k1: u64, k2: u64, len: usize) -> u128 {
+    /// Mixes the tail (under 16 bytes, zero-padded to two lanes: a zero
+    /// lane mixes to zero, so an absent tail needs no branch) and the
+    /// total byte length, as `h1 << 64 | h2`.
+    fn finish(self, tail: &[u8], len: usize) -> u128 {
+        let mut pad = [0u8; 16];
+        pad[..tail.len()].copy_from_slice(tail);
         let len = len as u64;
-        let mut h1 = self.h1 ^ murmur_k1(k1) ^ len;
-        let mut h2 = self.h2 ^ murmur_k2(k2) ^ len;
+        let mut h1 = self.h1 ^ murmur_k1(lane(&pad[..8])) ^ len;
+        let mut h2 = self.h2 ^ murmur_k2(lane(&pad[8..])) ^ len;
         h1 = h1.wrapping_add(h2);
         h2 = h2.wrapping_add(h1);
         h1 = murmur_fmix(h1);
@@ -124,36 +140,45 @@ impl Murmur {
 
 /// `MurmurHash3_x64_128` (Austin Appleby, public domain; seed 0) of a
 /// byte string, as `h1 << 64 | h2`. Unlike [`fnv128`] it reads eight
-/// bytes per step, so it is meant for bulk data such as a serialized
-/// artifact.
+/// bytes per step, so it is meant for bulk data: an encoded key, a
+/// serialized artifact.
 #[must_use]
 pub fn murmur3_128(bytes: &[u8]) -> u128 {
-    let lane = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
     let mut m = Murmur::default();
-    let mut blocks = bytes.chunks_exact(16);
-    for b in &mut blocks {
-        m.block(lane(&b[..8]), lane(&b[8..]));
-    }
-    // The tail, zero-padded to a block.
-    let mut tail = [0u8; 16];
-    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
-    m.finish(lane(&tail[..8]), lane(&tail[8..]), bytes.len())
+    let tail = m.blocks(bytes);
+    m.finish(tail, bytes.len())
 }
 
-/// [`murmur3_128`] of the elements laid out as little-endian `i32`s. Two
-/// elements make one 64-bit lane and four make one block, so the data is
-/// hashed where it lies; the tail is zero to three whole elements.
-fn payload_digest(data: &[i32]) -> u128 {
-    // Lane of two elements, first element in the low half (little-endian).
-    let lane = |lo: i32, hi: i32| u64::from(lo as u32) | u64::from(hi as u32) << 32;
-    let mut m = Murmur::default();
-    let mut blocks = data.chunks_exact(4);
-    for b in &mut blocks {
-        m.block(lane(b[0], b[1]), lane(b[2], b[3]));
+/// Bytes [`payload_digest`] narrows at a time: a whole number of blocks.
+const RUN: usize = 256;
+
+/// [`murmur3_128`] of the elements as little-endian integers `width`
+/// bytes wide (1, 2 or 4), each element narrowed to that width — the
+/// bytes a payload's serialized base64 carries. Exact only for elements
+/// that fit the width, which the caller guarantees. The elements are
+/// narrowed a run at a time into a small stack buffer of whole blocks
+/// (so only the last run ends in a tail), which stays in L1 between the
+/// narrowing and the hashing.
+pub(crate) fn payload_digest(data: &[i32], width: usize) -> u128 {
+    fn narrow<'a>(buf: &'a mut [u8; RUN], elems: &[i32], width: usize) -> &'a [u8] {
+        let bytes = &mut buf[..elems.len() * width];
+        match width {
+            1 => bytes.iter_mut().zip(elems).for_each(|(b, &v)| *b = v as u8),
+            2 => (bytes.chunks_exact_mut(2).zip(elems))
+                .for_each(|(b, &v)| b.copy_from_slice(&(v as i16).to_le_bytes())),
+            _ => (bytes.chunks_exact_mut(4).zip(elems))
+                .for_each(|(b, &v)| b.copy_from_slice(&v.to_le_bytes())),
+        }
+        bytes
     }
-    let tail = blocks.remainder();
-    let at = |i: usize| tail.get(i).copied().unwrap_or(0);
-    m.finish(lane(at(0), at(1)), lane(at(2), 0), data.len() * 4)
+    let mut buf = [0u8; RUN];
+    let mut m = Murmur::default();
+    let mut runs = data.chunks_exact(RUN / width);
+    for run in &mut runs {
+        m.blocks(narrow(&mut buf, run, width));
+    }
+    let tail = m.blocks(narrow(&mut buf, runs.remainder(), width));
+    m.finish(tail, data.len() * width)
 }
 
 /// Writes an operator and every one of its attributes. The patterns
@@ -280,7 +305,8 @@ pub fn canonical_form(graph: &Graph) -> Vec<u8> {
         match &n.kind {
             NodeKind::Input => s.push_str("input\n"),
             NodeKind::Constant(t) => {
-                let _ = writeln!(s, "const#{:032x}", payload_digest(t.data()));
+                debug_assert!(t.is_checked(), "graph constants are range-checked");
+                let _ = writeln!(s, "const#{:032x}", t.digest());
             }
             NodeKind::Op { op, inputs } => {
                 write_op(&mut s, op);
@@ -328,7 +354,7 @@ mod tests {
 
     /// `MurmurHash3_x64_128` as published (smhasher's `MurmurHash3.cpp`),
     /// byte by byte and with its own copy of every mixing step: the
-    /// independent reference [`murmur3_128`] and [`payload_digest`] are
+    /// independent reference [`murmur3_128`] and [`Tensor::digest`] are
     /// checked against.
     fn murmur3_x64_128(bytes: &[u8], seed: u64) -> u128 {
         const C1: u64 = 0x87c3_7b91_1142_53d5;
@@ -403,20 +429,40 @@ mod tests {
         }
     }
 
-    /// The payload digest is [`murmur3_128`] of the little-endian bytes,
-    /// at every tail length (0 to 3 elements) and block count.
+    /// A constant's digest is the reference over its elements as
+    /// little-endian bytes at the dtype's native width, for every dtype:
+    /// at every tail length (0 to 15 bytes) with zero to four whole
+    /// blocks, and on both sides of a narrowing run's end.
     #[test]
     fn streaming_digest_equals_the_reference_at_every_tail_length() {
-        for len in 0..=67 {
-            for seed in 0..4 {
-                let data = random_elements(seed * 1000 + len as u64, len);
-                let bytes = le_bytes(&data);
-                assert_eq!(
-                    payload_digest(&data),
-                    murmur3_x64_128(&bytes, 0),
-                    "len {len}, seed {seed}"
-                );
-                assert_eq!(payload_digest(&data), murmur3_128(&bytes));
+        for (dtype, width) in [
+            (DType::I8, 1),
+            (DType::Ternary, 1),
+            (DType::I16, 2),
+            (DType::I32, 4),
+        ] {
+            let run = RUN / width;
+            for len in (0..80 / width).chain(run - 16..run + 16) {
+                for seed in 0..4 {
+                    let data: Vec<i32> = random_elements(seed * 1000 + len as u64, len)
+                        .into_iter()
+                        .map(|v| match dtype {
+                            DType::I8 => i32::from(v as i8),
+                            DType::Ternary => v.rem_euclid(3) - 1,
+                            DType::I16 => i32::from(v as i16),
+                            DType::I32 => v,
+                        })
+                        .collect();
+                    let bytes: Vec<u8> = (data.iter())
+                        .flat_map(|v| v.to_le_bytes()[..width].to_vec())
+                        .collect();
+                    let t = Tensor::new(dtype, &[len], data).unwrap();
+                    assert_eq!(
+                        t.digest(),
+                        murmur3_x64_128(&bytes, 0),
+                        "{dtype} len {len}, seed {seed}"
+                    );
+                }
             }
         }
     }
@@ -425,28 +471,28 @@ mod tests {
     fn any_payload_edit_changes_the_digest() {
         for len in [1, 2, 3, 4, 5, 16, 27, 64, 67] {
             let base = random_elements(len as u64, len);
-            let digest = payload_digest(&base);
+            let digest = payload_digest(&base, 4);
             for i in 0..len {
                 let mut one = base.clone();
                 one[i] = one[i].wrapping_add(1);
-                assert_ne!(payload_digest(&one), digest, "element {i} of {len}");
+                assert_ne!(payload_digest(&one, 4), digest, "element {i} of {len}");
                 for j in i + 1..len {
                     let mut swapped = base.clone();
                     swapped.swap(i, j);
                     assert_ne!(base[i], base[j], "seeded elements are distinct");
-                    assert_ne!(payload_digest(&swapped), digest, "swap {i},{j} of {len}");
+                    assert_ne!(payload_digest(&swapped, 4), digest, "swap {i},{j} of {len}");
                     // Two sign flips cancel in any sum- or xor-style mix.
                     let mut flipped = base.clone();
                     flipped[i] ^= i32::MIN;
                     flipped[j] ^= i32::MIN;
-                    assert_ne!(payload_digest(&flipped), digest, "flip {i},{j} of {len}");
+                    assert_ne!(payload_digest(&flipped, 4), digest, "flip {i},{j} of {len}");
                 }
             }
             let mut longer = base.clone();
             longer.push(0);
-            assert_ne!(payload_digest(&longer), digest, "zero appended to {len}");
+            assert_ne!(payload_digest(&longer, 4), digest, "zero appended to {len}");
         }
-        assert_ne!(payload_digest(&[0]), payload_digest(&[]));
+        assert_ne!(payload_digest(&[0], 1), payload_digest(&[], 1));
     }
 
     /// conv(+bias) built with operands declared in the given order.

@@ -1,9 +1,10 @@
 //! Concrete tensor values.
 
 use crate::base64;
+use crate::canonical::payload_digest;
 use crate::{DType, IrError, Shape};
 use serde::{DeError, Deserialize, Serialize, Sink, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A concrete integer tensor value.
 ///
@@ -38,7 +39,9 @@ use std::sync::Arc;
 /// count, so a weight travels from the imported graph through every pass
 /// into the artifact without being copied, and the first
 /// [`Tensor::data_mut`] / [`Tensor::set`] on a shared handle copies it —
-/// a write through one handle is never visible through another.
+/// a write through one handle is never visible through another. The
+/// payload's [`Tensor::digest`] is remembered next to it, so every
+/// handle sharing a payload digests it at most once.
 ///
 /// # Examples
 ///
@@ -54,7 +57,7 @@ use std::sync::Arc;
 pub struct Tensor {
     dtype: DType,
     shape: Shape,
-    data: Arc<Vec<i32>>,
+    data: Arc<Payload>,
     /// Whether every element is known to fit `dtype`: set by the
     /// constructors, cleared by a write into a non-`I32` tensor. Not part
     /// of the value — equality and the serialized form ignore it.
@@ -63,36 +66,53 @@ pub struct Tensor {
 
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
-        self.dtype == other.dtype && self.shape == other.shape && self.data == other.data
+        self.dtype == other.dtype && self.shape == other.shape && self.data() == other.data()
     }
 }
 
 impl Eq for Tensor {}
 
-/// Narrowing each element to its dtype's width is exact because every
-/// element fits the dtype: a constructor checked that, or, for a tensor
-/// written through [`Tensor::data_mut`] since, this scan does.
-///
+/// A tensor's elements and, once taken, their digest. Every handle that
+/// shares one has the same dtype, so one digest serves them all.
+#[derive(Clone)]
+struct Payload {
+    elems: Vec<i32>,
+    /// [`Tensor::digest`] of `elems`: filled by the first call, emptied
+    /// by every write. Not part of the value.
+    digest: OnceLock<u128>,
+}
+
+impl Payload {
+    fn new(elems: Vec<i32>) -> Arc<Self> {
+        Arc::new(Payload {
+            elems,
+            digest: OnceLock::new(),
+        })
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.elems.fmt(f)
+    }
+}
+
 /// # Panics
 ///
-/// Panics with the [`IrError::ValueOutOfRange`] text if such a tensor
-/// holds an out-of-range element, rather than write a different, valid
-/// tensor. No input reaches an artifact that way: every graph constant
-/// is checked as it enters the graph.
+/// Panics with the [`IrError::ValueOutOfRange`] text if a write since the
+/// last range check left an element outside the dtype, rather than write
+/// a different, valid tensor. No input reaches an artifact that way:
+/// every graph constant is checked as it enters the graph.
 impl Serialize for Tensor {
     fn emit<S: Sink>(&self, sink: &mut S) {
-        if !self.checked {
-            if let Err(e) = self.validate() {
-                panic!("{e}");
-            }
-        }
+        self.assert_narrowable();
         sink.begin_object();
         sink.key("dtype");
         self.dtype.emit(sink);
         sink.key("shape");
         self.shape.emit(sink);
         sink.key("data");
-        sink.str(&base64::encode(&self.data, native_width(self.dtype)));
+        sink.str(&base64::encode(self.data(), native_width(self.dtype)));
         sink.end_object();
     }
 }
@@ -157,7 +177,7 @@ impl Tensor {
         let tensor = Tensor {
             dtype,
             shape,
-            data: Arc::new(data),
+            data: Payload::new(data),
             checked: true,
         };
         tensor.validate()?;
@@ -224,7 +244,7 @@ impl Tensor {
         let tensor = Tensor {
             dtype,
             shape,
-            data: Arc::new(data),
+            data: Payload::new(data),
             checked: true,
         };
         if !fits {
@@ -241,7 +261,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape,
-            data: Arc::new(vec![0; n]),
+            data: Payload::new(vec![0; n]),
             checked: true,
         }
     }
@@ -257,7 +277,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape: Shape::scalar(),
-            data: Arc::new(vec![v]),
+            data: Payload::new(vec![v]),
             checked: true,
         }
     }
@@ -277,7 +297,7 @@ impl Tensor {
     /// Flat view of the element data (row-major).
     #[must_use]
     pub fn data(&self) -> &[i32] {
-        &self.data
+        &self.data.elems
     }
 
     /// Mutable flat view of the element data (row-major).
@@ -286,10 +306,54 @@ impl Tensor {
     /// the tensor's in-range record (see the [invariant](Tensor#invariant)),
     /// so [`GraphBuilder::constant`](crate::GraphBuilder::constant) checks
     /// it again; [`Tensor::validate`] checks on demand. A payload shared
-    /// with another handle is copied first.
+    /// with another handle is copied first, and the digest remembered
+    /// for it is dropped from this handle's copy.
     pub fn data_mut(&mut self) -> &mut [i32] {
         self.checked &= self.dtype == DType::I32;
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        let payload = Arc::make_mut(&mut self.data);
+        payload.digest.take();
+        &mut payload.elems
+    }
+
+    /// The 128-bit `MurmurHash3_x64_128` (seed 0) of the elements as
+    /// little-endian bytes at the dtype's native width — the bytes the
+    /// serialized form's base64 carries (see the
+    /// [serialized form](Tensor#serialized-form)). It is what
+    /// [`canonical_form`](crate::canonical_form) writes for a constant.
+    ///
+    /// Taken on the first call and remembered with the payload, so every
+    /// clone sharing it reads the same digest without touching the
+    /// elements; a write through [`Tensor::data_mut`] / [`Tensor::set`]
+    /// drops it from the written handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as serialization does, if a write since the last range
+    /// check left an element outside the dtype.
+    #[must_use]
+    pub fn digest(&self) -> u128 {
+        *self.data.digest.get_or_init(|| {
+            self.assert_narrowable();
+            payload_digest(self.data(), native_width(self.dtype))
+        })
+    }
+
+    /// Whether every element is known to fit the dtype without a scan.
+    pub(crate) fn is_checked(&self) -> bool {
+        self.checked
+    }
+
+    /// Narrowing each element to its dtype's width — what serialization
+    /// and [`Tensor::digest`] read — is exact because every element fits
+    /// the dtype: a constructor checked that, or, for a tensor written
+    /// through [`Tensor::data_mut`] since, this scan does. Panics with the
+    /// [`IrError::ValueOutOfRange`] text on an out-of-range element.
+    fn assert_narrowable(&self) {
+        if !self.checked {
+            if let Err(e) = self.validate() {
+                panic!("{e}");
+            }
+        }
     }
 
     /// Range-checks the payload unless a constructor already did since
@@ -306,7 +370,7 @@ impl Tensor {
     /// if another handle still shares it).
     #[must_use]
     pub fn into_data(self) -> Vec<i32> {
-        Arc::unwrap_or_clone(self.data)
+        Arc::unwrap_or_clone(self.data).elems
     }
 
     /// Row-major flat index for a multi-dimensional index.
@@ -333,7 +397,7 @@ impl Tensor {
     /// Panics if the index is out of bounds (see [`Tensor::flat_index`]).
     #[must_use]
     pub fn get(&self, idx: &[usize]) -> i32 {
-        self.data[self.flat_index(idx)]
+        self.data()[self.flat_index(idx)]
     }
 
     /// Sets the element at a multi-dimensional index. Like
@@ -365,12 +429,12 @@ impl Tensor {
         // A branch-free min/max pass; the search for the first offender
         // runs only when there is one.
         let (lo, hi) = self.dtype.range();
-        let (min, max) = self
-            .data
+        let data = self.data();
+        let (min, max) = data
             .iter()
             .fold((hi, lo), |(a, b), &v| (a.min(v), b.max(v)));
         if min < lo || max > hi {
-            let bad = self.data.iter().copied().find(|&v| !self.dtype.contains(v));
+            let bad = data.iter().copied().find(|&v| !self.dtype.contains(v));
             return Err(IrError::ValueOutOfRange {
                 value: bad.unwrap_or(min),
                 dtype: self.dtype,
@@ -386,7 +450,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape: self.shape.clone(),
-            data: Arc::new(self.data.iter().map(|&v| dtype.saturate(v)).collect()),
+            data: Payload::new(self.data().iter().map(|&v| dtype.saturate(v)).collect()),
             checked: true,
         }
     }
@@ -473,6 +537,49 @@ mod tests {
         original.set(&[0, 1], 7);
         assert_eq!(snapshot.data(), &[1, 2, 3, 4]);
         assert_eq!(original.data(), &[1, 7, 3, 4]);
+    }
+
+    #[test]
+    fn the_digest_is_shared_by_clones_and_dropped_by_a_write() {
+        let fresh = |data: &[i32]| {
+            Tensor::new(DType::I8, &[4], data.to_vec())
+                .unwrap()
+                .digest()
+        };
+        let original = fresh(&[1, 2, 3, 4]);
+
+        // A clone taken before the first digest reads the one it fills.
+        let a = Tensor::new(DType::I8, &[4], vec![1, 2, 3, 4]).unwrap();
+        let b = a.clone();
+        assert_eq!(b.data.digest.get(), None);
+        assert_eq!(a.digest(), original);
+        assert_eq!(b.data.digest.get(), Some(&original));
+
+        // A unique handle, through either write, digests again.
+        let mut unique = Tensor::new(DType::I8, &[4], vec![1, 2, 3, 4]).unwrap();
+        assert_eq!(unique.digest(), original);
+        unique.data_mut()[0] = 9;
+        assert_eq!(unique.digest(), fresh(&[9, 2, 3, 4]));
+        unique.set(&[3], -9);
+        assert_eq!(unique.digest(), fresh(&[9, 2, 3, -9]));
+
+        // A shared handle: the written one digests again; a clone taken
+        // before the write, with or without a digest, keeps its data and
+        // its digest.
+        let writes: [fn(&mut Tensor); 2] = [|t| t.data_mut()[0] = 5, |t| t.set(&[0], 5)];
+        for write in writes {
+            for digested in [false, true] {
+                let mut written = Tensor::new(DType::I8, &[4], vec![1, 2, 3, 4]).unwrap();
+                if digested {
+                    let _ = written.digest();
+                }
+                let kept = written.clone();
+                write(&mut written);
+                assert_eq!(written.digest(), fresh(&[5, 2, 3, 4]));
+                assert_eq!(kept.data(), &[1, 2, 3, 4]);
+                assert_eq!(kept.digest(), original);
+            }
+        }
     }
 
     #[test]
@@ -623,7 +730,7 @@ mod tests {
             ..Tensor::zeros(DType::I8, &[1])
         };
         let forged = Tensor {
-            data: Arc::new(vec![300]),
+            data: Payload::new(vec![300]),
             ..forged
         };
         assert_eq!(

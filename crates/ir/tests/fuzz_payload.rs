@@ -16,6 +16,8 @@
 //!   writes back unchanged;
 //! - every `data` payload string in it is the one written back, so no
 //!   second spelling of a payload is accepted;
+//! - every constant's digest, taken and then read back from the memo,
+//!   is `murmur3_128` of the bytes its payload string decodes to;
 //! - if its JSON framing is canonical (the text is what the JSON tree it
 //!   parses to writes), writing it back gives the mutant byte for byte.
 
@@ -23,6 +25,7 @@
 mod fuzz;
 
 use fuzz::{check, mutate, seeded, Alphabet};
+use htvm_ir::canonical::murmur3_128;
 use htvm_ir::{DType, Graph, GraphBuilder, Tensor};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -51,11 +54,50 @@ fn payloads(v: &Value) -> Vec<&Value> {
     }
 }
 
+/// The bytes a padded standard base64 text decodes to. Only texts the
+/// reader accepted reach it, so the text is well formed.
+fn decode(text: &str) -> Vec<u8> {
+    let sextet = |c: u8| match c {
+        b'A'..=b'Z' => c - b'A',
+        b'a'..=b'z' => c - b'a' + 26,
+        b'0'..=b'9' => c - b'0' + 52,
+        b'+' => 62,
+        b'/' => 63,
+        _ => panic!("{c} is not a base64 symbol"),
+    };
+    let mut out = Vec::new();
+    for quad in text.as_bytes().chunks(4) {
+        let n = quad.iter().take_while(|&&c| c != b'=').count();
+        let bits = (quad[..n].iter()).fold(0u32, |acc, &c| acc << 6 | u32::from(sextet(c)));
+        out.extend_from_slice(&(bits << (6 * (4 - n))).to_be_bytes()[1..n]);
+    }
+    out
+}
+
+/// The digest of every constant payload, in document order.
+trait Digests {
+    fn digests(&self) -> Vec<u128>;
+}
+
+impl Digests for Tensor {
+    fn digests(&self) -> Vec<u128> {
+        vec![self.digest()]
+    }
+}
+
+impl Digests for Graph {
+    fn digests(&self) -> Vec<u128> {
+        (self.nodes())
+            .filter_map(|(_, n)| n.constant().map(Tensor::digest))
+            .collect()
+    }
+}
+
 /// Reads `mutant` as a `T` and checks what the module docs promise.
 /// Returns whether the mutant was accepted.
 fn holds<T>(mutant: &[u8]) -> bool
 where
-    T: Serialize + Deserialize + PartialEq + Debug,
+    T: Serialize + Deserialize + PartialEq + Debug + Digests,
 {
     let mutant = std::str::from_utf8(mutant).expect("mutants stay UTF-8");
     let Ok(value) = serde_json::from_str::<T>(mutant) else {
@@ -68,6 +110,12 @@ where
     let tree: Value = serde_json::from_str(mutant).expect("accepted text is JSON");
     let written: Value = serde_json::from_str(&text).unwrap();
     assert_eq!(payloads(&tree), payloads(&written), "a second payload text");
+    let of_bytes: Vec<u128> = (payloads(&tree).iter())
+        .map(|p| murmur3_128(&decode(p.as_str().expect("a payload string"))))
+        .collect();
+    let taken = value.digests();
+    assert_eq!(value.digests(), taken, "the memo forgot a digest");
+    assert_eq!(taken, of_bytes, "a digest that is not its payload bytes'");
     if serde_json::to_string(&tree).unwrap() == mutant {
         assert_eq!(text, mutant, "canonical JSON, not written back as read");
     }
@@ -139,7 +187,7 @@ fn payload_spans(text: &str) -> Vec<(usize, usize)> {
 /// mutants accepted and refused.
 fn mutate_payloads_exhaustively<T>(what: &str, text: &str) -> [usize; 2]
 where
-    T: Serialize + Deserialize + PartialEq + Debug,
+    T: Serialize + Deserialize + PartialEq + Debug + Digests,
 {
     let mut tally = [0; 2];
     let surface = format!("payload-{what}");
@@ -169,7 +217,7 @@ where
 /// to four edits, half of them inside a payload.
 fn mutate_randomly<T>(what: &str, text: &str, window: u64, rounds: u64)
 where
-    T: Serialize + Deserialize + PartialEq + Debug,
+    T: Serialize + Deserialize + PartialEq + Debug + Digests,
 {
     let marks: Vec<usize> = (payload_spans(text).into_iter())
         .flat_map(|(open, close)| open..=close)

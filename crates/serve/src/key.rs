@@ -22,13 +22,18 @@
 //! under a 128-bit non-cryptographic hash. That does not happen by
 //! accident; it is not a defence against weights crafted to collide.
 //!
-//! The 128-bit FNV-1a digest of the whole key ([`ArtifactKey::id`]) is a
-//! display and routing handle — log lines, spans, entry filenames, the
-//! shard ring. It is computed once, when the key is built; cache lookup
-//! buckets by it and then compares the full bytes.
+//! The 128-bit `MurmurHash3_x64_128` digest of the whole key
+//! ([`htvm_ir::canonical::murmur3_128`], the payloads' hash over plain
+//! bytes; a soak-mix key is several kilobytes, so a hash that reads eight
+//! bytes per step) is [`ArtifactKey::id`]: a display and routing handle
+//! — log lines, spans, entry filenames, the shard ring. It is computed
+//! once, when the key is built; cache lookup buckets by it and then
+//! compares the full bytes. The ring places that id with FNV-1a (see
+//! `shard.rs`), a short input.
 
 use htvm::{DeployConfig, DianaConfig, LowerOptions};
-use htvm_ir::{canonical_form, fnv128, Graph};
+use htvm_ir::canonical::murmur3_128;
+use htvm_ir::{canonical_form, Graph};
 use serde::Serialize;
 use std::hash::{Hash, Hasher};
 
@@ -93,7 +98,7 @@ impl KeyContext {
 #[derive(Clone)]
 pub struct ArtifactKey {
     bytes: Vec<u8>,
-    /// [`fnv128`] of `bytes`, taken once at construction.
+    /// [`murmur3_128`] of `bytes`, taken once at construction.
     digest: u128,
 }
 
@@ -112,7 +117,7 @@ impl ArtifactKey {
         KeyContext::new(platform_id, platform, opts).key(graph, deploy)
     }
 
-    /// The 128-bit FNV-1a digest of the encoded key, as 32 hex digits.
+    /// The 128-bit MurmurHash3 digest of the encoded key, as 32 hex digits.
     /// A display handle for logs, spans, entry filenames and the shard
     /// ring — cache lookup always compares the full bytes as well.
     #[must_use]
@@ -145,7 +150,7 @@ impl ArtifactKey {
     /// recorded digest against [`ArtifactKey::id`] before using one.
     #[must_use]
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let digest = fnv128(&bytes);
+        let digest = murmur3_128(&bytes);
         ArtifactKey { bytes, digest }
     }
 }
@@ -161,7 +166,7 @@ impl Eq for ArtifactKey {}
 impl Hash for ArtifactKey {
     /// Feeds the stored digest — a function of `bytes`, so equal keys
     /// hash equally — instead of re-hashing kilobytes on every probe.
-    /// Keys built to share an FNV digest would share a bucket; every
+    /// Keys built to share a digest would share a bucket; every
     /// map keyed by this type is small and bounded (the cache by its
     /// byte budget, the in-flight table by the requests in flight, a
     /// batch's leader table by the batch), and equality still reads the

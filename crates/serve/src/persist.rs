@@ -71,7 +71,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   artifact does not re-serialize to those bytes is skipped. Keys and
 ///   artifact bytes did not change; a format-4 entry has no digest, so
 ///   its envelope no longer parses and it is skipped.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+/// - `6`: a constant payload's digest reads its elements at the dtype's
+///   native width (one byte for `I8` and `Ternary`, two for `I16`)
+///   instead of widened to `i32`, and the key id is `MurmurHash3_x64_128`
+///   of the key bytes instead of FNV-1a. Artifact bytes did not change,
+///   but every key holding a non-`I32` constant, and every key id, did:
+///   a format-5 entry sits under a key id no format-6 key has.
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version

@@ -12,10 +12,14 @@
 //! between old ones. Shrinking is the mirror image.
 //!
 //! Hashing is the repo's own FNV-128 ([`htvm_ir::fnv128`]) behind a
-//! fixed xorshift-multiply finalizer, not `std`'s seeded
-//! `RandomState`, so the assignment is deterministic across processes
-//! and machines — two front doors built on different days route
-//! identically, which the shard property tests pin down. The
+//! fixed xorshift-multiply finalizer, not `std`'s seeded `RandomState`,
+//! so the assignment is deterministic across processes and machines —
+//! two front doors built on different days route identically, which the
+//! shard property tests pin down. FNV reads a byte per step, which suits
+//! the ring's short routing ids (a 32-hex-digit key id, a
+//! `shard:{owner}:vnode:{vnode}` point name); this is the one place the
+//! service still uses it, and the key id itself is
+//! `MurmurHash3_x64_128` of the encoded key (see `key.rs`). The
 //! finalizer matters: raw FNV-1a of near-identical short strings
 //! (`shard:0:vnode:1` vs `shard:0:vnode:2`) clusters on the circle,
 //! and clustered points make the load split wildly unfair.

@@ -106,3 +106,39 @@ fn cold_import_compiles_identically_to_cold_in_process() {
         "cold compiles from both paths must be byte-identical"
     );
 }
+
+#[test]
+fn every_zoo_model_keys_identically_through_the_importer_and_the_builder() {
+    // A constant's digest is remembered with its payload: the first
+    // canonical form of a graph reads its weights, and a second one, or
+    // one of a clone, reads the remembered digests instead. Both paths
+    // must give the fresh form, and the imported graph (weights widened
+    // from native-width HTF bytes) the built one's.
+    let service = service();
+    for scheme in [QuantScheme::Mixed, QuantScheme::Int8] {
+        for model in all_models(scheme) {
+            let bytes = emit(&model.graph).expect("zoo models emit");
+            let imported = service
+                .import_model(model.name, &bytes)
+                .unwrap_or_else(|e| panic!("{} imports: {e}", model.name));
+            let first = canonical_form(&imported);
+            assert_eq!(canonical_form(&imported), first, "{}", model.name);
+            assert_eq!(canonical_form(&model.graph), first, "{}", model.name);
+            assert_eq!(
+                canonical_form(&model.graph.clone()),
+                first,
+                "{}",
+                model.name
+            );
+            for deploy in [DeployConfig::Both, DeployConfig::Digital] {
+                let key = |graph: &htvm_ir::Graph| {
+                    let job = JobRequest::compile_only(model.name, graph.clone(), deploy);
+                    service.key_of(&job).expect("the default platform routes")
+                };
+                let (built, filed) = (key(&model.graph), key(&imported));
+                assert_eq!(built, filed, "{} {deploy:?}", model.name);
+                assert_eq!(built.id(), filed.id(), "{} {deploy:?}", model.name);
+            }
+        }
+    }
+}

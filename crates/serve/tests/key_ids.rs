@@ -13,16 +13,16 @@ use htvm_serve::{CompileService, JobRequest, ServeConfig};
 /// (`htvm_bench::serve_bench::request_mix`).
 #[rustfmt::skip]
 const KEYS: [(&str, DeployConfig, &str); 10] = [
-    ("ds_cnn", DeployConfig::Both, "6372ca7d601ff0f56963a317f7225c80"),
-    ("mobilenet_v1", DeployConfig::Both, "667d878326fb6bbde4a8841929314371"),
-    ("resnet8", DeployConfig::Both, "fb9f18ab11f2ac918be9836c46188f6b"),
-    ("toyadmos_dae", DeployConfig::Both, "e74512670fe1484adcc45097a27860b7"),
-    ("tiny_transformer", DeployConfig::Both, "ff439762fb2c4a643fe176dcf0975d44"),
-    ("ds_cnn", DeployConfig::Digital, "abcc23945a79a59497b04987a78738dd"),
-    ("mobilenet_v1", DeployConfig::Digital, "f168e6b3d60221e052f3272f85ea4b9b"),
-    ("resnet8", DeployConfig::Digital, "28ad1738d06795de2be7f74a8f1dce14"),
-    ("toyadmos_dae", DeployConfig::Digital, "cae7becd97e96065a8cc7acbdbab7e37"),
-    ("tiny_transformer", DeployConfig::Digital, "caaf526643329432f300c73a2734686b"),
+    ("ds_cnn", DeployConfig::Both, "4eda50d9b2f88a161b6357788b270c69"),
+    ("mobilenet_v1", DeployConfig::Both, "665118aa7fa79225325e971566495fee"),
+    ("resnet8", DeployConfig::Both, "eb47e9464c94a46c7100d0ecddc373ee"),
+    ("toyadmos_dae", DeployConfig::Both, "d01d82e4baf548997626ccfeb05bcf91"),
+    ("tiny_transformer", DeployConfig::Both, "84bf24ab285af554e91f3d25b58c6cec"),
+    ("ds_cnn", DeployConfig::Digital, "89b47792bc8774a027334cfd77d61b15"),
+    ("mobilenet_v1", DeployConfig::Digital, "c1965127b351ca3dd4721b8d6dac711e"),
+    ("resnet8", DeployConfig::Digital, "4f8ce655eccda139a2b6e3ea113628ae"),
+    ("toyadmos_dae", DeployConfig::Digital, "c46dd4d510daf6df0462495ce15318b8"),
+    ("tiny_transformer", DeployConfig::Digital, "60747c0479d1282687214fbf702e9108"),
 ];
 
 #[test]

@@ -8,7 +8,7 @@
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
 //!
-//! Four fixtures are not damaged at all; each is an entry exactly as the
+//! Five fixtures are not damaged at all; each is an entry exactly as the
 //! last build of its format wrote it (digest, filename and compiler
 //! stamp all match, and that build re-admits it), and each must be
 //! skipped on its format alone:
@@ -26,10 +26,15 @@
 //!   (a base64 weight payload and a CPU segment). Its key and artifact
 //!   bytes are what this build writes, but it has no artifact digest;
 //!   format 5 checks one.
+//! - `ff397f6f….json`, format 5, the same conv → softmax graph under
+//!   `Digital`. Its artifact bytes and artifact digest are what this
+//!   build writes, but its key id is FNV-1a of key bytes whose weight
+//!   digest read the `I8` payload widened to `i32`; format 6 digests a
+//!   payload at its native width and the key with MurmurHash3.
 //!
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
-//! the current format with the constant, so each still fails the one
-//! check it was written for.
+//! the current format with the constant (renamed to their new key ids),
+//! so each still fails the one check it was written for.
 //!
 //! Three more entries are hostile rather than stale: written at run
 //! time from a real compiled artifact, each carries one edit. Two are
@@ -53,13 +58,14 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 9;
+const FIXTURE_ENTRIES: u64 = 10;
 
-/// The well-formed format-1 to format-4 entries, by key id.
+/// The well-formed format-1 to format-5 entries, by key id.
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
 const FORMAT_4_ENTRY: &str = "6ca838bf4d67d56101c87af13b7bff76";
+const FORMAT_5_ENTRY: &str = "ff397f6f57a7a2f319514d39b61dd63d";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -72,8 +78,10 @@ fn layout_constants_are_pinned() {
     // and the key the flag that selected it. Format 3 -> 4 kept every
     // key but rewrote every tensor payload from decimal text to base64.
     // Format 4 -> 5 kept keys and artifact bytes and added the envelope's
-    // artifact digest.
-    assert_eq!(CACHE_FORMAT_VERSION, 5);
+    // artifact digest. Format 5 -> 6 kept artifact bytes and moved every
+    // key id: payloads are digested at their native width, and the key
+    // with MurmurHash3 instead of FNV-1a.
+    assert_eq!(CACHE_FORMAT_VERSION, 6);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
 }
 
@@ -134,6 +142,78 @@ fn a_well_formed_format_4_entry_is_skipped_on_its_format_alone() {
 }
 
 #[test]
+fn a_well_formed_format_5_entry_is_skipped_on_its_format_alone() {
+    let text = skipped_on_its_format_alone(5, FORMAT_5_ENTRY);
+    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let key_bytes = hex_decode(entry["key_hex"].as_str().unwrap());
+    assert_eq!(
+        format!("{:032x}", htvm_ir::fnv128(&key_bytes)),
+        FORMAT_5_ENTRY,
+        "a format-5 key id is FNV-1a of the key bytes"
+    );
+
+    // This build writes the same artifact for the same job, under a
+    // different key and key id.
+    let scratch = std::env::temp_dir().join(format!("htvm-compat-f5-now-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let service = CompileService::new(ServeConfig {
+        workers: 1,
+        cache_budget_bytes: 64 << 20,
+        tracer: htvm::Tracer::disabled(),
+        persist_root: Some(scratch.clone()),
+        ..ServeConfig::default()
+    });
+    let result = service
+        .submit(JobRequest::compile_only(
+            "f5",
+            conv_softmax_graph(),
+            DeployConfig::Digital,
+        ))
+        .expect("compiles");
+    let now = std::fs::read_to_string(scratch.join(format!("v1/diana/{}.json", result.key_id)))
+        .expect("entry spilled");
+    let now: serde_json::Value = serde_json::from_str(&now).unwrap();
+    assert_ne!(result.key_id, FORMAT_5_ENTRY);
+    assert_ne!(now["key_hex"], entry["key_hex"]);
+    assert_eq!(now["artifact_digest"], entry["artifact_digest"]);
+    assert_eq!(now["artifact"], entry["artifact"]);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+fn hex_decode(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+/// The three current-format fixtures each break exactly the check named
+/// for them, and pass every check that runs before it.
+#[test]
+fn current_format_fixtures_fail_only_the_check_they_were_written_for() {
+    for (file, breaks) in [
+        ("00000000000000000000000000000000", "key digest"),
+        ("3a69ab21a84716c2ceb261c440da6443", "artifact"),
+        ("b3d6568defd1e3a347ce91054235e353", "compiler stamp"),
+    ] {
+        let path = fixture_root().join(format!("v1/diana/{file}.json"));
+        let text = std::fs::read_to_string(path).expect("fixture reads");
+        let entry: serde_json::Value = serde_json::from_str(&text).expect("an envelope");
+        assert_eq!(entry["format"], CACHE_FORMAT_VERSION, "{file}");
+        assert!(entry["artifact_digest"].as_str().is_some(), "{file}");
+        assert_eq!(
+            entry["compiler"] == compiler_stamp().as_str(),
+            breaks != "compiler stamp",
+            "{file}"
+        );
+        let key =
+            htvm_serve::ArtifactKey::from_bytes(hex_decode(entry["key_hex"].as_str().unwrap()));
+        assert_eq!(entry["key_id"], file, "{file}");
+        assert_eq!(key.id() == file, breaks != "key digest", "{file}");
+    }
+}
+
+#[test]
 fn stale_and_damaged_v1_entries_are_skipped_not_fatal() {
     let store = PersistStore::open(&fixture_root(), "diana").expect("fixture dir opens");
     let cache = ArtifactCache::new(64 << 20);
@@ -186,7 +266,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":5,"#));
+    assert!(spilled.starts_with(r#"{"format":6,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }
