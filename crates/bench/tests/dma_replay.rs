@@ -27,7 +27,7 @@ fn artifact_dma_table_is_each_step_linearized_across_the_zoo() {
                 continue;
             };
             let platform = compiler.platform();
-            let mut expected = DmaTable::new(platform);
+            let mut expected = DmaTable::default();
             for (idx, step) in artifact.program.steps.iter().enumerate() {
                 if let Step::Accel { engine, desc, .. } = step {
                     expected.insert(idx, linearize_step(platform, *engine, desc));

@@ -56,6 +56,7 @@ impl Default for BinarySizeModel {
 
 /// A modeled binary size, split into code and constant data.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BinarySize {
     /// Runtime + kernel code bytes.
     pub code: usize,

@@ -10,10 +10,9 @@
 //! than spawning threads to split them, so nothing here fans out;
 //! parallelism lives one level up, in `htvm-serve`'s worker pool.
 
+use crate::artifact::accel_step_name;
 use crate::binsize::{binary_size, BinarySizeModel};
-use crate::{
-    extract, fuse_cpu_nodes, Artifact, CompileStats, ExtractedLayer, LayerAssignment, LowerError,
-};
+use crate::{extract, fuse_cpu_nodes, Artifact, CompileStats, ExtractedLayer, LowerError};
 use htvm_dory::memplan::{plan, BufferReq, OutOfMemory};
 use htvm_dory::{solve, ArrayDims, MemoryBudget, TileCache, TileSolution, TilingObjective};
 use htvm_ir::{Graph, GraphBuilder, NodeId, NodeKind};
@@ -209,7 +208,7 @@ pub fn lower(
             .then(|| (tracer.elapsed_us(), Instant::now()));
         let result = solve_inner(region);
         if let Some((start, opened)) = started {
-            let name = format!("{}_{}", region.pattern, region.m.root.index());
+            let name = accel_step_name(&region.pattern, region.m.root.index());
             let mut span = Span::new(
                 &name,
                 tracks::REGIONS,
@@ -280,8 +279,7 @@ pub fn lower(
     let emit_t0 = tracer.elapsed_us();
     let emit_start = Instant::now();
     let mut steps: Vec<Step> = Vec::new();
-    let mut dma_table = DmaTable::new(cfg);
-    let mut assignments: Vec<LayerAssignment> = Vec::new();
+    let mut dma_table = DmaTable::default();
     let mut producer_step: HashMap<BufferId, usize> = HashMap::new();
     let mut last_consumer: HashMap<BufferId, usize> = HashMap::new();
 
@@ -315,14 +313,7 @@ pub fn lower(
                 };
                 let output = declare(out_node, kind, &mut buffers);
                 buffer_of.insert(out_node, output);
-                let name = format!("{}_{}", region.pattern, out_node.index());
-                assignments.push(LayerAssignment {
-                    name: name.clone(),
-                    engine,
-                    pattern: Some(region.pattern.clone()),
-                    macs: e.geom.macs(),
-                    n_tiles: solution.n_tiles,
-                });
+                let name = accel_step_name(&region.pattern, out_node.index());
                 last_consumer.insert(input, step_idx);
                 if let Some(i2) = input2 {
                     last_consumer.insert(i2, step_idx);
@@ -361,13 +352,6 @@ pub fn lower(
                 buffer_of.insert(out_node, output);
                 producer_step.insert(output, step_idx);
                 let name = format!("cpu_{}", out_node.index());
-                assignments.push(LayerAssignment {
-                    name: name.clone(),
-                    engine: EngineKind::Cpu,
-                    pattern: None,
-                    macs: segment.total_macs(),
-                    n_tiles: 1,
-                });
                 steps.push(Step::CpuFused {
                     name,
                     graph: segment,
@@ -476,7 +460,6 @@ pub fn lower(
             dma: dma_table,
         },
         binary,
-        assignments,
         stats,
     })
 }
@@ -583,7 +566,7 @@ mod tests {
         // The recorded DMA table is exactly every accelerator step
         // linearized for the platform it was compiled for.
         let cfg = DianaConfig::default();
-        let mut expected = DmaTable::new(&cfg);
+        let mut expected = DmaTable::default();
         for (step_idx, step) in artifact.program.steps.iter().enumerate() {
             if let Step::Accel { engine, desc, .. } = step {
                 expected.insert(step_idx, linearize_step(&cfg, *engine, desc));

@@ -107,9 +107,7 @@ pub fn single_layer_program(geom: &LayerGeometry, tile: TileConfig, engine: Engi
         inputs,
         outputs: vec![out_id],
         activation_peak,
-        // Characterization programs carry no platform-pinned descriptor
-        // table: the harness sweeps configs, so the machine linearizes
-        // each step for the config it runs.
+        // The machine linearizes each step for the config it runs.
         dma: htvm_soc::DmaTable::default(),
     }
 }

@@ -24,6 +24,7 @@ pub enum LayerKind {
 /// paper's Eq. 1–5 (`C`, `K`, `i_x`, `i_y`, filter, strides, padding) plus
 /// the operand precisions that determine byte sizes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LayerGeometry {
     /// Layer kind.
     pub kind: LayerKind,

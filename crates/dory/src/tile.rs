@@ -12,6 +12,7 @@ use std::ops::Range;
 /// paper's heuristics reference (Eq. 4–5) follow from the halo formula
 /// `i^t = (o^t − 1)·s + f` and are available via [`TileConfig::in_dims`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TileConfig {
     /// Input-channel (reduction) slice `Cᵗ`.
     pub c_t: usize,

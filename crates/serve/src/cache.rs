@@ -215,7 +215,6 @@ mod tests {
                 dma: Default::default(),
             },
             binary: Default::default(),
-            assignments: vec![],
             stats: Default::default(),
         }
     }

@@ -77,7 +77,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   of the key bytes instead of FNV-1a. Artifact bytes did not change,
 ///   but every key holding a non-`I32` constant, and every key id, did:
 ///   a format-5 entry sits under a key id no format-6 key has.
-pub const CACHE_FORMAT_VERSION: u32 = 6;
+/// - `7`: an artifact stores only what its steps cannot give back. It
+///   lost its per-layer `assignments` rows (a view over the steps) and
+///   the DMA table's platform stamp, and both it and this envelope
+///   refuse a member they do not declare. Keys did not change, so a
+///   format-6 entry is still under a reachable key, but its artifact no
+///   longer parses.
+pub const CACHE_FORMAT_VERSION: u32 = 7;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version
@@ -115,6 +121,7 @@ pub struct PersistStats {
 /// older build is skipped on its stamp even when the artifact shape
 /// changed underneath it.
 #[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct PersistEntry {
     format: u32,
     compiler: String,

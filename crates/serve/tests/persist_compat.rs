@@ -8,7 +8,7 @@
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
 //!
-//! Five fixtures are not damaged at all; each is an entry exactly as the
+//! Six fixtures are not damaged at all; each is an entry exactly as the
 //! last build of its format wrote it (digest, filename and compiler
 //! stamp all match, and that build re-admits it), and each must be
 //! skipped on its format alone:
@@ -31,6 +31,11 @@
 //!   build writes, but its key id is FNV-1a of key bytes whose weight
 //!   digest read the `I8` payload widened to `i32`; format 6 digests a
 //!   payload at its native width and the key with MurmurHash3.
+//! - `f750abe5….json`, format 6, the same conv → softmax graph under
+//!   `Digital`. Its key id is what this build computes, and its artifact
+//!   is what this build writes plus the per-layer `assignments` rows and
+//!   the DMA table's platform stamp; format 7 stores neither, and its
+//!   artifact refuses a member it does not declare.
 //!
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
 //! the current format with the constant (renamed to their new key ids),
@@ -58,14 +63,15 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 10;
+const FIXTURE_ENTRIES: u64 = 11;
 
-/// The well-formed format-1 to format-5 entries, by key id.
+/// The well-formed format-1 to format-6 entries, by key id.
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
 const FORMAT_4_ENTRY: &str = "6ca838bf4d67d56101c87af13b7bff76";
 const FORMAT_5_ENTRY: &str = "ff397f6f57a7a2f319514d39b61dd63d";
+const FORMAT_6_ENTRY: &str = "f750abe552658381ae828495ed33b377";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -80,9 +86,16 @@ fn layout_constants_are_pinned() {
     // Format 4 -> 5 kept keys and artifact bytes and added the envelope's
     // artifact digest. Format 5 -> 6 kept artifact bytes and moved every
     // key id: payloads are digested at their native width, and the key
-    // with MurmurHash3 instead of FNV-1a.
-    assert_eq!(CACHE_FORMAT_VERSION, 6);
+    // with MurmurHash3 instead of FNV-1a. Format 6 -> 7 kept every key
+    // and dropped the artifact's per-layer rows and DMA-table stamp.
+    assert_eq!(CACHE_FORMAT_VERSION, 7);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
+}
+
+/// The committed `key_id` entry's text.
+fn read_fixture(key_id: &str) -> String {
+    std::fs::read_to_string(fixture_root().join(format!("v1/diana/{key_id}.json")))
+        .expect("fixture reads")
 }
 
 /// Loads the committed `key_id` entry alone in a scratch directory (so
@@ -91,8 +104,7 @@ fn layout_constants_are_pinned() {
 /// build's) nor the filename (the entry's key id) is what kept it out.
 fn skipped_on_its_format_alone(format: u32, key_id: &str) -> String {
     let file = format!("{key_id}.json");
-    let text = std::fs::read_to_string(fixture_root().join("v1/diana").join(&file))
-        .expect("fixture reads");
+    let text = read_fixture(key_id);
     let header = format!(
         r#"{{"format":{format},"compiler":"{}","key_id":"{key_id}","#,
         compiler_stamp()
@@ -152,9 +164,30 @@ fn a_well_formed_format_5_entry_is_skipped_on_its_format_alone() {
         "a format-5 key id is FNV-1a of the key bytes"
     );
 
-    // This build writes the same artifact for the same job, under a
-    // different key and key id.
-    let scratch = std::env::temp_dir().join(format!("htvm-compat-f5-now-{}", std::process::id()));
+    // Format 6 wrote the same artifact for the same job, under a
+    // different key and key id (the format-6 test below ties that entry
+    // to what this build writes).
+    let then: serde_json::Value =
+        serde_json::from_str(&read_fixture(FORMAT_6_ENTRY)).expect("an envelope");
+    assert_ne!(then["key_id"], entry["key_id"]);
+    assert_ne!(then["key_hex"], entry["key_hex"]);
+    assert_eq!(then["artifact_digest"], entry["artifact_digest"]);
+    assert_eq!(then["artifact"], entry["artifact"]);
+}
+
+#[test]
+fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
+    let text = skipped_on_its_format_alone(6, FORMAT_6_ENTRY);
+    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let stored = serde_json::to_string(&entry["artifact"]).unwrap();
+    let err = serde_json::from_str::<htvm::Artifact>(&stored)
+        .expect_err("a format-6 artifact carries a member format 7 does not declare")
+        .to_string();
+    assert!(err.contains("assignments"), "{err}");
+
+    // This build writes the same job under the same key id, and its
+    // artifact is the format-6 text without the two stored copies.
+    let scratch = std::env::temp_dir().join(format!("htvm-compat-f6-now-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
     let service = CompileService::new(ServeConfig {
         workers: 1,
@@ -165,18 +198,28 @@ fn a_well_formed_format_5_entry_is_skipped_on_its_format_alone() {
     });
     let result = service
         .submit(JobRequest::compile_only(
-            "f5",
+            "f6",
             conv_softmax_graph(),
             DeployConfig::Digital,
         ))
         .expect("compiles");
+    assert_eq!(result.key_id, FORMAT_6_ENTRY);
     let now = std::fs::read_to_string(scratch.join(format!("v1/diana/{}.json", result.key_id)))
         .expect("entry spilled");
     let now: serde_json::Value = serde_json::from_str(&now).unwrap();
-    assert_ne!(result.key_id, FORMAT_5_ENTRY);
-    assert_ne!(now["key_hex"], entry["key_hex"]);
-    assert_eq!(now["artifact_digest"], entry["artifact_digest"]);
-    assert_eq!(now["artifact"], entry["artifact"]);
+    assert_eq!(now["key_hex"], entry["key_hex"]);
+    // The rows are the artifact's last member, the stamp the table's
+    // first: cut both, then close the artifact object again.
+    let (fields, rows) = stored
+        .rsplit_once(r#","assignments":["#)
+        .expect("a format-6 artifact stores its rows");
+    assert_eq!(rows.matches(r#""name":"#).count(), 2, "one row per step");
+    let (head, stamped) = fields
+        .split_once(r#""dma":{"platform_digest":"#)
+        .expect("a format-6 DMA table is stamped");
+    let entries = &stamped[stamped.find(',').expect("entries follow the stamp") + 1..];
+    let then = format!(r#"{head}"dma":{{{entries}}}"#);
+    assert_eq!(serde_json::to_string(&now["artifact"]).unwrap(), then);
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
@@ -196,9 +239,8 @@ fn current_format_fixtures_fail_only_the_check_they_were_written_for() {
         ("3a69ab21a84716c2ceb261c440da6443", "artifact"),
         ("b3d6568defd1e3a347ce91054235e353", "compiler stamp"),
     ] {
-        let path = fixture_root().join(format!("v1/diana/{file}.json"));
-        let text = std::fs::read_to_string(path).expect("fixture reads");
-        let entry: serde_json::Value = serde_json::from_str(&text).expect("an envelope");
+        let entry: serde_json::Value =
+            serde_json::from_str(&read_fixture(file)).expect("an envelope");
         assert_eq!(entry["format"], CACHE_FORMAT_VERSION, "{file}");
         assert!(entry["artifact_digest"].as_str().is_some(), "{file}");
         assert_eq!(
@@ -266,7 +308,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":6,"#));
+    assert!(spilled.starts_with(r#"{"format":7,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

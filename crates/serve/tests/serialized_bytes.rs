@@ -5,10 +5,11 @@
 //!
 //! The manifest constant was computed at commit 71f6be0, when the
 //! vendored serializer still built a `Value` tree and printed that; the
-//! artifact constants at cache format 4, whose artifact stores each
-//! accelerator step once and writes every tensor payload as base64 of
-//! its native-width bytes. A serializer change that alters one byte of
-//! any of them fails here, not in a run log.
+//! artifact constants at cache format 7, whose artifact stores only what
+//! its steps cannot give back: each accelerator step once, every tensor
+//! payload as base64 of its native-width bytes, no per-layer rows and no
+//! platform stamp on the DMA table. A serializer change that alters one
+//! byte of any of them fails here, not in a run log.
 
 use htvm::{Compiler, DeployConfig};
 use htvm_models::{all_models, QuantScheme};
@@ -24,18 +25,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// (`htvm_bench::serve_bench::request_mix`).
 #[rustfmt::skip]
 const ARTIFACTS: [(&str, DeployConfig, usize, u64); 10] = [
-    ("ds_cnn", DeployConfig::Both, 42_096, 0x89eb_b452_9fd8_5d0e),
-    ("mobilenet_v1", DeployConfig::Both, 318_149, 0x977e_6a58_db39_5e9e),
-    ("resnet8", DeployConfig::Both, 117_222, 0x4a28_65b1_3c8b_6551),
-    ("toyadmos_dae", DeployConfig::Both, 370_401, 0x1990_8a03_23dc_d4c1),
-    ("tiny_transformer", DeployConfig::Both, 222_871, 0xc0f5_43fa_88da_4cfe),
-    ("ds_cnn", DeployConfig::Digital, 42_224, 0xa384_3e10_56e4_c4ee),
-    ("mobilenet_v1", DeployConfig::Digital, 318_557, 0x9205_1664_4f4b_b764),
-    ("resnet8", DeployConfig::Digital, 117_463, 0xf743_4c2f_13cc_2c3c),
-    ("toyadmos_dae", DeployConfig::Digital, 370_647, 0xb4f3_3c25_f2a5_730b),
+    ("ds_cnn", DeployConfig::Both, 40_791, 0x8ec2_0a4a_5dd0_1118),
+    ("mobilenet_v1", DeployConfig::Both, 314_808, 0xe51d_a11b_8b0f_5e47),
+    ("resnet8", DeployConfig::Both, 115_657, 0x8800_fcfe_38f6_46c4),
+    ("toyadmos_dae", DeployConfig::Both, 369_277, 0x86be_1ef5_2da4_0837),
+    ("tiny_transformer", DeployConfig::Both, 222_299, 0xd452_fdac_8034_6ed4),
+    ("ds_cnn", DeployConfig::Digital, 40_915, 0x8fc3_1468_86b3_c584),
+    ("mobilenet_v1", DeployConfig::Digital, 315_203, 0x35b8_21f5_1731_d8b7),
+    ("resnet8", DeployConfig::Digital, 115_890, 0x673b_36b6_f359_3f9d),
+    ("toyadmos_dae", DeployConfig::Digital, 369_515, 0x7fa1_88fc_c478_3acf),
     // The same graph under Mixed and Int8, and no analog layer either
     // way: only the cache key's deploy suffix tells these two apart.
-    ("tiny_transformer", DeployConfig::Digital, 222_871, 0xc0f5_43fa_88da_4cfe),
+    ("tiny_transformer", DeployConfig::Digital, 222_299, 0xd452_fdac_8034_6ed4),
 ];
 
 const MANIFEST: (usize, u64) = (3762, 0x3fed_f2bf_6fb0_53c4);
@@ -54,6 +55,7 @@ fn soak_mix_artifacts_serialize_to_the_pinned_bytes() {
                 .expect("zoo models compile under Both and Digital");
             let json = serde_json::to_string(&artifact).unwrap();
             assert!(!json.contains(r#""fallbacks""#), "a step is stored once");
+            assert!(!json.contains(r#""assignments""#), "rows are a view");
             assert!(!json.contains(r#""data":["#), "payloads are base64 text");
             seen.push((model.name, deploy, json.len(), fnv1a64(json.as_bytes())));
         }
@@ -63,7 +65,7 @@ fn soak_mix_artifacts_serialize_to_the_pinned_bytes() {
         assert_eq!(*got, *want);
     }
     // The benchmark's `codegen.artifact_bytes` for one serve_cold round.
-    assert_eq!(seen.iter().map(|r| r.2).sum::<usize>(), 2_142_501);
+    assert_eq!(seen.iter().map(|r| r.2).sum::<usize>(), 2_126_654);
 }
 
 #[test]

@@ -45,6 +45,7 @@ pub enum DmaDir {
 
 /// One pre-resolved DMA transaction of an accelerator step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DmaDescriptor {
     /// What the transaction moves.
     pub dir: DmaDir,
@@ -58,6 +59,7 @@ pub struct DmaDescriptor {
 /// transaction in issue order, plus the loop-invariant cycle sums that
 /// replay needs (compute, fused pooling, analog row programming).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StepDma {
     /// Tile instances the step executes (drives per-tile host overhead
     /// and the double-buffering fill estimate).
@@ -76,32 +78,19 @@ pub struct StepDma {
 }
 
 /// The compiler's record of the DMA programs of a
-/// [`Program`](crate::Program)'s accelerator steps, keyed by step index
-/// and stamped with a digest of the [`DianaConfig`] they were linearized
-/// against.
+/// [`Program`](crate::Program)'s accelerator steps, keyed by step index.
 ///
 /// A sorted vector rather than a map keeps the serialized form stable
 /// and human-readable. The [`Machine`](crate::Machine) never reads it:
 /// it linearizes every step for its own configuration, so a table can
 /// only describe a run, never alter one.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DmaTable {
-    /// FNV-1a digest of the serialized platform configuration the
-    /// descriptors were linearized against; 0 only for the empty default.
-    platform_digest: u64,
     entries: Vec<(usize, StepDma)>,
 }
 
 impl DmaTable {
-    /// An empty table pinned to `cfg`; populate with [`DmaTable::insert`].
-    #[must_use]
-    pub fn new(cfg: &DianaConfig) -> Self {
-        DmaTable {
-            platform_digest: platform_digest(cfg),
-            entries: Vec::new(),
-        }
-    }
-
     /// Registers (or replaces) the DMA program for step `step`.
     pub fn insert(&mut self, step: usize, program: StepDma) {
         match self.entries.binary_search_by_key(&step, |(s, _)| *s) {
@@ -126,19 +115,6 @@ impl DmaTable {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &StepDma)> {
         self.entries.iter().map(|(s, p)| (*s, p))
     }
-}
-
-/// FNV-1a digest of a platform configuration's canonical serialization.
-/// Serde gives a stable field order, so equal configs digest equally and
-/// any cost-relevant field change re-keys the table.
-fn platform_digest(cfg: &DianaConfig) -> u64 {
-    let json = serde_json::to_string(cfg).expect("DianaConfig serializes");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Fused output-pooling cycles for one accelerator layer: runs in the
@@ -375,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn table_is_pinned_to_its_platform() {
+    fn table_insert_replaces_an_entry() {
         let cfg = DianaConfig::default();
         let desc = conv_desc(TileConfig {
             c_t: 4,
@@ -384,20 +360,11 @@ mod tests {
             ox_t: 8,
         });
         let program = linearize_step(&cfg, EngineKind::Digital, &desc);
-        let mut table = DmaTable::new(&cfg);
+        let mut table = DmaTable::default();
         table.insert(0, StepDma::default());
         table.insert(0, program.clone());
         let entries: Vec<(usize, &StepDma)> = table.iter().collect();
         assert_eq!(entries, vec![(0, &program)], "insert replaces an entry");
-
-        let mut other = cfg;
-        other.dma.setup_cycles += 1;
-        assert_ne!(
-            DmaTable::new(&cfg),
-            DmaTable::new(&other),
-            "any cost-relevant config change must re-key the table"
-        );
-        assert_ne!(DmaTable::new(&cfg), DmaTable::default());
     }
 
     #[test]
@@ -409,7 +376,7 @@ mod tests {
             oy_t: 4,
             ox_t: 8,
         });
-        let mut table = DmaTable::new(&cfg);
+        let mut table = DmaTable::default();
         table.insert(0, linearize_step(&cfg, EngineKind::Digital, &desc));
         let json = serde_json::to_string(&table).unwrap();
         let back: DmaTable = serde_json::from_str(&json).unwrap();

@@ -1301,9 +1301,8 @@ mod tests {
 
     #[test]
     fn forged_dma_table_cannot_change_a_run() {
-        // The machine never reads `Program::dma`: a table for another
-        // platform, a stale tile count, arbitrary descriptors under this
-        // platform's own digest, or an entry at a CPU step all run exactly
+        // The machine never reads `Program::dma`: a stale tile count,
+        // arbitrary descriptors, or an entry at a CPU step all run exactly
         // like the same program with an empty table, faults included.
         use crate::{DmaDescriptor, DmaTable, StepDma};
         let tile = TileConfig {
@@ -1346,26 +1345,15 @@ mod tests {
                 3
             ],
         };
-        let mut foreign_cfg = cfg;
-        foreign_cfg.dma.setup_cycles = 77;
-        let table = |cfg: &DianaConfig, step: usize, entry: StepDma| {
-            let mut t = DmaTable::new(cfg);
+        let table = |step: usize, entry: StepDma| {
+            let mut t = DmaTable::default();
             t.insert(step, entry);
             t
         };
         let forgeries = [
             (
-                "foreign digest",
-                table(
-                    &foreign_cfg,
-                    0,
-                    crate::linearize_step(&foreign_cfg, EngineKind::Digital, desc),
-                ),
-            ),
-            (
                 "stale tile count",
                 table(
-                    &cfg,
                     0,
                     StepDma {
                         n_tiles: honest.n_tiles + 1,
@@ -1373,8 +1361,8 @@ mod tests {
                     },
                 ),
             ),
-            ("arbitrary descriptors", table(&cfg, 0, junk.clone())),
-            ("entry at a CPU step", table(&cfg, 1, junk)),
+            ("arbitrary descriptors", table(0, junk.clone())),
+            ("entry at a CPU step", table(1, junk)),
         ];
 
         let m = Machine::new(cfg);

@@ -16,6 +16,7 @@ use std::fmt;
 /// output"). Fused pooling is only dispatched for layers that fit L1
 /// untiled, since pooling windows may not cross tile borders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FusedPool {
     /// Average or max pooling.
     pub kind: PoolKind,
@@ -65,6 +66,7 @@ pub enum BufferKind {
 
 /// One L2 activation buffer with its planned placement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BufferDecl {
     /// Identifier referenced by steps.
     pub id: BufferId,
@@ -87,6 +89,7 @@ pub struct BufferDecl {
 /// geometry, the solved tile configuration, weights/bias in the layout the
 /// engine consumes, and the fused requantization parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AccelLayerDesc {
     /// Layer name (for profiles and reports).
     pub name: String,
@@ -114,6 +117,7 @@ pub struct AccelLayerDesc {
 // would only add indirection on the executor's hot path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum Step {
     /// Offloaded layer on an accelerator.
     Accel {
@@ -172,6 +176,7 @@ impl Step {
 
 /// A compiled deployment for the simulated SoC.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Program {
     /// All L2 activation buffers (inputs, outputs, intermediates).
     pub buffers: Vec<BufferDecl>,
@@ -184,11 +189,9 @@ pub struct Program {
     /// Peak bytes of the planned L2 activation arena.
     pub activation_peak: usize,
     /// The compiler's record of each accelerator step's DMA descriptor
-    /// program. The simulator never reads this field: the machine
-    /// linearizes every step from its descriptor, so the table cannot
-    /// change a cycle or a bit. It stays in the artifact format until its
-    /// deletion takes the cache-format bump.
-    #[serde(default)]
+    /// program. The machine never reads it (it linearizes every step from
+    /// its descriptor); it stays while the repository benchmark counts
+    /// descriptors through it.
     pub dma: crate::DmaTable,
 }
 

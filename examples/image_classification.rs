@@ -17,12 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("ResNet-8 on simulated DIANA (digital configuration)\n");
     println!("== layer assignment ==");
-    for a in &artifact.assignments {
+    for a in artifact.assignments() {
         println!(
             "  {:<28} -> {:<8} {:<24} {:>9} MACs, {} tiles",
             a.name,
             a.engine.to_string(),
-            a.pattern.as_deref().unwrap_or("(tvm fused kernel)"),
+            a.pattern.unwrap_or("(tvm fused kernel)"),
             a.macs,
             a.n_tiles
         );

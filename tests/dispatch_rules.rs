@@ -2,26 +2,25 @@
 //! engine each layer of the real MLPerf™ Tiny networks lands on under each
 //! deployment configuration (paper §III-A and §IV-C).
 
-use htvm::{Compiler, DeployConfig, EngineKind};
+use htvm::{Artifact, Compiler, DeployConfig, EngineKind};
 use htvm_models::{ds_cnn, mobilenet_v1, resnet8, toyadmos_dae, QuantScheme};
 
-fn assignments(model: &htvm_models::Model, deploy: DeployConfig) -> Vec<htvm::LayerAssignment> {
+fn compile(model: &htvm_models::Model, deploy: DeployConfig) -> Artifact {
     Compiler::new()
         .with_deploy(deploy)
         .compile(&model.graph)
         .expect("compiles")
-        .assignments
 }
 
 #[test]
 fn digital_config_takes_every_anchor_kind() {
     // Paper: "all (DW)Conv2D, FC, and Add layers are offloaded to DIANA's
     // 8-bit digital accelerator".
-    let a = assignments(&resnet8(QuantScheme::Int8), DeployConfig::Digital);
-    let digital: Vec<&str> = a
-        .iter()
+    let artifact = compile(&resnet8(QuantScheme::Int8), DeployConfig::Digital);
+    let digital: Vec<&str> = artifact
+        .assignments()
         .filter(|x| x.engine == EngineKind::Digital)
-        .filter_map(|x| x.pattern.as_deref())
+        .filter_map(|x| x.pattern)
         .collect();
     assert!(digital.iter().any(|p| p.starts_with("conv2d")));
     assert!(digital.iter().any(|p| p.starts_with("dense")));
@@ -29,56 +28,51 @@ fn digital_config_takes_every_anchor_kind() {
     // 10 weighted layers + 3 residual adds.
     assert_eq!(digital.len(), 13);
     // Only pooling / softmax / reshape remain on the CPU.
-    for x in a.iter().filter(|x| x.engine == EngineKind::Cpu) {
+    for x in artifact
+        .assignments()
+        .filter(|x| x.engine == EngineKind::Cpu)
+    {
         assert_eq!(x.macs, 0, "CPU kernel {} should carry no MACs", x.name);
     }
 }
 
 #[test]
 fn dscnn_digital_has_ten_offloaded_layers() {
-    let a = assignments(&ds_cnn(QuantScheme::Int8), DeployConfig::Digital);
-    assert_eq!(
-        a.iter().filter(|x| x.engine == EngineKind::Digital).count(),
-        10 // conv stem + 4x(dw + pw) + fc
-    );
+    let artifact = compile(&ds_cnn(QuantScheme::Int8), DeployConfig::Digital);
+    // conv stem + 4x(dw + pw) + fc
+    assert_eq!(artifact.steps_on(EngineKind::Digital), 10);
 }
 
 #[test]
 fn analog_config_leaves_depthwise_on_cpu() {
     // Paper: depthwise is unsupported on the analog array; those layers
     // fall back to the RISC-V core in 8-bit.
-    let a = assignments(&ds_cnn(QuantScheme::Ternary), DeployConfig::Analog);
-    let analog = a.iter().filter(|x| x.engine == EngineKind::Analog).count();
-    assert_eq!(analog, 6); // stem + 4 pointwise + fc
-    let cpu_macs: u64 = a
-        .iter()
+    let artifact = compile(&ds_cnn(QuantScheme::Ternary), DeployConfig::Analog);
+    assert_eq!(artifact.steps_on(EngineKind::Analog), 6); // stem + 4 pointwise + fc
+    let cpu_macs: u64 = artifact
+        .assignments()
         .filter(|x| x.engine == EngineKind::Cpu)
         .map(|x| x.macs)
         .sum();
     assert!(cpu_macs > 0, "depthwise MACs must run on the CPU");
-    assert_eq!(
-        a.iter().filter(|x| x.engine == EngineKind::Digital).count(),
-        0
-    );
+    assert_eq!(artifact.steps_on(EngineKind::Digital), 0);
 }
 
 #[test]
 fn mixed_recipe_splits_by_bit_width() {
-    let a = assignments(&mobilenet_v1(QuantScheme::Mixed), DeployConfig::Both);
-    let dig = a.iter().filter(|x| x.engine == EngineKind::Digital).count();
-    let ana = a.iter().filter(|x| x.engine == EngineKind::Analog).count();
+    let artifact = compile(&mobilenet_v1(QuantScheme::Mixed), DeployConfig::Both);
     // 13 depthwise + stem + classifier are 8-bit; 13 pointwise are ternary.
-    assert_eq!(dig, 13 + 2);
-    assert_eq!(ana, 13);
+    assert_eq!(artifact.steps_on(EngineKind::Digital), 13 + 2);
+    assert_eq!(artifact.steps_on(EngineKind::Analog), 13);
 }
 
 #[test]
 fn mixed_first_and_last_layers_go_digital() {
-    let a = assignments(&resnet8(QuantScheme::Mixed), DeployConfig::Both);
-    let weighted: Vec<&htvm::LayerAssignment> = a
-        .iter()
+    let artifact = compile(&resnet8(QuantScheme::Mixed), DeployConfig::Both);
+    let weighted: Vec<htvm::LayerAssignment> = artifact
+        .assignments()
         .filter(|x| x.engine != EngineKind::Cpu)
-        .filter(|x| x.pattern.as_deref().is_some_and(|p| !p.starts_with("add")))
+        .filter(|x| x.pattern.is_some_and(|p| !p.starts_with("add")))
         .collect();
     assert_eq!(
         weighted.first().expect("has layers").engine,
@@ -102,11 +96,8 @@ fn mixed_first_and_last_layers_go_digital() {
 fn toyadmos_dense_layers_map_to_analog_rows() {
     // Ternary FC layers are deployed on the analog array ("implementing FC
     // layers as Conv2Ds" in the paper; our array maps them directly).
-    let a = assignments(&toyadmos_dae(QuantScheme::Ternary), DeployConfig::Analog);
-    assert_eq!(
-        a.iter().filter(|x| x.engine == EngineKind::Analog).count(),
-        10
-    );
+    let artifact = compile(&toyadmos_dae(QuantScheme::Ternary), DeployConfig::Analog);
+    assert_eq!(artifact.steps_on(EngineKind::Analog), 10);
 }
 
 #[test]
@@ -116,8 +107,8 @@ fn cpu_tvm_config_never_offloads() {
         resnet8(QuantScheme::Int8),
         toyadmos_dae(QuantScheme::Int8),
     ] {
-        let a = assignments(&deploy_model, DeployConfig::CpuTvm);
-        assert!(a.iter().all(|x| x.engine == EngineKind::Cpu));
+        let artifact = compile(&deploy_model, DeployConfig::CpuTvm);
+        assert!(artifact.assignments().all(|x| x.engine == EngineKind::Cpu));
     }
 }
 
@@ -125,17 +116,17 @@ fn cpu_tvm_config_never_offloads() {
 fn ternary_network_on_digital_only_falls_back_to_cpu() {
     // The digital engine cannot execute ternary weights; with no analog
     // engine enabled, everything lands on the CPU.
-    let a = assignments(&toyadmos_dae(QuantScheme::Ternary), DeployConfig::Digital);
-    assert!(a.iter().all(|x| x.engine == EngineKind::Cpu));
+    let artifact = compile(&toyadmos_dae(QuantScheme::Ternary), DeployConfig::Digital);
+    assert!(artifact.assignments().all(|x| x.engine == EngineKind::Cpu));
 }
 
 #[test]
 fn tile_counts_reflect_memory_pressure() {
     // ToyAdmos's first dense layer (640x128 = 80 kB of weights) cannot fit
     // the 64 kB digital weight memory untiled.
-    let a = assignments(&toyadmos_dae(QuantScheme::Int8), DeployConfig::Digital);
-    let first_dense = a
-        .iter()
+    let artifact = compile(&toyadmos_dae(QuantScheme::Int8), DeployConfig::Digital);
+    let first_dense = artifact
+        .assignments()
         .find(|x| x.engine == EngineKind::Digital)
         .expect("dense layer offloaded");
     assert!(
@@ -190,10 +181,8 @@ fn dispatch_and_lowering_share_one_l1_budget() {
         let artifact = compiler
             .compile(&model.graph)
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-        let roomy = assignments(&model, DeployConfig::Digital);
-        let offloaded = |a: &[htvm::LayerAssignment]| {
-            a.iter().filter(|x| x.engine == EngineKind::Digital).count()
-        };
+        let roomy = compile(&model, DeployConfig::Digital);
+        let offloaded = |a: &Artifact| a.steps_on(EngineKind::Digital);
         // 1x1 convolutions, dense layers, matmuls and adds still tile
         // (a handful of bytes per tile); every wider filter cannot.
         let expected = match model.name {
@@ -205,7 +194,7 @@ fn dispatch_and_lowering_share_one_l1_budget() {
             other => panic!("unexpected zoo model {other}"),
         };
         assert_eq!(
-            (offloaded(&artifact.assignments), offloaded(&roomy)),
+            (offloaded(&artifact), offloaded(&roomy)),
             expected,
             "{}: regions offloaded with 8 bytes vs the default budget",
             model.name
@@ -213,8 +202,7 @@ fn dispatch_and_lowering_share_one_l1_budget() {
         if expected.0 < expected.1 {
             assert!(
                 artifact
-                    .assignments
-                    .iter()
+                    .assignments()
                     .any(|x| x.engine == EngineKind::Cpu && x.macs > 0),
                 "{}: untileable anchors run on the CPU",
                 model.name
@@ -249,4 +237,36 @@ fn default_budget_zoo_dispatch_is_unchanged() {
         }
     }
     assert_eq!(regions, 173);
+}
+
+#[test]
+fn per_layer_rows_add_up_to_the_model() {
+    // The per-layer report is a view over the program's steps: one row
+    // per step, in step order, under the step's own name, and the rows'
+    // MACs are the model's, across every compiling Table I cell.
+    let mut cells = 0;
+    for (deploy, scheme) in [
+        (DeployConfig::CpuTvm, QuantScheme::Int8),
+        (DeployConfig::Digital, QuantScheme::Int8),
+        (DeployConfig::Analog, QuantScheme::Ternary),
+        (DeployConfig::Both, QuantScheme::Mixed),
+    ] {
+        for model in htvm_models::all_models(scheme) {
+            // MobileNet under plain TVM runs out of L2 (Table I's OOM cell).
+            let Ok(artifact) = Compiler::new().with_deploy(deploy).compile(&model.graph) else {
+                continue;
+            };
+            cells += 1;
+            let cell = format!("{}/{}", model.name, deploy.id());
+            let steps = &artifact.program.steps;
+            assert_eq!(artifact.assignments().len(), steps.len(), "{cell}");
+            for (row, step) in artifact.assignments().zip(steps) {
+                assert_eq!(row.name, step.name(), "{cell}");
+                assert_eq!(row.engine, step.engine(), "{cell}");
+            }
+            let macs: u64 = artifact.assignments().map(|row| row.macs).sum();
+            assert_eq!(macs, model.graph.total_macs(), "{cell}");
+        }
+    }
+    assert_eq!(cells, 19);
 }

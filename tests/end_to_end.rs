@@ -188,8 +188,7 @@ fn stress_network_is_bit_exact_in_every_config() {
         // The wide dense layer (83 kB of weights) must be tiled on digital.
         if deploy == DeployConfig::Digital {
             let wide = artifact
-                .assignments
-                .iter()
+                .assignments()
                 .find(|a| a.macs == 32 * 2600)
                 .expect("wide dense offloaded");
             assert!(wide.n_tiles > 1, "83 kB of weights must tile");
