@@ -9,7 +9,7 @@
 
 use htvm::{Compiler, DeployConfig, Machine};
 use htvm_models::{all_models, QuantScheme};
-use htvm_soc::{render_timeline, TimelineOptions};
+use htvm_soc::render_timeline;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -40,7 +40,7 @@ fn main() {
         "FIG. 2: time diagram of {} deployed with HTVM (mixed configuration)\n",
         model.name
     );
-    print!("{}", render_timeline(&report, &TimelineOptions::default()));
+    print!("{}", render_timeline(&report));
     println!(
         "\nend-to-end: {:.3} ms @260 MHz; engines used: cpu {}, digital {}, analog {}",
         compiler.platform().cycles_to_ms(report.total_cycles()),

@@ -8,7 +8,7 @@
 //! configuration wins on depthwise-heavy networks; the combined
 //! configuration wins overall on DS-CNN and ResNet (~120× over TVM).
 
-use htvm::{CompileError, DeployConfig, EngineKind};
+use htvm::{CompileError, DeployConfig};
 use htvm_bench::{config_label, deploy_and_run, json_mode, ms, scheme_for};
 use htvm_models::all_models;
 
@@ -166,6 +166,5 @@ fn run() -> Result<(), String> {
             a / m
         );
     }
-    let _ = EngineKind::Digital; // silence unused import on some cfgs
     Ok(())
 }

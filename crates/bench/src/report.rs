@@ -20,8 +20,8 @@
 //! [`DianaConfig::cost_model`]: htvm::DianaConfig::cost_model
 
 use htvm::{
-    tracks, CompileError, Compiler, DeployConfig, EnergyConfig, EngineKind, LowerError,
-    LowerOptions, Machine, RunError, TilingObjective, TimeDomain,
+    tracks, CompileError, Compiler, DeployConfig, EnergyConfig, EngineKind, LowerError, Machine,
+    RunError, TilingObjective, TimeDomain,
 };
 use htvm_frontend::ImportError;
 use htvm_ir::{Graph, Tensor};
@@ -381,13 +381,10 @@ pub fn collect_graph(
     let label = if calibrated {
         let platform = *compiler.platform();
         let objective = |engine| TilingObjective::calibrated(platform.cost_model(engine));
-        // Before `with_deploy`: replacing the options wholesale would
-        // otherwise clobber the deploy's `naive_l2` choice.
-        compiler = compiler.with_lower_options(LowerOptions {
-            digital_objective: objective(EngineKind::Digital),
-            analog_objective: objective(EngineKind::Analog),
-            ..LowerOptions::default()
-        });
+        compiler = compiler.with_objectives(
+            objective(EngineKind::Digital),
+            objective(EngineKind::Analog),
+        );
         calibrated_id(deploy)
     } else {
         deploy.id()

@@ -66,9 +66,10 @@ fn pattern_of(step_name: &str) -> &str {
 ///
 /// An artifact stores what its steps alone cannot give back. The
 /// per-layer report ([`Artifact::assignments`]), the step counts and the
-/// offload fraction are views over `program.steps`; `binary` is stored
-/// because it depends on the [`BinarySizeModel`](crate::binsize::BinarySizeModel)
-/// the compile used, which the artifact does not carry.
+/// offload fraction are views over `program.steps`. So is `binary`, since
+/// every compile prices with the one default
+/// [`BinarySizeModel`](crate::binsize::BinarySizeModel); it stays stored
+/// only because the `benchmark/` crate reads the field.
 ///
 /// Equality and serialization cover the *product* only; [`CompileStats`]
 /// (wall times, cache counters) is carried for observability but compares

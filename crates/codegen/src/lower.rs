@@ -36,11 +36,6 @@ pub struct LowerOptions {
     /// intermediate, no lifetime reuse. This is the baseline whose
     /// MobileNet deployment runs out of memory in Table I.
     pub naive_l2: bool,
-    /// Override the shared L1 activation budget (used by the Fig. 4
-    /// memory-sweep benchmarks).
-    pub l1_act_override: Option<usize>,
-    /// Binary-size model constants.
-    pub size_model: BinarySizeModel,
     /// Memo table for tiling solves, shared across regions (and, via
     /// [`Compiler`], across compiles). `None` solves every region
     /// directly.
@@ -66,8 +61,6 @@ impl Default for LowerOptions {
             digital_objective: TilingObjective::diana_digital(),
             analog_objective: TilingObjective::diana_analog(),
             naive_l2: false,
-            l1_act_override: None,
-            size_model: BinarySizeModel::default(),
             tile_cache: None,
             extracted: HashMap::new(),
             tracer: Tracer::disabled(),
@@ -90,21 +83,15 @@ struct RegionSolve {
 /// The L1 constraints a layer on `engine` is tiled against (`None` for
 /// the CPU, which does not tile). DORY's double-buffering holds two tiles
 /// per operand in flight, so the solver sees half the physical
-/// scratchpad when overlap is on; `l1_act_override` replaces that figure
-/// ([`LowerOptions::l1_act_override`]). Dispatch and lowering both ask
-/// here, so a layer dispatch accepts is a layer lowering can tile.
+/// scratchpad when overlap is on. Dispatch and lowering both ask here, so
+/// a layer dispatch accepts is a layer lowering can tile.
 #[must_use]
-pub fn engine_budget(
-    cfg: &DianaConfig,
-    engine: EngineKind,
-    l1_act_override: Option<usize>,
-) -> Option<MemoryBudget> {
-    let physical = if cfg.dma.double_buffer {
+pub fn engine_budget(cfg: &DianaConfig, engine: EngineKind) -> Option<MemoryBudget> {
+    let act_bytes = if cfg.dma.double_buffer {
         cfg.l1_act_bytes / 2
     } else {
         cfg.l1_act_bytes
     };
-    let act_bytes = l1_act_override.unwrap_or(physical);
     match engine {
         EngineKind::Digital => Some(MemoryBudget {
             act_bytes,
@@ -183,7 +170,7 @@ pub fn lower(
             Some(done) => done.clone(),
             None => extract(graph, &region.pattern, &region.m)?,
         };
-        let budget = engine_budget(cfg, region.tag, opts.l1_act_override).ok_or_else(|| {
+        let budget = engine_budget(cfg, region.tag).ok_or_else(|| {
             LowerError::UnsupportedGraph("regions must target an accelerator".into())
         })?;
         let objective = match region.tag {
@@ -389,7 +376,7 @@ pub fn lower(
     // ---- Binary size, then the L2 activation schedule ----
     let plan_t0 = tracer.elapsed_us();
     let plan_start = Instant::now();
-    let binary = binary_size(&opts.size_model, &steps);
+    let binary = binary_size(&BinarySizeModel::default(), &steps);
     let capacity = cfg.l2_bytes.saturating_sub(binary.total());
     let n_steps = steps.len();
     let reqs: Vec<BufferReq> = buffers

@@ -1,9 +1,8 @@
 //! The compiler driver.
 
-use crate::dispatch::{dispatch_rule_within, engine_feasible_within};
-use crate::{diana_patterns, DeployConfig};
+use crate::{diana_patterns, dispatch_rule, engine_feasible, DeployConfig};
 use htvm_codegen::{extract, lower, Artifact, LowerError, LowerOptions};
-use htvm_dory::{LayerGeometry, TileCache};
+use htvm_dory::{LayerGeometry, TileCache, TilingObjective};
 use htvm_ir::{passes, Graph, IrError};
 use htvm_pattern::partition;
 use htvm_soc::{DianaConfig, EngineKind};
@@ -180,24 +179,13 @@ impl Compiler {
         self
     }
 
-    /// Overrides lowering options (tiling objectives, L1 budget, size
-    /// model). The `naive_l2` flag is still controlled by
-    /// [`Compiler::with_deploy`] if called afterwards. A supplied
-    /// `tile_cache` or enabled `tracer` becomes the compiler's own (what
-    /// [`Compiler::tile_cache`] and [`Compiler::tracer`] return); `None`
-    /// or a disabled tracer keeps the compiler's.
+    /// Replaces the tiling objectives DORY minimizes on the digital and
+    /// the analog engine (the paper's Eq. 3–5 heuristics by default; see
+    /// [`TilingObjective::calibrated`] for a measured cost model).
     #[must_use]
-    pub fn with_lower_options(mut self, opts: LowerOptions) -> Self {
-        let tracer = if opts.tracer.is_enabled() {
-            opts.tracer
-        } else {
-            self.lower_opts.tracer
-        };
-        self.lower_opts = LowerOptions {
-            tile_cache: opts.tile_cache.or(self.lower_opts.tile_cache),
-            tracer,
-            ..opts
-        };
+    pub fn with_objectives(mut self, digital: TilingObjective, analog: TilingObjective) -> Self {
+        self.lower_opts.digital_objective = digital;
+        self.lower_opts.analog_objective = analog;
         self
     }
 
@@ -213,10 +201,9 @@ impl Compiler {
         self.deploy
     }
 
-    /// The lowering options this compiler passes to the DORY backend —
-    /// the part of the compiler's configuration (beyond platform and
-    /// deployment) that determines artifact bytes, which cache keys must
-    /// therefore cover.
+    /// The lowering options this compiler passes to the DORY backend.
+    /// Beyond platform and deployment, only their two tiling objectives
+    /// change artifact bytes, so cache keys must cover those.
     #[must_use]
     pub fn lower_options(&self) -> &LowerOptions {
         &self.lower_opts
@@ -264,10 +251,8 @@ impl Compiler {
         // full extraction; keep those extractions (keyed by match root) so
         // the lowering solve phase does not redo them.
         let extracted = RefCell::new(HashMap::new());
-        // Dispatch answers for the L1 budget lowering will tile against.
-        let l1_act = self.lower_opts.l1_act_override;
         let part = partition(graph, &patterns, |p, m| {
-            let base = dispatch_rule_within(&self.platform, self.deploy, graph, p, m, l1_act);
+            let base = dispatch_rule(&self.platform, self.deploy, graph, p, m);
             match &self.dispatch_hook {
                 None => base,
                 Some(hook) => {
@@ -275,7 +260,7 @@ impl Compiler {
                     let geom = layer.geom.clone();
                     extracted.borrow_mut().insert(m.root, layer);
                     let chosen = hook(&geom, base)?;
-                    engine_feasible_within(&self.platform, &geom, chosen, l1_act).then_some(chosen)
+                    engine_feasible(&self.platform, &geom, chosen).then_some(chosen)
                 }
             }
         });
@@ -450,20 +435,44 @@ mod tests {
     }
 
     #[test]
-    fn a_supplied_cache_and_tracer_are_the_compilers_own() {
-        let cache = TileCache::new();
+    fn a_supplied_tracer_is_the_compilers_own() {
         let tracer = Tracer::new();
-        let compiler = Compiler::new().with_lower_options(LowerOptions {
-            tile_cache: Some(cache.clone()),
-            tracer: tracer.clone(),
-            ..LowerOptions::default()
-        });
+        let compiler = Compiler::new().with_tracer(tracer.clone());
         compiler.compile(&mixed_graph()).unwrap();
-        assert!(cache.solves() > 0);
-        assert_eq!(compiler.tile_cache().solves(), cache.solves());
         let trace = tracer.take(htvm_trace::TimeDomain::WallMicros, tracks::compile());
         assert!(trace.span("partition").is_some(), "the compiler's phase");
         assert!(trace.span("solve").is_some(), "lowering's phase");
+    }
+
+    #[test]
+    fn objectives_and_deploy_commute() {
+        use htvm_models::{mobilenet_v1, QuantScheme};
+        let objectives = |c: Compiler| {
+            c.with_objectives(
+                TilingObjective::memory_only(),
+                TilingObjective::memory_only(),
+            )
+        };
+        let both_orders = |deploy, scheme| {
+            let model = mobilenet_v1(scheme);
+            let first = objectives(Compiler::new()).with_deploy(deploy);
+            let last = objectives(Compiler::new().with_deploy(deploy));
+            (first.compile(&model.graph), last.compile(&model.graph))
+        };
+        // Table I: plain TVM's naive L2 allocation cannot hold the 8-bit
+        // MobileNet, whichever setter ran first.
+        let (first, last) = both_orders(DeployConfig::CpuTvm, QuantScheme::Int8);
+        for e in [first.unwrap_err(), last.unwrap_err()] {
+            assert!(
+                matches!(e, CompileError::Lower(LowerError::OutOfMemory(_))),
+                "{e}"
+            );
+        }
+        let (first, last) = both_orders(DeployConfig::Both, QuantScheme::Mixed);
+        assert_eq!(
+            serde_json::to_string(&first.unwrap()).unwrap(),
+            serde_json::to_string(&last.unwrap()).unwrap()
+        );
     }
 
     #[test]

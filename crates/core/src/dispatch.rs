@@ -82,17 +82,6 @@ pub fn engine_feasible(
     geom: &htvm_dory::LayerGeometry,
     engine: EngineKind,
 ) -> bool {
-    engine_feasible_within(cfg, geom, engine, None)
-}
-
-/// [`engine_feasible`] against the L1 activation budget lowering will
-/// actually tile with (`LowerOptions::l1_act_override`).
-pub(crate) fn engine_feasible_within(
-    cfg: &DianaConfig,
-    geom: &htvm_dory::LayerGeometry,
-    engine: EngineKind,
-    l1_act_override: Option<usize>,
-) -> bool {
     let capable = match (engine, geom.kind, geom.w_dtype) {
         (EngineKind::Cpu, ..) => return true,
         (_, LayerKind::Add, _) => true,
@@ -105,8 +94,7 @@ pub(crate) fn engine_feasible_within(
         (EngineKind::Analog, LayerKind::Conv2d | LayerKind::Dense, DType::Ternary) => true,
         _ => false,
     };
-    capable
-        && engine_budget(cfg, engine, l1_act_override).is_some_and(|budget| feasible(geom, &budget))
+    capable && engine_budget(cfg, engine).is_some_and(|budget| feasible(geom, &budget))
 }
 
 /// The accelerator-aware rule layer behind the pattern matcher (paper
@@ -134,19 +122,6 @@ pub fn dispatch_rule(
     graph: &Graph,
     pattern: &NamedPattern,
     m: &Match,
-) -> Option<EngineKind> {
-    dispatch_rule_within(cfg, deploy, graph, pattern, m, None)
-}
-
-/// [`dispatch_rule`] against the L1 activation budget lowering will
-/// actually tile with (`LowerOptions::l1_act_override`).
-pub(crate) fn dispatch_rule_within(
-    cfg: &DianaConfig,
-    deploy: DeployConfig,
-    graph: &Graph,
-    pattern: &NamedPattern,
-    m: &Match,
-    l1_act_override: Option<usize>,
 ) -> Option<EngineKind> {
     let e = extract(graph, &pattern.name, m).ok()?;
     let g = &e.geom;
@@ -178,13 +153,13 @@ pub(crate) fn dispatch_rule_within(
         _ => return None,
     };
     // The layer must actually be tileable on the chosen engine.
-    if !engine_feasible_within(cfg, g, engine, l1_act_override) {
+    if !engine_feasible(cfg, g, engine) {
         return None;
     }
     // Fused output pooling only works when the whole layer sits in L1:
     // pooling windows may not cross tile borders.
     if e.pool.is_some() {
-        let budget = engine_budget(cfg, engine, l1_act_override)?;
+        let budget = engine_budget(cfg, engine)?;
         if !htvm_dory::tile_fits(g, &htvm_dory::TileConfig::full(g), &budget) {
             return None;
         }

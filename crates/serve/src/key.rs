@@ -3,11 +3,12 @@
 //! An [`ArtifactKey`] is the canonical encoding of everything the
 //! compiler output depends on: the graph in [`canonical_form`] (stable
 //! under node-id permutation), the [`DeployConfig`], the routing
-//! platform id, the [`DianaConfig`] platform model, and the
-//! compile-relevant subset of [`LowerOptions`] (the *fingerprint* —
-//! runtime plumbing like the tile cache handle and the tracer is
-//! deliberately excluded because it never changes the produced artifact;
-//! `tests/determinism.rs` in `htvm` asserts exactly that).
+//! platform id, the [`DianaConfig`] platform model, and the two tiling
+//! objectives of [`LowerOptions`] (the *fingerprint* — `naive_l2`
+//! follows the deploy target, and runtime plumbing like the tile cache
+//! handle and the tracer is deliberately excluded because it never
+//! changes the produced artifact; `tests/determinism.rs` in `htvm`
+//! asserts exactly that).
 //!
 //! # What equality compares
 //!
@@ -37,17 +38,15 @@ use htvm_ir::{canonical_form, Graph};
 use serde::Serialize;
 use std::hash::{Hash, Hasher};
 
-/// The serializable subset of [`LowerOptions`] that determines the
-/// artifact. Everything excluded (`tile_cache`, `extracted`, `tracer`)
-/// is observational or a pure-function memo and cannot change the output
-/// bytes.
+/// The part of [`LowerOptions`] a caller chooses that determines the
+/// artifact: the two tiling objectives. `naive_l2` is a function of the
+/// deploy target, which the key already holds; everything else
+/// (`tile_cache`, `extracted`, `tracer`) is observational or a
+/// pure-function memo and cannot change the output bytes.
 #[derive(Serialize)]
 struct LowerFingerprint {
     digital_objective: htvm::TilingObjective,
     analog_objective: htvm::TilingObjective,
-    naive_l2: bool,
-    l1_act_override: Option<usize>,
-    size_model: htvm::binsize::BinarySizeModel,
 }
 
 /// The part of a key no request changes: routing id, SoC model and
@@ -62,9 +61,6 @@ impl KeyContext {
         let fingerprint = LowerFingerprint {
             digital_objective: opts.digital_objective.clone(),
             analog_objective: opts.analog_objective.clone(),
-            naive_l2: opts.naive_l2,
-            l1_act_override: opts.l1_act_override,
-            size_model: opts.size_model,
         };
         let mut suffix = Vec::new();
         suffix.extend_from_slice(b"\0platform_id:");
@@ -265,8 +261,8 @@ mod tests {
             ArtifactKey::new("diana", &conv_graph(8), DeployConfig::Both, &small, &opts);
         assert_ne!(base, other_platform, "platform model must feed the key");
 
-        let small_l1 = LowerOptions {
-            l1_act_override: Some(64 * 1024),
+        let memory_only = LowerOptions {
+            digital_objective: htvm::TilingObjective::memory_only(),
             ..LowerOptions::default()
         };
         let other_opts = ArtifactKey::new(
@@ -274,7 +270,7 @@ mod tests {
             &conv_graph(8),
             DeployConfig::Both,
             &platform,
-            &small_l1,
+            &memory_only,
         );
         assert_ne!(base, other_opts, "lowering options must feed the key");
     }

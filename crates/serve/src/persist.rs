@@ -83,7 +83,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   refuse a member they do not declare. Keys did not change, so a
 ///   format-6 entry is still under a reachable key, but its artifact no
 ///   longer parses.
-pub const CACHE_FORMAT_VERSION: u32 = 7;
+/// - `8`: the key's lowering fingerprint is the two tiling objectives
+///   alone. It lost `naive_l2` (a function of the deploy target, which
+///   the key holds) and the L1-budget override and binary-size model,
+///   which are no longer options. Artifact bytes did not change, but
+///   every key and key id did: a format-7 entry sits under a key id no
+///   format-8 key has.
+pub const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version

@@ -613,7 +613,7 @@ impl CompileService {
     }
 
     /// A single-platform service over a custom base compiler (platform,
-    /// lowering options, dispatch hook), routed as [`DEFAULT_PLATFORM`]
+    /// tiling objectives, dispatch hook), routed as [`DEFAULT_PLATFORM`]
     /// with full capabilities. The config's `manifest` is ignored; its
     /// `persist_root` is honored. The config's tracer is installed on
     /// the compiler so phase spans land in the same trace as job spans;
@@ -1162,7 +1162,7 @@ impl std::fmt::Debug for CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htvm::{Artifact, DispatchHook, LowerOptions};
+    use htvm::{Artifact, DispatchHook, TilingObjective};
     use htvm_ir::{DType, GraphBuilder, Tensor};
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
@@ -1242,10 +1242,10 @@ mod tests {
         // what `ArtifactKey::new` says from the same compiler, for every
         // deploy target, on a manifest platform and over a custom
         // compiler alike.
-        let lean = Compiler::new().with_lower_options(LowerOptions {
-            l1_act_override: Some(64 * 1024),
-            ..LowerOptions::default()
-        });
+        let lean = Compiler::new().with_objectives(
+            TilingObjective::memory_only(),
+            TilingObjective::memory_only(),
+        );
         let custom = CompileService::with_compiler(ServeConfig::default(), lean.clone());
         let fleet = CompileService::new(ServeConfig::default());
         for deploy in [
@@ -1272,7 +1272,7 @@ mod tests {
         assert_ne!(
             custom.key_of(&job("k", 8)).unwrap(),
             fleet.key_of(&job("k", 8)).unwrap(),
-            "the two services really do differ in their lowering options"
+            "the two services really do differ in their tiling objectives"
         );
     }
 

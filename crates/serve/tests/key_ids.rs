@@ -13,16 +13,16 @@ use htvm_serve::{CompileService, JobRequest, ServeConfig};
 /// (`htvm_bench::serve_bench::request_mix`).
 #[rustfmt::skip]
 const KEYS: [(&str, DeployConfig, &str); 10] = [
-    ("ds_cnn", DeployConfig::Both, "4eda50d9b2f88a161b6357788b270c69"),
-    ("mobilenet_v1", DeployConfig::Both, "665118aa7fa79225325e971566495fee"),
-    ("resnet8", DeployConfig::Both, "eb47e9464c94a46c7100d0ecddc373ee"),
-    ("toyadmos_dae", DeployConfig::Both, "d01d82e4baf548997626ccfeb05bcf91"),
-    ("tiny_transformer", DeployConfig::Both, "84bf24ab285af554e91f3d25b58c6cec"),
-    ("ds_cnn", DeployConfig::Digital, "89b47792bc8774a027334cfd77d61b15"),
-    ("mobilenet_v1", DeployConfig::Digital, "c1965127b351ca3dd4721b8d6dac711e"),
-    ("resnet8", DeployConfig::Digital, "4f8ce655eccda139a2b6e3ea113628ae"),
-    ("toyadmos_dae", DeployConfig::Digital, "c46dd4d510daf6df0462495ce15318b8"),
-    ("tiny_transformer", DeployConfig::Digital, "60747c0479d1282687214fbf702e9108"),
+    ("ds_cnn", DeployConfig::Both, "0644cc976e550bad116f3eb6907d368f"),
+    ("mobilenet_v1", DeployConfig::Both, "db9ecc0e75482b00ab6c0e8718983e39"),
+    ("resnet8", DeployConfig::Both, "3a91bdc6df1cf3fa68fd4672025b8ffa"),
+    ("toyadmos_dae", DeployConfig::Both, "e4f39bbd26f60f157f186b06c0fc286c"),
+    ("tiny_transformer", DeployConfig::Both, "88f989bb1e99878b5c36f88375c10028"),
+    ("ds_cnn", DeployConfig::Digital, "453636d3bf261a1af8661ee5fb46628f"),
+    ("mobilenet_v1", DeployConfig::Digital, "45006dcb6da3c63bddf957efddd5dc18"),
+    ("resnet8", DeployConfig::Digital, "0793780f1c3fb20ac990d59add002b37"),
+    ("toyadmos_dae", DeployConfig::Digital, "9a702068479b92200137e929520f1d47"),
+    ("tiny_transformer", DeployConfig::Digital, "d8913d2e4051131c4d5158e5181f6dfb"),
 ];
 
 #[test]

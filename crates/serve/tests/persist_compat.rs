@@ -8,7 +8,7 @@
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
 //!
-//! Six fixtures are not damaged at all; each is an entry exactly as the
+//! Seven fixtures are not damaged at all; each is an entry exactly as the
 //! last build of its format wrote it (digest, filename and compiler
 //! stamp all match, and that build re-admits it), and each must be
 //! skipped on its format alone:
@@ -32,10 +32,16 @@
 //!   digest read the `I8` payload widened to `i32`; format 6 digests a
 //!   payload at its native width and the key with MurmurHash3.
 //! - `f750abe5….json`, format 6, the same conv → softmax graph under
-//!   `Digital`. Its key id is what this build computes, and its artifact
-//!   is what this build writes plus the per-layer `assignments` rows and
-//!   the DMA table's platform stamp; format 7 stores neither, and its
-//!   artifact refuses a member it does not declare.
+//!   `Digital`. Its artifact is what this build writes plus the
+//!   per-layer `assignments` rows and the DMA table's platform stamp;
+//!   format 7 stores neither, and its artifact refuses a member it does
+//!   not declare.
+//! - `92e32266….json`, format 7, the same conv → softmax graph under
+//!   `Both`. Its artifact is what this build writes, byte for byte, but
+//!   its key's lowering fingerprint still carries the naive-L2 switch,
+//!   the L1-budget override and the binary-size model; format 8 keeps
+//!   only the two tiling objectives, so its key id is one no format-8
+//!   key has.
 //!
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
 //! the current format with the constant (renamed to their new key ids),
@@ -63,15 +69,16 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 11;
+const FIXTURE_ENTRIES: u64 = 12;
 
-/// The well-formed format-1 to format-6 entries, by key id.
+/// The well-formed format-1 to format-7 entries, by key id.
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
 const FORMAT_4_ENTRY: &str = "6ca838bf4d67d56101c87af13b7bff76";
 const FORMAT_5_ENTRY: &str = "ff397f6f57a7a2f319514d39b61dd63d";
 const FORMAT_6_ENTRY: &str = "f750abe552658381ae828495ed33b377";
+const FORMAT_7_ENTRY: &str = "92e3226659d58c1ca705454dda194923";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -88,7 +95,9 @@ fn layout_constants_are_pinned() {
     // key id: payloads are digested at their native width, and the key
     // with MurmurHash3 instead of FNV-1a. Format 6 -> 7 kept every key
     // and dropped the artifact's per-layer rows and DMA-table stamp.
-    assert_eq!(CACHE_FORMAT_VERSION, 7);
+    // Format 7 -> 8 kept artifact bytes and moved every key: the lowering
+    // fingerprint lost all but the two tiling objectives.
+    assert_eq!(CACHE_FORMAT_VERSION, 8);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
 }
 
@@ -185,29 +194,9 @@ fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
         .to_string();
     assert!(err.contains("assignments"), "{err}");
 
-    // This build writes the same job under the same key id, and its
-    // artifact is the format-6 text without the two stored copies.
-    let scratch = std::env::temp_dir().join(format!("htvm-compat-f6-now-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let service = CompileService::new(ServeConfig {
-        workers: 1,
-        cache_budget_bytes: 64 << 20,
-        tracer: htvm::Tracer::disabled(),
-        persist_root: Some(scratch.clone()),
-        ..ServeConfig::default()
-    });
-    let result = service
-        .submit(JobRequest::compile_only(
-            "f6",
-            conv_softmax_graph(),
-            DeployConfig::Digital,
-        ))
-        .expect("compiles");
-    assert_eq!(result.key_id, FORMAT_6_ENTRY);
-    let now = std::fs::read_to_string(scratch.join(format!("v1/diana/{}.json", result.key_id)))
-        .expect("entry spilled");
-    let now: serde_json::Value = serde_json::from_str(&now).unwrap();
-    assert_eq!(now["key_hex"], entry["key_hex"]);
+    // This build's artifact for the same job is the format-6 text
+    // without the two stored copies.
+    let now = written_now("f6", DeployConfig::Digital);
     // The rows are the artifact's last member, the stamp the table's
     // first: cut both, then close the artifact object again.
     let (fields, rows) = stored
@@ -220,7 +209,52 @@ fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
     let entries = &stamped[stamped.find(',').expect("entries follow the stamp") + 1..];
     let then = format!(r#"{head}"dma":{{{entries}}}"#);
     assert_eq!(serde_json::to_string(&now["artifact"]).unwrap(), then);
+}
+
+#[test]
+fn a_well_formed_format_7_entry_is_skipped_on_its_format_alone() {
+    let text = skipped_on_its_format_alone(7, FORMAT_7_ENTRY);
+    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+
+    // This build writes the same artifact for the same job, byte for
+    // byte, under a key whose fingerprint lost three members.
+    let now = written_now("f7", DeployConfig::Both);
+    assert_eq!(now["artifact_digest"], entry["artifact_digest"]);
+    assert_eq!(
+        serde_json::to_string(&now["artifact"]).unwrap(),
+        serde_json::to_string(&entry["artifact"]).unwrap()
+    );
+    assert_ne!(now["key_id"], entry["key_id"]);
+    let then = String::from_utf8(hex_decode(entry["key_hex"].as_str().unwrap())).unwrap();
+    let (head, members) = then
+        .split_once(r#","naive_l2":false,"l1_act_override":null,"size_model":{"#)
+        .expect("a format-7 fingerprint carries the three members");
+    let (model, tail) = members.split_once('}').expect("the size model closes");
+    assert!(model.starts_with(r#""runtime_tvm":"#), "{model}");
+    let now_key = hex_decode(now["key_hex"].as_str().unwrap());
+    assert_eq!(String::from_utf8(now_key).unwrap(), format!("{head}{tail}"));
+}
+
+/// The persist entry this build writes for `conv_softmax_graph` under
+/// `deploy`, as a fresh service spills it.
+fn written_now(job: &str, deploy: DeployConfig) -> serde_json::Value {
+    let scratch =
+        std::env::temp_dir().join(format!("htvm-compat-{job}-now-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
+    let service = CompileService::new(ServeConfig {
+        workers: 1,
+        cache_budget_bytes: 64 << 20,
+        tracer: htvm::Tracer::disabled(),
+        persist_root: Some(scratch.clone()),
+        ..ServeConfig::default()
+    });
+    let result = service
+        .submit(JobRequest::compile_only(job, conv_softmax_graph(), deploy))
+        .expect("compiles");
+    let text = std::fs::read_to_string(scratch.join(format!("v1/diana/{}.json", result.key_id)))
+        .expect("entry spilled");
+    let _ = std::fs::remove_dir_all(&scratch);
+    serde_json::from_str(&text).expect("an envelope")
 }
 
 fn hex_decode(hex: &str) -> Vec<u8> {
@@ -308,7 +342,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":7,"#));
+    assert!(spilled.starts_with(r#"{"format":8,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

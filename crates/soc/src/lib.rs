@@ -67,4 +67,4 @@ pub use manifest::{Capabilities, ManifestError, PlatformManifest, PlatformSpec, 
 pub use program::{
     AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FusedPool, Program, Step,
 };
-pub use timeline::{render_timeline, TimelineOptions};
+pub use timeline::render_timeline;

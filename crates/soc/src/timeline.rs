@@ -7,38 +7,23 @@
 
 use crate::{EngineKind, RunReport};
 
-/// Options for [`render_timeline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineOptions {
-    /// Total character width of the time axis.
-    pub width: usize,
-    /// Show the per-layer cycle annotations column.
-    pub annotate: bool,
-}
-
-impl Default for TimelineOptions {
-    fn default() -> Self {
-        TimelineOptions {
-            width: 72,
-            annotate: true,
-        }
-    }
-}
+/// Character width of the time axis.
+const WIDTH: usize = 72;
 
 /// Renders the run as an ASCII time diagram: one swim-lane per engine,
 /// kernels in execution order (the single sequential entry function of
 /// the paper's Fig. 2), `#` for engine-busy time and `.` for the
-/// DMA/overhead fringe around accelerator calls.
+/// DMA/overhead fringe around accelerator calls, then one cycle
+/// annotation line per layer.
 ///
 /// # Examples
 ///
 /// Produced by `cargo run --release -p htvm-bench --bin fig2`.
 #[must_use]
-pub fn render_timeline(report: &RunReport, opts: &TimelineOptions) -> String {
+pub fn render_timeline(report: &RunReport) -> String {
     use std::fmt::Write as _;
     let total: u64 = report.total_cycles().max(1);
-    let width = opts.width.max(16);
-    let scale = |c: u64| -> usize { ((c as u128 * width as u128) / total as u128) as usize };
+    let scale = |c: u64| -> usize { ((c as u128 * WIDTH as u128) / total as u128) as usize };
 
     let lanes = [EngineKind::Cpu, EngineKind::Digital, EngineKind::Analog];
     let mut rows: Vec<String> = lanes.iter().map(|_| String::new()).collect();
@@ -76,15 +61,13 @@ pub fn render_timeline(report: &RunReport, opts: &TimelineOptions) -> String {
             }
         }
         cursor = start + len;
-        if opts.annotate {
-            let _ = writeln!(
-                legend,
-                "  [{i:>2}] {:<28} {:<8} {:>9} cycles",
-                layer.name,
-                layer.engine.to_string(),
-                layer.cycles.total()
-            );
-        }
+        let _ = writeln!(
+            legend,
+            "  [{i:>2}] {:<28} {:<8} {:>9} cycles",
+            layer.name,
+            layer.engine.to_string(),
+            layer.cycles.total()
+        );
     }
 
     let mut out = String::new();
@@ -96,9 +79,7 @@ pub fn render_timeline(report: &RunReport, opts: &TimelineOptions) -> String {
     for (lane, row) in lanes.iter().zip(&rows) {
         let _ = writeln!(out, "{:>8} |{row}", lane.to_string());
     }
-    if opts.annotate {
-        out.push_str(&legend);
-    }
+    out.push_str(&legend);
     out
 }
 
@@ -136,7 +117,7 @@ mod tests {
 
     #[test]
     fn lanes_are_disjoint_and_sequential() {
-        let s = render_timeline(&sample(), &TimelineOptions::default());
+        let s = render_timeline(&sample());
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].starts_with("time ->"));
         let lanes: Vec<&str> = lines[1..4].iter().map(|l| &l[10..]).collect();
@@ -154,7 +135,7 @@ mod tests {
 
     #[test]
     fn annotations_list_every_layer() {
-        let s = render_timeline(&sample(), &TimelineOptions::default());
+        let s = render_timeline(&sample());
         assert!(s.contains("conv1"));
         assert!(s.contains("conv2"));
         assert!(s.contains("softmax"));
@@ -162,13 +143,7 @@ mod tests {
 
     #[test]
     fn busy_marks_reflect_compute_share() {
-        let s = render_timeline(
-            &sample(),
-            &TimelineOptions {
-                width: 80,
-                annotate: false,
-            },
-        );
+        let s = render_timeline(&sample());
         let digital_row = s.lines().nth(2).expect("digital lane");
         let hashes = digital_row.matches('#').count();
         let dots = digital_row.matches('.').count();
@@ -183,7 +158,7 @@ mod tests {
             layers: vec![],
             counters: crate::PerfCounters::default(),
         };
-        let s = render_timeline(&r, &TimelineOptions::default());
+        let s = render_timeline(&r);
         assert!(s.contains("time ->"));
     }
 
@@ -196,13 +171,7 @@ mod tests {
             layers: vec![stalled],
             counters: crate::PerfCounters::default(),
         };
-        let s = render_timeline(
-            &r,
-            &TimelineOptions {
-                width: 80,
-                annotate: false,
-            },
-        );
+        let s = render_timeline(&r);
         let digital_row = s.lines().nth(2).expect("digital lane");
         assert!(digital_row.contains('!'), "stall fringe missing: {s}");
         // Stall takes half the layer: roughly as many bangs as everything

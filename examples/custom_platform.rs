@@ -18,7 +18,7 @@
 //! cargo run --release -p htvm --example custom_platform
 //! ```
 
-use htvm::{Compiler, DeployConfig, DianaConfig, LowerOptions, Machine, TilingObjective};
+use htvm::{Compiler, DeployConfig, DianaConfig, Machine, TilingObjective};
 use htvm_dory::Heuristic;
 use htvm_models::{resnet8, QuantScheme};
 
@@ -64,10 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let compiler = Compiler::new()
             .with_platform(cfg)
-            .with_lower_options(LowerOptions {
-                digital_objective: objective,
-                ..LowerOptions::default()
-            })
+            .with_objectives(objective, TilingObjective::diana_analog())
             .with_deploy(DeployConfig::Digital);
         let artifact = compiler.compile(&model.graph)?;
         let machine = Machine::new(cfg);

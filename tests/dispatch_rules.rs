@@ -168,15 +168,17 @@ fn output_pooling_fuses_into_accelerator_regions() {
 #[test]
 fn dispatch_and_lowering_share_one_l1_budget() {
     // Dispatch must ask "does it tile?" against the budget lowering tiles
-    // with. Under an 8-byte activation budget most layers do not; they
-    // belong on the CPU, not in a `tiling failed` compile error.
-    use htvm::{LowerOptions, Machine};
+    // with. On a platform with 8 bytes of L1 activation memory most layers
+    // do not; they belong on the CPU, not in a `tiling failed` compile
+    // error.
+    use htvm::{DianaConfig, Machine};
+    let tiny_l1 = DianaConfig {
+        l1_act_bytes: 8,
+        ..DianaConfig::default()
+    };
     for model in htvm_models::all_models(QuantScheme::Int8) {
         let compiler = Compiler::new()
-            .with_lower_options(LowerOptions {
-                l1_act_override: Some(8),
-                ..LowerOptions::default()
-            })
+            .with_platform(tiny_l1)
             .with_deploy(DeployConfig::Digital);
         let artifact = compiler
             .compile(&model.graph)
@@ -196,7 +198,7 @@ fn dispatch_and_lowering_share_one_l1_budget() {
         assert_eq!(
             (offloaded(&artifact), offloaded(&roomy)),
             expected,
-            "{}: regions offloaded with 8 bytes vs the default budget",
+            "{}: regions offloaded with 8 bytes of L1 vs the default platform",
             model.name
         );
         if expected.0 < expected.1 {
