@@ -2,7 +2,7 @@
 
 use crate::LowerError;
 use htvm_dory::LayerGeometry;
-use htvm_ir::{Graph, NodeId, Op, Tensor};
+use htvm_ir::{DType, Graph, NodeId, Op, Tensor};
 use htvm_pattern::Match;
 use htvm_soc::FusedPool;
 
@@ -34,7 +34,8 @@ pub struct ExtractedLayer {
 /// # Errors
 ///
 /// Returns [`LowerError::MalformedRegion`] if the chain contains an op the
-/// backend cannot fuse, has no anchor, or the anchor operands have
+/// backend cannot fuse (including a clip other than `[-128, 127]` or a
+/// cast other than to `i8`), has no anchor, or the anchor operands have
 /// unexpected form (e.g. non-constant weights).
 pub fn extract(graph: &Graph, pattern: &str, m: &Match) -> Result<ExtractedLayer, LowerError> {
     let err = |detail: String| LowerError::MalformedRegion {
@@ -71,10 +72,17 @@ pub fn extract(graph: &Graph, pattern: &str, m: &Match) -> Result<ExtractedLayer
                 relu = true;
                 cursor = node.inputs()[0];
             }
-            Op::Cast { .. } | Op::Clip { .. } => {
-                // Requantization narrowing; the accelerator output path
-                // always clips to i8, so only its presence matters.
+            // The accelerator epilogue clips to [-128, 127] and casts to i8
+            // (Listing 1's int8 predicate); it cannot run any other tail.
+            Op::Clip {
+                min: -128,
+                max: 127,
+            }
+            | Op::Cast { to: DType::I8 } => {
                 cursor = node.inputs()[0];
+            }
+            Op::Clip { .. } | Op::Cast { .. } => {
+                return Err(err(format!("{op:?} is not the i8 epilogue")));
             }
             Op::RightShift { amount } => {
                 shift = *amount;
@@ -250,6 +258,32 @@ mod tests {
         assert!(e.relu);
         assert!(e.bias.is_some());
         assert_eq!(e.data_inputs, vec![x]);
+    }
+
+    #[test]
+    fn refuses_a_tail_the_i8_epilogue_cannot_run() {
+        for (min, max, to, ok) in [
+            (-128, 127, DType::I8, true),
+            (0, 100, DType::I8, false),
+            (-128, 127, DType::I16, false),
+        ] {
+            let mut b = GraphBuilder::new();
+            let x = b.input("x", &[3, 8, 8], DType::I8);
+            let w = b.constant("w", Tensor::zeros(DType::I8, &[4, 3, 3, 3]));
+            let bias = b.constant("b", Tensor::zeros(DType::I32, &[4]));
+            let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
+            let c = b.bias_add(c, bias).unwrap();
+            let s = b.right_shift(c, 6).unwrap();
+            let c = b.clip(s, min, max).unwrap();
+            let q = b.cast(c, to).unwrap();
+            let g = b.finish(&[q]).unwrap();
+            let m = match_at(&g, &conv_pattern(), q).expect("the pattern matches any tail");
+            let e = extract(&g, "conv", &m);
+            assert_eq!(e.is_ok(), ok, "clip({min}, {max}) → cast({to})");
+            if !ok {
+                assert!(matches!(e, Err(LowerError::MalformedRegion { .. })));
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use canonical::{canonical_form, fnv128};
 pub use dtype::DType;
 pub use error::IrError;
 pub use graph::{Graph, Node, NodeId, NodeKind};
-pub use op::{AttrValue, Op, Padding2d, PoolKind};
+pub use op::{Op, Padding2d, PoolKind};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -165,18 +165,6 @@ pub enum Op {
     Flatten,
 }
 
-/// A dynamically-typed attribute value, used by the pattern matcher's
-/// `has_attr` predicate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AttrValue {
-    /// Integer attribute.
-    Int(i64),
-    /// Integer-pair attribute (strides, kernels).
-    IntPair(i64, i64),
-    /// String attribute (dtype names, pool kinds).
-    Str(String),
-}
-
 impl Op {
     /// Stable operator name, mirroring Relay naming where a direct analogue
     /// exists (`nn.conv2d`, `nn.bias_add`, `right_shift`, `clip`, `cast`...).
@@ -215,41 +203,6 @@ impl Op {
         }
     }
 
-    /// Looks up a named attribute, for pattern predicates.
-    ///
-    /// Supported names include `strides`, `padding_t/b/l/r`, `amount`,
-    /// `min`, `max`, `dtype` (for `cast`), `kind`, `kernel`.
-    #[must_use]
-    pub fn attr(&self, name: &str) -> Option<AttrValue> {
-        match (self, name) {
-            (Op::Conv2d { strides, .. } | Op::DepthwiseConv2d { strides, .. }, "strides") => {
-                Some(AttrValue::IntPair(strides.0 as i64, strides.1 as i64))
-            }
-            (Op::Conv2d { padding, .. } | Op::DepthwiseConv2d { padding, .. }, n) => match n {
-                "padding_t" => Some(AttrValue::Int(padding.top as i64)),
-                "padding_b" => Some(AttrValue::Int(padding.bottom as i64)),
-                "padding_l" => Some(AttrValue::Int(padding.left as i64)),
-                "padding_r" => Some(AttrValue::Int(padding.right as i64)),
-                _ => None,
-            },
-            (Op::RightShift { amount }, "amount") => Some(AttrValue::Int(i64::from(*amount))),
-            (Op::Clip { min, .. }, "min") => Some(AttrValue::Int(i64::from(*min))),
-            (Op::Clip { max, .. }, "max") => Some(AttrValue::Int(i64::from(*max))),
-            (Op::Cast { to }, "dtype") => Some(AttrValue::Str(to.to_string())),
-            (Op::Pool2d { kind, .. }, "kind") => Some(AttrValue::Str(kind.to_string())),
-            (Op::Pool2d { kernel, .. }, "kernel") => {
-                Some(AttrValue::IntPair(kernel.0 as i64, kernel.1 as i64))
-            }
-            (Op::Pool2d { strides, .. }, "strides") => {
-                Some(AttrValue::IntPair(strides.0 as i64, strides.1 as i64))
-            }
-            (Op::MatMul { transpose_b }, "transpose_b") => {
-                Some(AttrValue::Int(i64::from(*transpose_b)))
-            }
-            _ => None,
-        }
-    }
-
     /// Returns `true` for operators whose cost is dominated by
     /// multiply-accumulate work (the accelerator-eligible anchors).
     #[must_use]
@@ -283,22 +236,6 @@ mod tests {
         assert_eq!(Op::Add.arity(), 2);
         assert!(conv.is_anchor());
         assert!(!Op::Softmax.is_anchor());
-    }
-
-    #[test]
-    fn attrs() {
-        let conv = Op::Conv2d {
-            strides: (2, 1),
-            padding: Padding2d::new(1, 0, 1, 0),
-        };
-        assert_eq!(conv.attr("strides"), Some(AttrValue::IntPair(2, 1)));
-        assert_eq!(conv.attr("padding_t"), Some(AttrValue::Int(1)));
-        assert_eq!(conv.attr("padding_b"), Some(AttrValue::Int(0)));
-        assert_eq!(conv.attr("bogus"), None);
-        let cast = Op::Cast { to: DType::I8 };
-        assert_eq!(cast.attr("dtype"), Some(AttrValue::Str("i8".into())));
-        let shift = Op::RightShift { amount: 7 };
-        assert_eq!(shift.attr("amount"), Some(AttrValue::Int(7)));
     }
 
     #[test]

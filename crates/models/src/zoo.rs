@@ -513,7 +513,15 @@ mod tests {
             .map(|(id, _)| id)
             .last()
             .expect("context matmul present");
-        assert!(htvm_pattern::match_at(&m.graph, &htvm_pattern::attention(), ctx).is_some());
+        // softmax(requantize(Q·Kᵀ)) · V, rooted at the context matmul.
+        use htvm_pattern::{is_op, match_at, wildcard};
+        let scores = is_op("nn.matmul", vec![wildcard(), wildcard()]);
+        let shift = is_op("right_shift", vec![scores]);
+        let clip = is_op("clip", vec![shift]);
+        let cast = is_op("cast", vec![clip]);
+        let probs = is_op("nn.softmax", vec![cast]);
+        let attention = is_op("nn.matmul", vec![probs, wildcard()]);
+        assert!(match_at(&m.graph, &attention, ctx).is_some());
     }
 
     #[test]

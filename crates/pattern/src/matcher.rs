@@ -82,18 +82,13 @@ fn match_rec(graph: &Graph, pattern: &Pattern, node: NodeId, m: &mut Match) -> b
                 false
             }
         }
-        Pattern::Op { name, args, attrs } => {
+        Pattern::Op { name, args } => {
             let n = graph.node(node);
             let NodeKind::Op { op, inputs } = &n.kind else {
                 return false;
             };
             if op.name() != name || inputs.len() != args.len() {
                 return false;
-            }
-            for (attr_name, expected) in attrs {
-                if op.attr(attr_name).as_ref() != Some(expected) {
-                    return false;
-                }
             }
             m.ops.push(node);
             args.iter()
@@ -118,19 +113,6 @@ fn match_rec(graph: &Graph, pattern: &Pattern, node: NodeId, m: &mut Match) -> b
             }
             match_rec(graph, inner, node, m)
         }
-        Pattern::Alt(a, b) => {
-            let checkpoint = (m.ops.len(), m.inputs.len(), m.constants.len());
-            if match_rec(graph, a, node, m) {
-                return true;
-            }
-            m.ops.truncate(checkpoint.0);
-            m.inputs.truncate(checkpoint.1);
-            m.constants.truncate(checkpoint.2);
-            match_rec(graph, b, node, m)
-        }
-        Pattern::HasDType { inner, dtype } => {
-            graph.node(node).dtype == *dtype && match_rec(graph, inner, node, m)
-        }
     }
 }
 
@@ -138,7 +120,7 @@ fn match_rec(graph: &Graph, pattern: &Pattern, node: NodeId, m: &mut Match) -> b
 mod tests {
     use super::*;
     use crate::{is_constant, is_op, wildcard};
-    use htvm_ir::{AttrValue, DType, GraphBuilder, Tensor};
+    use htvm_ir::{DType, GraphBuilder, Tensor};
 
     /// Builds conv→bias→shift→clip→cast(→relu) and returns (graph, last id).
     fn conv_chain(relu: bool) -> (Graph, NodeId) {
@@ -157,10 +139,7 @@ mod tests {
         let bias_add = is_op("nn.bias_add", vec![conv2d, is_constant()]);
         let right_shift = is_op("right_shift", vec![bias_add]);
         let clip = is_op("clip", vec![right_shift]);
-        let cast = is_op("cast", vec![clip])
-            .has_attr("dtype", AttrValue::Str("i8".into()))
-            .unwrap();
-        cast.optional("nn.relu")
+        is_op("cast", vec![clip]).optional("nn.relu")
     }
 
     #[test]
@@ -181,19 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn attr_mismatch_rejects() {
-        let (g, root) = conv_chain(false);
-        let conv2d = is_op("nn.conv2d", vec![wildcard(), is_constant()]);
-        let bias_add = is_op("nn.bias_add", vec![conv2d, is_constant()]);
-        let right_shift = is_op("right_shift", vec![bias_add]);
-        let clip = is_op("clip", vec![right_shift]);
-        let cast = is_op("cast", vec![clip])
-            .has_attr("dtype", AttrValue::Str("i32".into()))
-            .unwrap();
-        assert!(match_at(&g, &cast, root).is_none());
-    }
-
-    #[test]
     fn wrong_root_rejects() {
         let (g, root) = conv_chain(true);
         // Root the pattern one node too early (at the cast, not the relu).
@@ -205,38 +171,6 @@ mod tests {
         let conv2d = is_op("nn.conv2d", vec![wildcard(), is_constant()]);
         let p = is_op("nn.relu", vec![conv2d]);
         assert!(match_at(&g, &p, inner_root).is_none());
-    }
-
-    #[test]
-    fn alt_prefers_first_then_falls_back() {
-        let mut b = GraphBuilder::new();
-        let x = b.input("x", &[4], DType::I32);
-        let r = b.relu(x).unwrap();
-        let g = b.finish(&[r]).unwrap();
-        let p = is_op("clip", vec![wildcard()]).or(is_op("nn.relu", vec![wildcard()]));
-        let m = match_at(&g, &p, r).expect("falls back to relu arm");
-        assert_eq!(m.ops, vec![r]);
-        // Bindings from the failed first arm must not leak.
-        assert_eq!(m.inputs, vec![x]);
-    }
-
-    #[test]
-    fn has_dtype_distinguishes_weight_precision() {
-        let mut b = GraphBuilder::new();
-        let x = b.input("x", &[3, 8, 8], DType::I8);
-        let w = b.constant("w", Tensor::zeros(DType::Ternary, &[4, 3, 3, 3]));
-        let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
-        let g = b.finish(&[c]).unwrap();
-        let ternary_conv = is_op(
-            "nn.conv2d",
-            vec![wildcard(), is_constant().has_dtype(DType::Ternary)],
-        );
-        let int8_conv = is_op(
-            "nn.conv2d",
-            vec![wildcard(), is_constant().has_dtype(DType::I8)],
-        );
-        assert!(match_at(&g, &ternary_conv, c).is_some());
-        assert!(match_at(&g, &int8_conv, c).is_none());
     }
 
     #[test]

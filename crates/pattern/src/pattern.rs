@@ -1,11 +1,10 @@
 //! The pattern language.
 
-use htvm_ir::{AttrValue, DType};
 use std::fmt;
 
-/// A structural pattern over dataflow graphs, mirroring TVM's Relay pattern
-/// matching language (`is_op`, `wildcard`, `is_constant`, `has_attr`,
-/// `optional`).
+/// A structural pattern over dataflow graphs, mirroring the part of TVM's
+/// Relay pattern language the DIANA table uses (`is_op`, `wildcard`,
+/// `is_constant`, `optional`).
 ///
 /// Patterns are matched *rooted at a node*: the pattern describes the node
 /// and (recursively) its operands. See [`match_at`](crate::match_at).
@@ -23,8 +22,6 @@ pub enum Pattern {
         name: String,
         /// Operand sub-patterns; the length must equal the operator arity.
         args: Vec<Pattern>,
-        /// Attribute equality predicates (`has_attr`).
-        attrs: Vec<(String, AttrValue)>,
     },
     /// Matches `inner`, optionally wrapped by a single-operand op called
     /// `op_name` (e.g. an optional trailing ReLU).
@@ -33,19 +30,6 @@ pub enum Pattern {
         inner: Box<Pattern>,
         /// Name of the optional single-operand wrapper op.
         op_name: String,
-    },
-    /// Matches if either alternative matches, preferring the first
-    /// (Relay's `AltPattern`).
-    Alt(Box<Pattern>, Box<Pattern>),
-    /// Matches `inner` only if the matched node's output dtype equals
-    /// `dtype` (Relay's `has_dtype`). On constants this constrains the
-    /// payload precision — e.g. ternary vs 8-bit weights, the distinction
-    /// DIANA's dispatch rule keys on.
-    HasDType {
-        /// The constrained sub-pattern.
-        inner: Box<Pattern>,
-        /// Required node output dtype.
-        dtype: DType,
     },
 }
 
@@ -75,93 +59,10 @@ pub fn is_op(name: &str, args: Vec<Pattern>) -> Pattern {
     Pattern::Op {
         name: name.to_owned(),
         args,
-        attrs: Vec::new(),
     }
 }
-
-/// The integer self-attention core: `softmax(requantize(Q·Kᵀ)) · V`.
-///
-/// Matches the chain
-/// `nn.matmul → right_shift → clip → cast → nn.softmax → nn.matmul`
-/// rooted at the second (probabilities × values) matmul. The requantize
-/// stage between the score matmul and the softmax is the integer stand-in
-/// for the float `1/√d` scaling; Q/K/V projections stay outside the
-/// pattern as region inputs.
-///
-/// This is a recognition pattern, not a dispatch pattern: DIANA's
-/// accelerators execute the two matmuls as separate coarse-grained calls
-/// (see the `matmul_requant` entry in the dispatch table), so `attention`
-/// exists for graph analysis and tests rather than the partitioner.
-///
-/// # Examples
-///
-/// ```
-/// use htvm_pattern::attention;
-/// assert_eq!(attention().min_ops(), 6);
-/// ```
-#[must_use]
-pub fn attention() -> Pattern {
-    let scores = is_op("nn.matmul", vec![wildcard(), wildcard()]);
-    let shift = is_op("right_shift", vec![scores]);
-    let clip = is_op("clip", vec![shift]);
-    let cast = is_op("cast", vec![clip]);
-    let probs = is_op("nn.softmax", vec![cast]);
-    is_op("nn.matmul", vec![probs, wildcard()])
-}
-
-/// Errors raised while *constructing* patterns.
-///
-/// Dispatch rules are caller-supplied (accelerator tables, service
-/// requests), so a malformed pattern must surface as a value the caller
-/// can report, not abort the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PatternError {
-    /// `has_attr` was applied to a pattern that is not an `is_op`
-    /// application — wildcards, constants and combinators have no
-    /// attribute table to constrain.
-    AttrOnNonOp {
-        /// Display form of the offending pattern.
-        pattern: String,
-        /// The attribute name that was being attached.
-        attr: String,
-    },
-}
-
-impl fmt::Display for PatternError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PatternError::AttrOnNonOp { pattern, attr } => write!(
-                f,
-                "has_attr(\"{attr}\") can only be applied to is_op patterns, \
-                 not to `{pattern}`"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PatternError {}
 
 impl Pattern {
-    /// Adds an attribute equality predicate to an op pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError::AttrOnNonOp`] if applied to anything other
-    /// than an [`is_op`] pattern — the predicate would have nothing to
-    /// constrain.
-    pub fn has_attr(mut self, name: &str, value: AttrValue) -> Result<Pattern, PatternError> {
-        match &mut self {
-            Pattern::Op { attrs, .. } => {
-                attrs.push((name.to_owned(), value));
-                Ok(self)
-            }
-            _ => Err(PatternError::AttrOnNonOp {
-                pattern: self.to_string(),
-                attr: name.to_owned(),
-            }),
-        }
-    }
-
     /// Wraps the pattern in an optional single-operand op (e.g. the optional
     /// ReLU at the end of the Listing-1 chain).
     #[must_use]
@@ -169,39 +70,6 @@ impl Pattern {
         Pattern::Optional {
             inner: Box::new(self),
             op_name: op_name.to_owned(),
-        }
-    }
-
-    /// Either this pattern or `other`, preferring this one.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use htvm_pattern::{is_op, wildcard};
-    /// let act = is_op("nn.relu", vec![wildcard()])
-    ///     .or(is_op("clip", vec![wildcard()]));
-    /// assert_eq!(act.to_string(), "(nn.relu(*) | clip(*))");
-    /// ```
-    #[must_use]
-    pub fn or(self, other: Pattern) -> Pattern {
-        Pattern::Alt(Box::new(self), Box::new(other))
-    }
-
-    /// Constrains the matched node's output dtype.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use htvm_ir::DType;
-    /// use htvm_pattern::is_constant;
-    /// let ternary_weights = is_constant().has_dtype(DType::Ternary);
-    /// assert_eq!(ternary_weights.to_string(), "const:ternary");
-    /// ```
-    #[must_use]
-    pub fn has_dtype(self, dtype: DType) -> Pattern {
-        Pattern::HasDType {
-            inner: Box::new(self),
-            dtype,
         }
     }
 
@@ -213,8 +81,7 @@ impl Pattern {
         match self {
             Pattern::Wildcard | Pattern::Constant => 0,
             Pattern::Op { args, .. } => 1 + args.iter().map(Pattern::min_ops).sum::<usize>(),
-            Pattern::Optional { inner, .. } | Pattern::HasDType { inner, .. } => inner.min_ops(),
-            Pattern::Alt(a, b) => a.min_ops().min(b.min_ops()),
+            Pattern::Optional { inner, .. } => inner.min_ops(),
         }
     }
 }
@@ -224,7 +91,7 @@ impl fmt::Display for Pattern {
         match self {
             Pattern::Wildcard => f.write_str("*"),
             Pattern::Constant => f.write_str("const"),
-            Pattern::Op { name, args, .. } => {
+            Pattern::Op { name, args } => {
                 write!(f, "{name}(")?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
@@ -237,8 +104,6 @@ impl fmt::Display for Pattern {
             Pattern::Optional { inner, op_name } => {
                 write!(f, "optional({op_name})({inner})")
             }
-            Pattern::Alt(a, b) => write!(f, "({a} | {b})"),
-            Pattern::HasDType { inner, dtype } => write!(f, "{inner}:{dtype}"),
         }
     }
 }
@@ -287,62 +152,5 @@ mod tests {
         assert_eq!(chain.min_ops(), 2);
         assert_eq!(chain.clone().optional("nn.relu").min_ops(), 2);
         assert_eq!(wildcard().min_ops(), 0);
-    }
-
-    #[test]
-    fn attention_matches_a_built_chain() {
-        use htvm_ir::{DType, GraphBuilder};
-        let mut b = GraphBuilder::new();
-        let x = b.input("x", &[2, 8, 4], DType::I8);
-        let scores = b.matmul(x, x, true).unwrap();
-        let scaled = b.requantize(scores, 6, false).unwrap();
-        let probs = b.softmax(scaled).unwrap();
-        let ctx = b.matmul(probs, x, false).unwrap();
-        let g = b.finish(&[ctx]).unwrap();
-        let m = crate::match_at(&g, &attention(), ctx).expect("attention chain matches");
-        assert!(m.inputs.contains(&x));
-        // A relu between softmax and the context matmul breaks the chain.
-        let mut b = GraphBuilder::new();
-        let x = b.input("x", &[2, 8, 4], DType::I8);
-        let scores = b.matmul(x, x, true).unwrap();
-        let scaled = b.requantize(scores, 6, false).unwrap();
-        let probs = b.softmax(scaled).unwrap();
-        let r = b.relu(probs).unwrap();
-        let ctx = b.matmul(r, x, false).unwrap();
-        let g = b.finish(&[ctx]).unwrap();
-        assert!(crate::match_at(&g, &attention(), ctx).is_none());
-    }
-
-    #[test]
-    fn has_attr_on_op_accumulates() {
-        let p = is_op("cast", vec![wildcard()])
-            .has_attr("dtype", AttrValue::Str("i8".into()))
-            .unwrap();
-        match &p {
-            Pattern::Op { attrs, .. } => assert_eq!(attrs.len(), 1),
-            other => panic!("expected op pattern, got {other}"),
-        }
-    }
-
-    #[test]
-    fn has_attr_on_non_op_is_a_typed_error() {
-        for bad in [
-            wildcard(),
-            is_constant(),
-            is_op("nn.relu", vec![wildcard()]).optional("clip"),
-            wildcard().or(is_constant()),
-        ] {
-            let display = bad.to_string();
-            let err = bad.has_attr("dtype", AttrValue::Int(1)).unwrap_err();
-            assert_eq!(
-                err,
-                PatternError::AttrOnNonOp {
-                    pattern: display,
-                    attr: "dtype".to_owned(),
-                }
-            );
-            let msg = err.to_string();
-            assert!(msg.contains("is_op"), "unhelpful message: {msg}");
-        }
     }
 }

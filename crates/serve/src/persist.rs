@@ -89,7 +89,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   which are no longer options. Artifact bytes did not change, but
 ///   every key and key id did: a format-7 entry sits under a key id no
 ///   format-8 key has.
-pub const CACHE_FORMAT_VERSION: u32 = 8;
+/// - `9`: a chain whose requantization tail is not `clip(-128, 127) →
+///   cast(i8)` runs on the CPU; the accelerator epilogue used to run it
+///   with the i8 bounds and dtype instead. Keys did not change, but the
+///   artifact of every graph holding such a chain did, so a format-8
+///   entry for one sits under a reachable key with the wrong program.
+pub const CACHE_FORMAT_VERSION: u32 = 9;
 
 /// Name of the layout-version directory under the persistence root.
 /// Bumping the on-disk layout means a new directory, so mixed-version

@@ -8,7 +8,7 @@
 //! instead after a bump, and either way they are *skipped*, never
 //! trusted and never fatal.
 //!
-//! Seven fixtures are not damaged at all; each is an entry exactly as the
+//! Eight fixtures are not damaged at all; each is an entry exactly as the
 //! last build of its format wrote it (digest, filename and compiler
 //! stamp all match, and that build re-admits it), and each must be
 //! skipped on its format alone:
@@ -42,6 +42,11 @@
 //!   the L1-budget override and the binary-size model; format 8 keeps
 //!   only the two tiling objectives, so its key id is one no format-8
 //!   key has.
+//! - `9a36d959….json`, format 8, a conv → right_shift → clip(0, 100) →
+//!   cast(i8) graph under `Digital`. Its key is the key this build gives
+//!   that job, but its artifact runs the chain on the digital
+//!   accelerator, whose epilogue clips to [-128, 127]; format 9 runs a
+//!   chain with any other requantization tail on the CPU.
 //!
 //! The digest-mismatch, bad-artifact and stale-stamp fixtures move to
 //! the current format with the constant (renamed to their new key ids),
@@ -56,7 +61,7 @@
 //! higher — and only the envelope's artifact digest catches it. All
 //! three are skipped and counted.
 
-use htvm::DeployConfig;
+use htvm::{DeployConfig, EngineKind};
 use htvm_ir::{DType, GraphBuilder, Tensor};
 use htvm_serve::{
     compiler_stamp, ArtifactCache, CompileService, JobRequest, PersistStore, ServeConfig,
@@ -69,9 +74,9 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Number of committed fixture entries (none of them admissible).
-const FIXTURE_ENTRIES: u64 = 12;
+const FIXTURE_ENTRIES: u64 = 13;
 
-/// The well-formed format-1 to format-7 entries, by key id.
+/// The well-formed format-1 to format-8 entries, by key id.
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
@@ -79,6 +84,7 @@ const FORMAT_4_ENTRY: &str = "6ca838bf4d67d56101c87af13b7bff76";
 const FORMAT_5_ENTRY: &str = "ff397f6f57a7a2f319514d39b61dd63d";
 const FORMAT_6_ENTRY: &str = "f750abe552658381ae828495ed33b377";
 const FORMAT_7_ENTRY: &str = "92e3226659d58c1ca705454dda194923";
+const FORMAT_8_ENTRY: &str = "9a36d959ed36a9c1544fcac46fa5ce12";
 
 #[test]
 fn layout_constants_are_pinned() {
@@ -96,8 +102,10 @@ fn layout_constants_are_pinned() {
     // with MurmurHash3 instead of FNV-1a. Format 6 -> 7 kept every key
     // and dropped the artifact's per-layer rows and DMA-table stamp.
     // Format 7 -> 8 kept artifact bytes and moved every key: the lowering
-    // fingerprint lost all but the two tiling objectives.
-    assert_eq!(CACHE_FORMAT_VERSION, 8);
+    // fingerprint lost all but the two tiling objectives. Format 8 -> 9
+    // kept every key and moved the artifacts of chains whose
+    // requantization tail is not the accelerator's i8 epilogue to the CPU.
+    assert_eq!(CACHE_FORMAT_VERSION, 9);
     assert_eq!(htvm_serve::persist::CACHE_LAYOUT_DIR, "v1");
 }
 
@@ -196,7 +204,7 @@ fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
 
     // This build's artifact for the same job is the format-6 text
     // without the two stored copies.
-    let now = written_now("f6", DeployConfig::Digital);
+    let now = written_now("f6", conv_softmax_graph(), DeployConfig::Digital);
     // The rows are the artifact's last member, the stamp the table's
     // first: cut both, then close the artifact object again.
     let (fields, rows) = stored
@@ -218,7 +226,7 @@ fn a_well_formed_format_7_entry_is_skipped_on_its_format_alone() {
 
     // This build writes the same artifact for the same job, byte for
     // byte, under a key whose fingerprint lost three members.
-    let now = written_now("f7", DeployConfig::Both);
+    let now = written_now("f7", conv_softmax_graph(), DeployConfig::Both);
     assert_eq!(now["artifact_digest"], entry["artifact_digest"]);
     assert_eq!(
         serde_json::to_string(&now["artifact"]).unwrap(),
@@ -235,9 +243,30 @@ fn a_well_formed_format_7_entry_is_skipped_on_its_format_alone() {
     assert_eq!(String::from_utf8(now_key).unwrap(), format!("{head}{tail}"));
 }
 
-/// The persist entry this build writes for `conv_softmax_graph` under
-/// `deploy`, as a fresh service spills it.
-fn written_now(job: &str, deploy: DeployConfig) -> serde_json::Value {
+#[test]
+fn a_well_formed_format_8_entry_is_skipped_on_its_format_alone() {
+    let text = skipped_on_its_format_alone(8, FORMAT_8_ENTRY);
+    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+
+    // This build gives the job the same key, so only the format keeps
+    // the old program from being served: it offloads the clip(0, 100)
+    // chain, which this build leaves on the CPU.
+    let now = written_now("f8", clip_tail_graph(), DeployConfig::Digital);
+    assert_eq!(now["key_id"], entry["key_id"]);
+    assert_eq!(now["key_hex"], entry["key_hex"]);
+    let digital_steps = |envelope: &serde_json::Value| {
+        let text = serde_json::to_string(&envelope["artifact"]).unwrap();
+        serde_json::from_str::<htvm::Artifact>(&text)
+            .expect("the artifact parses")
+            .steps_on(EngineKind::Digital)
+    };
+    assert_eq!(digital_steps(&entry), 1);
+    assert_eq!(digital_steps(&now), 0);
+}
+
+/// The persist entry this build writes for `graph` under `deploy`, as a
+/// fresh service spills it.
+fn written_now(job: &str, graph: htvm_ir::Graph, deploy: DeployConfig) -> serde_json::Value {
     let scratch =
         std::env::temp_dir().join(format!("htvm-compat-{job}-now-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -249,7 +278,7 @@ fn written_now(job: &str, deploy: DeployConfig) -> serde_json::Value {
         ..ServeConfig::default()
     });
     let result = service
-        .submit(JobRequest::compile_only(job, conv_softmax_graph(), deploy))
+        .submit(JobRequest::compile_only(job, graph, deploy))
         .expect("compiles");
     let text = std::fs::read_to_string(scratch.join(format!("v1/diana/{}.json", result.key_id)))
         .expect("entry spilled");
@@ -342,7 +371,7 @@ fn a_service_boots_cold_over_a_stale_cache_and_serves() {
     assert_eq!(service.stats().persist_writes, 1);
     let spilled = std::fs::read_to_string(dir.join(format!("{}.json", result.key_id)))
         .expect("the fresh entry sits next to the old ones");
-    assert!(spilled.starts_with(r#"{"format":8,"#));
+    assert!(spilled.starts_with(r#"{"format":9,"#));
 
     let _ = std::fs::remove_dir_all(&scratch);
 }
@@ -359,6 +388,20 @@ fn conv_softmax_graph() -> htvm_ir::Graph {
     let f = b.flatten(y).unwrap();
     let s = b.softmax(f).unwrap();
     b.finish(&[s]).unwrap()
+}
+
+/// A conv whose requantization tail clips to [0, 100]. A format-8 build
+/// offloaded it to the digital accelerator, whose epilogue clips to
+/// [-128, 127].
+fn clip_tail_graph() -> htvm_ir::Graph {
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", &[8, 8, 8], DType::I8);
+    let w = b.constant("w", Tensor::zeros(DType::I8, &[8, 8, 3, 3]));
+    let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
+    let s = b.right_shift(c, 7).unwrap();
+    let c = b.clip(s, 0, 100).unwrap();
+    let y = b.cast(c, DType::I8).unwrap();
+    b.finish(&[y]).unwrap()
 }
 
 /// Rewrites the value that opens with the first `field` after the first

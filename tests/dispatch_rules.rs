@@ -2,7 +2,8 @@
 //! engine each layer of the real MLPerf™ Tiny networks lands on under each
 //! deployment configuration (paper §III-A and §IV-C).
 
-use htvm::{Artifact, Compiler, DeployConfig, EngineKind};
+use htvm::{Artifact, Compiler, DeployConfig, EngineKind, Machine};
+use htvm_ir::{DType, Graph, GraphBuilder, Tensor};
 use htvm_models::{ds_cnn, mobilenet_v1, resnet8, toyadmos_dae, QuantScheme};
 
 fn compile(model: &htvm_models::Model, deploy: DeployConfig) -> Artifact {
@@ -171,7 +172,7 @@ fn dispatch_and_lowering_share_one_l1_budget() {
     // with. On a platform with 8 bytes of L1 activation memory most layers
     // do not; they belong on the CPU, not in a `tiling failed` compile
     // error.
-    use htvm::{DianaConfig, Machine};
+    use htvm::DianaConfig;
     let tiny_l1 = DianaConfig {
         l1_act_bytes: 8,
         ..DianaConfig::default()
@@ -271,4 +272,53 @@ fn per_layer_rows_add_up_to_the_model() {
         }
     }
     assert_eq!(cells, 19);
+}
+
+/// conv → right_shift → clip(min, max) → cast(to), with weights that
+/// push the shifted sums past every clip bound below.
+fn requant_chain(min: i32, max: i32, to: DType) -> Graph {
+    let mut b = GraphBuilder::new();
+    let x = b.input("x", &[4, 8, 8], DType::I8);
+    let weights = (0..4 * 4 * 9).map(|i| i * 37 % 255 - 127).collect();
+    let w = b.constant("w", Tensor::new(DType::I8, &[4, 4, 3, 3], weights).unwrap());
+    let c = b.conv2d(x, w, (1, 1), (1, 1, 1, 1)).unwrap();
+    let s = b.right_shift(c, 6).unwrap();
+    let c = b.clip(s, min, max).unwrap();
+    let y = b.cast(c, to).unwrap();
+    b.finish(&[y]).unwrap()
+}
+
+#[test]
+fn requant_tails_the_i8_epilogue_cannot_run_stay_on_the_cpu() {
+    // The accelerator epilogue clips to [-128, 127] and casts to i8
+    // whatever the graph says (the int8 predicate of the paper's Listing
+    // 1), so any other tail must run where it is computed as written.
+    for (min, max, to, engine) in [
+        (0, 100, DType::I8, EngineKind::Cpu),
+        (-10, 10, DType::I8, EngineKind::Cpu),
+        (-128, 127, DType::I16, EngineKind::Cpu),
+        (-1000, 1000, DType::I16, EngineKind::Cpu),
+        (-128, 127, DType::I8, EngineKind::Digital),
+    ] {
+        let built = requant_chain(min, max, to);
+        let imported = htvm_frontend::import(&htvm_frontend::emit(&built).unwrap()).unwrap();
+        for graph in [built, imported] {
+            let input = htvm_models::random_input(3, &[4, 8, 8]);
+            let reference = htvm_kernels::evaluate(&graph, std::slice::from_ref(&input)).unwrap();
+            for deploy in [DeployConfig::Digital, DeployConfig::Both] {
+                let case = format!("clip({min}, {max}) → cast({to}) under {deploy:?}");
+                let compiler = Compiler::new().with_deploy(deploy);
+                let artifact = compiler.compile(&graph).expect("compiles");
+                assert!(
+                    artifact.program.steps.iter().all(|s| s.engine() == engine),
+                    "{case}: expected every step on {engine:?}"
+                );
+                let report = Machine::new(*compiler.platform())
+                    .run(&artifact.program, std::slice::from_ref(&input))
+                    .expect("runs");
+                assert_eq!(report.outputs[0].dtype(), reference[0].dtype(), "{case}");
+                assert_eq!(report.outputs, reference, "{case}");
+            }
+        }
+    }
 }

@@ -16,6 +16,8 @@ enum Block {
         stride: usize,
         relu: bool,
         ternary: bool,
+        /// Requantization tail: clip bounds and cast dtype.
+        tail: (i32, i32, DType),
     },
     Depthwise,
     Residual,
@@ -23,19 +25,34 @@ enum Block {
     AvgPoolHead, // global avg pool + dense classifier; terminal-ish
 }
 
+/// The accelerator epilogue's requantization tail.
+const I8_TAIL: (i32, i32, DType) = (-128, 127, DType::I8);
+
+/// Tails a conv block draws from: mostly the i8 epilogue, plus a narrower
+/// clip and a wider cast, which no accelerator computes as written.
+const TAILS: [(i32, i32, DType); 5] = [
+    I8_TAIL,
+    I8_TAIL,
+    I8_TAIL,
+    (0, 100, DType::I8),
+    (-128, 127, DType::I16),
+];
+
 fn block_strategy() -> impl Strategy<Value = Block> {
     prop_oneof![
         (
             prop_oneof![Just(8usize), Just(12), Just(16)],
             1usize..=2,
             any::<bool>(),
-            any::<bool>()
+            any::<bool>(),
+            0..TAILS.len()
         )
-            .prop_map(|(k, stride, relu, ternary)| Block::Conv {
+            .prop_map(|(k, stride, relu, ternary, tail)| Block::Conv {
                 k,
                 stride,
                 relu,
-                ternary
+                ternary,
+                tail: TAILS[tail],
             }),
         Just(Block::Depthwise),
         Just(Block::Residual),
@@ -77,6 +94,7 @@ fn build(blocks: &[Block], seed: u64) -> Option<Graph> {
                 stride,
                 relu,
                 ternary,
+                tail: (min, max, to),
             } => {
                 if h < 3 || w < 3 {
                     continue;
@@ -95,7 +113,12 @@ fn build(blocks: &[Block], seed: u64) -> Option<Graph> {
                 let conv = b.conv2d(cur, wt, (stride, stride), pad).ok()?;
                 let conv = b.bias_add(conv, bias).ok()?;
                 skip = None;
-                cur = b.requantize(conv, 8, relu).ok()?;
+                let shifted = b.right_shift(conv, 8).ok()?;
+                let clipped = b.clip(shifted, min, max).ok()?;
+                cur = b.cast(clipped, to).ok()?;
+                if relu {
+                    cur = b.relu(cur).ok()?;
+                }
             }
             Block::Depthwise => {
                 if h < 3 || w < 3 {
@@ -113,7 +136,8 @@ fn build(blocks: &[Block], seed: u64) -> Option<Graph> {
             }
             Block::Residual => {
                 if let Some(s) = skip.take() {
-                    if b.shape_of(s).ok()?.dims() == b.shape_of(cur).ok()?.dims() {
+                    let same = |id| (b.shape_of(id).ok().cloned(), b.dtype_of(id).ok());
+                    if same(s) == same(cur) {
                         let sum = b.add(cur, s).ok()?;
                         cur = b.requantize(sum, 1, false).ok()?;
                     }
@@ -230,6 +254,7 @@ fn generator_produces_nontrivial_networks() {
             stride: 1,
             relu: true,
             ternary: false,
+            tail: I8_TAIL,
         },
         Block::Depthwise,
         Block::Residual,
@@ -238,6 +263,7 @@ fn generator_produces_nontrivial_networks() {
             stride: 2,
             relu: true,
             ternary: true,
+            tail: I8_TAIL,
         },
         Block::MaxPool,
         Block::AvgPoolHead,
