@@ -224,7 +224,8 @@ pub struct LayerReport {
     pub weight_load: u64,
     /// Host overhead cycles.
     pub overhead: u64,
-    /// Fault-stall cycles (0 on the fault-free report runs).
+    /// Always 0 on a simulated run (the machine models no stalls); schema
+    /// v1 keeps the field.
     pub stall: u64,
     /// Multiply-accumulates.
     pub macs: u64,

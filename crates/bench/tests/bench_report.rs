@@ -22,8 +22,8 @@ fn golden_path() -> PathBuf {
 }
 
 /// A hand-built report exercising every schema field: an `ok` entry with
-/// layers on all three engines (one with fault stalls), and an `oom`
-/// entry with no run.
+/// layers on all three engines (one with a nonzero schema-v1 `stall`),
+/// and an `oom` entry with no run.
 fn golden_report() -> BenchReport {
     let layer = |name: &str, engine: &str, compute, dma, stall| LayerReport {
         name: name.to_owned(),

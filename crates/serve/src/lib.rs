@@ -33,7 +33,7 @@
 //!   solves memoized for one tenant's layers accelerate every other
 //!   tenant's cold compiles too ([`ServiceStats::tile_cache`]).
 //! - The service compiles; it never simulates. A client runs the returned
-//!   artifact with `htvm::Machine::run` (or `run_with_faults`).
+//!   artifact with `htvm::Machine::run`.
 //! - The service is **platform-plural**: a declarative
 //!   [`PlatformManifest`](htvm_soc::PlatformManifest) gives every fleet
 //!   platform its own compiler, tile cache and artifact cache, and jobs

@@ -59,9 +59,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   bytes no format-2 request ever produces, so re-admitting it would
 ///   only spend cache budget on an unreachable artifact.
 /// - `3`: an accelerator step is stored once. The artifact lost its
-///   `fallbacks` table (the machine derives a step's host form from its
-///   descriptor) and the key's lowering fingerprint lost the option that
-///   selected it, so no format-3 request produces a format-2 key.
+///   `fallbacks` table (the machine then derived a step's host form from
+///   its descriptor) and the key's lowering fingerprint lost the option
+///   that selected it, so no format-3 request produces a format-2 key.
 /// - `4`: every tensor payload is base64 of its little-endian bytes at
 ///   the dtype's native width instead of a list of decimal numbers.
 ///   Keys did not change (they digest the values, not the text), so a

@@ -18,20 +18,20 @@ pub struct CycleBreakdown {
     pub weight_load: u64,
     /// Host overhead: kernel calls, per-tile configuration/handshake.
     pub overhead: u64,
-    /// Cycles lost to injected faults: DMA stalls, retry re-issues and
-    /// backoff waits, L1 allocation denials, engine-offline detection
-    /// timeouts. Always 0 on a fault-free run. Kept separate from `dma`
-    /// so the double-buffering adjustment can never hide a fault.
+    /// Always 0: the machine models no stalls, and [`total`](Self::total)
+    /// does not count this field. It stays only because readers outside
+    /// this workspace still name it (the repository benchmark and the
+    /// bench report schema v1's `LayerReport::stall`).
     #[serde(default)]
     pub stall: u64,
 }
 
 impl CycleBreakdown {
     /// All cycles: what the host observes between kernel call and return
-    /// (the paper's "full kernel" measurement), fault stalls included.
+    /// (the paper's "full kernel" measurement).
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.compute + self.dma + self.weight_load + self.overhead + self.stall
+        self.compute + self.dma + self.weight_load + self.overhead
     }
 
     /// Accelerator-only cycles: trigger to completion, weight transfer
@@ -55,43 +55,6 @@ pub struct LayerProfile {
     pub macs: u64,
     /// Accelerator invocations (tile count); 1 for CPU kernels.
     pub n_tiles: usize,
-    /// Fault-recovery retries attributed to this layer (DMA re-issues and
-    /// L1 allocation re-requests). Always 0 on a fault-free run.
-    #[serde(default)]
-    pub retries: u64,
-}
-
-/// Run-level fault and recovery counters, accumulated across all layers
-/// of one [`Machine::run_with_faults`](crate::Machine::run_with_faults)
-/// invocation. All zero on a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PerfCounters {
-    /// Cycles lost on the DMA path: scheduled bus stalls plus failed
-    /// transfer re-issues and their backoff waits.
-    pub dma_stall_cycles: u64,
-    /// DMA transfer re-issues after injected failures.
-    pub dma_retries: u64,
-    /// Backoff cycles waited out on denied L1 allocations.
-    pub l1_stall_cycles: u64,
-    /// L1 allocation re-requests after injected denials.
-    pub l1_retries: u64,
-    /// Accelerator steps degraded to their pre-compiled CPU fallback
-    /// because the target engine was offline.
-    pub engine_fallbacks: u64,
-}
-
-impl PerfCounters {
-    /// All fault-induced stall cycles (DMA path + L1 arbitration).
-    #[must_use]
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.dma_stall_cycles + self.l1_stall_cycles
-    }
-
-    /// `true` if any fault fired during the run.
-    #[must_use]
-    pub fn any_faults(&self) -> bool {
-        *self != PerfCounters::default()
-    }
 }
 
 /// The result of running a program on the simulated SoC.
@@ -101,8 +64,6 @@ pub struct RunReport {
     pub outputs: Vec<Tensor>,
     /// Per-layer profiles, in execution order.
     pub layers: Vec<LayerProfile>,
-    /// Run-level fault/recovery counters (all zero when fault-free).
-    pub counters: PerfCounters,
 }
 
 impl RunReport {
@@ -146,13 +107,10 @@ impl RunReport {
     /// Rebuilds the run as a cycles-domain [`Trace`] in the unified
     /// `htvm-trace` event model: one span per layer on its engine's
     /// track, with the full cycle breakdown (and per-layer energy, when a
-    /// model is given) attached as arguments. Layers that suffered
-    /// injected faults additionally get a stall span on a dedicated
-    /// `faults` track (nested within the layer's span), so recovery cost
-    /// is visible at a glance; the track only appears when a fault fired.
+    /// model is given) attached as arguments.
     ///
     /// Track ids follow [`RunReport::track_of`]: cpu 0, digital 1,
-    /// analog 2, faults 3 — the same rows the compile trace never uses,
+    /// analog 2 — the same rows the compile trace never uses,
     /// so compile and run traces can be inspected with one mental model.
     #[must_use]
     pub fn to_trace(&self, energy: Option<&EnergyConfig>) -> Trace {
@@ -164,7 +122,6 @@ impl RunReport {
                 Track::new(2, "analog"),
             ],
         );
-        let mut fault_spans = 0usize;
         let mut cursor: u64 = 0;
         for layer in &self.layers {
             // Zero-cycle layers are emitted with a 1-cycle floor so they
@@ -177,40 +134,18 @@ impl RunReport {
                 .with_arg("dma_cycles", layer.cycles.dma)
                 .with_arg("weight_load_cycles", layer.cycles.weight_load)
                 .with_arg("overhead_cycles", layer.cycles.overhead)
-                .with_arg("stall_cycles", layer.cycles.stall)
-                .with_arg("retries", layer.retries)
                 .with_arg("macs", layer.macs)
                 .with_arg("tiles", layer.n_tiles);
             if let Some(cfg) = energy {
                 span = span.with_arg("energy_fj", cfg.layer_fj(layer));
             }
             trace.spans.push(span);
-            if layer.cycles.stall > 0 || layer.retries > 0 {
-                fault_spans += 1;
-                // The stall span starts at the layer's start and is at
-                // most the layer's duration, so it nests inside it and
-                // cannot overlap the next layer's stall span.
-                trace.spans.push(
-                    Span::new(
-                        &format!("stall:{}", layer.name),
-                        3,
-                        cursor,
-                        layer.cycles.stall.max(1),
-                    )
-                    .with_arg("stall_cycles", layer.cycles.stall)
-                    .with_arg("retries", layer.retries),
-                );
-            }
             cursor += dur;
-        }
-        if fault_spans > 0 {
-            trace.tracks.push(Track::new(3, "faults"));
         }
         trace
     }
 
-    /// Trace track id for an engine (cpu 0, digital 1, analog 2; the
-    /// faults track is 3).
+    /// Trace track id for an engine (cpu 0, digital 1, analog 2).
     #[must_use]
     pub fn track_of(engine: EngineKind) -> u32 {
         match engine {
@@ -247,7 +182,6 @@ mod tests {
             },
             macs: 100,
             n_tiles: 1,
-            retries: 0,
         }
     }
 
@@ -255,7 +189,6 @@ mod tests {
         RunReport {
             outputs: vec![],
             layers,
-            counters: PerfCounters::default(),
         }
     }
 
@@ -268,8 +201,7 @@ mod tests {
         let trace = report.to_chrome_trace();
         let v: serde_json::Value = serde_json::from_str(&trace).unwrap();
         let events = v["traceEvents"].as_array().unwrap();
-        // 2 duration events + 3 thread-name metadata events; no faults
-        // fired, so no stall spans and no "faults" row.
+        // 2 duration events + 3 thread-name metadata events.
         assert_eq!(events.len(), 5);
         assert_eq!(events[0]["ts"], 0);
         assert_eq!(events[0]["dur"], 200);
@@ -294,56 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_stall_spans_nest_and_cursor_strictly_advances() {
-        let mut stalled = profile(EngineKind::Digital, 100, 50, 20, 30);
-        stalled.cycles.stall = 40;
-        stalled.retries = 2;
-        let clean = profile(EngineKind::Cpu, 1000, 0, 0, 10);
-        let report = report(vec![stalled, clean]);
-        let trace = report.to_chrome_trace();
-        let v: serde_json::Value = serde_json::from_str(&trace).unwrap();
-        let events = v["traceEvents"].as_array().unwrap();
-        // 2 layer events + 1 stall span + 3 engine rows + the faults row.
-        assert_eq!(events.len(), 7);
-
-        // Layer 0 spans [0, 240): total now includes the stall.
-        assert_eq!(events[0]["ts"], 0);
-        assert_eq!(events[0]["dur"], 240);
-        assert_eq!(events[0]["args"]["stall_cycles"], 40);
-        assert_eq!(events[0]["args"]["retries"], 2);
-
-        // Its stall span sits on the faults row, nested inside the layer.
-        assert_eq!(events[1]["name"], "stall:l");
-        assert_eq!(events[1]["tid"], 3);
-        assert_eq!(events[1]["ts"], 0);
-        assert_eq!(events[1]["dur"], 40);
-        assert_eq!(events[1]["args"]["retries"], 2);
-
-        // The next layer starts strictly after the previous one ends.
-        assert_eq!(events[2]["ts"], 240);
-
-        // The faults thread-name row is present exactly once.
-        let fault_rows: Vec<_> = events
-            .iter()
-            .filter(|e| e["ph"] == "M" && e["args"]["name"] == "faults")
-            .collect();
-        assert_eq!(fault_rows.len(), 1);
-        assert_eq!(fault_rows[0]["tid"], 3);
-    }
-
-    #[test]
     fn chrome_trace_events_never_overlap_within_a_row() {
-        // Mixed zero-cycle, stalled and plain layers: on every row, events
-        // must be disjoint and the timeline cursor strictly advances.
-        let mut stalled = profile(EngineKind::Analog, 10, 5, 0, 1);
-        stalled.cycles.stall = 7;
-        stalled.retries = 1;
-        let mut retry_only = profile(EngineKind::Digital, 20, 0, 0, 0);
-        retry_only.retries = 3; // retries but zero stall: still gets a span
+        // Mixed zero-cycle and plain layers: on every row, events must be
+        // disjoint and the timeline cursor strictly advances.
         let report = report(vec![
             profile(EngineKind::Cpu, 0, 0, 0, 0),
-            stalled,
-            retry_only,
+            profile(EngineKind::Analog, 10, 5, 0, 1),
+            profile(EngineKind::Digital, 20, 0, 0, 0),
             profile(EngineKind::Cpu, 0, 0, 0, 0),
         ]);
         let v: serde_json::Value = serde_json::from_str(&report.to_chrome_trace()).unwrap();
@@ -375,28 +264,14 @@ mod tests {
 
     #[test]
     fn peak_excludes_dma_overhead_and_stall_for_accels_only() {
-        let mut digital = profile(EngineKind::Digital, 100, 50, 20, 30);
-        digital.cycles.stall = 5;
-        let report = report(vec![digital, profile(EngineKind::Cpu, 1000, 0, 0, 10)]);
-        assert_eq!(report.total_cycles(), 205 + 1010);
-        assert_eq!(report.peak_cycles(), 120 + 1010, "peak ignores stalls");
-        assert_eq!(report.engine_cycles(EngineKind::Digital), 205);
+        let report = report(vec![
+            profile(EngineKind::Digital, 100, 50, 20, 30),
+            profile(EngineKind::Cpu, 1000, 0, 0, 10),
+        ]);
+        assert_eq!(report.total_cycles(), 200 + 1010);
+        assert_eq!(report.peak_cycles(), 120 + 1010);
+        assert_eq!(report.engine_cycles(EngineKind::Digital), 200);
         assert_eq!(report.engine_cycles(EngineKind::Analog), 0);
         assert_eq!(report.total_macs(), 200);
-    }
-
-    #[test]
-    fn perf_counters_report_faults() {
-        let quiet = PerfCounters::default();
-        assert!(!quiet.any_faults());
-        assert_eq!(quiet.total_stall_cycles(), 0);
-        let busy = PerfCounters {
-            dma_stall_cycles: 10,
-            l1_stall_cycles: 3,
-            engine_fallbacks: 1,
-            ..PerfCounters::default()
-        };
-        assert!(busy.any_faults());
-        assert_eq!(busy.total_stall_cycles(), 13);
     }
 }

@@ -15,8 +15,7 @@
 //! [`CostModel`](htvm_dory::CostModel), the tiler's own price list.
 //!
 //! Descriptors are recorded in issue order (input operands → digital
-//! weight staging → output store, per tile), which is the global DMA
-//! transaction order fault plans index by. The machine derives every
+//! weight staging → output store, per tile). The machine derives every
 //! step's program from the step's own descriptor each time it runs it, so
 //! nothing an artifact stores can change a cycle. The compiler still
 //! records the programs in the artifact's [`DmaTable`], which the
@@ -38,8 +37,7 @@ pub enum DmaDir {
     /// appears as a descriptor (it lands in [`StepDma::analog_weight`]).
     Weight,
     /// Output store, L1 → L2. Recorded even for zero-byte reduction
-    /// slices: the transaction still occupies a slot in the global DMA
-    /// order that fault plans index by.
+    /// slices, so every tile has exactly one store slot.
     Out,
 }
 
@@ -71,7 +69,7 @@ pub struct StepDma {
     /// Fused output-pooling cycles, added to compute after the
     /// double-buffering adjustment.
     pub pool: u64,
-    /// Analog macro row-programming cycles (not DMA, not faultable).
+    /// Analog macro row-programming cycles (not DMA).
     pub analog_weight: u64,
     /// Every DMA transaction in global issue order.
     pub descriptors: Vec<DmaDescriptor>,
@@ -240,8 +238,7 @@ mod tests {
     #[test]
     fn zero_byte_descriptor_is_free_but_keeps_its_transaction_slot() {
         // A non-final reduction slice stores 0 bytes over its (nonzero)
-        // chunk pattern: no cycles, but the slot must exist so fault
-        // plans indexed by global transfer order stay aligned.
+        // chunk pattern: no cycles, but every tile keeps its store slot.
         let cfg = DianaConfig::default();
         let d = DmaDescriptor {
             dir: DmaDir::Out,

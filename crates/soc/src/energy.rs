@@ -62,7 +62,7 @@ impl EnergyConfig {
             dma,
             weight_load,
             overhead,
-            stall,
+            ..
         } = layer.cycles;
         let mac_energy = match layer.engine {
             EngineKind::Analog => layer.macs * self.analog_fj_per_mac,
@@ -72,12 +72,10 @@ impl EnergyConfig {
             EngineKind::Cpu => layer.macs * self.cpu_fj_per_mac + compute * self.host_fj_per_cycle,
         };
         let dma_bytes = dma * self.dma_bytes_per_cycle;
-        // Fault stalls burn host-idle energy: the core spins on the DMA /
-        // allocator while the retry backoff elapses.
         mac_energy
             + dma_bytes * self.dma_fj_per_byte
             + weight_load * self.weight_fj_per_cycle
-            + (overhead + stall) * self.host_fj_per_cycle
+            + overhead * self.host_fj_per_cycle
     }
 
     /// Estimated energy of a whole run in microjoules.
@@ -99,7 +97,6 @@ mod tests {
             cycles,
             macs,
             n_tiles: 1,
-            retries: 0,
         }
     }
 
@@ -128,14 +125,14 @@ mod tests {
                 dma: 100,
                 weight_load: 10,
                 overhead: 10,
-                stall: 5,
+                stall: 0,
             },
         ));
         assert_eq!(
             busy,
             100 * 8 * cfg.dma_fj_per_byte
                 + 10 * cfg.weight_fj_per_cycle
-                + (10 + 5) * cfg.host_fj_per_cycle
+                + 10 * cfg.host_fj_per_cycle
         );
     }
 
@@ -148,7 +145,6 @@ mod tests {
                 layer(EngineKind::Digital, 1000, CycleBreakdown::default()),
                 layer(EngineKind::Analog, 1000, CycleBreakdown::default()),
             ],
-            counters: crate::PerfCounters::default(),
         };
         let expect = (1000 * cfg.digital_fj_per_mac + 1000 * cfg.analog_fj_per_mac) as f64 / 1e9;
         assert!((cfg.run_uj(&report) - expect).abs() < 1e-12);

@@ -45,8 +45,6 @@ mod counters;
 mod cpu;
 mod dma_program;
 mod energy;
-mod fallback;
-mod faults;
 mod listing;
 mod machine;
 pub mod manifest;
@@ -55,12 +53,10 @@ mod program;
 mod timeline;
 
 pub use config::{AnalogConfig, CpuConfig, DianaConfig, DigitalConfig, DmaConfig};
-pub use counters::{CycleBreakdown, LayerProfile, PerfCounters, RunReport};
+pub use counters::{CycleBreakdown, LayerProfile, RunReport};
 pub use cpu::cpu_graph_cycles;
 pub use dma_program::{linearize_step, DmaDescriptor, DmaDir, DmaTable, StepDma};
 pub use energy::EnergyConfig;
-pub use fallback::cpu_fallback;
-pub use faults::{FaultEvent, FaultPlan, RetryPolicy};
 pub use listing::render_listing;
 pub use machine::{Machine, RunError};
 pub use manifest::{Capabilities, ManifestError, PlatformManifest, PlatformSpec, DEFAULT_PLATFORM};

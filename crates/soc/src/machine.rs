@@ -1,10 +1,9 @@
 //! The program executor: functional semantics + cycle accounting.
 
-use crate::dma_program::{linearize_step, linearize_tiles, DmaDir, StepDma};
-use crate::faults::{DmaAbort, FaultCtx};
+use crate::dma_program::{linearize_tiles, DmaDir, StepDma};
 use crate::{
-    cpu, cpu_fallback, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind,
-    FaultPlan, LayerProfile, Program, RunReport, Step,
+    cpu, AccelLayerDesc, BufferId, CycleBreakdown, DianaConfig, EngineKind, LayerProfile, Program,
+    RunReport, Step,
 };
 use htvm_dory::{tiles, LayerKind, TileInstance};
 use htvm_ir::{DType, Tensor};
@@ -16,8 +15,8 @@ use std::fmt;
 /// Errors produced while running a program.
 ///
 /// Every per-layer variant carries the failing step index, layer name and
-/// engine as structured fields, so degradation decisions and test
-/// assertions never have to string-match error messages.
+/// engine as structured fields, so callers and test assertions never
+/// have to string-match error messages.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunError {
@@ -58,41 +57,6 @@ pub enum RunError {
         /// The memory's capacity in bytes.
         capacity: usize,
     },
-    /// An injected DMA failure persisted beyond the retry budget.
-    DmaFailed {
-        /// Failing step index into [`Program::steps`].
-        layer_index: usize,
-        /// The layer whose transfer failed.
-        layer: String,
-        /// Engine the layer was dispatched to.
-        engine: EngineKind,
-        /// Global DMA transaction index of the failed transfer.
-        transfer: u64,
-        /// Failures observed (exceeds the retry budget).
-        attempts: u32,
-    },
-    /// An engine was offline at this step and the step's descriptor has no
-    /// host form to degrade to (a weighted layer without weights, in a
-    /// hand-built or deserialized [`Program`]; never an emitted one).
-    EngineUnavailable {
-        /// Failing step index into [`Program::steps`].
-        layer_index: usize,
-        /// The stranded layer.
-        layer: String,
-        /// The offline engine.
-        engine: EngineKind,
-    },
-    /// An injected L1 allocation denial persisted beyond the retry budget.
-    L1Denied {
-        /// Failing step index into [`Program::steps`].
-        layer_index: usize,
-        /// The layer whose allocation was denied.
-        layer: String,
-        /// Engine the layer was dispatched to.
-        engine: EngineKind,
-        /// Denials observed (exceeds the retry budget).
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -120,33 +84,6 @@ impl fmt::Display for RunError {
                 f,
                 "step {layer_index} ('{layer}', {engine}) tile needs {needed} bytes, exceeding the {capacity} byte scratchpad"
             ),
-            RunError::DmaFailed {
-                layer_index,
-                layer,
-                engine,
-                transfer,
-                attempts,
-            } => write!(
-                f,
-                "step {layer_index} ('{layer}', {engine}): DMA transfer #{transfer} failed {attempts} times, retry budget exhausted"
-            ),
-            RunError::EngineUnavailable {
-                layer_index,
-                layer,
-                engine,
-            } => write!(
-                f,
-                "step {layer_index} ('{layer}'): engine {engine} is offline and the layer's descriptor has no CPU form"
-            ),
-            RunError::L1Denied {
-                layer_index,
-                layer,
-                engine,
-                attempts,
-            } => write!(
-                f,
-                "step {layer_index} ('{layer}', {engine}): L1 allocation denied {attempts} times, retry budget exhausted"
-            ),
         }
     }
 }
@@ -165,11 +102,9 @@ impl RunError {
     #[must_use]
     pub fn layer_index(&self) -> Option<usize> {
         match self {
-            RunError::Eval { layer_index, .. }
-            | RunError::L1Overflow { layer_index, .. }
-            | RunError::DmaFailed { layer_index, .. }
-            | RunError::EngineUnavailable { layer_index, .. }
-            | RunError::L1Denied { layer_index, .. } => Some(*layer_index),
+            RunError::Eval { layer_index, .. } | RunError::L1Overflow { layer_index, .. } => {
+                Some(*layer_index)
+            }
             _ => None,
         }
     }
@@ -178,10 +113,7 @@ impl RunError {
     #[must_use]
     pub fn engine(&self) -> Option<EngineKind> {
         match self {
-            RunError::L1Overflow { engine, .. }
-            | RunError::DmaFailed { engine, .. }
-            | RunError::EngineUnavailable { engine, .. }
-            | RunError::L1Denied { engine, .. } => Some(*engine),
+            RunError::L1Overflow { engine, .. } => Some(*engine),
             RunError::Eval { .. } => Some(EngineKind::Cpu),
             _ => None,
         }
@@ -215,41 +147,12 @@ impl Machine {
 
     /// Runs a program on concrete inputs.
     ///
-    /// Equivalent to [`Machine::run_with_faults`] with
-    /// [`FaultPlan::none`]: same outputs, same cycle counts.
-    ///
     /// # Errors
     ///
     /// Returns [`RunError`] if the inputs do not match the program
-    /// signature or a CPU segment fails to evaluate.
+    /// signature, an accelerator tile overflows a physical memory, or a
+    /// CPU segment fails to evaluate.
     pub fn run(&self, program: &Program, inputs: &[Tensor]) -> Result<RunReport, RunError> {
-        self.run_with_faults(program, inputs, &FaultPlan::none())
-    }
-
-    /// Runs a program under an injected [`FaultPlan`].
-    ///
-    /// Transient faults (DMA stalls/failures, L1 allocation denials) are
-    /// retried with the plan's bounded backoff; the recovery cost lands in
-    /// each layer's `stall` cycles, its `retries` count and the report's
-    /// [`PerfCounters`](crate::PerfCounters). Permanent engine-off faults
-    /// degrade the affected steps to the CPU fallback derived from each
-    /// step's descriptor. Faults never change the computed bits: a
-    /// recoverable plan yields outputs bit-exact with the fault-free run,
-    /// at equal or higher cycle cost. An empty plan reproduces
-    /// [`Machine::run`] exactly, cycle for cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] on signature mismatch, on transient faults
-    /// that exhaust the retry budget ([`RunError::DmaFailed`],
-    /// [`RunError::L1Denied`]), and on an offline engine whose step has no
-    /// host form ([`RunError::EngineUnavailable`]).
-    pub fn run_with_faults(
-        &self,
-        program: &Program,
-        inputs: &[Tensor],
-        plan: &FaultPlan,
-    ) -> Result<RunReport, RunError> {
         if inputs.len() != program.inputs.len() {
             return Err(RunError::InputCountMismatch {
                 expected: program.inputs.len(),
@@ -274,7 +177,6 @@ impl Machine {
             values[id.0] = Some(t.clone());
         }
 
-        let mut faults = FaultCtx::from_plan(plan);
         let mut layers = Vec::with_capacity(program.steps.len());
         for (step_idx, step) in program.steps.iter().enumerate() {
             let profile = match step {
@@ -287,20 +189,8 @@ impl Machine {
                 } => {
                     let a = take_ref(&values, *input);
                     let b = input2.map(|id| take_ref(&values, id));
-                    let (tensor, profile) = if faults.engine_offline(*engine, step_idx) {
-                        self.exec_fallback(step_idx, *engine, desc, (a, b), &mut faults)?
-                    } else {
-                        self.check_tile_fits(step_idx, *engine, desc)?;
-                        faults
-                            .l1_allocation(step_idx)
-                            .map_err(|attempts| RunError::L1Denied {
-                                layer_index: step_idx,
-                                layer: desc.name.clone(),
-                                engine: *engine,
-                                attempts,
-                            })?;
-                        self.exec_accel(step_idx, *engine, desc, a, b, &mut faults)?
-                    };
+                    self.check_tile_fits(step_idx, *engine, desc)?;
+                    let (tensor, profile) = self.exec_accel(*engine, desc, a, b);
                     values[output.0] = Some(tensor);
                     profile
                 }
@@ -331,7 +221,6 @@ impl Machine {
                         },
                         macs: graph.total_macs(),
                         n_tiles: 1,
-                        retries: 0,
                     }
                 }
             };
@@ -343,11 +232,7 @@ impl Machine {
             .iter()
             .map(|&id| take_ref(&values, id).clone())
             .collect();
-        Ok(RunReport {
-            outputs,
-            layers,
-            counters: faults.counters,
-        })
+        Ok(RunReport { outputs, layers })
     }
 
     /// Enforces the Eq. 2 capacity constraint at execution time: a
@@ -399,19 +284,9 @@ impl Machine {
     /// The temporal model of one accelerator layer: its [`StepDma`]
     /// descriptor program, linearized for this machine's configuration
     /// from the step's own descriptor (never read from the artifact),
-    /// replayed against this platform's cost constants.
-    /// Every DMA transaction is routed through the fault context in the
-    /// program's issue order — the order fault plans index by — which
-    /// accounts injected stalls and retries into its per-layer scratch
-    /// (never into `dma`, so the double-buffering adjustment can never
-    /// hide a fault). Purely timing — no tensor data is touched — so the
-    /// fallback path can price the fault-free layer without executing it.
-    fn replay_timing(
-        &self,
-        engine: EngineKind,
-        step_dma: &StepDma,
-        faults: &mut FaultCtx,
-    ) -> Result<CycleBreakdown, DmaAbort> {
+    /// replayed against this platform's cost constants. Purely timing: no
+    /// tensor data is touched.
+    fn replay_timing(&self, engine: EngineKind, step_dma: &StepDma) -> CycleBreakdown {
         let model = self.cfg.cost_model(engine);
         let mut cycles = CycleBreakdown {
             overhead: model.overhead_cycles(step_dma.n_tiles),
@@ -423,35 +298,31 @@ impl Machine {
                 DmaDir::In | DmaDir::Out => cycles.dma += cost,
                 DmaDir::Weight => cycles.weight_load += cost,
             }
-            faults.dma_transfer(cost)?;
         }
         cycles.weight_load += step_dma.analog_weight;
         cycles.compute = step_dma.compute;
         // DORY double-buffering (optional): activation DMA of tile i+1
         // overlaps compute of tile i, leaving only the first-tile fill and
         // whatever DMA exceeds the compute time exposed. Weight staging is
-        // part of the accelerator instruction and never overlaps; fault
-        // stalls live in their own bucket and are never overlapped. The
-        // fused pooling (paper §III-C) joins compute only afterwards.
+        // part of the accelerator instruction and never overlaps. The fused
+        // pooling (paper §III-C) joins compute only afterwards.
         if self.cfg.dma.double_buffer && step_dma.n_tiles > 1 {
             let fill = cycles.dma / step_dma.n_tiles;
             cycles.dma = cycles.dma.saturating_sub(cycles.compute).max(fill);
         }
         cycles.compute += step_dma.pool;
-        Ok(cycles)
+        cycles
     }
 
     /// Executes one accelerator layer: the DORY tile loop with DMA, weight
     /// staging and compute costs, accumulating functionally per tile.
     fn exec_accel(
         &self,
-        step_idx: usize,
         engine: EngineKind,
         desc: &AccelLayerDesc,
         input: &Tensor,
         input2: Option<&Tensor>,
-        faults: &mut FaultCtx,
-    ) -> Result<(Tensor, LayerProfile), RunError> {
+    ) -> (Tensor, LayerProfile) {
         let geom = &desc.geom;
         let input = self.dac_clamp(engine, input);
         let input2 = input2.map(|t| self.dac_clamp(engine, t));
@@ -466,19 +337,7 @@ impl Machine {
 
         let instances = tiles(geom, &desc.tile);
         let step_dma = linearize_tiles(&self.cfg, engine, desc, &instances);
-        let mut cycles = self
-            .replay_timing(engine, &step_dma, faults)
-            .map_err(|abort| RunError::DmaFailed {
-                layer_index: step_idx,
-                layer: desc.name.clone(),
-                engine,
-                transfer: abort.transfer,
-                attempts: abort.attempts,
-            })?;
-        // Collect this layer's injected stalls/retries (includes any L1
-        // denial backoff charged before dispatch).
-        let (stall, retries) = faults.take_layer_faults();
-        cycles.stall += stall;
+        let cycles = self.replay_timing(engine, &step_dma);
 
         // Functional execution of exactly each tile's work.
         for inst in &instances {
@@ -500,65 +359,8 @@ impl Machine {
             cycles,
             macs: geom.macs(),
             n_tiles: instances.len(),
-            retries,
         };
-        Ok((out, profile))
-    }
-
-    /// Graceful degradation: executes an accelerator step on the host,
-    /// through the graph derived from its descriptor, because its engine
-    /// is offline. The host only learns the engine is gone by timing out
-    /// the kernel call, so the degraded layer is charged the full
-    /// fault-free accelerator cost as stall before the CPU cost — a
-    /// faulted run is never cheaper than the fault-free one. The fallback
-    /// graph reproduces the accelerator's fused output path (including
-    /// the analog DAC clamp) bit for bit.
-    fn exec_fallback(
-        &self,
-        step_idx: usize,
-        engine: EngineKind,
-        desc: &AccelLayerDesc,
-        (input, input2): (&Tensor, Option<&Tensor>),
-        faults: &mut FaultCtx,
-    ) -> Result<(Tensor, LayerProfile), RunError> {
-        let graph = cpu_fallback(desc).ok_or_else(|| RunError::EngineUnavailable {
-            layer_index: step_idx,
-            layer: desc.name.clone(),
-            engine,
-        })?;
-        let name = format!("{}_cpu_fallback", desc.name);
-        let step_dma = linearize_step(&self.cfg, engine, desc);
-        let timeout = self
-            .replay_timing(engine, &step_dma, &mut FaultCtx::inert())
-            .expect("inert fault context cannot abort")
-            .total();
-
-        // Mirror the analog input DAC clamp so the fallback sees exactly
-        // the bits the accelerator would have.
-        let input = self.dac_clamp(engine, input);
-        let input2 = input2.map(|t| self.dac_clamp(engine, t));
-        let args: Vec<&Tensor> = std::iter::once(&*input).chain(input2.as_deref()).collect();
-        let mut out = kernels::evaluate_refs(&graph, &args).map_err(|e| RunError::Eval {
-            layer_index: step_idx,
-            layer: name.clone(),
-            source: e,
-        })?;
-        let compute = cpu::cpu_graph_cycles(&self.cfg.cpu, &graph);
-        faults.counters.engine_fallbacks += 1;
-        let (extra_stall, retries) = faults.take_layer_faults();
-        let profile = LayerProfile {
-            name,
-            engine: EngineKind::Cpu,
-            cycles: CycleBreakdown {
-                compute,
-                stall: timeout + extra_stall,
-                ..CycleBreakdown::default()
-            },
-            macs: desc.geom.macs(),
-            n_tiles: 1,
-            retries,
-        };
-        Ok((out.remove(0), profile))
+        (out, profile)
     }
 
     /// An operand as the analog MAC array sees it through its optional
@@ -919,262 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_reproduces_run_exactly() {
-        // The zero-cost-when-unused guarantee: an inert fault context must
-        // not perturb a single cycle anywhere in the timing model.
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        for tile in [
-            TileConfig::full(&geom),
-            TileConfig {
-                c_t: 2,
-                k_t: 3,
-                oy_t: 4,
-                ox_t: 8,
-            },
-        ] {
-            let (program, input, _) = conv_program(tile, EngineKind::Digital);
-            let m = Machine::new(DianaConfig::default());
-            let plain = m.run(&program, std::slice::from_ref(&input)).unwrap();
-            let faulted = m
-                .run_with_faults(&program, &[input], &crate::FaultPlan::none())
-                .unwrap();
-            assert_eq!(plain, faulted);
-            assert!(!faulted.counters.any_faults());
-        }
-    }
-
-    #[test]
-    fn dma_stall_adds_cycles_but_not_bits() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let m = Machine::new(DianaConfig::default());
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaStall {
-            transfer: 0,
-            cycles: 777,
-        });
-        let faulted = m.run_with_faults(&program, &[input], &plan).unwrap();
-        assert_eq!(faulted.outputs[0], reference);
-        assert_eq!(faulted.layers[0].cycles.stall, 777);
-        assert_eq!(faulted.total_cycles(), clean.total_cycles() + 777);
-        assert_eq!(faulted.counters.dma_stall_cycles, 777);
-        assert_eq!(faulted.layers[0].retries, 0);
-        // The stall is visible in the chrome trace on the faults row.
-        let trace = faulted.to_chrome_trace();
-        assert!(trace.contains("\"faults\""));
-        assert!(trace.contains("stall:conv"));
-    }
-
-    #[test]
-    fn dma_stall_survives_double_buffering() {
-        // Double-buffering hides nominal DMA behind compute; injected
-        // stalls live in their own bucket and must remain fully exposed.
-        let tile = TileConfig {
-            c_t: 4,
-            k_t: 6,
-            oy_t: 2,
-            ox_t: 8,
-        };
-        let (program, input, _) = conv_program(tile, EngineKind::Digital);
-        let mut cfg = DianaConfig::default();
-        cfg.dma.double_buffer = true;
-        let m = Machine::new(cfg);
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaStall {
-            transfer: 1,
-            cycles: 123_456,
-        });
-        let faulted = m.run_with_faults(&program, &[input], &plan).unwrap();
-        assert_eq!(
-            faulted.total_cycles(),
-            clean.total_cycles() + 123_456,
-            "the stall must not be absorbed by DMA/compute overlap"
-        );
-    }
-
-    #[test]
-    fn dma_failures_retry_with_backoff_then_abort() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let m = Machine::new(DianaConfig::default());
-
-        // Within the retry budget: recovered, accounted, bit-exact.
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaFail {
-            transfer: 0,
-            attempts: 2,
-        });
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let faulted = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap();
-        assert_eq!(faulted.outputs[0], reference);
-        assert_eq!(faulted.layers[0].retries, 2);
-        assert_eq!(faulted.counters.dma_retries, 2);
-        assert!(faulted.counters.dma_stall_cycles > 0);
-        assert!(faulted.total_cycles() > clean.total_cycles());
-
-        // Beyond the budget: a structured abort naming layer and engine.
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaFail {
-            transfer: 0,
-            attempts: 99,
-        });
-        let err = m.run_with_faults(&program, &[input], &plan).unwrap_err();
-        assert_eq!(err.layer_index(), Some(0));
-        assert_eq!(err.engine(), Some(EngineKind::Digital));
-        match err {
-            RunError::DmaFailed {
-                layer_index,
-                layer,
-                engine,
-                transfer,
-                attempts,
-            } => {
-                assert_eq!(layer_index, 0);
-                assert_eq!(layer, "conv");
-                assert_eq!(engine, EngineKind::Digital);
-                assert_eq!(transfer, 0);
-                assert_eq!(attempts, 99);
-            }
-            other => panic!("expected DmaFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn l1_denials_wait_out_backoff_then_abort() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let m = Machine::new(DianaConfig::default());
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::L1Deny {
-            layer: 0,
-            attempts: 2,
-        });
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let faulted = m
-            .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-            .unwrap();
-        assert_eq!(faulted.outputs[0], reference);
-        // Backoff waits: 64 + 128 with the default policy.
-        let expected = {
-            let retry = crate::RetryPolicy::default();
-            retry.backoff_cycles(1) + retry.backoff_cycles(2)
-        };
-        assert_eq!(faulted.layers[0].cycles.stall, expected);
-        assert_eq!(faulted.counters.l1_stall_cycles, expected);
-        assert_eq!(faulted.counters.l1_retries, 2);
-        assert_eq!(faulted.total_cycles(), clean.total_cycles() + expected);
-
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::L1Deny {
-            layer: 0,
-            attempts: 50,
-        });
-        let err = m.run_with_faults(&program, &[input], &plan).unwrap_err();
-        assert!(matches!(
-            err,
-            RunError::L1Denied {
-                layer_index: 0,
-                attempts: 50,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn engine_off_without_fallback_is_a_structured_error() {
-        // A conv descriptor without weights has no host form to degrade to.
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (mut program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let Step::Accel { desc, .. } = &mut program.steps[0] else {
-            panic!("conv_program starts with an accel step");
-        };
-        desc.weights = None;
-        let m = Machine::new(DianaConfig::default());
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        let err = m.run_with_faults(&program, &[input], &plan).unwrap_err();
-        assert_eq!(err.layer_index(), Some(0));
-        assert_eq!(err.engine(), Some(EngineKind::Digital));
-        match err {
-            RunError::EngineUnavailable {
-                layer_index,
-                layer,
-                engine,
-            } => {
-                assert_eq!(layer_index, 0);
-                assert_eq!(layer, "conv");
-                assert_eq!(engine, EngineKind::Digital);
-            }
-            other => panic!("expected EngineUnavailable, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn engine_off_with_fallback_degrades_bit_exactly() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, reference) =
-            conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let m = Machine::new(DianaConfig::default());
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        let faulted = m.run_with_faults(&program, &[input], &plan).unwrap();
-        assert_eq!(faulted.outputs[0], reference, "fallback must be bit-exact");
-        assert_eq!(faulted.layers[0].engine, EngineKind::Cpu);
-        assert_eq!(faulted.counters.engine_fallbacks, 1);
-        // Timeout charge: the degraded layer pays the full fault-free
-        // accelerator cost as stall, plus the CPU compute on top.
-        assert_eq!(faulted.layers[0].cycles.stall, clean.total_cycles());
-        assert!(faulted.total_cycles() > clean.total_cycles());
-    }
-
-    #[test]
-    fn offline_engine_leaves_other_engine_untouched() {
-        // Taking the analog engine offline must not affect a digital
-        // program: no fallback taken, cycles identical.
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, input, _) = conv_program(TileConfig::full(&geom), EngineKind::Digital);
-        let m = Machine::new(DianaConfig::default());
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Analog,
-            layer: 0,
-        });
-        let faulted = m.run_with_faults(&program, &[input], &plan).unwrap();
-        assert_eq!(clean, faulted);
-    }
-
-    #[test]
-    fn analog_fallback_replicates_dac_clamp() {
-        let geom = LayerGeometry::conv2d(4, 6, 8, 8, 3, 3, (1, 1), (1, 1, 1, 1));
-        let (program, _, _) = conv_program(TileConfig::full(&geom), EngineKind::Analog);
-        let mut cfg = DianaConfig::default();
-        cfg.analog.clamp_inputs_7bit = true;
-        let m = Machine::new(cfg);
-        // Inputs beyond the 7-bit DAC range exercise the clamp.
-        let mut input = Tensor::zeros(DType::I8, &[4, 8, 8]);
-        for (i, v) in input.data_mut().iter_mut().enumerate() {
-            *v = if i % 2 == 0 { 100 } else { -100 };
-        }
-        let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-        let plan = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Analog,
-            layer: 0,
-        });
-        let faulted = m.run_with_faults(&program, &[input], &plan).unwrap();
-        assert_eq!(
-            clean.outputs, faulted.outputs,
-            "fallback must clamp like the analog input DAC"
-        );
-        assert_eq!(faulted.counters.engine_fallbacks, 1);
-    }
-
-    #[test]
     fn weight_reload_charged_on_slice_change() {
         // Spatial-only tiling: weight slice constant -> one load.
         let (p_spatial, input, _) = conv_program(
@@ -1273,37 +819,10 @@ mod tests {
     }
 
     #[test]
-    fn fallback_timeout_priced_from_descriptors_matches_interpreter() {
-        // The engine-off timeout is the tiled step's fault-free cost, with
-        // and without double-buffering, and the degraded output is
-        // bit-exact with the reference kernels.
-        let tile = TileConfig {
-            c_t: 2,
-            k_t: 3,
-            oy_t: 4,
-            ox_t: 8,
-        };
-        let mut overlapped = DianaConfig::default();
-        overlapped.dma.double_buffer = true;
-        let offline = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        for cfg in [DianaConfig::default(), overlapped] {
-            let (program, input, reference) = conv_program(tile, EngineKind::Digital);
-            let m = Machine::new(cfg);
-            let clean = m.run(&program, std::slice::from_ref(&input)).unwrap();
-            let degraded = m.run_with_faults(&program, &[input], &offline).unwrap();
-            assert_eq!(degraded.outputs[0], reference);
-            assert_eq!(degraded.layers[0].cycles.stall, clean.total_cycles());
-        }
-    }
-
-    #[test]
     fn forged_dma_table_cannot_change_a_run() {
         // The machine never reads `Program::dma`: a stale tile count,
         // arbitrary descriptors, or an entry at a CPU step all run exactly
-        // like the same program with an empty table, faults included.
+        // like the same program with an empty table.
         use crate::{DmaDescriptor, DmaTable, StepDma};
         let tile = TileConfig {
             c_t: 2,
@@ -1366,26 +885,12 @@ mod tests {
         ];
 
         let m = Machine::new(cfg);
-        let stall = crate::FaultPlan::none().with_event(crate::FaultEvent::DmaStall {
-            transfer: 1,
-            cycles: 500,
-        });
-        let offline = crate::FaultPlan::none().with_event(crate::FaultEvent::EngineOffline {
-            engine: EngineKind::Digital,
-            layer: 0,
-        });
-        for plan in [crate::FaultPlan::none(), stall, offline] {
-            let expected = m
-                .run_with_faults(&program, std::slice::from_ref(&input), &plan)
-                .unwrap();
-            for (what, dma) in &forgeries {
-                let mut forged = program.clone();
-                forged.dma = dma.clone();
-                let got = m
-                    .run_with_faults(&forged, std::slice::from_ref(&input), &plan)
-                    .unwrap();
-                assert_eq!(got, expected, "{what} under {plan:?}");
-            }
+        let expected = m.run(&program, std::slice::from_ref(&input)).unwrap();
+        for (what, dma) in &forgeries {
+            let mut forged = program.clone();
+            forged.dma = dma.clone();
+            let got = m.run(&forged, std::slice::from_ref(&input)).unwrap();
+            assert_eq!(got, expected, "{what}");
         }
     }
 }

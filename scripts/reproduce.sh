@@ -9,16 +9,6 @@ mkdir -p "$out"
 echo "== tests =="
 cargo test --workspace --release 2>&1 | tee "$out/test_output.txt"
 
-echo "== fault-injection sweep (matches the CI faults jobs) =="
-for base in 0 1000 2000; do
-    echo "-- seed base $base (debug) --"
-    HTVM_FAULT_SEED_BASE="$base" cargo test -p htvm --test fault_injection \
-        2>&1 | tee "$out/faults_seed$base.txt"
-done
-echo "-- seed base 0 (release) --"
-HTVM_FAULT_SEED_BASE=0 cargo test -p htvm --release --test fault_injection \
-    2>&1 | tee "$out/faults_release.txt"
-
 echo "== model-file import round trip (matches the CI frontend jobs) =="
 for base in 0 1000 2000; do
     echo "-- fuzz seed base $base (debug) --"

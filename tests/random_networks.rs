@@ -204,43 +204,6 @@ proptest! {
             prop_assert!(report.peak_cycles() <= report.total_cycles());
         }
     }
-
-    /// Fault-injection differential fuzzing: any seeded fault plan over
-    /// any random network leaves the outputs bit-identical to the
-    /// fault-free run and never lowers the cycle count (faults only cost
-    /// time — stalls, retries, CPU fallbacks).
-    #[test]
-    fn random_fault_plans_stay_bit_exact(
-        blocks in prop::collection::vec(block_strategy(), 1..10),
-        seed in 0u64..1_000,
-        fault_seed in 0u64..10_000,
-    ) {
-        let Some(graph) = build(&blocks, seed) else {
-            return Ok(()); // degenerate sequence; nothing to check
-        };
-        let input = htvm_models::random_input(seed ^ 0x5EED, &[4, 12, 12]);
-        let compiler = Compiler::new().with_deploy(DeployConfig::Both);
-        let artifact = match compiler.compile(&graph) {
-            Ok(a) => a,
-            Err(htvm::CompileError::Lower(htvm::LowerError::OutOfMemory(_))) => return Ok(()),
-            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
-        };
-        let machine = Machine::new(*compiler.platform());
-        let clean = machine
-            .run(&artifact.program, std::slice::from_ref(&input))
-            .map_err(|e| TestCaseError::fail(format!("clean: {e}")))?;
-        let plan = htvm::FaultPlan::seeded(fault_seed, artifact.program.steps.len());
-        let faulty = machine
-            .run_with_faults(&artifact.program, std::slice::from_ref(&input), &plan)
-            .map_err(|e| TestCaseError::fail(format!("fault seed {fault_seed}: {e}")))?;
-        prop_assert_eq!(&faulty.outputs, &clean.outputs, "fault seed {}", fault_seed);
-        prop_assert!(
-            faulty.total_cycles() >= clean.total_cycles(),
-            "faults lowered cycles: {} < {}",
-            faulty.total_cycles(),
-            clean.total_cycles()
-        );
-    }
 }
 
 #[test]

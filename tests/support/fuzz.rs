@@ -9,9 +9,8 @@
 //! ```
 //!
 //! The generator is the vendored `proptest::test_runner::TestRng`
-//! (SplitMix64). `HTVM_FUZZ_SEED_BASE` shifts every harness's seeds, as
-//! `HTVM_FAULT_SEED_BASE` does for fault injection, so CI can sweep
-//! disjoint seed windows:
+//! (SplitMix64). `HTVM_FUZZ_SEED_BASE` shifts every harness's seeds, so CI
+//! can sweep disjoint seed windows:
 //!
 //! ```sh
 //! HTVM_FUZZ_SEED_BASE=2000 cargo test -p htvm-frontend -p htvm-ir -p htvm-serve --test 'fuzz_*'
