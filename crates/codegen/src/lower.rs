@@ -42,10 +42,6 @@ pub struct LowerOptions {
     ///
     /// [`Compiler`]: ../htvm/struct.Compiler.html
     pub tile_cache: Option<TileCache>,
-    /// Layers already extracted upstream (the dispatch hook extracts to
-    /// see geometries), keyed by match root. Regions found here skip
-    /// re-extraction in the solve phase.
-    pub extracted: HashMap<NodeId, ExtractedLayer>,
     /// Span collector for compile-phase observability (see
     /// `docs/OBSERVABILITY.md`). Disabled by default; when enabled,
     /// lowering records a phase span for the solve, emit and L2-planning
@@ -62,7 +58,6 @@ impl Default for LowerOptions {
             analog_objective: TilingObjective::diana_analog(),
             naive_l2: false,
             tile_cache: None,
-            extracted: HashMap::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -166,10 +161,7 @@ pub fn lower(
     let solve_t0 = tracer.elapsed_us();
     let solve_start = Instant::now();
     let solve_inner = |region: &Region<EngineKind>| -> Result<RegionSolve, LowerError> {
-        let e = match opts.extracted.get(&region.m.root) {
-            Some(done) => done.clone(),
-            None => extract(graph, &region.pattern, &region.m)?,
-        };
+        let e = extract(graph, &region.pattern, &region.m)?;
         let budget = engine_budget(cfg, region.tag).ok_or_else(|| {
             LowerError::UnsupportedGraph("regions must target an accelerator".into())
         })?;

@@ -1,14 +1,13 @@
 //! The compiler driver.
 
-use crate::{diana_patterns, dispatch_rule, engine_feasible, DeployConfig};
+use crate::dispatch::rule_engine;
+use crate::{diana_patterns, engine_accepts, DeployConfig};
 use htvm_codegen::{extract, lower, Artifact, LowerError, LowerOptions};
 use htvm_dory::{LayerGeometry, TileCache, TilingObjective};
 use htvm_ir::{passes, Graph, IrError};
 use htvm_pattern::partition;
 use htvm_soc::{DianaConfig, EngineKind};
 use htvm_trace::{tracks, Tracer};
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -20,9 +19,11 @@ use std::sync::Arc;
 /// user-defined parameters."*
 ///
 /// The hook receives each matched layer's geometry and the built-in rule's
-/// decision, and returns the final engine (`None` = CPU). Decisions the
-/// chosen engine cannot physically honor (capability or tiling) are
-/// rejected and fall back to the CPU.
+/// decision, and returns the final engine (`None` = CPU). Its answer
+/// passes through the same [`engine_accepts`](crate::engine_accepts)
+/// checks as the rule's, the deploy configuration included: an engine the
+/// deploy lacks, the CPU itself, or one whose capability or tiling the
+/// layer fails leaves the layer on the CPU.
 pub type DispatchHook =
     Arc<dyn Fn(&LayerGeometry, Option<EngineKind>) -> Option<EngineKind> + Send + Sync>;
 
@@ -242,27 +243,21 @@ impl Compiler {
             diana_patterns()
         };
         // The `partition` span times dispatch too: the callback below
-        // extracts (under a hook) and checks engine feasibility per match.
+        // extracts each match and asks which engines accept it.
         let tracer = self.tracer();
         let partition_span = tracer
             .is_enabled()
             .then(|| (tracer.elapsed_us(), std::time::Instant::now()));
-        // The dispatch hook needs each candidate's geometry, which means a
-        // full extraction; keep those extractions (keyed by match root) so
-        // the lowering solve phase does not redo them.
-        let extracted = RefCell::new(HashMap::new());
         let part = partition(graph, &patterns, |p, m| {
-            let base = dispatch_rule(&self.platform, self.deploy, graph, p, m);
-            match &self.dispatch_hook {
-                None => base,
-                Some(hook) => {
-                    let layer = extract(graph, &p.name, m).ok()?;
-                    let geom = layer.geom.clone();
-                    extracted.borrow_mut().insert(m.root, layer);
-                    let chosen = hook(&geom, base)?;
-                    engine_feasible(&self.platform, &geom, chosen).then_some(chosen)
-                }
-            }
+            let layer = extract(graph, &p.name, m).ok()?;
+            let base = rule_engine(&self.platform, self.deploy, &layer);
+            let Some(hook) = &self.dispatch_hook else {
+                return base;
+            };
+            let chosen = hook(&layer.geom, base)?;
+            engine_accepts(&self.platform, self.deploy, &layer, chosen)
+                .is_ok()
+                .then_some(chosen)
         });
         if let Some((start, opened)) = partition_span {
             tracer.record(
@@ -276,12 +271,7 @@ impl Compiler {
                 .with_arg("regions", part.regions.len()),
             );
         }
-        let opts = LowerOptions {
-            extracted: extracted.into_inner(),
-            ..self.lower_opts.clone()
-        };
-        let artifact = lower(graph, &part, &self.platform, &opts)?;
-        Ok(artifact)
+        Ok(lower(graph, &part, &self.platform, &self.lower_opts)?)
     }
 }
 
@@ -381,9 +371,7 @@ mod tests {
         use htvm_dory::LayerKind;
         use std::sync::Arc;
         let g = mixed_graph();
-        // Route every residual add to the analog engine instead of the
-        // default digital preference... there is no add in mixed_graph, so
-        // instead: force the dense layer onto the CPU by policy.
+        // A policy the rule does not have: keep dense layers on the CPU.
         let hook: DispatchHook = Arc::new(|geom, base| {
             if geom.kind == LayerKind::Dense {
                 None
@@ -410,28 +398,95 @@ mod tests {
         assert_eq!(a.outputs, b.outputs);
     }
 
+    /// One `kernel`×`kernel` conv with `stride` on a 16×16×16 input.
+    fn conv_graph(stride: usize, kernel: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", &[16, 16, 16], DType::I8);
+        let weights = (0..16 * 16 * kernel * kernel).map(|i| i as i32 % 7 - 3);
+        let w = b.constant(
+            "w",
+            Tensor::new(DType::I8, &[16, 16, kernel, kernel], weights.collect()).unwrap(),
+        );
+        let pad = kernel / 2;
+        let c = b
+            .conv2d(x, w, (stride, stride), (pad, pad, pad, pad))
+            .unwrap();
+        let q = b.requantize(c, 7, true).unwrap();
+        b.finish(&[q]).unwrap()
+    }
+
     #[test]
     fn dispatch_hook_infeasible_choices_fall_back_to_cpu() {
         use crate::DispatchHook;
+        use htvm_models::{ds_cnn, QuantScheme};
         use std::sync::Arc;
-        let g = mixed_graph();
-        // Demand the analog engine for everything: i8 layers are not
-        // analog-capable, so they must fall back to the CPU rather than
-        // producing an unsound program.
-        let hook: DispatchHook = Arc::new(|_, _| Some(EngineKind::Analog));
-        let artifact = Compiler::new()
-            .with_dispatch_hook(hook)
-            .compile(&g)
-            .unwrap();
-        assert_eq!(artifact.steps_on(EngineKind::Digital), 0);
-        assert_eq!(artifact.steps_on(EngineKind::Analog), 1); // the ternary conv
-        let input = Tensor::zeros(DType::I8, &[16, 16, 16]);
-        let m = Machine::new(DianaConfig::default());
-        let out = m
-            .run(&artifact.program, std::slice::from_ref(&input))
-            .unwrap();
-        let reference = htvm_kernels::evaluate(&g, &[input]).unwrap();
-        assert_eq!(out.outputs[0], reference[0]);
+        let ds_cnn = ds_cnn(QuantScheme::Int8);
+        // (case, graph, input, deploy, the hook's answer for every layer,
+        // expected digital and analog steps). A choice `engine_accepts`
+        // refuses leaves the layer on the CPU rather than producing an
+        // unsound program.
+        let zeros = || Tensor::zeros(DType::I8, &[16, 16, 16]);
+        for (case, graph, input, deploy, forced, expected) in [
+            // i8 layers are not analog-capable; the ternary conv is.
+            (
+                "analog everywhere",
+                mixed_graph(),
+                zeros(),
+                DeployConfig::Both,
+                EngineKind::Analog,
+                (0, 1),
+            ),
+            (
+                "digital under the analog-only deploy",
+                ds_cnn.graph.clone(),
+                ds_cnn.input(7),
+                DeployConfig::Analog,
+                EngineKind::Digital,
+                (0, 0),
+            ),
+            (
+                "stride 3",
+                conv_graph(3, 3),
+                zeros(),
+                DeployConfig::Both,
+                EngineKind::Digital,
+                (0, 0),
+            ),
+            (
+                "13x13 filter",
+                conv_graph(1, 13),
+                zeros(),
+                DeployConfig::Both,
+                EngineKind::Digital,
+                (0, 0),
+            ),
+            // The CPU is never a region: the layer simply stays on it.
+            (
+                "the CPU",
+                conv_graph(1, 3),
+                zeros(),
+                DeployConfig::Both,
+                EngineKind::Cpu,
+                (0, 0),
+            ),
+        ] {
+            let hook: DispatchHook = Arc::new(move |_, _| Some(forced));
+            let compiler = Compiler::new().with_deploy(deploy).with_dispatch_hook(hook);
+            let artifact = compiler
+                .compile(&graph)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            let placed = (
+                artifact.steps_on(EngineKind::Digital),
+                artifact.steps_on(EngineKind::Analog),
+            );
+            assert_eq!(placed, expected, "{case}: (digital, analog) steps");
+            assert!(artifact.steps_on(EngineKind::Cpu) >= 1, "{case}");
+            let out = Machine::new(*compiler.platform())
+                .run(&artifact.program, std::slice::from_ref(&input))
+                .unwrap();
+            let reference = htvm_kernels::evaluate(&graph, &[input]).unwrap();
+            assert_eq!(out.outputs, reference, "{case}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Accelerator-aware dispatch rules.
 
-use htvm_codegen::{engine_budget, extract};
-use htvm_dory::{feasible, LayerKind};
+use htvm_codegen::{engine_budget, extract, ExtractedLayer};
+use htvm_dory::{feasible, tile_fits, LayerKind, TileConfig};
 use htvm_ir::{DType, Graph};
 use htvm_pattern::{Match, NamedPattern};
 use htvm_soc::{DianaConfig, EngineKind};
@@ -23,16 +23,15 @@ pub enum DeployConfig {
 }
 
 impl DeployConfig {
-    /// Is the digital engine available?
+    /// Does this configuration include `engine`? The host CPU is part of
+    /// every configuration.
     #[must_use]
-    pub fn digital_enabled(self) -> bool {
-        matches!(self, DeployConfig::Digital | DeployConfig::Both)
-    }
-
-    /// Is the analog engine available?
-    #[must_use]
-    pub fn analog_enabled(self) -> bool {
-        matches!(self, DeployConfig::Analog | DeployConfig::Both)
+    pub fn enables(self, engine: EngineKind) -> bool {
+        match engine {
+            EngineKind::Cpu => true,
+            EngineKind::Digital => matches!(self, DeployConfig::Digital | DeployConfig::Both),
+            EngineKind::Analog => matches!(self, DeployConfig::Analog | DeployConfig::Both),
+        }
     }
 
     /// Does this configuration use the plain-TVM naive L2 allocator?
@@ -72,29 +71,89 @@ impl std::str::FromStr for DeployConfig {
     }
 }
 
-/// Checks whether `engine` can execute `geom` at all: capability (kind and
-/// weight bit-width) plus tileability under the engine's memory system.
-/// Used both by the built-in [`dispatch_rule`] and to validate user
-/// dispatch overrides (the paper's "other user-defined parameters").
-#[must_use]
-pub fn engine_feasible(
+/// Why [`engine_accepts`] refused an engine for a layer: the name of the
+/// first check that failed, in the order they run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Refusal {
+    /// The deploy configuration does not include the engine.
+    NotInDeploy,
+    /// The engine is the host CPU, which is never a region target.
+    NotAccelerator,
+    /// Activations are not `i8`.
+    ActDType,
+    /// Weights the engine cannot hold: digital takes `i8`, analog ternary.
+    WeightDType,
+    /// A layer kind the engine has no datapath for (analog: depthwise and
+    /// matmul, whose rhs is a runtime operand).
+    Kind,
+    /// A stride outside 1 or 2.
+    Stride,
+    /// A filter wider or taller than 11.
+    Kernel,
+    /// The DORY solver finds no tile that fits the engine's memories.
+    NoTileFits,
+    /// A fused output pool (its windows may not cross tile borders), but
+    /// the whole layer does not fit in L1.
+    PoolNeedsUntiled,
+}
+
+/// The one capability table of the DIANA engines: can `engine` run
+/// `layer` under `deploy`? [`dispatch_rule`] and a
+/// [`DispatchHook`](crate::DispatchHook)'s answer both ask it. The cheap
+/// checks run before the tiling search, so refusing on them costs no
+/// solver work.
+///
+/// # Errors
+///
+/// The [`Refusal`] naming the first check that fails.
+pub fn engine_accepts(
     cfg: &DianaConfig,
-    geom: &htvm_dory::LayerGeometry,
+    deploy: DeployConfig,
+    layer: &ExtractedLayer,
     engine: EngineKind,
-) -> bool {
-    let capable = match (engine, geom.kind, geom.w_dtype) {
-        (EngineKind::Cpu, ..) => return true,
-        (_, LayerKind::Add, _) => true,
-        (EngineKind::Digital, LayerKind::DepthwiseConv2d, DType::I8) => true,
-        (EngineKind::Digital, LayerKind::Conv2d | LayerKind::Dense, DType::I8) => true,
-        // Activation×activation matmul stages its i8 rhs through the
-        // digital weight memory; the analog array cannot host runtime
-        // operands at all.
-        (EngineKind::Digital, LayerKind::MatMul, DType::I8) => true,
-        (EngineKind::Analog, LayerKind::Conv2d | LayerKind::Dense, DType::Ternary) => true,
-        _ => false,
-    };
-    capable && engine_budget(cfg, engine).is_some_and(|budget| feasible(geom, &budget))
+) -> Result<(), Refusal> {
+    let g = &layer.geom;
+    if !deploy.enables(engine) {
+        return Err(Refusal::NotInDeploy);
+    }
+    let budget = engine_budget(cfg, engine).ok_or(Refusal::NotAccelerator)?;
+    if g.act_dtype != DType::I8 {
+        return Err(Refusal::ActDType);
+    }
+    match (engine, g.kind) {
+        (_, LayerKind::Add) => {}
+        (EngineKind::Analog, LayerKind::DepthwiseConv2d | LayerKind::MatMul) => {
+            return Err(Refusal::Kind)
+        }
+        (EngineKind::Analog, _) if g.w_dtype != DType::Ternary => return Err(Refusal::WeightDType),
+        (EngineKind::Digital, _) if g.w_dtype != DType::I8 => return Err(Refusal::WeightDType),
+        _ => {}
+    }
+    if !matches!(g.strides, (1 | 2, 1 | 2)) {
+        return Err(Refusal::Stride);
+    }
+    if g.fy > 11 || g.fx > 11 {
+        return Err(Refusal::Kernel);
+    }
+    if !feasible(g, &budget) {
+        return Err(Refusal::NoTileFits);
+    }
+    if layer.pool.is_some() && !tile_fits(g, &TileConfig::full(g), &budget) {
+        return Err(Refusal::PoolNeedsUntiled);
+    }
+    Ok(())
+}
+
+/// The built-in choice for an extracted layer: the first of `Digital`,
+/// then `Analog`, that [`engine_accepts`] it.
+pub(crate) fn rule_engine(
+    cfg: &DianaConfig,
+    deploy: DeployConfig,
+    layer: &ExtractedLayer,
+) -> Option<EngineKind> {
+    [EngineKind::Digital, EngineKind::Analog]
+        .into_iter()
+        .find(|&engine| engine_accepts(cfg, deploy, layer, engine).is_ok())
 }
 
 /// The accelerator-aware rule layer behind the pattern matcher (paper
@@ -105,14 +164,10 @@ pub fn engine_feasible(
 /// support convolutions, we discern which accelerator to use by simply
 /// looking at the provided weights' bit-width of the convolution: 8-bit
 /// precision goes to digital, and ternary precision goes to analog."*
-/// On top of that, per-engine capability checks apply:
-///
-/// - the analog array does not support depthwise convolutions (they fall
-///   back to digital, or the CPU in the analog-only configuration),
-/// - strides are limited to 1 or 2 and filters to ≤ 11 per side,
-/// - the layer must be *tileable* for the engine's memory system — the
-///   DORY solver must find a feasible tile (a dense layer whose single
-///   row exceeds the digital weight memory, say, is rejected).
+/// Here that falls out of [`engine_accepts`]: the chain goes to the first
+/// of `Digital`, then `Analog`, that accepts it, and each engine accepts
+/// only its own weight bit-width. Residual adds, which carry no weights,
+/// therefore prefer digital.
 ///
 /// Returns the chosen engine, or `None` to leave the chain to the CPU.
 #[must_use]
@@ -123,48 +178,7 @@ pub fn dispatch_rule(
     pattern: &NamedPattern,
     m: &Match,
 ) -> Option<EngineKind> {
-    let e = extract(graph, &pattern.name, m).ok()?;
-    let g = &e.geom;
-    if g.act_dtype != DType::I8 {
-        return None;
-    }
-    if !matches!(g.strides, (1, 1) | (2, 2) | (1, 2) | (2, 1)) || g.fy > 11 || g.fx > 11 {
-        return None;
-    }
-    let engine = match (g.kind, g.w_dtype) {
-        (LayerKind::Add, _) => {
-            // Both engines support residual addition; prefer digital.
-            if deploy.digital_enabled() {
-                EngineKind::Digital
-            } else if deploy.analog_enabled() {
-                EngineKind::Analog
-            } else {
-                return None;
-            }
-        }
-        (LayerKind::DepthwiseConv2d, DType::I8) if deploy.digital_enabled() => EngineKind::Digital,
-        (LayerKind::MatMul, DType::I8) if deploy.digital_enabled() => EngineKind::Digital,
-        (LayerKind::Conv2d | LayerKind::Dense, DType::I8) if deploy.digital_enabled() => {
-            EngineKind::Digital
-        }
-        (LayerKind::Conv2d | LayerKind::Dense, DType::Ternary) if deploy.analog_enabled() => {
-            EngineKind::Analog
-        }
-        _ => return None,
-    };
-    // The layer must actually be tileable on the chosen engine.
-    if !engine_feasible(cfg, g, engine) {
-        return None;
-    }
-    // Fused output pooling only works when the whole layer sits in L1:
-    // pooling windows may not cross tile borders.
-    if e.pool.is_some() {
-        let budget = engine_budget(cfg, engine)?;
-        if !htvm_dory::tile_fits(g, &htvm_dory::TileConfig::full(g), &budget) {
-            return None;
-        }
-    }
-    Some(engine)
+    rule_engine(cfg, deploy, &extract(graph, &pattern.name, m).ok()?)
 }
 
 #[cfg(test)]
@@ -278,6 +292,133 @@ mod tests {
         // The analog array cannot stage runtime operands as weights.
         assert_eq!(rule_for(&g, q, DeployConfig::Analog), None);
         assert_eq!(rule_for(&g, q, DeployConfig::CpuTvm), None);
+    }
+
+    #[test]
+    fn engine_accepts_names_the_first_failed_check() {
+        use htvm_dory::LayerGeometry;
+        use htvm_ir::PoolKind;
+        use htvm_soc::FusedPool;
+        use DeployConfig::{Analog, Both};
+        use EngineKind::{Cpu, Digital};
+
+        let layer = |geom| ExtractedLayer {
+            geom,
+            weights: None,
+            bias: None,
+            shift: 0,
+            relu: false,
+            pool: None,
+            data_inputs: Vec::new(),
+        };
+        let conv = LayerGeometry::conv2d(16, 16, 16, 16, 3, 3, (1, 1), (1, 1, 1, 1));
+        let with = |edit: fn(&mut LayerGeometry)| {
+            let mut geom = conv.clone();
+            edit(&mut geom);
+            layer(geom)
+        };
+        let ternary = with(|g| g.w_dtype = DType::Ternary);
+        // 256 KiB of input: it tiles, but never sits in L1 whole.
+        let big = LayerGeometry::conv2d(64, 64, 64, 64, 3, 3, (1, 1), (1, 1, 1, 1));
+        let pooled = |geom| ExtractedLayer {
+            pool: Some(FusedPool {
+                kind: PoolKind::Avg,
+                kernel: (2, 2),
+                strides: (2, 2),
+                padding: (0, 0, 0, 0).into(),
+            }),
+            ..layer(geom)
+        };
+        let roomy = DianaConfig::default();
+        let tiny_l1 = DianaConfig {
+            l1_act_bytes: 8,
+            ..roomy
+        };
+        for (deploy, cfg, layer, engine, verdict) in [
+            (Both, roomy, layer(conv.clone()), Digital, Ok(())),
+            (Both, roomy, ternary.clone(), EngineKind::Analog, Ok(())),
+            (Both, roomy, layer(big.clone()), Digital, Ok(())),
+            (Both, roomy, pooled(conv.clone()), Digital, Ok(())),
+            (
+                Analog,
+                roomy,
+                layer(conv.clone()),
+                Digital,
+                Err(Refusal::NotInDeploy),
+            ),
+            (
+                Both,
+                roomy,
+                layer(conv.clone()),
+                Cpu,
+                Err(Refusal::NotAccelerator),
+            ),
+            (
+                Both,
+                roomy,
+                with(|g| g.act_dtype = DType::I16),
+                Digital,
+                Err(Refusal::ActDType),
+            ),
+            (Both, roomy, ternary, Digital, Err(Refusal::WeightDType)),
+            (
+                Both,
+                roomy,
+                layer(conv.clone()),
+                EngineKind::Analog,
+                Err(Refusal::WeightDType),
+            ),
+            (
+                Both,
+                roomy,
+                layer(LayerGeometry::depthwise(
+                    16,
+                    16,
+                    16,
+                    3,
+                    3,
+                    (1, 1),
+                    (1, 1, 1, 1),
+                )),
+                EngineKind::Analog,
+                Err(Refusal::Kind),
+            ),
+            (
+                Both,
+                roomy,
+                with(|g| g.strides = (3, 3)),
+                Digital,
+                Err(Refusal::Stride),
+            ),
+            (
+                Both,
+                roomy,
+                with(|g| (g.fy, g.fx) = (13, 13)),
+                Digital,
+                Err(Refusal::Kernel),
+            ),
+            (
+                Both,
+                tiny_l1,
+                layer(conv.clone()),
+                Digital,
+                Err(Refusal::NoTileFits),
+            ),
+            (
+                Both,
+                roomy,
+                pooled(big),
+                Digital,
+                Err(Refusal::PoolNeedsUntiled),
+            ),
+        ] {
+            assert_eq!(
+                engine_accepts(&cfg, deploy, &layer, engine),
+                verdict,
+                "{:?} on {engine:?} under {deploy:?}",
+                layer.geom
+            );
+        }
     }
 
     #[test]

@@ -52,14 +52,14 @@ mod dispatch;
 mod patterns;
 
 pub use compiler::{CompileError, Compiler, DispatchHook};
-pub use dispatch::{dispatch_rule, engine_feasible, DeployConfig};
+pub use dispatch::{dispatch_rule, engine_accepts, DeployConfig, Refusal};
 pub use patterns::diana_patterns;
 
 // The public surface a downstream user needs, re-exported from the
 // substrate crates.
 pub use htvm_codegen::{
-    binsize, single_layer_program, Artifact, CompileStats, LayerAssignment, LowerError,
-    LowerOptions,
+    binsize, extract, single_layer_program, Artifact, CompileStats, ExtractedLayer,
+    LayerAssignment, LowerError, LowerOptions,
 };
 pub use htvm_dory::{
     CostModel, EngineModel, LayerGeometry, LayerKind, MemoryBudget, TileCache, TileCacheStats,

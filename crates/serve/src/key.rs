@@ -41,8 +41,8 @@ use std::hash::{Hash, Hasher};
 /// The part of [`LowerOptions`] a caller chooses that determines the
 /// artifact: the two tiling objectives. `naive_l2` is a function of the
 /// deploy target, which the key already holds; everything else
-/// (`tile_cache`, `extracted`, `tracer`) is observational or a
-/// pure-function memo and cannot change the output bytes.
+/// (`tile_cache`, `tracer`) is observational or a pure-function memo and
+/// cannot change the output bytes.
 #[derive(Serialize)]
 struct LowerFingerprint {
     digital_objective: htvm::TilingObjective,

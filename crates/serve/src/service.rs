@@ -55,7 +55,7 @@ use htvm::{
 };
 use htvm_frontend::ImportError;
 use htvm_ir::Graph;
-use htvm_soc::{Capabilities, PlatformManifest, DEFAULT_PLATFORM};
+use htvm_soc::{Capabilities, EngineKind, PlatformManifest, DEFAULT_PLATFORM};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -618,6 +618,9 @@ impl CompileService {
     /// `persist_root` is honored. The config's tracer is installed on
     /// the compiler so phase spans land in the same trace as job spans;
     /// each job still overrides the deploy target from its request.
+    ///
+    /// The artifact key does not cover a dispatch hook, so a hook installed
+    /// here must not change engine choices.
     #[must_use]
     pub fn with_compiler(config: ServeConfig, base: Compiler) -> Self {
         let slot = PlatformSlot::build(
@@ -681,9 +684,8 @@ impl CompileService {
         };
         let slot = &self.slots[slot_idx];
         let caps = slot.capabilities;
-        if (job.deploy.digital_enabled() && !caps.digital)
-            || (job.deploy.analog_enabled() && !caps.analog)
-        {
+        let lacks = |engine, present: bool| job.deploy.enables(engine) && !present;
+        if lacks(EngineKind::Digital, caps.digital) || lacks(EngineKind::Analog, caps.analog) {
             return Err(JobError::Platform {
                 job: job.name.clone(),
                 platform: slot.id.clone(),
