@@ -487,7 +487,6 @@ pub fn run_front_door(
             let wire = WireJob {
                 name: job.name,
                 tenant: None,
-                platform: None,
                 model_hex: model_hex.clone(),
                 deploy: job.deploy,
                 include_artifact: false,

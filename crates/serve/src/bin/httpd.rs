@@ -10,15 +10,16 @@
 //!
 //! Routes: `POST /v1/compile`, `POST /v1/batch`, `POST /v1/import`,
 //! `GET /v1/stats`, `GET /v1/healthz`. Defaults: `127.0.0.1:7440`,
-//! cost-aware scheduling, 64 MiB artifact cache per platform, unlimited
+//! cost-aware scheduling, 64 MiB artifact cache, unlimited
 //! admission budget and tenant quota, no persistence. With `--persist-dir`, every freshly compiled artifact
-//! spills to `PATH/v1/<platform>/<key_id>.json` and is re-admitted at
+//! spills to `PATH/v1/diana/<key_id>.json` and is re-admitted at
 //! the next boot, so restarts are warm. Exit codes: 0 — clean shutdown
 //! (never reached; the daemon runs until killed); 2 — usage or bind
 //! error.
 
 use htvm_serve::http::{HttpConfig, HttpServer};
 use htvm_serve::{CompileService, SchedPolicy, ServeConfig};
+use htvm_soc::DEFAULT_PLATFORM;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -89,12 +90,6 @@ fn run() -> Result<(), String> {
     let persist = serve.persist_root.clone();
     let service = Arc::new(CompileService::new(serve));
     let boot = service.stats();
-    let platforms = service
-        .platform_ids()
-        .iter()
-        .map(|id| (*id).to_owned())
-        .collect::<Vec<_>>()
-        .join(", ");
     let server =
         HttpServer::spawn(service, &addr, http).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("htvm-serve httpd listening on http://{}", server.addr());
@@ -102,7 +97,7 @@ fn run() -> Result<(), String> {
         "  policy {policy:?}; POST /v1/compile, POST /v1/batch, POST /v1/import, \
          GET /v1/stats, GET /v1/healthz"
     );
-    println!("  platforms: {platforms}");
+    println!("  platform: {DEFAULT_PLATFORM}");
     if let Some(dir) = persist {
         println!(
             "  persistence: {} (re-admitted {} entries, skipped {})",

@@ -60,14 +60,14 @@ pub struct Fleet {
 impl Fleet {
     /// Boots `instances` services, each persisting under
     /// `<root>/instance-<i>/`. The config's own `persist_root` is
-    /// overridden per instance; everything else (manifest, budgets,
-    /// policy) is shared.
+    /// overridden per instance; everything else (budgets, policy) is
+    /// shared.
     ///
     /// # Panics
     ///
     /// When `instances` is zero, or on whatever
-    /// [`CompileService::new`] panics on (invalid manifest, uncreatable
-    /// persistence directory).
+    /// [`CompileService::new`] panics on (an uncreatable persistence
+    /// directory).
     #[must_use]
     pub fn new(instances: usize, root: &Path, config: ServeConfig) -> Self {
         assert!(instances > 0, "a fleet needs at least one instance");
@@ -105,13 +105,11 @@ impl Fleet {
 
     /// The instance a job routes to: consistent-hash of its
     /// [`ArtifactKey`](crate::ArtifactKey) digest. Every instance
-    /// shares the manifest, so any of them computes the same key; an
-    /// unroutable job fails typed, exactly as `submit` would.
+    /// compiles for the same SoC, so any of them computes the same key.
     ///
     /// # Errors
     ///
-    /// [`JobError::Platform`] when the job cannot be routed to a
-    /// platform (and so has no key to shard on).
+    /// None, as [`CompileService::key_of`].
     pub fn assign(&self, job: &JobRequest) -> Result<usize, JobError> {
         let key = self.instances[0].service.key_of(job)?;
         Ok(self.ring.assign(&key.id()))

@@ -19,17 +19,13 @@ use serde::{Deserialize, Serialize};
 /// `htvm-frontend` format). Raw (non-hex) model bytes go to
 /// `POST /v1/import` instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WireJob {
     /// Client-chosen label, echoed in the response and trace spans.
     pub name: String,
     /// Tenant for admission accounting; defaults to `"anon"`.
     #[serde(default)]
     pub tenant: Option<String>,
-    /// Manifest id of the platform to compile for; defaults to the
-    /// service's default platform. An id the manifest does not declare
-    /// fails typed with `422 platform_error`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub platform: Option<String>,
     /// Hex-encoded HTF model-file bytes, imported server-side.
     pub model_hex: String,
     /// Deploy target.
@@ -64,9 +60,6 @@ impl WireJob {
         if let Some(tenant) = self.tenant {
             request = request.with_tenant(&tenant);
         }
-        if let Some(platform) = self.platform {
-            request = request.on_platform(&platform);
-        }
         Ok(request)
     }
 }
@@ -80,6 +73,7 @@ pub fn encode_hex(bytes: &[u8]) -> String {
 /// `POST /v1/batch` body: jobs scheduled together, so in-batch
 /// coalescing and cost-aware ordering apply across them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WireBatch {
     /// The jobs, in request order; results come back in the same order.
     pub jobs: Vec<WireJob>,
@@ -168,7 +162,7 @@ pub struct WireError {
     /// Machine-readable kind: `bad_request`, `not_found`,
     /// `method_not_allowed`, `payload_too_large`, `not_implemented`,
     /// `http_version`, `overloaded`, `internal`, `rejected`,
-    /// `compile_error`, `import_error`, `platform_error`. `internal` is a
+    /// `compile_error`, `import_error`. `internal` is a
     /// `500` for a request whose handler panicked.
     /// For `import_error`, `detail` leads with the
     /// `htvm_frontend::ImportError` variant name (`Truncated`,
@@ -194,9 +188,9 @@ impl WireError {
     }
 
     /// Maps a service-layer job error onto the wire: shed jobs are
-    /// `429` with the structured rejection attached; compile, import and
-    /// routing failures are `422` (the request was well-formed; the
-    /// payload cannot be processed).
+    /// `429` with the structured rejection attached; compile and import
+    /// failures are `422` (the request was well-formed; the payload
+    /// cannot be processed).
     #[must_use]
     pub fn from_job_error(error: &JobError) -> Self {
         match error {
@@ -208,7 +202,6 @@ impl WireError {
             },
             JobError::Compile { .. } => WireError::new(422, "compile_error", error.to_string()),
             JobError::Import { .. } => WireError::new(422, "import_error", error.to_string()),
-            JobError::Platform { .. } => WireError::new(422, "platform_error", error.to_string()),
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! An [`ArtifactKey`] is the canonical encoding of everything the
 //! compiler output depends on: the graph in [`canonical_form`] (stable
-//! under node-id permutation), the [`DeployConfig`], the routing
-//! platform id, the [`DianaConfig`] platform model, and the two tiling
+//! under node-id permutation), the [`DeployConfig`], the platform id,
+//! the [`DianaConfig`] platform model, and the two tiling
 //! objectives of [`LowerOptions`] (the *fingerprint* — `naive_l2`
 //! follows the deploy target, and runtime plumbing like the tile cache
 //! handle and the tracer is deliberately excluded because it never
@@ -49,9 +49,9 @@ struct LowerFingerprint {
     analog_objective: htvm::TilingObjective,
 }
 
-/// The part of a key no request changes: routing id, SoC model and
-/// lowering fingerprint, encoded once per platform slot and appended to
-/// every key built there.
+/// The part of a key no request changes: platform id, SoC model and
+/// lowering fingerprint, encoded once per service and appended to every
+/// key it builds.
 pub(crate) struct KeyContext {
     suffix: Vec<u8>,
 }
@@ -87,10 +87,10 @@ impl KeyContext {
 /// Two requests with equal keys compile to byte-identical artifacts, up
 /// to a collision of the constant-payload digest (what equality does
 /// and does not compare is spelled out in `key.rs`'s module docs, and
-/// in docs/SERVING.md under "The cache key"). The `platform_id` is the routing id from the
-/// fleet manifest; it enters the key so two manifest entries that happen
-/// to share an SoC config still account (and persist) their artifacts
-/// separately.
+/// in docs/SERVING.md under "The cache key"). The `platform_id` is the
+/// id the service names its SoC by (`diana`, `htvm_soc::DEFAULT_PLATFORM`);
+/// it is part of every key, so changing it would change every key id and
+/// orphan every persisted entry.
 #[derive(Clone)]
 pub struct ArtifactKey {
     bytes: Vec<u8>,
@@ -99,7 +99,7 @@ pub struct ArtifactKey {
 }
 
 impl ArtifactKey {
-    /// Builds the key for compiling `graph` on the platform routed as
+    /// Builds the key for compiling `graph` on the platform named
     /// `platform_id`, under the given deploy target, SoC model and
     /// lowering options.
     #[must_use]
@@ -253,7 +253,7 @@ mod tests {
 
         let other_id =
             ArtifactKey::new("gap9", &conv_graph(8), DeployConfig::Both, &platform, &opts);
-        assert_ne!(base, other_id, "the routing platform id must feed the key");
+        assert_ne!(base, other_id, "the platform id must feed the key");
 
         let mut small = DianaConfig::default();
         small.l1_act_bytes /= 2;

@@ -2,7 +2,7 @@
 //!
 //! Deploying to a TinyML fleet rarely means one compile: a serving tier
 //! receives batches of jobs — the same handful of network architectures
-//! under different deploy targets and platform experiments, over and over.
+//! under different deploy targets and tiling experiments, over and over.
 //! This crate turns the HTVM compiler into that tier:
 //!
 //! - The [`http`] module is the **network front door**: a vendored,
@@ -34,12 +34,11 @@
 //!   tenant's cold compiles too ([`ServiceStats::tile_cache`]).
 //! - The service compiles; it never simulates. A client runs the returned
 //!   artifact with `htvm::Machine::run`.
-//! - The service is **platform-plural**: a declarative
-//!   [`PlatformManifest`](htvm_soc::PlatformManifest) gives every fleet
-//!   platform its own compiler, tile cache and artifact cache, and jobs
-//!   route by [`JobRequest::platform`] (unknown platform or
-//!   out-of-capability deploy → typed [`JobError::Platform`], mapped to
-//!   HTTP 422).
+//! - One service compiles for one SoC. Its keys carry the id
+//!   [`DEFAULT_PLATFORM`](htvm_soc::DEFAULT_PLATFORM) (`diana`) and the
+//!   compiler's SoC model; another SoC is served by another service,
+//!   built with [`CompileService::with_compiler`] over
+//!   `Compiler::new().with_platform(cfg)`.
 //! - With [`ServeConfig::persist_root`] set, the artifact cache is
 //!   **restart-durable**: artifacts spill to a versioned on-disk layout
 //!   ([`persist`]) with atomic writes and corruption-tolerant loading,
@@ -94,8 +93,8 @@ pub use fleet::{Fleet, InstanceStats};
 pub use key::ArtifactKey;
 pub use persist::{compiler_stamp, PersistStats, PersistStore, CACHE_FORMAT_VERSION};
 pub use service::{
-    estimate_cost, CompileService, JobError, JobRequest, JobResult, PlatformStats, RejectReason,
-    Rejection, SchedPolicy, ServeConfig, ServiceStats, HIT_COST,
+    estimate_cost, CompileService, JobError, JobRequest, JobResult, RejectReason, Rejection,
+    SchedPolicy, ServeConfig, ServiceStats, HIT_COST,
 };
 pub use shard::ShardRing;
 pub use stored::StoredArtifact;

@@ -14,7 +14,8 @@
 //! <root>/v1/<platform_id>/<key_id>.json
 //! ```
 //!
-//! `v1` is the layout version ([`CACHE_LAYOUT_DIR`]); `<key_id>` is the
+//! `v1` is the layout version ([`CACHE_LAYOUT_DIR`]); `<platform_id>` is
+//! `diana` for every store a `CompileService` opens; `<key_id>` is the
 //! 32-hex-digit [`ArtifactKey::id`]. Each entry file is one JSON
 //! envelope: the cache-format version ([`CACHE_FORMAT_VERSION`]), the
 //! compiler stamp ([`compiler_stamp`]), the key digest, the **full**
@@ -109,7 +110,7 @@ pub fn compiler_stamp() -> String {
     format!("htvm-serve {}", env!("CARGO_PKG_VERSION"))
 }
 
-/// Counters of one platform's persistent store.
+/// Counters of one persistent store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PersistStats {
     /// Entries durably written (tmp + rename completed).
@@ -147,7 +148,7 @@ fn artifact_digest(stored: &StoredArtifact) -> String {
     format!("{:032x}", murmur3_128(stored.json().as_bytes()))
 }
 
-/// One platform's slice of the on-disk artifact cache. Thread-safe:
+/// The on-disk artifact cache of one platform id. Thread-safe:
 /// counters are atomic, and the atomic rename makes concurrent writers
 /// of the same key last-writer-wins with no torn entries.
 pub struct PersistStore {

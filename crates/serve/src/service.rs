@@ -1,14 +1,12 @@
-//! The multi-tenant, multi-platform compile service.
+//! The multi-tenant compile service.
 //!
-//! One [`CompileService`] serves a whole *fleet*: each platform in its
-//! [`PlatformManifest`] gets its own base [`Compiler`] (and with it its
-//! own shared `TileCache`), its own [`ArtifactCache`], and its own
-//! single-flight table. Jobs name their platform on the
-//! [`JobRequest::platform`] field and are routed to that slot; an
-//! unknown platform — or a deploy target that needs an engine the
-//! platform lacks — fails with a typed [`JobError::Platform`], never a
-//! panic. Jobs that name no platform go to the manifest's default
-//! ([`DEFAULT_PLATFORM`]).
+//! One [`CompileService`] compiles for one SoC: it owns one base
+//! [`Compiler`] (and with it one shared `TileCache`), one
+//! [`ArtifactCache`] and one single-flight table. Every key carries the
+//! id [`DEFAULT_PLATFORM`] and the compiler's SoC model; another SoC is
+//! served by another service, built with
+//! [`CompileService::with_compiler`] over
+//! `Compiler::new().with_platform(cfg)`.
 //!
 //! Jobs pass through **admission control** before any work is
 //! scheduled: each job's cost is estimated from its graph size and the
@@ -16,8 +14,7 @@
 //! quotas cap how much any one tenant can have in flight, and when the
 //! queued cost would exceed the service's budget the job is **shed**
 //! with a typed [`JobError::Rejected`] instead of letting latency grow
-//! without bound. Admission is global across platforms — the worker
-//! pool is one shared resource.
+//! without bound.
 //!
 //! Admitted batches are scheduled **cost-aware** by default
 //! ([`SchedPolicy::CostAware`]): cheap jobs (cache hits) run before
@@ -25,8 +22,7 @@
 //! a batch of hits. Identical [`ArtifactKey`]s within a batch are
 //! **coalesced** before they reach the pool — one leader does the work,
 //! its followers are serviced from the leader's artifact the moment it
-//! lands. The platform id feeds the key, so jobs for different
-//! platforms never coalesce even when their graphs agree.
+//! lands.
 //!
 //! With [`ServeConfig::persist_root`] set, every freshly compiled
 //! artifact is also spilled to disk ([`PersistStore`]) and the whole
@@ -48,14 +44,14 @@
 use crate::cache::{ArtifactCache, ArtifactCacheStats};
 use crate::key::{ArtifactKey, KeyContext};
 use crate::lock;
-use crate::persist::{PersistStats, PersistStore};
+use crate::persist::PersistStore;
 use crate::stored::StoredArtifact;
 use htvm::{
     tracks, CompileError, Compiler, DeployConfig, Span, TileCacheStats, TimeDomain, Trace, Tracer,
 };
 use htvm_frontend::ImportError;
 use htvm_ir::Graph;
-use htvm_soc::{Capabilities, EngineKind, PlatformManifest, DEFAULT_PLATFORM};
+use htvm_soc::DEFAULT_PLATFORM;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -82,9 +78,9 @@ pub struct ServeConfig {
     /// Maximum worker threads a [`CompileService::submit_batch`] call
     /// fans out to (at least 1; batches smaller than this use fewer).
     pub workers: usize,
-    /// Byte budget of *each platform's* artifact cache (serialized
-    /// size). Zero admits nothing, so every non-coalesced job compiles;
-    /// single-flight and in-batch coalescing are unaffected.
+    /// Byte budget of the artifact cache (serialized size). Zero admits
+    /// nothing, so every non-coalesced job compiles; single-flight and
+    /// in-batch coalescing are unaffected.
     pub cache_budget_bytes: usize,
     /// Span collector for per-job service spans and compiler phase
     /// spans. Disabled by default; drain with
@@ -103,15 +99,9 @@ pub struct ServeConfig {
     /// time; exceeding it sheds with [`RejectReason::TenantQuota`].
     /// `usize::MAX` (the default) is unmetered.
     pub tenant_quota: usize,
-    /// The fleet of platforms [`CompileService::new`] serves, one
-    /// compiler + tile cache + artifact cache per entry. Defaults to
-    /// [`PlatformManifest::builtin`]. Ignored by
-    /// [`CompileService::with_compiler`], which is a single-platform
-    /// service over the caller's compiler.
-    pub manifest: PlatformManifest,
     /// Root directory of the persistent artifact cache; `None` (the
     /// default) keeps the cache memory-only. When set, freshly compiled
-    /// artifacts are spilled under `<root>/v1/<platform>/` and the
+    /// artifacts are spilled under `<root>/v1/diana/` and the
     /// whole store is re-admitted at construction (warm start).
     pub persist_root: Option<PathBuf>,
 }
@@ -127,7 +117,6 @@ impl Default for ServeConfig {
             policy: SchedPolicy::CostAware,
             queue_cost_budget: u64::MAX,
             tenant_quota: usize::MAX,
-            manifest: PlatformManifest::builtin(),
             persist_root: None,
         }
     }
@@ -153,33 +142,26 @@ pub fn estimate_cost(graph: &Graph, cached: bool) -> u64 {
 /// [`estimate_cost`] of a job whose key is resident in the cache.
 pub const HIT_COST: u64 = 1;
 
-/// One unit of work: compile a graph for a deploy target on one
-/// platform of the fleet.
+/// One unit of work: compile a graph for a deploy target.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Client-chosen label, echoed in results, errors and trace spans.
     pub name: String,
     /// Tenant the job is accounted to, for per-tenant admission quotas.
     pub tenant: String,
-    /// Manifest id of the platform to compile for; `None` routes to the
-    /// service's default platform.
-    pub platform: Option<String>,
     /// The quantized graph to compile.
     pub graph: Graph,
-    /// Deploy target (which accelerators to dispatch to). Must be
-    /// within the routed platform's declared capabilities.
+    /// Deploy target (which accelerators to dispatch to).
     pub deploy: DeployConfig,
 }
 
 impl JobRequest {
-    /// A compile-only job under the anonymous tenant, on the default
-    /// platform.
+    /// A compile-only job under the anonymous tenant.
     #[must_use]
     pub fn compile_only(name: &str, graph: Graph, deploy: DeployConfig) -> Self {
         JobRequest {
             name: name.to_owned(),
             tenant: String::from("anon"),
-            platform: None,
             graph,
             deploy,
         }
@@ -189,13 +171,6 @@ impl JobRequest {
     #[must_use]
     pub fn with_tenant(mut self, tenant: &str) -> Self {
         self.tenant = tenant.to_owned();
-        self
-    }
-
-    /// The same job routed to a named platform of the fleet manifest.
-    #[must_use]
-    pub fn on_platform(mut self, platform: &str) -> Self {
-        self.platform = Some(platform.to_owned());
         self
     }
 }
@@ -284,17 +259,6 @@ pub enum JobError {
         /// The typed importer rejection.
         error: ImportError,
     },
-    /// The job could not be routed: it names a platform the manifest
-    /// does not declare, or a deploy target that needs an engine the
-    /// platform lacks. The HTTP front door maps this to a `422`.
-    Platform {
-        /// The failing job's label.
-        job: String,
-        /// The platform the job asked for (or was routed to).
-        platform: String,
-        /// Why routing refused it.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for JobError {
@@ -305,11 +269,6 @@ impl std::fmt::Display for JobError {
                 write!(f, "job '{job}' shed by admission control: {rejection}")
             }
             JobError::Import { job, error } => write!(f, "job '{job}' failed to import: {error}"),
-            JobError::Platform {
-                job,
-                platform,
-                detail,
-            } => write!(f, "job '{job}' cannot be served on '{platform}': {detail}"),
         }
     }
 }
@@ -320,7 +279,6 @@ impl std::error::Error for JobError {
             JobError::Compile { error, .. } => Some(error),
             JobError::Rejected { .. } => None,
             JobError::Import { error, .. } => Some(error),
-            JobError::Platform { .. } => None,
         }
     }
 }
@@ -330,8 +288,6 @@ impl std::error::Error for JobError {
 pub struct JobResult {
     /// The job's label, echoed from the request.
     pub job: String,
-    /// The manifest id of the platform that served the job.
-    pub platform: String,
     /// Display digest of the job's [`ArtifactKey`].
     pub key_id: String,
     /// Whether the artifact came from the cache.
@@ -353,39 +309,17 @@ pub struct JobResult {
     pub sched_seq: u64,
 }
 
-/// Per-platform slice of the service counters. The exact-accounting
-/// invariant holds *per platform*:
+/// A snapshot of the service's counters, serializable for bench
+/// reports. The exact-accounting invariant is
 /// `artifact_cache.hits + artifact_cache.misses + coalesced == jobs`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PlatformStats {
-    /// The platform's manifest id.
-    pub platform: String,
-    /// Jobs this platform processed to completion (success or failure).
-    pub jobs: u64,
-    /// Jobs serviced from another job's in-flight compile on this
-    /// platform.
-    pub coalesced: u64,
-    /// This platform's artifact-cache counters.
-    pub artifact_cache: ArtifactCacheStats,
-    /// This platform's shared tiling-solve memo counters.
-    pub tile_cache: TileCacheStats,
-    /// This platform's persistent-store counters (all zero when
-    /// persistence is disabled).
-    pub persist: PersistStats,
-}
-
-/// A snapshot of the service's counters, serializable for bench
-/// reports. The `artifact_cache`, `tile_cache` and persistence fields
-/// are field-wise sums across platforms; `platforms` carries the
-/// per-platform breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceStats {
-    /// Jobs processed to completion (success or failure), summed across
-    /// platforms. Shed jobs are counted in `shed`, not here.
+    /// Jobs processed to completion (success or failure). Shed jobs are
+    /// counted in `shed`, not here.
     pub jobs: u64,
     /// Jobs serviced from another job's in-flight compile without
     /// touching the cache counters (batch coalescing + single-flight
-    /// followers), summed across platforms.
+    /// followers).
     pub coalesced: u64,
     /// Jobs shed by admission control (total).
     pub shed: u64,
@@ -397,30 +331,20 @@ pub struct ServiceStats {
     /// never became jobs; not counted in `jobs` or `shed`).
     #[serde(default)]
     pub rejected_import: u64,
-    /// Processed jobs that explicitly named their platform (as opposed
-    /// to riding the default route).
-    #[serde(default)]
-    pub routed_by_platform: u64,
-    /// Artifacts durably spilled to disk, summed across platforms.
+    /// Artifacts durably spilled to disk.
     #[serde(default)]
     pub persist_writes: u64,
-    /// Persisted entries re-admitted at startup, summed across
-    /// platforms.
+    /// Persisted entries re-admitted at startup.
     #[serde(default)]
     pub persist_load_ok: u64,
     /// Persisted entries skipped at startup (corrupt, stamp mismatch,
-    /// or refused admission), summed across platforms.
+    /// or refused admission).
     #[serde(default)]
     pub persist_load_skipped: u64,
-    /// Artifact-cache counters (hits, misses, evictions, occupancy),
-    /// summed across platforms.
+    /// Artifact-cache counters (hits, misses, evictions, occupancy).
     pub artifact_cache: ArtifactCacheStats,
-    /// Tiling-solve memo counters, summed across platforms (each
-    /// platform's tenants share one tile cache).
+    /// Tiling-solve memo counters (all tenants share one tile cache).
     pub tile_cache: TileCacheStats,
-    /// The per-platform breakdown, in manifest declaration order.
-    #[serde(default)]
-    pub platforms: Vec<PlatformStats>,
 }
 
 /// A single-flight rendezvous: the first thread to miss a key becomes
@@ -469,8 +393,7 @@ impl Drop for Lead<'_> {
 
 /// Live admission-control state: cost and per-tenant counts of every
 /// admitted-but-unfinished job, across `submit` and `submit_batch`
-/// callers alike. Global across platforms — the worker pool is one
-/// shared resource.
+/// callers alike.
 #[derive(Default)]
 struct Admission {
     queued_cost: u64,
@@ -501,10 +424,9 @@ impl Drop for Units<'_> {
     }
 }
 
-/// A routed, keyed job holding its admission units until it is dropped.
+/// A keyed job holding its admission units until it is dropped.
 struct Admitted<'a> {
     index: usize,
-    slot: usize,
     job: JobRequest,
     key: ArtifactKey,
     units: Units<'a>,
@@ -516,204 +438,97 @@ struct Scheduled<'a> {
     followers: Vec<Admitted<'a>>,
 }
 
-/// One platform of the fleet: its compiler (with its own shared tile
-/// cache), the request-independent part of its keys, its artifact
-/// cache, its single-flight table, its optional persistent store, and
-/// its slice of the job counters.
-struct PlatformSlot {
-    id: String,
-    capabilities: Capabilities,
+/// A multi-tenant compile service with a content-addressed artifact
+/// cache, optional disk persistence, cost-aware scheduling and typed
+/// load shedding. See the [crate docs](crate) for the architecture.
+pub struct CompileService {
     base: Compiler,
     keys: KeyContext,
     cache: ArtifactCache,
     inflight: Mutex<HashMap<ArtifactKey, Arc<Flight>>>,
     persist: Option<PersistStore>,
-    jobs: AtomicU64,
-    coalesced: AtomicU64,
-}
-
-impl PlatformSlot {
-    fn build(id: String, capabilities: Capabilities, base: Compiler, config: &ServeConfig) -> Self {
-        let cache = ArtifactCache::new(config.cache_budget_bytes);
-        let persist = config.persist_root.as_ref().map(|root| {
-            let store = PersistStore::open(root, &id)
-                .expect("the persistence root must be creatable at service construction");
-            store.load_into(&cache);
-            store
-        });
-        PlatformSlot {
-            keys: KeyContext::new(&id, base.platform(), base.lower_options()),
-            id,
-            capabilities,
-            base,
-            cache,
-            inflight: Mutex::new(HashMap::new()),
-            persist,
-            jobs: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A multi-tenant, multi-platform compile service with
-/// per-platform content-addressed artifact caches, optional disk
-/// persistence, cost-aware scheduling and typed load shedding. See the
-/// [crate docs](crate) for the architecture.
-pub struct CompileService {
-    slots: Vec<PlatformSlot>,
-    index: HashMap<String, usize>,
-    default_slot: usize,
     admission: Mutex<Admission>,
     tracer: Tracer,
     workers: usize,
     policy: SchedPolicy,
     queue_cost_budget: u64,
     tenant_quota: u64,
+    jobs: AtomicU64,
+    coalesced: AtomicU64,
     shed_budget: AtomicU64,
     shed_quota: AtomicU64,
     rejected_import: AtomicU64,
-    routed_by_platform: AtomicU64,
     seq: AtomicU64,
 }
 
 impl CompileService {
-    /// A service over the config's [`PlatformManifest`]: one compiler,
-    /// tile cache and artifact cache per declared platform, with the
-    /// manifest's [`DEFAULT_PLATFORM`] (or its first entry) as the
-    /// default route.
+    /// A service over the default DIANA compiler:
+    /// `with_compiler(config, Compiler::new())`.
     ///
     /// # Panics
     ///
-    /// When the manifest fails [`PlatformManifest::validate`], or when
-    /// [`ServeConfig::persist_root`] is set but not creatable — both
-    /// are construction-time misconfigurations a service should refuse
-    /// to start on, not runtime job errors.
+    /// As [`CompileService::with_compiler`].
     #[must_use]
     pub fn new(config: ServeConfig) -> Self {
-        config
-            .manifest
-            .validate()
-            .expect("the service manifest must validate");
-        let slots: Vec<PlatformSlot> = config
-            .manifest
-            .platforms
-            .iter()
-            .map(|spec| {
-                PlatformSlot::build(
-                    spec.id.clone(),
-                    spec.capabilities,
-                    Compiler::new()
-                        .with_platform(spec.soc)
-                        .with_tracer(config.tracer.clone()),
-                    &config,
-                )
-            })
-            .collect();
-        CompileService::assemble(config, slots)
+        CompileService::with_compiler(config, Compiler::new())
     }
 
-    /// A single-platform service over a custom base compiler (platform,
-    /// tiling objectives, dispatch hook), routed as [`DEFAULT_PLATFORM`]
-    /// with full capabilities. The config's `manifest` is ignored; its
-    /// `persist_root` is honored. The config's tracer is installed on
+    /// A service over a custom base compiler (SoC model, tiling
+    /// objectives, dispatch hook). The config's tracer is installed on
     /// the compiler so phase spans land in the same trace as job spans;
     /// each job still overrides the deploy target from its request.
     ///
     /// The artifact key does not cover a dispatch hook, so a hook installed
     /// here must not change engine choices.
+    ///
+    /// # Panics
+    ///
+    /// When [`ServeConfig::persist_root`] is set but not creatable — a
+    /// construction-time misconfiguration a service should refuse to
+    /// start on, not a runtime job error.
     #[must_use]
     pub fn with_compiler(config: ServeConfig, base: Compiler) -> Self {
-        let slot = PlatformSlot::build(
-            DEFAULT_PLATFORM.to_owned(),
-            Capabilities::full(),
-            base.with_tracer(config.tracer.clone()),
-            &config,
-        );
-        CompileService::assemble(config, vec![slot])
-    }
-
-    fn assemble(config: ServeConfig, slots: Vec<PlatformSlot>) -> Self {
-        let index: HashMap<String, usize> = slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| (slot.id.clone(), i))
-            .collect();
-        let default_slot = index.get(DEFAULT_PLATFORM).copied().unwrap_or(0);
+        let base = base.with_tracer(config.tracer.clone());
+        let cache = ArtifactCache::new(config.cache_budget_bytes);
+        let persist = config.persist_root.as_ref().map(|root| {
+            let store = PersistStore::open(root, DEFAULT_PLATFORM)
+                .expect("the persistence root must be creatable at service construction");
+            store.load_into(&cache);
+            store
+        });
         CompileService {
-            slots,
-            index,
-            default_slot,
+            keys: KeyContext::new(DEFAULT_PLATFORM, base.platform(), base.lower_options()),
+            base,
+            cache,
+            inflight: Mutex::new(HashMap::new()),
+            persist,
             admission: Mutex::new(Admission::default()),
             tracer: config.tracer,
             workers: config.workers.max(1),
             policy: config.policy,
             queue_cost_budget: config.queue_cost_budget,
             tenant_quota: u64::try_from(config.tenant_quota).unwrap_or(u64::MAX),
+            jobs: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
             shed_budget: AtomicU64::new(0),
             shed_quota: AtomicU64::new(0),
             rejected_import: AtomicU64::new(0),
-            routed_by_platform: AtomicU64::new(0),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// The platform ids this service routes, in manifest order.
-    #[must_use]
-    pub fn platform_ids(&self) -> Vec<&str> {
-        self.slots.iter().map(|slot| slot.id.as_str()).collect()
-    }
-
-    /// Routes a job to its platform slot: the named platform must be
-    /// declared and its capabilities must cover the deploy target.
-    fn resolve(&self, job: &JobRequest) -> Result<usize, JobError> {
-        let slot_idx = match job.platform.as_deref() {
-            None => self.default_slot,
-            Some(id) => match self.index.get(id) {
-                Some(&i) => i,
-                None => {
-                    return Err(JobError::Platform {
-                        job: job.name.clone(),
-                        platform: id.to_owned(),
-                        detail: format!(
-                            "unknown platform (serving: {})",
-                            self.platform_ids().join(", ")
-                        ),
-                    })
-                }
-            },
-        };
-        let slot = &self.slots[slot_idx];
-        let caps = slot.capabilities;
-        let lacks = |engine, present: bool| job.deploy.enables(engine) && !present;
-        if lacks(EngineKind::Digital, caps.digital) || lacks(EngineKind::Analog, caps.analog) {
-            return Err(JobError::Platform {
-                job: job.name.clone(),
-                platform: slot.id.clone(),
-                detail: format!(
-                    "deploy target {:?} needs engines the platform lacks \
-                     (declared: digital={}, analog={})",
-                    job.deploy, caps.digital, caps.analog
-                ),
-            });
-        }
-        Ok(slot_idx)
     }
 
     /// The content-addressed key a job resolves to.
     ///
     /// # Errors
     ///
-    /// [`JobError::Platform`] when the job cannot be routed (unknown
-    /// platform, or a deploy target outside the platform's
-    /// capabilities) — a job with no key has no cache slot.
+    /// None: every job has a key. The `Result` is kept so that callers
+    /// which `expect` or `?` it keep compiling.
     pub fn key_of(&self, job: &JobRequest) -> Result<ArtifactKey, JobError> {
-        let slot = &self.slots[self.resolve(job)?];
-        Ok(slot.keys.key(&job.graph, job.deploy))
+        Ok(self.keys.key(&job.graph, job.deploy))
     }
 
-    /// Processes one job on the calling thread, through routing and
-    /// admission control: the result is [`JobError::Platform`] when the
-    /// job cannot be routed and [`JobError::Rejected`] when the service
+    /// Processes one job on the calling thread, through admission
+    /// control: the result is [`JobError::Rejected`] when the service
     /// is saturated or the tenant is over quota.
     pub fn submit(&self, job: JobRequest) -> Result<JobResult, JobError> {
         let admitted = self.admit_job(0, job, &HashMap::new())?;
@@ -766,17 +581,15 @@ impl CompileService {
         self.submit(job)
     }
 
-    /// Schedules a batch through routing, admission control and the
-    /// worker pool, returning results in request order.
+    /// Schedules a batch through admission control and the worker pool,
+    /// returning results in request order.
     ///
     /// Before anything reaches the pool, jobs with identical
     /// [`ArtifactKey`]s are coalesced (one leader, the rest followers —
     /// serviced from the leader's artifact by the leader's worker the
-    /// moment it lands; the platform id feeds the key, so jobs for
-    /// different platforms never coalesce) and each leader passes
-    /// admission control in request order; unroutable jobs get
-    /// [`JobError::Platform`] and shed jobs [`JobError::Rejected`]
-    /// without ever queuing. Admitted leaders are ordered by
+    /// moment it lands) and each leader passes admission control in
+    /// request order; shed jobs get [`JobError::Rejected`] without ever
+    /// queuing. Admitted leaders are ordered by
     /// [`SchedPolicy`]: under [`SchedPolicy::CostAware`], cache hits
     /// run before cold compiles, so an expensive miss cannot
     /// head-of-line-block a batch of hits.
@@ -788,7 +601,7 @@ impl CompileService {
             *lock(&results[index]) = Some(result);
         };
 
-        // Routing + admission + coalescing pass, in request order.
+        // Admission + coalescing pass, in request order.
         let mut leaders: Vec<Scheduled> = Vec::new();
         let mut lead_of: HashMap<ArtifactKey, usize> = HashMap::new();
         for (index, job) in jobs.into_iter().enumerate() {
@@ -854,8 +667,7 @@ impl CompileService {
             .collect()
     }
 
-    /// The one way into the service: routes the job, derives its key,
-    /// estimates its cost against the cache state and takes that many
+    /// The one way into the service: derives the job's key, estimates its cost against the cache state and takes that many
     /// admission units — or sheds it. A job whose key already has a
     /// leader in `lead_of` (its batch) rides that leader's units.
     fn admit_job(
@@ -864,18 +676,16 @@ impl CompileService {
         job: JobRequest,
         lead_of: &HashMap<ArtifactKey, usize>,
     ) -> Result<Admitted<'_>, JobError> {
-        let slot = self.resolve(&job)?;
-        let key = self.slots[slot].keys.key(&job.graph, job.deploy);
+        let key = self.keys.key(&job.graph, job.deploy);
         let cost = if lead_of.contains_key(&key) {
             0
         } else {
-            estimate_cost(&job.graph, self.slots[slot].cache.contains(&key))
+            estimate_cost(&job.graph, self.cache.contains(&key))
         };
         match self.admit(&job.tenant, cost) {
             Err(rejection) => Err(self.shed_job(job.name, &job.tenant, cost, rejection)),
             Ok(units) => Ok(Admitted {
                 index,
-                slot,
                 job,
                 key,
                 units,
@@ -952,13 +762,11 @@ impl CompileService {
     ) -> Result<JobResult, JobError> {
         // `_units` is held to the end, however this returns or unwinds.
         let Admitted {
-            slot,
             job,
             key,
             units: _units,
             ..
         } = admitted;
-        let slot = &self.slots[slot];
         let started = Instant::now();
         let sched_seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if self.tracer.is_enabled() && queue_us > 0 {
@@ -983,15 +791,13 @@ impl CompileService {
         span.arg("key", key_id.as_str());
         span.arg("queue_us", queue_us);
         span.arg("tenant", job.tenant.as_str());
-        span.arg("platform", slot.id.as_str());
         let result =
-            self.artifact_for(slot, &job, &key, ready)
+            self.artifact_for(&job, &key, ready)
                 .map(|(artifact, cache_hit, coalesced)| {
                     span.arg("cache_hit", cache_hit);
                     span.arg("coalesced", coalesced);
                     JobResult {
                         job: job.name,
-                        platform: slot.id.clone(),
                         key_id,
                         cache_hit,
                         coalesced,
@@ -1001,47 +807,42 @@ impl CompileService {
                         sched_seq,
                     }
                 });
-        slot.jobs.fetch_add(1, Ordering::Relaxed);
-        if job.platform.is_some() {
-            self.routed_by_platform.fetch_add(1, Ordering::Relaxed);
-        }
+        self.jobs.fetch_add(1, Ordering::Relaxed);
         span.arg("ok", result.is_ok());
         result
     }
 
-    /// Fetches the job's artifact from its platform's cache or compiles
-    /// it, coalescing concurrent misses on the same key: exactly one
+    /// Fetches the job's artifact from the cache or compiles it, coalescing concurrent misses on the same key: exactly one
     /// thread (the *leader*) compiles while the rest wait and take the
     /// leader's artifact directly. Only threads that actually probe the
     /// cache touch its counters — a leader registers one miss, a repeat
     /// after landing one hit, and a coalesced follower none (it shows
     /// up in [`ServiceStats::coalesced`] instead) — so
     /// `hits + misses + coalesced == jobs` deterministically even under
-    /// races, per platform, with `misses` exactly the number of
-    /// distinct compiles. A leader's artifact is also spilled to the
-    /// platform's [`PersistStore`] when persistence is on. Returns the
+    /// races, with `misses` exactly the number of distinct compiles. A
+    /// leader's artifact is also spilled to the [`PersistStore`] when
+    /// persistence is on. Returns the
     /// artifact with its `(cache_hit, coalesced)` flags.
     fn artifact_for(
         &self,
-        slot: &PlatformSlot,
         job: &JobRequest,
         key: &ArtifactKey,
         ready: Option<&StoredArtifact>,
     ) -> Result<(StoredArtifact, bool, bool), JobError> {
         if let Some(artifact) = ready {
-            slot.coalesced.fetch_add(1, Ordering::Relaxed);
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
             return Ok((artifact.clone(), false, true));
         }
         loop {
             // One critical section decides this thread's role: follower
             // of an in-flight compile (no cache touch), cache hit, or
             // newly appointed leader.
-            let mut inflight = lock(&slot.inflight);
+            let mut inflight = lock(&self.inflight);
             if let Some(flight) = inflight.get(key).map(Arc::clone) {
                 drop(inflight);
                 match flight.wait() {
                     Some(artifact) => {
-                        slot.coalesced.fetch_add(1, Ordering::Relaxed);
+                        self.coalesced.fetch_add(1, Ordering::Relaxed);
                         return Ok((artifact, false, true));
                     }
                     // The leader failed; re-enter and compile for
@@ -1050,19 +851,19 @@ impl CompileService {
                     None => continue,
                 }
             }
-            if let Some(artifact) = slot.cache.get(key) {
+            if let Some(artifact) = self.cache.get(key) {
                 return Ok((artifact, true, false));
             }
             let flight = Arc::new(Flight::default());
             inflight.insert(key.clone(), Arc::clone(&flight));
             drop(inflight);
             let mut lead = Lead {
-                inflight: &slot.inflight,
+                inflight: &self.inflight,
                 key,
                 flight,
                 outcome: None,
             };
-            let artifact = slot
+            let artifact = self
                 .base
                 .clone()
                 .with_deploy(job.deploy)
@@ -1077,8 +878,8 @@ impl CompileService {
             // resident; followers already waiting take it from the
             // flight itself. The disk spill rides the same publish: one
             // durable write per distinct compile.
-            slot.cache.insert(key.clone(), artifact.clone());
-            if let Some(persist) = &slot.persist {
+            self.cache.insert(key.clone(), artifact.clone());
+            if let Some(persist) = &self.persist {
                 persist.write(key, artifact.clone());
             }
             lead.outcome = Some(artifact.clone());
@@ -1086,59 +887,30 @@ impl CompileService {
         }
     }
 
-    /// A snapshot of the service counters: fleet-wide sums plus the
-    /// per-platform breakdown (including each platform's shared
-    /// tile-cache and persistent-store counters).
+    /// A snapshot of the service counters, including the shared
+    /// tile-cache and persistent-store counters.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let platforms: Vec<PlatformStats> = self
-            .slots
-            .iter()
-            .map(|slot| PlatformStats {
-                platform: slot.id.clone(),
-                jobs: slot.jobs.load(Ordering::Relaxed),
-                coalesced: slot.coalesced.load(Ordering::Relaxed),
-                artifact_cache: slot.cache.stats(),
-                tile_cache: slot.base.tile_cache().stats(),
-                persist: slot
-                    .persist
-                    .as_ref()
-                    .map(PersistStore::stats)
-                    .unwrap_or_default(),
-            })
-            .collect();
-        let mut agg = ServiceStats {
-            shed_budget: self.shed_budget.load(Ordering::Relaxed),
-            shed_quota: self.shed_quota.load(Ordering::Relaxed),
+        let persist = self
+            .persist
+            .as_ref()
+            .map(PersistStore::stats)
+            .unwrap_or_default();
+        let shed_budget = self.shed_budget.load(Ordering::Relaxed);
+        let shed_quota = self.shed_quota.load(Ordering::Relaxed);
+        ServiceStats {
+            jobs: self.jobs.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            shed: shed_budget + shed_quota,
+            shed_budget,
+            shed_quota,
             rejected_import: self.rejected_import.load(Ordering::Relaxed),
-            routed_by_platform: self.routed_by_platform.load(Ordering::Relaxed),
-            ..ServiceStats::default()
-        };
-        for p in &platforms {
-            agg.jobs += p.jobs;
-            agg.coalesced += p.coalesced;
-            agg.persist_writes += p.persist.writes;
-            agg.persist_load_ok += p.persist.load_ok;
-            agg.persist_load_skipped += p.persist.load_skipped;
-            let a = &mut agg.artifact_cache;
-            a.entries += p.artifact_cache.entries;
-            a.bytes += p.artifact_cache.bytes;
-            a.budget_bytes += p.artifact_cache.budget_bytes;
-            a.hits += p.artifact_cache.hits;
-            a.misses += p.artifact_cache.misses;
-            a.insertions += p.artifact_cache.insertions;
-            a.evictions += p.artifact_cache.evictions;
-            a.oversized += p.artifact_cache.oversized;
-            let t = &mut agg.tile_cache;
-            t.entries += p.tile_cache.entries;
-            t.solves += p.tile_cache.solves;
-            t.hits += p.tile_cache.hits;
-            t.negatives += p.tile_cache.negatives;
-            t.negative_hits += p.tile_cache.negative_hits;
+            persist_writes: persist.writes,
+            persist_load_ok: persist.load_ok,
+            persist_load_skipped: persist.load_skipped,
+            artifact_cache: self.cache.stats(),
+            tile_cache: self.base.tile_cache().stats(),
         }
-        agg.shed = agg.shed_budget + agg.shed_quota;
-        agg.platforms = platforms;
-        agg
     }
 
     /// Drains everything traced so far (job, queue and shed spans plus
@@ -1153,7 +925,6 @@ impl CompileService {
 impl std::fmt::Debug for CompileService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompileService")
-            .field("platforms", &self.platform_ids())
             .field("workers", &self.workers)
             .field("policy", &self.policy)
             .field("stats", &self.stats())
@@ -1221,7 +992,7 @@ mod tests {
     /// flight: it cloned the flight under the in-flight lock, on top of
     /// the table's and the leader guard's references.
     fn await_follower(service: &CompileService) {
-        while service.slots[0]
+        while service
             .inflight
             .lock()
             .unwrap()
@@ -1240,16 +1011,16 @@ mod tests {
 
     #[test]
     fn a_slots_keys_are_byte_identical_to_keys_built_from_scratch() {
-        // The config suffix is encoded once per slot; it must still say
-        // what `ArtifactKey::new` says from the same compiler, for every
-        // deploy target, on a manifest platform and over a custom
-        // compiler alike.
+        // The config suffix is encoded once per service; it must still
+        // say what `ArtifactKey::new` says from the same compiler, for
+        // every deploy target, on the default compiler and over a custom
+        // one alike.
         let lean = Compiler::new().with_objectives(
             TilingObjective::memory_only(),
             TilingObjective::memory_only(),
         );
         let custom = CompileService::with_compiler(ServeConfig::default(), lean.clone());
-        let fleet = CompileService::new(ServeConfig::default());
+        let default = CompileService::new(ServeConfig::default());
         for deploy in [
             DeployConfig::CpuTvm,
             DeployConfig::Digital,
@@ -1258,7 +1029,7 @@ mod tests {
         ] {
             let mut request = job("k", 8);
             request.deploy = deploy;
-            for (service, base) in [(&custom, &lean), (&fleet, &Compiler::new())] {
+            for (service, base) in [(&custom, &lean), (&default, &Compiler::new())] {
                 let scratch = ArtifactKey::new(
                     DEFAULT_PLATFORM,
                     &request.graph,
@@ -1266,14 +1037,14 @@ mod tests {
                     base.platform(),
                     base.lower_options(),
                 );
-                let slot = service.key_of(&request).unwrap();
-                assert_eq!(slot.as_bytes(), scratch.as_bytes(), "{deploy:?}");
-                assert_eq!(slot.id(), scratch.id(), "{deploy:?}");
+                let key = service.key_of(&request).unwrap();
+                assert_eq!(key.as_bytes(), scratch.as_bytes(), "{deploy:?}");
+                assert_eq!(key.id(), scratch.id(), "{deploy:?}");
             }
         }
         assert_ne!(
             custom.key_of(&job("k", 8)).unwrap(),
-            fleet.key_of(&job("k", 8)).unwrap(),
+            default.key_of(&job("k", 8)).unwrap(),
             "the two services really do differ in their tiling objectives"
         );
     }
@@ -1357,10 +1128,9 @@ mod tests {
     #[test]
     fn poisoned_locks_keep_serving_with_exact_counts() {
         let service = CompileService::new(ServeConfig::default());
-        let slot = &service.slots[service.default_slot];
         poison(&service.admission);
-        poison(&slot.inflight);
-        poison(&slot.cache.inner);
+        poison(&service.inflight);
+        poison(&service.cache.inner);
 
         let miss = service.submit(job("miss", 8)).unwrap();
         let hit = service.submit(job("hit", 8)).unwrap();

@@ -54,7 +54,6 @@ fn wire_job(name: &str, model: &[u8], include_artifact: bool) -> WireJob {
     WireJob {
         name: name.to_owned(),
         tenant: None,
-        platform: None,
         model_hex: htvm_serve::http::wire::encode_hex(model),
         deploy: DeployConfig::Both,
         include_artifact,
@@ -311,6 +310,48 @@ fn malformed_requests_get_typed_errors_not_hangups() {
 
     let stats = service_stats(addr);
     assert_eq!(stats.jobs, 0, "none of the garbage reached the service");
+    server.shutdown();
+}
+
+#[test]
+fn unknown_members_get_400_on_compile_and_batch() {
+    let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
+    let addr = server.addr();
+    let job = serde_json::to_string(&wire_job("j", &htf(&conv_graph(8)), false)).unwrap();
+    // A service serves one platform, so a job that names one is refused
+    // rather than compiled for whatever the service serves.
+    let with_platform = job.replacen('{', r#"{"platform":"gap9","#, 1);
+    for (path, body, member) in [
+        ("/v1/compile", with_platform.clone(), "platform"),
+        (
+            "/v1/batch",
+            format!(r#"{{"jobs":[{with_platform}]}}"#),
+            "platform",
+        ),
+        (
+            "/v1/batch",
+            format!(r#"{{"jobs":[{job}],"priority":1}}"#),
+            "priority",
+        ),
+    ] {
+        let refused = once(addr, "POST", path, Some(&body));
+        assert_eq!(refused.status, 400, "{path}: {}", refused.body);
+        let error = refused.error();
+        assert_eq!(error.kind, "bad_request", "{path}");
+        assert!(error.detail.contains(member), "{path}: {}", error.detail);
+    }
+    for (path, body) in [
+        ("/v1/compile", job.clone()),
+        ("/v1/batch", format!(r#"{{"jobs":[{job}]}}"#)),
+    ] {
+        let accepted = once(addr, "POST", path, Some(&body));
+        assert_eq!(accepted.status, 200, "{path}: {}", accepted.body);
+    }
+    assert_eq!(
+        service_stats(addr).jobs,
+        2,
+        "only the clean bodies became jobs"
+    );
     server.shutdown();
 }
 

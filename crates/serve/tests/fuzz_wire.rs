@@ -5,7 +5,7 @@
 //! The corpus is `POST /v1/compile` bodies ([`WireJob`]), a
 //! `POST /v1/batch` body ([`WireBatch`]) and `POST /v1/import` query
 //! strings. Every body carries `ds_cnn` as `model_hex` and together they
-//! cover the tenant, platform and `include_artifact` variants. Each is
+//! cover the tenant and `include_artifact` variants. Each is
 //! mutated with seeded edits from the shared driver
 //! (`tests/support/fuzz.rs`), half of them at its field boundaries and
 //! the head of `model_hex` (the HTF header). Mutants go out one after
@@ -15,8 +15,8 @@
 //! * a `200` whose body parses as [`WireResult`] (or, for a batch,
 //!   [`WireBatchResult`], whose failed entries are typed as below), or
 //! * a [`WireError`] whose `status` is the status line's: `400`
-//!   `bad_request`, `422` `compile_error` / `import_error` /
-//!   `platform_error`, or `429` `rejected`.
+//!   `bad_request`, `422` `compile_error` / `import_error`, or `429`
+//!   `rejected`.
 //!
 //! A `500`, any other status or kind, or a connection that stops
 //! answering fails the harness; the driver minimises the mutant and
@@ -66,7 +66,6 @@ fn job(name: &str, model_hex: &str, variant: usize) -> WireJob {
     WireJob {
         name: name.to_owned(),
         tenant: (variant % 2 == 1).then(|| String::from("acme")),
-        platform: (variant >= 1).then(|| String::from("diana")),
         model_hex: model_hex.to_owned(),
         deploy: [DeployConfig::Both, DeployConfig::Digital][variant % 2],
         include_artifact: variant == 2,
@@ -175,7 +174,7 @@ impl FrontDoor {
 fn assert_typed(error: &WireError) {
     let kinds: &[&str] = match error.status {
         400 => &["bad_request"],
-        422 => &["compile_error", "import_error", "platform_error"],
+        422 => &["compile_error", "import_error"],
         429 => &["rejected"],
         status => panic!("status {status} for {error:?}"),
     };

@@ -37,6 +37,16 @@ fn config(root: &Path) -> ServeConfig {
     }
 }
 
+/// The sorted names in `dir`.
+fn names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("the directory exists")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
 /// Distinct compile jobs (one per channel count, so one per key).
 fn jobs() -> Vec<JobRequest> {
     [4usize, 8, 16, 24]
@@ -74,6 +84,13 @@ fn restart_serves_every_cached_key_without_recompiling() {
         // The service drops here: memory cache, tile caches and
         // counters are all gone. Only the disk entries survive.
     };
+
+    // One service, one store: `<root>/v1/diana`, one entry per compile.
+    assert_eq!(names(&root), ["v1"]);
+    assert_eq!(names(&root.join("v1")), ["diana"]);
+    let entries = names(&root.join("v1").join("diana"));
+    assert_eq!(entries.len() as u64, jobs_count);
+    assert!(entries.iter().all(|name| name.ends_with(".json")));
 
     // Warm reboot: the disk entries come back as cache insertions.
     let rebooted = CompileService::new(config(&root));

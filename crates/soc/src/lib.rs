@@ -25,7 +25,9 @@
 //!
 //! The [`platforms`] module adds coarse cost models for the Table II
 //! comparison platforms (STM32-class MCU with and without SIMD kernels, and
-//! a GAP9-class cluster).
+//! a GAP9-class cluster). They price the `table2` comparison only: nothing
+//! compiles for them, and the one SoC the simulator runs is a
+//! [`DianaConfig`].
 //!
 //! # Examples
 //!
@@ -47,7 +49,6 @@ mod dma_program;
 mod energy;
 mod listing;
 mod machine;
-pub mod manifest;
 pub mod platforms;
 mod program;
 mod timeline;
@@ -59,8 +60,12 @@ pub use dma_program::{linearize_step, DmaDescriptor, DmaDir, DmaTable, StepDma};
 pub use energy::EnergyConfig;
 pub use listing::render_listing;
 pub use machine::{Machine, RunError};
-pub use manifest::{Capabilities, ManifestError, PlatformManifest, PlatformSpec, DEFAULT_PLATFORM};
 pub use program::{
     AccelLayerDesc, BufferDecl, BufferId, BufferKind, EngineKind, FusedPool, Program, Step,
 };
 pub use timeline::render_timeline;
+
+/// The id `htvm-serve` gives the SoC it compiles for: it enters every
+/// artifact key and names the persistent store's directory
+/// (`<root>/v1/diana/`).
+pub const DEFAULT_PLATFORM: &str = "diana";

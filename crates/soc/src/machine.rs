@@ -97,29 +97,6 @@ impl Error for RunError {
     }
 }
 
-impl RunError {
-    /// The failing step index, for errors scoped to one layer.
-    #[must_use]
-    pub fn layer_index(&self) -> Option<usize> {
-        match self {
-            RunError::Eval { layer_index, .. } | RunError::L1Overflow { layer_index, .. } => {
-                Some(*layer_index)
-            }
-            _ => None,
-        }
-    }
-
-    /// The engine involved in the failure, when one is.
-    #[must_use]
-    pub fn engine(&self) -> Option<EngineKind> {
-        match self {
-            RunError::L1Overflow { engine, .. } => Some(*engine),
-            RunError::Eval { .. } => Some(EngineKind::Cpu),
-            _ => None,
-        }
-    }
-}
-
 /// The simulated DIANA SoC: executes compiled [`Program`]s, producing both
 /// bit-exact outputs and the per-layer cycle profile the paper reads from
 /// DIANA's hardware performance counters.
