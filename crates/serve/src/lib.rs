@@ -29,6 +29,10 @@
 //!   ([`ServeConfig::cache_budget_bytes`]) with least-recently-used
 //!   eviction ([`ArtifactCache`]); every consumer of an artifact
 //!   shares one serialization of it ([`StoredArtifact`]).
+//! - A repeat `/v1/import` of the same bytes skips import and keying:
+//!   the cache remembers which key each upload resolved to, matches a
+//!   new upload byte for byte, and forgets it with its artifact
+//!   ([`CompileService::submit_model`]).
 //! - All tenants share one base [`Compiler`](htvm::Compiler), so tiling
 //!   solves memoized for one tenant's layers accelerate every other
 //!   tenant's cold compiles too ([`ServiceStats::tile_cache`]).
@@ -105,9 +109,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Every lock in this crate is taken through here (a condvar wait and a
 /// consumed result slot recover the same way). That is sound because no
 /// critical section has a panic point between two writes that must agree
-/// (the artifact cache's eviction loop, the one section with paired
-/// writes, un-counts each entry's bytes right after removing it), so the
-/// guarded state is whole whenever a holder unwinds.
+/// (the artifact cache, the one lock with paired writes, un-counts an
+/// entry's bytes and its uploads right after removing them, and counts
+/// an upload right after remembering it), so the guarded state is whole
+/// whenever a holder unwinds.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

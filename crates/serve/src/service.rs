@@ -40,6 +40,16 @@
 //! followers, the disk envelope and the HTTP body share that allocation.
 //! A zero [`ServeConfig::cache_budget_bytes`] is not a mode: the cache
 //! admits nothing, and coalescing behaves as everywhere else.
+//!
+//! A repeat upload is recognised by its bytes.
+//! [`CompileService::submit_model`] looks the `(deploy, HTF bytes)` pair
+//! up in the cache's upload memo before it imports anything; a hit hands
+//! admission the remembered key, and the job then goes the way every job
+//! goes (admission, the single-flight probe, the cache counters, the
+//! spans). Such a job carries the upload bytes instead of a graph, and
+//! the one compile site imports them only if the key's artifact was
+//! evicted before the probe. A memo miss imports and keys as before,
+//! then remembers the upload once its key is resident.
 
 use crate::cache::{ArtifactCache, ArtifactCacheStats};
 use crate::key::{ArtifactKey, KeyContext};
@@ -50,9 +60,11 @@ use htvm::{
     tracks, CompileError, Compiler, DeployConfig, Span, TileCacheStats, TimeDomain, Trace, Tracer,
 };
 use htvm_frontend::ImportError;
+use htvm_ir::canonical::murmur3_128;
 use htvm_ir::Graph;
 use htvm_soc::DEFAULT_PLATFORM;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,6 +154,9 @@ pub fn estimate_cost(graph: &Graph, cached: bool) -> u64 {
 /// [`estimate_cost`] of a job whose key is resident in the cache.
 pub const HIT_COST: u64 = 1;
 
+/// The tenant a job that names none is accounted to.
+const ANON: &str = "anon";
+
 /// One unit of work: compile a graph for a deploy target.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
@@ -161,7 +176,7 @@ impl JobRequest {
     pub fn compile_only(name: &str, graph: Graph, deploy: DeployConfig) -> Self {
         JobRequest {
             name: name.to_owned(),
-            tenant: String::from("anon"),
+            tenant: ANON.to_owned(),
             graph,
             deploy,
         }
@@ -424,10 +439,51 @@ impl Drop for Units<'_> {
     }
 }
 
+/// What a job compiles: a graph in hand, or the bytes of an upload the
+/// memo recognised, imported only if the job has to compile after all.
+enum Model<'a> {
+    Graph(Graph),
+    Upload {
+        bytes: &'a [u8],
+        /// [`estimate_cost`] of the imported graph, as a miss.
+        cold_cost: u64,
+    },
+}
+
+impl Model<'_> {
+    /// [`estimate_cost`] of compiling this model, or of a hit.
+    fn cost(&self, cached: bool) -> u64 {
+        match self {
+            Model::Graph(graph) => estimate_cost(graph, cached),
+            Model::Upload { .. } if cached => HIT_COST,
+            Model::Upload { cold_cost, .. } => *cold_cost,
+        }
+    }
+}
+
+/// A job as the service holds it from admission to its result.
+struct Job<'a> {
+    name: String,
+    tenant: String,
+    deploy: DeployConfig,
+    model: Model<'a>,
+}
+
+impl From<JobRequest> for Job<'_> {
+    fn from(job: JobRequest) -> Self {
+        Job {
+            name: job.name,
+            tenant: job.tenant,
+            deploy: job.deploy,
+            model: Model::Graph(job.graph),
+        }
+    }
+}
+
 /// A keyed job holding its admission units until it is dropped.
 struct Admitted<'a> {
     index: usize,
-    job: JobRequest,
+    job: Job<'a>,
     key: ArtifactKey,
     units: Units<'a>,
 }
@@ -531,7 +587,13 @@ impl CompileService {
     /// control: the result is [`JobError::Rejected`] when the service
     /// is saturated or the tenant is over quota.
     pub fn submit(&self, job: JobRequest) -> Result<JobResult, JobError> {
-        let admitted = self.admit_job(0, job, &HashMap::new())?;
+        let key = self.keys.key(&job.graph, job.deploy);
+        self.submit_keyed(job.into(), key)
+    }
+
+    /// Admits and serves one keyed job on the calling thread.
+    fn submit_keyed(&self, job: Job<'_>, key: ArtifactKey) -> Result<JobResult, JobError> {
+        let admitted = self.admit_job(0, job, key, &HashMap::new())?;
         self.serve(admitted, 0, None)
     }
 
@@ -562,6 +624,13 @@ impl CompileService {
     /// through the normal admission/cache path (the `/v1/import` entry
     /// point).
     ///
+    /// Bytes seen before skip the import and the keying: the cache's
+    /// upload memo matches `(deploy, bytes)` byte for byte and hands
+    /// back the key they resolved to, and the job goes on from
+    /// admission like any other. Bytes not seen before are imported and
+    /// keyed, and remembered once their key is resident. Refused bytes
+    /// are never remembered.
+    ///
     /// # Errors
     ///
     /// [`JobError::Import`] for malformed bytes, otherwise whatever
@@ -573,12 +642,27 @@ impl CompileService {
         deploy: DeployConfig,
         model: &[u8],
     ) -> Result<JobResult, JobError> {
-        let graph = self.import_model(name, model)?;
-        let mut job = JobRequest::compile_only(name, graph, deploy);
-        if let Some(tenant) = tenant {
-            job = job.with_tenant(tenant);
+        let digest = murmur3_128(model);
+        let job = |source| Job {
+            name: name.to_owned(),
+            tenant: tenant.unwrap_or(ANON).to_owned(),
+            deploy,
+            model: source,
+        };
+        if let Some((key, cold_cost)) = self.cache.upload(digest, deploy, model) {
+            let source = Model::Upload {
+                bytes: model,
+                cold_cost,
+            };
+            return self.submit_keyed(job(source), key);
         }
-        self.submit(job)
+        let graph = self.import_model(name, model)?;
+        let key = self.keys.key(&graph, deploy);
+        let cold_cost = estimate_cost(&graph, false);
+        let result = self.submit_keyed(job(Model::Graph(graph)), key.clone());
+        self.cache
+            .remember_upload(digest, deploy, model, key, cold_cost);
+        result
     }
 
     /// Schedules a batch through admission control and the worker pool,
@@ -605,7 +689,8 @@ impl CompileService {
         let mut leaders: Vec<Scheduled> = Vec::new();
         let mut lead_of: HashMap<ArtifactKey, usize> = HashMap::new();
         for (index, job) in jobs.into_iter().enumerate() {
-            match self.admit_job(index, job, &lead_of) {
+            let key = self.keys.key(&job.graph, job.deploy);
+            match self.admit_job(index, job.into(), key, &lead_of) {
                 Err(error) => finish(index, Err(error)),
                 Ok(admitted) => match lead_of.get(&admitted.key) {
                     Some(&leader) => leaders[leader].followers.push(admitted),
@@ -667,20 +752,21 @@ impl CompileService {
             .collect()
     }
 
-    /// The one way into the service: derives the job's key, estimates its cost against the cache state and takes that many
-    /// admission units — or sheds it. A job whose key already has a
-    /// leader in `lead_of` (its batch) rides that leader's units.
-    fn admit_job(
-        &self,
+    /// The one way into the service: estimates the keyed job's cost
+    /// against the cache state and takes that many admission units — or
+    /// sheds it. A job whose key already has a leader in `lead_of` (its
+    /// batch) rides that leader's units.
+    fn admit_job<'a>(
+        &'a self,
         index: usize,
-        job: JobRequest,
+        job: Job<'a>,
+        key: ArtifactKey,
         lead_of: &HashMap<ArtifactKey, usize>,
-    ) -> Result<Admitted<'_>, JobError> {
-        let key = self.keys.key(&job.graph, job.deploy);
+    ) -> Result<Admitted<'a>, JobError> {
         let cost = if lead_of.contains_key(&key) {
             0
         } else {
-            estimate_cost(&job.graph, self.cache.contains(&key))
+            job.model.cost(self.cache.contains(&key))
         };
         match self.admit(&job.tenant, cost) {
             Err(rejection) => Err(self.shed_job(job.name, &job.tenant, cost, rejection)),
@@ -825,7 +911,7 @@ impl CompileService {
     /// artifact with its `(cache_hit, coalesced)` flags.
     fn artifact_for(
         &self,
-        job: &JobRequest,
+        job: &Job<'_>,
         key: &ArtifactKey,
         ready: Option<&StoredArtifact>,
     ) -> Result<(StoredArtifact, bool, bool), JobError> {
@@ -863,11 +949,17 @@ impl CompileService {
                 flight,
                 outcome: None,
             };
+            let graph = match &job.model {
+                Model::Graph(graph) => Cow::Borrowed(graph),
+                // The memo's key lost its artifact before the probe
+                // above. The bytes imported once, so they import again.
+                Model::Upload { bytes, .. } => Cow::Owned(self.import_model(&job.name, bytes)?),
+            };
             let artifact = self
                 .base
                 .clone()
                 .with_deploy(job.deploy)
-                .compile(&job.graph)
+                .compile(&graph)
                 .map(StoredArtifact::new)
                 .map_err(|error| JobError::Compile {
                     job: job.name.clone(),
@@ -952,10 +1044,39 @@ mod tests {
         JobRequest::compile_only(name, b.finish(&[y]).unwrap(), DeployConfig::Both)
     }
 
+    /// The HTF bytes of `job`'s graph, as a `/v1/import` carries them.
+    fn htf(job: &JobRequest) -> Vec<u8> {
+        htvm_frontend::emit(&job.graph).expect("the test graphs emit")
+    }
+
+    /// Whether every finished job is counted exactly once:
+    /// `hits + misses + coalesced == jobs`.
+    fn counted_once(service: &CompileService) -> bool {
+        let stats = service.stats();
+        let cache = stats.artifact_cache;
+        cache.hits + cache.misses + stats.coalesced == stats.jobs
+    }
+
+    /// Whether the upload memo holds `htf` under `Both`.
+    fn remembered(service: &CompileService, htf: &[u8]) -> bool {
+        let digest = murmur3_128(htf);
+        service
+            .cache
+            .upload(digest, DeployConfig::Both, htf)
+            .is_some()
+    }
+
     /// A service whose first compile parks inside the dispatch hook:
     /// it announces itself on the receiver, then waits for a verdict —
     /// `true` resumes the compile, `false` panics out of it.
     fn gated_service() -> (Arc<CompileService>, mpsc::Receiver<()>, mpsc::Sender<bool>) {
+        gated_service_with(ServeConfig::default())
+    }
+
+    /// [`gated_service`] under `config`.
+    fn gated_service_with(
+        config: ServeConfig,
+    ) -> (Arc<CompileService>, mpsc::Receiver<()>, mpsc::Sender<bool>) {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (verdict_tx, verdict_rx) = mpsc::channel::<bool>();
         let verdict_rx = Mutex::new(verdict_rx);
@@ -969,10 +1090,8 @@ mod tests {
             }
             base
         });
-        let service = CompileService::with_compiler(
-            ServeConfig::default(),
-            Compiler::new().with_dispatch_hook(hook),
-        );
+        let service =
+            CompileService::with_compiler(config, Compiler::new().with_dispatch_hook(hook));
         (Arc::new(service), entered_rx, verdict_tx)
     }
 
@@ -982,9 +1101,18 @@ mod tests {
         service: &Arc<CompileService>,
         job: JobRequest,
     ) -> mpsc::Receiver<Result<JobResult, JobError>> {
+        run_detached(service, move |service| service.submit(job))
+    }
+
+    /// Runs `submit` against the service on a detached thread, as
+    /// [`submit_detached`] does.
+    fn run_detached(
+        service: &Arc<CompileService>,
+        submit: impl FnOnce(&CompileService) -> Result<JobResult, JobError> + Send + 'static,
+    ) -> mpsc::Receiver<Result<JobResult, JobError>> {
         let (tx, rx) = mpsc::channel();
         let service = Arc::clone(service);
-        std::thread::spawn(move || drop(tx.send(service.submit(job))));
+        std::thread::spawn(move || drop(tx.send(submit(&service))));
         rx
     }
 
@@ -1200,5 +1328,172 @@ mod tests {
             .join()
             .is_err());
         assert!(idle(&service), "a panicked batch returned every unit");
+    }
+
+    #[test]
+    fn a_remembered_upload_is_answered_without_importing_it() {
+        // Bytes the importer refuses, planted in the memo under a
+        // resident key: only the memo can answer them.
+        let service = CompileService::new(ServeConfig::default());
+        let a = job("a", 8);
+        let cold = service.submit(a.clone()).unwrap();
+        let planted = b"not an HTF file";
+        assert!(htvm_frontend::import(planted).is_err());
+        let key = service.key_of(&a).unwrap();
+        let digest = murmur3_128(planted);
+        assert!(service
+            .cache
+            .remember_upload(digest, DeployConfig::Both, planted, key, 1));
+
+        let served = service
+            .submit_model("planted", None, DeployConfig::Both, planted)
+            .expect("the memo answers");
+        assert!(served.cache_hit);
+        assert_eq!(served.key_id, cold.key_id);
+        assert!(same_allocation(&served.artifact, &cold.artifact));
+        // Under another deploy target the bytes are not remembered, so
+        // they are imported, and refused.
+        let digital = service.submit_model("planted", None, DeployConfig::Digital, planted);
+        assert!(matches!(digital, Err(JobError::Import { .. })));
+        assert_eq!(service.stats().rejected_import, 1);
+        assert!(counted_once(&service));
+    }
+
+    #[test]
+    fn an_evicted_entry_takes_its_uploads_with_it() {
+        // A budget that fits one artifact and its upload, never two
+        // artifacts and an upload.
+        let (a, b) = (job("a", 8), job("b", 12));
+        let (htf_a, htf_b) = (htf(&a), htf(&b));
+        let roomy = CompileService::new(ServeConfig::default());
+        let size = |job: &JobRequest| roomy.submit(job.clone()).unwrap().artifact.json().len();
+        let (size_a, size_b) = (size(&a), size(&b));
+        let budget = (size_a + htf_a.len()).max(size_b + htf_b.len());
+        let two = size_a + size_b + htf_a.len().min(htf_b.len());
+        assert!(budget < two, "{budget} must not fit {two}");
+        let service = CompileService::new(ServeConfig {
+            cache_budget_bytes: budget,
+            ..ServeConfig::default()
+        });
+        let upload = |htf: &[u8]| {
+            service
+                .submit_model("up", None, DeployConfig::Both, htf)
+                .unwrap()
+        };
+        let occupancy = || {
+            let cache = service.stats().artifact_cache;
+            assert!(cache.bytes + cache.upload_bytes <= cache.budget_bytes);
+            (cache.entries, cache.uploads, cache.upload_bytes as usize)
+        };
+
+        let first = upload(&htf_a);
+        assert!(!first.cache_hit && remembered(&service, &htf_a));
+        assert_eq!(occupancy(), (1, 1, htf_a.len()));
+
+        // B's artifact evicts A's, and A's upload goes with it.
+        let other = upload(&htf_b);
+        assert!(!other.cache_hit && remembered(&service, &htf_b));
+        assert!(!remembered(&service, &htf_a), "A's upload left with A");
+        assert_eq!(occupancy(), (1, 1, htf_b.len()));
+
+        // So A misses the memo, imports and compiles again.
+        let again = upload(&htf_a);
+        assert!(!again.cache_hit, "A's artifact was evicted");
+        assert_eq!(again.key_id, first.key_id);
+        assert_eq!(again.artifact.json(), first.artifact.json());
+        assert!(remembered(&service, &htf_a) && !remembered(&service, &htf_b));
+        assert_eq!(occupancy(), (1, 1, htf_a.len()));
+        let stats = service.stats().artifact_cache;
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 3, 2));
+        assert!(counted_once(&service));
+    }
+
+    #[test]
+    fn a_remembered_key_evicted_before_its_probe_compiles_from_the_upload() {
+        let (a, b) = (job("a", 8), job("b", 12));
+        let htf_a = htf(&a);
+        let cold = |job: &JobRequest| {
+            let compiler = Compiler::new().with_deploy(DeployConfig::Both);
+            StoredArtifact::new(compiler.compile(&job.graph).unwrap())
+        };
+        let (cold_a, cold_b) = (cold(&a), cold(&b));
+        // Room for A and its upload, or for B alone.
+        let budget = (cold_a.json().len() + htf_a.len()).max(cold_b.json().len());
+        let service = Arc::new(CompileService::new(ServeConfig {
+            cache_budget_bytes: budget,
+            ..ServeConfig::default()
+        }));
+        let first = service
+            .submit_model("first", None, DeployConfig::Both, &htf_a)
+            .unwrap();
+        assert!(remembered(&service, &htf_a));
+
+        // The next upload of A finds its key in the memo, passes
+        // admission and parks on the in-flight lock, before its probe.
+        let inflight = service.inflight.lock().unwrap();
+        let bytes = htf_a.clone();
+        let again = run_detached(&service, move |service| {
+            service.submit_model("again", None, DeployConfig::Both, &bytes)
+        });
+        while lock(&service.admission).tenant_inflight.is_empty() {
+            std::thread::yield_now();
+        }
+        // Under it, B's artifact evicts A's.
+        let key_b = service.key_of(&b).unwrap();
+        assert!(service.cache.insert(key_b, cold_b));
+        assert!(!remembered(&service, &htf_a));
+        drop(inflight);
+
+        let again = again.recv_timeout(TIMEOUT).unwrap().unwrap();
+        assert!(!again.cache_hit && !again.coalesced, "it compiled");
+        assert_eq!(again.key_id, first.key_id);
+        assert_eq!(again.artifact.json(), cold_a.json());
+        let stats = service.stats();
+        assert_eq!((stats.artifact_cache.misses, stats.rejected_import), (2, 0));
+        assert!(counted_once(&service));
+        // The memo forgot A with its artifact; the next upload of A
+        // imports once more and is remembered again.
+        assert!(!remembered(&service, &htf_a));
+        let third = service
+            .submit_model("third", None, DeployConfig::Both, &htf_a)
+            .unwrap();
+        assert!(third.cache_hit && remembered(&service, &htf_a));
+    }
+
+    #[test]
+    fn a_tenant_over_quota_is_shed_on_a_memo_hit() {
+        let (service, entered, verdict) = gated_service_with(ServeConfig {
+            tenant_quota: 1,
+            ..ServeConfig::default()
+        });
+        // acme's one unit is held by a compile parked in the hook.
+        let parked = submit_detached(&service, job("parked", 12).with_tenant("acme"));
+        entered
+            .recv_timeout(TIMEOUT)
+            .expect("the parked job compiles");
+        let htf_a = htf(&job("a", 8));
+        let upload = |tenant| service.submit_model("a", Some(tenant), DeployConfig::Both, &htf_a);
+        let filled = upload("bcorp").expect("another tenant fills the memo");
+        assert!(remembered(&service, &htf_a));
+
+        match upload("acme") {
+            Err(JobError::Rejected { rejection, .. }) => assert_eq!(
+                rejection.reason,
+                RejectReason::TenantQuota {
+                    tenant: "acme".to_owned(),
+                    inflight: 1,
+                    quota: 1,
+                }
+            ),
+            other => panic!("acme's memo hit must be shed, got {other:?}"),
+        }
+        verdict.send(true).unwrap();
+        parked.recv_timeout(TIMEOUT).unwrap().unwrap();
+        let hit = upload("acme").expect("acme is under its quota again");
+        assert!(hit.cache_hit);
+        assert_eq!(hit.key_id, filled.key_id);
+        let stats = service.stats();
+        assert_eq!((stats.jobs, stats.shed, stats.shed_quota), (3, 1, 1));
+        assert!(counted_once(&service));
     }
 }

@@ -11,7 +11,9 @@
 //! Eight fixtures are not damaged at all; each is an entry exactly as the
 //! last build of its format wrote it (digest, filename and compiler
 //! stamp all match, and that build re-admits it), and each must be
-//! skipped on its format alone:
+//! skipped on its format alone. They are the rows of one table
+//! (`STALE`, one row per format below the current one), each run by its
+//! own test, and a failing row names its fixture:
 //!
 //! - `996b1781….json`, format 1, a one-`relu` graph. Format 2 changed
 //!   how keys are encoded, so no request can ask for that key any more.
@@ -76,7 +78,8 @@ fn fixture_root() -> PathBuf {
 /// Number of committed fixture entries (none of them admissible).
 const FIXTURE_ENTRIES: u64 = 13;
 
-/// The well-formed format-1 to format-8 entries, by key id.
+/// The well-formed format-1 to format-8 entries, by key id (the rows of
+/// `STALE`).
 const FORMAT_1_ENTRY: &str = "996b17818e8887b0f52139322832f58b";
 const FORMAT_2_ENTRY: &str = "5589697de5eba32e8d0575b5220b8c1d";
 const FORMAT_3_ENTRY: &str = "cafb8575a4b4c4b66618fcfe1361da02";
@@ -139,41 +142,147 @@ fn skipped_on_its_format_alone(format: u32, key_id: &str) -> String {
     text
 }
 
+/// One well-formed entry of an old format, exactly as the last build of
+/// that format wrote it: its key id, its format, the change of the next
+/// format that keeps it out, and what its text must show of that change.
+struct Stale {
+    key_id: &'static str,
+    format: u32,
+    reason: &'static str,
+    shows: fn(&str),
+}
+
+/// Every stale fixture, oldest first. A format bump adds one row.
+const STALE: [Stale; 8] = [
+    Stale {
+        key_id: FORMAT_1_ENTRY,
+        format: 1,
+        reason: "format 2 encodes keys differently, so no request asks for its key",
+        shows: |_| {},
+    },
+    Stale {
+        key_id: FORMAT_2_ENTRY,
+        format: 2,
+        reason: "format 3 dropped the fallbacks table",
+        // Written for a one-conv graph, so it really carries the table.
+        shows: |text| assert!(text.contains(r#""fallbacks":{"entries":[[0,{"#)),
+    },
+    Stale {
+        key_id: FORMAT_3_ENTRY,
+        format: 3,
+        reason: "format 4 writes tensor payloads as base64",
+        // The same graph compiles to the same key today; only the
+        // payload text of its weights is of the old format.
+        shows: |text| {
+            assert!(
+                text.contains(r#""weights":{"dtype":"I8","shape":[4,4,3,3],"data":[-3,-2,-1,0,"#)
+            );
+        },
+    },
+    Stale {
+        key_id: FORMAT_4_ENTRY,
+        format: 4,
+        reason: "format 5 checks an artifact digest",
+        // Today's key and artifact bytes for this graph; only the
+        // envelope lacks the digest.
+        shows: |text| {
+            assert!(text.contains(r#""key_hex":""#) && !text.contains("artifact_digest"));
+            assert!(text.contains(r#""weights":{"dtype":"I8","shape":[8,8,3,3],"data":"AAAA"#));
+            assert!(text.contains(r#""CpuFused""#));
+        },
+    },
+    Stale {
+        key_id: FORMAT_5_ENTRY,
+        format: 5,
+        reason: "format 6 digests payloads at native width and keys with MurmurHash3",
+        shows: format_5_shows,
+    },
+    Stale {
+        key_id: FORMAT_6_ENTRY,
+        format: 6,
+        reason: "format 7 stores neither per-layer rows nor the DMA table's stamp",
+        shows: format_6_shows,
+    },
+    Stale {
+        key_id: FORMAT_7_ENTRY,
+        format: 7,
+        reason: "format 8 keeps only the two tiling objectives in the key",
+        shows: format_7_shows,
+    },
+    Stale {
+        key_id: FORMAT_8_ENTRY,
+        format: 8,
+        reason: "format 9 runs a chain with any other requantization tail on the CPU",
+        shows: format_8_shows,
+    },
+];
+
+/// Runs the `format` row of `STALE`; a failing row names its fixture.
+fn stale_row_is_skipped(format: u32) {
+    let row = STALE
+        .iter()
+        .find(|row| row.format == format)
+        .expect("a row per old format");
+    let outcome = std::panic::catch_unwind(|| {
+        (row.shows)(&skipped_on_its_format_alone(row.format, row.key_id));
+    });
+    assert!(
+        outcome.is_ok(),
+        "{}.json (format {}: {}) failed",
+        row.key_id,
+        row.format,
+        row.reason
+    );
+}
+
+#[test]
+fn stale_has_one_row_per_old_format() {
+    let formats: Vec<u32> = STALE.iter().map(|row| row.format).collect();
+    assert_eq!(formats, (1..CACHE_FORMAT_VERSION).collect::<Vec<_>>());
+}
+
 #[test]
 fn a_well_formed_format_1_entry_is_skipped_on_its_format_alone() {
-    skipped_on_its_format_alone(1, FORMAT_1_ENTRY);
+    stale_row_is_skipped(1);
 }
 
 #[test]
 fn a_well_formed_format_2_entry_is_skipped_on_its_format_alone() {
-    // Written for a one-conv graph, so it really carries the table
-    // format 3 dropped.
-    let text = skipped_on_its_format_alone(2, FORMAT_2_ENTRY);
-    assert!(text.contains(r#""fallbacks":{"entries":[[0,{"#));
+    stale_row_is_skipped(2);
 }
 
 #[test]
 fn a_well_formed_format_3_entry_is_skipped_on_its_format_alone() {
-    // The same graph compiles to the same key today; only the payload
-    // text of its weights is of the old format.
-    let text = skipped_on_its_format_alone(3, FORMAT_3_ENTRY);
-    assert!(text.contains(r#""weights":{"dtype":"I8","shape":[4,4,3,3],"data":[-3,-2,-1,0,"#));
+    stale_row_is_skipped(3);
 }
 
 #[test]
 fn a_well_formed_format_4_entry_is_skipped_on_its_format_alone() {
-    // Today's key and artifact bytes for this graph; only the envelope
-    // lacks the digest format 5 checks.
-    let text = skipped_on_its_format_alone(4, FORMAT_4_ENTRY);
-    assert!(text.contains(r#""key_hex":""#) && !text.contains("artifact_digest"));
-    assert!(text.contains(r#""weights":{"dtype":"I8","shape":[8,8,3,3],"data":"AAAA"#));
-    assert!(text.contains(r#""CpuFused""#));
+    stale_row_is_skipped(4);
 }
 
 #[test]
 fn a_well_formed_format_5_entry_is_skipped_on_its_format_alone() {
-    let text = skipped_on_its_format_alone(5, FORMAT_5_ENTRY);
-    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+    stale_row_is_skipped(5);
+}
+
+#[test]
+fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
+    stale_row_is_skipped(6);
+}
+
+#[test]
+fn a_well_formed_format_7_entry_is_skipped_on_its_format_alone() {
+    stale_row_is_skipped(7);
+}
+
+#[test]
+fn a_well_formed_format_8_entry_is_skipped_on_its_format_alone() {
+    stale_row_is_skipped(8);
+}
+
+fn format_5_shows(text: &str) {
+    let entry: serde_json::Value = serde_json::from_str(text).unwrap();
     let key_bytes = hex_decode(entry["key_hex"].as_str().unwrap());
     assert_eq!(
         format!("{:032x}", htvm_ir::fnv128(&key_bytes)),
@@ -182,8 +291,8 @@ fn a_well_formed_format_5_entry_is_skipped_on_its_format_alone() {
     );
 
     // Format 6 wrote the same artifact for the same job, under a
-    // different key and key id (the format-6 test below ties that entry
-    // to what this build writes).
+    // different key and key id (the format-6 row ties that entry to what
+    // this build writes).
     let then: serde_json::Value =
         serde_json::from_str(&read_fixture(FORMAT_6_ENTRY)).expect("an envelope");
     assert_ne!(then["key_id"], entry["key_id"]);
@@ -192,10 +301,8 @@ fn a_well_formed_format_5_entry_is_skipped_on_its_format_alone() {
     assert_eq!(then["artifact"], entry["artifact"]);
 }
 
-#[test]
-fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
-    let text = skipped_on_its_format_alone(6, FORMAT_6_ENTRY);
-    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+fn format_6_shows(text: &str) {
+    let entry: serde_json::Value = serde_json::from_str(text).unwrap();
     let stored = serde_json::to_string(&entry["artifact"]).unwrap();
     let err = serde_json::from_str::<htvm::Artifact>(&stored)
         .expect_err("a format-6 artifact carries a member format 7 does not declare")
@@ -219,10 +326,8 @@ fn a_well_formed_format_6_entry_is_skipped_on_its_format_alone() {
     assert_eq!(serde_json::to_string(&now["artifact"]).unwrap(), then);
 }
 
-#[test]
-fn a_well_formed_format_7_entry_is_skipped_on_its_format_alone() {
-    let text = skipped_on_its_format_alone(7, FORMAT_7_ENTRY);
-    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+fn format_7_shows(text: &str) {
+    let entry: serde_json::Value = serde_json::from_str(text).unwrap();
 
     // This build writes the same artifact for the same job, byte for
     // byte, under a key whose fingerprint lost three members.
@@ -243,10 +348,8 @@ fn a_well_formed_format_7_entry_is_skipped_on_its_format_alone() {
     assert_eq!(String::from_utf8(now_key).unwrap(), format!("{head}{tail}"));
 }
 
-#[test]
-fn a_well_formed_format_8_entry_is_skipped_on_its_format_alone() {
-    let text = skipped_on_its_format_alone(8, FORMAT_8_ENTRY);
-    let entry: serde_json::Value = serde_json::from_str(&text).unwrap();
+fn format_8_shows(text: &str) {
+    let entry: serde_json::Value = serde_json::from_str(text).unwrap();
 
     // This build gives the job the same key, so only the format keeps
     // the old program from being served: it offloads the clip(0, 100)
