@@ -45,6 +45,7 @@ use crate::key::ArtifactKey;
 use crate::stored::StoredArtifact;
 use htvm_ir::canonical::murmur3_128;
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -127,8 +128,9 @@ pub struct PersistStats {
 }
 
 /// The JSON envelope of one on-disk entry. The artifact rides as an
-/// untyped JSON value: on write it is the stored bytes passed through
-/// verbatim, and on load the header (format, stamp, digest) validates
+/// untyped JSON value, and the last member: on write it is a `null`
+/// whose place the stored bytes take verbatim ([`PersistStore::write`]),
+/// and on load the header (format, stamp, digest) validates
 /// *before* committing to the artifact schema — a stale entry from an
 /// older build is skipped on its stamp even when the artifact shape
 /// changed underneath it.
@@ -146,6 +148,12 @@ struct PersistEntry {
 /// The envelope's `artifact_digest` of a stored artifact's bytes.
 fn artifact_digest(stored: &StoredArtifact) -> String {
     format!("{:032x}", murmur3_128(stored.json().as_bytes()))
+}
+
+/// Creates (or truncates) `path` and writes `parts` to it in order.
+fn write_all(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    parts.iter().try_for_each(|part| file.write_all(part))
 }
 
 /// The on-disk artifact cache of one platform id. Thread-safe:
@@ -180,25 +188,33 @@ impl PersistStore {
         })
     }
 
-    /// Durably records one artifact: wrap its stored bytes in the
-    /// envelope, write that to a `.tmp` sibling, `rename` into place.
-    /// Returns whether the entry landed; failures only cost durability
-    /// (and a counter), never the request. A plain `&Artifact` is
-    /// converted (cloned and serialized) on the way in.
+    /// Durably records one artifact: write the envelope to a `.tmp`
+    /// sibling, `rename` into place. Returns whether the entry landed;
+    /// failures only cost durability (and a counter), never the
+    /// request. A plain `&Artifact` is converted (cloned and
+    /// serialized) on the way in.
+    ///
+    /// The envelope is streamed: its header, then the stored bytes as
+    /// they are, then the closing `}`. No envelope string holds a
+    /// second copy of the artifact.
     pub fn write(&self, key: &ArtifactKey, artifact: impl Into<StoredArtifact>) -> bool {
         let stored: StoredArtifact = artifact.into();
-        let entry = PersistEntry {
+        let header = PersistEntry {
             format: CACHE_FORMAT_VERSION,
             compiler: compiler_stamp(),
             key_id: key.id(),
             key_hex: hexfmt::encode(key.as_bytes()),
             artifact_digest: artifact_digest(&stored),
-            artifact: serde_json::to_value(&stored),
+            artifact: serde_json::Value::Null,
         };
-        let json = serde_json::to_string(&entry).expect("envelopes serialize infallibly");
-        let tmp = self.dir.join(format!("{}.tmp", entry.key_id));
-        let path = self.dir.join(format!("{}.json", entry.key_id));
-        let landed = std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_ok();
+        let mut head = serde_json::to_string(&header).expect("envelopes serialize infallibly");
+        // `artifact` is the last member: its `null}` makes way for the
+        // stored bytes and the envelope's closing brace.
+        head.truncate(head.len() - "null}".len());
+        let parts = [head.as_bytes(), stored.json().as_bytes(), b"}"];
+        let tmp = self.dir.join(format!("{}.tmp", header.key_id));
+        let path = self.dir.join(format!("{}.json", header.key_id));
+        let landed = write_all(&tmp, &parts).is_ok() && std::fs::rename(&tmp, &path).is_ok();
         if landed {
             self.writes.fetch_add(1, Ordering::Relaxed);
         } else {

@@ -654,7 +654,15 @@ impl CompileService {
                 bytes: model,
                 cold_cost,
             };
-            return self.submit_keyed(job(source), key);
+            let result = self.submit_keyed(job(source), key.clone());
+            // The artifact, and the upload with it, left before the
+            // probe, so the job compiled: remember the upload again. A
+            // hit or a follower found it remembered.
+            if matches!(&result, Ok(r) if !r.cache_hit && !r.coalesced) {
+                self.cache
+                    .remember_upload(digest, deploy, model, key, cold_cost);
+            }
+            return result;
         }
         let graph = self.import_model(name, model)?;
         let key = self.keys.key(&graph, deploy);
@@ -1451,13 +1459,15 @@ mod tests {
         let stats = service.stats();
         assert_eq!((stats.artifact_cache.misses, stats.rejected_import), (2, 0));
         assert!(counted_once(&service));
-        // The memo forgot A with its artifact; the next upload of A
-        // imports once more and is remembered again.
-        assert!(!remembered(&service, &htf_a));
+        // The memo forgot A with its artifact, and the compile from the
+        // upload remembered it again: the next upload of A is a hit
+        // that imports nothing.
+        assert!(remembered(&service, &htf_a));
         let third = service
             .submit_model("third", None, DeployConfig::Both, &htf_a)
             .unwrap();
         assert!(third.cache_hit && remembered(&service, &htf_a));
+        assert_eq!(service.stats().artifact_cache.uploads, 1);
     }
 
     #[test]

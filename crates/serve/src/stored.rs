@@ -1,6 +1,6 @@
 //! One owner for an artifact's bytes.
 //!
-//! An artifact is ~1 MB of JSON that the service hands to the cache
+//! An artifact is 42–371 KB of JSON that the service hands to the cache
 //! (whose budget counts serialized length), to hits and coalesced
 //! followers, to the disk envelope and to the HTTP body. A
 //! [`StoredArtifact`] pairs it with its `serde_json::to_string`
