@@ -17,7 +17,7 @@ use htvm_soc::{EngineKind, Step};
 use serde::{Deserialize, Serialize};
 
 /// Size-model constants (bytes), calibrated against Table I; see
-/// `EXPERIMENTS.md`.
+/// `EXPERIMENTS.md`, "Binary size (kB)".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BinarySizeModel {
     /// Fixed runtime for a plain-TVM (CPU-only) deployment.

@@ -15,7 +15,7 @@ use crate::binsize::{binary_size, BinarySizeModel};
 use crate::{extract, fuse_cpu_nodes, Artifact, CompileStats, ExtractedLayer, LowerError};
 use htvm_dory::memplan::{plan, BufferReq, OutOfMemory};
 use htvm_dory::{solve, ArrayDims, MemoryBudget, TileCache, TileSolution, TilingObjective};
-use htvm_ir::{Graph, GraphBuilder, NodeId, NodeKind};
+use htvm_ir::{Graph, GraphBuilder, NodeId, NodeKind, Op};
 use htvm_pattern::{PartitionedGraph, Region};
 use htvm_soc::{
     linearize_step, AccelLayerDesc, BufferDecl, BufferId, BufferKind, DianaConfig, DmaTable,
@@ -446,6 +446,12 @@ pub fn lower(
 /// Rebuilds a fused CPU group as a standalone executable segment graph,
 /// returning it plus the original node ids of its external data inputs (in
 /// segment-input order).
+///
+/// A segment is a graph of its own, so each narrowing cast in it must be
+/// proven in range within the segment. A cast that opens a group after a
+/// `clip` with other users reads that clip from outside the group; the
+/// segment then re-applies the clip to its input (a no-op on values
+/// already clipped) so the cast keeps its proof.
 fn build_segment(graph: &Graph, group: &[NodeId]) -> Result<(Graph, Vec<NodeId>), LowerError> {
     let mut b = GraphBuilder::new();
     let mut mapped: HashMap<NodeId, NodeId> = HashMap::new();
@@ -469,7 +475,17 @@ fn build_segment(graph: &Graph, group: &[NodeId]) -> Result<(Graph, Vec<NodeId>)
                     NodeKind::Constant(t) => b.constant(&src_node.name, t.clone()),
                     _ if !in_group.contains(&src) => {
                         ext_inputs.push(src);
-                        b.input(&src_node.name, src_node.shape.dims(), src_node.dtype)
+                        let x = b.input(&src_node.name, src_node.shape.dims(), src_node.dtype);
+                        match (op, src_node.op()) {
+                            (Op::Cast { .. }, Some(&Op::Clip { min, max })) => {
+                                b.clip(x, min, max).map_err(|e| {
+                                    LowerError::UnsupportedGraph(format!(
+                                        "segment rebuild failed: {e}"
+                                    ))
+                                })?
+                            }
+                            _ => x,
+                        }
                     }
                     _ => {
                         return Err(LowerError::UnsupportedGraph(
@@ -575,6 +591,31 @@ mod tests {
         htvm_kernels::evaluate(g, std::slice::from_ref(input))
             .unwrap()
             .remove(0)
+    }
+
+    #[test]
+    fn cast_after_a_shared_clip_lowers_and_runs() {
+        use htvm_soc::Machine;
+        // The clip has two users, so each cast opens its own CPU group and
+        // reads the clip from outside it.
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", &[16], DType::I32);
+        let c = b.clip(x, -128, 127).unwrap();
+        let q1 = b.cast(c, DType::I8).unwrap();
+        let q2 = b.cast(c, DType::I8).unwrap();
+        let g = b.finish(&[q1, q2]).unwrap();
+        let part = partition(&g, &[], |_, _: &htvm_pattern::Match| None::<EngineKind>);
+        let artifact = lower(&g, &part, &DianaConfig::default(), &LowerOptions::default())
+            .expect("a cast of a clip read across groups stays proven");
+        assert_eq!(artifact.steps_on(EngineKind::Cpu), 3);
+        let mut input = Tensor::zeros(DType::I32, &[16]);
+        for (i, v) in input.data_mut().iter_mut().enumerate() {
+            *v = (i as i32 - 8) * 40;
+        }
+        let machine = Machine::new(DianaConfig::default());
+        let report = machine.run(&artifact.program, &[input.clone()]).unwrap();
+        let reference = htvm_kernels::evaluate(&g, std::slice::from_ref(&input)).unwrap();
+        assert_eq!(report.outputs, reference);
     }
 
     #[test]

@@ -14,13 +14,6 @@ pub enum TilingError {
         /// The offending layer.
         geom: Box<LayerGeometry>,
     },
-    /// A heuristic parameter is structurally invalid — e.g. an Eq. 3/4
-    /// alignment modulo of 0 or 1, whose `(modulo − 1)` normalization
-    /// would divide by zero.
-    InvalidHeuristic {
-        /// Which parameter was rejected and why.
-        reason: String,
-    },
 }
 
 impl fmt::Display for TilingError {
@@ -31,9 +24,6 @@ impl fmt::Display for TilingError {
                 "no tile of the {:?} layer (c={}, k={}, {}x{}) fits the memory budget",
                 geom.kind, geom.c, geom.k, geom.iy, geom.ix
             ),
-            TilingError::InvalidHeuristic { reason } => {
-                write!(f, "invalid tiling heuristic: {reason}")
-            }
         }
     }
 }
@@ -52,15 +42,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("c=640"));
         assert!(s.contains("k=128"));
-    }
-
-    #[test]
-    fn invalid_heuristic_display_carries_reason() {
-        let e = TilingError::InvalidHeuristic {
-            reason: "PeAlignC modulo must be >= 2, got 1".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("invalid tiling heuristic"));
-        assert!(s.contains("modulo"));
     }
 }

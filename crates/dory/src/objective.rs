@@ -4,7 +4,6 @@
 
 use crate::{
     tile_fits, tile_memory, CostModel, LayerGeometry, LayerKind, MemoryBudget, TileConfig,
-    TilingError,
 };
 use serde::{Deserialize, Serialize};
 
@@ -49,37 +48,6 @@ pub enum Heuristic {
 }
 
 impl Heuristic {
-    /// Validated [`Heuristic::PeAlignC`]: the Eq. 3 normalization divides
-    /// by `modulo − 1`, so `modulo <= 1` is rejected here rather than
-    /// producing NaN (or a division panic) deep inside the solver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TilingError::InvalidHeuristic`] when `modulo <= 1`.
-    pub fn pe_align_c(modulo: usize) -> Result<Self, TilingError> {
-        if modulo <= 1 {
-            return Err(TilingError::InvalidHeuristic {
-                reason: format!("PeAlignC modulo must be >= 2, got {modulo}"),
-            });
-        }
-        Ok(Heuristic::PeAlignC { modulo })
-    }
-
-    /// Validated [`Heuristic::PeAlignIx`], rejecting `modulo <= 1` like
-    /// [`Heuristic::pe_align_c`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TilingError::InvalidHeuristic`] when `modulo <= 1`.
-    pub fn pe_align_ix(modulo: usize) -> Result<Self, TilingError> {
-        if modulo <= 1 {
-            return Err(TilingError::InvalidHeuristic {
-                reason: format!("PeAlignIx modulo must be >= 2, got {modulo}"),
-            });
-        }
-        Ok(Heuristic::PeAlignIx { modulo })
-    }
-
     /// Scores a candidate tile in `[0, 1]` (1 is best).
     #[must_use]
     pub fn score(&self, geom: &LayerGeometry, tile: &TileConfig) -> f64 {
@@ -88,10 +56,9 @@ impl Heuristic {
             Heuristic::PeAlignC { modulo } => {
                 // (c_t - 1) mod m is maximal (m - 1) when c_t ≡ 0 (mod m);
                 // also maximal when c_t equals the whole (smaller) layer dim.
-                // Degenerate moduli (0, 1) come only from hand-built
-                // literals — the validated constructors reject them — and
-                // score 1: every size is trivially aligned to a 1-lane
-                // array, and `% 0` / `/ 0` must not reach the solver.
+                // Degenerate moduli (0, 1) score 1: every size is
+                // trivially aligned to a 1-lane array, and `% 0` / `/ 0`
+                // must not reach the solver.
                 if modulo <= 1 || tile.c_t == geom.c {
                     1.0
                 } else {
@@ -350,32 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_moduli_are_rejected_at_construction() {
-        for modulo in [0, 1] {
-            assert!(matches!(
-                Heuristic::pe_align_c(modulo),
-                Err(TilingError::InvalidHeuristic { .. })
-            ));
-            assert!(matches!(
-                Heuristic::pe_align_ix(modulo),
-                Err(TilingError::InvalidHeuristic { .. })
-            ));
-        }
-        assert_eq!(
-            Heuristic::pe_align_c(16).unwrap(),
-            Heuristic::PeAlignC { modulo: 16 }
-        );
-        assert_eq!(
-            Heuristic::pe_align_ix(2).unwrap(),
-            Heuristic::PeAlignIx { modulo: 2 }
-        );
-    }
-
-    #[test]
     fn degenerate_modulus_literals_score_finite() {
-        // Hand-built literals bypass the validated constructors; the score
-        // must neither panic (`% 0`) nor go NaN (`/ 0`) — a 1-lane array
-        // is always perfectly aligned.
+        // A hand-built literal may carry any modulus; the score must
+        // neither panic (`% 0`) nor go NaN (`/ 0`) — a 1-lane array is
+        // always perfectly aligned.
         let g = geom();
         for modulo in [0, 1] {
             for h in [

@@ -173,3 +173,28 @@ fn a_ternary_byte_out_of_range_is_refused_naming_its_tensor() {
     }
     assert_eq!(wt.index(), 2);
 }
+
+/// `fixtures/unproven_narrowing.htf`: x (i8) → conv with every weight at
+/// 127 → `right_shift(2)` → `clip(-1000, 1000)` → `cast(i8)`, emitted
+/// before the builder refused that cast. Run with inputs at 127 it made
+/// the cast kernel meet 1 000, out of i8's range.
+fn unproven_narrowing_htf() -> Vec<u8> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/unproven_narrowing.htf"
+    );
+    std::fs::read(path).expect("fixture is committed")
+}
+
+#[test]
+fn a_cast_not_proven_in_range_is_refused_at_import() {
+    assert_eq!(
+        import(&unproven_narrowing_htf()),
+        Err(ImportError::Graph(htvm_ir::IrError::UnprovenNarrowing {
+            node: 5,
+            lo: -1000,
+            hi: 1000,
+            to: DType::I8,
+        }))
+    );
+}

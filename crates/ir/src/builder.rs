@@ -9,9 +9,10 @@ use crate::{
 /// step so errors surface at the offending call.
 ///
 /// Every graph it finishes is well-formed: operands precede their users,
-/// every node's shape and dtype are inferred, and every constant is in its
-/// dtype's range (see [`GraphBuilder::constant`]). Passes and the compiler
-/// rely on this and do not re-verify.
+/// every node's shape and dtype are inferred, every constant is in its
+/// dtype's range (see [`GraphBuilder::constant`]), and every narrowing
+/// cast is proven in range (see [`GraphBuilder::cast`]). Passes and the
+/// compiler rely on this and do not re-verify.
 ///
 /// # Examples
 ///
@@ -113,6 +114,9 @@ impl GraphBuilder {
         }
         let inferred = infer(&op, &operands)?;
         let id = NodeId(self.nodes.len());
+        if let Op::Cast { to } = op {
+            crate::passes::prove_narrowing(id.0, &self.nodes[inputs[0].0], to)?;
+        }
         self.nodes.push(Node {
             name,
             kind: NodeKind::Op {
@@ -219,7 +223,9 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Propagates inference failures.
+    /// Returns [`IrError::UnprovenNarrowing`] unless `x`'s values are
+    /// proven to fit `to`: its dtype fits, or it is a `clip` into `to`'s
+    /// range, or it is a constant whose elements all fit.
     pub fn cast(&mut self, x: NodeId, to: DType) -> Result<NodeId, IrError> {
         self.apply(Op::Cast { to }, &[x])
     }

@@ -51,6 +51,19 @@ pub enum IrError {
         /// Human-readable description of the violated expectation.
         detail: String,
     },
+    /// A narrowing cast whose operand is not proven to fit the target:
+    /// its values may lie anywhere in `lo..=hi`. Narrow with a `clip`
+    /// into the target's range first.
+    UnprovenNarrowing {
+        /// The cast node.
+        node: usize,
+        /// Least value the operand is known to hold.
+        lo: i32,
+        /// Greatest value the operand is known to hold.
+        hi: i32,
+        /// The cast's target dtype.
+        to: DType,
+    },
 }
 
 impl fmt::Display for IrError {
@@ -70,6 +83,10 @@ impl fmt::Display for IrError {
             IrError::NotADag => write!(f, "graph is not a dag"),
             IrError::EmptyGraph => write!(f, "graph has no nodes or outputs"),
             IrError::BadAttribute { op, detail } => write!(f, "{op}: invalid attribute: {detail}"),
+            IrError::UnprovenNarrowing { node, lo, hi, to } => write!(
+                f,
+                "cast node {node}: operand values {lo}..={hi} are not proven to fit {to}"
+            ),
         }
     }
 }

@@ -231,38 +231,6 @@ impl Graph {
             })
             .sum()
     }
-
-    /// Renders a compact textual form, one node per line, for debugging and
-    /// golden tests.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for (id, n) in self.nodes() {
-            match &n.kind {
-                NodeKind::Input => {
-                    let _ = writeln!(s, "{id} = input \"{}\" : {}{}", n.name, n.dtype, n.shape);
-                }
-                NodeKind::Constant(_) => {
-                    let _ = writeln!(s, "{id} = const \"{}\" : {}{}", n.name, n.dtype, n.shape);
-                }
-                NodeKind::Op { op, inputs } => {
-                    let args: Vec<String> = inputs.iter().map(ToString::to_string).collect();
-                    let _ = writeln!(
-                        s,
-                        "{id} = {}({}) : {}{}",
-                        op.name(),
-                        args.join(", "),
-                        n.dtype,
-                        n.shape
-                    );
-                }
-            }
-        }
-        let outs: Vec<String> = self.outputs.iter().map(ToString::to_string).collect();
-        let _ = writeln!(s, "return ({})", outs.join(", "));
-        s
-    }
 }
 
 #[cfg(test)]
@@ -279,18 +247,6 @@ mod tests {
         let users = g.users();
         assert_eq!(users[&x].len(), 2);
         assert_eq!(users[&y], vec![z]);
-    }
-
-    #[test]
-    fn text_rendering_is_stable() {
-        let mut b = GraphBuilder::new();
-        let x = b.input("x", &[2], DType::I8);
-        let y = b.relu(x).unwrap();
-        let g = b.finish(&[y]).unwrap();
-        let text = g.to_text();
-        assert!(text.contains("%0 = input \"x\" : i8[2]"));
-        assert!(text.contains("%1 = nn.relu(%0) : i8[2]"));
-        assert!(text.contains("return (%1)"));
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl Padding2d {
     pub fn same(p: usize) -> Self {
         Padding2d::new(p, p, p, p)
     }
-
-    /// Returns `true` if no padding is applied.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.top == 0 && self.bottom == 0 && self.left == 0 && self.right == 0
-    }
 }
 
 impl From<(usize, usize, usize, usize)> for Padding2d {
@@ -240,8 +234,6 @@ mod tests {
 
     #[test]
     fn padding_helpers() {
-        assert!(Padding2d::same(0).is_zero());
-        assert!(!Padding2d::same(1).is_zero());
         let p: Padding2d = (1, 2, 3, 4).into();
         assert_eq!(p, Padding2d::new(1, 2, 3, 4));
     }

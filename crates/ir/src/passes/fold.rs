@@ -50,7 +50,8 @@ pub(super) fn eval_elementwise(op: &Op, operands: &[&Tensor]) -> Option<Tensor> 
         }
         Op::Cast { to } => {
             let x = operands[0];
-            // Cast requires values to already fit; reject the fold otherwise.
+            // The builder proved the values fit; `ok()?` keeps the fold
+            // total all the same.
             Tensor::new(*to, x.shape().dims(), x.data().to_vec()).ok()?
         }
         Op::Relu => {
@@ -138,12 +139,18 @@ mod tests {
 
     #[test]
     fn rejects_unsound_cast_fold() {
+        // 300 does not fit i8, so the builder refuses the cast the fold
+        // would otherwise have to reject.
         let mut b = GraphBuilder::new();
         let c = b.constant("c", Tensor::new(DType::I32, &[1], vec![300]).unwrap());
-        let cast = b.cast(c, DType::I8).unwrap(); // 300 does not fit i8
-        let g = b.finish(&[cast]).unwrap();
-        let (g2, folded) = fold_constants(&g);
-        assert_eq!(folded, 0);
-        verify(&g2).unwrap();
+        assert_eq!(
+            b.cast(c, DType::I8),
+            Err(crate::IrError::UnprovenNarrowing {
+                node: 1,
+                lo: 300,
+                hi: 300,
+                to: DType::I8
+            })
+        );
     }
 }

@@ -14,7 +14,7 @@ mod verify;
 pub use fold::fold_constants;
 pub use ternarize::{ternarize_weights, TernarizeOptions};
 pub use verify::verify;
-pub(crate) use verify::verify_structure;
+pub(crate) use verify::{prove_narrowing, verify_structure};
 
 use crate::{Graph, Node, NodeId, NodeKind, Op, Tensor};
 use std::collections::HashMap;

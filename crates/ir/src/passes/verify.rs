@@ -1,7 +1,7 @@
 //! Structural graph verification.
 
 use crate::infer::infer;
-use crate::{Graph, IrError, NodeKind, Tensor};
+use crate::{DType, Graph, IrError, Node, NodeKind, Op, Tensor};
 
 /// Checks structural well-formedness of a graph:
 ///
@@ -10,7 +10,8 @@ use crate::{Graph, IrError, NodeKind, Tensor};
 /// - every output id is in range,
 /// - re-running inference on every op reproduces the stored shape/dtype,
 /// - every constant's payload matches its declared shape/dtype, and every
-///   element fits that dtype.
+///   element fits that dtype,
+/// - every narrowing cast is proven in range (see [`IrError::UnprovenNarrowing`]).
 ///
 /// Every [`Graph`] value already satisfies this — the builder, the passes
 /// and deserialization only produce well-formed graphs — so the compiler
@@ -75,6 +76,9 @@ pub(crate) fn verify_structure(graph: &Graph) -> Result<(), IrError> {
                         got: node.shape.num_elements(),
                     });
                 }
+                if let Op::Cast { to } = op {
+                    prove_narrowing(id.0, graph.node(inputs[0]), *to)?;
+                }
             }
         }
     }
@@ -82,6 +86,32 @@ pub(crate) fn verify_structure(graph: &Graph) -> Result<(), IrError> {
         graph.try_node(o)?;
     }
     Ok(())
+}
+
+/// The rule every built graph keeps: a cast (node `node`) of `operand`
+/// to `to` is accepted only when the operand's values are proven to fit
+/// `to` — its dtype fits, or it is a `clip` whose bounds lie inside
+/// `to`'s range, or it is a constant whose elements all fit. So no
+/// graph the builder, the importer or the deserializer accepts makes
+/// the cast kernel meet a value it cannot hold.
+pub(crate) fn prove_narrowing(node: usize, operand: &Node, to: DType) -> Result<(), IrError> {
+    let (mut lo, mut hi) = operand.dtype.range();
+    match &operand.kind {
+        NodeKind::Op {
+            op: Op::Clip { min, max },
+            ..
+        } => (lo, hi) = (lo.max(*min), hi.min(*max)),
+        NodeKind::Constant(t) => {
+            lo = t.data().iter().copied().min().unwrap_or(0);
+            hi = t.data().iter().copied().max().unwrap_or(0);
+        }
+        _ => {}
+    }
+    if to.contains(lo) && to.contains(hi) {
+        Ok(())
+    } else {
+        Err(IrError::UnprovenNarrowing { node, lo, hi, to })
+    }
 }
 
 #[cfg(test)]
@@ -139,5 +169,28 @@ mod tests {
         g.nodes[y.index()].shape = Shape::new(&[5]);
         assert!(matches!(g.nodes[y.index()].kind, NodeKind::Op { .. }));
         assert!(verify(&g).is_err());
+    }
+
+    #[test]
+    fn refuses_a_cast_not_proven_in_range() {
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", &[4], DType::I32);
+        let c = b.clip(x, -1000, 1000).unwrap();
+        let y = b.cast(c, DType::I16).unwrap();
+        let mut g = b.finish(&[y]).unwrap();
+        verify(&g).unwrap();
+        // What a deserialized graph could say: the same cast, to i8.
+        g.nodes[y.index()].kind = NodeKind::Op {
+            op: Op::Cast { to: DType::I8 },
+            inputs: vec![c],
+        };
+        g.nodes[y.index()].dtype = DType::I8;
+        let refused = IrError::UnprovenNarrowing {
+            node: y.index(),
+            lo: -1000,
+            hi: 1000,
+            to: DType::I8,
+        };
+        assert_eq!(verify(&g), Err(refused));
     }
 }

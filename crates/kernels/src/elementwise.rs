@@ -112,9 +112,11 @@ pub(crate) fn clip_owned(mut x: Tensor, min: i32, max: i32) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if a value does not fit the target dtype — the graph must narrow
-/// with an explicit [`clip`] first, exactly as the Listing-1 requantization
-/// chain does.
+/// Panics if a value does not fit the target dtype. No built graph
+/// reaches it: the builder, the importer and the graph deserializer all
+/// refuse a narrowing cast not proven in range
+/// (`IrError::UnprovenNarrowing`), so a graph narrows with an explicit
+/// [`clip`] first, exactly as the Listing-1 requantization chain does.
 #[must_use]
 pub fn cast(x: &Tensor, to: DType) -> Tensor {
     cast_owned(x.clone(), to)

@@ -98,6 +98,14 @@ mod tests {
     }
 
     #[test]
+    fn its_tree_reads_back_as_the_artifact() {
+        let stored = StoredArtifact::from(&artifact());
+        let back: StoredArtifact = serde_json::from_value(serde_json::to_value(&stored)).unwrap();
+        assert_eq!(back, stored);
+        assert_eq!(back.json(), stored.json());
+    }
+
+    #[test]
     fn serializes_as_the_artifact_and_round_trips() {
         let plain = artifact();
         let stored = StoredArtifact::from(&plain);

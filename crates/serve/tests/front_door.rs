@@ -407,6 +407,29 @@ fn import_round_trip_is_byte_identical_and_shares_cache_keys() {
 }
 
 #[test]
+fn a_cast_not_proven_in_range_gets_422_before_any_compile() {
+    let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
+    let addr = server.addr();
+    let narrowing = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../frontend/tests/fixtures/unproven_narrowing.htf"
+    ))
+    .expect("fixture is committed");
+    let response = Client::connect(addr).request_bytes("POST", "/v1/import", &narrowing);
+    assert_eq!(response.status, 422);
+    let error = response.error();
+    assert_eq!(error.kind, "import_error");
+    assert!(
+        error.detail.contains("Graph") && error.detail.contains("not proven to fit i8"),
+        "{:?}",
+        error.detail
+    );
+    let stats = service_stats(addr);
+    assert_eq!((stats.rejected_import, stats.jobs), (1, 0));
+    server.shutdown();
+}
+
+#[test]
 fn malformed_imports_get_422_with_the_variant_name() {
     let (_service, server) = spawn_server(serve_config(), HttpConfig::default());
     let addr = server.addr();

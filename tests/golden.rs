@@ -1,11 +1,11 @@
 //! Golden regression tests: exact cycle counts and binary sizes for every
 //! (network, configuration) pair at the committed calibration.
 //!
-//! These pin down the numbers EXPERIMENTS.md quotes. They are *expected*
-//! to change when someone deliberately retunes `DianaConfig::default()`
-//! or `BinarySizeModel::default()` — update them together with
-//! EXPERIMENTS.md — but any unintended drift in the solver, partitioner,
-//! memory planner or cost models fails here first.
+//! They are *expected* to change when someone deliberately retunes
+//! `DianaConfig::default()` or `BinarySizeModel::default()`, and then
+//! `crates/bench/tests/experiments_doc.rs` names every EXPERIMENTS.md
+//! cell to update with them — but any unintended drift in the solver,
+//! partitioner, memory planner or cost models fails here first.
 
 use htvm::{Compiler, DeployConfig, Machine};
 use htvm_models::{all_models, QuantScheme};
